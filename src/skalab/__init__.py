@@ -18,7 +18,6 @@ from .gf2 import (
     FieldElem,
     Gf2Matrix,
     field_add,
-    field_div,
     field_inv,
     field_mul,
     irreducible_poly,
@@ -26,7 +25,7 @@ from .gf2 import (
     rank,
     toeplitz_from_seed,
 )
-from .hashext import ExtractorSpec, HashSpec, ceil_log2_inv, extract, hash_bits, tv_distance
+from .hashext import ExtractorSpec, ceil_log2_inv, extract, tv_distance
 from .profiles import (
     ComplexityProfile,
     cond,
@@ -40,10 +39,10 @@ from .protocols import (
     Margins,
     SessionConfig,
     SessionOutcome,
-    run_light,
-    run_omniscience,
+    SessionPlan,
+    party_key,
     run_session,
-    run_two_phase,
+    session_plan,
 )
 from .rateregion import RateRegion, RateTuple, co_formula3, co_lp, key_capacity, sw_constraints
 from .reconcile import (

@@ -30,9 +30,9 @@ from .entropy import (
     conditional_entropy_bits,
     transcript_inequality_audit,
 )
-from .protocols import SessionConfig, run_session
+from .protocols import SessionConfig, execute, run_session, session_plan
 from .rng import SeedStream
-from .sources import enumerate_instances
+from .sources import enumerate_instances, instance_count
 
 MIN_STRATUM_SAMPLES = 30
 
@@ -209,10 +209,6 @@ class ExactAuditResult:
     instances: int
     agreement_rate: float
 
-    @property
-    def residual_nonneg(self) -> bool:
-        return self.audit.residual_i.sign() >= 0
-
 
 _MAX_ENUM_INSTANCES = 1 << 18
 
@@ -220,52 +216,33 @@ _MAX_ENUM_INSTANCES = 1 << 18
 def exact_small_n_audit(config: SessionConfig, public_label: int = 0) -> ExactAuditResult:
     """Enumerate every model instance, run the protocol with fixed seeds,
     and audit the exact joint distribution of (inputs, transcript, key)."""
+    count = instance_count(config.model)
+    if count > _MAX_ENUM_INSTANCES:
+        raise ValueError(f"input space of {count} tuples exceeds the cap")
     instances = list(enumerate_instances(config.model))
-    if len(instances) > _MAX_ENUM_INSTANCES:
-        raise ValueError(f"input space of {len(instances)} tuples exceeds the cap")
-
-    master = SeedStream("skalab", config.seed, "exact-audit", public_label)
-
-    transcripts = []
-    keys = []
-    agreed = 0
-    for inputs in instances:
-        t, key, ok = _run_on_inputs(config, inputs, master)
-        transcripts.append(t)
-        keys.append(key)
-        agreed += 1 if ok else 0
+    plan = session_plan(config)
+    public = SeedStream("skalab", config.seed, "exact-audit", public_label).child("public")
+    outcomes = [execute(plan, inputs, public) for inputs in instances]
+    if all(o.keys[0] is None for o in outcomes):
+        raise RuntimeError("no instance produced a key for party 1")
 
     dist = JointDistribution.uniform(config.model.parties, instances)
-    t_index = {inputs: _hashable_transcript(t) for inputs, t in zip(instances, transcripts)}
+    t_index = {inputs: _hashable_transcript(o.transcript) for inputs, o in zip(instances, outcomes)}
     audit = transcript_inequality_audit(dist, lambda *inputs: t_index[inputs])
 
     counts: dict = {}
-    for inputs, t, key in zip(instances, transcripts, keys):
+    for inputs, o in zip(instances, outcomes):
+        key = o.keys[0]
         kv = (key.n, key.v) if key is not None else ("fail",)
-        tw = _hashable_transcript(t)
-        counts[(tw, kv)] = counts.get((tw, kv), 0) + 1
-    h_zt = conditional_entropy_bits(counts)
-    key_len = next(k.n for k in keys if k is not None)
+        cell = (t_index[inputs], kv)
+        counts[cell] = counts.get(cell, 0) + 1
     return ExactAuditResult(
         audit=audit,
-        h_key_given_view=h_zt,
-        key_len=key_len,
+        h_key_given_view=conditional_entropy_bits(counts),
+        key_len=plan.key_len,
         instances=len(instances),
-        agreement_rate=agreed / len(instances),
+        agreement_rate=sum(o.agreed for o in outcomes) / len(instances),
     )
-
-
-def _run_on_inputs(config: SessionConfig, inputs, master: SeedStream):
-    """One deterministic protocol execution on prescribed inputs."""
-    from . import protocols as P
-    from .sources import CorrelatedInstance, analytic_profile
-
-    runner = {P.LIGHT: P.run_light, P.TWO_PHASE: P.run_two_phase, P.OMNISCIENCE: P.run_omniscience}[
-        config.protocol
-    ]
-    inst = CorrelatedInstance(config.model, tuple(inputs), analytic_profile(config.model))
-    outcome = runner(config, None, master.child("public"), instance=inst)
-    return outcome.transcript, outcome.keys[0], outcome.agreed
 
 
 def _hashable_transcript(t: Transcript) -> tuple:

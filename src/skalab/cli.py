@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--profile", required=True, help="profile file (lines like 1,2=48)")
     rates.add_argument("--out", default=None)
 
-    aud = sub.add_parser("audit", parents=[common], help="conditional-uniformity audit of the key")
+    aud = sub.add_parser("audit", parents=[common], help="key audit; exit 0 pass, 1 fail, 3 no verdict")
     add_common(aud)
     aud.add_argument("--trials", type=int, default=20000)
     aud.add_argument("--report", default=None, help="report path (default stdout)")
@@ -156,7 +156,9 @@ def cmd_audit(args) -> int:
     )
     report = conditional_uniformity(config, args.trials)
     _emit(report.records(), args.report, args.quiet)
-    return 0 if report.passed or report.inconclusive else 1
+    if report.inconclusive:
+        return 3
+    return 0 if report.passed else 1
 
 
 def cmd_sweep(args) -> int:

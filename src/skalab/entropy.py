@@ -85,10 +85,6 @@ class LogExpr:
         """Exact zero test via unique factorization of the log arguments."""
         if not self.terms:
             return self.rat == 0
-        if self.rat != 0:
-            # rat + sum over odd primes is never 0 unless all prime weights
-            # vanish, in which case terms would have to cancel exactly.
-            pass
         primes: dict[int, Fraction] = {}
         for m, c in self.terms.items():
             for p, e in _factor_odd(m).items():
@@ -231,10 +227,6 @@ class TranscriptAudit:
     residual_j: LogExpr | None
     rectangle_ok: bool
     rectangle_violations: list
-
-    @property
-    def residual_i_bits(self) -> float:
-        return self.residual_i.to_float()
 
 
 def transcript_inequality_audit(dist: JointDistribution, f) -> TranscriptAudit:

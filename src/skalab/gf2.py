@@ -113,7 +113,11 @@ def reverse_bits(v: int, width: int) -> int:
 
 @dataclass(frozen=True)
 class Gf2Matrix:
-    """GF(2) matrix, dense or Toeplitz, with bit data packed in a BitVec."""
+    """GF(2) matrix, dense or Toeplitz, with bit data packed in a BitVec.
+
+    This is also the seeded linear hash of the protocols: a Toeplitz
+    matrix's data is its seed, the bits a session broadcasts.
+    """
 
     kind: str  # "dense" | "toeplitz"
     rows: int
@@ -168,15 +172,6 @@ class Gf2Matrix:
         for i, r in enumerate(self.row_ints()[start:stop]):
             v |= r << (i * self.cols)
         return Gf2Matrix("dense", nrows, self.cols, BitVec(nrows * self.cols, v))
-
-    def serialize(self) -> str:
-        """Wire form ``kind:rows:cols:seedhex`` used in transcript logs."""
-        return f"{self.kind}:{self.rows}:{self.cols}:{self.data.to_hex()}"
-
-    @staticmethod
-    def deserialize(text: str) -> "Gf2Matrix":
-        kind, rows, cols, payload = text.split(":", 3)
-        return Gf2Matrix(kind, int(rows), int(cols), BitVec.from_hex(payload))
 
 
 @lru_cache(maxsize=4096)
@@ -420,10 +415,6 @@ def field_inv(a: FieldElem) -> FieldElem:
         raise ZeroDivisionError("inverse of zero in GF(2^n)")
     # a^(2^n - 2) = a^{-1} in GF(2^n).
     return field_pow(a, (1 << a.n) - 2)
-
-
-def field_div(a: FieldElem, b: FieldElem) -> FieldElem:
-    return field_mul(a, field_inv(b))
 
 
 def mul_int(a: int, b: int, n: int) -> int:

@@ -32,42 +32,15 @@ def ceil_log2_inv(eps) -> int:
     return c
 
 
-@dataclass(frozen=True)
-class HashSpec:
-    """Seeded linear hash: kind/shape plus the seed that fixes the matrix."""
-
-    kind: str
-    rows: int
-    cols: int
-    seed: BitVec
-
-    def __post_init__(self) -> None:
-        Gf2Matrix(self.kind, self.rows, self.cols, self.seed)  # validates seed length
-
-    def matrix(self) -> Gf2Matrix:
-        return Gf2Matrix(self.kind, self.rows, self.cols, self.seed)
-
-    def serialize(self) -> str:
-        return f"{self.kind}:{self.rows}:{self.cols}:{self.seed.to_hex()}"
-
-    @staticmethod
-    def deserialize(text: str) -> "HashSpec":
-        kind, rows, cols, payload = text.split(":", 3)
-        return HashSpec(kind, int(rows), int(cols), BitVec.from_hex(payload))
-
-
-def hash_bits(spec: HashSpec, x: BitVec) -> BitVec:
-    """Apply the seeded hash; output length = spec.rows."""
-    return matvec(spec.matrix(), x)
-
-
-def fresh_toeplitz(rows: int, cols: int, stream: SeedStream) -> HashSpec:
+def fresh_toeplitz(rows: int, cols: int, stream: SeedStream) -> Gf2Matrix:
+    """Toeplitz hash with a fresh seed; the seed (its `data`) is what a
+    protocol puts on the channel."""
     seed_len = rows + cols - 1 if rows and cols else 0
-    return HashSpec("toeplitz", rows, cols, stream.bitvec(seed_len))
+    return Gf2Matrix("toeplitz", rows, cols, stream.bitvec(seed_len))
 
 
-def fresh_dense(rows: int, cols: int, stream: SeedStream) -> HashSpec:
-    return HashSpec("dense", rows, cols, stream.bitvec(rows * cols))
+def fresh_dense(rows: int, cols: int, stream: SeedStream) -> Gf2Matrix:
+    return Gf2Matrix("dense", rows, cols, stream.bitvec(rows * cols))
 
 
 @dataclass(frozen=True)

@@ -1,43 +1,42 @@
 """Executable secret-key-agreement sessions over the public channel.
 
-Three protocols, all one message/broadcast round:
+All three protocols run on one driver, in three steps:
 
-* ``light``      linear-hash reconciliation plus a linear-hash key: the
-  sender draws one Toeplitz matrix H with C(x) + ceil(log2(1/eps)) rows,
-  sends the top block applied to x, and both sides keep the bottom block
-  applied to x as the key.
-* ``two_phase``  fingerprint reconciliation sized from the profile, then a
-  hashed key material string and a seeded strong extractor squeeze the
-  shared secret down to its near-uniform core.
-* ``omniscience``three parties broadcast fingerprints at the canonical
-  optimal Slepian-Wolf rates, jointly decode the full tuple, and distill
-  the key from the tuple with the same hash-then-extract pipeline.
+1. plan       ``session_plan(config)`` sizes the session from the analytic
+   profile, once per (model, protocol, eps, margins) and without the seed.
+2. broadcast  the only per-protocol step: public Toeplitz seeds and
+   fingerprints go on the channel.
+3. party key  ``party_key(plan, party, own, transcript)`` recovers the
+   fingerprint senders' inputs from the party's own input and the
+   transcript alone, hashes them to key material and extracts the key.
 
-Every asymptotic O(log(n/eps)) term from the analysis is pinned to an
-explicit, config-visible margin (see Margins).  Each party's post-decode
-computation reads only (own input, transcript), so the transcript is a
-complete record of everything shared; the session asserts that no
-transcript payload ever equals a party input, the key material, or the key.
+* ``light``      party 1 sends one Toeplitz seed H with C(x|y) +
+  ceil(log2(1/eps)) fingerprint rows over the key rows, and the top block
+  applied to x; the key is the bottom block applied to x.
+* ``two_phase``  a fingerprint sized from the profile, then hashed key
+  material and a seeded strong extractor.
+* ``omniscience`` three parties fingerprint at the optimal Slepian-Wolf
+  rates, jointly decode the tuple, then hash and extract as two_phase.
+
+Every asymptotic O(log(n/eps)) term is pinned to an explicit margin (see
+Margins).  The shared tail of a session checks agreement and asserts that
+no transcript payload equals a party input, key material, or a key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .channel import Channel, Transcript
-from .gf2 import BitVec, matvec
-from .hashext import (
-    ExtractorSpec,
-    HashSpec,
-    ceil_log2_inv,
-    extract,
-    fresh_toeplitz,
-    hash_bits,
-)
+from .gf2 import BitVec, Gf2Matrix, matvec
+from .hashext import ExtractorSpec, ceil_log2_inv, extract, fresh_toeplitz
 from .profiles import cond, mutual
 from .rateregion import co_lp, sw_constraints
 from .reconcile import (
+    STATUS_AMBIGUOUS,
+    STATUS_NOT_FOUND,
     STATUS_UNIQUE,
     Fingerprint,
     decode,
@@ -46,7 +45,7 @@ from .reconcile import (
     multi_decode,
 )
 from .rng import SeedStream
-from .sources import CorrelationModel, enumerate_candidates, sample
+from .sources import CorrelationModel, analytic_profile, enumerate_candidates, sample
 
 LIGHT = "light"
 TWO_PHASE = "two_phase"
@@ -137,23 +136,8 @@ class SessionOutcome:
     overhead_bits: int
 
 
-_LEAK_CHECK_MIN_BITS = 16
-
-
-def _forbid_secret_payloads(transcript: Transcript, secrets) -> None:
-    # Structural guard against broadcasting a secret verbatim.  Secrets
-    # shorter than 16 bits are skipped: at toy sizes a hash value can
-    # coincide with an input by chance, which is not a leak.
-    for rec in transcript.records:
-        for s in secrets:
-            if s is not None and s.n >= _LEAK_CHECK_MIN_BITS and rec.payload == s:
-                raise AssertionError(
-                    f"transcript record {rec.kind!r} leaks a secret verbatim"
-                )
-
-
 # ---------------------------------------------------------------------------
-# Light protocol
+# Per-protocol sizing rules
 # ---------------------------------------------------------------------------
 
 
@@ -171,77 +155,6 @@ def light_dimensions(config: SessionConfig, profile):
     if n1 > xlen:
         raise ValueError("profile claims more complexity than input bits")
     return n1, k_used, q_rows, key_rows
-
-
-def light_party_key(config: SessionConfig, party: int, own: BitVec, transcript: Transcript):
-    """Party's post-decode computation from its input and the transcript."""
-    profile = _analytic(config)
-    _n1, k_used, q_rows, key_rows = light_dimensions(config, profile)
-    xlen = config.model.input_len
-    seed = transcript.one("hash_spec", sender=1).payload
-    h = HashSpec("toeplitz", q_rows + key_rows, xlen, seed).matrix()
-    h2 = h.row_block(q_rows, q_rows + key_rows)
-    q = transcript.one("fingerprint", sender=1).payload
-    if party == 1:
-        return matvec(h2, own), STATUS_UNIQUE
-    candidates = enumerate_candidates(config.model, party, own)
-    if q_rows == 0:
-        found = list(candidates)
-        if len(found) != 1:
-            return None, "ambiguous" if found else "not_found"
-        return matvec(h2, found[0]), STATUS_UNIQUE
-    h1 = HashSpec("toeplitz", q_rows, xlen, seed.slice(0, q_rows + xlen - 1))
-    fp = Fingerprint(h1, q, k_used, config.eps)
-    res = decode(fp, candidates)
-    if res.status != STATUS_UNIQUE:
-        return None, res.status
-    return matvec(h2, res.value), STATUS_UNIQUE
-
-
-def _analytic(config: SessionConfig):
-    from .sources import analytic_profile
-
-    return analytic_profile(config.model)
-
-
-def run_light(config: SessionConfig, input_stream: SeedStream | None, public_stream: SeedStream, instance=None) -> SessionOutcome:
-    inst = instance if instance is not None else sample(config.model, input_stream)
-    x, y = inst.inputs
-    profile = inst.profile
-    n1, k_used, q_rows, key_rows = light_dimensions(config, profile)
-    xlen = config.model.input_len
-
-    channel = Channel()
-    channel.next_round()
-    spec = fresh_toeplitz(q_rows + key_rows, xlen, public_stream.child("light", "H"))
-    q = matvec(spec.matrix().row_block(0, q_rows), x) if q_rows else BitVec(0, 0)
-    channel.broadcast(1, "hash_spec", spec.seed)
-    channel.broadcast(1, "fingerprint", q)
-    transcript = channel.close()
-
-    key_a, status_a = light_party_key(config, 1, x, transcript)
-    key_b, status_b = light_party_key(config, 2, y, transcript)
-    agreed = status_a == status_b == STATUS_UNIQUE and key_a == key_b
-    _forbid_secret_payloads(transcript, (x, y, key_a, key_b))
-
-    k_true = int(cond(profile, {1}, {2}))
-    return SessionOutcome(
-        keys=(key_a, key_b),
-        transcript=transcript,
-        agreed=agreed,
-        key_len=key_rows,
-        comm_bits=transcript.total_bits(),
-        target_key_len=mutual(profile, {1}, {2}),
-        target_comm=Fraction(k_true + (ceil_log2_inv(config.eps) if k_true else 0)),
-        decode_status=status_b,
-        payload_bits=transcript.payload_bits(),
-        overhead_bits=transcript.overhead_bits(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Two-phase protocol
-# ---------------------------------------------------------------------------
 
 
 def two_phase_dimensions(config: SessionConfig, profile):
@@ -264,75 +177,6 @@ def two_phase_dimensions(config: SessionConfig, profile):
     return k_fp, k_material, ext
 
 
-def two_phase_party_key(config: SessionConfig, party: int, own: BitVec, transcript: Transcript):
-    profile = _analytic(config)
-    k_fp, k_material, ext = two_phase_dimensions(config, profile)
-    xlen = config.model.input_len
-    fp_seed = transcript.one("fp_spec", sender=1).payload
-    fp_value = transcript.one("fingerprint", sender=1).payload
-    keymat_seed = transcript.one("keymat_spec", sender=1).payload
-    ext_seed = transcript.one("ext_seed", sender=1).payload
-
-    if party == 1:
-        x = own
-        status = STATUS_UNIQUE
-    else:
-        fp = Fingerprint(
-            HashSpec("toeplitz", fp_value.n, xlen, fp_seed), fp_value, k_fp, config.eps
-        )
-        res = decode(fp, enumerate_candidates(config.model, party, own))
-        if res.status != STATUS_UNIQUE:
-            return None, res.status, None
-        x = res.value
-        status = STATUS_UNIQUE
-    keymat_spec = HashSpec("toeplitz", k_material, xlen, keymat_seed)
-    z_tilde = hash_bits(keymat_spec, x)
-    z = extract(z_tilde, ext, ext_seed)
-    return z, status, z_tilde
-
-
-def run_two_phase(config: SessionConfig, input_stream: SeedStream | None, public_stream: SeedStream, instance=None) -> SessionOutcome:
-    inst = instance if instance is not None else sample(config.model, input_stream)
-    x, y = inst.inputs
-    profile = inst.profile
-    k_fp, k_material, ext = two_phase_dimensions(config, profile)
-    xlen = config.model.input_len
-
-    channel = Channel()
-    channel.next_round()
-    fp = encode(x, k_fp, config.eps, public_stream.child("two_phase", "fp"))
-    channel.broadcast(1, "fp_spec", fp.spec.seed)
-    channel.broadcast(1, "fingerprint", fp.value)
-    keymat = fresh_toeplitz(k_material, xlen, public_stream.child("two_phase", "keymat"))
-    channel.broadcast(1, "keymat_spec", keymat.seed)
-    s = public_stream.child("two_phase", "ext").bitvec(ext.seed_len)
-    channel.broadcast(1, "ext_seed", s)
-    transcript = channel.close()
-
-    key_a, status_a, zt_a = two_phase_party_key(config, 1, x, transcript)
-    key_b, status_b, _zt_b = two_phase_party_key(config, 2, y, transcript)
-    agreed = status_a == status_b == STATUS_UNIQUE and key_a == key_b
-    _forbid_secret_payloads(transcript, (x, y, zt_a, key_a, key_b))
-
-    return SessionOutcome(
-        keys=(key_a, key_b),
-        transcript=transcript,
-        agreed=agreed,
-        key_len=ext.output_len,
-        comm_bits=transcript.total_bits(),
-        target_key_len=mutual(profile, {1}, {2}),
-        target_comm=cond(profile, {1}, {2}),
-        decode_status=status_b,
-        payload_bits=transcript.payload_bits(),
-        overhead_bits=transcript.overhead_bits(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Omniscience protocol
-# ---------------------------------------------------------------------------
-
-
 def omniscience_dimensions(config: SessionConfig, profile):
     """(per-party rates, CO, key capacity, key-material len, extractor)."""
     m = config.margins
@@ -351,84 +195,213 @@ def omniscience_dimensions(config: SessionConfig, profile):
     return ints, co_total, key_cap, k_material, ext
 
 
-def omniscience_party_key(config: SessionConfig, party: int, own: BitVec, transcript: Transcript):
-    profile = _analytic(config)
-    ints, _co, _cap, k_material, ext = omniscience_dimensions(config, profile)
-    xlen = config.model.input_len
-    c = ceil_log2_inv(config.eps)
-    fps = []
-    for i in range(1, config.model.parties + 1):
-        seed = transcript.one("fp_spec", sender=i).payload
-        value = transcript.one("fingerprint", sender=i).payload
-        fps.append(
-            Fingerprint(HashSpec("toeplitz", ints[i - 1] + c, xlen, seed), value, ints[i - 1], config.eps)
+# ---------------------------------------------------------------------------
+# Plan
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SessionPlan:
+    """Seed-independent sizing of one (model, protocol, eps, margins).
+
+    Parties 1..len(fp_k) send fingerprints of fp_rows rows at declared
+    complexity fp_k (light sends 0 rows when nothing needs reconciling).
+    Every party hashes the senders' packed inputs to material_len bits; the
+    extractor, absent for light, turns those into the key_len-bit key.
+    """
+
+    model: CorrelationModel
+    protocol: str
+    eps: Fraction
+    fp_k: tuple
+    fp_rows: tuple
+    material_len: int
+    extractor: ExtractorSpec | None
+    key_len: int
+    target_key_len: Fraction
+    target_comm: Fraction
+
+
+def session_plan(config: SessionConfig) -> SessionPlan:
+    """The config's plan; raises the sizing rule's ValueError when the
+    margins leave no key."""
+    return _plan(config.model, config.protocol, config.eps, config.margins)
+
+
+@lru_cache(maxsize=256)
+def _plan(model: CorrelationModel, protocol: str, eps: Fraction, margins: Margins) -> SessionPlan:
+    config = SessionConfig(model, protocol, eps, 0, margins)
+    profile = analytic_profile(model)
+    c = ceil_log2_inv(eps)
+    if protocol == LIGHT:
+        _n1, k_used, q_rows, key_rows = light_dimensions(config, profile)
+        k_true = int(cond(profile, {1}, {2}))
+        target_comm = Fraction(k_true + (c if k_true else 0))
+        return SessionPlan(
+            model, protocol, eps, (k_used,), (q_rows,), key_rows, None, key_rows,
+            mutual(profile, {1}, {2}), target_comm,
         )
-    res = multi_decode(own, party, fps, joint_candidates(config.model, party, own, fps))
-    if res.status != STATUS_UNIQUE:
-        return None, res.status, None
-    packed = res.value[0]
-    for comp in res.value[1:]:
-        packed = packed.concat(comp)
-    keymat_seed = transcript.one("keymat_spec", sender=1).payload
-    keymat = HashSpec("toeplitz", k_material, packed.n, keymat_seed)
-    z_tilde = hash_bits(keymat, packed)
-    z = extract(z_tilde, ext, transcript.one("ext_seed", sender=1).payload)
-    return z, STATUS_UNIQUE, z_tilde
-
-
-def run_omniscience(config: SessionConfig, input_stream: SeedStream | None, public_stream: SeedStream, instance=None) -> SessionOutcome:
-    inst = instance if instance is not None else sample(config.model, input_stream)
-    profile = inst.profile
+    if protocol == TWO_PHASE:
+        k_fp, k_material, ext = two_phase_dimensions(config, profile)
+        return SessionPlan(
+            model, protocol, eps, (k_fp,), (k_fp + c,), k_material, ext, ext.output_len,
+            mutual(profile, {1}, {2}), cond(profile, {1}, {2}),
+        )
     ints, co_total, key_cap, k_material, ext = omniscience_dimensions(config, profile)
-    xlen = config.model.input_len
-    parties = config.model.parties
-
-    channel = Channel()
-    channel.next_round()
-    for i in range(1, parties + 1):
-        fp = encode(inst.inputs[i - 1], ints[i - 1], config.eps, public_stream.child("omni", "fp", i))
-        channel.broadcast(i, "fp_spec", fp.spec.seed)
-        channel.broadcast(i, "fingerprint", fp.value)
-    keymat = fresh_toeplitz(k_material, parties * xlen, public_stream.child("omni", "keymat"))
-    channel.broadcast(1, "keymat_spec", keymat.seed)
-    s = public_stream.child("omni", "ext").bitvec(ext.seed_len)
-    channel.broadcast(1, "ext_seed", s)
-    transcript = channel.close()
-
-    keys = []
-    statuses = []
-    z_tildes = []
-    for i in range(1, parties + 1):
-        key, status, zt = omniscience_party_key(config, i, inst.inputs[i - 1], transcript)
-        keys.append(key)
-        statuses.append(status)
-        z_tildes.append(zt)
-    agreed = all(s == STATUS_UNIQUE for s in statuses) and len(
-        {k.v for k in keys if k is not None}
-    ) == 1 and all(k is not None for k in keys)
-    _forbid_secret_payloads(transcript, tuple(inst.inputs) + tuple(z_tildes) + tuple(keys))
-
-    bad = next((s for s in statuses if s != STATUS_UNIQUE), STATUS_UNIQUE)
-    return SessionOutcome(
-        keys=tuple(keys),
-        transcript=transcript,
-        agreed=agreed,
-        key_len=ext.output_len,
-        comm_bits=transcript.total_bits(),
-        target_key_len=key_cap,
-        target_comm=co_total,
-        decode_status=bad,
-        payload_bits=transcript.payload_bits(),
-        overhead_bits=transcript.overhead_bits(),
+    return SessionPlan(
+        model, protocol, eps, tuple(ints), tuple(k + c for k in ints), k_material, ext,
+        ext.output_len, key_cap, co_total,
     )
+
+
+# ---------------------------------------------------------------------------
+# Broadcast: the per-protocol step
+# ---------------------------------------------------------------------------
+
+
+def _broadcast_light(plan: SessionPlan, inputs, public: SeedStream, channel: Channel) -> None:
+    (q_rows,) = plan.fp_rows
+    h = fresh_toeplitz(q_rows + plan.material_len, plan.model.input_len, public.child("light", "H"))
+    channel.broadcast(1, "hash_spec", h.data)
+    channel.broadcast(1, "fingerprint", matvec(h.row_block(0, q_rows), inputs[0]))
+
+
+def _broadcast_key_seeds(plan: SessionPlan, public: SeedStream, channel: Channel, label: str) -> None:
+    cols = len(plan.fp_k) * plan.model.input_len
+    keymat = fresh_toeplitz(plan.material_len, cols, public.child(label, "keymat"))
+    channel.broadcast(1, "keymat_spec", keymat.data)
+    channel.broadcast(1, "ext_seed", public.child(label, "ext").bitvec(plan.extractor.seed_len))
+
+
+def _broadcast_two_phase(plan: SessionPlan, inputs, public: SeedStream, channel: Channel) -> None:
+    fp = encode(inputs[0], plan.fp_k[0], plan.eps, public.child("two_phase", "fp"))
+    channel.broadcast(1, "fp_spec", fp.spec.data)
+    channel.broadcast(1, "fingerprint", fp.value)
+    _broadcast_key_seeds(plan, public, channel, "two_phase")
+
+
+def _broadcast_omniscience(plan: SessionPlan, inputs, public: SeedStream, channel: Channel) -> None:
+    for i, (x, k) in enumerate(zip(inputs, plan.fp_k), start=1):
+        fp = encode(x, k, plan.eps, public.child("omni", "fp", i))
+        channel.broadcast(i, "fp_spec", fp.spec.data)
+        channel.broadcast(i, "fingerprint", fp.value)
+    _broadcast_key_seeds(plan, public, channel, "omni")
+
+
+_BROADCAST = {LIGHT: _broadcast_light, TWO_PHASE: _broadcast_two_phase, OMNISCIENCE: _broadcast_omniscience}
+
+
+# ---------------------------------------------------------------------------
+# Party key: own input + transcript -> key
+# ---------------------------------------------------------------------------
+
+
+def _hashes(plan: SessionPlan, transcript: Transcript):
+    """(fingerprint of each sender, key-material hash) named by the
+    transcript.  Light's one seed holds both hashes as row blocks of one H;
+    its fingerprint is None when it has no rows."""
+    xlen = plan.model.input_len
+    if plan.protocol == LIGHT:
+        (q_rows,) = plan.fp_rows
+        seed = transcript.one("hash_spec", sender=1).payload
+        h = Gf2Matrix("toeplitz", q_rows + plan.material_len, xlen, seed)
+        fp_hashes, key_hash = [h.row_block(0, q_rows)], h.row_block(q_rows, h.rows)
+    else:
+        fp_hashes = [
+            Gf2Matrix("toeplitz", rows, xlen, transcript.one("fp_spec", sender=i).payload)
+            for i, rows in enumerate(plan.fp_rows, start=1)
+        ]
+        seed = transcript.one("keymat_spec", sender=1).payload
+        key_hash = Gf2Matrix("toeplitz", plan.material_len, len(plan.fp_k) * xlen, seed)
+    fps = [
+        Fingerprint(h, transcript.one("fingerprint", sender=i).payload, k, plan.eps) if h.rows else None
+        for i, (h, k) in enumerate(zip(fp_hashes, plan.fp_k), start=1)
+    ]
+    return fps, key_hash
+
+
+def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
+    """(status, packed inputs of every fingerprint sender) as the party
+    recovers them; the packed value is None unless the status is unique."""
+    if plan.protocol == OMNISCIENCE:
+        res = multi_decode(own, party, fps, joint_candidates(plan.model, party, own, fps))
+        if res.status != STATUS_UNIQUE:
+            return res.status, None
+        packed = res.value[0]
+        for comp in res.value[1:]:
+            packed = packed.concat(comp)
+        return STATUS_UNIQUE, packed
+    if party == 1:
+        return STATUS_UNIQUE, own
+    candidates = enumerate_candidates(plan.model, party, own)
+    if fps[0] is None:  # nothing to reconcile: the candidate set is one word
+        found = list(candidates)
+        if len(found) != 1:
+            return (STATUS_AMBIGUOUS if found else STATUS_NOT_FOUND), None
+        return STATUS_UNIQUE, found[0]
+    res = decode(fps[0], candidates)
+    return res.status, res.value
+
+
+def party_key(plan: SessionPlan, party: int, own: BitVec, transcript: Transcript):
+    """(key, status, key material) of one party, computed from its own input
+    and the transcript alone; key and material are None unless the status
+    is unique."""
+    fps, key_hash = _hashes(plan, transcript)
+    status, known = _reconcile(plan, party, own, fps)
+    if status != STATUS_UNIQUE:
+        return None, status, None
+    material = matvec(key_hash, known)
+    if plan.extractor is None:
+        return material, STATUS_UNIQUE, material
+    key = extract(material, plan.extractor, transcript.one("ext_seed", sender=1).payload)
+    return key, STATUS_UNIQUE, material
 
 
 # ---------------------------------------------------------------------------
 # Session driver
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {LIGHT: run_light, TWO_PHASE: run_two_phase, OMNISCIENCE: run_omniscience}
-_PARTY_KEYS = {LIGHT: light_party_key, TWO_PHASE: two_phase_party_key, OMNISCIENCE: omniscience_party_key}
+_LEAK_CHECK_MIN_BITS = 16
+
+
+def _forbid_secret_payloads(transcript: Transcript, secrets) -> None:
+    # Structural guard against broadcasting a secret verbatim.  Secrets
+    # shorter than 16 bits are skipped: at toy sizes a hash value can
+    # coincide with an input by chance, which is not a leak.
+    for rec in transcript.records:
+        for s in secrets:
+            if s is not None and s.n >= _LEAK_CHECK_MIN_BITS and rec.payload == s:
+                raise AssertionError(
+                    f"transcript record {rec.kind!r} leaks a secret verbatim"
+                )
+
+
+def execute(plan: SessionPlan, inputs: tuple, public_stream: SeedStream) -> SessionOutcome:
+    """One session on prescribed inputs: broadcast, every party's key, and
+    the shared agreement and leak checks."""
+    channel = Channel()
+    channel.next_round()
+    _BROADCAST[plan.protocol](plan, inputs, public_stream, channel)
+    transcript = channel.close()
+
+    keys, statuses, materials = zip(
+        *(party_key(plan, i, own, transcript) for i, own in enumerate(inputs, start=1))
+    )
+    agreed = all(s == STATUS_UNIQUE for s in statuses) and len(set(keys)) == 1
+    _forbid_secret_payloads(transcript, tuple(inputs) + materials + keys)
+    return SessionOutcome(
+        keys=keys,
+        transcript=transcript,
+        agreed=agreed,
+        key_len=plan.key_len,
+        comm_bits=transcript.total_bits(),
+        target_key_len=plan.target_key_len,
+        target_comm=plan.target_comm,
+        decode_status=next((s for s in statuses if s != STATUS_UNIQUE), STATUS_UNIQUE),
+        payload_bits=transcript.payload_bits(),
+        overhead_bits=transcript.overhead_bits(),
+    )
 
 
 def session_streams(config: SessionConfig, trial: int, fresh_public_seeds: bool = True):
@@ -446,14 +419,11 @@ def session_streams(config: SessionConfig, trial: int, fresh_public_seeds: bool 
 
 def run_session(config: SessionConfig, trial: int = 0, fresh_public_seeds: bool = True) -> SessionOutcome:
     input_stream, public_stream = session_streams(config, trial, fresh_public_seeds)
-    return _RUNNERS[config.protocol](config, input_stream, public_stream)
+    inputs = sample(config.model, input_stream).inputs
+    return execute(session_plan(config), inputs, public_stream)
 
 
 def party_key_from_transcript(config: SessionConfig, party: int, own: BitVec, transcript: Transcript):
-    """Recompute a party's key from (own input, transcript) alone."""
-    out = _PARTY_KEYS[config.protocol](config, party, own, transcript)
-    return out[0], out[1]
-
-
-def with_margins(config: SessionConfig, **kwargs) -> SessionConfig:
-    return replace(config, margins=replace(config.margins, **kwargs))
+    """Recompute a party's (key, status) from (own input, transcript) alone."""
+    key, status, _material = party_key(session_plan(config), party, own, transcript)
+    return key, status

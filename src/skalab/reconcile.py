@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf2 import BitVec, Gf2Matrix, dense_from_rows, matvec, solve_affine
-from .hashext import HashSpec, ceil_log2_inv, fresh_toeplitz, hash_bits
+from .hashext import ceil_log2_inv, fresh_toeplitz
 from .rng import SeedStream
 from .sources import CorrelationModel, hamming_ball, is_consistent
 
@@ -31,9 +31,9 @@ STATUS_NOT_FOUND = "not_found"
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Hash spec plus value; the reconciliation message for one input."""
+    """Seeded hash plus value; the reconciliation message for one input."""
 
-    spec: HashSpec
+    spec: Gf2Matrix
     value: BitVec
     declared_k: int
     eps: Fraction
@@ -46,26 +46,6 @@ class Fingerprint:
                 f"fingerprint length {self.value.n} != rows {self.spec.rows} "
                 f"!= k + ceil(log2(1/eps)) = {want}"
             )
-
-    def serialize(self) -> str:
-        return (
-            f"{self.declared_k}:{self.eps.numerator}/{self.eps.denominator}"
-            f":{self.spec.serialize()}:{self.value.to_hex()}"
-        )
-
-    @staticmethod
-    def deserialize(text: str) -> "Fingerprint":
-        # BitVec hex fields are themselves len:hex, so split fully: the wire
-        # form has exactly nine colon-separated pieces.
-        parts = text.split(":")
-        if len(parts) != 9:
-            raise ValueError(f"malformed fingerprint wire form: {text!r}")
-        k_s, eps_s, kind, rows, cols, seed_n, seed_hex, val_n, val_hex = parts
-        num, _, den = eps_s.partition("/")
-        spec = HashSpec(kind, int(rows), int(cols), BitVec.from_hex(f"{seed_n}:{seed_hex}"))
-        return Fingerprint(
-            spec, BitVec.from_hex(f"{val_n}:{val_hex}"), int(k_s), Fraction(int(num), int(den))
-        )
 
 
 @dataclass(frozen=True)
@@ -89,7 +69,7 @@ def encode(x: BitVec, k: int, eps, stream: SeedStream) -> Fingerprint:
         raise ValueError(f"k={k} outside [0, {x.n}]")
     rows = k + ceil_log2_inv(eps)
     spec = fresh_toeplitz(rows, x.n, stream)
-    return Fingerprint(spec, hash_bits(spec, x), k, eps)
+    return Fingerprint(spec, matvec(spec, x), k, eps)
 
 
 def decode_scan(fp: Fingerprint, candidates) -> DecodeResult:
@@ -98,7 +78,7 @@ def decode_scan(fp: Fingerprint, candidates) -> DecodeResult:
     checked = 0
     for cand in candidates:
         checked += 1
-        if hash_bits(fp.spec, cand) == fp.value:
+        if matvec(fp.spec, cand) == fp.value:
             if found is not None:
                 return DecodeResult(STATUS_AMBIGUOUS, None, checked)
             found = cand
@@ -122,7 +102,7 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
     length = candidates.length
     if not basis:
         return decode_scan(fp, candidates)
-    hrows = fp.spec.matrix().row_ints()
+    hrows = fp.spec.row_ints()
     arows = []
     for r in hrows:
         bits = 0
@@ -135,7 +115,7 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
         base_hash |= ((r & base).bit_count() & 1) << i
     target = BitVec(fp.value.n, fp.value.v ^ base_hash)
     sol = solve_affine(a, target)
-    total = len(candidates)
+    total = 1 << len(basis)  # not len(): the coset can exceed a machine index
     if sol is None:
         return DecodeResult(STATUS_NOT_FOUND, None, total)
     particular, kernel = sol
@@ -146,7 +126,7 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
         if (particular >> j) & 1:
             value ^= vec
     out = BitVec(length, value)
-    if hash_bits(fp.spec, out) != fp.value:
+    if matvec(fp.spec, out) != fp.value:
         raise AssertionError("affine decode produced a non-matching solution")
     return DecodeResult(STATUS_UNIQUE, out, total)
 
@@ -215,7 +195,7 @@ def random_linear_code(rows: int, n: int, stream: SeedStream) -> Gf2Matrix:
 def fingerprint_solutions(fp: Fingerprint, length: int, cap_bits: int = 14):
     """All words of `length` bits matching the fingerprint, or None if the
     solution space is larger than 2^cap_bits (degenerate hash seed)."""
-    m = fp.spec.matrix()
+    m = fp.spec
     if m.cols != length:
         raise ValueError(f"fingerprint is over {m.cols} bits, want {length}")
     sol = solve_affine(m, fp.value)
@@ -280,7 +260,7 @@ def multi_decode(own: BitVec, own_index: int, fps, candidates) -> DecodeResult:
         checked += 1
         if tup[own_index - 1] != own:
             continue
-        if all(hash_bits(fp.spec, comp) == fp.value for fp, comp in zip(fps, tup)):
+        if all(matvec(fp.spec, comp) == fp.value for fp, comp in zip(fps, tup)):
             if found is not None:
                 return DecodeResult(STATUS_AMBIGUOUS, None, checked)
             found = tup

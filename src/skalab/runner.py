@@ -71,10 +71,6 @@ def sweep_configs(
     return configs
 
 
-def run_trials(config: SessionConfig, trials: int):
-    return [run_session(config, t) for t in range(trials)]
-
-
 def summarize(config: SessionConfig, outcomes) -> dict:
     n = len(outcomes)
     agreed = sum(1 for o in outcomes if o.agreed)

@@ -207,6 +207,18 @@ def _field_inv_int(v: int, n: int) -> int:
     return field_inv(FieldElem(v, n)).value
 
 
+def instance_count(model: CorrelationModel) -> int:
+    """Number of tuples enumerate_instances yields, without enumerating."""
+    q = 1 << model.n
+    if model.kind == LINE_POINT:
+        return q**3
+    if model.kind == IDENTICAL_PAIR:
+        return q
+    if model.kind == HAMMING_PAIR:
+        return q * math.comb(model.n, model.t)
+    return q * q * q * (q - 1) * (q - 2)
+
+
 def enumerate_instances(model: CorrelationModel):
     """Every instance of the model, in sampling-uniform order.
 
@@ -249,19 +261,6 @@ def enumerate_instances(model: CorrelationModel):
                             )
 
 
-def line_through(p1: BitVec, p2: BitVec, n: int):
-    """(slope, intercept) of the non-vertical line through two points.
-
-    Returns None when the points share an abscissa (vertical or equal).
-    """
-    c1, d1 = _unpack(p1, n)
-    c2, d2 = _unpack(p2, n)
-    if c1 == c2:
-        return None
-    a = mul_int(d1 ^ d2, _field_inv_int(c1 ^ c2, n), n)
-    return a, mul_int(a, c1, n) ^ d1
-
-
 # ---------------------------------------------------------------------------
 # Candidate sets
 # ---------------------------------------------------------------------------
@@ -288,7 +287,7 @@ class AffineCandidates:
     def __iter__(self):
         cur = self.base
         yield BitVec(self.length, cur)
-        for a in range(1, len(self)):
+        for a in range(1, 1 << len(self.basis)):
             changed = a ^ (a - 1)
             j = 0
             while changed:

@@ -10,6 +10,7 @@ expected failure rather than weakened.
 import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -259,18 +260,21 @@ def test_criterion_6_extractor_guarantee():
 # 7. Exact entropy audits at line-point(3)
 # -----------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _criterion7_audits():
+    """The 100 audits, computed once per module for both criterion-7 tests;
+    returns (config, results, seconds the audits took)."""
+    start = time.monotonic()
     config = SessionConfig(
         parse_model_spec("line-point:n=3"), "light", Fraction(1, 2), seed=1007
     )
     results = [exact_small_n_audit(config, public_label=i) for i in range(100)]
     assert all(r.instances == 512 for r in results)
-    return config, results
+    return config, results, time.monotonic() - start
 
 
 def test_criterion_7_exact_entropy_audits():
-    start = time.monotonic()
-    config, results = _criterion7_audits()
+    config, results, elapsed = _criterion7_audits()
     nonneg = all(r.audit.residual_i.sign() >= 0 for r in results)
     rect = all(r.audit.rectangle_ok for r in results)
     mean_hzt = sum(r.h_key_given_view for r in results) / len(results)
@@ -280,7 +284,6 @@ def test_criterion_7_exact_entropy_audits():
     # n - log2(1/eps) = 2 < m = 3; the measured mean must sit just under
     # that ceiling (rank defects cost a fraction of a bit on average).
     fiber = 3 - 1
-    elapsed = time.monotonic() - start
     ok = nonneg and rect and fiber - 0.8 <= mean_hzt <= fiber and elapsed < 60
     verdict(
         "7 exact entropy audits",
@@ -301,7 +304,7 @@ def test_criterion_7_exact_entropy_audits():
     "decisions ledger",
 )
 def test_criterion_7_leftover_hash_threshold_as_stated():
-    _config, results = _criterion7_audits()
+    _config, results, _elapsed = _criterion7_audits()
     mean_hzt = sum(r.h_key_given_view for r in results) / len(results)
     m = results[0].key_len
     verdict("7b mean H(Z|T) >= m - 0.25 (as stated)", mean_hzt >= m - 0.25,

@@ -14,10 +14,10 @@ from skalab.channel import TranscriptRecord
 from skalab.gf2 import BitVec, matvec, rank, solve_affine, toeplitz_from_seed
 from skalab.hashext import ceil_log2_inv
 from skalab.protocols import (
+    Margins,
     SessionConfig,
     light_dimensions,
     run_session,
-    with_margins,
 )
 from skalab.rng import SeedStream
 from skalab.sources import analytic_profile, enumerate_instances, parse_model_spec
@@ -180,6 +180,17 @@ def test_exact_audit_omniscience_triple_n2():
     assert res.audit.residual_j is not None
     assert res.audit.residual_j.sign() >= 0
     assert res.agreement_rate > 0.8
+
+
+def test_exact_audit_without_any_key_raises_runtime_error():
+    # At eps = 1/4 a triple:n=2 fingerprint has 5 rows over 4 input bits;
+    # for these public seeds no instance yields party 1 a key.
+    margins = Margins(k_slack=0, phase1=2, deficiency=0, extractor_eps=Fraction(1, 2))
+    config = SessionConfig(
+        parse_model_spec("triple:n=2"), "omniscience", Fraction(1, 4), 11108275085490996064, margins
+    )
+    with pytest.raises(RuntimeError, match="no instance produced a key"):
+        exact_small_n_audit(config, public_label=3)
 
 
 def test_exact_audit_space_cap():

@@ -7,10 +7,8 @@ from skalab.gf2 import (
     FieldConfigError,
     FieldElem,
     Gf2Error,
-    Gf2Matrix,
     dense_from_rows,
     field_add,
-    field_div,
     field_inv,
     field_mul,
     identity,
@@ -231,10 +229,3 @@ def test_field_inverses_exhaustive(n):
         assert field_mul(a, field_inv(a)) == one
     with pytest.raises(ZeroDivisionError):
         field_inv(FieldElem(0, n))
-    assert field_div(FieldElem(3, n), FieldElem(3, n)) == one
-
-
-def test_matrix_serialization_roundtrip():
-    stream = SeedStream("wire")
-    m = toeplitz_from_seed(stream.bitvec(12), 5, 8)
-    assert Gf2Matrix.deserialize(m.serialize()) == m

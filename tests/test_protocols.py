@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from skalab.protocols import (
     party_key_from_transcript,
     run_session,
     two_phase_dimensions,
-    with_margins,
 )
 from skalab.reconcile import STATUS_UNIQUE
 from skalab.sources import analytic_profile, parse_model_spec
@@ -22,7 +22,7 @@ from skalab.sources import analytic_profile, parse_model_spec
 
 def cfg_light(spec="line-point:n=16", eps=Fraction(1, 256), seed=11, **margins):
     c = SessionConfig(parse_model_spec(spec), "light", eps, seed)
-    return with_margins(c, **margins) if margins else c
+    return replace(c, margins=replace(c.margins, **margins)) if margins else c
 
 
 def cfg_two_phase(spec="line-point:n=16", eps=Fraction(1, 16), seed=12, margins=None):
@@ -111,7 +111,7 @@ def test_light_hamming_model():
 def test_light_profile_sigma_shrinks_key():
     base = cfg_light(seed=21)
     o = run_session(base, 0)
-    o_sigma = run_session(with_margins(base, profile_sigma=3), 0)
+    o_sigma = run_session(replace(base, margins=replace(base.margins, profile_sigma=3)), 0)
     assert o_sigma.key_len == o.key_len - 3
     assert o_sigma.payload_bits == o.payload_bits + 3
     assert o_sigma.agreed
@@ -121,7 +121,7 @@ def test_light_dimensions_guard():
     config = cfg_light("line-point:n=4", eps=Fraction(1, 2))
     with pytest.raises(ValueError):
         light_dimensions(
-            with_margins(config, profile_sigma=10),
+            replace(config, margins=replace(config.margins, profile_sigma=10)),
             analytic_profile(config.model),
         )
 
@@ -168,7 +168,7 @@ def test_two_phase_profile_sigma():
     margins = Margins(k_slack=4, phase1=6, deficiency=2, extractor_eps=Fraction(1, 4))
     base = cfg_two_phase(seed=41, margins=margins)
     o = run_session(base, 0)
-    o_s = run_session(with_margins(base, profile_sigma=2), 0)
+    o_s = run_session(replace(base, margins=replace(base.margins, profile_sigma=2)), 0)
     assert o_s.agreed
     assert o_s.key_len == o.key_len - 2
     assert o_s.payload_bits == o.payload_bits + 2
@@ -213,6 +213,8 @@ def test_omniscience_default_margins_leave_no_key_at_n16():
     )
     with pytest.raises(ValueError):
         omniscience_dimensions(config, analytic_profile(config.model))
+    with pytest.raises(ValueError):  # at session time, not when the config is built
+        run_session(config, 0)
 
 
 # ---------------------------------------------------------
@@ -235,8 +237,15 @@ def test_replay_determinism(config):
 
 @pytest.mark.parametrize(
     "config",
-    [cfg_light(), cfg_two_phase(), cfg_omni()],
-    ids=["light", "two-phase", "omniscience"],
+    [
+        cfg_light(),
+        cfg_two_phase(),
+        cfg_omni(),
+        # candidate cosets of 2^63 and 2^64 lines: sizes past a machine index
+        cfg_light("line-point:n=63", eps=Fraction(1, 2**32)),
+        cfg_light("line-point:n=64", eps=Fraction(1, 2**32)),
+    ],
+    ids=["light", "two-phase", "omniscience", "light-lp63", "light-lp64"],
 )
 def test_transcript_sufficiency(config):
     """Re-running any party's post-decode computation from (own input,

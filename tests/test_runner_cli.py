@@ -5,7 +5,7 @@ import pytest
 
 from skalab.cli import main
 from skalab.profiles import format_profile
-from skalab.protocols import SessionConfig
+from skalab.protocols import SessionConfig, run_session
 from skalab.runner import ExperimentPlan, run_plan, summarize, sweep_configs
 from skalab.sources import analytic_profile, ceil_log2, parse_model_spec
 
@@ -73,9 +73,7 @@ def test_sweep_csv_has_config_columns():
 
 def test_summarize_fields():
     config = SessionConfig(parse_model_spec("identical:n=8"), "light", Fraction(1, 4), 2)
-    from skalab.runner import run_trials
-
-    s = summarize(config, run_trials(config, 4))
+    s = summarize(config, [run_session(config, t) for t in range(4)])
     assert s["model"] == "identical:n=8" and s["trials"] == 4
     assert s["eps"] == "1/4"
 
@@ -132,6 +130,22 @@ def test_cli_audit(tmp_path):
     text = report.read_text()
     assert "est_tv=" in text and "leakage_bits=" in text
     assert rc in (0, 1)  # pass depends on the fixed seed's hash rank
+
+
+def test_cli_audit_without_verdict_exits_3(tmp_path):
+    # 200 line-point:n=16 trials fall into distinct strata: no verdict.
+    report = tmp_path / "audit.txt"
+    rc = main(
+        [
+            "audit",
+            "--model", "line-point:n=16",
+            "--protocol", "light",
+            "--trials", "200",
+            "--report", str(report),
+        ]
+    )
+    assert "passed=0\ninconclusive=1\n" in report.read_text()
+    assert rc == 3
 
 
 def test_cli_sweep(tmp_path):

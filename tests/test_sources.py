@@ -3,7 +3,7 @@ import math
 import pytest
 
 from skalab.entropy import JointDistribution, exact_profile
-from skalab.gf2 import BitVec, FieldConfigError, mul_int
+from skalab.gf2 import BitVec, FieldConfigError, FieldElem, field_inv, mul_int
 from skalab.profiles import cond, is_polymatroid
 from skalab.rng import SeedStream
 from skalab.sources import (
@@ -13,8 +13,8 @@ from skalab.sources import (
     enumerate_candidates,
     enumerate_instances,
     hamming_ball,
+    instance_count,
     is_consistent,
-    line_through,
     parse_model_spec,
     sample,
 )
@@ -93,8 +93,9 @@ def test_sample_triple_collinear_distinct():
         inst = sample(model, SeedStream("tri", i))
         assert is_consistent(model, inst.inputs)
         assert len({p.v for p in inst.inputs}) == 3
-        a, b = line_through(inst.inputs[0], inst.inputs[1], 8)
-        c3, d3 = inst.inputs[2].v & 0xFF, inst.inputs[2].v >> 8
+        (c1, d1), (c2, d2), (c3, d3) = [(p.v & 0xFF, p.v >> 8) for p in inst.inputs]
+        a = mul_int(d1 ^ d2, field_inv(FieldElem(c1 ^ c2, 8)).value, 8)  # slope through 1 and 2
+        b = mul_int(a, c1, 8) ^ d1
         assert d3 == mul_int(a, c3, 8) ^ b
 
 
@@ -224,14 +225,18 @@ def test_hamming_ball_order():
 # ---------------------------------------------------------
 
 def test_enumerate_instances_counts():
-    assert sum(1 for _ in enumerate_instances(parse_model_spec("line-point:n=2"))) == 64
-    assert sum(1 for _ in enumerate_instances(parse_model_spec("line-point:n=3"))) == 512
-    assert sum(1 for _ in enumerate_instances(parse_model_spec("identical:n=4"))) == 16
-    assert (
-        sum(1 for _ in enumerate_instances(parse_model_spec("hamming:n=5,t=1"))) == 160
-    )
-    # triple at n=2: 16 lines x 4*3*2 ordered distinct abscissas
-    assert sum(1 for _ in enumerate_instances(parse_model_spec("triple:n=2"))) == 16 * 24
+    for spec, count in (
+        ("line-point:n=2", 64),
+        ("line-point:n=3", 512),
+        ("identical:n=4", 16),
+        ("hamming:n=5,t=1", 160),
+        ("hamming:n=5,t=2", 320),
+        # triple at n=2: 16 lines x 4*3*2 ordered distinct abscissas
+        ("triple:n=2", 16 * 24),
+    ):
+        model = parse_model_spec(spec)
+        assert sum(1 for _ in enumerate_instances(model)) == count
+        assert instance_count(model) == count
 
 
 def test_exact_profile_matches_analytic_small_n():
