@@ -1,9 +1,10 @@
 """Golden bytes: SHA-256 pins over the CSV text, transcripts and exact-audit
 records of fixed-seed runs.
 
-A refactor of the session code must leave every byte that a fixed seed
-produces unchanged; these digests were taken before the session driver was
-restructured and must not be regenerated to make a change pass.
+A refactor of the session code or of the GF(2) kernels must leave every
+byte that a fixed seed produces unchanged; each digest was taken before the
+code it pins was restructured and must not be regenerated to make a change
+pass.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from skalab.runner import ExperimentPlan, run_plan
 from skalab.sources import parse_model_spec
 
 ACCEPTANCE_OMNI_MARGINS = Margins(k_slack=16, phase1=4, deficiency=2, extractor_eps=Fraction(1, 4))
+TINY_OMNI_MARGINS = Margins(k_slack=0, phase1=2, deficiency=0, extractor_eps=Fraction(1, 2))
 
 SESSION_CASES = {
     "light line-point:n=16": ("line-point:n=16", "light", Fraction(1, 256), 301, None, 20),
@@ -24,6 +26,11 @@ SESSION_CASES = {
     "light hamming:n=31,t=2": ("hamming:n=31,t=2", "light", Fraction(1, 256), 303, None, 10),
     "two_phase hamming:n=31,t=2": ("hamming:n=31,t=2", "two_phase", Fraction(1, 16), 304, None, 10),
     "omniscience triple:n=16": ("triple:n=16", "omniscience", Fraction(1, 64), 305, ACCEPTANCE_OMNI_MARGINS, 6),
+    # Wide shapes: Toeplitz seeds longer than 64 and 128 bits.
+    "light line-point:n=62": ("line-point:n=62", "light", Fraction(1, 2**32), 307, None, 10),
+    "light line-point:n=64": ("line-point:n=64", "light", Fraction(1, 2**32), 308, None, 10),
+    "two_phase identical:n=64": ("identical:n=64", "two_phase", Fraction(1, 256), 309, None, 10),
+    "light hamming:n=63,t=2": ("hamming:n=63,t=2", "light", Fraction(1, 2**32), 310, None, 4),
 }
 
 GOLDEN = {
@@ -33,6 +40,11 @@ GOLDEN = {
     "two_phase hamming:n=31,t=2": "a2e51a5878781836a4bab81f7c7b469897b219963286f997a382eaded9c0acae",
     "omniscience triple:n=16": "65136e93ca2b0a0f4908370d00e3d45bd945aa675e662167915940c1fc3de598",
     "exact light line-point:n=3": "fd2d58b7c1ffd898886e9ddfac7c3bdad479c7d3346a544d06604ce746f284c5",
+    "light line-point:n=62": "c33f53fca87e97e8aa1d4270d81e9f497ee369f8d90679f52ece8b53dad38e68",
+    "light line-point:n=64": "9d86ad06a9382a1a4d7439ddf440af95a19e74ebcb45d1cb25b31ea278d92e6e",
+    "two_phase identical:n=64": "d54ed3c3a9e07a0b874d31df9de7c5598b3e8e067c55e74d4fa26ff507fee393",
+    "light hamming:n=63,t=2": "b54d93e7ba1b5258b1374cb759dab6192764c36cb45674c9e601309473243f9d",
+    "exact omniscience triple:n=2": "540e3febf9cafeed749e90b3e9549017fe93943064709dc4693b4a3c82349a22",
 }
 
 
@@ -65,3 +77,10 @@ def test_exact_audit_record_unchanged():
     for label in range(3):
         h.update(exact_record(exact_small_n_audit(config, public_label=label)).encode())
     assert h.hexdigest() == GOLDEN["exact light line-point:n=3"]
+
+
+def test_exact_omniscience_audit_record_unchanged():
+    # Enumerates every collinear triple, so it pins is_consistent.
+    config = SessionConfig(parse_model_spec("triple:n=2"), "omniscience", Fraction(1, 2**24), 311, TINY_OMNI_MARGINS)
+    record = exact_record(exact_small_n_audit(config, public_label=0))
+    assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN["exact omniscience triple:n=2"]
