@@ -15,11 +15,7 @@ from .entropy import (
 )
 from .gf2 import (
     BitVec,
-    FieldElem,
     Gf2Matrix,
-    field_add,
-    field_inv,
-    field_mul,
     irreducible_poly,
     matvec,
     rank,

@@ -44,9 +44,6 @@ class Transcript:
     def total_bits(self) -> int:
         return sum(r.payload.n for r in self.records)
 
-    def bits_of_kind(self, *kinds: str) -> int:
-        return sum(r.payload.n for r in self.records if r.kind in kinds)
-
     def payload_bits(self) -> int:
         return sum(r.payload.n for r in self.records if r.kind in PAYLOAD_KINDS)
 

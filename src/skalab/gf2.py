@@ -12,7 +12,10 @@ Representation conventions (used everywhere in this package):
   is data bit ``i*cols + j``.
 * A Toeplitz ``rows x cols`` matrix stores ``rows + cols - 1`` diagonal
   bits; entry (i, j) is diagonal bit ``i - j + cols - 1``, so every
-  descending diagonal is constant.
+  descending diagonal is constant.  Its product with x is the window
+  [cols - 1, cols - 1 + rows) of the carry-less product seed(z) * x(z), so
+  hashing builds no rows and caches nothing.  Rows are derived on demand,
+  for elimination and ``to_dense``.
 * GF(2^n) elements are n-bit polynomials over GF(2) in the monomial basis
   (bit i = coefficient of x^i), reduced modulo the lexicographically-first
   irreducible polynomial of degree n (see ``irreducible_poly``).
@@ -44,16 +47,6 @@ class BitVec:
     @staticmethod
     def zeros(n: int) -> "BitVec":
         return BitVec(n, 0)
-
-    @staticmethod
-    def from_bits(bits) -> "BitVec":
-        v = 0
-        n = 0
-        for b in bits:
-            if b:
-                v |= 1 << n
-            n += 1
-        return BitVec(n, v)
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -98,19 +91,6 @@ class BitVec:
         return self.to_hex()
 
 
-_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def reverse_bits(v: int, width: int) -> int:
-    """Reverse the low `width` bits of v."""
-    r = 0
-    shift = 0
-    while shift < width:
-        r = (r << 8) | _REV8[(v >> shift) & 0xFF]
-        shift += 8
-    return r >> (shift - width)
-
-
 @dataclass(frozen=True)
 class Gf2Matrix:
     """GF(2) matrix, dense or Toeplitz, with bit data packed in a BitVec.
@@ -145,9 +125,15 @@ class Gf2Matrix:
             return self.data.bit(i * self.cols + j)
         return self.data.bit(i - j + self.cols - 1)
 
-    def row_ints(self) -> tuple:
+    def row_ints(self) -> list[int]:
         """Rows as packed integers (bit j of row i = entry (i, j))."""
-        return _row_ints_cached(self.kind, self.rows, self.cols, self.data.v)
+        mask = (1 << self.cols) - 1
+        if self.kind == "dense":
+            return [(self.data.v >> (i * self.cols)) & mask for i in range(self.rows)]
+        # Row i is the seed window [i, i + cols) reversed, which is the
+        # reversed seed's window starting at rows - 1 - i.
+        rev = int(f"{self.data.v:0{self.data.n}b}"[::-1], 2)
+        return [(rev >> (self.rows - 1 - i)) & mask for i in range(self.rows)]
 
     def to_dense(self) -> "Gf2Matrix":
         if self.kind == "dense":
@@ -174,15 +160,6 @@ class Gf2Matrix:
         return Gf2Matrix("dense", nrows, self.cols, BitVec(nrows * self.cols, v))
 
 
-@lru_cache(maxsize=4096)
-def _row_ints_cached(kind: str, rows: int, cols: int, data_v: int) -> list[int]:
-    mask = (1 << cols) - 1
-    if kind == "dense":
-        return [(data_v >> (i * cols)) & mask for i in range(rows)]
-    # Toeplitz row i has bit j = d[i - j + cols - 1]: the reversed window d[i : i+cols].
-    return [reverse_bits((data_v >> i) & mask, cols) for i in range(rows)]
-
-
 def dense_from_rows(rows: list[int], cols: int) -> Gf2Matrix:
     v = 0
     for i, r in enumerate(rows):
@@ -190,10 +167,6 @@ def dense_from_rows(rows: list[int], cols: int) -> Gf2Matrix:
             raise Gf2Error(f"row {i} wider than {cols} bits")
         v |= r << (i * cols)
     return Gf2Matrix("dense", len(rows), cols, BitVec(len(rows) * cols, v))
-
-
-def identity(n: int) -> Gf2Matrix:
-    return dense_from_rows([1 << i for i in range(n)], n)
 
 
 def toeplitz_from_seed(seed_bits: BitVec, rows: int, cols: int) -> Gf2Matrix:
@@ -208,10 +181,24 @@ def toeplitz_from_seed(seed_bits: BitVec, rows: int, cols: int) -> Gf2Matrix:
     return Gf2Matrix("toeplitz", rows, cols, seed_bits)
 
 
+def _clmul(a: int, b: int) -> int:
+    """Carry-less (GF(2)[z]) product of two packed polynomials: a shifted
+    by every set bit of b, XORed together."""
+    r = 0
+    for i, bit in enumerate(bin(b)[:1:-1]):
+        if bit == "1":
+            r ^= a << i
+    return r
+
+
 def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     """GF(2) matrix-vector product; result bit i is <row i, x> mod 2."""
     if x.n != m.cols:
         raise Gf2Error(f"matvec: vector length {x.n} != cols {m.cols}")
+    if m.kind == "toeplitz":
+        if not m.cols:  # no window to take: the seed and x are empty
+            return BitVec(m.rows, 0)
+        return BitVec(m.rows, (_clmul(m.data.v, x.v) >> (m.cols - 1)) & ((1 << m.rows) - 1))
     out = 0
     for i, r in enumerate(m.row_ints()):
         out |= ((r & x.v).bit_count() & 1) << i
@@ -294,19 +281,6 @@ class FieldConfigError(ValueError):
 _MAX_FIELD_DEGREE = 64
 
 
-def _poly_mulmod(a: int, b: int, f: int, n: int) -> int:
-    """Carry-less multiply of a and b reduced modulo f (degree n)."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> n) & 1:
-            a ^= f
-    return r
-
-
 def _poly_mod(a: int, f: int) -> int:
     fl = f.bit_length()
     while a.bit_length() >= fl:
@@ -340,13 +314,13 @@ def _is_irreducible(f: int, n: int) -> bool:
     x = 0b10
     t = x
     for _ in range(n):
-        t = _poly_mulmod(t, t, f, n)
+        t = _poly_mod(_clmul(t, t), f)
     if t != x:
         return False
     for p in _prime_factors(n):
         t = x
         for _ in range(n // p):
-            t = _poly_mulmod(t, t, f, n)
+            t = _poly_mod(_clmul(t, t), f)
         if _poly_gcd(t ^ x, f) != 1:
             return False
     return True
@@ -370,53 +344,6 @@ def irreducible_poly(n: int) -> int:
     raise FieldConfigError(f"no irreducible polynomial found for degree {n}")
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """Element of GF(2^n): an n-bit polynomial representative."""
-
-    value: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.n <= _MAX_FIELD_DEGREE:
-            raise FieldConfigError(f"unsupported field degree {self.n}")
-        if not 0 <= self.value < (1 << self.n):
-            raise Gf2Error(f"value {self.value:#x} not an {self.n}-bit polynomial")
-
-
-def _check_same_field(a: FieldElem, b: FieldElem) -> None:
-    if a.n != b.n:
-        raise Gf2Error(f"field degree mismatch {a.n} != {b.n}")
-
-
-def field_add(a: FieldElem, b: FieldElem) -> FieldElem:
-    _check_same_field(a, b)
-    return FieldElem(a.value ^ b.value, a.n)
-
-
-def field_mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    _check_same_field(a, b)
-    return FieldElem(_poly_mulmod(a.value, b.value, irreducible_poly(a.n), a.n), a.n)
-
-
-def field_pow(a: FieldElem, e: int) -> FieldElem:
-    r = FieldElem(1, a.n)
-    base = a
-    while e:
-        if e & 1:
-            r = field_mul(r, base)
-        base = field_mul(base, base)
-        e >>= 1
-    return r
-
-
-def field_inv(a: FieldElem) -> FieldElem:
-    if a.value == 0:
-        raise ZeroDivisionError("inverse of zero in GF(2^n)")
-    # a^(2^n - 2) = a^{-1} in GF(2^n).
-    return field_pow(a, (1 << a.n) - 2)
-
-
 def mul_int(a: int, b: int, n: int) -> int:
-    """Field multiplication on raw n-bit ints (hot-path convenience)."""
-    return _poly_mulmod(a, b, irreducible_poly(n), n)
+    """Multiplication in GF(2^n) on raw n-bit ints."""
+    return _poly_mod(_clmul(a, b), irreducible_poly(n))

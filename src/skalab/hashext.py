@@ -1,9 +1,10 @@
 """Universal linear hashing and the seeded strong extractor.
 
 Fingerprinting and privacy amplification both reduce to one primitive: a
-seeded GF(2)-linear map.  Dense seeds give the textbook universal family;
-Toeplitz seeds give the same universality with rows + cols - 1 seed bits,
-which is what every protocol here sends on the public channel.
+seeded GF(2)-linear map.  Toeplitz seeds give the universality of the
+textbook dense family with rows + cols - 1 seed bits, which is what every
+protocol here sends on the public channel; applying one is a window of a
+carry-less product (see gf2.matvec).
 
 The extractor is the Toeplitz / leftover-hash construction: for min-entropy
 k and error eps it outputs m = k - 2*ceil(log2(1/eps)) bits from a seed of
@@ -37,10 +38,6 @@ def fresh_toeplitz(rows: int, cols: int, stream: SeedStream) -> Gf2Matrix:
     protocol puts on the channel."""
     seed_len = rows + cols - 1 if rows and cols else 0
     return Gf2Matrix("toeplitz", rows, cols, stream.bitvec(seed_len))
-
-
-def fresh_dense(rows: int, cols: int, stream: SeedStream) -> Gf2Matrix:
-    return Gf2Matrix("dense", rows, cols, stream.bitvec(rows * cols))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ every model in this package the candidate set *is* the conditional support
 of the sender's input, so a fingerprint of k + ceil(log2(1/eps)) bits
 pins the true value except with probability eps (union bound).
 
-Decoding reports `unique`, `ambiguous`, or `not_found` explicitly;
+Decoding reports `unique`, `ambiguous`, or `not_found` explicitly, and
+joint decoding `search_limit` when a coset is too large to enumerate;
 sessions count anything but a correct `unique` against their error budget.
 For affine candidate sets (line-point, identical) the scan is replaced by
 an exact linear solve with the same verdict; `decode_scan` keeps the
@@ -27,6 +28,7 @@ from .sources import CorrelationModel, hamming_ball, is_consistent
 STATUS_UNIQUE = "unique"
 STATUS_AMBIGUOUS = "ambiguous"
 STATUS_NOT_FOUND = "not_found"
+STATUS_SEARCH_LIMIT = "search_limit"
 
 
 @dataclass(frozen=True)
@@ -110,10 +112,7 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
             bits |= ((r & vec).bit_count() & 1) << j
         arows.append(bits)
     a = dense_from_rows(arows, len(basis))
-    base_hash = 0
-    for i, r in enumerate(hrows):
-        base_hash |= ((r & base).bit_count() & 1) << i
-    target = BitVec(fp.value.n, fp.value.v ^ base_hash)
+    target = fp.value.xor(matvec(fp.spec, BitVec(length, base)))
     sol = solve_affine(a, target)
     total = 1 << len(basis)  # not len(): the coset can exceed a machine index
     if sol is None:
@@ -251,9 +250,10 @@ def joint_candidates(model: CorrelationModel, own_index: int, own: BitVec, fps) 
 
 
 def multi_decode(own: BitVec, own_index: int, fps, candidates) -> DecodeResult:
-    """Unique joint tuple matching every fingerprint simultaneously."""
+    """Unique joint tuple matching every fingerprint simultaneously;
+    `search_limit` when the joint search gave up (candidates is None)."""
     if candidates is None:
-        return DecodeResult(STATUS_AMBIGUOUS, None, 0)
+        return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
     found = None
     checked = 0
     for tup in candidates:

@@ -194,17 +194,8 @@ def is_consistent(model: CorrelationModel, inputs) -> bool:
     if len(set(cs)) != 3:
         return False
     (c1, d1), (c2, d2), (c3, d3) = points
-    # Slope through the first two points; the third must agree.
-    inv = _field_inv_int(c1 ^ c2, n)
-    a = mul_int(d1 ^ d2, inv, n)
-    b = mul_int(a, c1, n) ^ d1
-    return d3 == mul_int(a, c3, n) ^ b
-
-
-def _field_inv_int(v: int, n: int) -> int:
-    from .gf2 import FieldElem, field_inv
-
-    return field_inv(FieldElem(v, n)).value
+    # Equal slopes from point 1, cross-multiplied: the abscissas are distinct.
+    return mul_int(d1 ^ d2, c1 ^ c3, n) == mul_int(d1 ^ d3, c1 ^ c2, n)
 
 
 def instance_count(model: CorrelationModel) -> int:
@@ -275,9 +266,6 @@ class AffineCandidates:
         self.base = base
         self.basis = list(basis)
 
-    def __len__(self) -> int:
-        return 1 << len(self.basis)
-
     def log2_size(self) -> float:
         return float(len(self.basis))
 
@@ -297,24 +285,6 @@ class AffineCandidates:
                 j += 1
             yield BitVec(self.length, cur)
 
-    def __contains__(self, item: BitVec) -> bool:
-        from .gf2 import dense_from_rows, solve_affine
-
-        if item.n != self.length:
-            return False
-        if not self.basis:
-            return item.v == self.base
-        # Membership = solvability of the basis system for item ^ base.
-        cols = len(self.basis)
-        rows = []
-        for i in range(self.length):
-            r = 0
-            for j, vec in enumerate(self.basis):
-                r |= ((vec >> i) & 1) << j
-            rows.append(r)
-        m = dense_from_rows(rows, cols)
-        return solve_affine(m, BitVec(self.length, item.v ^ self.base)) is not None
-
 
 class ExplicitCandidates:
     """Candidate list in a fixed canonical order."""
@@ -322,9 +292,6 @@ class ExplicitCandidates:
     def __init__(self, length: int, values: list[int]) -> None:
         self.length = length
         self.values = list(values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def log2_size(self) -> float:
         return math.log2(len(self.values))
@@ -334,9 +301,6 @@ class ExplicitCandidates:
 
     def __iter__(self):
         return (BitVec(self.length, v) for v in self.values)
-
-    def __contains__(self, item: BitVec) -> bool:
-        return item.n == self.length and item.v in self.values
 
 
 def hamming_ball(n: int, t: int, center: int = 0) -> list[int]:

@@ -32,7 +32,6 @@ def test_payload_vs_overhead_kinds():
     t = ch.close()
     assert t.payload_bits() == 3
     assert t.overhead_bits() == 12
-    assert t.bits_of_kind("hash_spec", "ext_seed") == 12
 
 
 def test_closed_channel_rejects_broadcast():

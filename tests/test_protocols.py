@@ -16,7 +16,7 @@ from skalab.protocols import (
     run_session,
     two_phase_dimensions,
 )
-from skalab.reconcile import STATUS_UNIQUE
+from skalab.reconcile import STATUS_SEARCH_LIMIT, STATUS_UNIQUE
 from skalab.sources import analytic_profile, parse_model_spec
 
 
@@ -215,6 +215,18 @@ def test_omniscience_default_margins_leave_no_key_at_n16():
         omniscience_dimensions(config, analytic_profile(config.model))
     with pytest.raises(ValueError):  # at session time, not when the config is built
         run_session(config, 0)
+
+
+def test_omniscience_capped_search_is_search_limit():
+    # At n=64 with default margins each fingerprint leaves a 24-dimensional
+    # coset, past the joint search's 14-bit cap: the session gives up and
+    # says so instead of reporting the fingerprints ambiguous.
+    config = SessionConfig(parse_model_spec("triple:n=64"), "omniscience", Fraction(1, 256), 14)
+    for trial in range(2):
+        o = run_session(config, trial)
+        assert o.decode_status == STATUS_SEARCH_LIMIT
+        assert not o.agreed
+        assert o.keys == (None, None, None)
 
 
 # ---------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from skalab.entropy import JointDistribution, exact_profile
-from skalab.gf2 import BitVec, FieldConfigError, FieldElem, field_inv, mul_int
+from skalab.gf2 import BitVec, FieldConfigError, mul_int
 from skalab.profiles import cond, is_polymatroid
 from skalab.rng import SeedStream
 from skalab.sources import (
@@ -94,9 +94,36 @@ def test_sample_triple_collinear_distinct():
         assert is_consistent(model, inst.inputs)
         assert len({p.v for p in inst.inputs}) == 3
         (c1, d1), (c2, d2), (c3, d3) = [(p.v & 0xFF, p.v >> 8) for p in inst.inputs]
-        a = mul_int(d1 ^ d2, field_inv(FieldElem(c1 ^ c2, 8)).value, 8)  # slope through 1 and 2
+        inv = next(v for v in range(1, 256) if mul_int(c1 ^ c2, v, 8) == 1)
+        a = mul_int(d1 ^ d2, inv, 8)  # slope through 1 and 2
         b = mul_int(a, c1, 8) ^ d1
         assert d3 == mul_int(a, c3, 8) ^ b
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_triple_consistency_exhaustive(n):
+    # Every tuple of three 2n-bit inputs, against the slope through the
+    # first two points with a brute-force inverse.
+    model = parse_model_spec(f"triple:n={n}")
+    q = 1 << n
+    inv = {v: next(w for w in range(1, q) if mul_int(v, w, n) == 1) for v in range(1, q)}
+    words = [BitVec(2 * n, v) for v in range(q * q)]
+    consistent = 0
+    for p1 in words:
+        c1, d1 = p1.v % q, p1.v // q
+        for p2 in words:
+            c2, d2 = p2.v % q, p2.v // q
+            slope = mul_int(d1 ^ d2, inv[c1 ^ c2], n) if c1 != c2 else None
+            for p3 in words:
+                c3, d3 = p3.v % q, p3.v // q
+                want = (
+                    slope is not None
+                    and c3 not in (c1, c2)
+                    and d3 == mul_int(slope, c3 ^ c1, n) ^ d1
+                )
+                assert is_consistent(model, (p1, p2, p3)) == want
+                consistent += want
+    assert consistent == instance_count(model)
 
 
 def test_instance_rejects_inconsistent_inputs():
@@ -141,14 +168,14 @@ def test_candidates_hamming_ball_size():
     model = parse_model_spec("hamming:n=8,t=1")
     inst = sample(model, SeedStream("cball"))
     cands = enumerate_candidates(model, 2, inst.inputs[1])
-    assert len(cands) == 9  # ball of radius 1: 1 + n
+    assert len(list(cands)) == 9  # ball of radius 1: 1 + n
 
 
 def test_candidates_identical_singleton():
     model = parse_model_spec("identical:n=8")
     inst = sample(model, SeedStream("cid"))
     cands = enumerate_candidates(model, 2, inst.inputs[1])
-    assert len(cands) == 1 and list(cands)[0] == inst.inputs[0]
+    assert list(cands) == [inst.inputs[0]]
 
 
 def test_candidates_line_point_all_incident():
@@ -190,7 +217,7 @@ def test_true_input_always_in_candidates():
             inst = sample(model, SeedStream("sound", spec, observer, i))
             hidden = inst.inputs[2 - observer]  # the other party's input
             cands = enumerate_candidates(model, observer, inst.inputs[observer - 1])
-            assert hidden in cands
+            assert hidden in list(cands)
 
 
 def test_candidate_count_matches_conditional_complexity():
@@ -201,9 +228,17 @@ def test_candidate_count_matches_conditional_complexity():
         cands = enumerate_candidates(model, 2, inst.inputs[1])
         k = cond(analytic_profile(model), {1}, {2})
         if model.kind == "identical_pair":
-            assert len(cands) == 1 and k == 0
+            assert cands.log2_size() == 0 and k == 0
         else:
             assert abs(cands.log2_size() - float(k)) <= 1.0
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_line_point_candidate_size_at_word_width(n):
+    # 2^n candidates overflow a machine index; the size is reported in bits.
+    model = parse_model_spec(f"line-point:n={n}")
+    y = sample(model, SeedStream("cwide", n)).inputs[1]
+    assert enumerate_candidates(model, 2, y).log2_size() == n
 
 
 def test_triple_needs_joint_decoder():
