@@ -48,7 +48,6 @@ from .reconcile import (
     encode,
     multi_decode,
     syndrome_decode,
-    syndrome_encode,
 )
 from .rng import SeedStream
 from .sources import (

@@ -15,7 +15,8 @@ Representation conventions (used everywhere in this package):
   descending diagonal is constant.  Its product with x is the window
   [cols - 1, cols - 1 + rows) of the carry-less product seed(z) * x(z), so
   hashing builds no rows and caches nothing.  Rows are derived on demand,
-  for elimination and ``to_dense``.
+  for elimination and ``to_dense``; columns, which are seed windows too,
+  for syndrome decoding.
 * GF(2^n) elements are n-bit polynomials over GF(2) in the monomial basis
   (bit i = coefficient of x^i), reduced modulo the lexicographically-first
   irreducible polynomial of degree n (see ``irreducible_poly``).
@@ -134,6 +135,14 @@ class Gf2Matrix:
         # reversed seed's window starting at rows - 1 - i.
         rev = int(f"{self.data.v:0{self.data.n}b}"[::-1], 2)
         return [(rev >> (self.rows - 1 - i)) & mask for i in range(self.rows)]
+
+    def column_ints(self) -> list[int]:
+        """Columns as packed integers (bit i of column j = entry (i, j))."""
+        mask = (1 << self.rows) - 1
+        if self.kind == "toeplitz":  # column j: seed bits [cols - 1 - j, cols - 1 - j + rows)
+            return [(self.data.v >> (self.cols - 1 - j)) & mask for j in range(self.cols)]
+        rows = self.row_ints()
+        return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(self.cols)]
 
     def to_dense(self) -> "Gf2Matrix":
         if self.kind == "dense":

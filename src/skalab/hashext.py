@@ -27,10 +27,8 @@ def ceil_log2_inv(eps) -> int:
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
-    c = 0
-    while (eps.numerator << c) < eps.denominator:
-        c += 1
-    return c
+    # The least c with 2^c >= d/n is the least with 2^c >= ceil(d/n).
+    return (-(-eps.denominator // eps.numerator) - 1).bit_length()
 
 
 def fresh_toeplitz(rows: int, cols: int, stream: SeedStream) -> Gf2Matrix:

@@ -56,10 +56,7 @@ PROTOCOLS = (LIGHT, TWO_PHASE, OMNISCIENCE)
 def ceil_log2_ratio(num: int, eps) -> int:
     """Exact ceil(log2(num / eps)) for integer num >= 1, rational eps."""
     eps = Fraction(eps)
-    c = 0
-    while (eps.numerator << c) < num * eps.denominator:
-        c += 1
-    return c
+    return (-(-num * eps.denominator // eps.numerator) - 1).bit_length()
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,26 @@ pins the true value except with probability eps (union bound).
 Decoding reports `unique`, `ambiguous`, or `not_found` explicitly, and
 joint decoding `search_limit` when a coset is too large to enumerate;
 sessions count anything but a correct `unique` against their error budget.
-For affine candidate sets (line-point, identical) the scan is replaced by
-an exact linear solve with the same verdict; `decode_scan` keeps the
-literal scan available and the two are cross-checked in tests.
+Structured candidate sets are not scanned, and the verdict is the same:
+an affine set (line-point, identical) is decoded by one exact linear solve,
+and a Hamming sphere (the words at distance exactly t from the receiver's)
+by meeting in the middle on the column images of the hash, which finds the
+weight-t errors e with H e = fingerprint xor H y.  `syndrome_decode` runs
+the same search for errors of weight at most t.  `decode_scan` keeps the
+literal scan available and is cross-checked against both in tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .gf2 import BitVec, Gf2Matrix, dense_from_rows, matvec, solve_affine
 from .hashext import ceil_log2_inv, fresh_toeplitz
 from .rng import SeedStream
-from .sources import CorrelationModel, hamming_ball, is_consistent
+from .sources import CorrelationModel, HammingSphere, is_consistent
 
 STATUS_UNIQUE = "unique"
 STATUS_AMBIGUOUS = "ambiguous"
@@ -92,18 +98,18 @@ def decode_scan(fp: Fingerprint, candidates) -> DecodeResult:
 def decode(fp: Fingerprint, candidates) -> DecodeResult:
     """Find the candidates matching the fingerprint (unique/ambiguous/none).
 
-    The verdict is order-independent, so affine candidate sets are decoded
-    by solving H(base xor B u) = value instead of scanning; the solutions
-    are re-hashed as a guard.  candidates_checked reports the number of
-    candidates the verdict covered.
+    The verdict is order-independent, so structured candidate sets are not
+    scanned: an affine set is decoded by solving H(base xor B u) = value, a
+    Hamming sphere by meeting in the middle on H's column images.  Either
+    result is re-hashed as a guard.  candidates_checked reports the number
+    of candidates the verdict covered.
     """
-    aff = candidates.affine() if hasattr(candidates, "affine") else None
-    if aff is None:
+    if isinstance(candidates, HammingSphere):
+        return _decode_sphere(fp, candidates)
+    if not candidates.basis:  # a single word
         return decode_scan(fp, candidates)
-    base, basis = aff
+    base, basis = candidates.base, candidates.basis
     length = candidates.length
-    if not basis:
-        return decode_scan(fp, candidates)
     hrows = fp.spec.row_ints()
     arows = []
     for r in hrows:
@@ -125,65 +131,92 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
         if (particular >> j) & 1:
             value ^= vec
     out = BitVec(length, value)
-    if matvec(fp.spec, out) != fp.value:
-        raise AssertionError("affine decode produced a non-matching solution")
+    _guard(fp, out)
     return DecodeResult(STATUS_UNIQUE, out, total)
 
 
+def _guard(fp: Fingerprint, out: BitVec) -> None:
+    if matvec(fp.spec, out) != fp.value:
+        raise AssertionError("structured decode produced a non-matching solution")
+
+
 # ---------------------------------------------------------------------------
-# Syndrome coding for Hamming-correlated pairs
+# Low-weight errors by meet in the middle on column images
 # ---------------------------------------------------------------------------
 
 
-def syndrome_encode(x: BitVec, code: Gf2Matrix) -> BitVec:
-    """Syndrome of x under the parity-check matrix (length = code.rows)."""
-    return matvec(code, x)
+def _subset_images(cols: list[int], max_size: int) -> list[tuple[int, int]]:
+    """(support, XOR of its columns) for every subset of at most max_size
+    columns."""
+    out = [(0, 0)]
+    frontier = [(0, 0, 0)]  # (support, image, first column not yet used)
+    for _ in range(max_size):
+        frontier = [
+            (sup | (1 << j), img ^ cols[j], j + 1)
+            for sup, img, start in frontier
+            for j in range(start, len(cols))
+        ]
+        out.extend((sup, img) for sup, img, _ in frontier)
+    return out
+
+
+def _error_matches(cols: list[int], target: int, t: int):
+    """Yield, once each, every error e of weight <= t whose column images
+    XOR to target.
+
+    Birthday split as in information-set decoding (Stern 1989): tabulate
+    target xor the image of every subset of at most floor(t/2) columns,
+    then probe with the images of the subsets of at most ceil(t/2) columns;
+    a disjoint pair that meets is a match.  This costs about
+    C(n, floor(t/2)) + C(n, ceil(t/2)) dict operations where a scan of the
+    ball costs sum_{w<=t} C(n, w) hashes.
+    """
+    table: dict[int, list[int]] = {}
+    for sup, img in _subset_images(cols, t // 2):
+        table.setdefault(img ^ target, []).append(sup)
+    seen = set()
+    for sup, img in _subset_images(cols, t - t // 2):
+        for other in table.get(img, ()):
+            e = other | sup
+            if not other & sup and e not in seen:
+                seen.add(e)
+                yield e
+
+
+def _verdict(errors, center: BitVec, checked: int) -> DecodeResult:
+    """Verdict on center xor error from the first two distinct errors."""
+    found = list(islice(errors, 2))
+    if not found:
+        return DecodeResult(STATUS_NOT_FOUND, None, checked)
+    if len(found) > 1:
+        return DecodeResult(STATUS_AMBIGUOUS, None, checked)
+    return DecodeResult(STATUS_UNIQUE, BitVec(center.n, center.v ^ found[0]), checked)
+
+
+def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
+    # x = y xor e with H e = fingerprint xor H y and weight(e) exactly t.
+    n, t = sphere.length, sphere.t
+    center = BitVec(n, sphere.center)
+    target = fp.value.v ^ matvec(fp.spec, center).v
+    errors = (e for e in _error_matches(fp.spec.column_ints(), target, t) if e.bit_count() == t)
+    res = _verdict(errors, center, math.comb(n, t))
+    if res.status == STATUS_UNIQUE:
+        _guard(fp, res.value)
+    return res
 
 
 def syndrome_decode(y: BitVec, syndrome: BitVec, code: Gf2Matrix, max_weight: int) -> DecodeResult:
     """Find x = y xor e with weight(e) <= max_weight matching the syndrome.
 
-    Scans the error ball in weight-then-lex order; by linearity the match
-    condition is code @ e = syndrome xor code @ y.
+    By linearity the match condition is code @ e = syndrome xor code @ y;
+    the errors come from the same meet-in-the-middle search as the Hamming
+    sphere decode.
     """
     if code.cols != y.n:
         raise ValueError(f"code has {code.cols} columns, word has {y.n} bits")
     target = syndrome.v ^ matvec(code, y).v
-    rows = code.row_ints()
-    found: int | None = None
-    checked = 0
-    for e in hamming_ball(y.n, max_weight):
-        checked += 1
-        s = 0
-        for i, r in enumerate(rows):
-            s |= ((r & e).bit_count() & 1) << i
-        if s == target:
-            if found is not None:
-                return DecodeResult(STATUS_AMBIGUOUS, None, checked)
-            found = e
-    if found is None:
-        return DecodeResult(STATUS_NOT_FOUND, None, checked)
-    return DecodeResult(STATUS_UNIQUE, BitVec(y.n, y.v ^ found), checked)
-
-
-def hamming_parity_check(r: int) -> Gf2Matrix:
-    """Parity-check matrix of the Hamming(2^r - 1, 2^r - 1 - r) code.
-
-    Column j (0-based) is the binary expansion of j + 1, so the syndrome of
-    a single error at position j reads j + 1 directly.
-    """
-    n = (1 << r) - 1
-    rows = []
-    for i in range(r):
-        bits = 0
-        for j in range(n):
-            bits |= (((j + 1) >> i) & 1) << j
-        rows.append(bits)
-    return dense_from_rows(rows, n)
-
-
-def random_linear_code(rows: int, n: int, stream: SeedStream) -> Gf2Matrix:
-    return dense_from_rows([stream.bits(n) for _ in range(rows)], n)
+    ball = sum(math.comb(y.n, w) for w in range(max_weight + 1))
+    return _verdict(_error_matches(code.column_ints(), target, max_weight), y, ball)
 
 
 # ---------------------------------------------------------------------------

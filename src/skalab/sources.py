@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .entropy import make_profile
 from .gf2 import BitVec, irreducible_poly, mul_int
@@ -230,7 +229,7 @@ def enumerate_instances(model: CorrelationModel):
             x = BitVec(n, v)
             yield (x, x)
     elif model.kind == HAMMING_PAIR:
-        errors = [e for e in hamming_ball(n, model.t) if e.bit_count() == model.t]
+        errors = list(weight_words(n, model.t))
         for v in range(1 << n):
             for e in errors:
                 yield (BitVec(n, v), BitVec(n, v ^ e))
@@ -269,9 +268,6 @@ class AffineCandidates:
     def log2_size(self) -> float:
         return float(len(self.basis))
 
-    def affine(self):
-        return self.base, self.basis
-
     def __iter__(self):
         cur = self.base
         yield BitVec(self.length, cur)
@@ -286,36 +282,34 @@ class AffineCandidates:
             yield BitVec(self.length, cur)
 
 
-class ExplicitCandidates:
-    """Candidate list in a fixed canonical order."""
+class HammingSphere:
+    """The words at Hamming distance exactly t from center, iterated in
+    increasing order of the error word center xor candidate."""
 
-    def __init__(self, length: int, values: list[int]) -> None:
+    def __init__(self, length: int, center: int, t: int) -> None:
         self.length = length
-        self.values = list(values)
+        self.center = center
+        self.t = t
 
     def log2_size(self) -> float:
-        return math.log2(len(self.values))
-
-    def affine(self):
-        return None
+        return math.log2(math.comb(self.length, self.t))
 
     def __iter__(self):
-        return (BitVec(self.length, v) for v in self.values)
+        return (BitVec(self.length, self.center ^ e) for e in weight_words(self.length, self.t))
 
 
-def hamming_ball(n: int, t: int, center: int = 0) -> list[int]:
-    """The radius-t Hamming ball around center, in weight-then-lex order."""
-    out = []
-    for w in range(t + 1):
-        layer = []
-        for pos in combinations(range(n), w):
-            e = 0
-            for p in pos:
-                e |= 1 << p
-            layer.append(center ^ e)
-        layer.sort()
-        out.extend(layer)
-    return out
+def weight_words(n: int, w: int):
+    """Every n-bit word of weight exactly w, in increasing order (Gosper's
+    next-combination step)."""
+    if w == 0:
+        yield 0
+        return
+    e = (1 << w) - 1
+    while not e >> n:
+        yield e
+        low = e & -e
+        ripple = e + low
+        e = ripple | (((e ^ ripple) >> 2) // low)
 
 
 def enumerate_candidates(model: CorrelationModel, observer: int, observation: BitVec):
@@ -334,7 +328,7 @@ def enumerate_candidates(model: CorrelationModel, observer: int, observation: Bi
     if model.kind == IDENTICAL_PAIR:
         return AffineCandidates(n, observation.v, [])
     if model.kind == HAMMING_PAIR:
-        return ExplicitCandidates(n, hamming_ball(n, model.t, observation.v))
+        return HammingSphere(n, observation.v, model.t)
     c_or_a, d_or_b = _unpack(observation, n)
     if observer == 2:
         # Lines through the point (c, d): slope s gives (s, d xor s*c).

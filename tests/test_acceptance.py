@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import pytest
 
+from codes import hamming_parity_check, random_linear_code
 from entropy_checks import (
     check_calculation_identity_a,
     check_calculation_identity_b,
@@ -27,7 +28,7 @@ from entropy_checks import (
     random_joint,
 )
 from skalab.audit import exact_small_n_audit
-from skalab.gf2 import BitVec
+from skalab.gf2 import BitVec, matvec
 from skalab.hashext import ExtractorSpec, extract, tv_distance
 from skalab.profiles import random_polymatroid
 from skalab.protocols import (
@@ -37,13 +38,7 @@ from skalab.protocols import (
     run_session,
 )
 from skalab.rateregion import co_formula3, co_lp, key_capacity, sw_constraints
-from skalab.reconcile import (
-    STATUS_UNIQUE,
-    hamming_parity_check,
-    random_linear_code,
-    syndrome_decode,
-    syndrome_encode,
-)
+from skalab.reconcile import STATUS_UNIQUE, syndrome_decode
 from skalab.rng import SeedStream
 from skalab.sources import analytic_profile, parse_model_spec, sample
 
@@ -181,7 +176,7 @@ def test_criterion_4_rate_region_oracles():
 def _syndrome_session(code, model, eps, trial, master):
     inst = sample(model, master.child("in", trial))
     x, y = inst.inputs
-    s = syndrome_encode(x, code)
+    s = matvec(code, x)
     res = syndrome_decode(y, s, code, model.t)
     return res.status == STATUS_UNIQUE and res.value == x
 

@@ -126,13 +126,16 @@ def test_toeplitz_constant_diagonals():
 @example(1, 1, 4)
 def test_toeplitz_dense_expansion_matvec_agree(rows, cols, salt):
     # The dense reference is built entry by entry, independently of both
-    # the product window that matvec takes and the rows that to_dense reads.
+    # the product window that matvec takes and the rows that to_dense reads;
+    # so are the columns.
     stream = SeedStream("expand", salt)
     m = toeplitz_from_seed(stream.bitvec(rows + cols - 1), rows, cols)
     ref = dense_from_rows(
         [sum(m.entry(i, j) << j for j in range(cols)) for i in range(rows)], cols
     )
     assert m.to_dense() == ref
+    columns = [sum(m.entry(i, j) << i for i in range(rows)) for j in range(cols)]
+    assert m.column_ints() == ref.column_ints() == columns
     for x in (stream.bitvec(cols), stream.bitvec(cols), BitVec(cols, (1 << cols) - 1)):
         assert matvec(m, x) == matvec(ref, x)
 

@@ -24,6 +24,23 @@ def test_ceil_log2_inv():
         ceil_log2_inv(Fraction(0))
 
 
+def _ceil_log2_inv_by_loop(eps):
+    c = 0
+    while (eps.numerator << c) < eps.denominator:
+        c += 1
+    return c
+
+
+def test_ceil_log2_inv_closed_form_exhaustive():
+    # Every eps = n/d with n < d <= 64, plus the protocols' smallest eps.
+    for d in range(2, 65):
+        for n in range(1, d):
+            eps = Fraction(n, d)
+            assert ceil_log2_inv(eps) == _ceil_log2_inv_by_loop(eps)
+    for eps in (Fraction(1, 2**32), Fraction(1, 2**64), Fraction(2**32 + 1, 2**64)):
+        assert ceil_log2_inv(eps) == _ceil_log2_inv_by_loop(eps)
+
+
 # ---------------------------------------------------------
 # hash: spec examples
 # ---------------------------------------------------------

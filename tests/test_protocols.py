@@ -47,6 +47,23 @@ def test_ceil_log2_ratio():
     assert ceil_log2_ratio(1, 1) == 0
 
 
+def _ceil_log2_ratio_by_loop(num, eps):
+    c = 0
+    while (eps.numerator << c) < num * eps.denominator:
+        c += 1
+    return c
+
+
+def test_ceil_log2_ratio_closed_form_exhaustive():
+    for num in (1, 2, 3, 16, 63, 64, 65):
+        for d in range(2, 65):
+            for n in range(1, d):
+                eps = Fraction(n, d)
+                assert ceil_log2_ratio(num, eps) == _ceil_log2_ratio_by_loop(num, eps)
+        for eps in (Fraction(1), Fraction(1, 2**32), Fraction(1, 2**64), Fraction(3, 2**64)):
+            assert ceil_log2_ratio(num, eps) == _ceil_log2_ratio_by_loop(num, eps)
+
+
 def test_default_margins():
     m = Margins.defaults(16, Fraction(1, 16))
     assert m.k_slack == 16  # 4 log2 16
@@ -106,6 +123,25 @@ def test_light_hamming_model():
     k = 4  # ceil(log2 C(16,1))
     assert o.key_len == 16 - k
     assert o.payload_bits == k + 6
+
+
+@pytest.mark.parametrize("spec,eps", [("hamming:n=9,t=4", Fraction(1, 4)), ("hamming:n=11,t=5", Fraction(1, 8))])
+def test_light_hamming_meets_eps_at_large_t(spec, eps):
+    # Sized by ceil(log2 C(n,t)), the fingerprint separates the weight-t
+    # sphere; the radius-t ball is up to twice as large here and failed
+    # about 2 eps of these sessions.
+    config = cfg_light(spec, eps=eps, seed=41)
+    trials = 2000
+    bad = sum(1 for t in range(trials) if not run_session(config, t).agreed)
+    p = float(eps)
+    assert bad / trials <= p + 3 * math.sqrt(p * (1 - p) / trials)
+
+
+def test_light_hamming_n63_t3_agrees():
+    config = cfg_light("hamming:n=63,t=3", eps=Fraction(1, 2**32), seed=42)
+    for trial in range(5):
+        o = run_session(config, trial)
+        assert o.agreed and o.decode_status == STATUS_UNIQUE
 
 
 def test_light_profile_sigma_shrinks_key():

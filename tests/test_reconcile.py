@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from codes import hamming_parity_check, random_linear_code
 from skalab.gf2 import BitVec, matvec, rank
 from skalab.hashext import ceil_log2_inv
 from skalab.reconcile import (
@@ -15,15 +16,12 @@ from skalab.reconcile import (
     decode_scan,
     encode,
     fingerprint_solutions,
-    hamming_parity_check,
     joint_candidates,
     multi_decode,
-    random_linear_code,
     syndrome_decode,
-    syndrome_encode,
 )
 from skalab.rng import SeedStream
-from skalab.sources import enumerate_candidates, parse_model_spec, sample
+from skalab.sources import AffineCandidates, enumerate_candidates, parse_model_spec, sample
 
 
 # ---------------------------------------------------------
@@ -63,9 +61,7 @@ def test_fingerprint_length_invariant():
 # ---------------------------------------------------------
 
 def singleton(x):
-    from skalab.sources import ExplicitCandidates
-
-    return ExplicitCandidates(x.n, [x.v])
+    return AffineCandidates(x.n, x.v, [])
 
 
 def test_decode_singleton_unique():
@@ -104,6 +100,31 @@ def test_decode_matches_scan_on_affine_sets():
         a = decode(fp, cands)
         b = decode_scan(fp, cands)
         assert a.status == b.status and a.value == b.value
+
+
+def test_decode_matches_scan_on_hamming_spheres():
+    # Every n <= 12 and allowed t, with 1-6 fingerprint rows so that
+    # ambiguous verdicts occur, and tampered values so that not_found does.
+    stream = SeedStream("cross-sphere")
+    statuses = set()
+    for n in range(2, 13):
+        for t in range((n + 1) // 2):
+            model = parse_model_spec(f"hamming:n={n},t={t}")
+            for rows in range(1, min(6, n) + 1):
+                inst = sample(model, stream.child("in", n, t, rows))
+                x, y = inst.inputs
+                fp = encode(x, rows, 1, stream.child("s", n, t, rows))
+                delta = 1 + stream.randrange((1 << rows) - 1)
+                tampered = Fingerprint(fp.spec, BitVec(rows, fp.value.v ^ delta), rows, 1)
+                for f in (fp, tampered):
+                    cands = enumerate_candidates(model, 2, y)
+                    a, b = decode(f, cands), decode_scan(f, cands)
+                    assert (a.status, a.value) == (b.status, b.value), (n, t, rows)
+                    assert a.candidates_checked == math.comb(n, t)
+                    if a.status != STATUS_AMBIGUOUS:
+                        assert b.candidates_checked == math.comb(n, t)
+                    statuses.add(a.status)
+    assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
 
 
 def test_decode_monte_carlo_line_point():
@@ -147,13 +168,13 @@ def test_decode_soundness_unique_is_correct():
 def test_syndrome_of_codeword_is_zero():
     code = hamming_parity_check(3)
     # parity-check rows xor to zero on any codeword; all-zeros is one
-    assert syndrome_encode(BitVec(7, 0), code) == BitVec(3, 0)
+    assert matvec(code, BitVec(7, 0)) == BitVec(3, 0)
 
 
 def test_syndrome_single_error_reads_column():
     code = hamming_parity_check(3)
     e3 = BitVec(7, 1 << 2)  # error at position 3 (1-based)
-    assert syndrome_encode(e3, code).v == 3
+    assert matvec(code, e3).v == 3
 
 
 def test_hamming_31_26_syndrome_length_vs_entropy_rate():
@@ -169,7 +190,7 @@ def test_hamming_31_26_syndrome_length_vs_entropy_rate():
 def test_syndrome_decode_weight0():
     code = hamming_parity_check(3)
     y = SeedStream("sd").bitvec(7)
-    s = syndrome_encode(y, code)
+    s = matvec(code, y)
     res = syndrome_decode(y, s, code, 0)
     assert res.status == STATUS_UNIQUE and res.value == y
     res2 = syndrome_decode(y, BitVec(3, s.v ^ 1), code, 0)
@@ -182,11 +203,36 @@ def test_hamming74_t1_always_unique():
     code = hamming_parity_check(3)
     for xv in range(128):
         x = BitVec(7, xv)
-        s = syndrome_encode(x, code)
+        s = matvec(code, x)
         for e in [0] + [1 << i for i in range(7)]:
             y = BitVec(7, xv ^ e)
             res = syndrome_decode(y, s, code, 1)
             assert res.status == STATUS_UNIQUE and res.value == x
+
+
+def test_syndrome_decode_matches_brute_force_on_dense_codes():
+    stream = SeedStream("sd-brute")
+    statuses = set()
+    for n in range(2, 11):
+        for rows in range(1, 9):
+            code = random_linear_code(rows, n, stream.child("code", n, rows))
+            syndromes = [matvec(code, BitVec(n, v)).v for v in range(1 << n)]
+            y = stream.child("y", n, rows).bitvec(n)
+            for w in range(min(3, n) + 1):
+                for s in (syndromes[y.v ^ ((1 << w) - 1)], stream.bits(rows)):
+                    want = [
+                        v for v in range(1 << n)
+                        if (v ^ y.v).bit_count() <= w and syndromes[v] == s
+                    ]
+                    res = syndrome_decode(y, BitVec(rows, s), code, w)
+                    statuses.add(res.status)
+                    assert res.candidates_checked == sum(math.comb(n, i) for i in range(w + 1))
+                    if len(want) == 1:
+                        assert res.status == STATUS_UNIQUE and res.value.v == want[0]
+                    else:
+                        assert res.status == (STATUS_AMBIGUOUS if want else STATUS_NOT_FOUND)
+                        assert res.value is None
+    assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
 
 
 def test_random_linear_code_syndrome_monte_carlo():
@@ -207,7 +253,7 @@ def test_random_linear_code_syndrome_monte_carlo():
         for p in picks:
             e |= 1 << p
         y = BitVec(n, x.v ^ e)
-        res = syndrome_decode(y, syndrome_encode(x, code), code, t)
+        res = syndrome_decode(y, matvec(code, x), code, t)
         if res.status == STATUS_UNIQUE and res.value == x:
             ok += 1
     assert ok / trials >= 0.9

@@ -12,11 +12,11 @@ from skalab.sources import (
     analytic_profile,
     enumerate_candidates,
     enumerate_instances,
-    hamming_ball,
     instance_count,
     is_consistent,
     parse_model_spec,
     sample,
+    weight_words,
 )
 
 
@@ -164,11 +164,14 @@ def test_analytic_profiles_are_polymatroids():
 # candidate enumeration
 # ---------------------------------------------------------
 
-def test_candidates_hamming_ball_size():
+def test_candidates_hamming_sphere_size():
     model = parse_model_spec("hamming:n=8,t=1")
     inst = sample(model, SeedStream("cball"))
     cands = enumerate_candidates(model, 2, inst.inputs[1])
-    assert len(list(cands)) == 9  # ball of radius 1: 1 + n
+    # the sphere of radius 1, n words; y itself is not a candidate at t = 1
+    assert len(list(cands)) == 8
+    assert cands.log2_size() == 3
+    assert inst.inputs[1] not in list(cands)
 
 
 def test_candidates_identical_singleton():
@@ -248,11 +251,19 @@ def test_triple_needs_joint_decoder():
         enumerate_candidates(model, 1, inst.inputs[0])
 
 
-def test_hamming_ball_order():
-    ball = hamming_ball(4, 2)
-    assert ball[0] == 0
-    assert ball[1:5] == [1, 2, 4, 8]  # weight 1 in lex order
-    assert len(ball) == 1 + 4 + 6
+def test_weight_words_order():
+    # Every weight class, in increasing order, against a filter of all words.
+    for n in range(1, 9):
+        for w in range(n + 2):
+            assert list(weight_words(n, w)) == [v for v in range(1 << n) if v.bit_count() == w]
+
+
+def test_hamming_sphere_iterates_errors_in_order():
+    model = parse_model_spec("hamming:n=6,t=2")
+    y = sample(model, SeedStream("sphere-order")).inputs[1]
+    cands = list(enumerate_candidates(model, 2, y))
+    assert [c.v ^ y.v for c in cands] == list(weight_words(6, 2))
+    assert len(cands) == math.comb(6, 2)
 
 
 # ---------------------------------------------------------
