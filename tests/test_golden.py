@@ -1,5 +1,5 @@
-"""Golden bytes: SHA-256 pins over the CSV text, transcripts and exact-audit
-records of fixed-seed runs.
+"""Golden bytes: SHA-256 pins over the CSV text, transcripts and the exact and
+Monte-Carlo audit records of fixed-seed runs.
 
 A refactor of the session code or of the GF(2) kernels must leave every
 byte that a fixed seed produces unchanged; each digest was taken before the
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from skalab.audit import exact_small_n_audit
+from skalab.audit import conditional_uniformity, exact_small_n_audit
 from skalab.protocols import Margins, SessionConfig, run_session
 from skalab.runner import ExperimentPlan, run_plan
 from skalab.sources import parse_model_spec
@@ -45,6 +45,14 @@ GOLDEN = {
     "two_phase identical:n=64": "d54ed3c3a9e07a0b874d31df9de7c5598b3e8e067c55e74d4fa26ff507fee393",
     "light hamming:n=63,t=2": "b54d93e7ba1b5258b1374cb759dab6192764c36cb45674c9e601309473243f9d",
     "exact omniscience triple:n=2": "540e3febf9cafeed749e90b3e9549017fe93943064709dc4693b4a3c82349a22",
+    "mc light identical:n=8": "5f8cfb2f524fd56cc6d939f9117e107af5bd0f870cec1683033c501d22edba44",
+    "mc light line-point:n=4": "f3def933aeda6a362e64bdb2812dc28d89842ae97e7133de5a4a5ac8524b03a4",
+}
+
+# Monte-Carlo audits with the public seeds fixed across trials: (model, seed).
+MC_CASES = {
+    "mc light identical:n=8": ("identical:n=8", 312),
+    "mc light line-point:n=4": ("line-point:n=4", 313),
 }
 
 
@@ -84,3 +92,11 @@ def test_exact_omniscience_audit_record_unchanged():
     config = SessionConfig(parse_model_spec("triple:n=2"), "omniscience", Fraction(1, 2**24), 311, TINY_OMNI_MARGINS)
     record = exact_record(exact_small_n_audit(config, public_label=0))
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN["exact omniscience triple:n=2"]
+
+
+@pytest.mark.parametrize("case", sorted(MC_CASES))
+def test_monte_carlo_audit_record_unchanged(case):
+    spec, seed = MC_CASES[case]
+    config = SessionConfig(parse_model_spec(spec), "light", Fraction(1, 4), seed)
+    record = conditional_uniformity(config, trials=2000).records()
+    assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN[case]
