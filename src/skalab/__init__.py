@@ -45,7 +45,6 @@ from .reconcile import (
     DecodeResult,
     Fingerprint,
     decode,
-    encode,
     multi_decode,
     syndrome_decode,
 )

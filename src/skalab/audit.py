@@ -30,9 +30,9 @@ from .entropy import (
     conditional_entropy_bits,
     transcript_inequality_audit,
 )
-from .protocols import SessionConfig, execute, run_session, session_plan
+from .protocols import SessionConfig, draw_seeds, execute, session_plan, session_streams
 from .rng import SeedStream
-from .sources import enumerate_instances, instance_count
+from .sources import enumerate_instances, instance_count, sample
 
 MIN_STRATUM_SAMPLES = 30
 
@@ -126,10 +126,15 @@ def conditional_uniformity(
     threshold is the uniform-sampling baseline mean + 4 sd (+ slack for
     protocols with a genuine extractor error).
     """
-    session_fn = session_fn or run_session
-    outcomes = []
-    for t in range(trials):
-        outcomes.append(session_fn(config, t, False))
+    if session_fn is None:
+        # The seeds are the same for every trial, so they are drawn once.
+        plan = session_plan(config)
+        seeds = draw_seeds(plan, session_streams(config, 0, fresh_public_seeds=False)[1])
+        outcomes = [
+            execute(plan, sample(config.model, session_streams(config, t)[0]).inputs, seeds) for t in range(trials)
+        ]
+    else:
+        outcomes = [session_fn(config, t, False) for t in range(trials)]
     agreed = sum(1 for o in outcomes if o.agreed)
     keyed = [o for o in outcomes if o.keys[0] is not None]
     if not keyed:
@@ -221,27 +226,29 @@ def exact_small_n_audit(config: SessionConfig, public_label: int = 0) -> ExactAu
         raise ValueError(f"input space of {count} tuples exceeds the cap")
     instances = list(enumerate_instances(config.model))
     plan = session_plan(config)
-    public = SeedStream("skalab", config.seed, "exact-audit", public_label).child("public")
-    outcomes = [execute(plan, inputs, public) for inputs in instances]
-    if all(o.keys[0] is None for o in outcomes):
+    seeds = draw_seeds(plan, SeedStream("skalab", config.seed, "exact-audit", public_label).child("public"))
+    # Keep only what the audit reads of each instance.
+    t_index: dict = {}
+    counts: dict = {}
+    agreed = 0
+    for inputs in instances:
+        o = execute(plan, inputs, seeds)
+        t = t_index[inputs] = _hashable_transcript(o.transcript)
+        key = o.keys[0]
+        cell = (t, (key.n, key.v) if key is not None else ("fail",))
+        counts[cell] = counts.get(cell, 0) + 1
+        agreed += o.agreed
+    if all(kv == ("fail",) for _t, kv in counts):
         raise RuntimeError("no instance produced a key for party 1")
 
     dist = JointDistribution.uniform(config.model.parties, instances)
-    t_index = {inputs: _hashable_transcript(o.transcript) for inputs, o in zip(instances, outcomes)}
     audit = transcript_inequality_audit(dist, lambda *inputs: t_index[inputs])
-
-    counts: dict = {}
-    for inputs, o in zip(instances, outcomes):
-        key = o.keys[0]
-        kv = (key.n, key.v) if key is not None else ("fail",)
-        cell = (t_index[inputs], kv)
-        counts[cell] = counts.get(cell, 0) + 1
     return ExactAuditResult(
         audit=audit,
         h_key_given_view=conditional_entropy_bits(counts),
         key_len=plan.key_len,
         instances=len(instances),
-        agreement_rate=sum(o.agreed for o in outcomes) / len(instances),
+        agreement_rate=agreed / len(instances),
     )
 
 

@@ -12,7 +12,7 @@ numerically with generous precision headroom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -127,14 +127,20 @@ def entropy_expr(probs) -> LogExpr:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Finite joint distribution of ell bit-vector variables."""
+    """Finite joint distribution of ell bit-vector variables.
+
+    The probabilities are also kept as integer weights over their common
+    denominator, so sums over the support add ints, not Fractions.
+    """
 
     ell: int
     support: tuple
+    _weights: tuple = field(init=False, repr=False, compare=False)
+    _denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        total = Fraction(0)
         seen = set()
+        probs = []
         for inputs, p in self.support:
             if len(inputs) != self.ell:
                 raise ValueError(f"support tuple has arity {len(inputs)}, want {self.ell}")
@@ -146,9 +152,13 @@ class JointDistribution:
             p = Fraction(p)
             if p <= 0:
                 raise ValueError("support probabilities must be positive")
-            total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+            probs.append(p)
+        den = math.lcm(*(p.denominator for p in probs))
+        weights = tuple(p.numerator * (den // p.denominator) for p in probs)
+        if sum(weights) != den:
+            raise ValueError(f"probabilities sum to {Fraction(sum(weights), den)}, not 1")
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_denominator", den)
 
     @staticmethod
     def from_atoms(ell: int, atoms) -> "JointDistribution":
@@ -167,12 +177,14 @@ class JointDistribution:
         return JointDistribution.from_atoms(ell, ((t, p) for t in tuples))
 
     def marginal(self, proj) -> dict:
-        """Distribution of proj(inputs) as a value -> Fraction map."""
+        """Distribution of proj(inputs) as a value -> Fraction map, keyed in
+        order of first appearance in the support."""
         out: dict = {}
-        for inputs, p in self.support:
+        for (inputs, _p), w in zip(self.support, self._weights):
             key = proj(inputs)
-            out[key] = out.get(key, Fraction(0)) + p
-        return out
+            out[key] = out.get(key, 0) + w
+        den = self._denominator
+        return {key: Fraction(w, den) for key, w in out.items()}
 
     def entropy_of(self, proj) -> LogExpr:
         return entropy_expr(self.marginal(proj).values())
@@ -229,6 +241,32 @@ class TranscriptAudit:
     rectangle_violations: list
 
 
+def rectangle_violations(ell: int, t_of: dict) -> list:
+    """(point, other transcript) for every support point inside the box of a
+    transcript other than its own, in support order and then in order of
+    each box's first point.
+
+    The box of a transcript is the product of the per-coordinate values of
+    its preimage; preimages are rectangles iff no box captures a point
+    mapping elsewhere.  Each coordinate value is indexed to the boxes that
+    hold it, so a point's violators are the intersection of its components'
+    box sets, not a test against every box.
+    """
+    box_index: dict = {}
+    holders = [{} for _ in range(ell)]  # per coordinate: value -> indices of the boxes holding it
+    for inputs, t in t_of.items():
+        b = box_index.setdefault(t, len(box_index))
+        for k, comp in enumerate(inputs):
+            holders[k].setdefault(comp, set()).add(b)
+    transcripts = list(box_index)
+    violations = []
+    for inputs, t in t_of.items():
+        inside = set.intersection(*(holders[k][comp] for k, comp in enumerate(inputs)))
+        inside.discard(box_index[t])
+        violations.extend((inputs, transcripts[b]) for b in sorted(inside))
+    return violations
+
+
 def transcript_inequality_audit(dist: JointDistribution, f) -> TranscriptAudit:
     """Audit I(a:b) - I(a:b|T) (and J - J(.|T) for ell=3) for T = f(inputs).
 
@@ -241,19 +279,7 @@ def transcript_inequality_audit(dist: JointDistribution, f) -> TranscriptAudit:
         raise ValueError("transcript audit supports 2 or 3 parties")
     t_of = {inputs: f(*inputs) for inputs, _ in dist.support}
 
-    # Preimage rectangle check: the box spanned by each preimage's
-    # per-coordinate projections must not capture support points mapping
-    # to a different transcript.
-    boxes: dict = {}
-    for inputs, t in t_of.items():
-        box = boxes.setdefault(t, [set() for _ in range(dist.ell)])
-        for k, comp in enumerate(inputs):
-            box[k].add(comp)
-    violations = []
-    for inputs, t in t_of.items():
-        for t2, box in boxes.items():
-            if t2 != t and all(comp in box[k] for k, comp in enumerate(inputs)):
-                violations.append((inputs, t2))
+    violations = rectangle_violations(dist.ell, t_of)
     rectangle_ok = not violations
 
     def h(proj) -> LogExpr:
@@ -310,5 +336,6 @@ __all__ = [
     "exact_profile_symbolic",
     "make_profile",
     "profile_is_polymatroid_exact",
+    "rectangle_violations",
     "transcript_inequality_audit",
 ]

@@ -92,6 +92,12 @@ class BitVec:
         return self.to_hex()
 
 
+def toeplitz_seed_len(rows: int, cols: int) -> int:
+    """Diagonal bits of a rows x cols Toeplitz matrix: rows + cols - 1, or
+    none for an empty shape."""
+    return rows + cols - 1 if rows and cols else 0
+
+
 @dataclass(frozen=True)
 class Gf2Matrix:
     """GF(2) matrix, dense or Toeplitz, with bit data packed in a BitVec.
@@ -110,10 +116,7 @@ class Gf2Matrix:
             raise Gf2Error(f"unknown matrix kind {self.kind!r}")
         if self.rows < 0 or self.cols < 0:
             raise Gf2Error(f"negative shape {self.rows}x{self.cols}")
-        if self.kind == "dense":
-            want = self.rows * self.cols
-        else:
-            want = self.rows + self.cols - 1 if self.rows and self.cols else 0
+        want = self.rows * self.cols if self.kind == "dense" else toeplitz_seed_len(self.rows, self.cols)
         if self.data.n != want:
             raise Gf2Error(
                 f"{self.kind} {self.rows}x{self.cols} needs {want} data bits, got {self.data.n}"
@@ -184,7 +187,7 @@ def toeplitz_from_seed(seed_bits: BitVec, rows: int, cols: int) -> Gf2Matrix:
     The seed must hold exactly rows + cols - 1 bits; entry (i, j) is seed
     bit i - j + cols - 1, so the matrix is fully determined by the seed.
     """
-    want = rows + cols - 1 if rows and cols else 0
+    want = toeplitz_seed_len(rows, cols)
     if seed_bits.n != want:
         raise Gf2Error(f"toeplitz {rows}x{cols} needs seed of {want} bits, got {seed_bits.n}")
     return Gf2Matrix("toeplitz", rows, cols, seed_bits)

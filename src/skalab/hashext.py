@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2 import BitVec, Gf2Matrix, matvec, toeplitz_from_seed
-from .rng import SeedStream
+from .gf2 import BitVec, matvec, toeplitz_from_seed
 
 
 def ceil_log2_inv(eps) -> int:
@@ -29,13 +28,6 @@ def ceil_log2_inv(eps) -> int:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
     # The least c with 2^c >= d/n is the least with 2^c >= ceil(d/n).
     return (-(-eps.denominator // eps.numerator) - 1).bit_length()
-
-
-def fresh_toeplitz(rows: int, cols: int, stream: SeedStream) -> Gf2Matrix:
-    """Toeplitz hash with a fresh seed; the seed (its `data`) is what a
-    protocol puts on the channel."""
-    seed_len = rows + cols - 1 if rows and cols else 0
-    return Gf2Matrix("toeplitz", rows, cols, stream.bitvec(seed_len))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,15 @@ All three protocols run on one driver, in three steps:
 
 1. plan       ``session_plan(config)`` sizes the session from the analytic
    profile, once per (model, protocol, eps, margins) and without the seed.
-2. broadcast  the only per-protocol step: public Toeplitz seeds and
-   fingerprints go on the channel.
+2. broadcast  ``draw_seeds(plan, public_stream)`` draws the public Toeplitz
+   and extractor seeds, and ``execute(plan, inputs, seeds)`` puts them on
+   the channel, each fingerprint sender's input hashed after its seed.
+   Audits hold the public seeds fixed, so they draw them once.
 3. party key  ``party_key(plan, party, own, transcript)`` recovers the
    fingerprint senders' inputs from the party's own input and the
    transcript alone, hashes them to key material and extracts the key.
+   The hashes are pure functions of the public seeds, so they are built
+   once per distinct seed tuple.
 
 * ``light``      party 1 sends one Toeplitz seed H with C(x|y) +
   ceil(log2(1/eps)) fingerprint rows over the key rows, and the top block
@@ -25,13 +29,13 @@ no transcript payload equals a party input, key material, or a key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .channel import Channel, Transcript
-from .gf2 import BitVec, Gf2Matrix, matvec
-from .hashext import ExtractorSpec, ceil_log2_inv, extract, fresh_toeplitz
+from .gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
+from .hashext import ExtractorSpec, ceil_log2_inv, extract
 from .profiles import cond, mutual
 from .rateregion import co_lp, sw_constraints
 from .reconcile import (
@@ -40,7 +44,6 @@ from .reconcile import (
     STATUS_UNIQUE,
     Fingerprint,
     decode,
-    encode,
     joint_candidates,
     multi_decode,
 )
@@ -205,6 +208,8 @@ class SessionPlan:
     complexity fp_k (light sends 0 rows when nothing needs reconciling).
     Every party hashes the senders' packed inputs to material_len bits; the
     extractor, absent for light, turns those into the key_len-bit key.
+    seed_slots lists every public seed as (sender, kind, stream labels,
+    bits), in broadcast order.
     """
 
     model: CorrelationModel
@@ -217,6 +222,10 @@ class SessionPlan:
     key_len: int
     target_key_len: Fraction
     target_comm: Fraction
+    seed_slots: tuple = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seed_slots", _seed_slots(self))
 
 
 def session_plan(config: SessionConfig) -> SessionPlan:
@@ -252,69 +261,70 @@ def _plan(model: CorrelationModel, protocol: str, eps: Fraction, margins: Margin
 
 
 # ---------------------------------------------------------------------------
-# Broadcast: the per-protocol step
+# Public seeds and hashes: the per-protocol step
 # ---------------------------------------------------------------------------
 
-
-def _broadcast_light(plan: SessionPlan, inputs, public: SeedStream, channel: Channel) -> None:
-    (q_rows,) = plan.fp_rows
-    h = fresh_toeplitz(q_rows + plan.material_len, plan.model.input_len, public.child("light", "H"))
-    channel.broadcast(1, "hash_spec", h.data)
-    channel.broadcast(1, "fingerprint", matvec(h.row_block(0, q_rows), inputs[0]))
+# Record kinds of the seeds that a fingerprint follows on the channel.
+_FP_SEED_KINDS = ("hash_spec", "fp_spec")
+_STREAM_LABEL = {TWO_PHASE: "two_phase", OMNISCIENCE: "omni"}
 
 
-def _broadcast_key_seeds(plan: SessionPlan, public: SeedStream, channel: Channel, label: str) -> None:
-    cols = len(plan.fp_k) * plan.model.input_len
-    keymat = fresh_toeplitz(plan.material_len, cols, public.child(label, "keymat"))
-    channel.broadcast(1, "keymat_spec", keymat.data)
-    channel.broadcast(1, "ext_seed", public.child(label, "ext").bitvec(plan.extractor.seed_len))
+def _seed_slots(plan: SessionPlan) -> tuple:
+    xlen = plan.model.input_len
+    if plan.protocol == LIGHT:
+        # One seed H: its top fp_rows rows fingerprint, the rest hash the key.
+        rows = plan.fp_rows[0] + plan.material_len
+        return ((1, "hash_spec", ("light", "H"), toeplitz_seed_len(rows, xlen)),)
+    label = _STREAM_LABEL[plan.protocol]
+    fps = []
+    for i, rows in enumerate(plan.fp_rows, start=1):
+        # Two-phase's one sender draws from (label, "fp"), omniscience's
+        # senders from (label, "fp", i).
+        labels = (label, "fp", i) if plan.protocol == OMNISCIENCE else (label, "fp")
+        fps.append((i, "fp_spec", labels, toeplitz_seed_len(rows, xlen)))
+    keymat_len = toeplitz_seed_len(plan.material_len, len(plan.fp_rows) * xlen)
+    return tuple(fps) + (
+        (1, "keymat_spec", (label, "keymat"), keymat_len),
+        (1, "ext_seed", (label, "ext"), plan.extractor.seed_len),
+    )
 
 
-def _broadcast_two_phase(plan: SessionPlan, inputs, public: SeedStream, channel: Channel) -> None:
-    fp = encode(inputs[0], plan.fp_k[0], plan.eps, public.child("two_phase", "fp"))
-    channel.broadcast(1, "fp_spec", fp.spec.data)
-    channel.broadcast(1, "fingerprint", fp.value)
-    _broadcast_key_seeds(plan, public, channel, "two_phase")
-
-
-def _broadcast_omniscience(plan: SessionPlan, inputs, public: SeedStream, channel: Channel) -> None:
-    for i, (x, k) in enumerate(zip(inputs, plan.fp_k), start=1):
-        fp = encode(x, k, plan.eps, public.child("omni", "fp", i))
-        channel.broadcast(i, "fp_spec", fp.spec.data)
-        channel.broadcast(i, "fingerprint", fp.value)
-    _broadcast_key_seeds(plan, public, channel, "omni")
-
-
-_BROADCAST = {LIGHT: _broadcast_light, TWO_PHASE: _broadcast_two_phase, OMNISCIENCE: _broadcast_omniscience}
-
-
-# ---------------------------------------------------------------------------
-# Party key: own input + transcript -> key
-# ---------------------------------------------------------------------------
+def draw_seeds(plan: SessionPlan, public: SeedStream) -> tuple:
+    """Every public seed of a session as (sender, kind, payload), in
+    broadcast order, each drawn from its own child of the public stream."""
+    return tuple((sender, kind, public.child(*labels).bitvec(bits)) for sender, kind, labels, bits in plan.seed_slots)
 
 
 def _hashes(plan: SessionPlan, transcript: Transcript):
     """(fingerprint of each sender, key-material hash) named by the
-    transcript.  Light's one seed holds both hashes as row blocks of one H;
-    its fingerprint is None when it has no rows."""
-    xlen = plan.model.input_len
-    if plan.protocol == LIGHT:
-        (q_rows,) = plan.fp_rows
-        seed = transcript.one("hash_spec", sender=1).payload
-        h = Gf2Matrix("toeplitz", q_rows + plan.material_len, xlen, seed)
-        fp_hashes, key_hash = [h.row_block(0, q_rows)], h.row_block(q_rows, h.rows)
-    else:
-        fp_hashes = [
-            Gf2Matrix("toeplitz", rows, xlen, transcript.one("fp_spec", sender=i).payload)
-            for i, rows in enumerate(plan.fp_rows, start=1)
-        ]
-        seed = transcript.one("keymat_spec", sender=1).payload
-        key_hash = Gf2Matrix("toeplitz", plan.material_len, len(plan.fp_k) * xlen, seed)
+    transcript; a fingerprint is None when it has no rows."""
+    seeds = tuple(transcript.one(kind, sender=sender).payload for sender, kind, _labels, _bits in plan.seed_slots)
+    fp_hashes, key_hash = _seed_hashes(plan, seeds)
     fps = [
         Fingerprint(h, transcript.one("fingerprint", sender=i).payload, k, plan.eps) if h.rows else None
         for i, (h, k) in enumerate(zip(fp_hashes, plan.fp_k), start=1)
     ]
     return fps, key_hash
+
+
+def _seed_hashes(plan: SessionPlan, seeds: tuple) -> tuple:
+    """(fingerprint hash of each sender, key-material hash) for the seed
+    payloads in plan order."""
+    return toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, seeds)
+
+
+@lru_cache(maxsize=64)
+def toeplitz_hashes(protocol: str, fp_rows: tuple, material_len: int, xlen: int, seeds: tuple) -> tuple:
+    """The hashes that a session's seed payloads name.  Keyed by plain
+    shapes and payloads, not by the plan, so a lookup hashes no Fraction: a
+    session with fresh seeds pays one miss, a fixed-seed audit builds them
+    once.  Light's one seed holds both hashes as row blocks of one H."""
+    if protocol == LIGHT:
+        (q_rows,) = fp_rows
+        h = Gf2Matrix("toeplitz", q_rows + material_len, xlen, seeds[0])
+        return (h.row_block(0, q_rows),), h.row_block(q_rows, h.rows)
+    fp_hashes = tuple(Gf2Matrix("toeplitz", rows, xlen, seed) for rows, seed in zip(fp_rows, seeds))
+    return fp_hashes, Gf2Matrix("toeplitz", material_len, len(fp_rows) * xlen, seeds[len(fp_rows)])
 
 
 def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
@@ -374,12 +384,17 @@ def _forbid_secret_payloads(transcript: Transcript, secrets) -> None:
                 )
 
 
-def execute(plan: SessionPlan, inputs: tuple, public_stream: SeedStream) -> SessionOutcome:
-    """One session on prescribed inputs: broadcast, every party's key, and
-    the shared agreement and leak checks."""
+def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
+    """One session on prescribed inputs and public seeds (from
+    ``draw_seeds``): broadcast, every party's key, and the shared agreement
+    and leak checks."""
+    fp_hashes, _key_hash = _seed_hashes(plan, tuple(payload for _sender, _kind, payload in seeds))
     channel = Channel()
     channel.next_round()
-    _BROADCAST[plan.protocol](plan, inputs, public_stream, channel)
+    for sender, kind, payload in seeds:
+        channel.broadcast(sender, kind, payload)
+        if kind in _FP_SEED_KINDS:
+            channel.broadcast(sender, "fingerprint", matvec(fp_hashes[sender - 1], inputs[sender - 1]))
     transcript = channel.close()
 
     keys, statuses, materials = zip(
@@ -416,8 +431,9 @@ def session_streams(config: SessionConfig, trial: int, fresh_public_seeds: bool 
 
 def run_session(config: SessionConfig, trial: int = 0, fresh_public_seeds: bool = True) -> SessionOutcome:
     input_stream, public_stream = session_streams(config, trial, fresh_public_seeds)
+    plan = session_plan(config)
     inputs = sample(config.model, input_stream).inputs
-    return execute(session_plan(config), inputs, public_stream)
+    return execute(plan, inputs, draw_seeds(plan, public_stream))
 
 
 def party_key_from_transcript(config: SessionConfig, party: int, own: BitVec, transcript: Transcript):

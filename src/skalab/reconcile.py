@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 from .gf2 import BitVec, Gf2Matrix, dense_from_rows, matvec, solve_affine
-from .hashext import ceil_log2_inv, fresh_toeplitz
-from .rng import SeedStream
+from .hashext import ceil_log2_inv
 from .sources import CorrelationModel, HammingSphere, is_consistent
 
 STATUS_UNIQUE = "unique"
@@ -68,16 +68,6 @@ class DecodeResult:
     def __post_init__(self) -> None:
         if (self.value is not None) != (self.status == STATUS_UNIQUE):
             raise ValueError("value present iff status is unique")
-
-
-def encode(x: BitVec, k: int, eps, stream: SeedStream) -> Fingerprint:
-    """Fingerprint x at declared conditional complexity k and error eps."""
-    eps = Fraction(eps)
-    if not 0 <= k <= x.n:
-        raise ValueError(f"k={k} outside [0, {x.n}]")
-    rows = k + ceil_log2_inv(eps)
-    spec = fresh_toeplitz(rows, x.n, stream)
-    return Fingerprint(spec, matvec(spec, x), k, eps)
 
 
 def decode_scan(fp: Fingerprint, candidates) -> DecodeResult:
@@ -224,15 +214,24 @@ def syndrome_decode(y: BitVec, syndrome: BitVec, code: Gf2Matrix, max_weight: in
 # ---------------------------------------------------------------------------
 
 
-def fingerprint_solutions(fp: Fingerprint, length: int, cap_bits: int = 14):
-    """All words of `length` bits matching the fingerprint, or None if the
-    solution space is larger than 2^cap_bits (degenerate hash seed)."""
-    m = fp.spec
-    if m.cols != length:
-        raise ValueError(f"fingerprint is over {m.cols} bits, want {length}")
-    sol = solve_affine(m, fp.value)
+def fingerprint_solutions(fp: Fingerprint, length: int, cap_bits: int = 14) -> tuple | None:
+    """All words of `length` bits matching the fingerprint as a sorted
+    tuple, or None if the solution space is larger than 2^cap_bits
+    (degenerate hash seed)."""
+    if fp.spec.cols != length:
+        raise ValueError(f"fingerprint is over {fp.spec.cols} bits, want {length}")
+    return coset_words(fp.spec, fp.value, cap_bits)
+
+
+@lru_cache(maxsize=256)
+def coset_words(m: Gf2Matrix, value: BitVec, cap_bits: int) -> tuple | None:
+    """Sorted solutions of m x = value, or None past 2^cap_bits of them.
+    Both other parties of an omniscience session solve each fingerprint, and
+    a fixed-seed audit sees each value many times, so each is solved once;
+    the result is a tuple because every caller shares it."""
+    sol = solve_affine(m, value)
     if sol is None:
-        return []
+        return ()
     particular, kernel = sol
     if len(kernel) > cap_bits:
         return None
@@ -243,8 +242,7 @@ def fingerprint_solutions(fp: Fingerprint, length: int, cap_bits: int = 14):
             if (mask >> j) & 1:
                 v ^= vec
         out.append(v)
-    out.sort()
-    return out
+    return tuple(sorted(out))
 
 
 def joint_candidates(model: CorrelationModel, own_index: int, own: BitVec, fps) -> list | None:

@@ -121,3 +121,28 @@ def make_identity_b_dist(stream):
     with_t = extend_with(base, lambda t: t_table[t], 2)
     z_table = {(u, tv): stream.bits(2) for u in range(4) for tv in range(4)}
     return extend_with(with_t, lambda t: z_table[(t[0].v & 0b11, t[2].v)], 2)
+
+
+def rectangle_violations_by_scan(ell, t_of):
+    """Reference rectangle check: every support point against the box of
+    every other transcript, in support order and then box order."""
+    boxes = {}
+    for inputs, t in t_of.items():
+        box = boxes.setdefault(t, [set() for _ in range(ell)])
+        for k, comp in enumerate(inputs):
+            box[k].add(comp)
+    violations = []
+    for inputs, t in t_of.items():
+        for t2, box in boxes.items():
+            if t2 != t and all(comp in box[k] for k, comp in enumerate(inputs)):
+                violations.append((inputs, t2))
+    return violations
+
+
+def marginal_by_fraction_sums(dist, proj):
+    """Reference marginal: Fraction sums in support order."""
+    out = {}
+    for inputs, p in dist.support:
+        key = proj(inputs)
+        out[key] = out.get(key, Fraction(0)) + p
+    return out

@@ -11,6 +11,7 @@ from skalab.entropy import (
     exact_profile,
     exact_profile_symbolic,
     profile_is_polymatroid_exact,
+    rectangle_violations,
     transcript_inequality_audit,
 )
 from skalab.gf2 import BitVec
@@ -28,7 +29,9 @@ from entropy_checks import (
     h_of,
     make_identity_b_dist,
     make_shared_component_dist,
+    marginal_by_fraction_sums,
     random_joint,
+    rectangle_violations_by_scan,
 )
 
 
@@ -137,6 +140,9 @@ def test_audit_xor_counterexample():
     dist = JointDistribution.from_atoms(2, atoms)
     res = transcript_inequality_audit(dist, lambda x, y: x.v ^ y.v)
     assert not res.rectangle_ok
+    t_of = {inputs: inputs[0].v ^ inputs[1].v for inputs, _ in dist.support}
+    assert res.rectangle_violations == rectangle_violations_by_scan(2, t_of)
+    assert len(res.rectangle_violations) == 4
     # conditioning on the XOR creates one full bit: residual exactly -1
     assert res.residual_i.rat == -1 and not res.residual_i.terms
 
@@ -171,10 +177,29 @@ def test_audit_exhaustive_two_message_protocols():
         m1 = {a: (m1_bits >> a) & 1 for a in range(3)}
         for m2_bits in range(64):  # m2: {0,1,2} x {0,1} -> {0,1}
             m2 = {(b, v): (m2_bits >> (b * 2 + v)) & 1 for b in range(3) for v in range(2)}
-            res = transcript_inequality_audit(dist, two_message_transcript(m1, m2))
+            f = two_message_transcript(m1, m2)
+            res = transcript_inequality_audit(dist, f)
+            t_of = {inputs: f(*inputs) for inputs, _ in dist.support}
+            assert res.rectangle_violations == rectangle_violations_by_scan(2, t_of)
             if not res.rectangle_ok or res.residual_i.sign() < 0:
                 violations += 1
     assert violations == 0
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_rectangle_index_matches_scan_on_random_maps(ell):
+    """Arbitrary transcript maps are far from rectangular; the indexed check
+    must list the reference scan's violations in the same order."""
+    found = 0
+    for salt in range(30):
+        stream = SeedStream("rect-oracle", ell, salt)
+        dist = random_joint(ell, stream, max_support=40, bits=3)
+        table = {inputs: stream.bits(2) for inputs, _ in dist.support}
+        want = rectangle_violations_by_scan(ell, table)
+        assert rectangle_violations(ell, table) == want
+        assert transcript_inequality_audit(dist, lambda *inputs: table[inputs]).rectangle_violations == want
+        found += len(want)
+    assert found >= 100
 
 
 # ---------------------------------------------------------
@@ -225,6 +250,26 @@ def test_calculation_identity_b_exact():
 def test_conditional_entropy_bits():
     counts = {(0, 0): 1, (0, 1): 1, (1, 0): 2}  # H(Z|T=0)=1 w.p. 1/2
     assert abs(conditional_entropy_bits(counts) - 0.5) < 1e-12
+
+
+def test_marginal_matches_fraction_sums_with_mixed_denominators():
+    atoms = [
+        ((bv(2, 0), bv(2, 1)), Fraction(1, 2)),
+        ((bv(2, 1), bv(2, 1)), Fraction(1, 3)),
+        ((bv(2, 3), bv(2, 0)), Fraction(1, 12)),
+        ((bv(2, 2), bv(2, 2)), Fraction(1, 20)),
+        ((bv(2, 1), bv(2, 3)), Fraction(1, 60)),
+        ((bv(2, 1), bv(2, 3)), Fraction(1, 60)),  # merged with the atom above
+    ]
+    dists = [JointDistribution.from_atoms(2, atoms)]
+    dists += [random_joint(3, SeedStream("marginal", salt)) for salt in range(10)]
+    for dist in dists:
+        projections = [lambda t: 0, lambda t: t[0], lambda t: t[-1], lambda t: (t[1], t[0]), lambda t: t[0].v ^ t[1].v]
+        for proj in projections:
+            want = marginal_by_fraction_sums(dist, proj)
+            assert list(dist.marginal(proj).items()) == list(want.items())
+    with pytest.raises(ValueError):
+        JointDistribution(2, (((bv(1, 0), bv(1, 0)), Fraction(1, 2)), ((bv(1, 1), bv(1, 0)), Fraction(1, 3))))
 
 
 def test_joint_distribution_validation():

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from codes import fresh_toeplitz
 from skalab.gf2 import BitVec, Gf2Matrix, matvec
 from skalab.hashext import (
     ExtractorSpec,
     ceil_log2_inv,
     extract,
-    fresh_toeplitz,
     tv_distance,
 )
 from skalab.rng import SeedStream

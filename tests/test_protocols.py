@@ -6,18 +6,23 @@ import pytest
 
 from skalab.gf2 import BitVec
 from skalab.hashext import ceil_log2_inv
+from skalab import protocols, reconcile
+from skalab.channel import Transcript
 from skalab.protocols import (
     Margins,
     SessionConfig,
     ceil_log2_ratio,
+    draw_seeds,
     light_dimensions,
     omniscience_dimensions,
     party_key_from_transcript,
     run_session,
+    session_plan,
+    session_streams,
     two_phase_dimensions,
 )
 from skalab.reconcile import STATUS_SEARCH_LIMIT, STATUS_UNIQUE
-from skalab.sources import analytic_profile, parse_model_spec
+from skalab.sources import analytic_profile, parse_model_spec, sample
 
 
 def cfg_light(spec="line-point:n=16", eps=Fraction(1, 256), seed=11, **margins):
@@ -311,6 +316,39 @@ def test_transcript_sufficiency(config):
         )
         assert status == STATUS_UNIQUE
         assert key == o.keys[party - 1]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [cfg_light(), cfg_two_phase(), cfg_omni()],
+    ids=["light", "two-phase", "omniscience"],
+)
+def test_keys_recomputed_with_empty_memos(config):
+    """The memoized hashes and fingerprint solutions are pure functions of
+    the public seeds: with every memo cleared, each party recomputes its
+    key from its input and a stored transcript alone."""
+    o = run_session(config, 4)
+    assert o.agreed
+    stored = Transcript.parse(o.transcript.dump())
+    inputs = sample(config.model, session_streams(config, 4)[0]).inputs
+    for party, own in enumerate(inputs, start=1):
+        protocols.toeplitz_hashes.cache_clear()
+        reconcile.coset_words.cache_clear()
+        key, status = party_key_from_transcript(config, party, own, stored)
+        assert status == STATUS_UNIQUE
+        assert key == o.keys[party - 1]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [cfg_light(), cfg_two_phase(), cfg_omni()],
+    ids=["light", "two-phase", "omniscience"],
+)
+def test_fixed_public_seeds_are_drawn_once(config):
+    seeds = draw_seeds(session_plan(config), session_streams(config, 0, fresh_public_seeds=False)[1])
+    for t in range(5):
+        records = run_session(config, t, fresh_public_seeds=False).transcript.records
+        assert tuple((r.sender, r.kind, r.payload) for r in records if r.kind != "fingerprint") == seeds
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from codes import hamming_parity_check, random_linear_code
+from codes import encode, hamming_parity_check, random_linear_code
 from skalab.gf2 import BitVec, matvec, rank
 from skalab.hashext import ceil_log2_inv
 from skalab.reconcile import (
@@ -14,7 +14,6 @@ from skalab.reconcile import (
     Fingerprint,
     decode,
     decode_scan,
-    encode,
     fingerprint_solutions,
     joint_candidates,
     multi_decode,
@@ -268,6 +267,7 @@ def test_fingerprint_solutions_cover_preimage():
     x = stream.bitvec(10)
     fp = encode(x, 7, Fraction(1, 2), stream.child("s"))
     sols = fingerprint_solutions(fp, 10)
+    assert isinstance(sols, tuple)  # memoized and shared, so immutable
     assert x.v in sols
     assert len(sols) == 1 << (10 - rank(fp.spec))
     for v in sols:
