@@ -263,8 +263,14 @@ def test_marginal_matches_fraction_sums_with_mixed_denominators():
     ]
     dists = [JointDistribution.from_atoms(2, atoms)]
     dists += [random_joint(3, SeedStream("marginal", salt)) for salt in range(10)]
+    projections = [
+        lambda t: 0,
+        lambda t: t[0],
+        lambda t: t[-1],
+        lambda t: (t[1], t[0]),
+        lambda t: t[0].v ^ t[1].v,
+    ]
     for dist in dists:
-        projections = [lambda t: 0, lambda t: t[0], lambda t: t[-1], lambda t: (t[1], t[0]), lambda t: t[0].v ^ t[1].v]
         for proj in projections:
             want = marginal_by_fraction_sums(dist, proj)
             assert list(dist.marginal(proj).items()) == list(want.items())

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from skalab.gf2 import BitVec
-from skalab.hashext import ceil_log2_inv
 from skalab import protocols, reconcile
 from skalab.channel import Transcript
+from skalab.gf2 import BitVec
+from skalab.hashext import ceil_log2_inv
 from skalab.protocols import (
     Margins,
     SessionConfig,
@@ -302,39 +302,17 @@ def test_replay_determinism(config):
 )
 def test_transcript_sufficiency(config):
     """Re-running any party's post-decode computation from (own input,
-    transcript) alone reproduces its key."""
-    from skalab.sources import sample
-    from skalab.protocols import session_streams
-
+    stored transcript) alone reproduces its key, also with every memo of
+    public work cleared: the memos hold pure functions of the seeds."""
     input_stream, _ = session_streams(config, 9)
     inst = sample(config.model, input_stream)
     o = run_session(config, 9)
     assert o.agreed
-    for party in range(1, config.model.parties + 1):
-        key, status = party_key_from_transcript(
-            config, party, inst.inputs[party - 1], o.transcript
-        )
-        assert status == STATUS_UNIQUE
-        assert key == o.keys[party - 1]
-
-
-@pytest.mark.parametrize(
-    "config",
-    [cfg_light(), cfg_two_phase(), cfg_omni()],
-    ids=["light", "two-phase", "omniscience"],
-)
-def test_keys_recomputed_with_empty_memos(config):
-    """The memoized hashes and fingerprint solutions are pure functions of
-    the public seeds: with every memo cleared, each party recomputes its
-    key from its input and a stored transcript alone."""
-    o = run_session(config, 4)
-    assert o.agreed
     stored = Transcript.parse(o.transcript.dump())
-    inputs = sample(config.model, session_streams(config, 4)[0]).inputs
-    for party, own in enumerate(inputs, start=1):
+    for party in range(1, config.model.parties + 1):
         protocols.toeplitz_hashes.cache_clear()
         reconcile.coset_words.cache_clear()
-        key, status = party_key_from_transcript(config, party, own, stored)
+        key, status = party_key_from_transcript(config, party, inst.inputs[party - 1], stored)
         assert status == STATUS_UNIQUE
         assert key == o.keys[party - 1]
 
