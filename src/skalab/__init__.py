@@ -29,7 +29,6 @@ from .profiles import (
     multi_j,
     mutual,
     parse_profile,
-    random_polymatroid,
 )
 from .protocols import (
     Margins,

@@ -129,8 +129,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_rates(args) -> int:
     with open(args.profile) as f:
-        profile = parse_profile(f.read())
-    region = sw_constraints(profile)
+        text = f.read()
+    try:
+        profile = parse_profile(text)
+        region = sw_constraints(profile)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     total, rates = co_lp(region)
     cap = key_capacity(profile)
     lines = []

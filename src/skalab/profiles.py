@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .rng import SeedStream
 
 Subset = frozenset
 
@@ -138,15 +137,6 @@ def all_partitions(items: tuple) -> list[list[frozenset]]:
 # ---------------------------------------------------------------------------
 
 
-def format_profile(profile: ComplexityProfile) -> str:
-    lines = []
-    for s in all_nonempty_subsets(profile.ell):
-        key = ",".join(str(i) for i in sorted(s))
-        v = profile.values[s]
-        lines.append(f"{key}={v.numerator}/{v.denominator}" if v.denominator != 1 else f"{key}={v}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_profile(text: str) -> ComplexityProfile:
     values = {}
     max_party = 0
@@ -171,36 +161,3 @@ def parse_profile(text: str) -> ComplexityProfile:
     if not values:
         raise ValueError("empty profile")
     return ComplexityProfile(max_party, values)
-
-
-# ---------------------------------------------------------------------------
-# Random valid profiles for property tests and corpus sweeps.
-# ---------------------------------------------------------------------------
-
-
-def random_polymatroid(ell: int, stream: SeedStream) -> ComplexityProfile:
-    """Random polymatroid profile: weighted coverage plus an additive part.
-
-    Each party owns a random subset of weighted ground elements; C(V) is
-    the total weight covered by V plus the additive weights of V.  Both
-    pieces are entropic (coverage = joint entropy of revealed uniform
-    bits), so the result is always a valid profile.  Weights use small
-    denominators to exercise fractional optima downstream.
-    """
-    if ell < 1:
-        raise ValueError("need at least one party")
-    n_ground = 2 + stream.randrange(2 * ell + 2)
-    denom = stream.choice([1, 1, 2, 4])
-    weights = [Fraction(1 + stream.randrange(12), denom) for _ in range(n_ground)]
-    owners: list[set[int]] = []
-    for _ in range(n_ground):
-        mask = stream.bits(ell)
-        if mask == 0:
-            mask = 1 << stream.randrange(ell)
-        owners.append({i + 1 for i in range(ell) if (mask >> i) & 1})
-    additive = [Fraction(stream.randrange(8), denom) for _ in range(ell)]
-    values = {}
-    for s in all_nonempty_subsets(ell):
-        cover = sum((w for w, o in zip(weights, owners) if o & s), Fraction(0))
-        values[s] = cover + sum((additive[i - 1] for i in s), Fraction(0))
-    return ComplexityProfile(ell, values)

@@ -2,28 +2,24 @@
 
 The region S is cut out by one constraint per splitting (I, J) of the
 parties into two nonempty sets:  sum_{i in I} n_i >= C(x_I | x_J).  CO is
-the minimum total rate over S, computed by exhaustive vertex enumeration
-with exact rational arithmetic: every subset of ell constraints whose
-indicator matrix is nonsingular contributes one candidate vertex, and the
-feasible candidate with the smallest total (ties broken by
-lexicographically smallest rate tuple) is the canonical optimum every
-party agrees on.
+the minimum total rate over S (Csiszar-Narayan), computed exactly in
+rational arithmetic by a simplex on the dual LP
 
-Because the constraint matrix depends only on ell, the adjugates and
-determinants of all candidate bases are precomputed once per ell; per
-profile only integer matrix-vector products remain, batched through
-int64 numpy (with overflow guards, so the arithmetic stays exact).
+    max b.y  subject to  A^T y + s = 1 + sum_j delta^j e_j,  y, s >= 0,
+
+whose slack basis is feasible, so no phase 1 is needed.  The objective
+perturbation delta^j on party j makes the optimum the lexicographically
+smallest (total, n_1, ..., n_ell) in S: the canonical rate tuple every
+party derives independently.  It is read off the final objective row
+under the slack columns.  Right-hand sides are kept as polynomials in
+delta and compared lexicographically in the ratio test, which also rules
+out cycling; entering columns follow Bland's rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
-from math import gcd
-
-import numpy as np
 
 from .profiles import (
     ComplexityProfile,
@@ -34,9 +30,9 @@ from .profiles import (
     multi_j,
 )
 
-_MAX_PARTIES_PARTITION = 8
-_MAX_PARTIES_LP = 6
-_INT64_GUARD = 1 << 55
+# Both the LP (2^ell - 2 constraints) and the partition formula (Bell(ell)
+# splittings) finish within seconds up to here.
+_MAX_PARTIES = 8
 
 
 @dataclass(frozen=True)
@@ -75,74 +71,22 @@ def proper_splittings(ell: int) -> list[frozenset]:
     return [s for s in all_nonempty_subsets(ell) if len(s) < ell]
 
 
+def _check_parties(ell: int) -> None:
+    if not 2 <= ell <= _MAX_PARTIES:
+        raise ValueError(f"rate region needs 2 to {_MAX_PARTIES} parties, got {ell}")
+
+
 def sw_constraints(profile: ComplexityProfile) -> RateRegion:
     """The Slepian-Wolf constraint region of a (polymatroid) profile."""
+    ell = profile.ell
+    _check_parties(ell)
     if not is_polymatroid(profile):
         raise ValueError("profile is not a valid polymatroid")
-    ell = profile.ell
     full = profile.full()
     constraints = tuple(
         (s, cond(profile, s, full - s)) for s in proper_splittings(ell)
     )
     return RateRegion(profile, constraints)
-
-
-@lru_cache(maxsize=8)
-def _basis_tables(ell: int):
-    """Precomputed vertex-enumeration tables for the canonical constraint
-    order at a given ell: sign-normalized adjugates, |det|, and the
-    feasibility products A_all @ adj for every nonsingular basis."""
-    subsets = proper_splittings(ell)
-    a_all = np.array(
-        [[1 if i in s else 0 for i in range(1, ell + 1)] for s in subsets],
-        dtype=np.int64,
-    )
-    idxs, adjs, dets = [], [], []
-    for combo in combinations(range(len(subsets)), ell):
-        sub = a_all[list(combo), :]
-        det, adj = _int_det_adj(sub)
-        if det == 0:
-            continue
-        if det < 0:
-            det, adj = -det, -adj
-        idxs.append(combo)
-        adjs.append(adj)
-        dets.append(det)
-    idx_arr = np.array(idxs, dtype=np.intp)
-    adj_arr = np.array(adjs, dtype=np.int64)
-    det_arr = np.array(dets, dtype=np.int64)
-    # feas[b] = A_all @ adj[b]: (n_cons, ell) per basis.
-    feas = np.einsum("ck,bkj->bcj", a_all, adj_arr)
-    return subsets, a_all, idx_arr, adj_arr, det_arr, feas
-
-
-def _int_det_adj(m: np.ndarray):
-    """Exact determinant and adjugate of a small integer matrix."""
-    n = m.shape[0]
-    mi = [[int(v) for v in row] for row in m]
-
-    def det(mat) -> int:
-        if len(mat) == 1:
-            return mat[0][0]
-        if len(mat) == 2:
-            return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-        total = 0
-        for j, v in enumerate(mat[0]):
-            if v:
-                minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-                total += (-1) ** j * v * det(minor)
-        return total
-
-    d = det(mi)
-    adj = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mi[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            cof = det(minor) if minor else 1
-            adj[j][i] = (-1) ** (i + j) * cof
-    return d, adj
 
 
 def co_lp(region: RateRegion):
@@ -153,76 +97,36 @@ def co_lp(region: RateRegion):
     rates independently.
     """
     ell = region.profile.ell
-    if ell > _MAX_PARTIES_LP:
-        raise ValueError(f"vertex enumeration supports up to {_MAX_PARTIES_LP} parties")
-    subsets, _a_all, idx_arr, adj_arr, det_arr, feas = _basis_tables(ell)
-    order = {s: i for i, s in enumerate(subsets)}
-    bounds = [None] * len(subsets)
-    for s, b in region.constraints:
-        bounds[order[s]] = Fraction(b)
-    if any(b is None for b in bounds):
-        raise ValueError("region is missing Slepian-Wolf constraints")
-
-    denom = 1
-    for b in bounds:
-        denom = denom * b.denominator // gcd(denom, b.denominator)
-    scaled = [int(b * denom) for b in bounds]
-    if max(abs(v) for v in scaled) < _INT64_GUARD // (64 * ell):
-        b_arr = np.array(scaled, dtype=np.int64)
-        verts = np.einsum("bkj,bj->bk", adj_arr, b_arr[idx_arr])  # ell per basis
-        lhs = np.einsum("bcj,bj->bc", feas, b_arr[idx_arr])
-        rhs = det_arr[:, None] * b_arr[None, :]
-        feasible = np.all(lhs >= rhs, axis=1) & np.all(verts >= 0, axis=1)
-        candidates = [
-            tuple(
-                Fraction(int(v), int(det_arr[b]) * denom) for v in verts[b]
-            )
-            for b in np.nonzero(feasible)[0]
-        ]
-    else:  # big numbers: do everything in Fractions
-        candidates = _vertices_fractions(region, subsets, idx_arr)
-
-    if not candidates:
-        raise RuntimeError("Slepian-Wolf region produced no feasible vertex")
-    best = min(candidates, key=lambda v: (sum(v, Fraction(0)), v))
-    total = sum(best, Fraction(0))
-    return total, RateTuple(best)
-
-
-def _vertices_fractions(region: RateRegion, subsets, idx_arr) -> list:
-    ell = region.profile.ell
-    bound_of = dict(region.constraints)
-    rows = [[Fraction(1 if i in s else 0) for i in range(1, ell + 1)] for s in subsets]
-    rhs = [Fraction(bound_of[s]) for s in subsets]
-    out = []
-    for combo in idx_arr:
-        a = [rows[i][:] for i in combo]
-        b = [rhs[i] for i in combo]
-        x = _solve_fractions(a, b)
-        if x is None or any(v < 0 for v in x):
-            continue
-        if all(
-            sum(r * v for r, v in zip(row, x)) >= bb for row, bb in zip(rows, rhs)
-        ):
-            out.append(tuple(x))
-    return out
-
-
-def _solve_fractions(a: list, b: list):
-    n = len(a)
-    m = [row[:] + [bb] for row, bb in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    _check_parties(ell)
+    bounds = [Fraction(b) for _, b in region.constraints]
+    n_cols = len(bounds) + ell
+    # Row i is party i's dual constraint: the y_I with i in I, slack s_i, and
+    # the right-hand side 1 + delta^i as its coefficients of delta^0..delta^ell.
+    rows = []
+    for i in range(1, ell + 1):
+        unit = [Fraction(i == j) for j in range(1, ell + 1)]
+        y_cols = [Fraction(i in s) for s, _ in region.constraints]
+        rows.append(y_cols + unit + [Fraction(1)] + unit)
+    obj = [-b for b in bounds] + [Fraction(0)] * (2 * ell + 1)
+    while True:
+        enter = next((j for j in range(n_cols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        # The primal is feasible, so the dual is bounded and some entry is
+        # positive; the right-hand sides stay linearly independent, so the
+        # lexicographic minimum ratio is attained by exactly one row.
+        leave = min(
+            (row for row in rows if row[enter] > 0),
+            key=lambda row: [v / row[enter] for v in row[n_cols:]],
+        )
+        pivot = leave[enter]
+        leave[:] = [v / pivot for v in leave]
+        for row in rows + [obj]:
+            f = row[enter]
+            if row is not leave and f:
+                row[:] = [v - f * w for v, w in zip(row, leave)]
+    rates = RateTuple(obj[len(bounds) : n_cols])
+    return rates.total(), rates
 
 
 def co_formula3(profile: ComplexityProfile) -> Fraction:
@@ -245,8 +149,7 @@ def key_capacity(profile: ComplexityProfile) -> Fraction:
     (sum_i C(x_{J_i}) - C(all)) / (s - 1); Bell enumeration, ell <= 8.
     This route is independent of the LP and is cross-checked against it.
     """
-    if profile.ell > _MAX_PARTIES_PARTITION:
-        raise ValueError(f"partition enumeration capped at {_MAX_PARTIES_PARTITION} parties")
+    _check_parties(profile.ell)
     if not is_polymatroid(profile):
         raise ValueError("profile is not a valid polymatroid")
     parties = tuple(range(1, profile.ell + 1))

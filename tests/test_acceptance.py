@@ -27,10 +27,10 @@ from entropy_checks import (
     make_shared_component_dist,
     random_joint,
 )
+from profile_tools import random_polymatroid
 from skalab.audit import exact_small_n_audit
 from skalab.gf2 import BitVec, matvec
 from skalab.hashext import ExtractorSpec, extract, tv_distance
-from skalab.profiles import random_polymatroid
 from skalab.protocols import (
     Margins,
     SessionConfig,

@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from profile_tools import format_profile, random_polymatroid
 from skalab.entropy import make_profile
 from skalab.profiles import (
     ComplexityProfile,
     all_nonempty_subsets,
     all_partitions,
     cond,
-    format_profile,
     is_polymatroid,
     multi_j,
     mutual,
     parse_profile,
-    random_polymatroid,
 )
 from skalab.rng import SeedStream
 

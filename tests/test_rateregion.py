@@ -1,13 +1,15 @@
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from profile_tools import random_polymatroid
 from skalab.entropy import make_profile
-from skalab.profiles import ComplexityProfile, all_nonempty_subsets, random_polymatroid
+from skalab.profiles import ComplexityProfile, all_nonempty_subsets
 from skalab.rateregion import (
+    RateRegion,
     RateTuple,
-    _vertices_fractions,
-    _basis_tables,
     co_formula3,
     co_lp,
     key_capacity,
@@ -31,6 +33,71 @@ def additive(weights):
         ell,
         {s: Fraction(sum(weights[i - 1] for i in s)) for s in all_nonempty_subsets(ell)},
     )
+
+
+def by_size(ell, c):
+    """The symmetric profile C(S) = c(|S|)."""
+    return ComplexityProfile(ell, {s: Fraction(c(len(s))) for s in all_nonempty_subsets(ell)})
+
+
+def collinear(ell, n):
+    """ell points on a random line over GF(2^n): 2n bits alone, n(|S|+2) jointly."""
+    return by_size(ell, lambda k: 2 * n if k == 1 else n * (k + 2))
+
+
+def degenerate_profiles(ell):
+    """Structured profiles: all bounds zero (zero, identical), every constraint
+    tight at the optimum (additive), symmetric rates, 4n/3 at ell=4 (collinear)."""
+    return {
+        "zero": by_size(ell, lambda k: 0),
+        "identical": by_size(ell, lambda k: 16),
+        "additive": additive(list(range(1, ell + 1))),
+        "collinear": collinear(ell, 16),
+    }
+
+
+# ---------------------------------------------------------
+# reference solver: exhaustive vertex enumeration
+# ---------------------------------------------------------
+
+def gauss_jordan(a, b):
+    """The unique x with a x = b, or None when a is singular (Fractions)."""
+    n = len(a)
+    m = [row + [bb] for row, bb in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        pivot = m[col][col]
+        m[col] = [v / pivot for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return tuple(m[r][n] for r in range(n))
+
+
+def enumerated_optimum(region):
+    """CO and its canonical rate tuple by trying every basis.
+
+    Each set of ell constraints, taken with equality, gives one candidate;
+    the nonnegative candidates that meet every constraint are the vertices,
+    and the one with the smallest (total, rates) is the tuple co_lp must
+    return.  The singleton bounds n_i >= C(x_i | rest) >= 0 make n >= 0
+    redundant, so no basis needs a row n_i = 0.
+    """
+    ell = region.profile.ell
+    vertices = []
+    for basis in combinations(region.constraints, ell):
+        a = [[Fraction(i in s) for i in range(1, ell + 1)] for s, _ in basis]
+        x = gauss_jordan(a, [Fraction(b) for _, b in basis])
+        if x is None or min(x) < 0:
+            continue
+        if all(sum(x[i - 1] for i in s) >= b for s, b in region.constraints):
+            vertices.append(x)
+    best = min(vertices, key=lambda v: (sum(v), v))
+    return sum(best, Fraction(0)), best
 
 
 # ---------------------------------------------------------
@@ -110,17 +177,21 @@ def test_co_lp_scaling_linearity():
         assert scaled == base * lam
 
 
-def test_numpy_path_matches_fraction_path():
-    for salt in range(20):
-        for ell in (2, 3, 4):
-            p = random_polymatroid(ell, SeedStream("xval", ell, salt))
+def test_co_lp_matches_vertex_enumeration():
+    for ell in (2, 3, 4):
+        profiles = [random_polymatroid(ell, SeedStream("xval", ell, salt)) for salt in range(20)]
+        for p in profiles + list(degenerate_profiles(ell).values()):
             region = sw_constraints(p)
             total, rates = co_lp(region)
-            subsets, _a, idx_arr, _adj, _det, _feas = _basis_tables(ell)
-            verts = _vertices_fractions(region, subsets, idx_arr)
-            best = min(verts, key=lambda v: (sum(v, Fraction(0)), v))
-            assert sum(best, Fraction(0)) == total
-            assert tuple(best) == rates.rates
+            assert (total, rates.rates) == enumerated_optimum(region)
+
+
+def test_co_lp_collinear_four_parties_third_integral():
+    # symmetric optimum 4n/3 per party: not an integer at n=16
+    total, rates = co_lp(sw_constraints(collinear(4, 16)))
+    assert total == Fraction(256, 3)
+    assert rates.rates == (Fraction(64, 3),) * 4
+    assert rates.ceil() == (22,) * 4
 
 
 # ---------------------------------------------------------
@@ -174,6 +245,43 @@ def test_oracle_equivalence_random_profiles():
             assert p.c(p.full()) - total == key_capacity(p)
             if ell == 3:
                 assert co_formula3(p) == total
+
+
+@pytest.mark.parametrize("ell, want", [(3, 6), (4, 8), (5, 9)])
+def test_collinear_key_capacity(ell, want):
+    # n(ell-2)/(ell-1) at n=12
+    p = collinear(ell, 12)
+    total, _ = co_lp(sw_constraints(p))
+    assert key_capacity(p) == want
+    assert p.c(p.full()) - total == want
+
+
+@pytest.mark.parametrize("ell", [5, 6, 7, 8])
+def test_oracle_equivalence_beyond_enumeration(ell):
+    profiles = degenerate_profiles(ell)
+    if ell == 8:
+        # all-zero bounds take no pivot, and at 8 parties the polymatroid
+        # checks alone cost seconds per profile
+        del profiles["zero"], profiles["identical"]
+    for p in [random_polymatroid(ell, SeedStream("wide", ell, 0)), *profiles.values()]:
+        total, rates = co_lp(sw_constraints(p))
+        assert rates.total() == total
+        assert p.c(p.full()) - total == key_capacity(p)
+
+
+def test_co_lp_six_parties_cold():
+    region = sw_constraints(random_polymatroid(6, SeedStream("cold", 6, 0)))
+    start = time.monotonic()
+    co_lp(region)
+    assert time.monotonic() - start < 1
+
+
+def test_more_than_eight_parties_rejected_before_any_subset_work():
+    # a non-polymatroid profile: the party cap must fire before the polymatroid check
+    p = by_size(9, lambda k: 9 - k)
+    for call in (sw_constraints, key_capacity, lambda q: co_lp(RateRegion(q, ()))):
+        with pytest.raises(ValueError, match="2 to 8 parties"):
+            call(p)
 
 
 def test_rate_tuple_validation():

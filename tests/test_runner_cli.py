@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from profile_tools import format_profile
 from skalab.cli import main
-from skalab.profiles import format_profile
+from skalab.profiles import ComplexityProfile, all_nonempty_subsets
 from skalab.protocols import SessionConfig, run_session
 from skalab.runner import ExperimentPlan, run_plan, summarize, sweep_configs
 from skalab.sources import analytic_profile, ceil_log2, parse_model_spec
@@ -112,6 +113,24 @@ def test_cli_rates(tmp_path, capsys):
     assert "rates = (24, 24, 24)" in out
     assert "key_capacity = 8" in out
     assert "CO_closed_form = 72" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1=1\n2=x\n1,2=2\n",  # does not parse
+        "1=1\n2=1\n1,2=3\n",  # not a polymatroid
+        "1=5\n",  # one party has no rate region
+        format_profile(ComplexityProfile(9, {s: len(s) for s in all_nonempty_subsets(9)})),
+    ],
+)
+def test_cli_rates_reports_bad_profile(tmp_path, capsys, text):
+    profile_file = tmp_path / "bad.profile"
+    profile_file.write_text(text)
+    assert main(["rates", "--profile", str(profile_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_audit(tmp_path):
