@@ -217,12 +217,9 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     return BitVec(m.rows, out)
 
 
-def _eliminate(rows: list[int], cols: int, augmented: bool = False):
+def _eliminate(rows: list[int], cols: int):
     """Row-reduce packed rows; returns (reduced rows, pivot column list).
-
-    With augmented=True the last bit position (index `cols`) is the
-    right-hand side and is never chosen as a pivot.
-    """
+    Bits at positions >= cols (a right-hand side) are never pivots."""
     rows = list(rows)
     pivots: list[int] = []
     rank = 0

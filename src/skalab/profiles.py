@@ -101,21 +101,28 @@ def multi_j(profile: ComplexityProfile, partition) -> Fraction:
 
 
 def is_polymatroid(profile: ComplexityProfile, tol=Fraction(0)) -> bool:
-    """Monotone + submodular check (with C(empty) = 0), within tol."""
+    """Polymatroid check (with C(empty) = 0) by Yeung's elemental
+    inequalities, each allowed a violation of at most tol:
+
+        C(N) >= C(N - i)                          for every party i,
+        C(S + i) + C(S + j) >= C(S + i + j) + C(S)  for i != j outside S.
+
+    At tol = 0 they imply nonnegativity, monotonicity and submodularity.
+    """
     tol = Fraction(tol) if not isinstance(tol, float) else tol
-    subsets = all_nonempty_subsets(profile.ell)
-    for s in subsets:
-        if profile.c(s) < -tol:
-            return False
-    for s in subsets:
-        for i in range(1, profile.ell + 1):
-            if i not in s:
-                if profile.c(s | {i}) < profile.c(s) - tol:
+    ell = profile.ell
+    c = [Fraction(0)] * (1 << ell)  # C by bitmask, bit i - 1 for party i
+    for s, v in profile.values.items():
+        c[sum(1 << (i - 1) for i in s)] = v
+    full = (1 << ell) - 1
+    if any(c[full] < c[full ^ (1 << i)] - tol for i in range(ell)):
+        return False
+    for s in range(1 << ell):
+        rest = [1 << i for i in range(ell) if not s >> i & 1]
+        for a, bi in enumerate(rest):
+            for bj in rest[a + 1 :]:
+                if c[s | bi] + c[s | bj] < c[s | bi | bj] + c[s] - tol:
                     return False
-    for a in subsets:
-        for b in subsets:
-            if profile.c(a) + profile.c(b) < profile.c(a | b) + profile.c(a & b) - tol:
-                return False
     return True
 
 

@@ -4,6 +4,9 @@ All three protocols run on one driver, in three steps:
 
 1. plan       ``session_plan(config)`` sizes the session from the analytic
    profile, once per (model, protocol, eps, margins) and without the seed.
+   The plan alone sizes it: each fingerprint gets k + ceil(log2(1/eps))
+   rows, k the complexity its message covers, and nothing downstream
+   re-checks that count.
 2. broadcast  ``draw_seeds(plan, public_stream)`` draws the public Toeplitz
    and extractor seeds, and ``execute(plan, inputs, seeds)`` puts them on
    the channel, each fingerprint sender's input hashed after its seed.
@@ -38,15 +41,7 @@ from .gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
 from .hashext import ExtractorSpec, ceil_log2_inv, extract
 from .profiles import cond, mutual
 from .rateregion import co_lp, sw_constraints
-from .reconcile import (
-    STATUS_AMBIGUOUS,
-    STATUS_NOT_FOUND,
-    STATUS_UNIQUE,
-    Fingerprint,
-    decode,
-    joint_candidates,
-    multi_decode,
-)
+from .reconcile import STATUS_UNIQUE, Fingerprint, decode, multi_decode
 from .rng import SeedStream
 from .sources import CorrelationModel, analytic_profile, enumerate_candidates, sample
 
@@ -118,9 +113,6 @@ class SessionConfig:
         if self.margins is None:
             object.__setattr__(self, "margins", Margins.defaults(self.model.n, self.eps))
 
-    def extractor_eps(self) -> Fraction:
-        return Fraction(self.margins.extractor_eps or self.eps)
-
 
 @dataclass
 class SessionOutcome:
@@ -137,65 +129,6 @@ class SessionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Per-protocol sizing rules
-# ---------------------------------------------------------------------------
-
-
-def light_dimensions(config: SessionConfig, profile):
-    """(n1, k_used, q_rows, key_rows) for the light protocol."""
-    sigma = config.margins.profile_sigma
-    xlen = config.model.input_len
-    n1 = int(profile.c({1}))
-    k_true = int(cond(profile, {1}, {2}))
-    k_used = min(k_true + sigma, n1)
-    q_rows = k_used + ceil_log2_inv(config.eps) if k_used > 0 else 0
-    key_rows = n1 - k_used
-    if key_rows < 1:
-        raise ValueError("light protocol margins leave no key bits")
-    if n1 > xlen:
-        raise ValueError("profile claims more complexity than input bits")
-    return n1, k_used, q_rows, key_rows
-
-
-def two_phase_dimensions(config: SessionConfig, profile):
-    """(k_fp, k_material, extractor spec) for the two-phase protocol."""
-    m = config.margins
-    xlen = config.model.input_len
-    c_xy = profile.c({1, 2})
-    c_x = profile.c({1})
-    i_xy = mutual(profile, {1}, {2})
-    k_fp = int(c_xy - c_x) + m.k_slack + m.profile_sigma
-    k_fp = max(0, min(k_fp, xlen))
-    k_material = int(i_xy) - m.profile_sigma + m.phase1
-    if k_material < 1:
-        raise ValueError("two-phase margins leave no key material")
-    ext = ExtractorSpec(
-        input_len=k_material,
-        min_entropy=k_material - m.deficiency,
-        eps=config.extractor_eps(),
-    )
-    return k_fp, k_material, ext
-
-
-def omniscience_dimensions(config: SessionConfig, profile):
-    """(per-party rates, CO, key capacity, key-material len, extractor)."""
-    m = config.margins
-    region = sw_constraints(profile)
-    co_total, rates = co_lp(region)
-    ints = rates.ceil()
-    key_cap = profile.c(profile.full()) - co_total
-    k_material = int(key_cap) + m.phase1  # key capacities here are integral
-    if k_material < 1:
-        raise ValueError("omniscience margins leave no key material")
-    ext = ExtractorSpec(
-        input_len=k_material,
-        min_entropy=k_material - m.deficiency,
-        eps=config.extractor_eps(),
-    )
-    return ints, co_total, key_cap, k_material, ext
-
-
-# ---------------------------------------------------------------------------
 # Plan
 # ---------------------------------------------------------------------------
 
@@ -204,18 +137,18 @@ def omniscience_dimensions(config: SessionConfig, profile):
 class SessionPlan:
     """Seed-independent sizing of one (model, protocol, eps, margins).
 
-    Parties 1..len(fp_k) send fingerprints of fp_rows rows at declared
-    complexity fp_k (light sends 0 rows when nothing needs reconciling).
-    Every party hashes the senders' packed inputs to material_len bits; the
-    extractor, absent for light, turns those into the key_len-bit key.
-    seed_slots lists every public seed as (sender, kind, stream labels,
-    bits), in broadcast order.
+    The plan alone sizes a session.  Parties 1..len(fp_rows) send
+    fingerprints of fp_rows = k + ceil(log2(1/eps)) rows each, k the
+    (rounded) conditional complexity the sender's message must cover; light
+    sends 0 rows when nothing needs reconciling.  Every party hashes the
+    senders' packed inputs to material_len bits; the extractor, absent for
+    light, turns those into the key_len-bit key.  seed_slots lists every
+    public seed as (sender, kind, stream labels, bits), in broadcast order.
     """
 
     model: CorrelationModel
     protocol: str
     eps: Fraction
-    fp_k: tuple
     fp_rows: tuple
     material_len: int
     extractor: ExtractorSpec | None
@@ -229,34 +162,49 @@ class SessionPlan:
 
 
 def session_plan(config: SessionConfig) -> SessionPlan:
-    """The config's plan; raises the sizing rule's ValueError when the
-    margins leave no key."""
+    """The config's plan; raises ValueError when the margins leave no key."""
     return _plan(config.model, config.protocol, config.eps, config.margins)
 
 
 @lru_cache(maxsize=256)
 def _plan(model: CorrelationModel, protocol: str, eps: Fraction, margins: Margins) -> SessionPlan:
-    config = SessionConfig(model, protocol, eps, 0, margins)
     profile = analytic_profile(model)
     c = ceil_log2_inv(eps)
+    sigma = margins.profile_sigma
     if protocol == LIGHT:
-        _n1, k_used, q_rows, key_rows = light_dimensions(config, profile)
+        # H's top k + c rows fingerprint x at k = C(x|y) + sigma; its other
+        # C(x) - k rows hash the key.
+        n1 = int(profile.c({1}))
         k_true = int(cond(profile, {1}, {2}))
-        target_comm = Fraction(k_true + (c if k_true else 0))
+        k_used = min(k_true + sigma, n1)
+        key_rows = n1 - k_used
+        if key_rows < 1:
+            raise ValueError("light protocol margins leave no key bits")
+        if n1 > model.input_len:
+            raise ValueError("profile claims more complexity than input bits")
         return SessionPlan(
-            model, protocol, eps, (k_used,), (q_rows,), key_rows, None, key_rows,
-            mutual(profile, {1}, {2}), target_comm,
+            model, protocol, eps, (k_used + c if k_used else 0,), key_rows, None, key_rows,
+            mutual(profile, {1}, {2}), Fraction(k_true + (c if k_true else 0)),
         )
     if protocol == TWO_PHASE:
-        k_fp, k_material, ext = two_phase_dimensions(config, profile)
-        return SessionPlan(
-            model, protocol, eps, (k_fp,), (k_fp + c,), k_material, ext, ext.output_len,
-            mutual(profile, {1}, {2}), cond(profile, {1}, {2}),
-        )
-    ints, co_total, key_cap, k_material, ext = omniscience_dimensions(config, profile)
+        # Fingerprint at C(x,y) - C(x) + k_slack + sigma, then key material
+        # at I(x:y) - sigma + phase1.
+        k_fp = int(cond(profile, {2}, {1})) + margins.k_slack + sigma
+        fp_rows = (max(0, min(k_fp, model.input_len)) + c,)
+        target_key_len, target_comm = mutual(profile, {1}, {2}), cond(profile, {1}, {2})
+        material_len = int(target_key_len) - sigma + margins.phase1
+    else:
+        # Fingerprints at the optimal Slepian-Wolf rates, rounded up, then key
+        # material at the key capacity C(x_[3]) - CO + phase1.
+        target_comm, rates = co_lp(sw_constraints(profile))
+        fp_rows = tuple(k + c for k in rates.ceil())
+        target_key_len = profile.c(profile.full()) - target_comm
+        material_len = int(target_key_len) + margins.phase1  # key capacities here are integral
+    if material_len < 1:
+        raise ValueError(f"{protocol} margins leave no key material")
+    ext = ExtractorSpec(material_len, material_len - margins.deficiency, margins.extractor_eps or eps)
     return SessionPlan(
-        model, protocol, eps, tuple(ints), tuple(k + c for k in ints), k_material, ext,
-        ext.output_len, key_cap, co_total,
+        model, protocol, eps, fp_rows, material_len, ext, ext.output_len, target_key_len, target_comm,
     )
 
 
@@ -297,20 +245,11 @@ def draw_seeds(plan: SessionPlan, public: SeedStream) -> tuple:
 
 def _hashes(plan: SessionPlan, transcript: Transcript):
     """(fingerprint of each sender, key-material hash) named by the
-    transcript; a fingerprint is None when it has no rows."""
+    transcript."""
     seeds = tuple(transcript.one(kind, sender=sender).payload for sender, kind, _labels, _bits in plan.seed_slots)
-    fp_hashes, key_hash = _seed_hashes(plan, seeds)
-    fps = [
-        Fingerprint(h, transcript.one("fingerprint", sender=i).payload, k, plan.eps) if h.rows else None
-        for i, (h, k) in enumerate(zip(fp_hashes, plan.fp_k), start=1)
-    ]
+    fp_hashes, key_hash = toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, seeds)
+    fps = [Fingerprint(h, transcript.one("fingerprint", sender=i).payload) for i, h in enumerate(fp_hashes, start=1)]
     return fps, key_hash
-
-
-def _seed_hashes(plan: SessionPlan, seeds: tuple) -> tuple:
-    """(fingerprint hash of each sender, key-material hash) for the seed
-    payloads in plan order."""
-    return toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, seeds)
 
 
 @lru_cache(maxsize=64)
@@ -331,7 +270,7 @@ def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
     """(status, packed inputs of every fingerprint sender) as the party
     recovers them; the packed value is None unless the status is unique."""
     if plan.protocol == OMNISCIENCE:
-        res = multi_decode(own, party, fps, joint_candidates(plan.model, party, own, fps))
+        res = multi_decode(plan.model, party, own, fps)
         if res.status != STATUS_UNIQUE:
             return res.status, None
         packed = res.value[0]
@@ -340,13 +279,7 @@ def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
         return STATUS_UNIQUE, packed
     if party == 1:
         return STATUS_UNIQUE, own
-    candidates = enumerate_candidates(plan.model, party, own)
-    if fps[0] is None:  # nothing to reconcile: the candidate set is one word
-        found = list(candidates)
-        if len(found) != 1:
-            return (STATUS_AMBIGUOUS if found else STATUS_NOT_FOUND), None
-        return STATUS_UNIQUE, found[0]
-    res = decode(fps[0], candidates)
+    res = decode(fps[0], enumerate_candidates(plan.model, party, own))
     return res.status, res.value
 
 
@@ -388,7 +321,8 @@ def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
     """One session on prescribed inputs and public seeds (from
     ``draw_seeds``): broadcast, every party's key, and the shared agreement
     and leak checks."""
-    fp_hashes, _key_hash = _seed_hashes(plan, tuple(payload for _sender, _kind, payload in seeds))
+    payloads = tuple(payload for _sender, _kind, payload in seeds)
+    fp_hashes, _key_hash = toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, payloads)
     channel = Channel()
     channel.next_round()
     for sender, kind, payload in seeds:

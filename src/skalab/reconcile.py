@@ -17,18 +17,21 @@ by meeting in the middle on the column images of the hash, which finds the
 weight-t errors e with H e = fingerprint xor H y.  `syndrome_decode` runs
 the same search for errors of weight at most t.  `decode_scan` keeps the
 literal scan available and is cross-checked against both in tests.
+
+Joint decoding (`multi_decode`, omniscience) is a coset product plus a
+model filter: each other party's fingerprint cuts its input down to the
+affine coset of the hash's solutions, and the tuples of that product with
+the holder's own input that the model allows are the candidates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 
 from .gf2 import BitVec, Gf2Matrix, dense_from_rows, matvec, solve_affine
-from .hashext import ceil_log2_inv
 from .sources import CorrelationModel, HammingSphere, is_consistent
 
 STATUS_UNIQUE = "unique"
@@ -39,21 +42,16 @@ STATUS_SEARCH_LIMIT = "search_limit"
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Seeded hash plus value; the reconciliation message for one input."""
+    """Seeded hash plus value; the reconciliation message for one input.
+    The session plan sizes the hash; the value comes off the channel, so
+    only its length is checked against the hash."""
 
     spec: Gf2Matrix
     value: BitVec
-    declared_k: int
-    eps: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        want = self.declared_k + ceil_log2_inv(self.eps)
-        if self.value.n != self.spec.rows or self.spec.rows != want:
-            raise ValueError(
-                f"fingerprint length {self.value.n} != rows {self.spec.rows} "
-                f"!= k + ceil(log2(1/eps)) = {want}"
-            )
+        if self.value.n != self.spec.rows:
+            raise ValueError(f"fingerprint length {self.value.n} != hash rows {self.spec.rows}")
 
 
 @dataclass(frozen=True)
@@ -214,87 +212,52 @@ def syndrome_decode(y: BitVec, syndrome: BitVec, code: Gf2Matrix, max_weight: in
 # ---------------------------------------------------------------------------
 
 
-def fingerprint_solutions(fp: Fingerprint, length: int, cap_bits: int = 14) -> tuple | None:
-    """All words of `length` bits matching the fingerprint as a sorted
-    tuple, or None if the solution space is larger than 2^cap_bits
-    (degenerate hash seed)."""
-    if fp.spec.cols != length:
-        raise ValueError(f"fingerprint is over {fp.spec.cols} bits, want {length}")
-    return coset_words(fp.spec, fp.value, cap_bits)
+# Past this many kernel dimensions a fingerprint's coset is not enumerated.
+_COSET_CAP_BITS = 14
 
 
 @lru_cache(maxsize=256)
-def coset_words(m: Gf2Matrix, value: BitVec, cap_bits: int) -> tuple | None:
-    """Sorted solutions of m x = value, or None past 2^cap_bits of them.
-    Both other parties of an omniscience session solve each fingerprint, and
-    a fixed-seed audit sees each value many times, so each is solved once;
-    the result is a tuple because every caller shares it."""
+def coset_words(m: Gf2Matrix, value: BitVec) -> tuple | None:
+    """Every solution of m x = value as a BitVec, or None past
+    2^_COSET_CAP_BITS of them (degenerate hash seed).  Both other parties of
+    an omniscience session solve each fingerprint, and a fixed-seed audit
+    sees each value many times, so each is solved once; the result is a
+    tuple because every caller shares it."""
     sol = solve_affine(m, value)
     if sol is None:
         return ()
     particular, kernel = sol
-    if len(kernel) > cap_bits:
+    if len(kernel) > _COSET_CAP_BITS:
         return None
-    out = []
-    for mask in range(1 << len(kernel)):
-        v = particular
-        for j, vec in enumerate(kernel):
-            if (mask >> j) & 1:
-                v ^= vec
-        out.append(v)
-    return tuple(sorted(out))
+    words = [particular]
+    for vec in kernel:
+        words += [w ^ vec for w in words]
+    return tuple(BitVec(m.cols, w) for w in words)
 
 
-def joint_candidates(model: CorrelationModel, own_index: int, own: BitVec, fps) -> list | None:
-    """Tuples consistent with the model, the holder's input, and the other
-    parties' (linear) fingerprints, in canonical lexicographic order.
+def multi_decode(model: CorrelationModel, own_index: int, own: BitVec, fps) -> DecodeResult:
+    """The unique input tuple consistent with the model, the holder's input
+    and every fingerprint.
 
-    This is the omniscience decoder's search space: each other party's
-    fingerprint cuts GF(2)^(2n) down to a small affine coset, and the
-    model constraint filters the cross product.  Returns None when a
-    degenerate fingerprint makes a coset too large to enumerate.
+    The candidates are the product of each other party's fingerprint coset
+    with the holder's own input, filtered by the model; the holder's own
+    fingerprint must match too, so a disagreeing one gives not_found.
+    `search_limit` when a coset is too large to enumerate.
+    candidates_checked reports the size of the product the verdict covered.
     """
-    per_party: dict[int, list] = {}
+    cosets = []
     for i, fp in enumerate(fps, start=1):
         if i == own_index:
-            per_party[i] = [own.v]
+            cosets.append((own,) if matvec(fp.spec, own) == fp.value else ())
             continue
-        sols = fingerprint_solutions(fp, model.input_len)
-        if sols is None:
-            return None
-        per_party[i] = sols
-
-    tuples: list[tuple] = []
-
-    def rec(i: int, acc: list) -> None:
-        if i > model.parties:
-            candidate = tuple(BitVec(model.input_len, v) for v in acc)
-            if is_consistent(model, candidate):
-                tuples.append(candidate)
-            return
-        for v in per_party[i]:
-            rec(i + 1, acc + [v])
-
-    rec(1, [])
-    tuples.sort(key=lambda tup: tuple(b.v for b in tup))
-    return tuples
-
-
-def multi_decode(own: BitVec, own_index: int, fps, candidates) -> DecodeResult:
-    """Unique joint tuple matching every fingerprint simultaneously;
-    `search_limit` when the joint search gave up (candidates is None)."""
-    if candidates is None:
-        return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
-    found = None
-    checked = 0
-    for tup in candidates:
-        checked += 1
-        if tup[own_index - 1] != own:
-            continue
-        if all(matvec(fp.spec, comp) == fp.value for fp, comp in zip(fps, tup)):
-            if found is not None:
-                return DecodeResult(STATUS_AMBIGUOUS, None, checked)
-            found = tup
-    if found is None:
-        return DecodeResult(STATUS_NOT_FOUND, None, checked)
-    return DecodeResult(STATUS_UNIQUE, found, checked)
+        words = coset_words(fp.spec, fp.value)
+        if words is None:
+            return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
+        cosets.append(words)
+    total = math.prod(map(len, cosets))
+    found = list(islice((tup for tup in product(*cosets) if is_consistent(model, tup)), 2))
+    if len(found) != 1:
+        return DecodeResult(STATUS_AMBIGUOUS if found else STATUS_NOT_FOUND, None, total)
+    for fp, comp in zip(fps, found[0]):
+        _guard(fp, comp)
+    return DecodeResult(STATUS_UNIQUE, found[0], total)

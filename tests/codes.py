@@ -42,4 +42,4 @@ def encode(x: BitVec, k: int, eps, stream: SeedStream) -> Fingerprint:
         raise ValueError(f"k={k} outside [0, {x.n}]")
     rows = k + ceil_log2_inv(eps)
     spec = fresh_toeplitz(rows, x.n, stream)
-    return Fingerprint(spec, matvec(spec, x), k, eps)
+    return Fingerprint(spec, matvec(spec, x))

@@ -1,4 +1,5 @@
-"""Profile helpers for tests: the profile file writer and random polymatroids."""
+"""Profile helpers for tests: the profile file writer, random polymatroids
+and the pairwise polymatroid check that oracles the elemental one."""
 
 from fractions import Fraction
 
@@ -14,6 +15,21 @@ def format_profile(profile: ComplexityProfile) -> str:
         v = profile.values[s]
         lines.append(f"{key}={v.numerator}/{v.denominator}" if v.denominator != 1 else f"{key}={v}")
     return "\n".join(lines) + "\n"
+
+
+def is_polymatroid_pairwise(profile: ComplexityProfile) -> bool:
+    """Nonnegativity, monotonicity and submodularity over all 4^ell pairs of
+    subsets (C(empty) = 0): the definition, literally."""
+    subsets = [frozenset()] + all_nonempty_subsets(profile.ell)
+    for a in subsets:
+        if profile.c(a) < 0:
+            return False
+        for b in subsets:
+            if a <= b and profile.c(a) > profile.c(b):
+                return False
+            if profile.c(a) + profile.c(b) < profile.c(a | b) + profile.c(a & b):
+                return False
+    return True
 
 
 def random_polymatroid(ell: int, stream: SeedStream) -> ComplexityProfile:

@@ -34,7 +34,6 @@ from skalab.hashext import ExtractorSpec, extract, tv_distance
 from skalab.protocols import (
     Margins,
     SessionConfig,
-    light_dimensions,
     run_session,
 )
 from skalab.rateregion import co_formula3, co_lp, key_capacity, sw_constraints

@@ -16,11 +16,11 @@ from skalab.hashext import ceil_log2_inv
 from skalab.protocols import (
     Margins,
     SessionConfig,
-    light_dimensions,
     run_session,
+    session_plan,
 )
 from skalab.rng import SeedStream
-from skalab.sources import analytic_profile, enumerate_instances, parse_model_spec
+from skalab.sources import enumerate_instances, parse_model_spec
 
 
 def light_config(spec, eps, seed=101):
@@ -209,8 +209,8 @@ def test_light_within_stratum_uniformity_exact():
     H2 has full rank on the fiber directions."""
     config = light_config("line-point:n=3", Fraction(1, 2), seed=17)
     model = config.model
-    profile = analytic_profile(model)
-    n1, k_used, q_rows, key_rows = light_dimensions(config, profile)
+    plan = session_plan(config)
+    (q_rows,), key_rows = plan.fp_rows, plan.key_len
     o = run_session(config, 0, fresh_public_seeds=False)
     seed = o.transcript.one("hash_spec").payload
     h = toeplitz_from_seed(seed, q_rows + key_rows, model.input_len)

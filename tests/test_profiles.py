@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profile_tools import format_profile, random_polymatroid
+from profile_tools import format_profile, is_polymatroid_pairwise, random_polymatroid
 from skalab.entropy import make_profile
 from skalab.profiles import (
     ComplexityProfile,
@@ -111,6 +112,36 @@ def test_polymatroid_examples():
     assert not is_polymatroid(make_profile(2, {(1,): 1, (2,): 1, (1, 2): 3}))
     # non-monotone
     assert not is_polymatroid(make_profile(2, {(1,): 2, (2,): 2, (1, 2): 1}))
+
+
+def test_elemental_check_matches_pairwise_oracle():
+    # 600 profiles at ell = 2..5: polymatroids, polymatroids with one value
+    # moved by up to +-2, and profiles of independent random values.
+    stream = SeedStream("elemental")
+    outcomes = set()
+    for ell in range(2, 6):
+        subsets = all_nonempty_subsets(ell)
+        for k in range(150):
+            s = stream.child(ell, k)
+            p = random_polymatroid(ell, s)
+            values = dict(p.values)
+            if k % 3 == 1:
+                v = s.choice(subsets)
+                values[v] += Fraction(s.randrange(9) - 4, 2)
+            elif k % 3 == 2:
+                values = {v: Fraction(s.randrange(24), 2) for v in subsets}
+            p = ComplexityProfile(ell, values)
+            want = is_polymatroid_pairwise(p)
+            assert is_polymatroid(p) == want, (ell, k)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_elemental_check_is_fast_at_ell_8():
+    p = random_polymatroid(8, SeedStream("elemental-8"))
+    start = time.perf_counter()
+    assert is_polymatroid(p)
+    assert time.perf_counter() - start < 0.3
 
 
 def test_profile_requires_all_subsets():

@@ -13,16 +13,13 @@ from skalab.protocols import (
     SessionConfig,
     ceil_log2_ratio,
     draw_seeds,
-    light_dimensions,
-    omniscience_dimensions,
     party_key_from_transcript,
     run_session,
     session_plan,
     session_streams,
-    two_phase_dimensions,
 )
 from skalab.reconcile import STATUS_SEARCH_LIMIT, STATUS_UNIQUE
-from skalab.sources import analytic_profile, parse_model_spec, sample
+from skalab.sources import parse_model_spec, sample
 
 
 def cfg_light(spec="line-point:n=16", eps=Fraction(1, 256), seed=11, **margins):
@@ -112,6 +109,14 @@ def test_light_identical_pair_empty_fingerprint():
     assert o.transcript.one("fingerprint").payload.n == 0
 
 
+def test_light_hamming_t0_empty_fingerprint():
+    # C(x|y) = 0 as for the identical pair: a fingerprint of no rows decodes
+    # the one-word sphere of radius 0.
+    o = run_session(cfg_light("hamming:n=16,t=0"), 0)
+    assert o.agreed and o.decode_status == STATUS_UNIQUE
+    assert o.key_len == 16 and o.payload_bits == 0
+
+
 def test_light_agreement_monte_carlo_line_point_12():
     eps = Fraction(1, 256)
     config = cfg_light("line-point:n=12", eps=eps, seed=77)
@@ -158,13 +163,10 @@ def test_light_profile_sigma_shrinks_key():
     assert o_sigma.agreed
 
 
-def test_light_dimensions_guard():
+def test_light_plan_guard():
     config = cfg_light("line-point:n=4", eps=Fraction(1, 2))
     with pytest.raises(ValueError):
-        light_dimensions(
-            replace(config, margins=replace(config.margins, profile_sigma=10)),
-            analytic_profile(config.model),
-        )
+        session_plan(replace(config, margins=replace(config.margins, profile_sigma=10)))
 
 
 # ---------------------------------------------------------
@@ -193,13 +195,12 @@ def test_two_phase_identical_fingerprint_margins_only():
 def test_two_phase_comm_accounting_band():
     # comm <= C(x|y) + c log2(n/eps) + seed overhead, c documented as 5
     config = cfg_two_phase(seed=31)
-    profile = analytic_profile(config.model)
-    k_fp, k_material, ext = two_phase_dimensions(config, profile)
+    plan = session_plan(config)
     log_term = math.log2(16 / float(config.eps))
     for t in range(60):
         o = run_session(config, t)
         assert o.payload_bits <= 16 + 5 * log_term
-        seed_overhead = (k_fp + 4 + 32 - 1) + (k_material + 32 - 1) + ext.seed_len
+        seed_overhead = (plan.fp_rows[0] + 32 - 1) + (plan.material_len + 32 - 1) + plan.extractor.seed_len
         assert o.comm_bits == o.payload_bits + seed_overhead
 
 
@@ -218,9 +219,7 @@ def test_two_phase_profile_sigma():
 def test_two_phase_margins_guard():
     bad = Margins(k_slack=0, phase1=0, deficiency=20)
     with pytest.raises(ValueError):
-        two_phase_dimensions(
-            cfg_two_phase(margins=bad), analytic_profile(parse_model_spec("line-point:n=16"))
-        )
+        session_plan(cfg_two_phase(margins=bad))
 
 
 # ---------------------------------------------------------
@@ -237,13 +236,13 @@ def test_omniscience_collinear_16():
     assert len({k.v for k in o.keys}) == 1
 
 
-def test_omniscience_dimensions():
+def test_omniscience_plan():
     config = cfg_omni()
-    ints, co, cap, k_material, ext = omniscience_dimensions(
-        config, analytic_profile(config.model)
-    )
-    assert ints == (24, 24, 24) and co == 72 and cap == 8
-    assert k_material == 12 and ext.output_len == 6
+    plan = session_plan(config)
+    c = ceil_log2_inv(config.eps)
+    assert plan.fp_rows == (24 + c, 24 + c, 24 + c)
+    assert plan.target_comm == 72 and plan.target_key_len == 8
+    assert plan.material_len == 12 and plan.key_len == plan.extractor.output_len == 6
 
 
 def test_omniscience_default_margins_leave_no_key_at_n16():
@@ -253,7 +252,7 @@ def test_omniscience_default_margins_leave_no_key_at_n16():
         parse_model_spec("triple:n=16"), "omniscience", Fraction(1, 64), 0
     )
     with pytest.raises(ValueError):
-        omniscience_dimensions(config, analytic_profile(config.model))
+        session_plan(config)
     with pytest.raises(ValueError):  # at session time, not when the config is built
         run_session(config, 0)
 

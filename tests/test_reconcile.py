@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from codes import encode, hamming_parity_check, random_linear_code
-from skalab.gf2 import BitVec, matvec, rank
+from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank
 from skalab.hashext import ceil_log2_inv
 from skalab.reconcile import (
     STATUS_AMBIGUOUS,
@@ -12,15 +12,21 @@ from skalab.reconcile import (
     STATUS_UNIQUE,
     DecodeResult,
     Fingerprint,
+    coset_words,
     decode,
     decode_scan,
-    fingerprint_solutions,
-    joint_candidates,
     multi_decode,
     syndrome_decode,
 )
 from skalab.rng import SeedStream
-from skalab.sources import AffineCandidates, enumerate_candidates, parse_model_spec, sample
+from skalab.sources import (
+    AffineCandidates,
+    HammingSphere,
+    enumerate_candidates,
+    enumerate_instances,
+    parse_model_spec,
+    sample,
+)
 
 
 # ---------------------------------------------------------
@@ -70,6 +76,16 @@ def test_decode_singleton_unique():
     assert res.status == STATUS_UNIQUE and res.value == x
 
 
+def test_zero_row_fingerprint_decodes_one_word_sets():
+    # With nothing to reconcile light sends a fingerprint of no rows; decode
+    # takes it like any other.
+    y = SeedStream("z0").bitvec(10)
+    fp = Fingerprint(Gf2Matrix("toeplitz", 0, 10, BitVec(0, 0)), BitVec(0, 0))
+    for cands in (singleton(y), HammingSphere(10, y.v, 0)):
+        res = decode(fp, cands)
+        assert res.status == STATUS_UNIQUE and res.value == y
+
+
 def test_decode_not_found():
     stream = SeedStream("d2")
     x, other = stream.bitvec(10), stream.bitvec(10)
@@ -114,7 +130,7 @@ def test_decode_matches_scan_on_hamming_spheres():
                 x, y = inst.inputs
                 fp = encode(x, rows, 1, stream.child("s", n, t, rows))
                 delta = 1 + stream.randrange((1 << rows) - 1)
-                tampered = Fingerprint(fp.spec, BitVec(rows, fp.value.v ^ delta), rows, 1)
+                tampered = Fingerprint(fp.spec, BitVec(rows, fp.value.v ^ delta))
                 for f in (fp, tampered):
                     cands = enumerate_candidates(model, 2, y)
                     a, b = decode(f, cands), decode_scan(f, cands)
@@ -262,16 +278,16 @@ def test_random_linear_code_syndrome_monte_carlo():
 # joint decoding
 # ---------------------------------------------------------
 
-def test_fingerprint_solutions_cover_preimage():
+def test_coset_words_cover_preimage():
     stream = SeedStream("fps")
     x = stream.bitvec(10)
     fp = encode(x, 7, Fraction(1, 2), stream.child("s"))
-    sols = fingerprint_solutions(fp, 10)
+    sols = coset_words(fp.spec, fp.value)
     assert isinstance(sols, tuple)  # memoized and shared, so immutable
-    assert x.v in sols
-    assert len(sols) == 1 << (10 - rank(fp.spec))
+    assert x in sols
+    assert len(set(sols)) == len(sols) == 1 << (10 - rank(fp.spec))
     for v in sols:
-        assert matvec(fp.spec, BitVec(10, v)) == fp.value
+        assert matvec(fp.spec, v) == fp.value
 
 
 def _triple_fingerprints(inst, rates, eps, stream):
@@ -293,8 +309,7 @@ def test_multi_decode_collinear_triple():
         fps = _triple_fingerprints(inst, rates, eps, master.child("s", t))
         for party in (1, 2, 3):
             own = inst.inputs[party - 1]
-            cands = joint_candidates(model, party, own, fps)
-            res = multi_decode(own, party, fps, cands)
+            res = multi_decode(model, party, own, fps)
             if res.status == STATUS_UNIQUE and res.value == inst.inputs:
                 ok += 1
     assert ok / (3 * trials) >= 1 - float(eps) - 3 * math.sqrt(float(eps) / (3 * trials))
@@ -305,7 +320,7 @@ def test_multi_decode_singleton_sets():
     inst = sample(model, SeedStream("md1"))
     # full-length fingerprints pin each input exactly (k = input length)
     fps = _triple_fingerprints(inst, (8, 8, 8), Fraction(1, 16), SeedStream("md1s"))
-    res = multi_decode(inst.inputs[0], 1, fps, joint_candidates(model, 1, inst.inputs[0], fps))
+    res = multi_decode(model, 1, inst.inputs[0], fps)
     assert res.status == STATUS_UNIQUE and res.value == inst.inputs
 
 
@@ -313,13 +328,42 @@ def test_multi_decode_tampered_fingerprint():
     model = parse_model_spec("triple:n=4")
     inst = sample(model, SeedStream("md2"))
     fps = _triple_fingerprints(inst, (6, 6, 6), Fraction(1, 4), SeedStream("md2s"))
-    bad = Fingerprint(
-        fps[1].spec,
-        BitVec(fps[1].value.n, fps[1].value.v ^ 1),
-        fps[1].declared_k,
-        fps[1].eps,
-    )
-    fps = [fps[0], bad, fps[2]]
-    res = multi_decode(inst.inputs[0], 1, fps, joint_candidates(model, 1, inst.inputs[0], fps))
+    bad = _tampered(fps[1])
+    res = multi_decode(model, 1, inst.inputs[0], [fps[0], bad, fps[2]])
     assert res.status in (STATUS_NOT_FOUND, STATUS_AMBIGUOUS)
     assert res.value is None
+    # The holder's own fingerprint is a match condition too.
+    res = multi_decode(model, 1, inst.inputs[0], [_tampered(fps[0]), fps[1], fps[2]])
+    assert res.status == STATUS_NOT_FOUND and res.value is None
+
+
+def _tampered(fp):
+    return Fingerprint(fp.spec, BitVec(fp.value.n, fp.value.v ^ 1))
+
+
+def test_multi_decode_matches_brute_force():
+    # Every holder of 60 seeded triple:n=3 truths, 1-6 fingerprint rows so
+    # that every status occurs; every fifth seed tampers party 2's value.
+    model = parse_model_spec("triple:n=3")
+    instances = list(enumerate_instances(model))
+    stream = SeedStream("md-brute")
+    statuses = set()
+    for s in range(60):
+        inst = sample(model, stream.child("in", s))
+        fps = [encode(x, 1 + stream.randrange(6), 1, stream.child("fp", s, i)) for i, x in enumerate(inst.inputs)]
+        if s % 5 == 0:
+            fps[1] = _tampered(fps[1])
+        for party in (1, 2, 3):
+            own = inst.inputs[party - 1]
+            want = [
+                tup for tup in instances
+                if tup[party - 1] == own and all(matvec(fp.spec, x) == fp.value for fp, x in zip(fps, tup))
+            ]
+            res = multi_decode(model, party, own, fps)
+            statuses.add(res.status)
+            if len(want) == 1:
+                assert res.status == STATUS_UNIQUE and res.value == want[0]
+            else:
+                assert res.status == (STATUS_AMBIGUOUS if want else STATUS_NOT_FOUND)
+                assert res.value is None
+    assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
