@@ -12,6 +12,7 @@ numerically with generous precision headroom.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -129,8 +130,11 @@ def entropy_expr(probs) -> LogExpr:
 class JointDistribution:
     """Finite joint distribution of ell bit-vector variables.
 
-    The probabilities are also kept as integer weights over their common
-    denominator, so sums over the support add ints, not Fractions.
+    The support is (inputs, probability) pairs with distinct inputs and
+    positive Fraction probabilities.  The probabilities are also kept as
+    integer weights over their common denominator, so sums over the
+    support add ints, not Fractions.  ``from_atoms`` and ``uniform`` merge
+    duplicate inputs and sort them by (n, v) per component.
     """
 
     ell: int
@@ -139,22 +143,19 @@ class JointDistribution:
     _denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
-        probs = []
         for inputs, p in self.support:
             if len(inputs) != self.ell:
                 raise ValueError(f"support tuple has arity {len(inputs)}, want {self.ell}")
             if not all(isinstance(b, BitVec) for b in inputs):
                 raise ValueError("support entries must be BitVec tuples")
-            if inputs in seen:
-                raise ValueError(f"duplicate support entry {inputs}")
-            seen.add(inputs)
-            p = Fraction(p)
-            if p <= 0:
-                raise ValueError("support probabilities must be positive")
-            probs.append(p)
-        den = math.lcm(*(p.denominator for p in probs))
-        weights = tuple(p.numerator * (den // p.denominator) for p in probs)
+            if not isinstance(p, Fraction):
+                raise ValueError(f"support probability {p!r} is not a Fraction")
+        if len({inputs for inputs, _p in self.support}) != len(self.support):
+            raise ValueError("duplicate support entry")
+        den = math.lcm(*{p.denominator for _, p in self.support})
+        weights = tuple(p.numerator * (den // p.denominator) for _, p in self.support)
+        if min(weights, default=1) <= 0:
+            raise ValueError("support probabilities must be positive")
         if sum(weights) != den:
             raise ValueError(f"probabilities sum to {Fraction(sum(weights), den)}, not 1")
         object.__setattr__(self, "_weights", weights)
@@ -166,15 +167,23 @@ class JointDistribution:
         acc: dict[tuple, Fraction] = {}
         for inputs, p in atoms:
             key = tuple(inputs)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(p)
-        support = tuple(sorted(acc.items(), key=lambda kv: tuple((b.n, b.v) for b in kv[0])))
-        return JointDistribution(ell, support)
+            acc[key] = acc.get(key, 0) + Fraction(p)
+        return JointDistribution._sorted(ell, acc.items())
 
     @staticmethod
     def uniform(ell: int, tuples) -> "JointDistribution":
-        tuples = list(tuples)
-        p = Fraction(1, len(tuples))
-        return JointDistribution.from_atoms(ell, ((t, p) for t in tuples))
+        """Each tuple equally likely; a repeated tuple weighs its count.
+        Probabilities are shared per count, so a support of distinct
+        tuples builds one Fraction."""
+        counts = Counter(map(tuple, tuples))
+        total = counts.total()
+        probs = {c: Fraction(c, total) for c in set(counts.values())}
+        return JointDistribution._sorted(ell, ((t, probs[c]) for t, c in counts.items()))
+
+    @staticmethod
+    def _sorted(ell: int, pairs) -> "JointDistribution":
+        """Support in (n, v) order per component."""
+        return JointDistribution(ell, tuple(sorted(pairs, key=lambda tp: tuple((b.n, b.v) for b in tp[0]))))
 
     def marginal(self, proj) -> dict:
         """Distribution of proj(inputs) as a value -> Fraction map, keyed in

@@ -17,6 +17,15 @@ Representation conventions (used everywhere in this package):
   hashing builds no rows and caches nothing.  Rows are derived on demand,
   for elimination and ``to_dense``; columns, which are seed windows too,
   for syndrome decoding.
+* Elimination packs the whole matrix into one integer: row i sits in slot
+  i, bits [i*w, (i+1)*w), where w is the width of the widest row.  For
+  column j, ``col = (m >> j) & ones`` (``ones`` holds bit 0 of every slot)
+  has bit 0 of slot i set iff row i holds j, and ``(col ^ pivot_bit) *
+  pivot_row`` is the pivot row copied into every other such slot.  The
+  product has no carries: each set bit of the multiplier starts its own
+  slot and ``pivot_row < 2**w``, so the partial products never overlap.
+  XORing it into the matrix is one row operation on every row at once, as
+  M4RI does per machine word (Albrecht, Bard & Hart, ACM TOMS 2010).
 * GF(2^n) elements are n-bit polynomials over GF(2) in the monomial basis
   (bit i = coefficient of x^i), reduced modulo the lexicographically-first
   irreducible polynomial of degree n (see ``irreducible_poly``).
@@ -218,26 +227,40 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
 
 
 def _eliminate(rows: list[int], cols: int):
-    """Row-reduce packed rows; returns (reduced rows, pivot column list).
-    Bits at positions >= cols (a right-hand side) are never pivots."""
-    rows = list(rows)
+    """Row-reduce packed rows; returns (reduced rows, pivot column list),
+    pivot rows first in pivot order, then the others in input order.  Bits
+    at positions >= cols (a right-hand side) are never pivots.
+
+    The whole matrix is one integer with row i in slot i (see the module
+    docstring), so a pivot clears its column from every other row with one
+    multiplication.
+    """
+    n = len(rows)
+    w = max(max(rows, default=0).bit_length(), 1)
+    m = 0
+    for i, r in enumerate(rows):
+        m |= r << (i * w)
+    ones = ((1 << (n * w)) - 1) // ((1 << w) - 1)  # bit 0 of every slot
+    unpivoted = ones  # bit 0 of every slot whose row is not a pivot yet
+    row_mask = (1 << w) - 1
+    order: list[int] = []
     pivots: list[int] = []
-    rank = 0
-    for j in range(cols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if (rows[i] >> j) & 1:
-                pivot = i
-                break
-        if pivot is None:
+    for j in range(min(cols, w)):  # no row holds a column at or past w
+        if not unpivoted:
+            break
+        col = (m >> j) & ones
+        low = col & unpivoted
+        if not low:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and (rows[i] >> j) & 1:
-                rows[i] ^= rows[rank]
+        low &= -low
+        shift = low.bit_length() - 1
+        m ^= (col ^ low) * ((m >> shift) & row_mask)
+        unpivoted ^= low
+        order.append(shift // w)
         pivots.append(j)
-        rank += 1
-    return rows, pivots
+    taken = set(order)
+    order += [i for i in range(n) if i not in taken]
+    return [(m >> (i * w)) & row_mask for i in order], pivots
 
 
 def rank(m: Gf2Matrix) -> int:
@@ -255,8 +278,8 @@ def solve_affine(m: Gf2Matrix, target: BitVec):
     """
     if target.n != m.rows:
         raise Gf2Error(f"solve: target length {target.n} != rows {m.rows}")
-    cols = m.cols
-    aug = [r | (target.bit(i) << cols) for i, r in enumerate(m.row_ints())]
+    cols, t = m.cols, target.v
+    aug = [r | (((t >> i) & 1) << cols) for i, r in enumerate(m.row_ints())]
     red, pivots = _eliminate(aug, cols)
     rank_ = len(pivots)
     for r in red[rank_:]:

@@ -98,16 +98,8 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
         return decode_scan(fp, candidates)
     base, basis = candidates.base, candidates.basis
     length = candidates.length
-    hrows = fp.spec.row_ints()
-    arows = []
-    for r in hrows:
-        bits = 0
-        for j, vec in enumerate(basis):
-            bits |= ((r & vec).bit_count() & 1) << j
-        arows.append(bits)
-    a = dense_from_rows(arows, len(basis))
     target = fp.value.xor(matvec(fp.spec, BitVec(length, base)))
-    sol = solve_affine(a, target)
+    sol = solve_affine(_projected(fp.spec, basis), target)
     total = 1 << len(basis)  # not len(): the coset can exceed a machine index
     if sol is None:
         return DecodeResult(STATUS_NOT_FOUND, None, total)
@@ -121,6 +113,20 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
     out = BitVec(length, value)
     _guard(fp, out)
     return DecodeResult(STATUS_UNIQUE, out, total)
+
+
+@lru_cache(maxsize=64)
+def _projected(spec: Gf2Matrix, basis: tuple) -> Gf2Matrix:
+    """H restricted to the span of the basis: entry (i, j) = <row i of H,
+    basis vector j>.  A line-point receiver's basis depends only on its own
+    abscissa, so a fixed-seed audit projects each (H, basis) once."""
+    arows = []
+    for r in spec.row_ints():
+        bits = 0
+        for j, vec in enumerate(basis):
+            bits |= ((r & vec).bit_count() & 1) << j
+        arows.append(bits)
+    return dense_from_rows(arows, len(basis))
 
 
 def _guard(fp: Fingerprint, out: BitVec) -> None:

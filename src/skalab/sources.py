@@ -260,10 +260,10 @@ class AffineCandidates:
     """Candidate coset {base xor subset-XOR(basis)}, iterated in
     coefficient-lex order (for line-point sets this is slope order)."""
 
-    def __init__(self, length: int, base: int, basis: list[int]) -> None:
+    def __init__(self, length: int, base: int, basis) -> None:
         self.length = length
         self.base = base
-        self.basis = list(basis)
+        self.basis = tuple(basis)
 
     def log2_size(self) -> float:
         return float(len(self.basis))
@@ -329,15 +329,15 @@ def enumerate_candidates(model: CorrelationModel, observer: int, observation: Bi
         return AffineCandidates(n, observation.v, [])
     if model.kind == HAMMING_PAIR:
         return HammingSphere(n, observation.v, model.t)
+    # Lines through Bob's point (c, d): slope s gives (s, d xor s*c).
+    # Points on Alice's line (a, b): abscissa u gives (u, a*u xor b).
     c_or_a, d_or_b = _unpack(observation, n)
-    if observer == 2:
-        # Lines through the point (c, d): slope s gives (s, d xor s*c).
-        c, d = c_or_a, d_or_b
-        base = d << n
-        basis = [(1 << j) | (mul_int(1 << j, c, n) << n) for j in range(n)]
-    else:
-        # Points on the line (a, b): abscissa u gives (u, a*u xor b).
-        a, b = c_or_a, d_or_b
-        base = b << n
-        basis = [(1 << j) | (mul_int(a, 1 << j, n) << n) for j in range(n)]
-    return AffineCandidates(2 * n, base, basis)
+    return AffineCandidates(2 * n, d_or_b << n, _multiplier_basis(n, c_or_a))
+
+
+@lru_cache(maxsize=64)
+def _multiplier_basis(n: int, m: int) -> tuple:
+    """The graph {(u, m*u)} of multiplication by m on GF(2^n), one vector
+    per unit u = 2^j.  The coset's direction depends only on the observed
+    abscissa or slope, so a fixed-seed audit builds each once."""
+    return tuple((1 << j) | (mul_int(m, 1 << j, n) << n) for j in range(n))

@@ -1,6 +1,9 @@
 """The benchmark still runs against the program: bench/ imports session
 entry points by name (run_session, party_key_from_transcript,
-session_streams, trial_rows), so a refactor that drops one fails here."""
+session_streams, trial_rows), so a refactor that drops one fails here.
+The audit workload's correctness check runs the exact audits' rectangle
+and residual checks, so it covers the decode memo and the uniform joint
+distribution too."""
 
 import json
 import subprocess
@@ -12,7 +15,7 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["pair-affine", "triple-omni"])
+@pytest.mark.parametrize("workload", ["pair-affine", "triple-omni", "audit"])
 def test_bench_workload_runs_correctly(workload):
     proc = subprocess.run(
         [sys.executable, str(BENCH), "--workload", workload, "--seed", "1", "--seconds", "0.5", "--trace", "0"],

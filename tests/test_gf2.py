@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skalab import gf2
 from skalab.gf2 import (
     BitVec,
     FieldConfigError,
@@ -187,6 +190,82 @@ def test_solve_affine_roundtrip():
 def test_solve_affine_inconsistent():
     m = dense_from_rows([0b1, 0b1], 1)  # x = 0 and x = 1 simultaneously
     assert solve_affine(m, BitVec(2, 0b10)) is None
+
+
+def eliminate_reference(rows, cols):
+    """The row-at-a-time Gauss-Jordan loop: pivot row swapped up, then
+    XORed into every other row holding the pivot column."""
+    rows = list(rows)
+    pivots = []
+    rank_ = 0
+    for j in range(cols):
+        pivot = None
+        for i in range(rank_, len(rows)):
+            if (rows[i] >> j) & 1:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
+        for i in range(len(rows)):
+            if i != rank_ and (rows[i] >> j) & 1:
+                rows[i] ^= rows[rank_]
+        pivots.append(j)
+        rank_ += 1
+    return rows, pivots
+
+
+def _elimination_shapes():
+    rng = random.Random(20101)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 70), (70, 3), (130, 130), (129, 64), (64, 129)]
+    shapes += [(rng.randrange(0, 20), rng.randrange(0, 20)) for _ in range(300)]
+    shapes += [(rng.randrange(20, 131), rng.randrange(20, 131)) for _ in range(40)]
+    for rows, cols in shapes:
+        # Up to 3 bits at or above cols, and some all-zero or repeated rows.
+        extra = rng.randrange(4)
+        mat = [rng.getrandbits(cols + extra) for _ in range(rows)]
+        for i in range(rows):
+            if rng.random() < 0.15:
+                mat[i] = 0 if rng.random() < 0.5 else mat[rng.randrange(rows)]
+        yield rng, mat, cols
+
+
+def test_eliminate_matches_reference():
+    for rng, mat, cols in _elimination_shapes():
+        red, pivots = gf2._eliminate(mat, cols)
+        ref, ref_pivots = eliminate_reference(mat, cols)
+        assert pivots == ref_pivots
+        assert len(red) == len(mat)
+        m = dense_from_rows([r & ((1 << cols) - 1) for r in mat], cols)
+        assert rank(m) == len(ref_pivots)
+        # Consistent when the bits >= cols are a combination of the rows:
+        # then the reduced form is unique, payload bits included.
+        rank_ = len(pivots)
+        if all(r >> cols == 0 for r in ref[rank_:]):
+            assert red[:rank_] == ref[:rank_]
+            assert all(r == 0 for r in red[rank_:])
+
+
+def test_solve_affine_matches_reference_elimination(monkeypatch):
+    cases = []
+    for rng, mat, cols in _elimination_shapes():
+        m = dense_from_rows([r & ((1 << cols) - 1) for r in mat], cols)
+        if rng.random() < 0.5:  # consistent by construction
+            target = matvec(m, BitVec(cols, rng.getrandbits(cols)))
+        else:
+            target = BitVec(len(mat), rng.getrandbits(len(mat)))
+        cases.append((m, target, solve_affine(m, target)))
+    monkeypatch.setattr(gf2, "_eliminate", eliminate_reference)
+    outcomes = set()
+    for m, target, got in cases:
+        assert got == solve_affine(m, target)
+        outcomes.add(got is None)
+        if got is not None:
+            particular, basis = got
+            assert matvec(m, BitVec(m.cols, particular)) == target
+            assert len(basis) == m.cols - rank(m)
+            assert all(matvec(m, BitVec(m.cols, b)).v == 0 for b in basis)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------

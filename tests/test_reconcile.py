@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 
 from codes import encode, hamming_parity_check, random_linear_code
-from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank
+from skalab.audit import exact_small_n_audit
+from skalab.gf2 import BitVec, Gf2Matrix, dense_from_rows, matvec, rank
 from skalab.hashext import ceil_log2_inv
+from skalab.protocols import SessionConfig
 from skalab.reconcile import (
     STATUS_AMBIGUOUS,
     STATUS_NOT_FOUND,
     STATUS_UNIQUE,
     DecodeResult,
     Fingerprint,
+    _projected,
     coset_words,
     decode,
     decode_scan,
@@ -115,6 +118,39 @@ def test_decode_matches_scan_on_affine_sets():
         a = decode(fp, cands)
         b = decode_scan(fp, cands)
         assert a.status == b.status and a.value == b.value
+
+
+def test_projection_memo_once_per_receiver_abscissa():
+    # Bob's candidate basis depends only on his abscissa c, and the audit
+    # fixes H: one projection per c, 2^4 of them for 4,096 instances.
+    config = SessionConfig(parse_model_spec("line-point:n=4"), "light", Fraction(1, 4), 5)
+    _projected.cache_clear()
+    exact_small_n_audit(config)
+    info = _projected.cache_info()
+    assert (info.misses, info.hits) == (16, 4080)
+
+
+def test_projection_memo_shared_across_fingerprint_values():
+    # Every fingerprint value through one (H, basis) pair: the memoized
+    # projection must not carry one value's verdict to the next.
+    model = parse_model_spec("line-point:n=4")
+    stream = SeedStream("memo")
+    cands = enumerate_candidates(model, 2, sample(model, stream.child("inst")).inputs[1])
+    row = stream.child("row").bits(8)
+    hashes = [
+        dense_from_rows([row, row, row ^ 1], 8),  # rank-deficient: ambiguous and not_found
+        Gf2Matrix("toeplitz", 8, 8, stream.child("toeplitz").bitvec(15)),  # unique and not_found
+    ]
+    statuses = set()
+    for spec in hashes:
+        _projected.cache_clear()
+        for value in range(1 << spec.rows):
+            fp = Fingerprint(spec, BitVec(spec.rows, value))
+            got, want = decode(fp, cands), decode_scan(fp, cands)
+            assert (got.status, got.value) == (want.status, want.value)
+            statuses.add(got.status)
+        assert _projected.cache_info().misses == 1
+    assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
 
 
 def test_decode_matches_scan_on_hamming_spheres():
