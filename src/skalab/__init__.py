@@ -7,12 +7,7 @@ and entropy audits that certify the sessions' accounting.
 """
 
 from .channel import Channel, Transcript, TranscriptRecord
-from .entropy import (
-    JointDistribution,
-    LogExpr,
-    exact_profile,
-    transcript_inequality_audit,
-)
+from .entropy import JointDistribution, LogExpr, transcript_inequality_audit
 from .gf2 import (
     BitVec,
     Gf2Matrix,
@@ -21,7 +16,7 @@ from .gf2 import (
     rank,
     toeplitz_from_seed,
 )
-from .hashext import ExtractorSpec, ceil_log2_inv, extract, tv_distance
+from .hashext import ExtractorSpec, ceil_log2_inv, extract
 from .profiles import (
     ComplexityProfile,
     cond,

@@ -4,48 +4,39 @@ Secrecy is audited distributionally: Kolmogorov complexity of an
 individual key is uncomputable, but over the model's input distribution
 the key given the adversary's view should be near-uniform, and for fully
 enumerable small-n models the relevant entropy inequalities can be checked
-exactly.  Two instruments:
+exactly.  The adversary's view is the whole public transcript.  Each audit
+draws the public hash and extractor seeds once, from its own fixed stream
+(``fixed_seeds``), and tabulates (transcript, key) counts over its input
+tuples.  Two instruments read that table:
 
-* ``conditional_uniformity`` Monte-Carlo: resample inputs each trial with
-  all public hash/extractor seeds held fixed, so the adversary's view
-  varies only through input-dependent payloads; stratify the key by those
-  payloads and compare the worst stratum's TV-from-uniform against a
-  calibrated sampling-noise baseline.
-* ``exact_small_n_audit``: enumerate every instance, run the protocol
-  deterministically, and compute I(x:y) - I(x:y|T), H(Z|T), and the
-  preimage-rectangle verification of the transcript map exactly.
+* ``conditional_uniformity`` Monte-Carlo: resample inputs each trial; with
+  the seeds fixed the transcript varies only through input-dependent
+  payloads.  Stratify the key by the whole transcript and compare the
+  worst stratum's TV-from-uniform against a calibrated sampling-noise
+  baseline.
+* ``exact_small_n_audit``: enumerate every instance and compute
+  I(x:y) - I(x:y|T), H(Z|T), and the preimage-rectangle verification of
+  the transcript map exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import Transcript
 from .entropy import (
     JointDistribution,
     TranscriptAudit,
     conditional_entropy_bits,
     transcript_inequality_audit,
 )
-from .protocols import SessionConfig, draw_seeds, execute, session_plan, session_streams
+from .protocols import SessionConfig, SessionPlan, draw_seeds, execute, session_plan, session_streams
 from .rng import SeedStream
 from .sources import enumerate_instances, instance_count, sample
 
 MIN_STRATUM_SAMPLES = 30
-
-
-@dataclass(frozen=True)
-class AdversaryView:
-    """Exactly the public-channel content; nothing from private state."""
-
-    transcript: Transcript
-
-    def stratum_key(self, varying: tuple) -> tuple:
-        recs = self.transcript.records
-        return tuple((recs[i].payload.n, recs[i].payload.v) for i in varying)
 
 
 @dataclass
@@ -83,19 +74,9 @@ class AuditReport:
         return "\n".join(f"{k}={v}" for k, v in fields.items()) + "\n"
 
 
-def min_entropy_estimate(samples) -> float:
-    """-log2 of the largest empirical frequency (small-sample caveat: this
-    is an underestimate of the true min-entropy for few samples)."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    counts: dict = {}
-    for s in samples:
-        counts[s.v] = counts.get(s.v, 0) + 1
-    return -math.log2(max(counts.values()) / len(samples))
-
-
-def empirical_tv(counts: dict, m: int, total: int) -> float:
+def empirical_tv(counts: dict, m: int) -> float:
+    """TV from uniform on m bits of the empirical distribution of counts."""
+    total = sum(counts.values())
     cells = 1 << m
     target = total / cells
     covered = sum(abs(c - target) for c in counts.values())
@@ -113,91 +94,76 @@ def uniform_tv_baseline(n_samples: int, m: int, stream: SeedStream, reps: int = 
     return float(tv.mean()), float(tv.std())
 
 
-def conditional_uniformity(
-    config: SessionConfig,
-    trials: int,
-    session_fn=None,
-    tv_slack: float = 0.0,
-) -> AuditReport:
-    """Worst-stratum TV of the key given the input-dependent public view.
+def fixed_seeds(config: SessionConfig, public_label: int | None = None) -> tuple:
+    """(plan, public seeds) that an audit holds fixed: the Monte-Carlo
+    audit's one draw, or the exact audit's draw for public_label."""
+    plan = session_plan(config)
+    if public_label is None:
+        public = SeedStream("skalab", config.seed).child("public", "fixed")
+    else:
+        public = SeedStream("skalab", config.seed, "exact-audit", public_label).child("public")
+    return plan, draw_seeds(plan, public)
+
+
+def _tabulate(plan: SessionPlan, seeds: tuple, inputs) -> tuple:
+    """Run every input tuple on the fixed seeds.  Returns ({inputs:
+    transcript}, {(transcript, party 1's key or None): count} in order of
+    first occurrence, number of sessions that agreed); a transcript is its
+    records' (kind, bits, value) triples."""
+    transcripts: dict = {}
+    counts: dict = {}
+    agreed = 0
+    for x in inputs:
+        o = execute(plan, x, seeds)
+        t = transcripts[x] = tuple((r.kind, r.payload.n, r.payload.v) for r in o.transcript.records)
+        cell = (t, o.keys[0])
+        counts[cell] = counts.get(cell, 0) + 1
+        agreed += o.agreed
+    return transcripts, counts, agreed
+
+
+def conditional_uniformity(config: SessionConfig, trials: int) -> AuditReport:
+    """Worst-stratum TV of the key given the transcript.
 
     Public seeds are fixed across trials, so only input-dependent payloads
-    vary; the stratum of a trial is the tuple of those payloads.  The pass
-    threshold is the uniform-sampling baseline mean + 4 sd (+ slack for
-    protocols with a genuine extractor error).
+    vary and a stratum is one transcript; a trial without a key for party 1
+    joins none.  The pass threshold is the uniform-sampling baseline mean +
+    4 sd.
     """
-    if session_fn is None:
-        # The seeds are the same for every trial, so they are drawn once.
-        plan = session_plan(config)
-        seeds = draw_seeds(plan, session_streams(config, 0, fresh_public_seeds=False)[1])
-        outcomes = [
-            execute(plan, sample(config.model, session_streams(config, t)[0]).inputs, seeds) for t in range(trials)
-        ]
-    else:
-        outcomes = [session_fn(config, t, False) for t in range(trials)]
-    agreed = sum(1 for o in outcomes if o.agreed)
-    keyed = [o for o in outcomes if o.keys[0] is not None]
-    if not keyed:
+    plan, seeds = fixed_seeds(config)
+    inputs = (sample(config.model, session_streams(config, t)[0]).inputs for t in range(trials))
+    _transcripts, counts, agreed = _tabulate(plan, seeds, inputs)
+    strata: dict = {}  # transcript -> {key value: count}
+    for (t, key), c in counts.items():
+        if key is not None:
+            strata.setdefault(t, {})[key.v] = c
+    if not strata:
         raise RuntimeError("no session produced a key")
-    m = keyed[0].keys[0].n
-
-    # Transcript positions whose payloads vary across trials: with seeds
-    # fixed these are exactly the input-dependent records (normally the
-    # fingerprints).  Anything else varying would itself be a leak, and
-    # automatically joins the stratification.
-    n_records = len(keyed[0].transcript.records)
-    seen = [set() for _ in range(n_records)]
-    for o in keyed:
-        if len(o.transcript.records) != n_records:
-            raise RuntimeError("transcript shape varies across trials")
-        for i, rec in enumerate(o.transcript.records):
-            seen[i].add((rec.payload.n, rec.payload.v))
-    varying = tuple(i for i in range(n_records) if len(seen[i]) > 1)
-
-    strata: dict = {}
-    for o in keyed:
-        key = AdversaryView(o.transcript).stratum_key(varying)
-        strata.setdefault(key, []).append(o.keys[0])
-    big = {k: v for k, v in strata.items() if len(v) >= MIN_STRATUM_SAMPLES}
-    leakage = sum(o.comm_bits for o in outcomes) / len(outcomes)
-
-    if not big:
-        return AuditReport(
-            trials=trials,
-            agreement_rate=agreed / trials,
-            est_tv=float("nan"),
-            est_min_entropy=float("nan"),
-            leakage_bits=leakage,
-            passed=False,
-            inconclusive=True,
-            key_len=m,
-            stratum_count=len(strata),
-        )
-
-    worst_tv = -1.0
-    worst_keys = None
-    for keys in big.values():
-        counts: dict = {}
-        for k in keys:
-            counts[k.v] = counts.get(k.v, 0) + 1
-        tv = empirical_tv(counts, m, len(keys))
-        if tv > worst_tv:
-            worst_tv = tv
-            worst_keys = keys
-    base_mean, base_sd = uniform_tv_baseline(
-        len(worst_keys), m, SeedStream("skalab", config.seed, "tv-baseline")
-    )
-    threshold = base_mean + 4.0 * base_sd + tv_slack
-    return AuditReport(
+    big = [keys for keys in strata.values() if sum(keys.values()) >= MIN_STRATUM_SAMPLES]
+    report = AuditReport(
         trials=trials,
         agreement_rate=agreed / trials,
-        est_tv=worst_tv,
-        est_min_entropy=min_entropy_estimate(worst_keys),
-        leakage_bits=leakage,
-        passed=worst_tv <= threshold,
-        key_len=m,
+        est_tv=float("nan"),
+        est_min_entropy=float("nan"),
+        leakage_bits=sum(c * sum(bits for _kind, bits, _v in t) for (t, _key), c in counts.items()) / trials,
+        passed=False,
+        inconclusive=not big,
+        key_len=plan.key_len,
         stratum_count=len(strata),
-        worst_stratum_size=len(worst_keys),
+    )
+    if not big:
+        return report
+    tvs = [(empirical_tv(keys, plan.key_len), keys) for keys in big]
+    worst_tv, worst = max(tvs, key=lambda tv_keys: tv_keys[0])  # the first of largest TV
+    size = sum(worst.values())
+    base_mean, base_sd = uniform_tv_baseline(size, plan.key_len, SeedStream("skalab", config.seed, "tv-baseline"))
+    threshold = base_mean + 4.0 * base_sd
+    return replace(
+        report,
+        est_tv=worst_tv,
+        est_min_entropy=-math.log2(max(worst.values()) / size),
+        passed=worst_tv <= threshold,
+        worst_stratum_size=size,
         baseline_tv_mean=base_mean,
         baseline_tv_sd=base_sd,
         extra={"threshold": threshold},
@@ -224,33 +190,15 @@ def exact_small_n_audit(config: SessionConfig, public_label: int = 0) -> ExactAu
     count = instance_count(config.model)
     if count > _MAX_ENUM_INSTANCES:
         raise ValueError(f"input space of {count} tuples exceeds the cap")
-    instances = list(enumerate_instances(config.model))
-    plan = session_plan(config)
-    seeds = draw_seeds(plan, SeedStream("skalab", config.seed, "exact-audit", public_label).child("public"))
-    # Keep only what the audit reads of each instance.
-    t_index: dict = {}
-    counts: dict = {}
-    agreed = 0
-    for inputs in instances:
-        o = execute(plan, inputs, seeds)
-        t = t_index[inputs] = _hashable_transcript(o.transcript)
-        key = o.keys[0]
-        cell = (t, (key.n, key.v) if key is not None else ("fail",))
-        counts[cell] = counts.get(cell, 0) + 1
-        agreed += o.agreed
-    if all(kv == ("fail",) for _t, kv in counts):
+    plan, seeds = fixed_seeds(config, public_label)
+    transcripts, counts, agreed = _tabulate(plan, seeds, enumerate_instances(config.model))
+    if all(key is None for _t, key in counts):
         raise RuntimeError("no instance produced a key for party 1")
-
-    dist = JointDistribution.uniform(config.model.parties, instances)
-    audit = transcript_inequality_audit(dist, lambda *inputs: t_index[inputs])
+    dist = JointDistribution.uniform(config.model.parties, transcripts)
     return ExactAuditResult(
-        audit=audit,
+        audit=transcript_inequality_audit(dist, lambda *inputs: transcripts[inputs]),
         h_key_given_view=conditional_entropy_bits(counts),
         key_len=plan.key_len,
-        instances=len(instances),
-        agreement_rate=agreed / len(instances),
+        instances=len(transcripts),
+        agreement_rate=agreed / len(transcripts),
     )
-
-
-def _hashable_transcript(t: Transcript) -> tuple:
-    return tuple((r.kind, r.payload.n, r.payload.v) for r in t.records)

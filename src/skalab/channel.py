@@ -15,7 +15,7 @@ from .gf2 import BitVec
 
 # Record kinds whose payloads count as protocol payload (reconciliation
 # messages) versus public randomness/spec overhead.
-PAYLOAD_KINDS = frozenset({"fingerprint", "syndrome"})
+PAYLOAD_KINDS = frozenset({"fingerprint"})
 
 
 @dataclass(frozen=True)

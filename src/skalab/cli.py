@@ -114,7 +114,7 @@ def cmd_simulate(args) -> int:
         args.seed,
         _margins(args),
     )
-    plan = ExperimentPlan((config,), args.trials, args.seed)
+    plan = ExperimentPlan((config,), args.trials)
     result = run_plan(plan)
     _emit(result["csv"], args.out, args.quiet)
     if not args.quiet:
@@ -176,9 +176,7 @@ def cmd_sweep(args) -> int:
         args.seed,
         _margins(args),
     )
-    plan = ExperimentPlan(
-        tuple(configs), args.trials, args.seed, csv_path=args.out, summary_path=args.summary
-    )
+    plan = ExperimentPlan(tuple(configs), args.trials, csv_path=args.out, summary_path=args.summary)
     result = run_plan(plan)
     if not args.out:
         _emit(result["csv"], None, args.quiet)

@@ -12,15 +12,13 @@ numerically with generous precision headroom.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from . import profiles
 from .gf2 import BitVec
-from .profiles import ComplexityProfile, all_nonempty_subsets
+from .profiles import ComplexityProfile
 
 _FLOAT_SIGN_CUTOFF = 1e-6
 _MP_DPS = 80
@@ -130,114 +128,50 @@ def entropy_expr(probs) -> LogExpr:
 class JointDistribution:
     """Finite joint distribution of ell bit-vector variables.
 
-    The support is (inputs, probability) pairs with distinct inputs and
-    positive Fraction probabilities.  The probabilities are also kept as
-    integer weights over their common denominator, so sums over the
-    support add ints, not Fractions.  ``from_atoms`` and ``uniform`` merge
-    duplicate inputs and sort them by (n, v) per component.
+    The support is (inputs, weight) pairs with distinct inputs and positive
+    integer weights; inputs has probability weight / (sum of the weights).
+    ``from_weights`` and ``uniform`` merge duplicate inputs and sort them by
+    (n, v) per component.
     """
 
     ell: int
     support: tuple
-    _weights: tuple = field(init=False, repr=False, compare=False)
-    _denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for inputs, p in self.support:
+        for inputs, w in self.support:
             if len(inputs) != self.ell:
                 raise ValueError(f"support tuple has arity {len(inputs)}, want {self.ell}")
             if not all(isinstance(b, BitVec) for b in inputs):
                 raise ValueError("support entries must be BitVec tuples")
-            if not isinstance(p, Fraction):
-                raise ValueError(f"support probability {p!r} is not a Fraction")
-        if len({inputs for inputs, _p in self.support}) != len(self.support):
+            if not isinstance(w, int) or w <= 0:
+                raise ValueError(f"support weight {w!r} is not a positive integer")
+        if len({inputs for inputs, _w in self.support}) != len(self.support):
             raise ValueError("duplicate support entry")
-        den = math.lcm(*{p.denominator for _, p in self.support})
-        weights = tuple(p.numerator * (den // p.denominator) for _, p in self.support)
-        if min(weights, default=1) <= 0:
-            raise ValueError("support probabilities must be positive")
-        if sum(weights) != den:
-            raise ValueError(f"probabilities sum to {Fraction(sum(weights), den)}, not 1")
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_denominator", den)
 
     @staticmethod
-    def from_atoms(ell: int, atoms) -> "JointDistribution":
-        """Build from (inputs, prob) pairs, merging duplicate inputs."""
-        acc: dict[tuple, Fraction] = {}
-        for inputs, p in atoms:
+    def from_weights(ell: int, pairs) -> "JointDistribution":
+        """Build from (inputs, weight) pairs, adding the weights of
+        duplicate inputs."""
+        acc: dict[tuple, int] = {}
+        for inputs, w in pairs:
             key = tuple(inputs)
-            acc[key] = acc.get(key, 0) + Fraction(p)
-        return JointDistribution._sorted(ell, acc.items())
+            acc[key] = acc.get(key, 0) + w
+        return JointDistribution(ell, tuple(sorted(acc.items(), key=lambda tw: tuple((b.n, b.v) for b in tw[0]))))
 
     @staticmethod
     def uniform(ell: int, tuples) -> "JointDistribution":
-        """Each tuple equally likely; a repeated tuple weighs its count.
-        Probabilities are shared per count, so a support of distinct
-        tuples builds one Fraction."""
-        counts = Counter(map(tuple, tuples))
-        total = counts.total()
-        probs = {c: Fraction(c, total) for c in set(counts.values())}
-        return JointDistribution._sorted(ell, ((t, probs[c]) for t, c in counts.items()))
-
-    @staticmethod
-    def _sorted(ell: int, pairs) -> "JointDistribution":
-        """Support in (n, v) order per component."""
-        return JointDistribution(ell, tuple(sorted(pairs, key=lambda tp: tuple((b.n, b.v) for b in tp[0]))))
-
-    def marginal(self, proj) -> dict:
-        """Distribution of proj(inputs) as a value -> Fraction map, keyed in
-        order of first appearance in the support."""
-        out: dict = {}
-        for (inputs, _p), w in zip(self.support, self._weights):
-            key = proj(inputs)
-            out[key] = out.get(key, 0) + w
-        den = self._denominator
-        return {key: Fraction(w, den) for key, w in out.items()}
+        """Each tuple equally likely; a repeated tuple weighs its count."""
+        return JointDistribution.from_weights(ell, ((t, 1) for t in tuples))
 
     def entropy_of(self, proj) -> LogExpr:
-        return entropy_expr(self.marginal(proj).values())
-
-    def subset_entropy(self, v) -> LogExpr:
-        """Entropy of the components with (1-based) indices in v."""
-        idx = sorted(v)
-        if not idx:
-            return LogExpr()
-        return self.entropy_of(lambda t: tuple(t[i - 1] for i in idx))
-
-
-def exact_profile_symbolic(dist: JointDistribution) -> dict:
-    """Subset -> LogExpr entropy map (the exact entropy profile)."""
-    return {s: dist.subset_entropy(s) for s in all_nonempty_subsets(dist.ell)}
-
-
-def exact_profile(dist: JointDistribution) -> ComplexityProfile:
-    """Shannon-entropy profile of the joint distribution.
-
-    Subsets with exactly-rational entropy (e.g. uniform marginals on a
-    power-of-two support) are stored exactly; irrational entropies are
-    stored as the nearest double (well inside the documented 1e-12
-    equality tolerance for float-backed values).
-    """
-    values = {}
-    for s, expr in exact_profile_symbolic(dist).items():
-        values[s] = expr.rat if not expr.terms else Fraction(expr.to_float())
-    return ComplexityProfile(dist.ell, values)
-
-
-def profile_is_polymatroid_exact(dist: JointDistribution) -> bool:
-    """Polymatroid axioms decided exactly on the symbolic entropy profile."""
-    sym = exact_profile_symbolic(dist)
-    sym[frozenset()] = LogExpr()
-    subsets = list(sym)
-    for a in subsets:
-        for b in subsets:
-            if a < b and (sym[b] - sym[a]).sign() < 0:
-                return False
-            gap = sym[a] + sym[b] - sym[a | b] - sym[a & b]
-            if gap.sign() < 0:
-                return False
-    return True
+        """Exact entropy of proj(inputs), its values summed in order of
+        first appearance in the support."""
+        weights: dict = {}
+        for inputs, w in self.support:
+            key = proj(inputs)
+            weights[key] = weights.get(key, 0) + w
+        total = sum(weights.values())
+        return entropy_expr(Fraction(w, total) for w in weights.values())
 
 
 @dataclass
@@ -341,10 +275,7 @@ __all__ = [
     "TranscriptAudit",
     "conditional_entropy_bits",
     "entropy_expr",
-    "exact_profile",
-    "exact_profile_symbolic",
     "make_profile",
-    "profile_is_polymatroid_exact",
     "rectangle_violations",
     "transcript_inequality_audit",
 ]

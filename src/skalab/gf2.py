@@ -54,10 +54,6 @@ class BitVec:
         if self.v < 0 or self.v >> self.n:
             raise Gf2Error(f"value {self.v:#x} does not fit in {self.n} bits")
 
-    @staticmethod
-    def zeros(n: int) -> "BitVec":
-        return BitVec(n, 0)
-
     def bit(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise Gf2Error(f"bit index {i} out of range for length {self.n}")
@@ -65,9 +61,6 @@ class BitVec:
 
     def bits(self) -> list[int]:
         return [(self.v >> i) & 1 for i in range(self.n)]
-
-    def weight(self) -> int:
-        return self.v.bit_count()
 
     def xor(self, other: "BitVec") -> "BitVec":
         if self.n != other.n:

@@ -70,21 +70,3 @@ def extract(x: BitVec, spec: ExtractorSpec, seed: BitVec) -> BitVec:
     if seed.n != spec.seed_len:
         raise ValueError(f"seed has {seed.n} bits, extractor wants {spec.seed_len}")
     return matvec(toeplitz_from_seed(seed, spec.output_len, spec.input_len), x)
-
-
-def tv_distance(samples, m: int) -> float:
-    """Total-variation distance of the empirical distribution from uniform
-    on m-bit strings.  Tabulates all 2^m cells, so m is capped at 24."""
-    if m > 24:
-        raise ValueError(f"m={m} too large to tabulate (cap 24)")
-    counts = [0] * (1 << m)
-    total = 0
-    for s in samples:
-        if s.n != m:
-            raise ValueError(f"sample of length {s.n}, want {m}")
-        counts[s.v] += 1
-        total += 1
-    if total == 0:
-        raise ValueError("no samples")
-    target = total / (1 << m)
-    return sum(abs(c - target) for c in counts) / (2 * total)

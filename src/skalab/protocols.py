@@ -350,21 +350,16 @@ def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
     )
 
 
-def session_streams(config: SessionConfig, trial: int, fresh_public_seeds: bool = True):
-    """Per-trial sub-streams: inputs always vary by trial; public hash and
-    extractor seeds either vary too (default) or stay fixed across trials
-    (secrecy audits condition on the input-dependent payloads only)."""
+def session_streams(config: SessionConfig, trial: int):
+    """Per-trial (input, public) sub-streams: inputs and public hash and
+    extractor seeds both vary by trial.  The audits hold the public seeds
+    fixed and draw them from their own streams (``audit.fixed_seeds``)."""
     master = SeedStream("skalab", config.seed)
-    input_stream = master.child("session", trial, "input")
-    if fresh_public_seeds:
-        public_stream = master.child("session", trial, "public")
-    else:
-        public_stream = master.child("public", "fixed")
-    return input_stream, public_stream
+    return master.child("session", trial, "input"), master.child("session", trial, "public")
 
 
-def run_session(config: SessionConfig, trial: int = 0, fresh_public_seeds: bool = True) -> SessionOutcome:
-    input_stream, public_stream = session_streams(config, trial, fresh_public_seeds)
+def run_session(config: SessionConfig, trial: int) -> SessionOutcome:
+    input_stream, public_stream = session_streams(config, trial)
     plan = session_plan(config)
     inputs = sample(config.model, input_stream).inputs
     return execute(plan, inputs, draw_seeds(plan, public_stream))

@@ -86,6 +86,3 @@ class SeedStream:
             r = self.bits(k)
             if r < n:
                 return r
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]

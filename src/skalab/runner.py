@@ -1,8 +1,8 @@
 """Experiment plans: sweeps of sessions with CSV and summary outputs.
 
-Outputs are bit-for-bit reproducible from (plan, master seed): all session
-randomness derives from named sub-streams of the master seed, and rows are
-written in deterministic order.
+Outputs are bit-for-bit reproducible from the plan: all session randomness
+derives from named sub-streams of each config's seed, and rows are written
+in deterministic order.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ def _fmt(value) -> str:
 class ExperimentPlan:
     configs: tuple
     trials: int
-    seed: int
     csv_path: str | None = None
     summary_path: str | None = None
 

@@ -1,9 +1,12 @@
-"""Shared constructions for the exact entropy-inequality suites."""
+"""Test-only entropy tools: exact entropy profiles, the empirical TV
+distance from uniform, and shared constructions for the exact
+entropy-inequality suites."""
 
 from fractions import Fraction
 
-from skalab.entropy import JointDistribution
+from skalab.entropy import JointDistribution, LogExpr
 from skalab.gf2 import BitVec
+from skalab.profiles import ComplexityProfile, all_nonempty_subsets
 
 
 def bv(n, v):
@@ -11,26 +14,76 @@ def bv(n, v):
 
 
 def random_joint(ell, stream, max_support=12, bits=3):
-    """Random joint distribution with exact rational probabilities."""
+    """Random joint distribution with integer weights 1..12."""
     size = 2 + stream.randrange(max_support - 1)
     tuples = set()
     while len(tuples) < size:
         tuples.add(tuple(bv(bits, stream.bits(bits)) for _ in range(ell)))
     weights = [1 + stream.randrange(12) for _ in tuples]
-    total = sum(weights)
-    return JointDistribution.from_atoms(
-        ell, ((t, Fraction(w, total)) for t, w in zip(sorted(tuples, key=str), weights))
-    )
+    return JointDistribution.from_weights(ell, zip(sorted(tuples, key=str), weights))
 
 
 def extend_with(dist, fn, bits):
     """Append a deterministic component fn(inputs) to every atom."""
-    atoms = [((t + (bv(bits, fn(t)),)), p) for t, p in dist.support]
-    return JointDistribution.from_atoms(dist.ell + 1, atoms)
+    return JointDistribution.from_weights(dist.ell + 1, ((t + (bv(bits, fn(t)),), w) for t, w in dist.support))
 
 
 def h_of(dist, idxs):
-    return dist.subset_entropy(set(idxs))
+    """Entropy of the components with (1-based) indices in idxs."""
+    idx = sorted(set(idxs))
+    return dist.entropy_of(lambda t: tuple(t[i - 1] for i in idx))
+
+
+def exact_profile_symbolic(dist):
+    """Subset -> LogExpr entropy map (the exact entropy profile)."""
+    return {s: h_of(dist, s) for s in all_nonempty_subsets(dist.ell)}
+
+
+def exact_profile(dist):
+    """Shannon-entropy profile of the joint distribution.
+
+    Subsets with exactly-rational entropy (e.g. uniform marginals on a
+    power-of-two support) are stored exactly; irrational entropies are
+    stored as the nearest double (well inside the documented 1e-12
+    equality tolerance for float-backed values).
+    """
+    values = {}
+    for s, expr in exact_profile_symbolic(dist).items():
+        values[s] = expr.rat if not expr.terms else Fraction(expr.to_float())
+    return ComplexityProfile(dist.ell, values)
+
+
+def profile_is_polymatroid_exact(dist):
+    """Polymatroid axioms decided exactly on the symbolic entropy profile."""
+    sym = exact_profile_symbolic(dist)
+    sym[frozenset()] = LogExpr()
+    subsets = list(sym)
+    for a in subsets:
+        for b in subsets:
+            if a < b and (sym[b] - sym[a]).sign() < 0:
+                return False
+            gap = sym[a] + sym[b] - sym[a | b] - sym[a & b]
+            if gap.sign() < 0:
+                return False
+    return True
+
+
+def tv_distance(samples, m):
+    """Total-variation distance of the empirical distribution from uniform
+    on m-bit strings.  Tabulates all 2^m cells, so m is capped at 24."""
+    if m > 24:
+        raise ValueError(f"m={m} too large to tabulate (cap 24)")
+    counts = [0] * (1 << m)
+    total = 0
+    for s in samples:
+        if s.n != m:
+            raise ValueError(f"sample of length {s.n}, want {m}")
+        counts[s.v] += 1
+        total += 1
+    if total == 0:
+        raise ValueError("no samples")
+    target = total / (1 << m)
+    return sum(abs(c - target) for c in counts) / (2 * total)
 
 
 def check_common_information_bound(dist):
@@ -67,10 +120,7 @@ def make_shared_component_dist(stream, zbits=2):
             bv(5, w | (stream.bits(3) << 2)),
         )
         atoms[t] = atoms.get(t, 0) + 1 + stream.randrange(6)
-    total = sum(atoms.values())
-    base = JointDistribution.from_atoms(
-        3, ((t, Fraction(c, total)) for t, c in atoms.items())
-    )
+    base = JointDistribution.from_weights(3, atoms.items())
     table = {w: stream.bits(zbits) for w in range(4)}
     return extend_with(base, lambda t: table[t[0].v & 0b11], zbits)
 
@@ -113,10 +163,7 @@ def make_identity_b_dist(stream):
         x = bv(5, u | (stream.bits(3) << 2))
         y = bv(5, u | (stream.bits(3) << 2))
         atoms[(x, y)] = atoms.get((x, y), 0) + 1 + stream.randrange(6)
-    total = sum(atoms.values())
-    base = JointDistribution.from_atoms(
-        2, ((t, Fraction(c, total)) for t, c in atoms.items())
-    )
+    base = JointDistribution.from_weights(2, atoms.items())
     t_table = {t: stream.bits(2) for t, _ in base.support}
     with_t = extend_with(base, lambda t: t_table[t], 2)
     z_table = {(u, tv): stream.bits(2) for u in range(4) for tv in range(4)}
@@ -138,11 +185,3 @@ def rectangle_violations_by_scan(ell, t_of):
                 violations.append((inputs, t2))
     return violations
 
-
-def marginal_by_fraction_sums(dist, proj):
-    """Reference marginal: Fraction sums in support order."""
-    out = {}
-    for inputs, p in dist.support:
-        key = proj(inputs)
-        out[key] = out.get(key, Fraction(0)) + p
-    return out

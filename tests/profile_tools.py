@@ -44,7 +44,7 @@ def random_polymatroid(ell: int, stream: SeedStream) -> ComplexityProfile:
     if ell < 1:
         raise ValueError("need at least one party")
     n_ground = 2 + stream.randrange(2 * ell + 2)
-    denom = stream.choice([1, 1, 2, 4])
+    denom = (1, 1, 2, 4)[stream.randrange(4)]
     weights = [Fraction(1 + stream.randrange(12), denom) for _ in range(n_ground)]
     owners: list[set[int]] = []
     for _ in range(n_ground):

@@ -26,11 +26,12 @@ from entropy_checks import (
     make_identity_b_dist,
     make_shared_component_dist,
     random_joint,
+    tv_distance,
 )
 from profile_tools import random_polymatroid
 from skalab.audit import exact_small_n_audit
 from skalab.gf2 import BitVec, matvec
-from skalab.hashext import ExtractorSpec, extract, tv_distance
+from skalab.hashext import ExtractorSpec, extract
 from skalab.protocols import (
     Margins,
     SessionConfig,

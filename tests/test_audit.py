@@ -3,46 +3,23 @@ from fractions import Fraction
 
 import pytest
 
+import skalab.audit
 from skalab.audit import (
     AuditReport,
     conditional_uniformity,
     exact_small_n_audit,
-    min_entropy_estimate,
+    fixed_seeds,
     uniform_tv_baseline,
 )
 from skalab.channel import TranscriptRecord
 from skalab.gf2 import BitVec, matvec, rank, solve_affine, toeplitz_from_seed
-from skalab.hashext import ceil_log2_inv
-from skalab.protocols import (
-    Margins,
-    SessionConfig,
-    run_session,
-    session_plan,
-)
+from skalab.protocols import Margins, SessionConfig, execute
 from skalab.rng import SeedStream
 from skalab.sources import enumerate_instances, parse_model_spec
 
 
 def light_config(spec, eps, seed=101):
     return SessionConfig(parse_model_spec(spec), "light", Fraction(eps), seed)
-
-
-# ---------------------------------------------------------
-# min-entropy estimator
-# ---------------------------------------------------------
-
-def test_min_entropy_all_equal():
-    assert min_entropy_estimate([BitVec(4, 7)] * 50) == 0.0
-
-
-def test_min_entropy_exact_uniform():
-    samples = [BitVec(5, v) for v in range(32)]
-    assert min_entropy_estimate(samples) == 5.0
-
-
-def test_min_entropy_needs_samples():
-    with pytest.raises(ValueError):
-        min_entropy_estimate([])
 
 
 # ---------------------------------------------------------
@@ -54,8 +31,8 @@ def _seed_with_full_rank_h(spec, eps, n):
     fixed audit seed is scanned until the drawn Toeplitz matrix has it."""
     for seed in range(200):
         config = light_config(spec, eps, seed)
-        o = run_session(config, 0, fresh_public_seeds=False)
-        h = toeplitz_from_seed(o.transcript.one("hash_spec").payload, n, n)
+        (_sender, _kind, h_seed), = fixed_seeds(config)[1]
+        h = toeplitz_from_seed(h_seed, n, n)
         if rank(h) == n:
             return config
     raise AssertionError("no full-rank seed found")
@@ -87,15 +64,16 @@ def test_line_point_light_audit_measures_check_bit_deficiency():
     assert report.est_min_entropy <= 4 - 1 + 0.2
 
 
-def test_canary_leaking_key_fails_audit():
+def test_canary_leaking_key_fails_audit(monkeypatch):
     config = light_config("identical:n=8", Fraction(1, 4))
 
-    def leaky(cfg, trial, fresh):
-        o = run_session(cfg, trial, fresh)
+    def leaky(plan, inputs, seeds):
+        o = execute(plan, inputs, seeds)
         o.transcript.append(TranscriptRecord(2, 1, "leak", o.keys[0]))
         return o
 
-    report = conditional_uniformity(config, trials=6000, session_fn=leaky)
+    monkeypatch.setattr(skalab.audit, "execute", leaky)
+    report = conditional_uniformity(config, trials=6000)
     assert not report.passed
     assert report.est_tv > 0.9  # within a leak stratum the key is constant
     assert report.est_min_entropy == 0.0
@@ -209,10 +187,8 @@ def test_light_within_stratum_uniformity_exact():
     H2 has full rank on the fiber directions."""
     config = light_config("line-point:n=3", Fraction(1, 2), seed=17)
     model = config.model
-    plan = session_plan(config)
+    plan, ((_sender, _kind, seed),) = fixed_seeds(config)
     (q_rows,), key_rows = plan.fp_rows, plan.key_len
-    o = run_session(config, 0, fresh_public_seeds=False)
-    seed = o.transcript.one("hash_spec").payload
     h = toeplitz_from_seed(seed, q_rows + key_rows, model.input_len)
     h1 = h.row_block(0, q_rows)
     h2 = h.row_block(q_rows, q_rows + key_rows)

@@ -8,9 +8,6 @@ from skalab.entropy import (
     LogExpr,
     conditional_entropy_bits,
     entropy_expr,
-    exact_profile,
-    exact_profile_symbolic,
-    profile_is_polymatroid_exact,
     rectangle_violations,
     transcript_inequality_audit,
 )
@@ -25,11 +22,13 @@ from entropy_checks import (
     check_calculation_identity_b,
     check_common_information_bound,
     check_half_sum_bound,
+    exact_profile,
+    exact_profile_symbolic,
     extend_with,
     h_of,
     make_identity_b_dist,
     make_shared_component_dist,
-    marginal_by_fraction_sums,
+    profile_is_polymatroid_exact,
     random_joint,
     rectangle_violations_by_scan,
 )
@@ -78,14 +77,13 @@ def test_entropy_expr_biased():
 # ---------------------------------------------------------
 
 def test_profile_two_independent_bits():
-    atoms = [((bv(1, a), bv(1, b)), Fraction(1, 4)) for a in range(2) for b in range(2)]
-    p = exact_profile(JointDistribution.from_atoms(2, atoms))
+    tuples = [(bv(1, a), bv(1, b)) for a in range(2) for b in range(2)]
+    p = exact_profile(JointDistribution.uniform(2, tuples))
     assert (p.c({1}), p.c({2}), p.c({1, 2})) == (1, 1, 2)
 
 
 def test_profile_copy():
-    atoms = [((bv(2, v), bv(2, v)), Fraction(1, 4)) for v in range(4)]
-    p = exact_profile(JointDistribution.from_atoms(2, atoms))
+    p = exact_profile(JointDistribution.uniform(2, [(bv(2, v), bv(2, v)) for v in range(4)]))
     assert (p.c({1}), p.c({2}), p.c({1, 2})) == (2, 2, 2)
 
 
@@ -136,8 +134,7 @@ def test_audit_function_of_one_input():
 
 
 def test_audit_xor_counterexample():
-    atoms = [((bv(1, a), bv(1, b)), Fraction(1, 4)) for a in range(2) for b in range(2)]
-    dist = JointDistribution.from_atoms(2, atoms)
+    dist = JointDistribution.uniform(2, [(bv(1, a), bv(1, b)) for a in range(2) for b in range(2)])
     res = transcript_inequality_audit(dist, lambda x, y: x.v ^ y.v)
     assert not res.rectangle_ok
     t_of = {inputs: inputs[0].v ^ inputs[1].v for inputs, _ in dist.support}
@@ -168,10 +165,7 @@ def test_audit_exhaustive_two_message_protocols():
     stream = SeedStream("protocols-exhaustive")
     support = [(bv(2, a), bv(2, b)) for a in range(3) for b in range(3)]
     weights = [1 + stream.randrange(9) for _ in support]
-    total = sum(weights)
-    dist = JointDistribution.from_atoms(
-        2, ((t, Fraction(w, total)) for t, w in zip(support, weights))
-    )
+    dist = JointDistribution.from_weights(2, zip(support, weights))
     violations = 0
     for m1_bits in range(8):  # m1: {0,1,2} -> {0,1}
         m1 = {a: (m1_bits >> a) & 1 for a in range(3)}
@@ -252,40 +246,23 @@ def test_conditional_entropy_bits():
     assert abs(conditional_entropy_bits(counts) - 0.5) < 1e-12
 
 
-def test_marginal_matches_fraction_sums_with_mixed_denominators():
-    atoms = [
-        ((bv(2, 0), bv(2, 1)), Fraction(1, 2)),
-        ((bv(2, 1), bv(2, 1)), Fraction(1, 3)),
-        ((bv(2, 3), bv(2, 0)), Fraction(1, 12)),
-        ((bv(2, 2), bv(2, 2)), Fraction(1, 20)),
-        ((bv(2, 1), bv(2, 3)), Fraction(1, 60)),
-        ((bv(2, 1), bv(2, 3)), Fraction(1, 60)),  # merged with the atom above
-    ]
-    dists = [JointDistribution.from_atoms(2, atoms)]
-    dists += [random_joint(3, SeedStream("marginal", salt)) for salt in range(10)]
-    projections = [
-        lambda t: 0,
-        lambda t: t[0],
-        lambda t: t[-1],
-        lambda t: (t[1], t[0]),
-        lambda t: t[0].v ^ t[1].v,
-    ]
-    for dist in dists:
-        for proj in projections:
-            want = marginal_by_fraction_sums(dist, proj)
-            assert list(dist.marginal(proj).items()) == list(want.items())
-    with pytest.raises(ValueError):
-        JointDistribution(2, (((bv(1, 0), bv(1, 0)), Fraction(1, 2)), ((bv(1, 1), bv(1, 0)), Fraction(1, 3))))
-
-
 def test_joint_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # weights are positive integers, not probabilities
         JointDistribution(2, (((bv(1, 0), bv(1, 0)), Fraction(1, 2)),))
+    with pytest.raises(ValueError):
+        JointDistribution(2, (((bv(1, 0), bv(1, 0)), 0),))
+    with pytest.raises(ValueError):
+        JointDistribution(2, (((bv(1, 0),), 1),))
     with pytest.raises(ValueError):
         JointDistribution(
             2,
             (
-                ((bv(1, 0), bv(1, 0)), Fraction(1, 2)),
-                ((bv(1, 0), bv(1, 0)), Fraction(1, 2)),
+                ((bv(1, 0), bv(1, 0)), 1),
+                ((bv(1, 0), bv(1, 0)), 1),
             ),
         )
+    # from_weights adds the weights of repeated inputs and sorts the support
+    a, b = (bv(1, 1), bv(1, 0)), (bv(1, 0), bv(1, 1))
+    merged = JointDistribution.from_weights(2, [(a, 2), (b, 1), (a, 3)])
+    assert merged.support == ((b, 1), (a, 5))
+    assert (merged.entropy_of(lambda t: t[0]) - entropy_expr([Fraction(1, 6), Fraction(5, 6)])).is_zero()

@@ -59,7 +59,7 @@ MC_CASES = {
 def session_digest(spec, protocol, eps, seed, margins, trials) -> str:
     config = SessionConfig(parse_model_spec(spec), protocol, eps, seed, margins)
     h = hashlib.sha256()
-    h.update(run_plan(ExperimentPlan((config,), trials, seed))["csv"].encode())
+    h.update(run_plan(ExperimentPlan((config,), trials))["csv"].encode())
     for t in range(trials):
         h.update(run_session(config, t).transcript.dump().encode())
     return h.hexdigest()

@@ -4,13 +4,9 @@ from fractions import Fraction
 import pytest
 
 from codes import fresh_toeplitz
+from entropy_checks import tv_distance
 from skalab.gf2 import BitVec, Gf2Matrix, matvec
-from skalab.hashext import (
-    ExtractorSpec,
-    ceil_log2_inv,
-    extract,
-    tv_distance,
-)
+from skalab.hashext import ExtractorSpec, ceil_log2_inv, extract
 from skalab.rng import SeedStream
 
 

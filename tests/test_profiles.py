@@ -126,7 +126,7 @@ def test_elemental_check_matches_pairwise_oracle():
             p = random_polymatroid(ell, s)
             values = dict(p.values)
             if k % 3 == 1:
-                v = s.choice(subsets)
+                v = subsets[s.randrange(len(subsets))]
                 values[v] += Fraction(s.randrange(9) - 4, 2)
             elif k % 3 == 2:
                 values = {v: Fraction(s.randrange(24), 2) for v in subsets}

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from skalab import protocols, reconcile
+from skalab import audit, protocols, reconcile
+from skalab.audit import conditional_uniformity, fixed_seeds
 from skalab.channel import Transcript
 from skalab.gf2 import BitVec
 from skalab.hashext import ceil_log2_inv
@@ -321,11 +322,23 @@ def test_transcript_sufficiency(config):
     [cfg_light(), cfg_two_phase(), cfg_omni()],
     ids=["light", "two-phase", "omniscience"],
 )
-def test_fixed_public_seeds_are_drawn_once(config):
-    seeds = draw_seeds(session_plan(config), session_streams(config, 0, fresh_public_seeds=False)[1])
-    for t in range(5):
-        records = run_session(config, t, fresh_public_seeds=False).transcript.records
-        assert tuple((r.sender, r.kind, r.payload) for r in records if r.kind != "fingerprint") == seeds
+def test_fixed_public_seeds_are_drawn_once(config, monkeypatch):
+    """The Monte-Carlo audit's seeds come from its own fixed stream, not a
+    session's, and every session it runs broadcasts exactly them."""
+    plan, seeds = fixed_seeds(config)
+    assert seeds != draw_seeds(plan, session_streams(config, 0)[1])
+    transcripts = []
+
+    def recording(plan, inputs, seeds):
+        o = protocols.execute(plan, inputs, seeds)
+        transcripts.append(o.transcript)
+        return o
+
+    monkeypatch.setattr(audit, "execute", recording)
+    conditional_uniformity(config, trials=5)
+    assert len(transcripts) == 5
+    for t in transcripts:
+        assert tuple((r.sender, r.kind, r.payload) for r in t.records if r.kind != "fingerprint") == seeds
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ def make_plan(tmp_path, spec="identical:n=12", protocol="light", trials=5, seed=
     return ExperimentPlan(
         (config,),
         trials,
-        seed,
         csv_path=str(tmp_path / "trials.csv"),
         summary_path=str(tmp_path / "summary.txt"),
     )
@@ -39,7 +38,7 @@ def test_run_plan_replay_byte_identical(tmp_path):
 
 
 def test_empty_plan(tmp_path):
-    plan = ExperimentPlan((), 10, 0, csv_path=str(tmp_path / "e.csv"))
+    plan = ExperimentPlan((), 10, csv_path=str(tmp_path / "e.csv"))
     out = run_plan(plan)
     assert out["summaries"] == []
     assert (tmp_path / "e.csv").read_text().strip().splitlines()[0].startswith("trial,")
@@ -52,7 +51,7 @@ def test_sweep_hamming_message_length_tracks_entropy_bound():
         "hamming:n=31,t=1", None, [1, 2, 3], [Fraction(1, 16)], "light", seed=3
     )
     assert len(configs) == 3
-    plan = ExperimentPlan(tuple(configs), 20, 3)
+    plan = ExperimentPlan(tuple(configs), 20)
     out = run_plan(plan)
     for t, summary in zip([1, 2, 3], out["summaries"]):
         d = t / 31
@@ -66,7 +65,7 @@ def test_sweep_hamming_message_length_tracks_entropy_bound():
 
 def test_sweep_csv_has_config_columns():
     configs = sweep_configs("identical:n=8", [8, 10], None, [Fraction(1, 4)], "light", 1)
-    out = run_plan(ExperimentPlan(tuple(configs), 2, 1))
+    out = run_plan(ExperimentPlan(tuple(configs), 2))
     header = out["csv"].splitlines()[0]
     assert header.startswith("model,protocol,eps,trial,")
     assert "identical:n=10" in out["csv"]

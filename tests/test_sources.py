@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from skalab.entropy import JointDistribution, exact_profile
+from entropy_checks import exact_profile
+from skalab.entropy import JointDistribution
 from skalab.gf2 import BitVec, FieldConfigError, mul_int
 from skalab.profiles import cond, is_polymatroid
 from skalab.rng import SeedStream
