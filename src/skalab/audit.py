@@ -32,7 +32,7 @@ from .entropy import (
     conditional_entropy_bits,
     transcript_inequality_audit,
 )
-from .protocols import SessionConfig, SessionPlan, draw_seeds, execute, session_plan, session_streams
+from .protocols import SessionConfig, SessionPlan, draw_seeds, execute, input_stream, session_plan
 from .rng import SeedStream
 from .sources import enumerate_instances, instance_count, sample
 
@@ -131,7 +131,8 @@ def conditional_uniformity(config: SessionConfig, trials: int) -> AuditReport:
     4 sd.
     """
     plan, seeds = fixed_seeds(config)
-    inputs = (sample(config.model, session_streams(config, t)[0]).inputs for t in range(trials))
+    master = SeedStream("skalab", config.seed)
+    inputs = (sample(config.model, input_stream(master, t)).inputs for t in range(trials))
     _transcripts, counts, agreed = _tabulate(plan, seeds, inputs)
     strata: dict = {}  # transcript -> {key value: count}
     for (t, key), c in counts.items():

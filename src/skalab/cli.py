@@ -106,15 +106,13 @@ def _emit(text: str, path: str | None, quiet: bool) -> None:
         sys.stdout.write(text)
 
 
+def _config(args) -> SessionConfig:
+    model = parse_model_spec(args.model)
+    return SessionConfig(model, _protocol_name(args.protocol), args.eps, args.seed, _margins(args))
+
+
 def cmd_simulate(args) -> int:
-    config = SessionConfig(
-        parse_model_spec(args.model),
-        _protocol_name(args.protocol),
-        args.eps,
-        args.seed,
-        _margins(args),
-    )
-    plan = ExperimentPlan((config,), args.trials)
+    plan = ExperimentPlan((_config(args),), args.trials)
     result = run_plan(plan)
     _emit(result["csv"], args.out, args.quiet)
     if not args.quiet:
@@ -152,14 +150,7 @@ def cmd_rates(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    config = SessionConfig(
-        parse_model_spec(args.model),
-        _protocol_name(args.protocol),
-        args.eps,
-        args.seed,
-        _margins(args),
-    )
-    report = conditional_uniformity(config, args.trials)
+    report = conditional_uniformity(_config(args), args.trials)
     _emit(report.records(), args.report, args.quiet)
     if report.inconclusive:
         return 3

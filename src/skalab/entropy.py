@@ -228,21 +228,16 @@ def transcript_inequality_audit(dist: JointDistribution, f) -> TranscriptAudit:
     def h(proj) -> LogExpr:
         return dist.entropy_of(proj)
 
+    h_a = h(lambda tup: tup[0])
+    h_b = h(lambda tup: tup[1])
+    h_t = h(lambda tup: t_of[tup])
+    h_at = h(lambda tup: (tup[0], t_of[tup]))
+    h_bt = h(lambda tup: (tup[1], t_of[tup]))
     if dist.ell == 2:
-        h_a = h(lambda tup: tup[0])
-        h_b = h(lambda tup: tup[1])
-        h_t = h(lambda tup: t_of[tup])
-        h_at = h(lambda tup: (tup[0], t_of[tup]))
-        h_bt = h(lambda tup: (tup[1], t_of[tup]))
         residual_i = h_a + h_b + h_t - h_at - h_bt
         residual_j = None
     else:
-        h_a = h(lambda tup: tup[0])
-        h_b = h(lambda tup: tup[1])
         h_c = h(lambda tup: tup[2])
-        h_t = h(lambda tup: t_of[tup])
-        h_at = h(lambda tup: (tup[0], t_of[tup]))
-        h_bt = h(lambda tup: (tup[1], t_of[tup]))
         h_ct = h(lambda tup: (tup[2], t_of[tup]))
         # I(a : bc) - I(a : bc | T), grouping the last two parties.
         h_bc = h(lambda tup: (tup[1], tup[2]))

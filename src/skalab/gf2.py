@@ -15,8 +15,8 @@ Representation conventions (used everywhere in this package):
   descending diagonal is constant.  Its product with x is the window
   [cols - 1, cols - 1 + rows) of the carry-less product seed(z) * x(z), so
   hashing builds no rows and caches nothing.  Rows are derived on demand,
-  for elimination and ``to_dense``; columns, which are seed windows too,
-  for syndrome decoding.
+  for elimination; columns, which are seed windows too, for syndrome
+  decoding.
 * Elimination packs the whole matrix into one integer: row i sits in slot
   i, bits [i*w, (i+1)*w), where w is the width of the widest row.  For
   column j, ``col = (m >> j) & ones`` (``ones`` holds bit 0 of every slot)
@@ -58,14 +58,6 @@ class BitVec:
         if not 0 <= i < self.n:
             raise Gf2Error(f"bit index {i} out of range for length {self.n}")
         return (self.v >> i) & 1
-
-    def bits(self) -> list[int]:
-        return [(self.v >> i) & 1 for i in range(self.n)]
-
-    def xor(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise Gf2Error(f"length mismatch {self.n} != {other.n}")
-        return BitVec(self.n, self.v ^ other.v)
 
     def concat(self, other: "BitVec") -> "BitVec":
         return BitVec(self.n + other.n, self.v | (other.v << self.n))
@@ -124,13 +116,6 @@ class Gf2Matrix:
                 f"{self.kind} {self.rows}x{self.cols} needs {want} data bits, got {self.data.n}"
             )
 
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise Gf2Error(f"entry ({i},{j}) out of range")
-        if self.kind == "dense":
-            return self.data.bit(i * self.cols + j)
-        return self.data.bit(i - j + self.cols - 1)
-
     def row_ints(self) -> list[int]:
         """Rows as packed integers (bit j of row i = entry (i, j))."""
         mask = (1 << self.cols) - 1
@@ -149,38 +134,12 @@ class Gf2Matrix:
         rows = self.row_ints()
         return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(self.cols)]
 
-    def to_dense(self) -> "Gf2Matrix":
-        if self.kind == "dense":
-            return self
-        v = 0
-        for i, r in enumerate(self.row_ints()):
-            v |= r << (i * self.cols)
-        return Gf2Matrix("dense", self.rows, self.cols, BitVec(self.rows * self.cols, v))
-
     def row_block(self, start: int, stop: int) -> "Gf2Matrix":
-        """Sub-matrix of rows [start, stop); stays Toeplitz for Toeplitz input."""
-        if not 0 <= start <= stop <= self.rows:
-            raise Gf2Error(f"row block [{start}:{stop}] out of range")
-        nrows = stop - start
-        if self.kind == "toeplitz":
-            if nrows == 0:
-                return Gf2Matrix("toeplitz", 0, self.cols, BitVec(0, 0))
-            return Gf2Matrix(
-                "toeplitz", nrows, self.cols, self.data.slice(start, start + nrows + self.cols - 1)
-            )
-        v = 0
-        for i, r in enumerate(self.row_ints()[start:stop]):
-            v |= r << (i * self.cols)
-        return Gf2Matrix("dense", nrows, self.cols, BitVec(nrows * self.cols, v))
-
-
-def dense_from_rows(rows: list[int], cols: int) -> Gf2Matrix:
-    v = 0
-    for i, r in enumerate(rows):
-        if r >> cols:
-            raise Gf2Error(f"row {i} wider than {cols} bits")
-        v |= r << (i * cols)
-    return Gf2Matrix("dense", len(rows), cols, BitVec(len(rows) * cols, v))
+        """Rows [start, stop) of a Toeplitz matrix, itself Toeplitz."""
+        if self.kind != "toeplitz" or not 0 <= start <= stop <= self.rows:
+            raise Gf2Error(f"no row block [{start}:{stop}] of a {self.kind} matrix of {self.rows} rows")
+        seed = self.data.slice(start, start + toeplitz_seed_len(stop - start, self.cols))
+        return Gf2Matrix("toeplitz", stop - start, self.cols, seed)
 
 
 def toeplitz_from_seed(seed_bits: BitVec, rows: int, cols: int) -> Gf2Matrix:
@@ -372,3 +331,36 @@ def irreducible_poly(n: int) -> int:
 def mul_int(a: int, b: int, n: int) -> int:
     """Multiplication in GF(2^n) on raw n-bit ints."""
     return _poly_mod(_clmul(a, b), irreducible_poly(n))
+
+
+def x_power_multiples(m: int, n: int) -> list[int]:
+    """m * x^j in GF(2^n) for every j < n, by doubling: shift, then reduce
+    by the field polynomial when the top bit overflows."""
+    f, top = irreducible_poly(n), 1 << (n - 1)
+    out = []
+    for _ in range(n):
+        out.append(m)
+        m = (m << 1) ^ f if m & top else m << 1
+    return out
+
+
+def graph_images(h: Gf2Matrix, m: int, n: int) -> list[int]:
+    """H b_j for every j < n, where b_j = 2^j | (m * x^j) << n spans the
+    graph {(u, m*u)} of multiplication by m on GF(2^n) and H is Toeplitz
+    with 2n columns.
+
+    H v is a window of seed * v, and seed * b_j = (seed << j) ^ (q_j << n)
+    with q_j = seed * (m * x^j).  Doubling m * x^j doubles q_j, and its
+    reduction by f on overflow adds seed * f, so the two carry-less
+    products seed * m and seed * f give all n images.
+    """
+    if h.kind != "toeplitz" or h.cols != 2 * n:
+        raise Gf2Error(f"graph images need a Toeplitz hash of {2 * n} columns, got {h.kind} {h.rows}x{h.cols}")
+    seed, top = h.data.v, 1 << (n - 1)
+    seed_f, q = _clmul(seed, irreducible_poly(n)), _clmul(seed, m)
+    shift, mask = h.cols - 1, (1 << h.rows) - 1
+    out = []
+    for j, w in enumerate(x_power_multiples(m, n)):
+        out.append((((seed << j) ^ (q << n)) >> shift) & mask)
+        q = (q << 1) ^ seed_f if w & top else q << 1
+    return out

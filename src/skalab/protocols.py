@@ -355,7 +355,13 @@ def session_streams(config: SessionConfig, trial: int):
     extractor seeds both vary by trial.  The audits hold the public seeds
     fixed and draw them from their own streams (``audit.fixed_seeds``)."""
     master = SeedStream("skalab", config.seed)
-    return master.child("session", trial, "input"), master.child("session", trial, "public")
+    return input_stream(master, trial), master.child("session", trial, "public")
+
+
+def input_stream(master: SeedStream, trial: int) -> SeedStream:
+    """The trial's input sub-stream of the master stream
+    ``SeedStream("skalab", config.seed)``."""
+    return master.child("session", trial, "input")
 
 
 def run_session(config: SessionConfig, trial: int) -> SessionOutcome:

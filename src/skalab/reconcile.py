@@ -10,13 +10,17 @@ pins the true value except with probability eps (union bound).
 Decoding reports `unique`, `ambiguous`, or `not_found` explicitly, and
 joint decoding `search_limit` when a coset is too large to enumerate;
 sessions count anything but a correct `unique` against their error budget.
-Structured candidate sets are not scanned, and the verdict is the same:
-an affine set (line-point, identical) is decoded by one exact linear solve,
-and a Hamming sphere (the words at distance exactly t from the receiver's)
-by meeting in the middle on the column images of the hash, which finds the
-weight-t errors e with H e = fingerprint xor H y.  `syndrome_decode` runs
-the same search for errors of weight at most t.  `decode_scan` keeps the
-literal scan available and is cross-checked against both in tests.
+Structured candidate sets are not scanned, and the verdict is the same.
+A line-point set is the graph of multiplication by the receiver's abscissa
+or slope m, shifted; a shift recursion gives the images of its basis under
+the Toeplitz hash from two carry-less products, and one elimination factors
+them once per (hash, m), so a decode reduces its target by at most n pivot
+rows.  A Hamming sphere (the words at distance exactly t from the
+receiver's) is decoded by meeting in the middle on the column images of
+the hash, which finds the weight-t errors e with H e = fingerprint xor H y.
+`syndrome_decode` runs the same search for errors of weight at most t.
+`decode_scan` keeps the literal scan available and is cross-checked against
+both in tests.
 
 Joint decoding (`multi_decode`, omniscience) is a coset product plus a
 model filter: each other party's fingerprint cuts its input down to the
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
 
-from .gf2 import BitVec, Gf2Matrix, dense_from_rows, matvec, solve_affine
+from .gf2 import BitVec, Gf2Matrix, _eliminate, graph_images, matvec, solve_affine
 from .sources import CorrelationModel, HammingSphere, is_consistent
 
 STATUS_UNIQUE = "unique"
@@ -87,46 +91,47 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
     """Find the candidates matching the fingerprint (unique/ambiguous/none).
 
     The verdict is order-independent, so structured candidate sets are not
-    scanned: an affine set is decoded by solving H(base xor B u) = value, a
-    Hamming sphere by meeting in the middle on H's column images.  Either
-    result is re-hashed as a guard.  candidates_checked reports the number
-    of candidates the verdict covered.
+    scanned: an affine set is decoded by reducing H(base) xor value by the
+    factored images of its basis, a Hamming sphere by meeting in the middle
+    on H's column images.  Either result is re-hashed as a guard.
+    candidates_checked reports the number of candidates the verdict covered.
     """
     if isinstance(candidates, HammingSphere):
         return _decode_sphere(fp, candidates)
     if not candidates.basis:  # a single word
         return decode_scan(fp, candidates)
-    base, basis = candidates.base, candidates.basis
-    length = candidates.length
-    target = fp.value.xor(matvec(fp.spec, BitVec(length, base)))
-    sol = solve_affine(_projected(fp.spec, basis), target)
+    base, basis, rows = candidates.base, candidates.basis, fp.spec.rows
+    t = fp.value.v ^ matvec(fp.spec, BitVec(candidates.length, base)).v
+    cols, pivot_rows = _factored(fp.spec, candidates.multiplier)
+    for col, row in zip(cols, pivot_rows):  # rows are reduced, so each reads t's own bit
+        if (t >> col) & 1:
+            t ^= row
     total = 1 << len(basis)  # not len(): the coset can exceed a machine index
-    if sol is None:
+    if t & ((1 << rows) - 1):
         return DecodeResult(STATUS_NOT_FOUND, None, total)
-    particular, kernel = sol
-    if kernel:  # candidate bases are independent, so any kernel means >= 2 matches
+    if len(cols) < len(basis):  # bases are independent: a kernel means >= 2 matches
         return DecodeResult(STATUS_AMBIGUOUS, None, total)
-    value = base
+    coeffs, value = t >> rows, base
     for j, vec in enumerate(basis):
-        if (particular >> j) & 1:
+        if (coeffs >> j) & 1:
             value ^= vec
-    out = BitVec(length, value)
+    out = BitVec(candidates.length, value)
     _guard(fp, out)
     return DecodeResult(STATUS_UNIQUE, out, total)
 
 
 @lru_cache(maxsize=64)
-def _projected(spec: Gf2Matrix, basis: tuple) -> Gf2Matrix:
-    """H restricted to the span of the basis: entry (i, j) = <row i of H,
-    basis vector j>.  A line-point receiver's basis depends only on its own
-    abscissa, so a fixed-seed audit projects each (H, basis) once."""
-    arows = []
-    for r in spec.row_ints():
-        bits = 0
-        for j, vec in enumerate(basis):
-            bits |= ((r & vec).bit_count() & 1) << j
-        arows.append(bits)
-    return dense_from_rows(arows, len(basis))
+def _factored(spec: Gf2Matrix, multiplier: int) -> tuple:
+    """(pivot columns, pivot rows) of the reduced transposed system of H on
+    the graph of multiplication by `multiplier`: row j is H b_j tagged with
+    bit rows + j, eliminated over the first rows columns.  Reducing a
+    target by these rows leaves zero below bit rows iff it is in the span,
+    and the tags above are then its coefficients.  A line-point receiver's
+    basis depends only on its own abscissa, so a fixed-seed audit factors
+    each (H, abscissa) once; an entry keeps at most n rows."""
+    images = graph_images(spec, multiplier, spec.cols // 2)
+    red, pivots = _eliminate([img | (1 << (spec.rows + j)) for j, img in enumerate(images)], spec.rows)
+    return tuple(pivots), tuple(red[: len(pivots)])
 
 
 def _guard(fp: Fingerprint, out: BitVec) -> None:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .entropy import make_profile
-from .gf2 import BitVec, irreducible_poly, mul_int
+from .gf2 import BitVec, irreducible_poly, mul_int, x_power_multiples
 from .profiles import ComplexityProfile
 from .rng import SeedStream
 
@@ -258,12 +258,16 @@ def enumerate_instances(model: CorrelationModel):
 
 class AffineCandidates:
     """Candidate coset {base xor subset-XOR(basis)}, iterated in
-    coefficient-lex order (for line-point sets this is slope order)."""
+    coefficient-lex order (for line-point sets this is slope order).  The
+    basis is the graph of multiplication by `multiplier` on GF(2^(length/2))
+    (see `_multiplier_basis`), or empty, for a single word, when the
+    multiplier is None."""
 
-    def __init__(self, length: int, base: int, basis) -> None:
+    def __init__(self, length: int, base: int, multiplier: int | None = None) -> None:
         self.length = length
         self.base = base
-        self.basis = tuple(basis)
+        self.multiplier = multiplier
+        self.basis = () if multiplier is None else _multiplier_basis(length // 2, multiplier)
 
     def log2_size(self) -> float:
         return float(len(self.basis))
@@ -326,18 +330,19 @@ def enumerate_candidates(model: CorrelationModel, observer: int, observation: Bi
     if observer not in (1, 2):
         raise ValueError(f"observer must be 1 or 2, got {observer}")
     if model.kind == IDENTICAL_PAIR:
-        return AffineCandidates(n, observation.v, [])
+        return AffineCandidates(n, observation.v)
     if model.kind == HAMMING_PAIR:
         return HammingSphere(n, observation.v, model.t)
     # Lines through Bob's point (c, d): slope s gives (s, d xor s*c).
     # Points on Alice's line (a, b): abscissa u gives (u, a*u xor b).
     c_or_a, d_or_b = _unpack(observation, n)
-    return AffineCandidates(2 * n, d_or_b << n, _multiplier_basis(n, c_or_a))
+    return AffineCandidates(2 * n, d_or_b << n, c_or_a)
 
 
 @lru_cache(maxsize=64)
 def _multiplier_basis(n: int, m: int) -> tuple:
     """The graph {(u, m*u)} of multiplication by m on GF(2^n), one vector
-    per unit u = 2^j.  The coset's direction depends only on the observed
-    abscissa or slope, so a fixed-seed audit builds each once."""
-    return tuple((1 << j) | (mul_int(m, 1 << j, n) << n) for j in range(n))
+    per unit u = 2^j, with m * 2^j by doubling.  The coset's direction
+    depends only on the observed abscissa or slope, so a fixed-seed audit
+    builds each once."""
+    return tuple((1 << j) | (w << n) for j, w in enumerate(x_power_multiples(m, n)))

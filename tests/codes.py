@@ -1,13 +1,38 @@
-"""Test-only constructions: parity-check matrices for the syndrome-decoding
-tests, and one-shot seeded hashes and fingerprints (sessions draw their
-seeds through ``protocols.draw_seeds``)."""
+"""Test-only constructions: dense matrices from packed rows and the entry
+and dense-copy references for structured ones, parity-check matrices for
+the syndrome-decoding tests, and one-shot seeded hashes and fingerprints
+(sessions draw their seeds through ``protocols.draw_seeds``)."""
 
 from fractions import Fraction
 
-from skalab.gf2 import BitVec, Gf2Matrix, dense_from_rows, matvec, toeplitz_seed_len
+from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, matvec, toeplitz_seed_len
 from skalab.hashext import ceil_log2_inv
 from skalab.reconcile import Fingerprint
 from skalab.rng import SeedStream
+
+
+def dense_from_rows(rows: list[int], cols: int) -> Gf2Matrix:
+    """Dense matrix whose row i is the packed integer rows[i]."""
+    v = 0
+    for i, r in enumerate(rows):
+        if r >> cols:
+            raise Gf2Error(f"row {i} wider than {cols} bits")
+        v |= r << (i * cols)
+    return Gf2Matrix("dense", len(rows), cols, BitVec(len(rows) * cols, v))
+
+
+def entry(m: Gf2Matrix, i: int, j: int) -> int:
+    """Entry (i, j) read straight from the data layout (see ``skalab.gf2``)."""
+    if not (0 <= i < m.rows and 0 <= j < m.cols):
+        raise Gf2Error(f"entry ({i},{j}) out of range")
+    if m.kind == "dense":
+        return m.data.bit(i * m.cols + j)
+    return m.data.bit(i - j + m.cols - 1)
+
+
+def to_dense(m: Gf2Matrix) -> Gf2Matrix:
+    """Dense copy of any matrix, from its packed rows."""
+    return dense_from_rows(m.row_ints(), m.cols)
 
 
 def hamming_parity_check(r: int) -> Gf2Matrix:

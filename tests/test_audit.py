@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import skalab.audit
+from codes import dense_from_rows
 from skalab.audit import (
     AuditReport,
     conditional_uniformity,
@@ -203,8 +204,6 @@ def test_light_within_stratum_uniformity_exact():
 
     # fiber direction space = kernel of H1; key rank on the fiber
     _, kernel = solve_affine(h1, BitVec(q_rows, 0))
-    from skalab.gf2 import dense_from_rows
-
     h2w = dense_from_rows(
         [matvec(h2, BitVec(model.input_len, w)).v for w in kernel], key_rows
     )

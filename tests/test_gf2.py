@@ -9,14 +9,16 @@ from skalab.gf2 import (
     BitVec,
     FieldConfigError,
     Gf2Error,
-    dense_from_rows,
+    graph_images,
     irreducible_poly,
     matvec,
     mul_int,
     rank,
     solve_affine,
     toeplitz_from_seed,
+    x_power_multiples,
 )
+from codes import dense_from_rows, entry, to_dense
 from skalab.rng import SeedStream
 
 
@@ -30,7 +32,6 @@ def identity(n):
 
 def test_bitvec_bit_order():
     v = BitVec(4, 0b1101)
-    assert v.bits() == [1, 0, 1, 1]
     assert [v.bit(i) for i in range(4)] == [1, 0, 1, 1]
 
 
@@ -87,7 +88,7 @@ def test_matvec_linearity(rows, cols, data):
     m = toeplitz_from_seed(stream.bitvec(rows + cols - 1), rows, cols)
     x = stream.bitvec(cols)
     y = stream.bitvec(cols)
-    assert matvec(m, x.xor(y)) == matvec(m, x).xor(matvec(m, y))
+    assert matvec(m, BitVec(cols, x.v ^ y.v)).v == matvec(m, x).v ^ matvec(m, y).v
 
 
 # ---------------------------------------------------------
@@ -96,13 +97,13 @@ def test_matvec_linearity(rows, cols, data):
 
 def test_toeplitz_1x1():
     m = toeplitz_from_seed(BitVec(1, 1), 1, 1)
-    assert m.entry(0, 0) == 1
+    assert entry(m, 0, 0) == 1
 
 
 def test_toeplitz_2x2_diagonal_layout():
     # seed bits 1,0,1 give rows (0,1) and (1,0)
     m = toeplitz_from_seed(BitVec(3, 0b101), 2, 2)
-    assert [[m.entry(i, j) for j in range(2)] for i in range(2)] == [[0, 1], [1, 0]]
+    assert [[entry(m, i, j) for j in range(2)] for i in range(2)] == [[0, 1], [1, 0]]
 
 
 def test_toeplitz_seed_length_contract():
@@ -116,7 +117,7 @@ def test_toeplitz_constant_diagonals():
     m = toeplitz_from_seed(stream.bitvec(10), 5, 6)
     for i in range(1, 5):
         for j in range(1, 6):
-            assert m.entry(i, j) == m.entry(i - 1, j - 1)
+            assert entry(m, i, j) == entry(m, i - 1, j - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,10 +135,10 @@ def test_toeplitz_dense_expansion_matvec_agree(rows, cols, salt):
     stream = SeedStream("expand", salt)
     m = toeplitz_from_seed(stream.bitvec(rows + cols - 1), rows, cols)
     ref = dense_from_rows(
-        [sum(m.entry(i, j) << j for j in range(cols)) for i in range(rows)], cols
+        [sum(entry(m, i, j) << j for j in range(cols)) for i in range(rows)], cols
     )
-    assert m.to_dense() == ref
-    columns = [sum(m.entry(i, j) << i for i in range(rows)) for j in range(cols)]
+    assert to_dense(m) == ref
+    columns = [sum(entry(m, i, j) << i for i in range(rows)) for j in range(cols)]
     assert m.column_ints() == ref.column_ints() == columns
     for x in (stream.bitvec(cols), stream.bitvec(cols), BitVec(cols, (1 << cols) - 1)):
         assert matvec(m, x) == matvec(ref, x)
@@ -151,6 +152,9 @@ def test_row_block_of_toeplitz_matches_dense_slice():
     top = matvec(m.row_block(0, 3), x)
     bottom = matvec(m.row_block(3, 8), x)
     assert full == top.concat(bottom)
+    assert matvec(m.row_block(8, 8), x) == BitVec(0, 0)
+    with pytest.raises(Gf2Error):
+        identity(3).row_block(0, 1)  # row blocks stay Toeplitz
 
 
 # ---------------------------------------------------------
@@ -314,3 +318,40 @@ def test_field_inverses_exhaustive(n):
     for a in range(1 << n):
         inverses = [b for b in range(1 << n) if mul_int(a, b, n) == 1]
         assert len(inverses) == (1 if a else 0)
+
+
+# ---------------------------------------------------------
+# Graph of multiplication by m: doubling and Toeplitz images
+# ---------------------------------------------------------
+
+GRAPH_DEGREES = [2, 3, 4, 5, 8, 31, 62, 63, 64]
+
+
+def _multipliers(n, stream):
+    return 0, 1, (1 << n) - 1, stream.bits(n)
+
+
+@pytest.mark.parametrize("n", GRAPH_DEGREES)
+def test_x_power_multiples_match_field_products(n):
+    stream = SeedStream("doubling", n)
+    for m in _multipliers(n, stream):
+        assert x_power_multiples(m, n) == [mul_int(m, 1 << j, n) for j in range(n)]
+
+
+@pytest.mark.parametrize("n", GRAPH_DEGREES)
+def test_graph_images_match_matvec(n):
+    # Every row count from 1 to 2n + 30: fewer rows than the basis, as many,
+    # and more than the 2n columns.
+    stream = SeedStream("graph-images", n)
+    for m in _multipliers(n, stream):
+        basis = [BitVec(2 * n, (1 << j) | (mul_int(m, 1 << j, n) << n)) for j in range(n)]
+        for rows in range(1, 2 * n + 31):
+            h = toeplitz_from_seed(stream.bitvec(rows + 2 * n - 1), rows, 2 * n)
+            assert graph_images(h, m, n) == [matvec(h, b).v for b in basis], (m, rows)
+
+
+def test_graph_images_need_a_toeplitz_hash_of_2n_columns():
+    with pytest.raises(Gf2Error):
+        graph_images(identity(8), 3, 4)
+    with pytest.raises(Gf2Error):
+        graph_images(toeplitz_from_seed(BitVec(10, 0), 3, 8), 3, 5)

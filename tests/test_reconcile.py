@@ -1,11 +1,13 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from codes import encode, hamming_parity_check, random_linear_code
+from skalab import gf2, sources
 from skalab.audit import exact_small_n_audit
-from skalab.gf2 import BitVec, Gf2Matrix, dense_from_rows, matvec, rank
+from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank
 from skalab.hashext import ceil_log2_inv
 from skalab.protocols import SessionConfig
 from skalab.reconcile import (
@@ -14,7 +16,7 @@ from skalab.reconcile import (
     STATUS_UNIQUE,
     DecodeResult,
     Fingerprint,
-    _projected,
+    _factored,
     coset_words,
     decode,
     decode_scan,
@@ -25,6 +27,7 @@ from skalab.rng import SeedStream
 from skalab.sources import (
     AffineCandidates,
     HammingSphere,
+    _multiplier_basis,
     enumerate_candidates,
     enumerate_instances,
     parse_model_spec,
@@ -69,7 +72,7 @@ def test_fingerprint_length_invariant():
 # ---------------------------------------------------------
 
 def singleton(x):
-    return AffineCandidates(x.n, x.v, [])
+    return AffineCandidates(x.n, x.v)
 
 
 def test_decode_singleton_unique():
@@ -120,37 +123,64 @@ def test_decode_matches_scan_on_affine_sets():
         assert a.status == b.status and a.value == b.value
 
 
-def test_projection_memo_once_per_receiver_abscissa():
+def test_factorization_memo_once_per_receiver_abscissa():
     # Bob's candidate basis depends only on his abscissa c, and the audit
-    # fixes H: one projection per c, 2^4 of them for 4,096 instances.
+    # fixes H: one factorization per c, 2^4 of them for 4,096 instances.
     config = SessionConfig(parse_model_spec("line-point:n=4"), "light", Fraction(1, 4), 5)
-    _projected.cache_clear()
+    _factored.cache_clear()
     exact_small_n_audit(config)
-    info = _projected.cache_info()
+    info = _factored.cache_info()
     assert (info.misses, info.hits) == (16, 4080)
 
 
-def test_projection_memo_shared_across_fingerprint_values():
-    # Every fingerprint value through one (H, basis) pair: the memoized
-    # projection must not carry one value's verdict to the next.
+def test_factorization_memo_shared_across_fingerprint_values():
+    # Every fingerprint value through one (H, m) pair: the memoized
+    # factorization must not carry one value's verdict to the next.  Three
+    # rows on the 4-dimensional basis leave a kernel (ambiguous), eight rows
+    # pin the candidate (unique), and values outside the image give
+    # not_found.
     model = parse_model_spec("line-point:n=4")
     stream = SeedStream("memo")
     cands = enumerate_candidates(model, 2, sample(model, stream.child("inst")).inputs[1])
-    row = stream.child("row").bits(8)
-    hashes = [
-        dense_from_rows([row, row, row ^ 1], 8),  # rank-deficient: ambiguous and not_found
-        Gf2Matrix("toeplitz", 8, 8, stream.child("toeplitz").bitvec(15)),  # unique and not_found
-    ]
     statuses = set()
-    for spec in hashes:
-        _projected.cache_clear()
-        for value in range(1 << spec.rows):
-            fp = Fingerprint(spec, BitVec(spec.rows, value))
+    for rows in (3, 8):
+        spec = Gf2Matrix("toeplitz", rows, 8, stream.child("toeplitz", rows).bitvec(rows + 7))
+        _factored.cache_clear()
+        for value in range(1 << rows):
+            fp = Fingerprint(spec, BitVec(rows, value))
             got, want = decode(fp, cands), decode_scan(fp, cands)
             assert (got.status, got.value) == (want.status, want.value)
             statuses.add(got.status)
-        assert _projected.cache_info().misses == 1
+        assert _factored.cache_info().misses == 1
     assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
+
+
+def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
+    # A cold light line-point:n=62 decode builds its basis by doubling and
+    # its images by the shift recursion: no mul_int, and at most four
+    # carry-less products (H base, seed*m, seed*f and the guard's re-hash).
+    model = parse_model_spec("line-point:n=62")
+    stream = SeedStream("word-ops")
+    x, y = sample(model, stream.child("inst")).inputs
+    fp = encode(x, model.n, Fraction(1, 256), stream.child("fp"))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(gf2, "_clmul", counted("_clmul", gf2._clmul))
+    mul_int = counted("mul_int", gf2.mul_int)
+    for module in (gf2, sources):
+        monkeypatch.setattr(module, "mul_int", mul_int)
+    _factored.cache_clear()
+    _multiplier_basis.cache_clear()
+    res = decode(fp, enumerate_candidates(model, 2, y))
+    assert (res.status, res.value) == (STATUS_UNIQUE, x)
+    assert calls["mul_int"] == 0 and calls["_clmul"] <= 4, calls
 
 
 def test_decode_matches_scan_on_hamming_spheres():

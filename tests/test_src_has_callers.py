@@ -19,8 +19,6 @@ BENCH = ROOT / "bench"
 # Deliberate definitions without a caller in src/ or bench/, one reason each.
 ALLOWED = {
     "syndrome_decode": "syndrome decoder of a fixed code, the reference for the Hamming reconciliation",
-    "Gf2Matrix.to_dense": "dense copy of a structured matrix, the reference for the Toeplitz kernels",
-    "Gf2Matrix.entry": "single-entry read, the reference for the packed row layouts",
     "rank": "GF(2) rank, which the exact secrecy certificate H(Z|T) = rank[A;B] - rank A needs",
     "RateRegion.satisfied_by": "membership of a rate tuple, the oracle for the rate LP",
     "Transcript.parse": "reads back a dumped transcript: a party's key is recomputable from stored bytes",
