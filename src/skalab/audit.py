@@ -7,7 +7,9 @@ enumerable small-n models the relevant entropy inequalities can be checked
 exactly.  The adversary's view is the whole public transcript.  Each audit
 draws the public hash and extractor seeds once, from its own fixed stream
 (``fixed_seeds``), and tabulates (transcript, key) counts over its input
-tuples.  Two instruments read that table:
+tuples.  With the seeds fixed a session is a pure function of its input
+tuple, so each distinct tuple runs once and a repeat only adds to its
+count.  Two instruments read that table:
 
 * ``conditional_uniformity`` Monte-Carlo: resample inputs each trial; with
   the seeds fixed the transcript varies only through input-dependent
@@ -106,20 +108,28 @@ def fixed_seeds(config: SessionConfig, public_label: int | None = None) -> tuple
 
 
 def _tabulate(plan: SessionPlan, seeds: tuple, inputs) -> tuple:
-    """Run every input tuple on the fixed seeds.  Returns ({inputs:
-    transcript}, {(transcript, party 1's key or None): count} in order of
-    first occurrence, number of sessions that agreed); a transcript is its
-    records' (kind, bits, value) triples."""
-    transcripts: dict = {}
+    """Run each distinct input tuple once on the fixed seeds.  Returns
+    ({inputs: ((transcript, party 1's key or None), agreed)}, {(transcript,
+    key): count} in order of first occurrence, number of sessions that
+    agreed); a transcript is its records' (kind, bits, value) triples.
+
+    With the seeds fixed a session is a pure function of its inputs, so a
+    repeated tuple adds its memoized cell and agreement again instead of
+    re-running the session.  The first trial to reach a cell is always a
+    tuple's first occurrence, so the cell order is the per-trial order."""
+    memo: dict = {}
     counts: dict = {}
     agreed = 0
     for x in inputs:
-        o = execute(plan, x, seeds)
-        t = transcripts[x] = tuple((r.kind, r.payload.n, r.payload.v) for r in o.transcript.records)
-        cell = (t, o.keys[0])
+        hit = memo.get(x)
+        if hit is None:
+            o = execute(plan, x, seeds)
+            t = tuple((r.kind, r.payload.n, r.payload.v) for r in o.transcript.records)
+            hit = memo[x] = ((t, o.keys[0]), o.agreed)
+        cell, ok = hit
         counts[cell] = counts.get(cell, 0) + 1
-        agreed += o.agreed
-    return transcripts, counts, agreed
+        agreed += ok
+    return memo, counts, agreed
 
 
 def conditional_uniformity(config: SessionConfig, trials: int) -> AuditReport:
@@ -133,7 +143,7 @@ def conditional_uniformity(config: SessionConfig, trials: int) -> AuditReport:
     plan, seeds = fixed_seeds(config)
     master = SeedStream("skalab", config.seed)
     inputs = (sample(config.model, input_stream(master, t)).inputs for t in range(trials))
-    _transcripts, counts, agreed = _tabulate(plan, seeds, inputs)
+    _memo, counts, agreed = _tabulate(plan, seeds, inputs)
     strata: dict = {}  # transcript -> {key value: count}
     for (t, key), c in counts.items():
         if key is not None:
@@ -192,14 +202,14 @@ def exact_small_n_audit(config: SessionConfig, public_label: int = 0) -> ExactAu
     if count > _MAX_ENUM_INSTANCES:
         raise ValueError(f"input space of {count} tuples exceeds the cap")
     plan, seeds = fixed_seeds(config, public_label)
-    transcripts, counts, agreed = _tabulate(plan, seeds, enumerate_instances(config.model))
+    memo, counts, agreed = _tabulate(plan, seeds, enumerate_instances(config.model))
     if all(key is None for _t, key in counts):
         raise RuntimeError("no instance produced a key for party 1")
-    dist = JointDistribution.uniform(config.model.parties, transcripts)
+    dist = JointDistribution.uniform(config.model.parties, memo)
     return ExactAuditResult(
-        audit=transcript_inequality_audit(dist, lambda *inputs: transcripts[inputs]),
+        audit=transcript_inequality_audit(dist, lambda *inputs: memo[inputs][0][0]),
         h_key_given_view=conditional_entropy_bits(counts),
         key_len=plan.key_len,
-        instances=len(transcripts),
-        agreement_rate=agreed / len(transcripts),
+        instances=len(memo),
+        agreement_rate=agreed / len(memo),
     )

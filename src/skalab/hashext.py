@@ -15,7 +15,7 @@ the longer (public) seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gf2 import BitVec, matvec, toeplitz_from_seed
@@ -41,6 +41,8 @@ class ExtractorSpec:
     input_len: int
     min_entropy: int
     eps: Fraction
+    output_len: int = field(init=False, compare=False)
+    seed_len: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -48,19 +50,15 @@ class ExtractorSpec:
             raise ValueError(
                 f"min-entropy {self.min_entropy} outside [0, {self.input_len}]"
             )
-        if self.output_len < 1:
+        # Both lengths are read on every extraction, so they are fixed here.
+        m = self.min_entropy - 2 * ceil_log2_inv(self.eps)
+        if m < 1:
             raise ValueError(
-                f"extractor output m = {self.output_len} < 1 "
+                f"extractor output m = {m} < 1 "
                 f"(k={self.min_entropy}, eps={self.eps})"
             )
-
-    @property
-    def output_len(self) -> int:
-        return self.min_entropy - 2 * ceil_log2_inv(self.eps)
-
-    @property
-    def seed_len(self) -> int:
-        return self.input_len + self.output_len - 1
+        object.__setattr__(self, "output_len", m)
+        object.__setattr__(self, "seed_len", self.input_len + m - 1)
 
 
 def extract(x: BitVec, spec: ExtractorSpec, seed: BitVec) -> BitVec:

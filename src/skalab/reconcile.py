@@ -8,7 +8,7 @@ of the sender's input, so a fingerprint of k + ceil(log2(1/eps)) bits
 pins the true value except with probability eps (union bound).
 
 Decoding reports `unique`, `ambiguous`, or `not_found` explicitly, and
-joint decoding `search_limit` when a coset is too large to enumerate;
+`search_limit` when a coset or a Hamming sphere is too large to search;
 sessions count anything but a correct `unique` against their error budget.
 Structured candidate sets are not scanned, and the verdict is the same.
 A line-point set is the graph of multiplication by the receiver's abscissa
@@ -93,7 +93,8 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
     The verdict is order-independent, so structured candidate sets are not
     scanned: an affine set is decoded by reducing H(base) xor value by the
     factored images of its basis, a Hamming sphere by meeting in the middle
-    on H's column images.  Either result is re-hashed as a guard.
+    on H's column images (`search_limit` past _SPHERE_CAP_SUBSETS).  Either
+    result is re-hashed as a guard.
     candidates_checked reports the number of candidates the verdict covered.
     """
     if isinstance(candidates, HammingSphere):
@@ -192,9 +193,18 @@ def _verdict(errors, center: BitVec, checked: int) -> DecodeResult:
     return DecodeResult(STATUS_UNIQUE, BitVec(center.n, center.v ^ found[0]), checked)
 
 
+# Past this many subsets in the larger half of the split a Hamming sphere is
+# not searched.  hamming:n=63,t=8 needs 637,393 of them (about 270 MB and
+# 2 s in CPython 3.11) and decodes; t=9 would need 7.7 million, ten times that
+# memory, and t=12 raises MemoryError under a 2 GB address-space limit.
+_SPHERE_CAP_SUBSETS = 1 << 20
+
+
 def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
     # x = y xor e with H e = fingerprint xor H y and weight(e) exactly t.
     n, t = sphere.length, sphere.t
+    if sum(math.comb(n, w) for w in range(t - t // 2 + 1)) > _SPHERE_CAP_SUBSETS:
+        return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
     center = BitVec(n, sphere.center)
     target = fp.value.v ^ matvec(fp.spec, center).v
     errors = (e for e in _error_matches(fp.spec.column_ints(), target, t) if e.bit_count() == t)

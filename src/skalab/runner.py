@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -71,6 +72,8 @@ def sweep_configs(
 
 
 def summarize(config: SessionConfig, outcomes) -> dict:
+    """One config's summary; decode_statuses counts each session's decode
+    status in order of first appearance, e.g. unique:18,search_limit:2."""
     n = len(outcomes)
     agreed = sum(1 for o in outcomes if o.agreed)
     return {
@@ -84,6 +87,7 @@ def summarize(config: SessionConfig, outcomes) -> dict:
         "mean_comm_bits": sum(o.comm_bits for o in outcomes) / n if n else 0.0,
         "mean_payload_bits": sum(o.payload_bits for o in outcomes) / n if n else 0.0,
         "target_comm": _fmt(outcomes[0].target_comm) if outcomes else 0,
+        "decode_statuses": ",".join(f"{s}:{c}" for s, c in Counter(o.decode_status for o in outcomes).items()),
     }
 
 

@@ -14,9 +14,9 @@ from skalab.audit import (
 )
 from skalab.channel import TranscriptRecord
 from skalab.gf2 import BitVec, matvec, rank, solve_affine, toeplitz_from_seed
-from skalab.protocols import Margins, SessionConfig, execute
+from skalab.protocols import Margins, SessionConfig, execute, input_stream
 from skalab.rng import SeedStream
-from skalab.sources import enumerate_instances, parse_model_spec
+from skalab.sources import enumerate_instances, instance_count, parse_model_spec, sample
 
 
 def light_config(spec, eps, seed=101):
@@ -78,6 +78,56 @@ def test_canary_leaking_key_fails_audit(monkeypatch):
     assert not report.passed
     assert report.est_tv > 0.9  # within a leak stratum the key is constant
     assert report.est_min_entropy == 0.0
+
+
+def _tabulate_every_trial(plan, seeds, inputs):
+    """Reference tabulation: one session per trial, no memo."""
+    counts: dict = {}
+    agreed = 0
+    for x in inputs:
+        o = execute(plan, x, seeds)
+        t = tuple((r.kind, r.payload.n, r.payload.v) for r in o.transcript.records)
+        counts[(t, o.keys[0])] = counts.get((t, o.keys[0]), 0) + 1
+        agreed += o.agreed
+    return None, counts, agreed
+
+
+@pytest.mark.parametrize(
+    "spec, eps", [("identical:n=4", Fraction(1, 4)), ("line-point:n=3", Fraction(1, 2))]
+)
+def test_memoized_audit_matches_one_session_per_trial(monkeypatch, spec, eps):
+    config = light_config(spec, eps, seed=23)
+    memoized = conditional_uniformity(config, trials=2000).records()
+    monkeypatch.setattr(skalab.audit, "_tabulate", _tabulate_every_trial)
+    assert memoized == conditional_uniformity(config, trials=2000).records()
+
+
+def _count_executions(monkeypatch) -> list:
+    calls = []
+
+    def counted(plan, inputs, seeds):
+        calls.append(inputs)
+        return execute(plan, inputs, seeds)
+
+    monkeypatch.setattr(skalab.audit, "execute", counted)
+    return calls
+
+
+def test_monte_carlo_audit_runs_each_distinct_tuple_once(monkeypatch):
+    config = light_config("line-point:n=3", Fraction(1, 2), seed=23)
+    calls = _count_executions(monkeypatch)
+    conditional_uniformity(config, trials=2000)
+    master = SeedStream("skalab", config.seed)
+    distinct = {sample(config.model, input_stream(master, t)).inputs for t in range(2000)}
+    assert len(distinct) < 2000  # the sample repeats tuples, so the memo is exercised
+    assert len(calls) == len(set(calls)) == len(distinct)
+
+
+def test_exact_audit_runs_every_instance_once(monkeypatch):
+    config = light_config("line-point:n=2", Fraction(1, 4))
+    calls = _count_executions(monkeypatch)
+    exact_small_n_audit(config)
+    assert len(calls) == instance_count(config.model)
 
 
 def test_inconclusive_when_strata_too_thin():

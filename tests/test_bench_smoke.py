@@ -15,7 +15,7 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["pair-affine", "triple-omni", "audit"])
+@pytest.mark.parametrize("workload", ["pair-affine", "pair-hamming", "triple-omni", "audit"])
 def test_bench_workload_runs_correctly(workload):
     proc = subprocess.run(
         [sys.executable, str(BENCH), "--workload", workload, "--seed", "1", "--seconds", "0.5", "--trace", "0"],

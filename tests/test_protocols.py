@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -268,6 +269,20 @@ def test_omniscience_capped_search_is_search_limit():
         assert o.decode_status == STATUS_SEARCH_LIMIT
         assert not o.agreed
         assert o.keys == (None, None, None)
+
+
+@pytest.mark.parametrize(
+    "spec, eps", [("hamming:n=63,t=12", Fraction(1, 256)), ("hamming:n=63,t=31", Fraction(1, 2))]
+)
+def test_hamming_sphere_past_cap_is_search_limit(spec, eps):
+    # The meet-in-the-middle tables would hold C(63, 6) and C(63, 16)
+    # subsets: the decode declines before building them.
+    start = time.perf_counter()
+    o = run_session(cfg_light(spec, eps), 0)
+    assert time.perf_counter() - start < 5.0
+    assert o.decode_status == STATUS_SEARCH_LIMIT
+    assert not o.agreed
+    assert o.keys[1] is None
 
 
 # ---------------------------------------------------------

@@ -63,6 +63,14 @@ def test_sweep_hamming_message_length_tracks_entropy_bound():
         assert float(summary["agreement_rate"]) >= 0.9
 
 
+def test_summaries_count_decode_statuses():
+    # t=12 at n=63 is past the Hamming sphere decode's cap.
+    configs = sweep_configs("hamming:n=63,t=2", None, [2, 12], [Fraction(1, 256)], "light", seed=4)
+    out = run_plan(ExperimentPlan(tuple(configs), 3))
+    assert [s["decode_statuses"] for s in out["summaries"]] == ["unique:3", "search_limit:3"]
+    assert out["csv"].count(",search_limit\n") == 3
+
+
 def test_sweep_csv_has_config_columns():
     configs = sweep_configs("identical:n=8", [8, 10], None, [Fraction(1, 4)], "light", 1)
     out = run_plan(ExperimentPlan(tuple(configs), 2))
