@@ -13,9 +13,10 @@ count.  Two instruments read that table:
 
 * ``conditional_uniformity`` Monte-Carlo: resample inputs each trial; with
   the seeds fixed the transcript varies only through input-dependent
-  payloads.  Stratify the key by the whole transcript and compare the
-  worst stratum's TV-from-uniform against a calibrated sampling-noise
-  baseline.
+  payloads.  Stratify the key by the whole transcript and judge every
+  large enough stratum's TV-from-uniform against the exact mean + 4 sd of
+  the TV of as many uniform draws (``tv_moments``); the threshold is
+  computed, not sampled, so it needs no seed.
 * ``exact_small_n_audit``: enumerate every instance and compute
   I(x:y) - I(x:y|T), H(Z|T), and the preimage-rectangle verification of
   the transcript map exactly.
@@ -25,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .entropy import (
     JointDistribution,
@@ -39,16 +38,17 @@ from .rng import SeedStream
 from .sources import enumerate_instances, instance_count, sample
 
 MIN_STRATUM_SAMPLES = 30
+Z_PASS = 4.0
 
 
 @dataclass
 class AuditReport:
     trials: int
     agreement_rate: float
-    est_tv: float
-    est_min_entropy: float
-    leakage_bits: float
-    passed: bool
+    est_tv: float = math.nan
+    est_min_entropy: float = math.nan
+    leakage_bits: float = 0.0
+    passed: bool = False
     inconclusive: bool = False
     key_len: int = 0
     stratum_count: int = 0
@@ -58,22 +58,10 @@ class AuditReport:
     extra: dict = field(default_factory=dict)
 
     def records(self) -> str:
-        fields = {
-            "trials": self.trials,
-            "agreement_rate": self.agreement_rate,
-            "est_tv": self.est_tv,
-            "est_min_entropy": self.est_min_entropy,
-            "leakage_bits": self.leakage_bits,
-            "passed": int(self.passed),
-            "inconclusive": int(self.inconclusive),
-            "key_len": self.key_len,
-            "stratum_count": self.stratum_count,
-            "worst_stratum_size": self.worst_stratum_size,
-            "baseline_tv_mean": self.baseline_tv_mean,
-            "baseline_tv_sd": self.baseline_tv_sd,
-            **self.extra,
-        }
-        return "\n".join(f"{k}={v}" for k, v in fields.items()) + "\n"
+        """One key=value line per field in order, flags as 0 or 1, then the
+        extra keys."""
+        fields = {k: v for k, v in vars(self).items() if k != "extra"} | self.extra
+        return "".join(f"{k}={int(v) if isinstance(v, bool) else v}\n" for k, v in fields.items())
 
 
 def empirical_tv(counts: dict, m: int) -> float:
@@ -86,14 +74,74 @@ def empirical_tv(counts: dict, m: int) -> float:
     return (covered + missing) / (2 * total)
 
 
-def uniform_tv_baseline(n_samples: int, m: int, stream: SeedStream, reps: int = 200):
-    """Sampling distribution (mean, sd) of empirical TV when the key truly
-    is uniform on m bits: the calibration oracle for the pass threshold."""
-    cells = 1 << m
-    rng = np.random.default_rng(stream.bits(64))
-    draws = rng.multinomial(n_samples, np.full(cells, 1.0 / cells), size=reps)
-    tv = np.abs(draws - n_samples / cells).sum(axis=1) / (2.0 * n_samples)
-    return float(tv.mean()), float(tv.std())
+def _binom_pmf(n: int, k: int, p: float) -> float:
+    """P(Bin(n, p) = k), through log-gamma so that large n does not overflow."""
+    if p == 1 or not 0 <= k <= n:
+        return float(p == 1 and k == n)
+    log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    return math.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def _distinct_moments(n: int, key_len: int) -> tuple:
+    """(E TV, sd TV, E[n - K], sd K) for n <= M = 2^key_len uniform draws on
+    M values, where TV = 1 - K/M and K counts the distinct values drawn;
+    each is an exact integer over M^n or M^2n, rounded once."""
+    cells, scale = 1 << key_len, key_len * n
+    missed, missed2 = (cells - 1) ** n, (cells - 2) ** n
+    var = cells * (((cells - 1) * missed2 + missed) << scale) - cells * cells * missed * missed
+    repeats, sd = ((n - cells) << scale) + cells * missed, math.sqrt(var / (1 << 2 * scale))
+    return missed / (1 << scale), math.ldexp(sd, -key_len), repeats / (1 << scale), sd
+
+
+def tv_moments(n: int, key_len: int) -> tuple:
+    """Exact (mean, sd) of the empirical TV from uniform of n uniform draws
+    on M = 2^key_len values, key_len >= 1: the pass threshold's calibration.
+
+    With c = n/M and m = floor(c), TV = (1/n) sum over the cells of
+    (c - X)^+.  Each count X is Bin(n, 1/M), and given X1 = j, X2 is
+    Bin(n - j, 1/(M - 1)).  De Moivre's identity sum_{j<=m} (Np - j) b(j) =
+    (1 - p)(m + 1) b(m + 1) turns each partial mean deviation into one pmf
+    value and one CDF, so both moments cost O(m) terms (Diaconis and Zabell,
+    Statist. Sci. 1991).  For n <= M they come from exact integers.
+    """
+    cells = 1 << key_len
+    if n <= cells:
+        return _distinct_moments(n, key_len)[:2]
+    p, q, c, m = 1 / cells, 1 / (cells - 1), n / cells, n // cells
+    dev = (1 - p) * (m + 1) * _binom_pmf(n, m + 1, p)  # E (c - X1)^+
+    dev2 = sum((c - j) ** 2 * _binom_pmf(n, j, p) for j in range(m + 1))
+    cdf = sum(_binom_pmf(n, k, q) for k in range(m + 1))  # P(Bin(n - j, q) <= m), j = 0
+    cross = 0.0  # E (c - X1)^+ (c - X2)^+
+    for j in range(m + 1):
+        if j:
+            cdf += q * _binom_pmf(n - j, m, q)
+        dev_given_j = (c - (n - j) * q) * cdf + (1 - q) * (m + 1) * _binom_pmf(n - j, m + 1, q)
+        cross += (c - j) * _binom_pmf(n, j, p) * dev_given_j
+    mean = cells * dev / n
+    return mean, math.sqrt((cells * dev2 + cells * (cells - 1) * cross) / n**2 - mean**2)
+
+
+def stratum_score(keys: dict, key_len: int) -> tuple:
+    """(z, tv, mean, sd) of one stratum's {key value: count}: its empirical
+    TV, the exact mean and sd of the TV of as many uniform draws, and the
+    z-score (tv - mean) / sd.  For n <= M both TVs are close to 1, so the
+    z-score is taken from the number of repeated key values instead."""
+    n = sum(keys.values())
+    tv = empirical_tv(keys, key_len)
+    if n > 1 << key_len:
+        mean, sd = tv_moments(n, key_len)
+        return (tv - mean) / sd, tv, mean, sd
+    mean, sd, repeats, sd_distinct = _distinct_moments(n, key_len)
+    return (n - len(keys) - repeats) / sd_distinct, tv, mean, sd
+
+
+def worst_stratum(strata: list, key_len: int):
+    """(index, stratum_score) of the stratum with the largest z-score among
+    those of at least MIN_STRATUM_SAMPLES trials, the first on ties; None
+    when no stratum is that large.  The audit passes iff that z-score is at
+    most Z_PASS, so every judged stratum meets its own threshold."""
+    judged = ((i, stratum_score(keys, key_len)) for i, keys in enumerate(strata) if sum(keys.values()) >= MIN_STRATUM_SAMPLES)
+    return max(judged, key=lambda scored: scored[1][0], default=None)
 
 
 def fixed_seeds(config: SessionConfig, public_label: int | None = None) -> tuple:
@@ -133,51 +181,44 @@ def _tabulate(plan: SessionPlan, seeds: tuple, inputs) -> tuple:
 
 
 def conditional_uniformity(config: SessionConfig, trials: int) -> AuditReport:
-    """Worst-stratum TV of the key given the transcript.
+    """TV of the key from uniform given the transcript, judged per stratum.
 
     Public seeds are fixed across trials, so only input-dependent payloads
     vary and a stratum is one transcript; a trial without a key for party 1
-    joins none.  The pass threshold is the uniform-sampling baseline mean +
-    4 sd.
+    joins none.  Every stratum of at least MIN_STRATUM_SAMPLES trials must
+    have a TV within Z_PASS sd of the exact mean for its size; the
+    threshold is exact and draws no randomness.  The report describes the
+    stratum of the largest z-score, indexed in order of first occurrence.
     """
     plan, seeds = fixed_seeds(config)
     master = SeedStream("skalab", config.seed)
     inputs = (sample(config.model, input_stream(master, t)).inputs for t in range(trials))
     _memo, counts, agreed = _tabulate(plan, seeds, inputs)
-    strata: dict = {}  # transcript -> {key value: count}
+    by_transcript: dict = {}  # transcript -> {key value: count}
     for (t, key), c in counts.items():
         if key is not None:
-            strata.setdefault(t, {})[key.v] = c
-    if not strata:
+            by_transcript.setdefault(t, {})[key.v] = c
+    if not by_transcript:
         raise RuntimeError("no session produced a key")
-    big = [keys for keys in strata.values() if sum(keys.values()) >= MIN_STRATUM_SAMPLES]
+    strata = list(by_transcript.values())
+    worst = worst_stratum(strata, plan.key_len)
     report = AuditReport(
         trials=trials,
         agreement_rate=agreed / trials,
-        est_tv=float("nan"),
-        est_min_entropy=float("nan"),
         leakage_bits=sum(c * sum(bits for _kind, bits, _v in t) for (t, _key), c in counts.items()) / trials,
-        passed=False,
-        inconclusive=not big,
+        inconclusive=worst is None,
         key_len=plan.key_len,
         stratum_count=len(strata),
     )
-    if not big:
+    if worst is None:
         return report
-    tvs = [(empirical_tv(keys, plan.key_len), keys) for keys in big]
-    worst_tv, worst = max(tvs, key=lambda tv_keys: tv_keys[0])  # the first of largest TV
-    size = sum(worst.values())
-    base_mean, base_sd = uniform_tv_baseline(size, plan.key_len, SeedStream("skalab", config.seed, "tv-baseline"))
-    threshold = base_mean + 4.0 * base_sd
+    index, (z, tv, mean, sd) = worst
+    keys = strata[index]
+    size = sum(keys.values())
     return replace(
-        report,
-        est_tv=worst_tv,
-        est_min_entropy=-math.log2(max(worst.values()) / size),
-        passed=worst_tv <= threshold,
-        worst_stratum_size=size,
-        baseline_tv_mean=base_mean,
-        baseline_tv_sd=base_sd,
-        extra={"threshold": threshold},
+        report, est_tv=tv, est_min_entropy=-math.log2(max(keys.values()) / size), passed=z <= Z_PASS,
+        worst_stratum_size=size, baseline_tv_mean=mean, baseline_tv_sd=sd,
+        extra={"threshold": mean + Z_PASS * sd, "worst_z": z, "worst_stratum": index},
     )
 
 

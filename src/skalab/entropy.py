@@ -3,10 +3,9 @@
 Probabilities are exact rationals, so every entropy here is a value of the
 form  q + sum_i c_i * log2(m_i)  with rational q, c_i and odd integers m_i.
 ``LogExpr`` keeps that form symbolically, which lets the audit suites decide
-entropy identities and inequalities *exactly*: a LogExpr is zero iff its
-rational part vanishes and the prime-exponent combination of its log terms
-vanishes (unique factorization), and otherwise its sign is certified
-numerically with generous precision headroom.
+entropy identities and inequalities *exactly*: scaled by the common
+denominator d of its rationals, a LogExpr is the log2 of a ratio of
+integers, so its sign (zero included) is an integer comparison.
 """
 
 from __future__ import annotations
@@ -15,27 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .gf2 import BitVec
 from .profiles import ComplexityProfile
 
 _FLOAT_SIGN_CUTOFF = 1e-6
-_MP_DPS = 80
-_MP_SIGN_CUTOFF = mpmath.mpf("1e-50")
-
-
-def _factor_odd(m: int) -> dict:
-    out: dict[int, int] = {}
-    d = 3
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 class LogExpr:
@@ -80,30 +62,23 @@ class LogExpr:
     def to_float(self) -> float:
         return float(self.rat) + sum(float(c) * math.log2(m) for m, c in self.terms.items())
 
-    def is_zero(self) -> bool:
-        """Exact zero test via unique factorization of the log arguments."""
-        if not self.terms:
-            return self.rat == 0
-        primes: dict[int, Fraction] = {}
-        for m, c in self.terms.items():
-            for p, e in _factor_odd(m).items():
-                primes[p] = primes.get(p, Fraction(0)) + c * e
-        return self.rat == 0 and all(w == 0 for w in primes.values())
-
     def sign(self) -> int:
-        """Certified sign: -1, 0, or +1."""
+        """Exact sign: -1, 0, or +1.
+
+        Far from zero the float value decides.  Near it, with d the common
+        denominator of rat and every coefficient, d * value is the log2 of
+        2^(d rat) * prod m^(d c), whose sign an integer comparison of the
+        factors with positive and with negative exponents decides.
+        """
         v = self.to_float()
         if abs(v) > _FLOAT_SIGN_CUTOFF:
             return 1 if v > 0 else -1
-        if self.is_zero():
-            return 0
-        with mpmath.workdps(_MP_DPS):
-            hv = mpmath.mpf(self.rat.numerator) / self.rat.denominator
-            for m, c in self.terms.items():
-                hv += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(m, 2)
-            if abs(hv) > _MP_SIGN_CUTOFF:
-                return 1 if hv > 0 else -1
-        raise ArithmeticError("sign of LogExpr too close to zero to certify")
+        d = math.lcm(self.rat.denominator, *(c.denominator for c in self.terms.values()))
+        sides = [1, 1]  # the product of the factors with exponent >= 0, and with exponent < 0
+        for m, c in ((2, self.rat), *self.terms.items()):
+            e = int(c * d)
+            sides[e < 0] *= m ** abs(e)
+        return (sides[0] > sides[1]) - (sides[0] < sides[1])
 
     def __repr__(self) -> str:
         return f"LogExpr({self.rat}, {self.terms})"
@@ -263,14 +238,3 @@ def make_profile(ell: int, values: dict) -> ComplexityProfile:
     """Convenience: build a profile from {tuple-of-parties: bits}."""
     return ComplexityProfile(ell, {frozenset(k): Fraction(v) for k, v in values.items()})
 
-
-__all__ = [
-    "JointDistribution",
-    "LogExpr",
-    "TranscriptAudit",
-    "conditional_entropy_bits",
-    "entropy_expr",
-    "make_profile",
-    "rectangle_violations",
-    "transcript_inequality_audit",
-]

@@ -54,11 +54,6 @@ class BitVec:
         if self.v < 0 or self.v >> self.n:
             raise Gf2Error(f"value {self.v:#x} does not fit in {self.n} bits")
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise Gf2Error(f"bit index {i} out of range for length {self.n}")
-        return (self.v >> i) & 1
-
     def concat(self, other: "BitVec") -> "BitVec":
         return BitVec(self.n + other.n, self.v | (other.v << self.n))
 

@@ -26,8 +26,8 @@ def entry(m: Gf2Matrix, i: int, j: int) -> int:
     if not (0 <= i < m.rows and 0 <= j < m.cols):
         raise Gf2Error(f"entry ({i},{j}) out of range")
     if m.kind == "dense":
-        return m.data.bit(i * m.cols + j)
-    return m.data.bit(i - j + m.cols - 1)
+        return (m.data.v >> (i * m.cols + j)) & 1
+    return (m.data.v >> (i - j + m.cols - 1)) & 1
 
 
 def to_dense(m: Gf2Matrix) -> Gf2Matrix:

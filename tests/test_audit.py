@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,10 +8,14 @@ import skalab.audit
 from codes import dense_from_rows
 from skalab.audit import (
     AuditReport,
+    Z_PASS,
     conditional_uniformity,
+    empirical_tv,
     exact_small_n_audit,
     fixed_seeds,
-    uniform_tv_baseline,
+    stratum_score,
+    tv_moments,
+    worst_stratum,
 )
 from skalab.channel import TranscriptRecord
 from skalab.gf2 import BitVec, matvec, rank, solve_affine, toeplitz_from_seed
@@ -145,12 +150,79 @@ def test_report_records_format():
     assert "trials=10" in text and "passed=1" in text
 
 
-def test_uniform_tv_baseline_reasonable():
-    mean, sd = uniform_tv_baseline(4000, 4, SeedStream("base"))
-    # normal-approximation prediction ~ sqrt(2/pi) * sqrt(K/4N) population
-    predict = math.sqrt(2 / math.pi) * 16 * math.sqrt(1 / 16 * 15 / 16 / 4000) / 2
-    assert abs(mean - predict) < 0.01
-    assert 0 < sd < 0.02
+def test_one_biased_large_stratum_fails_beside_a_noisy_small_one():
+    """A 2,000-sample stratum at TV 0.10 fails its own threshold; a
+    30-sample stratum at TV 0.30 is ordinary noise.  Judging only the
+    stratum of largest TV would pass."""
+    big = {v: 150 if v < 8 else 100 for v in range(16)}
+    small = {v: 3 if v < 8 else 1 for v in range(14)}  # 8 threes, 6 ones, 2 missing
+    assert (sum(big.values()), sum(small.values())) == (2000, 30)
+    assert math.isclose(empirical_tv(big, 4), 0.10) and math.isclose(empirical_tv(small, 4), 0.30)
+    z_small, tv_small, _, _ = stratum_score(small, 4)
+    assert tv_small > empirical_tv(big, 4) and z_small <= Z_PASS  # the old rule passes
+    index, (z, tv, _mean, _sd) = worst_stratum([small, big], 4)
+    assert (index, tv) == (1, empirical_tv(big, 4)) and z > Z_PASS
+
+
+def test_strata_below_the_minimum_are_not_judged():
+    assert worst_stratum([{0: 29}], 4) is None
+    index, (z, *_rest) = worst_stratum([{0: 29}, {v: 2 for v in range(16)}], 4)
+    assert index == 1 and z < 0  # a perfectly even stratum sits below the mean
+
+
+def test_wide_key_strata_are_judged_by_their_repeated_values():
+    # At 200 draws of a 64-bit key both the TV and its mean round to 1.0;
+    # the z-score comes from the count of repeated values instead.
+    distinct = {v: 1 for v in range(200)}
+    one_repeat = {**{v: 1 for v in range(198)}, 198: 2}
+    (z_distinct, tv, mean, _sd), (z_repeat, *_rest) = stratum_score(distinct, 64), stratum_score(one_repeat, 64)
+    assert tv == mean == 1.0
+    assert -1e-6 < z_distinct < 0 and z_repeat > 1e6
+
+
+def _tv_moments_by_enumeration(n, key_len):
+    """(mean, sd) of the empirical TV over every multinomial outcome."""
+    cells = 1 << key_len
+    first = second = Fraction(0)
+    for head in product(range(n + 1), repeat=cells - 1):
+        if sum(head) > n:
+            continue
+        counts = (*head, n - sum(head))
+        weight = Fraction(math.factorial(n), cells**n)
+        for x in counts:
+            weight /= math.factorial(x)
+        tv = sum(abs(x - Fraction(n, cells)) for x in counts) / (2 * n)
+        first += weight * tv
+        second += weight * tv * tv
+    return float(first), math.sqrt(second - first * first)
+
+
+@pytest.mark.parametrize(
+    "n, key_len",
+    [(2, 1), (3, 1), (20, 1), (3, 2), (4, 2), (9, 2), (5, 3), (8, 3), (11, 3), (30, 2)],
+)
+def test_tv_moments_equal_enumeration(n, key_len):
+    mean, sd = tv_moments(n, key_len)
+    want_mean, want_sd = _tv_moments_by_enumeration(n, key_len)
+    assert abs(mean - want_mean) < 1e-12 and abs(sd - want_sd) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, key_len, sampled_mean, sampled_sd",
+    # 200 numpy multinomial draws of the former sampled baseline
+    [(2000, 4, 0.0338725, 0.006398436820818035), (5000, 8, 0.09027209375, 0.004341394544702594)],
+)
+def test_tv_moments_agree_with_sampled_baseline(n, key_len, sampled_mean, sampled_sd):
+    mean, sd = tv_moments(n, key_len)
+    assert abs(mean - sampled_mean) < 3 * sd / math.sqrt(200)
+    assert abs(sd - sampled_sd) < 3 * sd / math.sqrt(2 * 199)
+
+
+@pytest.mark.parametrize("key_len", [32, 64, 128])
+@pytest.mark.parametrize("n", [30, 5000])
+def test_tv_moments_wide_keys(n, key_len):
+    mean, sd = tv_moments(n, key_len)
+    assert 0 < mean <= 1 and 0 < sd < 1e-6 and math.isfinite(sd)
 
 
 # ---------------------------------------------------------

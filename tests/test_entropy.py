@@ -42,7 +42,7 @@ def test_logexpr_exact_zero_by_factorization():
     e = LogExpr()
     e.add_log(9, Fraction(1))
     e.add_log(3, Fraction(-2))
-    assert e.is_zero() and e.sign() == 0
+    assert e.sign() == 0
 
 
 def test_logexpr_strips_powers_of_two():
@@ -53,16 +53,28 @@ def test_logexpr_strips_powers_of_two():
 
 def test_logexpr_sign_near_zero():
     e = LogExpr(Fraction(-1585, 1000))
-    e.add_log(3, Fraction(1))  # log2(3) - 1.585 ~ -5e-5: needs the exact path
+    e.add_log(3, Fraction(1))  # log2(3) - 1.585 ~ -3.7e-5: the float value decides
     assert e.sign() == -1
     e2 = LogExpr(Fraction(-1584, 1000))
     e2.add_log(3, Fraction(1))
     assert e2.sign() == 1
 
 
+def test_logexpr_sign_within_float_cutoff_is_decided_in_integers():
+    # log2(3) - 1.5849625 ~ 7.2e-10, inside the float cutoff: with the
+    # common denominator 80000, 3^80000 is compared with 2^126797.
+    e = LogExpr(Fraction(-15849625, 10**7))
+    e.add_log(3, Fraction(1))
+    assert 0 < e.to_float() < 1e-6
+    assert e.sign() == 1
+    assert e.scaled(-1).sign() == -1
+    cube_root = LogExpr(0, {27: Fraction(1, 3), 3: Fraction(-1)})  # 27^(1/3) = 3
+    assert cube_root.sign() == 0
+
+
 def test_entropy_expr_uniform_is_rational():
     h = entropy_expr([Fraction(1, 8)] * 8)
-    assert h.is_zero() is False and h.rat == 3 and not h.terms
+    assert h.sign() == 1 and h.rat == 3 and not h.terms
 
 
 def test_entropy_expr_biased():
@@ -265,4 +277,4 @@ def test_joint_distribution_validation():
     a, b = (bv(1, 1), bv(1, 0)), (bv(1, 0), bv(1, 1))
     merged = JointDistribution.from_weights(2, [(a, 2), (b, 1), (a, 3)])
     assert merged.support == ((b, 1), (a, 5))
-    assert (merged.entropy_of(lambda t: t[0]) - entropy_expr([Fraction(1, 6), Fraction(5, 6)])).is_zero()
+    assert (merged.entropy_of(lambda t: t[0]) - entropy_expr([Fraction(1, 6), Fraction(5, 6)])).sign() == 0

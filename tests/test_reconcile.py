@@ -1,6 +1,9 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 import pytest
 
@@ -17,6 +20,7 @@ from skalab.reconcile import (
     DecodeResult,
     Fingerprint,
     _factored,
+    _subset_images,
     coset_words,
     decode,
     decode_scan,
@@ -206,6 +210,20 @@ def test_decode_matches_scan_on_hamming_spheres():
                         assert b.candidates_checked == math.comb(n, t)
                     statuses.add(a.status)
     assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
+
+
+@pytest.mark.parametrize("max_size", [0, 1, 2, 3])
+def test_subset_images_stream_every_small_subset_once(max_size):
+    cols = [3, 5, 6, 9, 12, 17, 30]
+    images = _subset_images(cols, max_size)
+    assert iter(images) is images  # a generator: the probe half is never held
+    got = list(images)
+    want = {
+        sum(1 << j for j in sub): reduce(xor, (cols[j] for j in sub), 0)
+        for w in range(max_size + 1)
+        for sub in combinations(range(len(cols)), w)
+    }
+    assert len(got) == len(want) and dict(got) == want
 
 
 def test_decode_monte_carlo_line_point():

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -172,6 +174,32 @@ def test_cli_audit_without_verdict_exits_3(tmp_path):
     )
     assert "passed=0\ninconclusive=1\n" in report.read_text()
     assert rc == 3
+
+
+def test_cli_audit_wide_key_needs_no_table_of_its_values(tmp_path, capsys):
+    # A 32-bit key: the threshold must not cost anything of size 2^32.  At
+    # the default seed the 200 draws do not collide, so the audit passes.
+    report = tmp_path / "audit.txt"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        rc = main(
+            [
+                "audit",
+                "--model", "identical:n=32",
+                "--protocol", "light",
+                "--eps", "1/4",
+                "--trials", "200",
+                "--report", str(report),
+            ]
+        )
+        elapsed = time.perf_counter() - start
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and "key_len=32\n" in report.read_text() and "passed=1\n" in report.read_text()
+    assert "Traceback" not in capsys.readouterr().err
+    assert elapsed < 2.0 and peak < 64 << 20
 
 
 def test_cli_sweep(tmp_path):

@@ -1,11 +1,14 @@
 """Every public function, class and method in src/skalab has a caller.
 
-A definition counts as called when src/ refers to it by name outside its own
+A definition counts as called when src/ refers to it outside its own
 definition, or when bench/ refers to it (a name, an attribute, or an
-identifier inside a string, such as a call site the tracer wraps).  Imports
-and ``__all__`` entries only re-export a name, and tests do not count: code
-that only tests reach belongs in tests/.  Names are matched without their
-class, so a method counts as called when any attribute of its name is.
+identifier inside a string other than a docstring, such as a call site the
+tracer wraps).  In src/ a function or class is referred to by a name or an
+attribute, and a method only by an attribute (``x.name``): a local variable
+of the same name is not a call.  Imports and ``__all__`` entries only
+re-export a name, and tests do not count: code that only tests reach
+belongs in tests/.  Names are matched without their class, so a method
+counts as called when any attribute of its name is.
 """
 
 import ast
@@ -39,31 +42,37 @@ def _public_definitions(tree):
 
 
 def _references(tree, with_strings=False):
-    """(name, line) of every Name and Attribute, and with_strings of every
-    identifier inside a string constant."""
+    """(name, line, is an attribute) of every Name and Attribute, and
+    with_strings of every identifier inside a string constant other than a
+    docstring, which is prose rather than a call site."""
+    holders = ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef
+    docstrings = {ast.get_docstring(node, clean=False) for node in ast.walk(tree) if isinstance(node, holders)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
-        elif with_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.attr, node.lineno, True
+        elif with_strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value not in docstrings:
             for word in re.findall(r"\w+", node.value):
-                yield word, node.lineno
+                yield word, node.lineno, False
 
 
 def _uncalled():
     modules = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     src_refs = {path: list(_references(tree)) for path, tree in modules.items()}
-    bench_refs = {name for path in BENCH.rglob("*.py") for name, _ in _references(ast.parse(path.read_text()), True)}
+    bench_refs = {name for path in BENCH.rglob("*.py") for name, _, _ in _references(ast.parse(path.read_text()), True)}
     missing = {}
     for path, tree in modules.items():
         for qualname, node in _public_definitions(tree):
             if node.name in bench_refs:
                 continue
+            method = "." in qualname
             called = any(
-                name == node.name and not (other == path and node.lineno <= line <= node.end_lineno)
+                name == node.name
+                and (attribute or not method)
+                and not (other == path and node.lineno <= line <= node.end_lineno)
                 for other, refs in src_refs.items()
-                for name, line in refs
+                for name, line, attribute in refs
             )
             if not called:
                 missing[qualname] = f"{path.name}:{node.lineno}"
