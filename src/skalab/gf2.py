@@ -17,15 +17,16 @@ Representation conventions (used everywhere in this package):
   hashing builds no rows and caches nothing.  Rows are derived on demand,
   for elimination; columns, which are seed windows too, for syndrome
   decoding.
-* Elimination packs the whole matrix into one integer: row i sits in slot
-  i, bits [i*w, (i+1)*w), where w is the width of the widest row.  For
-  column j, ``col = (m >> j) & ones`` (``ones`` holds bit 0 of every slot)
-  has bit 0 of slot i set iff row i holds j, and ``(col ^ pivot_bit) *
-  pivot_row`` is the pivot row copied into every other such slot.  The
-  product has no carries: each set bit of the multiplier starts its own
-  slot and ``pivot_row < 2**w``, so the partial products never overlap.
-  XORing it into the matrix is one row operation on every row at once, as
-  M4RI does per machine word (Albrecht, Bard & Hart, ACM TOMS 2010).
+* Elimination packs the unpivoted rows into one integer: row i starts in
+  slot i, bits [i*w, (i+1)*w), w the width of the widest row.  For column
+  j, ``col = (m >> j) & ones`` (``ones`` holds bit 0 of every slot) has
+  bit 0 of slot i set iff row i holds j.  The highest such slot is the
+  pivot, and XORing ``col * pivot_row`` (no carries: each set bit of the
+  multiplier starts its own slot and ``pivot_row < 2**w``) clears j from
+  every row at once, the pivot's own slot included, as M4RI does per
+  machine word (Albrecht, Bard & Hart, ACM TOMS 2010).  The top slot fills
+  the freed one, so the integer shrinks by a slot per pivot; the pivot
+  rows come out in echelon form, not reduced.
 * GF(2^n) elements are n-bit polynomials over GF(2) in the monomial basis
   (bit i = coefficient of x^i), reduced modulo the lexicographically-first
   irreducible polynomial of degree n (see ``irreducible_poly``).
@@ -174,44 +175,41 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
 
 
 def _eliminate(rows: list[int], cols: int):
-    """Row-reduce packed rows; returns (reduced rows, pivot column list),
-    pivot rows first in pivot order, then the others in input order.  Bits
-    at positions >= cols (a right-hand side) are never pivots.
-
-    The whole matrix is one integer with row i in slot i (see the module
-    docstring), so a pivot clears its column from every other row with one
-    multiplication.
+    """Forward elimination of packed rows; returns (rows, pivot column
+    list), the pivot rows in pivot order, then the others in any order.
+    Pivot row i has its lowest set bit at pivots[i], so it is zero at every
+    earlier pivot column; the others are zero below cols.  Bits at
+    positions >= cols (a right-hand side) are never pivots.
     """
-    n = len(rows)
     w = max(max(rows, default=0).bit_length(), 1)
     m = 0
     for i, r in enumerate(rows):
         m |= r << (i * w)
-    ones = ((1 << (n * w)) - 1) // ((1 << w) - 1)  # bit 0 of every slot
-    unpivoted = ones  # bit 0 of every slot whose row is not a pivot yet
+    left = len(rows)  # unpivoted rows, in slots [0, left)
+    ones = ((1 << (left * w)) - 1) // ((1 << w) - 1)  # bit 0 of every slot
     row_mask = (1 << w) - 1
-    order: list[int] = []
+    pivot_rows: list[int] = []
     pivots: list[int] = []
     for j in range(min(cols, w)):  # no row holds a column at or past w
-        if not unpivoted:
+        if not left:
             break
         col = (m >> j) & ones
-        low = col & unpivoted
-        if not low:
+        if not col:
             continue
-        low &= -low
-        shift = low.bit_length() - 1
-        m ^= (col ^ low) * ((m >> shift) & row_mask)
-        unpivoted ^= low
-        order.append(shift // w)
+        top = col.bit_length() - 1  # the highest slot holding j
+        row = (m >> top) & row_mask
+        m ^= col * row  # zeroes the pivot's slot too
+        left -= 1
+        hi = left * w
+        if top != hi:  # the top slot moves into the freed one
+            m = (m & ((1 << hi) - 1)) | ((m >> hi) << top)
+        pivot_rows.append(row)
         pivots.append(j)
-    taken = set(order)
-    order += [i for i in range(n) if i not in taken]
-    return [(m >> (i * w)) & row_mask for i in order], pivots
+    return pivot_rows + [(m >> (i * w)) & row_mask for i in range(left)], pivots
 
 
 def rank(m: Gf2Matrix) -> int:
-    """GF(2) rank via Gaussian elimination."""
+    """GF(2) rank: the number of pivots of forward elimination."""
     _, pivots = _eliminate(m.row_ints(), m.cols)
     return len(pivots)
 
@@ -221,7 +219,9 @@ def solve_affine(m: Gf2Matrix, target: BitVec):
 
     Returns (particular, kernel_basis) with everything packed as ints of
     m.cols bits, or None if the system is inconsistent.  The full solution
-    set is {particular XOR any subset-XOR of kernel_basis}.
+    set is {particular XOR any subset-XOR of kernel_basis}: free columns all
+    0, or free column f alone 1, with the pivot columns filled in by
+    back-substitution over the echelon rows, last first.
     """
     if target.n != m.rows:
         raise Gf2Error(f"solve: target length {target.n} != rows {m.rows}")
@@ -229,22 +229,19 @@ def solve_affine(m: Gf2Matrix, target: BitVec):
     aug = [r | (((t >> i) & 1) << cols) for i, r in enumerate(m.row_ints())]
     red, pivots = _eliminate(aug, cols)
     rank_ = len(pivots)
-    for r in red[rank_:]:
-        if (r >> cols) & 1:
-            return None
-    particular = 0
-    for i, j in enumerate(pivots):
-        if (red[i] >> cols) & 1:
-            particular |= 1 << j
+    if any(red[rank_:]):  # a leftover row reads 0 = 1
+        return None
+    back = [(1 << j, r) for j, r in zip(reversed(pivots), reversed(red[:rank_]))]
+
+    def substitute(vec: int) -> int:
+        for bit, r in back:
+            if (r & vec).bit_count() & 1:
+                vec |= bit
+        return vec
+
+    particular = substitute(1 << cols) ^ (1 << cols)  # the target rides in column cols
     pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = 1 << f
-        for i, j in enumerate(pivots):
-            if (red[i] >> f) & 1:
-                vec |= 1 << j
-        basis.append(vec)
+    basis = [substitute(1 << f) for f in range(cols) if f not in pivot_set]
     return particular, basis
 
 
@@ -339,23 +336,24 @@ def x_power_multiples(m: int, n: int) -> list[int]:
     return out
 
 
-def graph_images(h: Gf2Matrix, m: int, n: int) -> list[int]:
-    """H b_j for every j < n, where b_j = 2^j | (m * x^j) << n spans the
-    graph {(u, m*u)} of multiplication by m on GF(2^n) and H is Toeplitz
-    with 2n columns.
+def graph_images(h: Gf2Matrix, basis) -> list[int]:
+    """H b_j for every b_j = 2^j | (m * x^j) << n in `basis`, j < n, the
+    graph {(u, m*u)} of multiplication by m on GF(2^n); H is Toeplitz with
+    2n columns.
 
     H v is a window of seed * v, and seed * b_j = (seed << j) ^ (q_j << n)
     with q_j = seed * (m * x^j).  Doubling m * x^j doubles q_j, and its
-    reduction by f on overflow adds seed * f, so the two carry-less
-    products seed * m and seed * f give all n images.
+    reduction by f on overflow (the top bit of b_j) adds seed * f, so the
+    two carry-less products seed * m and seed * f give all n images.
     """
+    n = len(basis)
     if h.kind != "toeplitz" or h.cols != 2 * n:
         raise Gf2Error(f"graph images need a Toeplitz hash of {2 * n} columns, got {h.kind} {h.rows}x{h.cols}")
-    seed, top = h.data.v, 1 << (n - 1)
-    seed_f, q = _clmul(seed, irreducible_poly(n)), _clmul(seed, m)
+    seed, top = h.data.v, 2 * n - 1
+    seed_f, q = _clmul(seed, irreducible_poly(n)), _clmul(seed, basis[0] >> n)
     shift, mask = h.cols - 1, (1 << h.rows) - 1
     out = []
-    for j, w in enumerate(x_power_multiples(m, n)):
+    for j, b in enumerate(basis):
         out.append((((seed << j) ^ (q << n)) >> shift) & mask)
-        q = (q << 1) ^ seed_f if w & top else q << 1
+        q = (q << 1) ^ seed_f if b >> top else q << 1
     return out

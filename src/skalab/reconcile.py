@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import islice, product
 
 from .gf2 import BitVec, Gf2Matrix, _eliminate, graph_images, matvec, solve_affine
-from .sources import CorrelationModel, HammingSphere, is_consistent
+from .sources import CorrelationModel, HammingSphere, _multiplier_basis, is_consistent
 
 STATUS_UNIQUE = "unique"
 STATUS_AMBIGUOUS = "ambiguous"
@@ -104,7 +104,7 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
     base, basis, rows = candidates.base, candidates.basis, fp.spec.rows
     t = fp.value.v ^ matvec(fp.spec, BitVec(candidates.length, base)).v
     cols, pivot_rows = _factored(fp.spec, candidates.multiplier)
-    for col, row in zip(cols, pivot_rows):  # rows are reduced, so each reads t's own bit
+    for col, row in zip(cols, pivot_rows):  # in echelon order, a later row never sets an earlier column
         if (t >> col) & 1:
             t ^= row
     total = 1 << len(basis)  # not len(): the coset can exceed a machine index
@@ -123,14 +123,14 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
 
 @lru_cache(maxsize=64)
 def _factored(spec: Gf2Matrix, multiplier: int) -> tuple:
-    """(pivot columns, pivot rows) of the reduced transposed system of H on
-    the graph of multiplication by `multiplier`: row j is H b_j tagged with
-    bit rows + j, eliminated over the first rows columns.  Reducing a
-    target by these rows leaves zero below bit rows iff it is in the span,
-    and the tags above are then its coefficients.  A line-point receiver's
-    basis depends only on its own abscissa, so a fixed-seed audit factors
-    each (H, abscissa) once; an entry keeps at most n rows."""
-    images = graph_images(spec, multiplier, spec.cols // 2)
+    """(pivot columns, pivot rows) of the transposed system of H on the
+    graph of multiplication by `multiplier`, in echelon form: row j is
+    H b_j tagged with bit rows + j, eliminated forward over the first rows
+    columns.  Reducing a target by these rows in order leaves zero below
+    bit rows iff it is in the span, and the tags above are then its
+    coefficients.  A line-point receiver's basis depends only on its own
+    abscissa, so a fixed-seed audit factors each (H, abscissa) once."""
+    images = graph_images(spec, _multiplier_basis(spec.cols // 2, multiplier))
     red, pivots = _eliminate([img | (1 << (spec.rows + j)) for j, img in enumerate(images)], spec.rows)
     return tuple(pivots), tuple(red[: len(pivots)])
 

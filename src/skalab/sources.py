@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .entropy import make_profile
-from .gf2 import BitVec, irreducible_poly, mul_int, x_power_multiples
+from .gf2 import BitVec, _clmul, _poly_mod, irreducible_poly, mul_int, x_power_multiples
 from .profiles import ComplexityProfile
 from .rng import SeedStream
 
@@ -193,8 +193,9 @@ def is_consistent(model: CorrelationModel, inputs) -> bool:
     if len(set(cs)) != 3:
         return False
     (c1, d1), (c2, d2), (c3, d3) = points
-    # Equal slopes from point 1, cross-multiplied: the abscissas are distinct.
-    return mul_int(d1 ^ d2, c1 ^ c3, n) == mul_int(d1 ^ d3, c1 ^ c2, n)
+    # Equal slopes from point 1, cross-multiplied (the abscissas are
+    # distinct); reduction is linear, so one reduction of the XOR decides.
+    return not _poly_mod(_clmul(d1 ^ d2, c1 ^ c3) ^ _clmul(d1 ^ d3, c1 ^ c2), irreducible_poly(n))
 
 
 def instance_count(model: CorrelationModel) -> int:

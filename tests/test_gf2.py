@@ -235,6 +235,9 @@ def _elimination_shapes():
 
 
 def test_eliminate_matches_reference():
+    # _eliminate returns echelon rows, not reduced ones: pivot row i has
+    # its lowest set bit at pivots[i], so it is zero at every earlier pivot
+    # column, and the leftover rows are zero below cols.
     for rng, mat, cols in _elimination_shapes():
         red, pivots = gf2._eliminate(mat, cols)
         ref, ref_pivots = eliminate_reference(mat, cols)
@@ -242,11 +245,17 @@ def test_eliminate_matches_reference():
         assert len(red) == len(mat)
         m = dense_from_rows([r & ((1 << cols) - 1) for r in mat], cols)
         assert rank(m) == len(ref_pivots)
-        # Consistent when the bits >= cols are a combination of the rows:
-        # then the reduced form is unique, payload bits included.
         rank_ = len(pivots)
+        for row, j in zip(red, pivots):
+            assert (row & -row).bit_length() - 1 == j
+        assert all(r & ((1 << cols) - 1) == 0 for r in red[rank_:])
+        # Row operations keep the row space, payload bits included.
+        assert eliminate_reference(red, cols + 4)[0] == eliminate_reference(mat, cols + 4)[0]
+        # Consistent when the bits >= cols are a combination of the rows:
+        # then the pivot rows span the whole row space, and its reduced
+        # form is unique, payload bits included.
         if all(r >> cols == 0 for r in ref[rank_:]):
-            assert red[:rank_] == ref[:rank_]
+            assert eliminate_reference(red[:rank_], cols)[0] == ref[:rank_]
             assert all(r == 0 for r in red[rank_:])
 
 
@@ -270,6 +279,32 @@ def test_solve_affine_matches_reference_elimination(monkeypatch):
             assert len(basis) == m.cols - rank(m)
             assert all(matvec(m, BitVec(m.cols, b)).v == 0 for b in basis)
     assert outcomes == {True, False}
+
+
+# Omniscience on triple:n=32 solves 62 x 64 fingerprints; the others are
+# square-ish, wide (a kernel past the coset cap) and tall.
+@pytest.mark.parametrize("rows,cols", [(62, 64), (59, 60), (94, 124), (45, 31)])
+def test_solve_affine_on_session_shapes_matches_reference(monkeypatch, rows, cols):
+    # Toeplitz matrices of full, deficient and zero rank, each with a
+    # consistent target and a random one.
+    stream = SeedStream("session-shapes", rows, cols)
+    n = rows + cols - 1
+    seeds = [("random", stream.bits(n)), ("random", stream.bits(n))]
+    seeds += [("zero", 0), ("one bit", 1 << (n // 2)), ("all ones", (1 << n) - 1)]
+    cases = []
+    for name, seed in seeds:
+        m = toeplitz_from_seed(BitVec(n, seed), rows, cols)
+        for target in (matvec(m, stream.bitvec(cols)), stream.bitvec(rows)):
+            cases.append((name, m, target, solve_affine(m, target)))
+    monkeypatch.setattr(gf2, "_eliminate", eliminate_reference)
+    for name, m, target, got in cases:
+        assert got == solve_affine(m, target), name
+        if got is not None:
+            particular, basis = got
+            assert matvec(m, BitVec(cols, particular)) == target
+            assert len(basis) == cols - rank(m)
+    ranks = {name: rank(m) for name, m, _, _ in cases}
+    assert ranks["zero"] == 0 and ranks["all ones"] == 1 and ranks["one bit"] > 0
 
 
 # ---------------------------------------------------------
@@ -338,20 +373,24 @@ def test_x_power_multiples_match_field_products(n):
         assert x_power_multiples(m, n) == [mul_int(m, 1 << j, n) for j in range(n)]
 
 
+def _graph_basis(m, n):
+    return [(1 << j) | (mul_int(m, 1 << j, n) << n) for j in range(n)]
+
+
 @pytest.mark.parametrize("n", GRAPH_DEGREES)
 def test_graph_images_match_matvec(n):
     # Every row count from 1 to 2n + 30: fewer rows than the basis, as many,
     # and more than the 2n columns.
     stream = SeedStream("graph-images", n)
     for m in _multipliers(n, stream):
-        basis = [BitVec(2 * n, (1 << j) | (mul_int(m, 1 << j, n) << n)) for j in range(n)]
+        basis = _graph_basis(m, n)
         for rows in range(1, 2 * n + 31):
             h = toeplitz_from_seed(stream.bitvec(rows + 2 * n - 1), rows, 2 * n)
-            assert graph_images(h, m, n) == [matvec(h, b).v for b in basis], (m, rows)
+            assert graph_images(h, basis) == [matvec(h, BitVec(2 * n, b)).v for b in basis], (m, rows)
 
 
 def test_graph_images_need_a_toeplitz_hash_of_2n_columns():
     with pytest.raises(Gf2Error):
-        graph_images(identity(8), 3, 4)
+        graph_images(identity(8), _graph_basis(3, 4))
     with pytest.raises(Gf2Error):
-        graph_images(toeplitz_from_seed(BitVec(10, 0), 3, 8), 3, 5)
+        graph_images(toeplitz_from_seed(BitVec(10, 0), 3, 8), _graph_basis(3, 5))

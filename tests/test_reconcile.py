@@ -178,13 +178,45 @@ def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
 
     monkeypatch.setattr(gf2, "_clmul", counted("_clmul", gf2._clmul))
     mul_int = counted("mul_int", gf2.mul_int)
+    doubling = counted("x_power_multiples", gf2.x_power_multiples)
     for module in (gf2, sources):
         monkeypatch.setattr(module, "mul_int", mul_int)
+        monkeypatch.setattr(module, "x_power_multiples", doubling)
     _factored.cache_clear()
     _multiplier_basis.cache_clear()
     res = decode(fp, enumerate_candidates(model, 2, y))
     assert (res.status, res.value) == (STATUS_UNIQUE, x)
     assert calls["mul_int"] == 0 and calls["_clmul"] <= 4, calls
+    assert calls["x_power_multiples"] == 1, calls  # one doubling walk: the basis's
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 31, 62, 64])
+def test_factored_rows_are_echelon_and_return_coefficients(n):
+    # Light line-point fingerprints have n + ceil(log2(1/eps)) rows.  Each
+    # pivot row's lowest set bit is its pivot column, the columns increase,
+    # and reducing H b for a combination b of the graph basis clears the
+    # low bits and leaves b's coefficients in the tag bits.
+    stream = SeedStream("factored", n)
+    for m in (0, 1, (1 << n) - 1, stream.bits(n)):
+        basis = _multiplier_basis(n, m)
+        for rows in (n + 2, n + 8):
+            spec = Gf2Matrix("toeplitz", rows, 2 * n, stream.bitvec(rows + 2 * n - 1))
+            cols, pivot_rows = _factored(spec, m)
+            assert list(cols) == sorted(set(cols)) and len(cols) == len(pivot_rows) <= n
+            for col, row in zip(cols, pivot_rows):
+                assert (row & -row).bit_length() - 1 == col
+            for _ in range(8):
+                coeffs = stream.bits(n)
+                b = reduce(xor, (v for j, v in enumerate(basis) if (coeffs >> j) & 1), 0)
+                t = matvec(spec, BitVec(2 * n, b)).v
+                for col, row in zip(cols, pivot_rows):
+                    if (t >> col) & 1:
+                        t ^= row
+                assert t & ((1 << rows) - 1) == 0
+                got = reduce(xor, (v for j, v in enumerate(basis) if (t >> (rows + j)) & 1), 0)
+                assert matvec(spec, BitVec(2 * n, got)).v == matvec(spec, BitVec(2 * n, b)).v
+                if len(cols) == n:  # full rank: the coefficients are unique
+                    assert t >> rows == coeffs
 
 
 def test_decode_matches_scan_on_hamming_spheres():

@@ -127,6 +127,28 @@ def test_triple_consistency_exhaustive(n):
     assert consistent == instance_count(model)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_triple_consistency_matches_two_field_products(n):
+    # is_consistent reduces the XOR of two carry-less products once; the
+    # test compares the two field products.  With point 1 at (0, 0) the
+    # operands d2, c3, d3 and c2 range over every value distinct
+    # abscissas allow.
+    model = parse_model_spec(f"triple:n={n}")
+    q = 1 << n
+    agree = 0
+    for c2 in range(1, q):
+        for c3 in range(1, q):
+            if c3 == c2:
+                continue
+            for d2 in range(q):
+                for d3 in range(q):
+                    pts = (BitVec(2 * n, 0), BitVec(2 * n, c2 | d2 << n), BitVec(2 * n, c3 | d3 << n))
+                    want = mul_int(d2, c3, n) == mul_int(d3, c2, n)
+                    assert is_consistent(model, pts) == want
+                    agree += want
+    assert agree == (q - 1) * (q - 2) * q  # one d3 per (c2, c3, d2)
+
+
 def test_instance_rejects_inconsistent_inputs():
     model = parse_model_spec("identical:n=4")
     with pytest.raises(ValueError):
