@@ -14,7 +14,6 @@ from .gf2 import (
     irreducible_poly,
     matvec,
     rank,
-    toeplitz_from_seed,
 )
 from .hashext import ExtractorSpec, ceil_log2_inv, extract
 from .profiles import (
@@ -40,7 +39,6 @@ from .reconcile import (
     Fingerprint,
     decode,
     multi_decode,
-    syndrome_decode,
 )
 from .rng import SeedStream
 from .sources import (

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 from .audit import conditional_uniformity
 from .profiles import parse_profile
-from .protocols import Margins, SessionConfig
+from .protocols import Margins, session_plan
 from .rateregion import co_formula3, co_lp, key_capacity, sw_constraints
 from .runner import ExperimentPlan, run_plan, sweep_configs
-from .sources import parse_model_spec
 
 
 def _fraction(text: str) -> Fraction:
@@ -27,18 +28,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _margins(args) -> Margins | None:
-    fields = (args.margin_k, args.margin_phase1, args.margin_deficiency, args.extractor_eps)
-    if all(v is None for v in fields):
-        return None
-    model = parse_model_spec(args.model)
-    base = Margins.defaults(model.n, args.eps)
-    return Margins(
-        k_slack=base.k_slack if args.margin_k is None else args.margin_k,
-        phase1=base.phase1 if args.margin_phase1 is None else args.margin_phase1,
-        deficiency=base.deficiency if args.margin_deficiency is None else args.margin_deficiency,
-        extractor_eps=args.extractor_eps,
-    )
+def _margins(args, n: int, eps) -> Margins | None:
+    """The margin flags that were set, over the defaults for (n, eps)."""
+    flags = {
+        "k_slack": args.margin_k,
+        "phase1": args.margin_phase1,
+        "deficiency": args.margin_deficiency,
+        "extractor_eps": args.extractor_eps,
+    }
+    given = {name: v for name, v in flags.items() if v is not None}
+    return replace(Margins.defaults(n, eps), **given) if given else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,14 +105,25 @@ def _emit(text: str, path: str | None, quiet: bool) -> None:
         sys.stdout.write(text)
 
 
-def _config(args) -> SessionConfig:
-    model = parse_model_spec(args.model)
-    return SessionConfig(model, _protocol_name(args.protocol), args.eps, args.seed, _margins(args))
+def _configs(args) -> list:
+    """Every config the command runs, each planned before any session runs,
+    so that a bad model, size or margin is a usage error."""
+    configs = sweep_configs(
+        args.model,
+        getattr(args, "n", None),  # only sweep has axes
+        getattr(args, "t", None),
+        getattr(args, "eps_list", None) or [args.eps],
+        _protocol_name(args.protocol),
+        args.seed,
+        partial(_margins, args),
+    )
+    for config in configs:
+        session_plan(config)
+    return configs
 
 
-def cmd_simulate(args) -> int:
-    plan = ExperimentPlan((_config(args),), args.trials)
-    result = run_plan(plan)
+def cmd_simulate(args, configs) -> int:
+    result = run_plan(ExperimentPlan(tuple(configs), args.trials))
     _emit(result["csv"], args.out, args.quiet)
     if not args.quiet:
         s = result["summaries"][0]
@@ -149,24 +159,15 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def cmd_audit(args) -> int:
-    report = conditional_uniformity(_config(args), args.trials)
+def cmd_audit(args, configs) -> int:
+    report = conditional_uniformity(configs[0], args.trials)
     _emit(report.records(), args.report, args.quiet)
     if report.inconclusive:
         return 3
     return 0 if report.passed else 1
 
 
-def cmd_sweep(args) -> int:
-    configs = sweep_configs(
-        args.model,
-        args.n,
-        args.t,
-        args.eps_list or [args.eps],
-        _protocol_name(args.protocol),
-        args.seed,
-        _margins(args),
-    )
+def cmd_sweep(args, configs) -> int:
     plan = ExperimentPlan(tuple(configs), args.trials, csv_path=args.out, summary_path=args.summary)
     result = run_plan(plan)
     if not args.out:
@@ -183,13 +184,15 @@ def cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "simulate": cmd_simulate,
-        "rates": cmd_rates,
-        "audit": cmd_audit,
-        "sweep": cmd_sweep,
-    }
-    return handlers[args.command](args)
+    if args.command == "rates":
+        return cmd_rates(args)
+    try:
+        configs = _configs(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    handlers = {"simulate": cmd_simulate, "audit": cmd_audit, "sweep": cmd_sweep}
+    return handlers[args.command](args, configs)
 
 
 if __name__ == "__main__":

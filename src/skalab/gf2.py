@@ -8,15 +8,15 @@ Representation conventions (used everywhere in this package):
 * Hex serialization is length-prefixed, ``len:hex``, where the hex digits
   encode the bytes ``v & 0xff``, ``(v >> 8) & 0xff``, ... in order
   (little-endian within byte, least significant byte first).
-* A dense ``rows x cols`` matrix stores ``rows*cols`` bits; entry (i, j)
-  is data bit ``i*cols + j``.
-* A Toeplitz ``rows x cols`` matrix stores ``rows + cols - 1`` diagonal
-  bits; entry (i, j) is diagonal bit ``i - j + cols - 1``, so every
-  descending diagonal is constant.  Its product with x is the window
-  [cols - 1, cols - 1 + rows) of the carry-less product seed(z) * x(z), so
-  hashing builds no rows and caches nothing.  Rows are derived on demand,
-  for elimination; columns, which are seed windows too, for syndrome
-  decoding.
+* Every ``Gf2Matrix`` is Toeplitz: a ``rows x cols`` one stores
+  ``rows + cols - 1`` diagonal bits; entry (i, j) is diagonal bit
+  ``i - j + cols - 1``, so every descending diagonal is constant.  Its
+  product with x is the window [cols - 1, cols - 1 + rows) of the
+  carry-less product seed(z) * x(z), so hashing builds no rows and caches
+  nothing.  Rows are derived on demand, for elimination; columns, which are
+  seed windows too, for the Hamming sphere decode.
+* Rank and affine solves take any matrix as packed rows (bit j of row i is
+  entry (i, j)), so stacked hashes, which are not Toeplitz, need no type.
 * Elimination packs the unpivoted rows into one integer: row i starts in
   slot i, bits [i*w, (i+1)*w), w the width of the widest row.  For column
   j, ``col = (m >> j) & ones`` (``ones`` holds bit 0 of every slot) has
@@ -90,64 +90,43 @@ def toeplitz_seed_len(rows: int, cols: int) -> int:
 
 @dataclass(frozen=True)
 class Gf2Matrix:
-    """GF(2) matrix, dense or Toeplitz, with bit data packed in a BitVec.
+    """Toeplitz GF(2) matrix whose rows + cols - 1 diagonal bits are `data`.
 
-    This is also the seeded linear hash of the protocols: a Toeplitz
-    matrix's data is its seed, the bits a session broadcasts.
+    This is the seeded linear hash of the protocols: the data is the seed,
+    the bits a session broadcasts.
     """
 
-    kind: str  # "dense" | "toeplitz"
     rows: int
     cols: int
     data: BitVec
 
     def __post_init__(self) -> None:
-        if self.kind not in ("dense", "toeplitz"):
-            raise Gf2Error(f"unknown matrix kind {self.kind!r}")
         if self.rows < 0 or self.cols < 0:
             raise Gf2Error(f"negative shape {self.rows}x{self.cols}")
-        want = self.rows * self.cols if self.kind == "dense" else toeplitz_seed_len(self.rows, self.cols)
+        want = toeplitz_seed_len(self.rows, self.cols)
         if self.data.n != want:
-            raise Gf2Error(
-                f"{self.kind} {self.rows}x{self.cols} needs {want} data bits, got {self.data.n}"
-            )
+            raise Gf2Error(f"toeplitz {self.rows}x{self.cols} needs a seed of {want} bits, got {self.data.n}")
 
     def row_ints(self) -> list[int]:
         """Rows as packed integers (bit j of row i = entry (i, j))."""
-        mask = (1 << self.cols) - 1
-        if self.kind == "dense":
-            return [(self.data.v >> (i * self.cols)) & mask for i in range(self.rows)]
         # Row i is the seed window [i, i + cols) reversed, which is the
         # reversed seed's window starting at rows - 1 - i.
+        mask = (1 << self.cols) - 1
         rev = int(f"{self.data.v:0{self.data.n}b}"[::-1], 2)
         return [(rev >> (self.rows - 1 - i)) & mask for i in range(self.rows)]
 
     def column_ints(self) -> list[int]:
-        """Columns as packed integers (bit i of column j = entry (i, j))."""
+        """Columns as packed integers (bit i of column j = entry (i, j)):
+        column j is the seed window [cols - 1 - j, cols - 1 - j + rows)."""
         mask = (1 << self.rows) - 1
-        if self.kind == "toeplitz":  # column j: seed bits [cols - 1 - j, cols - 1 - j + rows)
-            return [(self.data.v >> (self.cols - 1 - j)) & mask for j in range(self.cols)]
-        rows = self.row_ints()
-        return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(self.cols)]
+        return [(self.data.v >> (self.cols - 1 - j)) & mask for j in range(self.cols)]
 
     def row_block(self, start: int, stop: int) -> "Gf2Matrix":
-        """Rows [start, stop) of a Toeplitz matrix, itself Toeplitz."""
-        if self.kind != "toeplitz" or not 0 <= start <= stop <= self.rows:
-            raise Gf2Error(f"no row block [{start}:{stop}] of a {self.kind} matrix of {self.rows} rows")
+        """Rows [start, stop), themselves Toeplitz."""
+        if not 0 <= start <= stop <= self.rows:
+            raise Gf2Error(f"no row block [{start}:{stop}] of a matrix of {self.rows} rows")
         seed = self.data.slice(start, start + toeplitz_seed_len(stop - start, self.cols))
-        return Gf2Matrix("toeplitz", stop - start, self.cols, seed)
-
-
-def toeplitz_from_seed(seed_bits: BitVec, rows: int, cols: int) -> Gf2Matrix:
-    """Toeplitz matrix with diagonal bits taken from `seed_bits`.
-
-    The seed must hold exactly rows + cols - 1 bits; entry (i, j) is seed
-    bit i - j + cols - 1, so the matrix is fully determined by the seed.
-    """
-    want = toeplitz_seed_len(rows, cols)
-    if seed_bits.n != want:
-        raise Gf2Error(f"toeplitz {rows}x{cols} needs seed of {want} bits, got {seed_bits.n}")
-    return Gf2Matrix("toeplitz", rows, cols, seed_bits)
+        return Gf2Matrix(stop - start, self.cols, seed)
 
 
 def _clmul(a: int, b: int) -> int:
@@ -164,14 +143,9 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     """GF(2) matrix-vector product; result bit i is <row i, x> mod 2."""
     if x.n != m.cols:
         raise Gf2Error(f"matvec: vector length {x.n} != cols {m.cols}")
-    if m.kind == "toeplitz":
-        if not m.cols:  # no window to take: the seed and x are empty
-            return BitVec(m.rows, 0)
-        return BitVec(m.rows, (_clmul(m.data.v, x.v) >> (m.cols - 1)) & ((1 << m.rows) - 1))
-    out = 0
-    for i, r in enumerate(m.row_ints()):
-        out |= ((r & x.v).bit_count() & 1) << i
-    return BitVec(m.rows, out)
+    if not m.cols:  # no window to take: the seed and x are empty
+        return BitVec(m.rows, 0)
+    return BitVec(m.rows, (_clmul(m.data.v, x.v) >> (m.cols - 1)) & ((1 << m.rows) - 1))
 
 
 def _eliminate(rows: list[int], cols: int):
@@ -208,25 +182,26 @@ def _eliminate(rows: list[int], cols: int):
     return pivot_rows + [(m >> (i * w)) & row_mask for i in range(left)], pivots
 
 
-def rank(m: Gf2Matrix) -> int:
-    """GF(2) rank: the number of pivots of forward elimination."""
-    _, pivots = _eliminate(m.row_ints(), m.cols)
+def rank(rows: list[int], cols: int) -> int:
+    """GF(2) rank of packed rows: the number of pivots of forward
+    elimination over the first cols columns."""
+    _, pivots = _eliminate(rows, cols)
     return len(pivots)
 
 
-def solve_affine(m: Gf2Matrix, target: BitVec):
-    """All solutions of M x = target.
+def solve_affine(rows: list[int], cols: int, target: BitVec):
+    """All solutions of M x = target, M given as packed rows of cols bits.
 
     Returns (particular, kernel_basis) with everything packed as ints of
-    m.cols bits, or None if the system is inconsistent.  The full solution
+    cols bits, or None if the system is inconsistent.  The full solution
     set is {particular XOR any subset-XOR of kernel_basis}: free columns all
     0, or free column f alone 1, with the pivot columns filled in by
     back-substitution over the echelon rows, last first.
     """
-    if target.n != m.rows:
-        raise Gf2Error(f"solve: target length {target.n} != rows {m.rows}")
-    cols, t = m.cols, target.v
-    aug = [r | (((t >> i) & 1) << cols) for i, r in enumerate(m.row_ints())]
+    if target.n != len(rows) or any(r >> cols for r in rows):
+        raise Gf2Error(f"solve: target of {target.n} bits for {len(rows)} rows of {cols} bits")
+    t = target.v
+    aug = [r | (((t >> i) & 1) << cols) for i, r in enumerate(rows)]
     red, pivots = _eliminate(aug, cols)
     rank_ = len(pivots)
     if any(red[rank_:]):  # a leftover row reads 0 = 1
@@ -338,8 +313,7 @@ def x_power_multiples(m: int, n: int) -> list[int]:
 
 def graph_images(h: Gf2Matrix, basis) -> list[int]:
     """H b_j for every b_j = 2^j | (m * x^j) << n in `basis`, j < n, the
-    graph {(u, m*u)} of multiplication by m on GF(2^n); H is Toeplitz with
-    2n columns.
+    graph {(u, m*u)} of multiplication by m on GF(2^n); H has 2n columns.
 
     H v is a window of seed * v, and seed * b_j = (seed << j) ^ (q_j << n)
     with q_j = seed * (m * x^j).  Doubling m * x^j doubles q_j, and its
@@ -347,8 +321,8 @@ def graph_images(h: Gf2Matrix, basis) -> list[int]:
     two carry-less products seed * m and seed * f give all n images.
     """
     n = len(basis)
-    if h.kind != "toeplitz" or h.cols != 2 * n:
-        raise Gf2Error(f"graph images need a Toeplitz hash of {2 * n} columns, got {h.kind} {h.rows}x{h.cols}")
+    if h.cols != 2 * n:
+        raise Gf2Error(f"graph images need a hash of {2 * n} columns, got {h.rows}x{h.cols}")
     seed, top = h.data.v, 2 * n - 1
     seed_f, q = _clmul(seed, irreducible_poly(n)), _clmul(seed, basis[0] >> n)
     shift, mask = h.cols - 1, (1 << h.rows) - 1

@@ -1,10 +1,10 @@
 """Universal linear hashing and the seeded strong extractor.
 
 Fingerprinting and privacy amplification both reduce to one primitive: a
-seeded GF(2)-linear map.  Toeplitz seeds give the universality of the
-textbook dense family with rows + cols - 1 seed bits, which is what every
-protocol here sends on the public channel; applying one is a window of a
-carry-less product (see gf2.matvec).
+seeded GF(2)-linear map, and every one here is a Toeplitz matrix: the family
+is universal with rows + cols - 1 seed bits (Mansour, Nisan & Tiwari 1990;
+Krawczyk 1994), which is what every protocol here sends on the public
+channel; applying one is a window of a carry-less product (see gf2.matvec).
 
 The extractor is the Toeplitz / leftover-hash construction: for min-entropy
 k and error eps it outputs m = k - 2*ceil(log2(1/eps)) bits from a seed of
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gf2 import BitVec, matvec, toeplitz_from_seed
+from .gf2 import BitVec, Gf2Matrix, matvec
 
 
 def ceil_log2_inv(eps) -> int:
@@ -67,4 +67,4 @@ def extract(x: BitVec, spec: ExtractorSpec, seed: BitVec) -> BitVec:
         raise ValueError(f"input has {x.n} bits, extractor wants {spec.input_len}")
     if seed.n != spec.seed_len:
         raise ValueError(f"seed has {seed.n} bits, extractor wants {spec.seed_len}")
-    return matvec(toeplitz_from_seed(seed, spec.output_len, spec.input_len), x)
+    return matvec(Gf2Matrix(spec.output_len, spec.input_len, seed), x)

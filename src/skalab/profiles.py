@@ -60,10 +60,6 @@ class ComplexityProfile:
     def full(self) -> frozenset:
         return frozenset(range(1, self.ell + 1))
 
-    def scale(self, factor) -> "ComplexityProfile":
-        f = Fraction(factor)
-        return ComplexityProfile(self.ell, {s: v * f for s, v in self.values.items()})
-
 
 def cond(profile: ComplexityProfile, v, w) -> Fraction:
     """Conditional complexity C(x_V | x_W) = C(x_{V u W}) - C(x_W)."""

@@ -260,10 +260,10 @@ def toeplitz_hashes(protocol: str, fp_rows: tuple, material_len: int, xlen: int,
     once.  Light's one seed holds both hashes as row blocks of one H."""
     if protocol == LIGHT:
         (q_rows,) = fp_rows
-        h = Gf2Matrix("toeplitz", q_rows + material_len, xlen, seeds[0])
+        h = Gf2Matrix(q_rows + material_len, xlen, seeds[0])
         return (h.row_block(0, q_rows),), h.row_block(q_rows, h.rows)
-    fp_hashes = tuple(Gf2Matrix("toeplitz", rows, xlen, seed) for rows, seed in zip(fp_rows, seeds))
-    return fp_hashes, Gf2Matrix("toeplitz", material_len, len(fp_rows) * xlen, seeds[len(fp_rows)])
+    fp_hashes = tuple(Gf2Matrix(rows, xlen, seed) for rows, seed in zip(fp_rows, seeds))
+    return fp_hashes, Gf2Matrix(material_len, len(fp_rows) * xlen, seeds[len(fp_rows)])
 
 
 def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):

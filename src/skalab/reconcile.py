@@ -18,7 +18,6 @@ them once per (hash, m), so a decode reduces its target by at most n pivot
 rows.  A Hamming sphere (the words at distance exactly t from the
 receiver's) is decoded by meeting in the middle on the column images of
 the hash, which finds the weight-t errors e with H e = fingerprint xor H y.
-`syndrome_decode` runs the same search for errors of weight at most t.
 `decode_scan` keeps the literal scan available and is cross-checked against
 both in tests.
 
@@ -214,20 +213,6 @@ def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
     return res
 
 
-def syndrome_decode(y: BitVec, syndrome: BitVec, code: Gf2Matrix, max_weight: int) -> DecodeResult:
-    """Find x = y xor e with weight(e) <= max_weight matching the syndrome.
-
-    By linearity the match condition is code @ e = syndrome xor code @ y;
-    the errors come from the same meet-in-the-middle search as the Hamming
-    sphere decode.
-    """
-    if code.cols != y.n:
-        raise ValueError(f"code has {code.cols} columns, word has {y.n} bits")
-    target = syndrome.v ^ matvec(code, y).v
-    ball = sum(math.comb(y.n, w) for w in range(max_weight + 1))
-    return _verdict(_error_matches(code.column_ints(), target, max_weight), y, ball)
-
-
 # ---------------------------------------------------------------------------
 # Joint decoding for omniscience
 # ---------------------------------------------------------------------------
@@ -244,7 +229,7 @@ def coset_words(m: Gf2Matrix, value: BitVec) -> tuple | None:
     an omniscience session solve each fingerprint, and a fixed-seed audit
     sees each value many times, so each is solved once; the result is a
     tuple because every caller shares it."""
-    sol = solve_affine(m, value)
+    sol = solve_affine(m.row_ints(), m.cols, value)
     if sol is None:
         return ()
     particular, kernel = sol

@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .protocols import Margins, SessionConfig, run_session
+from .protocols import SessionConfig, run_session
 from .sources import CorrelationModel, parse_model_spec
 
 TRIAL_COLUMNS = (
@@ -58,16 +58,18 @@ def sweep_configs(
     eps_list,
     protocol: str,
     seed: int,
-    margins: Margins | None = None,
+    margins=None,
 ) -> list:
-    """Cross product of the sweep axes as session configs."""
+    """Cross product of the sweep axes as session configs; an axis left
+    empty keeps the spec's value.  margins(n, eps), when given, sizes each
+    config's margins, or leaves the defaults by returning None."""
     base = parse_model_spec(kind_spec)
     configs = []
     for n in ns or [base.n]:
         for t in ts or [base.t]:
             model = CorrelationModel(base.kind, n, t if base.kind == "hamming_pair" else 0)
-            for eps in eps_list:
-                configs.append(SessionConfig(model, protocol, Fraction(eps), seed, margins))
+            for eps in map(Fraction, eps_list):
+                configs.append(SessionConfig(model, protocol, eps, seed, margins and margins(n, eps)))
     return configs
 
 

@@ -1,63 +1,71 @@
-"""Test-only constructions: dense matrices from packed rows and the entry
-and dense-copy references for structured ones, parity-check matrices for
-the syndrome-decoding tests, and one-shot seeded hashes and fingerprints
+"""Test-only constructions: the entry and dense-copy references for Toeplitz
+hashes, dense codes as packed rows (bit j of row i is entry (i, j)) with
+their syndrome decoder, and one-shot seeded hashes and fingerprints
 (sessions draw their seeds through ``protocols.draw_seeds``)."""
 
+import math
 from fractions import Fraction
 
 from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, matvec, toeplitz_seed_len
 from skalab.hashext import ceil_log2_inv
-from skalab.reconcile import Fingerprint
+from skalab.reconcile import DecodeResult, Fingerprint, _error_matches, _verdict
 from skalab.rng import SeedStream
 
 
-def dense_from_rows(rows: list[int], cols: int) -> Gf2Matrix:
-    """Dense matrix whose row i is the packed integer rows[i]."""
-    v = 0
-    for i, r in enumerate(rows):
-        if r >> cols:
-            raise Gf2Error(f"row {i} wider than {cols} bits")
-        v |= r << (i * cols)
-    return Gf2Matrix("dense", len(rows), cols, BitVec(len(rows) * cols, v))
-
-
 def entry(m: Gf2Matrix, i: int, j: int) -> int:
-    """Entry (i, j) read straight from the data layout (see ``skalab.gf2``)."""
+    """Entry (i, j) read straight from the seed layout (see ``skalab.gf2``)."""
     if not (0 <= i < m.rows and 0 <= j < m.cols):
         raise Gf2Error(f"entry ({i},{j}) out of range")
-    if m.kind == "dense":
-        return (m.data.v >> (i * m.cols + j)) & 1
     return (m.data.v >> (i - j + m.cols - 1)) & 1
 
 
-def to_dense(m: Gf2Matrix) -> Gf2Matrix:
-    """Dense copy of any matrix, from its packed rows."""
-    return dense_from_rows(m.row_ints(), m.cols)
+def to_dense(m: Gf2Matrix) -> list[int]:
+    """Packed rows of a Toeplitz matrix, built entry by entry."""
+    return [sum(entry(m, i, j) << j for j in range(m.cols)) for i in range(m.rows)]
 
 
-def hamming_parity_check(r: int) -> Gf2Matrix:
-    """Parity-check matrix of the Hamming(2^r - 1, 2^r - 1 - r) code.
+def dense_matvec(rows: list[int], x: BitVec) -> BitVec:
+    """Product of packed rows with x; bit i is <row i, x> mod 2."""
+    if any(r >> x.n for r in rows):
+        raise Gf2Error(f"a row is wider than the {x.n}-bit vector")
+    return BitVec(len(rows), sum(((r & x.v).bit_count() & 1) << i for i, r in enumerate(rows)))
+
+
+def dense_column_ints(rows: list[int], cols: int) -> list[int]:
+    """Columns of packed rows (bit i of column j = entry (i, j))."""
+    return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(cols)]
+
+
+def hamming_parity_check(r: int) -> list[int]:
+    """Parity-check rows of the Hamming(2^r - 1, 2^r - 1 - r) code.
 
     Column j (0-based) is the binary expansion of j + 1, so the syndrome of
     a single error at position j reads j + 1 directly.
     """
     n = (1 << r) - 1
-    rows = []
-    for i in range(r):
-        bits = 0
-        for j in range(n):
-            bits |= (((j + 1) >> i) & 1) << j
-        rows.append(bits)
-    return dense_from_rows(rows, n)
+    return [sum((((j + 1) >> i) & 1) << j for j in range(n)) for i in range(r)]
 
 
-def random_linear_code(rows: int, n: int, stream: SeedStream) -> Gf2Matrix:
-    return dense_from_rows([stream.bits(n) for _ in range(rows)], n)
+def random_linear_code(rows: int, n: int, stream: SeedStream) -> list[int]:
+    return [stream.bits(n) for _ in range(rows)]
+
+
+def syndrome_decode(y: BitVec, syndrome: BitVec, code: list[int], max_weight: int) -> DecodeResult:
+    """Find x = y xor e with weight(e) <= max_weight matching the syndrome
+    under the code's parity-check rows.
+
+    By linearity the match condition is code @ e = syndrome xor code @ y;
+    the errors come from the same meet-in-the-middle search as the Hamming
+    sphere decode.
+    """
+    target = syndrome.v ^ dense_matvec(code, y).v
+    ball = sum(math.comb(y.n, w) for w in range(max_weight + 1))
+    return _verdict(_error_matches(dense_column_ints(code, y.n), target, max_weight), y, ball)
 
 
 def fresh_toeplitz(rows: int, cols: int, stream: SeedStream) -> Gf2Matrix:
     """Toeplitz hash with a fresh seed drawn from the stream."""
-    return Gf2Matrix("toeplitz", rows, cols, stream.bitvec(toeplitz_seed_len(rows, cols)))
+    return Gf2Matrix(rows, cols, stream.bitvec(toeplitz_seed_len(rows, cols)))
 
 
 def encode(x: BitVec, k: int, eps, stream: SeedStream) -> Fingerprint:

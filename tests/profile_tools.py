@@ -1,5 +1,6 @@
-"""Profile helpers for tests: the profile file writer, random polymatroids
-and the pairwise polymatroid check that oracles the elemental one."""
+"""Profile helpers for tests: the profile file writer, scaling, random
+polymatroids and the pairwise polymatroid check that oracles the elemental
+one."""
 
 from fractions import Fraction
 
@@ -15,6 +16,12 @@ def format_profile(profile: ComplexityProfile) -> str:
         v = profile.values[s]
         lines.append(f"{key}={v.numerator}/{v.denominator}" if v.denominator != 1 else f"{key}={v}")
     return "\n".join(lines) + "\n"
+
+
+def scale(profile: ComplexityProfile, factor) -> ComplexityProfile:
+    """Every complexity of the profile times factor."""
+    f = Fraction(factor)
+    return ComplexityProfile(profile.ell, {s: v * f for s, v in profile.values.items()})
 
 
 def is_polymatroid_pairwise(profile: ComplexityProfile) -> bool:

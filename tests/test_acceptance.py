@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import pytest
 
-from codes import hamming_parity_check, random_linear_code
+from codes import dense_matvec, hamming_parity_check, random_linear_code, syndrome_decode
 from entropy_checks import (
     check_calculation_identity_a,
     check_calculation_identity_b,
@@ -30,7 +30,7 @@ from entropy_checks import (
 )
 from profile_tools import random_polymatroid
 from skalab.audit import exact_small_n_audit
-from skalab.gf2 import BitVec, matvec
+from skalab.gf2 import BitVec
 from skalab.hashext import ExtractorSpec, extract
 from skalab.protocols import (
     Margins,
@@ -38,7 +38,7 @@ from skalab.protocols import (
     run_session,
 )
 from skalab.rateregion import co_formula3, co_lp, key_capacity, sw_constraints
-from skalab.reconcile import STATUS_UNIQUE, syndrome_decode
+from skalab.reconcile import STATUS_UNIQUE
 from skalab.rng import SeedStream
 from skalab.sources import analytic_profile, parse_model_spec, sample
 
@@ -176,7 +176,7 @@ def test_criterion_4_rate_region_oracles():
 def _syndrome_session(code, model, eps, trial, master):
     inst = sample(model, master.child("in", trial))
     x, y = inst.inputs
-    s = matvec(code, x)
+    s = dense_matvec(code, x)
     res = syndrome_decode(y, s, code, model.t)
     return res.status == STATUS_UNIQUE and res.value == x
 
@@ -189,7 +189,7 @@ def test_criterion_5_hamming_reconciliation():
     master = SeedStream("acc5", 31)
     ok31 = sum(_syndrome_session(code31, model31, eps, t, master) for t in range(10_000))
 
-    spec31 = ExtractorSpec(input_len=31, min_entropy=31 - code31.rows, eps=eps)
+    spec31 = ExtractorSpec(input_len=31, min_entropy=31 - len(code31), eps=eps)
     assert spec31.output_len == 31 - 5 - 2 * 4  # n - syndrome - 2 ceil(log2(1/eps))
 
     # random linear code at n=24, t=2 with ceil(h(2/24) * 24) + 4 rows

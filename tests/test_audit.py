@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 import skalab.audit
-from codes import dense_from_rows
 from skalab.audit import (
     AuditReport,
     Z_PASS,
@@ -18,7 +17,7 @@ from skalab.audit import (
     worst_stratum,
 )
 from skalab.channel import TranscriptRecord
-from skalab.gf2 import BitVec, matvec, rank, solve_affine, toeplitz_from_seed
+from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank, solve_affine
 from skalab.protocols import Margins, SessionConfig, execute, input_stream
 from skalab.rng import SeedStream
 from skalab.sources import enumerate_instances, instance_count, parse_model_spec, sample
@@ -38,8 +37,8 @@ def _seed_with_full_rank_h(spec, eps, n):
     for seed in range(200):
         config = light_config(spec, eps, seed)
         (_sender, _kind, h_seed), = fixed_seeds(config)[1]
-        h = toeplitz_from_seed(h_seed, n, n)
-        if rank(h) == n:
+        h = Gf2Matrix(n, n, h_seed)
+        if rank(h.row_ints(), n) == n:
             return config
     raise AssertionError("no full-rank seed found")
 
@@ -312,7 +311,7 @@ def test_light_within_stratum_uniformity_exact():
     model = config.model
     plan, ((_sender, _kind, seed),) = fixed_seeds(config)
     (q_rows,), key_rows = plan.fp_rows, plan.key_len
-    h = toeplitz_from_seed(seed, q_rows + key_rows, model.input_len)
+    h = Gf2Matrix(q_rows + key_rows, model.input_len, seed)
     h1 = h.row_block(0, q_rows)
     h2 = h.row_block(q_rows, q_rows + key_rows)
 
@@ -325,11 +324,8 @@ def test_light_within_stratum_uniformity_exact():
         strata[q.v][z.v] = strata[q.v].get(z.v, 0) + 1
 
     # fiber direction space = kernel of H1; key rank on the fiber
-    _, kernel = solve_affine(h1, BitVec(q_rows, 0))
-    h2w = dense_from_rows(
-        [matvec(h2, BitVec(model.input_len, w)).v for w in kernel], key_rows
-    )
-    fiber_rank = rank(h2w)
+    _, kernel = solve_affine(h1.row_ints(), h1.cols, BitVec(q_rows, 0))
+    fiber_rank = rank([matvec(h2, BitVec(model.input_len, w)).v for w in kernel], key_rows)
 
     for counts in strata.values():
         values = set(counts.values())

@@ -9,21 +9,17 @@ from skalab.gf2 import (
     BitVec,
     FieldConfigError,
     Gf2Error,
+    Gf2Matrix,
     graph_images,
     irreducible_poly,
     matvec,
     mul_int,
     rank,
     solve_affine,
-    toeplitz_from_seed,
     x_power_multiples,
 )
-from codes import dense_from_rows, entry, to_dense
+from codes import dense_column_ints, dense_matvec, entry, to_dense
 from skalab.rng import SeedStream
-
-
-def identity(n):
-    return dense_from_rows([1 << i for i in range(n)], n)
 
 
 # ---------------------------------------------------------
@@ -61,31 +57,34 @@ def test_hex_roundtrip_random(n, data):
 # ---------------------------------------------------------
 
 def test_matvec_identity():
+    # Seed bit cols - 1 alone is the main diagonal.
     x = BitVec(4, 0b1101)
-    assert matvec(identity(4), x) == x
+    assert matvec(Gf2Matrix(4, 4, BitVec(7, 1 << 3)), x) == x
 
 
 def test_matvec_zero_vector():
-    m = toeplitz_from_seed(BitVec(8, 0b10110101), 4, 5)
+    m = Gf2Matrix(4, 5, BitVec(8, 0b10110101))
     assert matvec(m, BitVec(5, 0)) == BitVec(4, 0)
 
 
 def test_matvec_dense_2x3_hand_xor():
-    # rows (110) and (011) as bit sequences, x = 101: output (1, 1)
-    m = dense_from_rows([0b011, 0b110], 3)
+    # seed bits 0,1,1,0 give rows (1,1,0) and (0,1,1) as bit sequences;
+    # x = 101 hits one 1 on each row: output (1, 1)
+    m = Gf2Matrix(2, 3, BitVec(4, 0b0110))
+    assert to_dense(m) == [0b011, 0b110]
     assert matvec(m, BitVec(3, 0b101)) == BitVec(2, 0b11)
 
 
 def test_matvec_dimension_mismatch():
     with pytest.raises(Gf2Error):
-        matvec(identity(4), BitVec(3, 0))
+        matvec(Gf2Matrix(4, 4, BitVec(7, 1 << 3)), BitVec(3, 0))
 
 
 @settings(max_examples=60)
 @given(st.integers(1, 24), st.integers(1, 24), st.data())
 def test_matvec_linearity(rows, cols, data):
     stream = SeedStream("linearity", rows, cols, data.draw(st.integers(0, 2**16)))
-    m = toeplitz_from_seed(stream.bitvec(rows + cols - 1), rows, cols)
+    m = Gf2Matrix(rows, cols, stream.bitvec(rows + cols - 1))
     x = stream.bitvec(cols)
     y = stream.bitvec(cols)
     assert matvec(m, BitVec(cols, x.v ^ y.v)).v == matvec(m, x).v ^ matvec(m, y).v
@@ -96,25 +95,28 @@ def test_matvec_linearity(rows, cols, data):
 # ---------------------------------------------------------
 
 def test_toeplitz_1x1():
-    m = toeplitz_from_seed(BitVec(1, 1), 1, 1)
+    m = Gf2Matrix(1, 1, BitVec(1, 1))
     assert entry(m, 0, 0) == 1
 
 
 def test_toeplitz_2x2_diagonal_layout():
     # seed bits 1,0,1 give rows (0,1) and (1,0)
-    m = toeplitz_from_seed(BitVec(3, 0b101), 2, 2)
+    m = Gf2Matrix(2, 2, BitVec(3, 0b101))
     assert [[entry(m, i, j) for j in range(2)] for i in range(2)] == [[0, 1], [1, 0]]
 
 
 def test_toeplitz_seed_length_contract():
     with pytest.raises(Gf2Error):
-        toeplitz_from_seed(BitVec(5, 0), 3, 4)  # needs 6 bits
-    toeplitz_from_seed(BitVec(6, 0), 3, 4)
+        Gf2Matrix(3, 4, BitVec(5, 0))  # needs 6 bits
+    with pytest.raises(Gf2Error):
+        Gf2Matrix(-1, 4, BitVec(2, 0))
+    Gf2Matrix(3, 4, BitVec(6, 0))
+    Gf2Matrix(0, 4, BitVec(0, 0))  # an empty shape has no diagonals
 
 
 def test_toeplitz_constant_diagonals():
     stream = SeedStream("diag")
-    m = toeplitz_from_seed(stream.bitvec(10), 5, 6)
+    m = Gf2Matrix(5, 6, stream.bitvec(10))
     for i in range(1, 5):
         for j in range(1, 6):
             assert entry(m, i, j) == entry(m, i - 1, j - 1)
@@ -130,31 +132,30 @@ def test_toeplitz_constant_diagonals():
 @example(1, 1, 4)
 def test_toeplitz_dense_expansion_matvec_agree(rows, cols, salt):
     # The dense reference is built entry by entry, independently of both
-    # the product window that matvec takes and the rows that to_dense reads;
-    # so are the columns.
+    # the product window that matvec takes and the seed windows that
+    # row_ints and column_ints read; so are the columns.
     stream = SeedStream("expand", salt)
-    m = toeplitz_from_seed(stream.bitvec(rows + cols - 1), rows, cols)
-    ref = dense_from_rows(
-        [sum(entry(m, i, j) << j for j in range(cols)) for i in range(rows)], cols
-    )
-    assert to_dense(m) == ref
+    m = Gf2Matrix(rows, cols, stream.bitvec(rows + cols - 1))
+    ref = to_dense(m)
+    assert m.row_ints() == ref
     columns = [sum(entry(m, i, j) << i for i in range(rows)) for j in range(cols)]
-    assert m.column_ints() == ref.column_ints() == columns
+    assert m.column_ints() == dense_column_ints(ref, cols) == columns
     for x in (stream.bitvec(cols), stream.bitvec(cols), BitVec(cols, (1 << cols) - 1)):
-        assert matvec(m, x) == matvec(ref, x)
+        assert matvec(m, x) == dense_matvec(ref, x)
 
 
 def test_row_block_of_toeplitz_matches_dense_slice():
     stream = SeedStream("blocks")
-    m = toeplitz_from_seed(stream.bitvec(14), 8, 7)
+    m = Gf2Matrix(8, 7, stream.bitvec(14))
     x = stream.bitvec(7)
     full = matvec(m, x)
     top = matvec(m.row_block(0, 3), x)
     bottom = matvec(m.row_block(3, 8), x)
     assert full == top.concat(bottom)
+    assert m.row_block(0, 3).row_ints() + m.row_block(3, 8).row_ints() == to_dense(m)
     assert matvec(m.row_block(8, 8), x) == BitVec(0, 0)
     with pytest.raises(Gf2Error):
-        identity(3).row_block(0, 1)  # row blocks stay Toeplitz
+        m.row_block(3, 9)
 
 
 # ---------------------------------------------------------
@@ -162,22 +163,22 @@ def test_row_block_of_toeplitz_matches_dense_slice():
 # ---------------------------------------------------------
 
 def test_rank_zero_and_identity():
-    assert rank(dense_from_rows([0, 0, 0], 4)) == 0
-    assert rank(identity(5)) == 5
+    assert rank([0, 0, 0], 4) == 0
+    assert rank([1 << i for i in range(5)], 5) == 5
 
 
 def test_rank_duplicate_rows():
-    assert rank(dense_from_rows([0b11, 0b11], 2)) == 1
+    assert rank([0b11, 0b11], 2) == 1
 
 
 def test_solve_affine_roundtrip():
     stream = SeedStream("solve")
     for _ in range(50):
         rows, cols = 1 + stream.randrange(10), 1 + stream.randrange(10)
-        m = toeplitz_from_seed(stream.bitvec(rows + cols - 1), rows, cols)
+        m = Gf2Matrix(rows, cols, stream.bitvec(rows + cols - 1))
         x = stream.bitvec(cols)
         t = matvec(m, x)
-        sol = solve_affine(m, t)
+        sol = solve_affine(m.row_ints(), cols, t)
         assert sol is not None
         particular, basis = sol
         # every element of the coset solves the system; x is among them
@@ -188,12 +189,19 @@ def test_solve_affine_roundtrip():
         for b in basis:
             span |= {s ^ b for s in span}
         assert x.v in span
-        assert len(span) == 1 << (cols - rank(m))
+        assert len(span) == 1 << (cols - rank(m.row_ints(), cols))
 
 
 def test_solve_affine_inconsistent():
-    m = dense_from_rows([0b1, 0b1], 1)  # x = 0 and x = 1 simultaneously
-    assert solve_affine(m, BitVec(2, 0b10)) is None
+    # x = 0 and x = 1 simultaneously
+    assert solve_affine([0b1, 0b1], 1, BitVec(2, 0b10)) is None
+
+
+def test_solve_affine_shape_contract():
+    with pytest.raises(Gf2Error):
+        solve_affine([0b1, 0b1], 1, BitVec(3, 0))  # one target bit per row
+    with pytest.raises(Gf2Error):
+        solve_affine([0b10], 1, BitVec(1, 0))  # a row wider than cols
 
 
 def eliminate_reference(rows, cols):
@@ -243,8 +251,7 @@ def test_eliminate_matches_reference():
         ref, ref_pivots = eliminate_reference(mat, cols)
         assert pivots == ref_pivots
         assert len(red) == len(mat)
-        m = dense_from_rows([r & ((1 << cols) - 1) for r in mat], cols)
-        assert rank(m) == len(ref_pivots)
+        assert rank([r & ((1 << cols) - 1) for r in mat], cols) == len(ref_pivots)
         rank_ = len(pivots)
         for row, j in zip(red, pivots):
             assert (row & -row).bit_length() - 1 == j
@@ -262,22 +269,22 @@ def test_eliminate_matches_reference():
 def test_solve_affine_matches_reference_elimination(monkeypatch):
     cases = []
     for rng, mat, cols in _elimination_shapes():
-        m = dense_from_rows([r & ((1 << cols) - 1) for r in mat], cols)
+        m = [r & ((1 << cols) - 1) for r in mat]
         if rng.random() < 0.5:  # consistent by construction
-            target = matvec(m, BitVec(cols, rng.getrandbits(cols)))
+            target = dense_matvec(m, BitVec(cols, rng.getrandbits(cols)))
         else:
             target = BitVec(len(mat), rng.getrandbits(len(mat)))
-        cases.append((m, target, solve_affine(m, target)))
+        cases.append((m, cols, target, solve_affine(m, cols, target)))
     monkeypatch.setattr(gf2, "_eliminate", eliminate_reference)
     outcomes = set()
-    for m, target, got in cases:
-        assert got == solve_affine(m, target)
+    for m, cols, target, got in cases:
+        assert got == solve_affine(m, cols, target)
         outcomes.add(got is None)
         if got is not None:
             particular, basis = got
-            assert matvec(m, BitVec(m.cols, particular)) == target
-            assert len(basis) == m.cols - rank(m)
-            assert all(matvec(m, BitVec(m.cols, b)).v == 0 for b in basis)
+            assert dense_matvec(m, BitVec(cols, particular)) == target
+            assert len(basis) == cols - rank(m, cols)
+            assert all(dense_matvec(m, BitVec(cols, b)).v == 0 for b in basis)
     assert outcomes == {True, False}
 
 
@@ -293,17 +300,17 @@ def test_solve_affine_on_session_shapes_matches_reference(monkeypatch, rows, col
     seeds += [("zero", 0), ("one bit", 1 << (n // 2)), ("all ones", (1 << n) - 1)]
     cases = []
     for name, seed in seeds:
-        m = toeplitz_from_seed(BitVec(n, seed), rows, cols)
+        m = Gf2Matrix(rows, cols, BitVec(n, seed))
         for target in (matvec(m, stream.bitvec(cols)), stream.bitvec(rows)):
-            cases.append((name, m, target, solve_affine(m, target)))
+            cases.append((name, m, target, solve_affine(m.row_ints(), cols, target)))
     monkeypatch.setattr(gf2, "_eliminate", eliminate_reference)
     for name, m, target, got in cases:
-        assert got == solve_affine(m, target), name
+        assert got == solve_affine(m.row_ints(), cols, target), name
         if got is not None:
             particular, basis = got
             assert matvec(m, BitVec(cols, particular)) == target
-            assert len(basis) == cols - rank(m)
-    ranks = {name: rank(m) for name, m, _, _ in cases}
+            assert len(basis) == cols - rank(m.row_ints(), cols)
+    ranks = {name: rank(m.row_ints(), cols) for name, m, _, _ in cases}
     assert ranks["zero"] == 0 and ranks["all ones"] == 1 and ranks["one bit"] > 0
 
 
@@ -385,12 +392,10 @@ def test_graph_images_match_matvec(n):
     for m in _multipliers(n, stream):
         basis = _graph_basis(m, n)
         for rows in range(1, 2 * n + 31):
-            h = toeplitz_from_seed(stream.bitvec(rows + 2 * n - 1), rows, 2 * n)
+            h = Gf2Matrix(rows, 2 * n, stream.bitvec(rows + 2 * n - 1))
             assert graph_images(h, basis) == [matvec(h, BitVec(2 * n, b)).v for b in basis], (m, rows)
 
 
 def test_graph_images_need_a_toeplitz_hash_of_2n_columns():
     with pytest.raises(Gf2Error):
-        graph_images(identity(8), _graph_basis(3, 4))
-    with pytest.raises(Gf2Error):
-        graph_images(toeplitz_from_seed(BitVec(10, 0), 3, 8), _graph_basis(3, 5))
+        graph_images(Gf2Matrix(3, 8, BitVec(10, 0)), _graph_basis(3, 5))

@@ -42,7 +42,7 @@ def test_ceil_log2_inv_closed_form_exhaustive():
 # ---------------------------------------------------------
 
 def test_hash_zero_rows_empty_output():
-    spec = Gf2Matrix("toeplitz", 0, 5, BitVec(0, 0))
+    spec = Gf2Matrix(0, 5, BitVec(0, 0))
     assert matvec(spec, BitVec(5, 0b10110)) == BitVec(0, 0)
 
 
@@ -54,7 +54,7 @@ def test_hash_zero_input_is_zero():
 def test_hash_fixed_toeplitz_seed_10110():
     # seed bits 1,0,1,1,0 for a 2x4 Toeplitz: rows (1,1,0,1) and (0,1,1,0);
     # x = 1001 hits two ones on row 0 and none on row 1: output (0,0).
-    spec = Gf2Matrix("toeplitz", 2, 4, BitVec(5, 0b01101))
+    spec = Gf2Matrix(2, 4, BitVec(5, 0b01101))
     out = matvec(spec, BitVec(4, 0b1001))
     assert out == BitVec(2, 0b00)
     assert matvec(spec, BitVec(4, 0b1001)) == out  # replay

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from profile_tools import random_polymatroid
+from profile_tools import random_polymatroid, scale
 from skalab.entropy import make_profile
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets
 from skalab.rateregion import (
@@ -173,7 +173,7 @@ def test_co_lp_scaling_linearity():
     p = triple16()
     base, _ = co_lp(sw_constraints(p))
     for lam in (Fraction(1, 2), Fraction(3), Fraction(7, 4)):
-        scaled, _ = co_lp(sw_constraints(p.scale(lam)))
+        scaled, _ = co_lp(sw_constraints(scale(p, lam)))
         assert scaled == base * lam
 
 

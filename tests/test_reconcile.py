@@ -7,7 +7,7 @@ from operator import xor
 
 import pytest
 
-from codes import encode, hamming_parity_check, random_linear_code
+from codes import dense_matvec, encode, hamming_parity_check, random_linear_code, syndrome_decode
 from skalab import gf2, sources
 from skalab.audit import exact_small_n_audit
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank
@@ -25,7 +25,6 @@ from skalab.reconcile import (
     decode,
     decode_scan,
     multi_decode,
-    syndrome_decode,
 )
 from skalab.rng import SeedStream
 from skalab.sources import (
@@ -90,7 +89,7 @@ def test_zero_row_fingerprint_decodes_one_word_sets():
     # With nothing to reconcile light sends a fingerprint of no rows; decode
     # takes it like any other.
     y = SeedStream("z0").bitvec(10)
-    fp = Fingerprint(Gf2Matrix("toeplitz", 0, 10, BitVec(0, 0)), BitVec(0, 0))
+    fp = Fingerprint(Gf2Matrix(0, 10, BitVec(0, 0)), BitVec(0, 0))
     for cands in (singleton(y), HammingSphere(10, y.v, 0)):
         res = decode(fp, cands)
         assert res.status == STATUS_UNIQUE and res.value == y
@@ -148,7 +147,7 @@ def test_factorization_memo_shared_across_fingerprint_values():
     cands = enumerate_candidates(model, 2, sample(model, stream.child("inst")).inputs[1])
     statuses = set()
     for rows in (3, 8):
-        spec = Gf2Matrix("toeplitz", rows, 8, stream.child("toeplitz", rows).bitvec(rows + 7))
+        spec = Gf2Matrix(rows, 8, stream.child("toeplitz", rows).bitvec(rows + 7))
         _factored.cache_clear()
         for value in range(1 << rows):
             fp = Fingerprint(spec, BitVec(rows, value))
@@ -200,7 +199,7 @@ def test_factored_rows_are_echelon_and_return_coefficients(n):
     for m in (0, 1, (1 << n) - 1, stream.bits(n)):
         basis = _multiplier_basis(n, m)
         for rows in (n + 2, n + 8):
-            spec = Gf2Matrix("toeplitz", rows, 2 * n, stream.bitvec(rows + 2 * n - 1))
+            spec = Gf2Matrix(rows, 2 * n, stream.bitvec(rows + 2 * n - 1))
             cols, pivot_rows = _factored(spec, m)
             assert list(cols) == sorted(set(cols)) and len(cols) == len(pivot_rows) <= n
             for col, row in zip(cols, pivot_rows):
@@ -299,29 +298,29 @@ def test_decode_soundness_unique_is_correct():
 def test_syndrome_of_codeword_is_zero():
     code = hamming_parity_check(3)
     # parity-check rows xor to zero on any codeword; all-zeros is one
-    assert matvec(code, BitVec(7, 0)) == BitVec(3, 0)
+    assert dense_matvec(code, BitVec(7, 0)) == BitVec(3, 0)
 
 
 def test_syndrome_single_error_reads_column():
     code = hamming_parity_check(3)
     e3 = BitVec(7, 1 << 2)  # error at position 3 (1-based)
-    assert matvec(code, e3).v == 3
+    assert dense_matvec(code, e3).v == 3
 
 
 def test_hamming_31_26_syndrome_length_vs_entropy_rate():
     code = hamming_parity_check(5)
-    assert code.rows == 5 and code.cols == 31
+    assert len(code) == 5 and max(code).bit_length() == 31
     # binary entropy h(1/31)*31: the asymptotic reconciliation rate
     d = 1 / 31
     h = d * math.log2(1 / d) + (1 - d) * math.log2(1 / (1 - d))
     assert abs(h * 31 - 6.4) < 0.1
-    assert code.rows < h * 31  # the perfect code beats the entropy rate at n=31
+    assert len(code) < h * 31  # the perfect code beats the entropy rate at n=31
 
 
 def test_syndrome_decode_weight0():
     code = hamming_parity_check(3)
     y = SeedStream("sd").bitvec(7)
-    s = matvec(code, y)
+    s = dense_matvec(code, y)
     res = syndrome_decode(y, s, code, 0)
     assert res.status == STATUS_UNIQUE and res.value == y
     res2 = syndrome_decode(y, BitVec(3, s.v ^ 1), code, 0)
@@ -334,7 +333,7 @@ def test_hamming74_t1_always_unique():
     code = hamming_parity_check(3)
     for xv in range(128):
         x = BitVec(7, xv)
-        s = matvec(code, x)
+        s = dense_matvec(code, x)
         for e in [0] + [1 << i for i in range(7)]:
             y = BitVec(7, xv ^ e)
             res = syndrome_decode(y, s, code, 1)
@@ -347,7 +346,7 @@ def test_syndrome_decode_matches_brute_force_on_dense_codes():
     for n in range(2, 11):
         for rows in range(1, 9):
             code = random_linear_code(rows, n, stream.child("code", n, rows))
-            syndromes = [matvec(code, BitVec(n, v)).v for v in range(1 << n)]
+            syndromes = [dense_matvec(code, BitVec(n, v)).v for v in range(1 << n)]
             y = stream.child("y", n, rows).bitvec(n)
             for w in range(min(3, n) + 1):
                 for s in (syndromes[y.v ^ ((1 << w) - 1)], stream.bits(rows)):
@@ -384,7 +383,7 @@ def test_random_linear_code_syndrome_monte_carlo():
         for p in picks:
             e |= 1 << p
         y = BitVec(n, x.v ^ e)
-        res = syndrome_decode(y, matvec(code, x), code, t)
+        res = syndrome_decode(y, dense_matvec(code, x), code, t)
         if res.status == STATUS_UNIQUE and res.value == x:
             ok += 1
     assert ok / trials >= 0.9
@@ -401,7 +400,7 @@ def test_coset_words_cover_preimage():
     sols = coset_words(fp.spec, fp.value)
     assert isinstance(sols, tuple)  # memoized and shared, so immutable
     assert x in sols
-    assert len(set(sols)) == len(sols) == 1 << (10 - rank(fp.spec))
+    assert len(set(sols)) == len(sols) == 1 << (10 - rank(fp.spec.row_ints(), 10))
     for v in sols:
         assert matvec(fp.spec, v) == fp.value
 

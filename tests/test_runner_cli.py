@@ -8,7 +8,7 @@ import pytest
 from profile_tools import format_profile
 from skalab.cli import main
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets
-from skalab.protocols import SessionConfig, run_session
+from skalab.protocols import Margins, SessionConfig, run_session
 from skalab.runner import ExperimentPlan, run_plan, summarize, sweep_configs
 from skalab.sources import analytic_profile, ceil_log2, parse_model_spec
 
@@ -222,6 +222,49 @@ def test_cli_sweep(tmp_path):
     assert rc == 0
     assert len(out.read_text().strip().splitlines()) == 21
     assert len(summary.read_text().strip().splitlines()) == 2
+
+
+def test_cli_sweep_margin_flag_keeps_each_configs_other_margins(tmp_path):
+    # --margin-k 24 is the default k_slack at n=64, so setting it must
+    # change nothing: every swept eps keeps its own default phase-1 and
+    # deficiency margins.
+    assert Margins.defaults(64, Fraction(1, 4)).k_slack == 24
+    argv = [
+        "sweep",
+        "--model", "line-point:n=64",
+        "--protocol", "two-phase",
+        "--eps-list", "1/4", "1/256",
+        "--trials", "2",
+        "--quiet",
+    ]
+    outs = []
+    for extra in ([], ["--margin-k", "24"]):
+        out = tmp_path / f"sweep{len(extra)}.csv"
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+
+
+# An unknown model, margins that leave the extractor no output (m = 0), and
+# a field degree with no registered polynomial.  The last sweep's first
+# config is valid, and still no session may run before the bad one fails.
+BAD_CONFIGS = [
+    ("bogus:n=2", "light", "1/256", "2"),
+    ("line-point:n=2", "two-phase", "1/2", "2"),
+    ("line-point:n=70", "light", "1/256", "8 70"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit", "sweep"])
+@pytest.mark.parametrize("model,protocol,eps,sweep_n", BAD_CONFIGS)
+def test_cli_bad_config_is_a_usage_error(capsys, command, model, protocol, eps, sweep_n):
+    argv = [command, "--model", model, "--protocol", protocol, "--eps", eps, "--trials", "2"]
+    if command == "sweep":
+        argv += ["--n", *sweep_n.split()]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_config_file(tmp_path, capsys):

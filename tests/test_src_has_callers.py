@@ -3,7 +3,9 @@
 A definition counts as called when src/ refers to it outside its own
 definition, or when bench/ refers to it (a name, an attribute, or an
 identifier inside a string other than a docstring, such as a call site the
-tracer wraps).  In src/ a function or class is referred to by a name or an
+tracer wraps) and bench/ defines no function or method of that name, which
+the reference may mean instead (``Speedometer.scale`` is not a caller of a
+src ``scale``).  In src/ a function or class is referred to by a name or an
 attribute, and a method only by an attribute (``x.name``): a local variable
 of the same name is not a call.  Imports and ``__all__`` entries only
 re-export a name, and tests do not count: code that only tests reach
@@ -21,7 +23,6 @@ BENCH = ROOT / "bench"
 
 # Deliberate definitions without a caller in src/ or bench/, one reason each.
 ALLOWED = {
-    "syndrome_decode": "syndrome decoder of a fixed code, the reference for the Hamming reconciliation",
     "rank": "GF(2) rank, which the exact secrecy certificate H(Z|T) = rank[A;B] - rank A needs",
     "RateRegion.satisfied_by": "membership of a rate tuple, the oracle for the rate LP",
     "Transcript.parse": "reads back a dumped transcript: a party's key is recomputable from stored bytes",
@@ -60,7 +61,10 @@ def _references(tree, with_strings=False):
 def _uncalled():
     modules = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     src_refs = {path: list(_references(tree)) for path, tree in modules.items()}
-    bench_refs = {name for path in BENCH.rglob("*.py") for name, _, _ in _references(ast.parse(path.read_text()), True)}
+    bench_trees = [ast.parse(path.read_text()) for path in BENCH.rglob("*.py")]
+    functions = ast.FunctionDef, ast.AsyncFunctionDef
+    bench_defs = {node.name for tree in bench_trees for node in ast.walk(tree) if isinstance(node, functions)}
+    bench_refs = {name for tree in bench_trees for name, _, _ in _references(tree, True)} - bench_defs
     missing = {}
     for path, tree in modules.items():
         for qualname, node in _public_definitions(tree):
