@@ -6,7 +6,7 @@ with a recording eavesdropper, next to the exact rate-region optimization
 and entropy audits that certify the sessions' accounting.
 """
 
-from .channel import Channel, Transcript, TranscriptRecord
+from .channel import Transcript, TranscriptRecord
 from .entropy import JointDistribution, LogExpr, transcript_inequality_audit
 from .gf2 import (
     BitVec,

@@ -18,7 +18,7 @@ from .audit import conditional_uniformity
 from .profiles import parse_profile
 from .protocols import Margins, session_plan
 from .rateregion import co_formula3, co_lp, key_capacity, sw_constraints
-from .runner import ExperimentPlan, run_plan, sweep_configs
+from .runner import run_plan, sweep_configs
 
 
 def _fraction(text: str) -> Fraction:
@@ -26,6 +26,18 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def _at_least(minimum: int):
+    """An argparse type for an integer of at least minimum."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is less than {minimum}")
+        return value
+
+    return count
 
 
 def _margins(args, n: int, eps) -> Margins | None:
@@ -68,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[common], help="run protocol sessions, write per-trial CSV")
     add_common(sim)
-    sim.add_argument("--trials", type=int, default=100)
+    sim.add_argument("--trials", type=_at_least(0), default=100)
     sim.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
     rates = sub.add_parser("rates", parents=[common], help="constraints, CO, optimal rates, key capacity")
@@ -77,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     aud = sub.add_parser("audit", parents=[common], help="key audit; exit 0 pass, 1 fail, 3 no verdict")
     add_common(aud)
-    aud.add_argument("--trials", type=int, default=20000)
+    aud.add_argument("--trials", type=_at_least(1), default=20000)
     aud.add_argument("--report", default=None, help="report path (default stdout)")
 
     sw = sub.add_parser("sweep", parents=[common], help="sweep n/t/eps axes and summarize")
@@ -85,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--n", type=int, nargs="*", default=None)
     sw.add_argument("--t", type=int, nargs="*", default=None)
     sw.add_argument("--eps-list", type=_fraction, nargs="*", default=None)
-    sw.add_argument("--trials", type=int, default=100)
+    sw.add_argument("--trials", type=_at_least(0), default=100)
     sw.add_argument("--out", default=None, help="CSV output path")
     sw.add_argument("--summary", default=None, help="summary records path")
     return parser
@@ -105,6 +117,11 @@ def _emit(text: str, path: str | None, quiet: bool) -> None:
         sys.stdout.write(text)
 
 
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _configs(args) -> list:
     """Every config the command runs, each planned before any session runs,
     so that a bad model, size or margin is a usage error."""
@@ -122,16 +139,22 @@ def _configs(args) -> list:
     return configs
 
 
-def cmd_simulate(args, configs) -> int:
-    result = run_plan(ExperimentPlan(tuple(configs), args.trials))
+def cmd_sessions(args, configs) -> int:
+    """simulate and sweep: simulate is a sweep of one config."""
+    result = run_plan(configs, args.trials)
     _emit(result["csv"], args.out, args.quiet)
+    summary_path = getattr(args, "summary", None)  # only sweep writes summaries
+    if summary_path:
+        records = (" ".join(f"{k}={v}" for k, v in s.items()) + "\n" for s in result["summaries"])
+        _emit("".join(records), summary_path, args.quiet)
     if not args.quiet:
-        s = result["summaries"][0]
-        print(
-            f"agreement={s['agreement_rate']:.4f} key_len={s['key_len']} "
-            f"mean_comm={s['mean_comm_bits']:.1f} target_comm={s['target_comm']}",
-            file=sys.stderr,
-        )
+        for s in result["summaries"]:
+            print(
+                f"{s['model']} eps={s['eps']}: agreement={s['agreement_rate']:.4f} key_len={s['key_len']} "
+                f"mean_comm={s['mean_comm_bits']:.1f} mean_payload={s['mean_payload_bits']:.1f} "
+                f"target_comm={s['target_comm']}",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -142,8 +165,7 @@ def cmd_rates(args) -> int:
         profile = parse_profile(text)
         region = sw_constraints(profile)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     total, rates = co_lp(region)
     cap = key_capacity(profile)
     lines = []
@@ -167,32 +189,19 @@ def cmd_audit(args, configs) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_sweep(args, configs) -> int:
-    plan = ExperimentPlan(tuple(configs), args.trials, csv_path=args.out, summary_path=args.summary)
-    result = run_plan(plan)
-    if not args.out:
-        _emit(result["csv"], None, args.quiet)
-    if not args.quiet:
-        for s in result["summaries"]:
-            print(
-                f"{s['model']} eps={s['eps']}: agreement={s['agreement_rate']:.4f} "
-                f"key_len={s['key_len']} mean_payload={s['mean_payload_bits']:.1f}",
-                file=sys.stderr,
-            )
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "rates":
-        return cmd_rates(args)
     try:
-        configs = _configs(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    handlers = {"simulate": cmd_simulate, "audit": cmd_audit, "sweep": cmd_sweep}
-    return handlers[args.command](args, configs)
+        if args.command == "rates":
+            return cmd_rates(args)
+        try:
+            configs = _configs(args)
+        except ValueError as exc:
+            return _error(exc)
+        handler = cmd_audit if args.command == "audit" else cmd_sessions
+        return handler(args, configs)
+    except OSError as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

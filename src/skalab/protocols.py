@@ -8,8 +8,9 @@ All three protocols run on one driver, in three steps:
    rows, k the complexity its message covers, and nothing downstream
    re-checks that count.
 2. broadcast  ``draw_seeds(plan, public_stream)`` draws the public Toeplitz
-   and extractor seeds, and ``execute(plan, inputs, seeds)`` puts them on
-   the channel, each fingerprint sender's input hashed after its seed.
+   and extractor seeds, and ``execute(plan, inputs, seeds)`` records them
+   in the one-round transcript, each fingerprint sender's input hashed
+   after its seed.
    Audits hold the public seeds fixed, so they draw them once.
 3. party key  ``party_key(plan, party, own, transcript)`` recovers the
    fingerprint senders' inputs from the party's own input and the
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .channel import Channel, Transcript
+from .channel import Transcript, TranscriptRecord
 from .gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
 from .hashext import ExtractorSpec, ceil_log2_inv, extract
 from .profiles import cond, mutual
@@ -125,7 +126,6 @@ class SessionOutcome:
     target_comm: Fraction
     decode_status: str
     payload_bits: int
-    overhead_bits: int
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def _plan(model: CorrelationModel, protocol: str, eps: Fraction, margins: Margin
 # Public seeds and hashes: the per-protocol step
 # ---------------------------------------------------------------------------
 
-# Record kinds of the seeds that a fingerprint follows on the channel.
+# Record kinds of the seeds that a fingerprint follows in the transcript.
 _FP_SEED_KINDS = ("hash_spec", "fp_spec")
 _STREAM_LABEL = {TWO_PHASE: "two_phase", OMNISCIENCE: "omni"}
 
@@ -323,13 +323,12 @@ def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
     and leak checks."""
     payloads = tuple(payload for _sender, _kind, payload in seeds)
     fp_hashes, _key_hash = toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, payloads)
-    channel = Channel()
-    channel.next_round()
+    records = []
     for sender, kind, payload in seeds:
-        channel.broadcast(sender, kind, payload)
+        records.append(TranscriptRecord(1, sender, kind, payload))
         if kind in _FP_SEED_KINDS:
-            channel.broadcast(sender, "fingerprint", matvec(fp_hashes[sender - 1], inputs[sender - 1]))
-    transcript = channel.close()
+            records.append(TranscriptRecord(1, sender, "fingerprint", matvec(fp_hashes[sender - 1], inputs[sender - 1])))
+    transcript = Transcript(records)
 
     keys, statuses, materials = zip(
         *(party_key(plan, i, own, transcript) for i, own in enumerate(inputs, start=1))
@@ -346,7 +345,6 @@ def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
         target_comm=plan.target_comm,
         decode_status=next((s for s in statuses if s != STATUS_UNIQUE), STATUS_UNIQUE),
         payload_bits=transcript.payload_bits(),
-        overhead_bits=transcript.overhead_bits(),
     )
 
 

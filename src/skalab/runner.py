@@ -1,8 +1,9 @@
-"""Experiment plans: sweeps of sessions with CSV and summary outputs.
+"""Sweeps of sessions, formatted as per-trial CSV text and summaries.
 
-Outputs are bit-for-bit reproducible from the plan: all session randomness
-derives from named sub-streams of each config's seed, and rows are written
-in deterministic order.
+Outputs are bit-for-bit reproducible from the configs: all session
+randomness derives from named sub-streams of each config's seed, and rows
+come in deterministic order.  Nothing here writes a file; the command line
+does.
 """
 
 from __future__ import annotations
@@ -10,9 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .protocols import SessionConfig, run_session
 from .sources import CorrelationModel, parse_model_spec
@@ -34,21 +33,6 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     return str(value)
-
-
-@dataclass(frozen=True)
-class ExperimentPlan:
-    configs: tuple
-    trials: int
-    csv_path: str | None = None
-    summary_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.trials < 0:
-            raise ValueError("negative trial count")
-        for c in self.configs:
-            if not isinstance(c, SessionConfig):
-                raise ValueError("plan entries must be SessionConfig")
 
 
 def sweep_configs(
@@ -114,33 +98,18 @@ def trial_rows(outcomes, with_config: SessionConfig | None = None):
         yield row
 
 
-def run_plan(plan: ExperimentPlan) -> dict:
-    """Execute the plan; returns {"csv": str, "summaries": [dict]} and
-    writes the files when paths are configured."""
-    multi = len(plan.configs) > 1
+def run_plan(configs, trials: int) -> dict:
+    """Run trials sessions of each config; returns {"csv": str, "summaries":
+    [dict]}.  With more than one config each row leads with its config."""
+    multi = len(configs) > 1
     columns = (("model", "protocol", "eps") if multi else ()) + TRIAL_COLUMNS
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     summaries = []
-    for config in plan.configs:
-        outcomes = [run_session(config, t) for t in range(plan.trials)]
+    for config in configs:
+        outcomes = [run_session(config, t) for t in range(trials)]
         for row in trial_rows(outcomes, config if multi else None):
             writer.writerow(row)
         summaries.append(summarize(config, outcomes))
-    csv_text = buf.getvalue()
-    if plan.csv_path:
-        _write_file(plan.csv_path, csv_text)
-    if plan.summary_path:
-        lines = []
-        for s in summaries:
-            lines.append(" ".join(f"{k}={v}" for k, v in s.items()))
-        _write_file(plan.summary_path, "\n".join(lines) + "\n" if lines else "")
-    return {"csv": csv_text, "summaries": summaries}
-
-
-def _write_file(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+    return {"csv": buf.getvalue(), "summaries": summaries}

@@ -74,7 +74,7 @@ def test_canary_leaking_key_fails_audit(monkeypatch):
 
     def leaky(plan, inputs, seeds):
         o = execute(plan, inputs, seeds)
-        o.transcript.append(TranscriptRecord(2, 1, "leak", o.keys[0]))
+        o.transcript.records.append(TranscriptRecord(2, 1, "leak", o.keys[0]))
         return o
 
     monkeypatch.setattr(skalab.audit, "execute", leaky)

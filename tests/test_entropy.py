@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -11,7 +10,6 @@ from skalab.entropy import (
     rectangle_violations,
     transcript_inequality_audit,
 )
-from skalab.gf2 import BitVec
 from skalab.profiles import is_polymatroid
 from skalab.rng import SeedStream
 from skalab.sources import enumerate_instances, parse_model_spec

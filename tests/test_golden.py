@@ -14,7 +14,7 @@ import pytest
 
 from skalab.audit import conditional_uniformity, exact_small_n_audit
 from skalab.protocols import Margins, SessionConfig, run_session
-from skalab.runner import ExperimentPlan, run_plan
+from skalab.runner import run_plan
 from skalab.sources import parse_model_spec
 
 ACCEPTANCE_OMNI_MARGINS = Margins(k_slack=16, phase1=4, deficiency=2, extractor_eps=Fraction(1, 4))
@@ -59,7 +59,7 @@ MC_CASES = {
 def session_digest(spec, protocol, eps, seed, margins, trials) -> str:
     config = SessionConfig(parse_model_spec(spec), protocol, eps, seed, margins)
     h = hashlib.sha256()
-    h.update(run_plan(ExperimentPlan((config,), trials))["csv"].encode())
+    h.update(run_plan((config,), trials)["csv"].encode())
     for t in range(trials):
         h.update(run_session(config, t).transcript.dump().encode())
     return h.hexdigest()

@@ -8,7 +8,6 @@ import pytest
 from skalab import audit, protocols, reconcile
 from skalab.audit import conditional_uniformity, fixed_seeds
 from skalab.channel import Transcript
-from skalab.gf2 import BitVec
 from skalab.hashext import ceil_log2_inv
 from skalab.protocols import (
     Margins,
@@ -99,7 +98,7 @@ def test_light_line_point_16_accounting():
     assert o.payload_bits == 16 + 8  # C(x|y) + log2(1/eps)
     assert o.target_comm == 24
     # spec overhead: the Toeplitz seed of the (n1+log2(1/eps)) x 2n matrix
-    assert o.overhead_bits == (32 + 8) + 32 - 1
+    assert o.comm_bits - o.payload_bits == (32 + 8) + 32 - 1
     assert o.keys[0] == o.keys[1]
     assert o.target_key_len == 16
 
@@ -386,4 +385,4 @@ def test_comm_bits_equals_transcript_total():
     for config in (cfg_light(), cfg_two_phase(), cfg_omni()):
         o = run_session(config, 2)
         assert o.comm_bits == o.transcript.total_bits()
-        assert o.comm_bits == o.payload_bits + o.overhead_bits
+        assert o.comm_bits - o.payload_bits == o.transcript.total_bits() - o.transcript.payload_bits()

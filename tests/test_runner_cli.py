@@ -9,41 +9,32 @@ from profile_tools import format_profile
 from skalab.cli import main
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets
 from skalab.protocols import Margins, SessionConfig, run_session
-from skalab.runner import ExperimentPlan, run_plan, summarize, sweep_configs
+from skalab.runner import run_plan, summarize, sweep_configs
 from skalab.sources import analytic_profile, ceil_log2, parse_model_spec
 
 
-def make_plan(tmp_path, spec="identical:n=12", protocol="light", trials=5, seed=9):
-    config = SessionConfig(parse_model_spec(spec), protocol, Fraction(1, 16), seed)
-    return ExperimentPlan(
-        (config,),
-        trials,
-        csv_path=str(tmp_path / "trials.csv"),
-        summary_path=str(tmp_path / "summary.txt"),
-    )
+def one_config(spec="identical:n=12", protocol="light", seed=9):
+    return (SessionConfig(parse_model_spec(spec), protocol, Fraction(1, 16), seed),)
 
 
-def test_run_plan_csv_columns(tmp_path):
-    plan = make_plan(tmp_path)
-    out = run_plan(plan)
+def test_run_plan_csv_columns():
+    out = run_plan(one_config(), 5)
     lines = out["csv"].strip().splitlines()
     assert lines[0] == "trial,agreed,key_len,comm_bits,target_key_len,target_comm,decode_status"
     assert len(lines) == 6
-    assert (tmp_path / "trials.csv").read_text() == out["csv"]
-    assert "agreement_rate=1.0" in (tmp_path / "summary.txt").read_text()
+    assert out["summaries"][0]["agreement_rate"] == 1.0
 
 
-def test_run_plan_replay_byte_identical(tmp_path):
-    a = run_plan(make_plan(tmp_path))["csv"]
-    b = run_plan(make_plan(tmp_path))["csv"]
+def test_run_plan_replay_byte_identical():
+    a = run_plan(one_config(), 5)["csv"]
+    b = run_plan(one_config(), 5)["csv"]
     assert a == b
 
 
-def test_empty_plan(tmp_path):
-    plan = ExperimentPlan((), 10, csv_path=str(tmp_path / "e.csv"))
-    out = run_plan(plan)
+def test_empty_plan():
+    out = run_plan((), 10)
     assert out["summaries"] == []
-    assert (tmp_path / "e.csv").read_text().strip().splitlines()[0].startswith("trial,")
+    assert out["csv"].strip().splitlines()[0].startswith("trial,")
 
 
 def test_sweep_hamming_message_length_tracks_entropy_bound():
@@ -53,8 +44,7 @@ def test_sweep_hamming_message_length_tracks_entropy_bound():
         "hamming:n=31,t=1", None, [1, 2, 3], [Fraction(1, 16)], "light", seed=3
     )
     assert len(configs) == 3
-    plan = ExperimentPlan(tuple(configs), 20)
-    out = run_plan(plan)
+    out = run_plan(configs, 20)
     for t, summary in zip([1, 2, 3], out["summaries"]):
         d = t / 31
         h_bits = 31 * (d * math.log2(1 / d) + (1 - d) * math.log2(1 / (1 - d)))
@@ -68,14 +58,14 @@ def test_sweep_hamming_message_length_tracks_entropy_bound():
 def test_summaries_count_decode_statuses():
     # t=12 at n=63 is past the Hamming sphere decode's cap.
     configs = sweep_configs("hamming:n=63,t=2", None, [2, 12], [Fraction(1, 256)], "light", seed=4)
-    out = run_plan(ExperimentPlan(tuple(configs), 3))
+    out = run_plan(configs, 3)
     assert [s["decode_statuses"] for s in out["summaries"]] == ["unique:3", "search_limit:3"]
     assert out["csv"].count(",search_limit\n") == 3
 
 
 def test_sweep_csv_has_config_columns():
     configs = sweep_configs("identical:n=8", [8, 10], None, [Fraction(1, 4)], "light", 1)
-    out = run_plan(ExperimentPlan(tuple(configs), 2))
+    out = run_plan(configs, 2)
     header = out["csv"].splitlines()[0]
     assert header.startswith("model,protocol,eps,trial,")
     assert "identical:n=10" in out["csv"]
@@ -174,6 +164,24 @@ def test_cli_audit_without_verdict_exits_3(tmp_path):
     )
     assert "passed=0\ninconclusive=1\n" in report.read_text()
     assert rc == 3
+
+
+def test_cli_audit_without_any_key_exits_3(tmp_path, capsys):
+    # No triple:n=64 session decodes at default margins (its cosets are
+    # past the joint search's cap), so no trial gives party 1 a key.
+    report = tmp_path / "audit.txt"
+    rc = main(
+        [
+            "audit",
+            "--model", "triple:n=64",
+            "--protocol", "omniscience",
+            "--trials", "3",
+            "--report", str(report),
+        ]
+    )
+    assert rc == 3
+    assert "inconclusive=1\n" in report.read_text() and "stratum_count=0\n" in report.read_text()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_audit_wide_key_needs_no_table_of_its_values(tmp_path, capsys):
@@ -280,3 +288,29 @@ def test_cli_config_file(tmp_path, capsys):
 def test_cli_rejects_bad_eps():
     with pytest.raises(SystemExit):
         main(["simulate", "--model", "identical:n=8", "--protocol", "light", "--eps", "x"])
+
+
+@pytest.mark.parametrize(
+    "command,trials,valid",
+    [("simulate", "-1", False), ("sweep", "-1", False), ("audit", "0", False), ("audit", "-5", False),
+     ("simulate", "0", True), ("sweep", "0", True), ("audit", "1", True)],
+)
+def test_cli_validates_trials(capsys, command, trials, valid):
+    argv = [command, "--model", "identical:n=8", "--protocol", "light", "--eps", "1/4", "--trials", trials, "--quiet"]
+    if valid:
+        assert main(argv) in (0, 3)  # one audit trial judges no stratum
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --trials" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag", [("simulate", "--out"), ("sweep", "--out"), ("sweep", "--summary"), ("audit", "--report")])
+def test_cli_unwritable_path_is_one_error_line(tmp_path, capsys, command, flag):
+    path = tmp_path / "missing" / "out.txt"
+    argv = [command, "--model", "identical:n=8", "--protocol", "light", "--eps", "1/4", "--trials", "3", flag, str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
