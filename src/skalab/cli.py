@@ -9,6 +9,7 @@ and pulled in with ``skalab @flags.conf``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -117,6 +118,16 @@ def _emit(text: str, path: str | None, quiet: bool) -> None:
         sys.stdout.write(text)
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing path would, and leave the file system
+    as it was: outputs are written only after every session has run."""
+    if os.path.exists(path):
+        open(path, "r+").close()
+    else:
+        open(path, "x").close()
+        os.remove(path)
+
+
 def _error(exc: Exception) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return 2
@@ -192,6 +203,9 @@ def cmd_audit(args, configs) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for path in (getattr(args, name, None) for name in ("out", "summary", "report")):
+            if path:
+                _check_writable(path)
         if args.command == "rates":
             return cmd_rates(args)
         try:

@@ -16,15 +16,22 @@ or slope m, shifted; a shift recursion gives the images of its basis under
 the Toeplitz hash from two carry-less products, and one elimination factors
 them once per (hash, m), so a decode reduces its target by at most n pivot
 rows.  A Hamming sphere (the words at distance exactly t from the
-receiver's) is decoded by meeting in the middle on the column images of
-the hash, which finds the weight-t errors e with H e = fingerprint xor H y.
+receiver's) is decoded by finding the weight-t errors e with
+H e = fingerprint xor H y, by the cheaper of two searches, chosen from the
+shape alone: when the 2^(n - rows) words of the smallest possible solution
+coset are fewer than the subsets in the larger half of a meet in the middle
+on H's column images, one affine solve and a walk over the coset; else the
+meet in the middle.  One cap of 2^20 words or subsets bounds whichever
+runs, and the decode ends `search_limit` only when both are past it.
 `decode_scan` keeps the literal scan available and is cross-checked against
 both in tests.
 
 Joint decoding (`multi_decode`, omniscience) is a coset product plus a
 model filter: each other party's fingerprint cuts its input down to the
 affine coset of the hash's solutions, and the tuples of that product with
-the holder's own input that the model allows are the candidates.
+the holder's own input that the model allows are the candidates.  It keeps
+its own cap of 2^14 words per coset, tighter than the sphere's, because it
+multiplies the cosets of several fingerprints.
 """
 
 from __future__ import annotations
@@ -91,9 +98,10 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
 
     The verdict is order-independent, so structured candidate sets are not
     scanned: an affine set is decoded by reducing H(base) xor value by the
-    factored images of its basis, a Hamming sphere by meeting in the middle
-    on H's column images (`search_limit` past _SPHERE_CAP_SUBSETS).  Either
-    result is re-hashed as a guard.
+    factored images of its basis, a Hamming sphere by a walk over the
+    solution coset or a meet in the middle on H's column images, whichever
+    is smaller (`search_limit` when both are past _SPHERE_CAP_SUBSETS).
+    Either result is re-hashed as a guard.
     candidates_checked reports the number of candidates the verdict covered.
     """
     if isinstance(candidates, HammingSphere):
@@ -192,21 +200,48 @@ def _verdict(errors, center: BitVec, checked: int) -> DecodeResult:
     return DecodeResult(STATUS_UNIQUE, BitVec(center.n, center.v ^ found[0]), checked)
 
 
-# Past this many subsets in the larger half of the split a Hamming sphere is
-# not searched.  hamming:n=63,t=8 needs 637,393 of them (about 140 MB and
-# 0.5 s in CPython 3.11) and decodes; t=9 would tabulate 7.7 million, ten
-# times that memory, and t=12 ran out of memory under a 2 GB limit.
+def _coset_walk(particular: int, kernel: list[int]):
+    """Yield every word of particular xor span(kernel), once each, in Gray
+    code order: each word is the last one xor a single kernel vector."""
+    word = particular
+    yield word
+    for i in range(1, 1 << len(kernel)):
+        word ^= kernel[(i & -i).bit_length() - 1]
+        yield word
+
+
+# One cap on whichever sphere search runs: a walk of at most this many coset
+# words, or a meet in the middle whose larger half has at most this many
+# subsets; past both the decode ends search_limit.  hamming:n=63,t=8 at
+# eps=1/256 tabulates 637,393 subsets (about 140 MB and 1.3 s in CPython
+# 3.11); t=9 walks 2^20 words in about 0.2 s, where its table would hold
+# 7.7 million subsets, ten times that memory.  The joint search's
+# _COSET_CAP_BITS stays separate: it multiplies cosets.
 _SPHERE_CAP_SUBSETS = 1 << 20
 
 
 def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
     # x = y xor e with H e = fingerprint xor H y and weight(e) exactly t.
-    n, t = sphere.length, sphere.t
-    if sum(math.comb(n, w) for w in range(t - t // 2 + 1)) > _SPHERE_CAP_SUBSETS:
-        return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
+    # The solutions of H e = target form a coset of 2^d words, d >= n - rows.
+    # Walk it, as information-set decoding does (Prange 1962), when it is
+    # smaller than the larger half of the split; else meet in the middle.
+    # half is clamped at one past the cap, so neither search runs past it.
+    n, t, rows = sphere.length, sphere.t, fp.spec.rows
+    half = min(sum(math.comb(n, w) for w in range(t - t // 2 + 1)), _SPHERE_CAP_SUBSETS + 1)
     center = BitVec(n, sphere.center)
     target = fp.value.v ^ matvec(fp.spec, center).v
-    errors = (e for e in _error_matches(fp.spec.column_ints(), target, t) if e.bit_count() == t)
+    words = None
+    if 1 << max(0, n - rows) < half:
+        sol = solve_affine(fp.spec.row_ints(), n, BitVec(rows, target))
+        if sol is None:
+            words = ()
+        elif 1 << len(sol[1]) < half:  # a rank-deficient H can leave a larger coset
+            words = _coset_walk(*sol)
+    if words is None:
+        if half > _SPHERE_CAP_SUBSETS:
+            return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
+        words = _error_matches(fp.spec.column_ints(), target, t)
+    errors = (e for e in words if e.bit_count() == t)
     res = _verdict(errors, center, math.comb(n, t))
     if res.status == STATUS_UNIQUE:
         _guard(fp, res.value)

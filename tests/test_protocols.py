@@ -271,17 +271,72 @@ def test_omniscience_capped_search_is_search_limit():
 
 
 @pytest.mark.parametrize(
-    "spec, eps", [("hamming:n=63,t=12", Fraction(1, 256)), ("hamming:n=63,t=31", Fraction(1, 2))]
+    "spec, eps", [("hamming:n=63,t=9", Fraction(1, 2)), ("hamming:n=63,t=10", Fraction(1, 2))]
 )
 def test_hamming_sphere_past_cap_is_search_limit(spec, eps):
-    # The meet-in-the-middle tables would hold C(63, 6) and C(63, 16)
-    # subsets: the decode declines before building them.
+    # 36 and 38 fingerprint rows leave cosets of at least 2^27 and 2^25
+    # words, and the meet-in-the-middle's larger half holds about 7.7
+    # million subsets: both searches are past the cap, so the decode
+    # declines before building either.
     start = time.perf_counter()
     o = run_session(cfg_light(spec, eps), 0)
     assert time.perf_counter() - start < 5.0
     assert o.decode_status == STATUS_SEARCH_LIMIT
     assert not o.agreed
     assert o.keys[1] is None
+
+
+@pytest.mark.parametrize(
+    "spec, eps", [("hamming:n=63,t=12", Fraction(1, 256)), ("hamming:n=63,t=31", Fraction(1, 2))]
+)
+def test_hamming_sphere_small_coset_decodes_unique(spec, eps):
+    # The meet-in-the-middle tables would hold C(63, 6) and C(63, 16)
+    # subsets, but 50 and 61 fingerprint rows leave cosets of 2^13 and 2^2
+    # words: one solve and a walk over the coset decode them.
+    start = time.perf_counter()
+    o = run_session(cfg_light(spec, eps), 0)
+    assert time.perf_counter() - start < 5.0
+    assert o.decode_status == STATUS_UNIQUE
+    assert o.agreed
+
+
+def _sphere_searches(n, t, eps):
+    """(coset words at the fewest kernel dimensions, subsets in the larger
+    half of the meet in the middle) for a light Hamming session."""
+    rows = session_plan(cfg_light(f"hamming:n={n},t={t}", eps)).fp_rows[0]
+    return 1 << max(0, n - rows), sum(math.comb(n, w) for w in range(t - t // 2 + 1))
+
+
+@pytest.mark.parametrize("n", [31, 63])
+def test_light_hamming_decodes_every_t(n):
+    # Every t the parser accepts, 0 to ceil(n/2) - 1, is within the cap of
+    # one of the two searches, so every session decodes.  The slowest is
+    # n=63, t=8: a meet in the middle over 637,393 subsets, about 1.3 s;
+    # the whole sweep at n=63 takes about 2 s.
+    eps = Fraction(1, 256)
+    start = time.perf_counter()
+    for t in range((n + 1) // 2):
+        assert min(_sphere_searches(n, t, eps)) <= reconcile._SPHERE_CAP_SUBSETS, t
+        o = run_session(cfg_light(f"hamming:n={n},t={t}", eps), 0)
+        assert o.decode_status == STATUS_UNIQUE and o.agreed, t
+    assert time.perf_counter() - start < 15.0
+
+
+@pytest.mark.parametrize("n, t, walks", [(31, 3, True), (63, 2, False)])
+def test_hamming_decode_path_follows_coset_size(monkeypatch, n, t, walks):
+    # At eps = 2^-32, 45 rows over 31 bits leave a single coset word, below
+    # the 1 + 31 + 465 subsets of the larger half; 43 rows over 63 bits
+    # leave at least 2^20 words, above its 1 + 63.
+    eps = Fraction(1, 1 << 32)
+    coset, half = _sphere_searches(n, t, eps)
+    assert (coset < half) == walks
+    calls = []
+    mitm = reconcile._error_matches
+    monkeypatch.setattr(reconcile, "_error_matches", lambda *a: calls.append(a) or mitm(*a))
+    for trial in range(3):
+        o = run_session(cfg_light(f"hamming:n={n},t={t}", eps), trial)
+        assert o.decode_status == STATUS_UNIQUE
+    assert len(calls) == (0 if walks else 3)
 
 
 # ---------------------------------------------------------

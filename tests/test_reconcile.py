@@ -8,7 +8,7 @@ from operator import xor
 import pytest
 
 from codes import dense_matvec, encode, hamming_parity_check, random_linear_code, syndrome_decode
-from skalab import gf2, sources
+from skalab import gf2, reconcile, sources
 from skalab.audit import exact_small_n_audit
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank
 from skalab.hashext import ceil_log2_inv
@@ -241,6 +241,46 @@ def test_decode_matches_scan_on_hamming_spheres():
                         assert b.candidates_checked == math.comb(n, t)
                     statuses.add(a.status)
     assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
+
+
+def test_coset_walk_meet_in_the_middle_and_scan_agree(monkeypatch):
+    # Every n <= 9 and allowed t, with n to n + 3 fingerprint rows: random
+    # Toeplitz hashes (the decode walks the coset) and the rank-deficient
+    # all-zero and all-one ones, whose cosets of 2^n and 2^(n-1) words send
+    # the decode back to the meet in the middle after the solve.
+    stream = SeedStream("walk-vs-mitm")
+    mitm_calls = []
+    mitm = reconcile._error_matches
+    monkeypatch.setattr(reconcile, "_error_matches", lambda *a: mitm_calls.append(a) or mitm(*a))
+    fallbacks = 0
+    for n in range(2, 10):
+        for t in range((n + 1) // 2):
+            half = sum(math.comb(n, w) for w in range(t - t // 2 + 1))
+            y = stream.child("y", n, t).bitvec(n)
+            for rows in range(n, n + 4):
+                seed_len = rows + n - 1
+                random_seed = stream.child("h", n, t, rows).bitvec(seed_len)
+                for seed in (random_seed, BitVec(seed_len, 0), BitVec(seed_len, (1 << seed_len) - 1)):
+                    spec = Gf2Matrix(rows, n, seed)
+                    x = BitVec(n, y.v ^ next(iter(sources.weight_words(n, t))))
+                    for value in (matvec(spec, x), BitVec(rows, stream.child("v", n, t, rows).bits(rows))):
+                        target = value.v ^ matvec(spec, y).v
+                        sol = gf2.solve_affine(spec.row_ints(), n, BitVec(rows, target))
+                        walked = {e for e in reconcile._coset_walk(*sol) if e.bit_count() == t} if sol else set()
+                        met = {e for e in mitm(spec.column_ints(), target, t) if e.bit_count() == t}
+                        sphere = HammingSphere(n, y.v, t)
+                        scanned = {c.v ^ y.v for c in sphere if matvec(spec, c) == value}
+                        assert walked == met == scanned, (n, t, rows)
+                        fp, before = Fingerprint(spec, value), len(mitm_calls)
+                        a, b = decode(fp, sphere), decode_scan(fp, sphere)
+                        assert (a.status, a.value) == (b.status, b.value), (n, t, rows)
+                        ran_mitm = len(mitm_calls) > before
+                        if sol and 1 << len(sol[1]) >= half:  # the solve left too large a coset
+                            assert ran_mitm
+                            fallbacks += 1
+                        elif half > 1:  # n - rows <= 0 kernel dimensions were predicted
+                            assert not ran_mitm
+    assert fallbacks > 0
 
 
 @pytest.mark.parametrize("max_size", [0, 1, 2, 3])

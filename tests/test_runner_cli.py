@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from profile_tools import format_profile
+from skalab import cli
 from skalab.cli import main
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets
 from skalab.protocols import Margins, SessionConfig, run_session
@@ -56,10 +57,13 @@ def test_sweep_hamming_message_length_tracks_entropy_bound():
 
 
 def test_summaries_count_decode_statuses():
-    # t=12 at n=63 is past the Hamming sphere decode's cap.
+    # t=12 at n=63 and eps=1/256 decodes by a walk over a 2^13-word coset;
+    # t=10 at eps=1/2 leaves 2^25 words and 7.7 million subsets in the
+    # larger half of the meet in the middle, both past the sphere's cap.
     configs = sweep_configs("hamming:n=63,t=2", None, [2, 12], [Fraction(1, 256)], "light", seed=4)
+    configs += sweep_configs("hamming:n=63,t=10", None, None, [Fraction(1, 2)], "light", seed=4)
     out = run_plan(configs, 3)
-    assert [s["decode_statuses"] for s in out["summaries"]] == ["unique:3", "search_limit:3"]
+    assert [s["decode_statuses"] for s in out["summaries"]] == ["unique:3", "unique:3", "search_limit:3"]
     assert out["csv"].count(",search_limit\n") == 3
 
 
@@ -314,3 +318,14 @@ def test_cli_unwritable_path_is_one_error_line(tmp_path, capsys, command, flag):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+def test_cli_bad_summary_path_fails_before_any_session(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_plan", lambda *a: pytest.fail("a session ran"))
+    out, summary = tmp_path / "sweep.csv", tmp_path / "missing" / "s.txt"
+    argv = ["sweep", "--model", "identical:n=8", "--protocol", "light", "--trials", "3",
+            "--out", str(out), "--summary", str(summary)]
+    assert main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(summary) in err
