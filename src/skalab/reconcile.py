@@ -26,12 +26,17 @@ runs, and the decode ends `search_limit` only when both are past it.
 `decode_scan` keeps the literal scan available and is cross-checked against
 both in tests.
 
-Joint decoding (`multi_decode`, omniscience) is a coset product plus a
-model filter: each other party's fingerprint cuts its input down to the
-affine coset of the hash's solutions, and the tuples of that product with
-the holder's own input that the model allows are the candidates.  It keeps
-its own cap of 2^14 words per coset, tighter than the sphere's, because it
-multiplies the cosets of several fingerprints.
+Joint decoding (`multi_decode`, omniscience on the collinear triple)
+solves each other party's fingerprint for the affine coset of inputs that
+match it, and never filters their product tuple by tuple.  Through the
+holder's point P and a word W of the smaller coset passes one line; the
+third point lies on it iff one GF(2)-linear form of that point vanishes.
+The form's values on the larger coset are its value at one word xor its
+values at the kernel vectors, so a decode costs 1 + s field products per
+word of the smaller coset and one XOR per word of the product, s the
+larger coset's kernel dimension.  Each coset keeps a cap of 2^14 words:
+past it the coset is not enumerated, and the XORs, which still cover the
+whole product, stay bounded.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import compress, islice
+from operator import not_
 
-from .gf2 import BitVec, Gf2Matrix, _eliminate, graph_images, matvec, solve_affine
-from .sources import CorrelationModel, HammingSphere, _multiplier_basis, is_consistent
+from .gf2 import BitVec, Gf2Matrix, _clmul, _eliminate, _poly_mod, graph_images, irreducible_poly, matvec, solve_affine
+from .sources import COLLINEAR_TRIPLE, CorrelationModel, HammingSphere, _multiplier_basis
 
 STATUS_UNIQUE = "unique"
 STATUS_AMBIGUOUS = "ambiguous"
@@ -263,7 +269,12 @@ def coset_words(m: Gf2Matrix, value: BitVec) -> tuple | None:
     2^_COSET_CAP_BITS of them (degenerate hash seed).  Both other parties of
     an omniscience session solve each fingerprint, and a fixed-seed audit
     sees each value many times, so each is solved once; the result is a
-    tuple because every caller shares it."""
+    tuple because every caller shares it.
+
+    Layout, which `_collinear_matches` relies on: with (particular, kernel)
+    from `solve_affine`, words[i] is particular xor the XOR of kernel[j]
+    over the set bits j of i, so words[0] is the particular solution and
+    words[1 << j] xor words[0] is kernel[j]."""
     sol = solve_affine(m.row_ints(), m.cols, value)
     if sol is None:
         return ()
@@ -276,29 +287,73 @@ def coset_words(m: Gf2Matrix, value: BitVec) -> tuple | None:
     return tuple(BitVec(m.cols, w) for w in words)
 
 
-def multi_decode(model: CorrelationModel, own_index: int, own: BitVec, fps) -> DecodeResult:
-    """The unique input tuple consistent with the model, the holder's input
-    and every fingerprint.
+def _collinear_matches(n: int, own: BitVec, near: tuple, far: tuple):
+    """Yield (w, q) for every w in near and q in far such that own, w and q
+    are three collinear points with distinct abscissas.
 
-    The candidates are the product of each other party's fingerprint coset
-    with the holder's own input, filtered by the model; the holder's own
-    fingerprint must match too, so a disagreeing one gives not_found.
-    `search_limit` when a coset is too large to enumerate.
+    far is a coset as coset_words lays it out, so its kernel vectors are
+    far[1 << j] xor far[0].  For w off own's abscissa, a point q = (c, d)
+    lies on the line through own = (c_o, d_o) and w iff
+    u (c xor c_o) xor v (d xor d_o) = 0 in GF(2^n), where u = d_w xor d_o
+    and v = c_w xor c_o.  That form is GF(2)-linear in q, so its values on
+    far are its value at far[0] xor those at the kernel vectors, tabulated
+    in far's own layout: 1 + s field products and one XOR per word.  A
+    zero on own's abscissa is own itself, and one on w's is w itself.
+    """
+    if not far:
+        return
+    f, mask, o = irreducible_poly(n), (1 << n) - 1, own.v
+    base = far[0].v
+    kernel = [far[1 << j].v ^ base for j in range(len(far).bit_length() - 1)]
+    c_o, (c_0, d_0) = o & mask, ((base ^ o) & mask, (base ^ o) >> n)  # far[0] relative to own
+    for w in near:
+        c_w = w.v & mask
+        v = c_w ^ c_o
+        if not v:  # w shares own's abscissa: no line of the model holds both
+            continue
+        u = (w.v ^ o) >> n
+        # u c xor v d on a packed point, reduced once: reduction is linear
+        vals = [_poly_mod(_clmul(u, c_0) ^ _clmul(v, d_0), f)]
+        for k in kernel:
+            g = _poly_mod(_clmul(u, k & mask) ^ _clmul(v, k >> n), f)
+            vals += [x ^ g for x in vals]
+        for q in compress(far, map(not_, vals)):
+            if (q.v & mask) not in (c_o, c_w):
+                yield w, q
+
+
+def multi_decode(model: CorrelationModel, own_index: int, own: BitVec, fps) -> DecodeResult:
+    """The unique input tuple of a collinear triple consistent with the
+    holder's input and every fingerprint.
+
+    The holder's own fingerprint must match its input, else not_found
+    before any other fingerprint is solved.  Each other party's
+    fingerprint cuts its input down to a coset (`search_limit` when one is
+    too large to enumerate).  For each word w of the smaller coset, the
+    third point must lie on the line through the holder's point and w, one
+    GF(2)-linear condition, evaluated on the larger coset by XORs alone
+    (`_collinear_matches`); no tuple of the product is checked on its own.
     candidates_checked reports the size of the product the verdict covered.
     """
-    cosets = []
-    for i, fp in enumerate(fps, start=1):
-        if i == own_index:
-            cosets.append((own,) if matvec(fp.spec, own) == fp.value else ())
-            continue
-        words = coset_words(fp.spec, fp.value)
-        if words is None:
-            return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
-        cosets.append(words)
-    total = math.prod(map(len, cosets))
-    found = list(islice((tup for tup in product(*cosets) if is_consistent(model, tup)), 2))
+    if model.kind != COLLINEAR_TRIPLE:
+        raise ValueError(f"joint decoding needs a collinear triple, got {model.spec_string()}")
+    own_fp = fps[own_index - 1]
+    if matvec(own_fp.spec, own) != own_fp.value:
+        return DecodeResult(STATUS_NOT_FOUND, None, 0)
+    cosets = {}
+    for i, fp in enumerate(fps):
+        if i != own_index - 1:
+            words = coset_words(fp.spec, fp.value)
+            if words is None:
+                return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
+            cosets[i] = words
+    near, far = sorted(cosets, key=lambda i: len(cosets[i]))
+    total = len(cosets[near]) * len(cosets[far])
+    found = list(islice(_collinear_matches(model.n, own, cosets[near], cosets[far]), 2))
     if len(found) != 1:
         return DecodeResult(STATUS_AMBIGUOUS if found else STATUS_NOT_FOUND, None, total)
-    for fp, comp in zip(fps, found[0]):
-        _guard(fp, comp)
-    return DecodeResult(STATUS_UNIQUE, found[0], total)
+    tup = [own] * len(fps)
+    tup[near], tup[far] = found[0]
+    for i in cosets:  # own was checked against its fingerprint above
+        _guard(fps[i], tup[i])
+    return DecodeResult(STATUS_UNIQUE, tuple(tup), total)

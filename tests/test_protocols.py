@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from skalab import audit, protocols, reconcile
+from skalab import audit, protocols, reconcile, sources
 from skalab.audit import conditional_uniformity, fixed_seeds
 from skalab.channel import Transcript
 from skalab.hashext import ceil_log2_inv
@@ -19,7 +19,8 @@ from skalab.protocols import (
     session_plan,
     session_streams,
 )
-from skalab.reconcile import STATUS_SEARCH_LIMIT, STATUS_UNIQUE
+from skalab.gf2 import BitVec
+from skalab.reconcile import STATUS_NOT_FOUND, STATUS_SEARCH_LIMIT, STATUS_UNIQUE, Fingerprint
 from skalab.sources import parse_model_spec, sample
 
 
@@ -337,6 +338,32 @@ def test_hamming_decode_path_follows_coset_size(monkeypatch, n, t, walks):
         o = run_session(cfg_light(f"hamming:n={n},t={t}", eps), trial)
         assert o.decode_status == STATUS_UNIQUE
     assert len(calls) == (0 if walks else 3)
+
+
+def test_joint_decode_checks_no_tuple(monkeypatch):
+    # A triple:n=30 session shaped as the benchmark's: its cosets hold 2 and
+    # 4 words, and each holder finds the third point by a linear condition,
+    # not by testing the tuples of their product for consistency.
+    config = SessionConfig(parse_model_spec("triple:n=30"), "omniscience", Fraction(1, 16384), 13, OMNI_MARGINS)
+    inst = sample(config.model, session_streams(config, 0)[0])
+    o = run_session(config, 0)
+    fps, _ = protocols._hashes(session_plan(config), o.transcript)
+    calls = []
+    checked = sources.is_consistent
+    counting = lambda *a: calls.append(a) or checked(*a)  # noqa: E731
+    monkeypatch.setattr(sources, "is_consistent", counting)
+    monkeypatch.setattr(reconcile, "is_consistent", counting, raising=False)
+    for party in (1, 2, 3):
+        res = reconcile.multi_decode(config.model, party, inst.inputs[party - 1], fps)
+        assert res.status == STATUS_UNIQUE and res.value == inst.inputs
+        assert res.candidates_checked > 1
+    assert not calls
+    # A holder whose own fingerprint disagrees solves no other one.
+    bad = Fingerprint(fps[0].spec, BitVec(fps[0].value.n, fps[0].value.v ^ 1))
+    reconcile.coset_words.cache_clear()
+    res = reconcile.multi_decode(config.model, 1, inst.inputs[0], [bad, *fps[1:]])
+    assert (res.status, res.candidates_checked) == (STATUS_NOT_FOUND, 0)
+    assert reconcile.coset_words.cache_info().misses == 0
 
 
 # ---------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice, product
 from operator import xor
 
 import pytest
@@ -16,6 +16,7 @@ from skalab.protocols import SessionConfig
 from skalab.reconcile import (
     STATUS_AMBIGUOUS,
     STATUS_NOT_FOUND,
+    STATUS_SEARCH_LIMIT,
     STATUS_UNIQUE,
     DecodeResult,
     Fingerprint,
@@ -33,6 +34,7 @@ from skalab.sources import (
     _multiplier_basis,
     enumerate_candidates,
     enumerate_instances,
+    is_consistent,
     parse_model_spec,
     sample,
 )
@@ -443,6 +445,12 @@ def test_coset_words_cover_preimage():
     assert len(set(sols)) == len(sols) == 1 << (10 - rank(fp.spec.row_ints(), 10))
     for v in sols:
         assert matvec(fp.spec, v) == fp.value
+    # The layout multi_decode indexes by: words[i] = particular xor the
+    # kernel vectors at the set bits of i.
+    particular, kernel = gf2.solve_affine(fp.spec.row_ints(), 10, fp.value)
+    assert len(kernel) >= 2
+    for i, v in enumerate(sols):
+        assert v.v == reduce(xor, (k for j, k in enumerate(kernel) if i >> j & 1), particular)
 
 
 def _triple_fingerprints(inst, rates, eps, stream):
@@ -477,6 +485,8 @@ def test_multi_decode_singleton_sets():
     fps = _triple_fingerprints(inst, (8, 8, 8), Fraction(1, 16), SeedStream("md1s"))
     res = multi_decode(model, 1, inst.inputs[0], fps)
     assert res.status == STATUS_UNIQUE and res.value == inst.inputs
+    with pytest.raises(ValueError, match="collinear triple"):
+        multi_decode(parse_model_spec("line-point:n=4"), 1, inst.inputs[0], fps)
 
 
 def test_multi_decode_tampered_fingerprint():
@@ -522,3 +532,97 @@ def test_multi_decode_matches_brute_force():
                 assert res.status == (STATUS_AMBIGUOUS if want else STATUS_NOT_FOUND)
                 assert res.value is None
     assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
+
+
+def product_filter_decode(model, own_index, own, fps):
+    """The joint decoder as a literal filter: every tuple of the product of
+    the holder's input with each other party's fingerprint coset, kept when
+    the model allows it.  The reference that multi_decode must match."""
+    cosets = []
+    for i, fp in enumerate(fps, start=1):
+        if i == own_index:
+            cosets.append((own,) if matvec(fp.spec, own) == fp.value else ())
+            continue
+        words = coset_words(fp.spec, fp.value)
+        if words is None:
+            return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
+        cosets.append(words)
+    total = math.prod(map(len, cosets))
+    found = list(islice((tup for tup in product(*cosets) if is_consistent(model, tup)), 2))
+    if len(found) != 1:
+        return DecodeResult(STATUS_AMBIGUOUS if found else STATUS_NOT_FOUND, None, total)
+    return DecodeResult(STATUS_UNIQUE, found[0], total)
+
+
+def _assert_matches_product_filter(model, party, own, fps):
+    """multi_decode against the reference; the status."""
+    got = multi_decode(model, party, own, fps)
+    want = product_filter_decode(model, party, own, fps)
+    assert (got.status, got.value, got.candidates_checked) == (want.status, want.value, want.candidates_checked)
+    return got.status
+
+
+def test_multi_decode_matches_product_filter():
+    # Every holder of seeded triples at n = 2, 4, 8 and 16.  Fingerprints
+    # 0-5 rows short of the 2n input bits leave cosets of up to 2^5 words;
+    # one seed in four is honest, the others tamper one party each in turn.
+    statuses = set()
+    for n in (2, 4, 8, 16):
+        model = parse_model_spec(f"triple:n={n}")
+        stream = SeedStream("md-product", n)
+        for s in range(120 if n < 16 else 40):
+            inst = sample(model, stream.child("in", s))
+            fps = [
+                encode(x, 2 * n - stream.randrange(min(2 * n, 6)), 1, stream.child("fp", s, i))
+                for i, x in enumerate(inst.inputs)
+            ]
+            if s % 4:
+                fps[s % 4 - 1] = _tampered(fps[s % 4 - 1])
+            statuses |= {_assert_matches_product_filter(model, p, inst.inputs[p - 1], fps) for p in (1, 2, 3)}
+    assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
+
+
+def _point(c, d, n):
+    return BitVec(2 * n, c | d << n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_multi_decode_matches_product_filter_on_degenerate_words(n):
+    # Fingerprint values forced so that a coset holds a word on the holder's
+    # abscissa, the holder's own point, or a point of the other coset.
+    model = parse_model_spec(f"triple:n={n}")
+    stream = SeedStream("md-degenerate", n)
+    mask = (1 << n) - 1
+    for s in range(40):
+        inst = sample(model, stream.child("in", s))
+        fps = [encode(x, 2 * n - 1 - stream.randrange(3), 1, stream.child("fp", s, i)) for i, x in enumerate(inst.inputs)]
+        holder = 1 + s % 3
+        own = inst.inputs[holder - 1]
+        a, b = [i for i in range(3) if i != holder - 1]
+        c_o, d_o = own.v & mask, own.v >> n
+        shared = _point(stream.bits(n), stream.bits(n), n)
+        forced = {
+            "on the holder's abscissa": {a: _point(c_o, d_o ^ (1 + stream.randrange(mask)), n)},
+            "the holder's point": {a: own},
+            "shared by both cosets": {a: shared, b: shared},
+        }
+        for words in forced.values():
+            tweaked = list(fps)
+            for i, w in words.items():
+                tweaked[i] = Fingerprint(fps[i].spec, matvec(fps[i].spec, w))
+                assert w in coset_words(tweaked[i].spec, tweaked[i].value)
+            _assert_matches_product_filter(model, holder, own, tweaked)
+
+
+def test_multi_decode_own_mismatch_is_not_found_before_any_solve():
+    # The holder's own fingerprint is checked before either other one is
+    # solved.  The product filter solved them first, so a coset past the cap
+    # made it answer search_limit where no tuple can match at all.
+    model = parse_model_spec("triple:n=16")
+    inst = sample(model, SeedStream("md-own"))
+    fps = _triple_fingerprints(inst, (32, 16, 32), Fraction(1, 2), SeedStream("md-own-s"))
+    assert coset_words(fps[1].spec, fps[1].value) is None  # 2^16 words or more
+    fps[0] = _tampered(fps[0])
+    assert product_filter_decode(model, 1, inst.inputs[0], fps).status == STATUS_SEARCH_LIMIT
+    res = multi_decode(model, 1, inst.inputs[0], fps)
+    assert (res.status, res.value, res.candidates_checked) == (STATUS_NOT_FOUND, None, 0)
