@@ -19,7 +19,8 @@ count.  Two instruments read that table:
   computed, not sampled, so it needs no seed.
 * ``exact_small_n_audit``: enumerate every instance and compute
   I(x:y) - I(x:y|T), H(Z|T), and the preimage-rectangle verification of
-  the transcript map exactly.
+  the transcript map exactly.  Each entropy adds one term pair per
+  distinct weight of its values (``JointDistribution.entropy_of``).
 """
 
 from __future__ import annotations

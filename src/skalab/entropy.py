@@ -11,6 +11,7 @@ integers, so its sign (zero included) is an integer comparison.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,10 @@ from .gf2 import BitVec
 from .profiles import ComplexityProfile
 
 _FLOAT_SIGN_CUTOFF = 1e-6
+
+
+def _odd(m: int) -> int:
+    return m // (m & -m)
 
 
 class LogExpr:
@@ -84,21 +89,6 @@ class LogExpr:
         return f"LogExpr({self.rat}, {self.terms})"
 
 
-def entropy_expr(probs) -> LogExpr:
-    """Exact Shannon entropy (bits) of rational point masses."""
-    h = LogExpr()
-    for p in probs:
-        p = Fraction(p)
-        if p < 0:
-            raise ValueError("negative probability")
-        if p == 0:
-            continue
-        # p * log2(1/p) = p * (log2 den - log2 num)
-        h.add_log(p.denominator, p)
-        h.add_log(p.numerator, -p)
-    return h
-
-
 @dataclass(frozen=True)
 class JointDistribution:
     """Finite joint distribution of ell bit-vector variables.
@@ -139,14 +129,27 @@ class JointDistribution:
         return JointDistribution.from_weights(ell, ((t, 1) for t in tuples))
 
     def entropy_of(self, proj) -> LogExpr:
-        """Exact entropy of proj(inputs), its values summed in order of
-        first appearance in the support."""
+        """Exact entropy of proj(inputs), summed over the distinct weights w
+        of its values in order of first appearance in the support: with
+        p = w / total reduced, count_w * p * (log2 den(p) - log2 num(p)).
+
+        Term for term and in term order that is the per-value sum, except
+        where the odd part (above 1) of one p's numerator is another p's
+        denominator's: there a per-value running coefficient can return to
+        0 and move its term to the end, so such supports sum value by value.
+        """
         weights: dict = {}
         for inputs, w in self.support:
             key = proj(inputs)
             weights[key] = weights.get(key, 0) + w
-        total = sum(weights.values())
-        return entropy_expr(Fraction(w, total) for w in weights.values())
+        total, counts = sum(weights.values()), Counter(weights.values())
+        ps = {w: Fraction(w, total) for w in counts}
+        shared = {_odd(p.numerator) for p in ps.values()} & {_odd(p.denominator) for p in ps.values()}
+        h = LogExpr()
+        for w, c in ((w, 1) for w in weights.values()) if shared - {1} else counts.items():
+            h.add_log(ps[w].denominator, c * ps[w])
+            h.add_log(ps[w].numerator, -c * ps[w])
+        return h
 
 
 @dataclass

@@ -12,11 +12,14 @@ All three protocols run on one driver, in three steps:
    in the one-round transcript, each fingerprint sender's input hashed
    after its seed.
    Audits hold the public seeds fixed, so they draw them once.
-3. party key  ``party_key(plan, party, own, transcript)`` recovers the
-   fingerprint senders' inputs from the party's own input and the
-   transcript alone, hashes them to key material and extracts the key.
-   The hashes are pure functions of the public seeds, so they are built
-   once per distinct seed tuple.
+3. party key  each party recovers the fingerprint senders' inputs from its
+   own input and the fingerprints, hashes them to key material and
+   extracts the key.  ``execute`` hands every party the fingerprints,
+   hashes and extractor seed it built for the broadcast;
+   ``party_key(plan, party, own, transcript)`` reads the same from the
+   transcript alone.  Both feed one key function.  The hashes are pure
+   functions of the public seeds, so they are built once per distinct
+   seed tuple.
 
 * ``light``      party 1 sends one Toeplitz seed H with C(x|y) +
   ceil(log2(1/eps)) fingerprint rows over the key rows, and the top block
@@ -243,15 +246,6 @@ def draw_seeds(plan: SessionPlan, public: SeedStream) -> tuple:
     return tuple((sender, kind, public.child(*labels).bitvec(bits)) for sender, kind, labels, bits in plan.seed_slots)
 
 
-def _hashes(plan: SessionPlan, transcript: Transcript):
-    """(fingerprint of each sender, key-material hash) named by the
-    transcript."""
-    seeds = tuple(transcript.one(kind, sender=sender).payload for sender, kind, _labels, _bits in plan.seed_slots)
-    fp_hashes, key_hash = toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, seeds)
-    fps = [Fingerprint(h, transcript.one("fingerprint", sender=i).payload) for i, h in enumerate(fp_hashes, start=1)]
-    return fps, key_hash
-
-
 @lru_cache(maxsize=64)
 def toeplitz_hashes(protocol: str, fp_rows: tuple, material_len: int, xlen: int, seeds: tuple) -> tuple:
     """The hashes that a session's seed payloads name.  Keyed by plain
@@ -283,19 +277,30 @@ def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
     return res.status, res.value
 
 
-def party_key(plan: SessionPlan, party: int, own: BitVec, transcript: Transcript):
-    """(key, status, key material) of one party, computed from its own input
-    and the transcript alone; key and material are None unless the status
-    is unique."""
-    fps, key_hash = _hashes(plan, transcript)
+def _party_key(plan: SessionPlan, party: int, own: BitVec, fps, key_hash: Gf2Matrix, ext_seed):
+    """(key, status, key material) of one party from its own input, the
+    senders' fingerprints, the key-material hash and the extractor seed,
+    the last public seed (None for light); key and material are None
+    unless the status is unique."""
     status, known = _reconcile(plan, party, own, fps)
     if status != STATUS_UNIQUE:
         return None, status, None
     material = matvec(key_hash, known)
     if plan.extractor is None:
         return material, STATUS_UNIQUE, material
-    key = extract(material, plan.extractor, transcript.one("ext_seed", sender=1).payload)
-    return key, STATUS_UNIQUE, material
+    return extract(material, plan.extractor, ext_seed), STATUS_UNIQUE, material
+
+
+def party_key(plan: SessionPlan, party: int, own: BitVec, transcript: Transcript):
+    """(key, status, key material) of one party from its own input and the
+    transcript alone: the hashes of the seeds that the plan's slots name
+    (``toeplitz_hashes``, cached per seed tuple) and the senders'
+    fingerprint records.  ``execute`` feeds ``_party_key`` the same objects
+    from its broadcast instead."""
+    seeds = tuple(transcript.one(kind, sender=sender).payload for sender, kind, _labels, _bits in plan.seed_slots)
+    fp_hashes, key_hash = toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, seeds)
+    fps = [Fingerprint(h, transcript.one("fingerprint", sender=i).payload) for i, h in enumerate(fp_hashes, start=1)]
+    return _party_key(plan, party, own, fps, key_hash, seeds[-1] if plan.extractor else None)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +327,17 @@ def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
     ``draw_seeds``): broadcast, every party's key, and the shared agreement
     and leak checks."""
     payloads = tuple(payload for _sender, _kind, payload in seeds)
-    fp_hashes, _key_hash = toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, payloads)
-    records = []
+    fp_hashes, key_hash = toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, payloads)
+    records, fps = [], []
     for sender, kind, payload in seeds:
         records.append(TranscriptRecord(1, sender, kind, payload))
         if kind in _FP_SEED_KINDS:
-            records.append(TranscriptRecord(1, sender, "fingerprint", matvec(fp_hashes[sender - 1], inputs[sender - 1])))
+            fps.append(Fingerprint(fp_hashes[sender - 1], matvec(fp_hashes[sender - 1], inputs[sender - 1])))
+            records.append(TranscriptRecord(1, sender, "fingerprint", fps[-1].value))
     transcript = Transcript(records)
-
+    ext_seed = payloads[-1] if plan.extractor else None
     keys, statuses, materials = zip(
-        *(party_key(plan, i, own, transcript) for i, own in enumerate(inputs, start=1))
+        *(_party_key(plan, i, own, fps, key_hash, ext_seed) for i, own in enumerate(inputs, start=1))
     )
     agreed = all(s == STATUS_UNIQUE for s in statuses) and len(set(keys)) == 1
     _forbid_secret_payloads(transcript, tuple(inputs) + materials + keys)

@@ -13,6 +13,22 @@ def bv(n, v):
     return BitVec(n, v)
 
 
+def entropy_expr(probs) -> LogExpr:
+    """Exact Shannon entropy (bits) of rational point masses, one term pair
+    per mass: the per-value reference for ``JointDistribution.entropy_of``."""
+    h = LogExpr()
+    for p in probs:
+        p = Fraction(p)
+        if p < 0:
+            raise ValueError("negative probability")
+        if p == 0:
+            continue
+        # p * log2(1/p) = p * (log2 den - log2 num)
+        h.add_log(p.denominator, p)
+        h.add_log(p.numerator, -p)
+    return h
+
+
 def random_joint(ell, stream, max_support=12, bits=3):
     """Random joint distribution with integer weights 1..12."""
     size = 2 + stream.randrange(max_support - 1)

@@ -6,7 +6,6 @@ from skalab.entropy import (
     JointDistribution,
     LogExpr,
     conditional_entropy_bits,
-    entropy_expr,
     rectangle_violations,
     transcript_inequality_audit,
 )
@@ -20,6 +19,7 @@ from entropy_checks import (
     check_calculation_identity_b,
     check_common_information_bound,
     check_half_sum_bound,
+    entropy_expr,
     exact_profile,
     exact_profile_symbolic,
     extend_with,
@@ -80,6 +80,50 @@ def test_entropy_expr_biased():
     # H = log2(3) - 2/3
     assert h.terms == {3: Fraction(1)} and h.rat == Fraction(-2, 3)
     assert abs(h.to_float() - 0.9182958340544896) < 1e-12
+
+
+def _assert_per_value(dist, proj):
+    """entropy_of(proj) equals the per-value sum, over proj's values in order
+    of first appearance, in value and in repr."""
+    weights = {}
+    for inputs, w in dist.support:
+        key = proj(inputs)
+        weights[key] = weights.get(key, 0) + w
+    total = sum(weights.values())
+    h, ref = dist.entropy_of(proj), entropy_expr(Fraction(w, total) for w in weights.values())
+    assert (h - ref).sign() == 0
+    assert repr(h) == repr(ref)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [1] * 6,  # total 6
+        [1, 2, 3, 1, 5, 2, 7],  # total 21
+        [3, 6, 12, 3, 1, 6, 12],  # one odd part, 3, in 3, 6 and 12
+        [12, 3, 6, 20],  # total 41, prime
+        [7],  # a single point
+        # Total 48: nine 1s give +9/48 log2 3 and 9 (p = 3/16) gives -3/16
+        # log2 3, so the per-value coefficient of log2 3 returns to 0 and
+        # 15 (p = 5/16) puts log2 5 first; summed per weight, log2 3 would
+        # stay first.
+        [1] * 9 + [9, 15] + [1] * 15,
+    ],
+)
+def test_entropy_of_equals_the_per_value_sum(weights):
+    dist = JointDistribution.from_weights(1, [((bv(8, i),), w) for i, w in enumerate(weights)])
+    _assert_per_value(dist, lambda t: t[0])
+    _assert_per_value(dist, lambda t: None)  # one value, whose weight is the total
+    assert repr(dist.entropy_of(lambda t: None)) == "LogExpr(0, {})"
+
+
+def test_entropy_of_equals_the_per_value_sum_on_random_supports():
+    stream = SeedStream("entropy-of-by-weight", 0)
+    for _ in range(30):
+        dist = random_joint(3, stream, bits=2)
+        for idx in ((0,), (1,), (0, 1), (1, 2), (0, 1, 2)):
+            _assert_per_value(dist, lambda t, idx=idx: tuple(t[i] for i in idx))
+        _assert_per_value(dist, lambda t: (t[0].v ^ t[1].v) & 1)
 
 
 # ---------------------------------------------------------

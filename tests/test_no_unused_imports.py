@@ -1,4 +1,5 @@
-"""Every name that a module of src/skalab imports is used in that module.
+"""Every name that a module of src/skalab or tests/ imports is used in that
+module.
 
 An AST scan: a name bound by an import counts as used when the module
 refers to it as a name anywhere (an attribute chain ``a.b`` refers to
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "skalab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "skalab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -35,4 +38,9 @@ def test_scan_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=[p.name for p in TESTS])
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []

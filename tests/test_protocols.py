@@ -347,7 +347,10 @@ def test_joint_decode_checks_no_tuple(monkeypatch):
     config = SessionConfig(parse_model_spec("triple:n=30"), "omniscience", Fraction(1, 16384), 13, OMNI_MARGINS)
     inst = sample(config.model, session_streams(config, 0)[0])
     o = run_session(config, 0)
-    fps, _ = protocols._hashes(session_plan(config), o.transcript)
+    plan = session_plan(config)
+    payloads = tuple(o.transcript.one(kind, sender=sender).payload for sender, kind, _l, _b in plan.seed_slots)
+    fp_hashes, _ = protocols.toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, payloads)
+    fps = [Fingerprint(h, o.transcript.one("fingerprint", sender=i).payload) for i, h in enumerate(fp_hashes, start=1)]
     calls = []
     checked = sources.is_consistent
     counting = lambda *a: calls.append(a) or checked(*a)  # noqa: E731
@@ -364,6 +367,45 @@ def test_joint_decode_checks_no_tuple(monkeypatch):
     res = reconcile.multi_decode(config.model, 1, inst.inputs[0], [bad, *fps[1:]])
     assert (res.status, res.candidates_checked) == (STATUS_NOT_FOUND, 0)
     assert reconcile.coset_words.cache_info().misses == 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        cfg_light("line-point:n=8", eps=Fraction(1, 4)),
+        cfg_two_phase("line-point:n=8", eps=Fraction(1, 4), margins=Margins(0, 4, 2, Fraction(1, 4))),
+        SessionConfig(parse_model_spec("triple:n=8"), "omniscience", Fraction(1, 4), 13, OMNI_MARGINS),
+    ],
+    ids=["light", "two-phase", "omniscience"],
+)
+def test_execute_feeds_each_party_what_the_transcript_names(config, monkeypatch):
+    """execute hands every party the hashes and fingerprints it built for
+    the broadcast: no transcript lookup, one hash lookup per session, and
+    each party's (key, status) equal to party_key's from the transcript,
+    also where the decode is not unique."""
+    plan, trials = session_plan(config), 12
+    lookups, hash_calls, party_keys = [], [], []
+    one, hashes, key_of = Transcript.one, protocols.toeplitz_hashes, protocols._party_key
+    monkeypatch.setattr(Transcript, "one", lambda *a, **k: lookups.append(a) or one(*a, **k))
+    monkeypatch.setattr(protocols, "toeplitz_hashes", lambda *a: hash_calls.append(a) or hashes(*a))
+    monkeypatch.setattr(protocols, "_party_key", lambda *a: party_keys.append(key_of(*a)) or party_keys[-1])
+    sessions = []
+    for trial in range(trials):
+        input_stream, public_stream = session_streams(config, trial)
+        inputs = sample(config.model, input_stream).inputs
+        sessions.append((inputs, protocols.execute(plan, inputs, draw_seeds(plan, public_stream))))
+    assert not lookups and len(hash_calls) == trials
+    monkeypatch.undo()
+    parties = config.model.parties
+    assert len(party_keys) == trials * parties
+    statuses = set()
+    for s, (inputs, o) in enumerate(sessions):
+        for party, own in enumerate(inputs, start=1):
+            key, status, _material = party_keys[s * parties + party - 1]
+            assert key == o.keys[party - 1]
+            assert protocols.party_key(plan, party, own, o.transcript)[:2] == (key, status)
+            statuses.add(status)
+    assert STATUS_UNIQUE in statuses and len(statuses) > 1
 
 
 # ---------------------------------------------------------
