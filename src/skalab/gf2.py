@@ -30,6 +30,12 @@ Representation conventions (used everywhere in this package):
 * GF(2^n) elements are n-bit polynomials over GF(2) in the monomial basis
   (bit i = coefficient of x^i), reduced modulo the lexicographically-first
   irreducible polynomial of degree n (see ``irreducible_poly``).
+* A GF(2)[z] polynomial in byte-spread form (``spread``) has bit i in
+  byte i of an int.  The integer product of two spread operands of degree
+  < n then sums at most n terms into each byte, so while n <= 255 no sum
+  carries into the next byte and each byte's parity is a coefficient of
+  the carry-less product: one multiply and a mask, where ``_clmul`` loops
+  over bits.  ``spread_reducer`` reduces modulo f in the same form.
 """
 
 from __future__ import annotations
@@ -298,6 +304,55 @@ def irreducible_poly(n: int) -> int:
 def mul_int(a: int, b: int, n: int) -> int:
     """Multiplication in GF(2^n) on raw n-bit ints."""
     return _poly_mod(_clmul(a, b), irreducible_poly(n))
+
+
+# A product of two spread operands of degree < n sums at most n terms into a
+# byte, so a byte slot holds every column sum up to this degree.
+_SPREAD_SLOT_MAX = 255
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def spread(a: int) -> int:
+    """Byte-spread form of a packed GF(2)[z] polynomial: bit i becomes byte
+    i.  The binary digits of a, as ASCII bytes mapped to 0 and 1 and read
+    big-endian, put bit i at byte i."""
+    return int.from_bytes(format(a, "b").encode().translate(_DIGIT_BYTES), "big")
+
+
+@lru_cache(maxsize=None)
+def spread_reducer(n: int):
+    """The reduction modulo f, the degree-n field polynomial, on spread form.
+
+    Its argument holds coefficient i in the parity of byte i, up to degree
+    2n - 2: the product of two spread operands of degree < n, or an XOR of
+    such products, since no column sum of a product (at most n) carries
+    into the next byte.  It masks every byte to its parity, then folds the
+    part at and above x^n back through f's low terms (x^n = f xor x^n modulo
+    f) with the same multiply and mask, until nothing is left there.  The
+    result is the spread form of the residue.
+
+    Spreading costs a string conversion per operand, so only a caller that
+    reuses each operand across many products uses this form: the joint
+    decode's collinearity form.  One-off products (matvec windows,
+    `mul_int`, `graph_images`, the irreducibility test) keep `_clmul` and
+    `_poly_mod`.  Spreading both operands and reading the product back on
+    every call ran at 0.4x (an exact audit's 8-bit seed) to 1.2-1.9x
+    (pair-affine's 217-bit seed) the speed of `_clmul` on this package's
+    Toeplitz matvec shapes (timeit, CPython 3.11, Xeon VM): a mixed result.
+    """
+    if n > _SPREAD_SLOT_MAX:
+        raise Gf2Error(f"spread form holds column sums up to {_SPREAD_SLOT_MAX}, not degree {n}")
+    shift = 8 * n
+    ones = ((1 << (8 * (2 * n - 1))) - 1) // 0xFF  # bit 0 of each of 2n - 1 bytes
+    keep, low = (1 << shift) - 1, spread(irreducible_poly(n) ^ (1 << n))
+
+    def reduce(p: int) -> int:
+        p &= ones
+        while p > keep:
+            p = (p & keep) ^ ((p >> shift) * low & ones)
+        return p
+
+    return reduce
 
 
 def x_power_multiples(m: int, n: int) -> list[int]:

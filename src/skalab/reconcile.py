@@ -34,9 +34,12 @@ third point lies on it iff one GF(2)-linear form of that point vanishes.
 The form's values on the larger coset are its value at one word xor its
 values at the kernel vectors, so a decode costs 1 + s field products per
 word of the smaller coset and one XOR per word of the product, s the
-larger coset's kernel dimension.  Each coset keeps a cap of 2^14 words:
-past it the coset is not enumerated, and the XORs, which still cover the
-whole product, stay bounded.
+larger coset's kernel dimension.  The products run on byte-spread
+operands (`gf2.spread`), each spread once per decode or once per word of
+the smaller coset, so a product is one integer multiply, a mask and a
+fold by the field polynomial, not a loop over bits.  Each coset keeps a
+cap of 2^14 words: past it the coset is not enumerated, and the XORs,
+which still cover the whole product, stay bounded.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from functools import lru_cache
 from itertools import compress, islice
 from operator import not_
 
-from .gf2 import BitVec, Gf2Matrix, _clmul, _eliminate, _poly_mod, graph_images, irreducible_poly, matvec, solve_affine
+from .gf2 import BitVec, Gf2Matrix, _eliminate, graph_images, matvec, solve_affine, spread, spread_reducer
 from .sources import COLLINEAR_TRIPLE, CorrelationModel, HammingSphere, _multiplier_basis
 
 STATUS_UNIQUE = "unique"
@@ -299,23 +302,30 @@ def _collinear_matches(n: int, own: BitVec, near: tuple, far: tuple):
     far are its value at far[0] xor those at the kernel vectors, tabulated
     in far's own layout: 1 + s field products and one XOR per word.  A
     zero on own's abscissa is own itself, and one on w's is w itself.
+
+    Products run on byte-spread operands: far[0]'s and the kernel
+    vectors' coordinates are spread once per decode, u and v once per word
+    of near, so each value is two integer multiplies, an XOR and one
+    `spread_reducer` fold.  The table holds spread residues, zero iff the
+    form is.
     """
     if not far:
         return
-    f, mask, o = irreducible_poly(n), (1 << n) - 1, own.v
+    reduce, mask, o = spread_reducer(n), (1 << n) - 1, own.v
     base = far[0].v
     kernel = [far[1 << j].v ^ base for j in range(len(far).bit_length() - 1)]
-    c_o, (c_0, d_0) = o & mask, ((base ^ o) & mask, (base ^ o) >> n)  # far[0] relative to own
+    c_o, rel = o & mask, base ^ o  # far[0] relative to own
+    c_0, d_0 = spread(rel & mask), spread(rel >> n)
+    spread_kernel = [(spread(k & mask), spread(k >> n)) for k in kernel]
     for w in near:
         c_w = w.v & mask
-        v = c_w ^ c_o
-        if not v:  # w shares own's abscissa: no line of the model holds both
+        if c_w == c_o:  # w shares own's abscissa: no line of the model holds both
             continue
-        u = (w.v ^ o) >> n
+        u, v = spread((w.v ^ o) >> n), spread(c_w ^ c_o)
         # u c xor v d on a packed point, reduced once: reduction is linear
-        vals = [_poly_mod(_clmul(u, c_0) ^ _clmul(v, d_0), f)]
-        for k in kernel:
-            g = _poly_mod(_clmul(u, k & mask) ^ _clmul(v, k >> n), f)
+        vals = [reduce(u * c_0 ^ v * d_0)]
+        for kc, kd in spread_kernel:
+            g = reduce(u * kc ^ v * kd)
             vals += [x ^ g for x in vals]
         for q in compress(far, map(not_, vals)):
             if (q.v & mask) not in (c_o, c_w):

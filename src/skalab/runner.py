@@ -51,7 +51,7 @@ def sweep_configs(
     configs = []
     for n in ns or [base.n]:
         for t in ts or [base.t]:
-            model = CorrelationModel(base.kind, n, t if base.kind == "hamming_pair" else 0)
+            model = CorrelationModel(base.kind, n, t)  # rejects a t on a model that takes none
             for eps in map(Fraction, eps_list):
                 configs.append(SessionConfig(model, protocol, eps, seed, margins and margins(n, eps)))
     return configs

@@ -3,7 +3,10 @@ entry points by name (run_session, party_key_from_transcript,
 session_streams, trial_rows), so a refactor that drops one fails here.
 The audit workload's correctness check runs the exact audits' rectangle
 and residual checks, so it covers the decode memo and the uniform joint
-distribution too."""
+distribution too.  Each workload's determinism digest (a SHA-256 over the
+checked passes' CSV rows, transcripts and audit records, the same for any
+run length) is pinned, so a change to the program that alters any of
+those bytes at seed 1 fails here."""
 
 import json
 import subprocess
@@ -15,7 +18,15 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["pair-affine", "pair-hamming", "triple-omni", "audit"])
+SEED1_DIGESTS = {
+    "pair-affine": "33bbc71b1f6d11f095b7765ee9cfc76071b7bfc88c91a8a508831bbb5b5eba7f",
+    "pair-hamming": "8a3f952c7849bff0f5a9b6a0a32dc001be1458c42b7dfbee1e2ef93cb6b5d0da",
+    "triple-omni": "ebc23b12c7de8ff5aa39cdf4d7f46b09166c7a39bdc094d27657bffa801c57f8",
+    "audit": "c6eeb6379df1ad2490dc6e5b56f4a93387eebfda2be719d37b16c14300578c86",
+}
+
+
+@pytest.mark.parametrize("workload", list(SEED1_DIGESTS))
 def test_bench_workload_runs_correctly(workload):
     proc = subprocess.run(
         [sys.executable, str(BENCH), "--workload", workload, "--seed", "1", "--seconds", "0.5", "--trace", "0"],
@@ -27,3 +38,5 @@ def test_bench_workload_runs_correctly(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    digests = [line.split()[-1] for line in proc.stdout.splitlines() if line.strip().startswith("determinism digest ")]
+    assert digests == [SEED1_DIGESTS[workload]]

@@ -16,6 +16,8 @@ from skalab.gf2 import (
     mul_int,
     rank,
     solve_affine,
+    spread,
+    spread_reducer,
     x_power_multiples,
 )
 from codes import dense_column_ints, dense_matvec, entry, to_dense
@@ -360,6 +362,47 @@ def test_field_inverses_exhaustive(n):
     for a in range(1 << n):
         inverses = [b for b in range(1 << n) if mul_int(a, b, n) == 1]
         assert len(inverses) == (1 if a else 0)
+
+
+# ---------------------------------------------------------
+# Byte-spread products
+# ---------------------------------------------------------
+
+
+def test_spread_puts_bit_i_at_byte_i():
+    assert spread(0) == 0
+    assert spread(1) == 1
+    assert spread(0b1011) == 0x01000101
+    rng = random.Random(7)
+    for _ in range(200):
+        a = rng.getrandbits(rng.randrange(1, 300))
+        assert spread(a) == sum(((a >> i) & 1) << (8 * i) for i in range(a.bit_length()))
+
+
+@pytest.mark.parametrize("n", range(2, gf2._MAX_FIELD_DEGREE + 1))
+def test_spread_product_reduces_to_mul_int(n):
+    # Random operands and the edge ones: 0, 1, all-ones, the top bit and
+    # f's low part, which is x^n itself modulo f.
+    reduce = spread_reducer(n)
+    rng = random.Random(n)
+    low = irreducible_poly(n) ^ (1 << n)
+    operands = [0, 1, (1 << n) - 1, 1 << (n - 1), low] + [rng.getrandbits(n) for _ in range(20)]
+    for a in operands:
+        for b in operands:
+            assert reduce(spread(a) * spread(b)) == spread(mul_int(a, b, n)), (a, b)
+    # The collinearity form: an XOR of two products, reduced once.
+    for _ in range(50):
+        a, b, c, d = (rng.getrandbits(n) for _ in range(4))
+        want = mul_int(a, b, n) ^ mul_int(c, d, n)
+        assert reduce(spread(a) * spread(b) ^ spread(c) * spread(d)) == spread(want)
+
+
+def test_spread_slot_bound():
+    # A product sums up to n terms into one byte, so the field cap must stay
+    # within the byte's range, and the reducer refuses any degree past it.
+    assert gf2._MAX_FIELD_DEGREE <= gf2._SPREAD_SLOT_MAX == 255
+    with pytest.raises(Gf2Error, match="column sums"):
+        spread_reducer(256)
 
 
 # ---------------------------------------------------------

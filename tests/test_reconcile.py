@@ -563,23 +563,28 @@ def _assert_matches_product_filter(model, party, own, fps):
 
 
 def test_multi_decode_matches_product_filter():
-    # Every holder of seeded triples at n = 2, 4, 8 and 16.  Fingerprints
-    # 0-5 rows short of the 2n input bits leave cosets of up to 2^5 words;
-    # one seed in four is honest, the others tamper one party each in turn.
-    statuses = set()
-    for n in (2, 4, 8, 16):
+    # Every holder of seeded triples at n = 2, 4, 8 and 16, at the bench's
+    # n = 30 and 32, and at n = 64, the largest field.  Fingerprints up to
+    # `short` rows short of the 2n input bits leave cosets of up to 2^short
+    # words; one seed in four is honest, the others tamper one party each
+    # in turn.  The reference multiplies by the bitwise `_clmul` loop.
+    statuses = {}
+    for n, seeds, short in [(2, 120, 5), (4, 120, 5), (8, 120, 5), (16, 40, 5), (30, 24, 6), (32, 24, 6), (64, 24, 6)]:
         model = parse_model_spec(f"triple:n={n}")
         stream = SeedStream("md-product", n)
-        for s in range(120 if n < 16 else 40):
+        for s in range(seeds):
             inst = sample(model, stream.child("in", s))
             fps = [
-                encode(x, 2 * n - stream.randrange(min(2 * n, 6)), 1, stream.child("fp", s, i))
+                encode(x, 2 * n - stream.randrange(min(2 * n, short + 1)), 1, stream.child("fp", s, i))
                 for i, x in enumerate(inst.inputs)
             ]
             if s % 4:
                 fps[s % 4 - 1] = _tampered(fps[s % 4 - 1])
-            statuses |= {_assert_matches_product_filter(model, p, inst.inputs[p - 1], fps) for p in (1, 2, 3)}
-    assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
+            for p in (1, 2, 3):
+                statuses.setdefault(n, set()).add(_assert_matches_product_filter(model, p, inst.inputs[p - 1], fps))
+    assert set().union(*statuses.values()) == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
+    for n in (30, 32, 64):  # honest and tampered fingerprints both decided
+        assert {STATUS_UNIQUE, STATUS_NOT_FOUND} <= statuses[n], (n, statuses[n])
 
 
 def _point(c, d, n):

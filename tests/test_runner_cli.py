@@ -279,6 +279,16 @@ def test_cli_bad_config_is_a_usage_error(capsys, command, model, protocol, eps, 
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_cli_sweep_t_on_a_model_without_t_is_a_usage_error(capsys):
+    # A t axis on a model that takes none would run the same config once
+    # per t value and write duplicate rows.
+    argv = ["sweep", "--model", "line-point:n=8", "--protocol", "light", "--t", "1", "2", "--trials", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line_point takes no t parameter\n"
+
+
 def test_cli_config_file(tmp_path, capsys):
     conf = tmp_path / "flags.conf"
     conf.write_text(
