@@ -41,13 +41,6 @@ from .reconcile import (
     multi_decode,
 )
 from .rng import SeedStream
-from .sources import (
-    CorrelatedInstance,
-    CorrelationModel,
-    analytic_profile,
-    enumerate_candidates,
-    parse_model_spec,
-    sample,
-)
+from .sources import CorrelatedInstance, Model, parse_model_spec, sample
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .entropy import (
 )
 from .protocols import SessionConfig, SessionPlan, draw_seeds, execute, input_stream, session_plan
 from .rng import SeedStream
-from .sources import enumerate_instances, instance_count, sample
+from .sources import sample
 
 MIN_STRATUM_SAMPLES = 30
 Z_PASS = 4.0
@@ -239,11 +239,11 @@ _MAX_ENUM_INSTANCES = 1 << 18
 def exact_small_n_audit(config: SessionConfig, public_label: int = 0) -> ExactAuditResult:
     """Enumerate every model instance, run the protocol with fixed seeds,
     and audit the exact joint distribution of (inputs, transcript, key)."""
-    count = instance_count(config.model)
+    count = config.model.instance_count()
     if count > _MAX_ENUM_INSTANCES:
         raise ValueError(f"input space of {count} tuples exceeds the cap")
     plan, seeds = fixed_seeds(config, public_label)
-    memo, counts, agreed = _tabulate(plan, seeds, enumerate_instances(config.model))
+    memo, counts, agreed = _tabulate(plan, seeds, config.model.instances())
     if all(key is None for _t, key in counts):
         raise RuntimeError("no instance produced a key for party 1")
     dist = JointDistribution.uniform(config.model.parties, memo)

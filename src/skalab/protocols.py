@@ -47,7 +47,7 @@ from .profiles import cond, mutual
 from .rateregion import co_lp, sw_constraints
 from .reconcile import STATUS_UNIQUE, Fingerprint, decode, multi_decode
 from .rng import SeedStream
-from .sources import CorrelationModel, analytic_profile, enumerate_candidates, sample
+from .sources import Model, sample
 
 LIGHT = "light"
 TWO_PHASE = "two_phase"
@@ -96,7 +96,7 @@ class Margins:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    model: CorrelationModel
+    model: Model
     protocol: str
     eps: Fraction
     seed: int
@@ -149,7 +149,7 @@ class SessionPlan:
     public seed as (sender, kind, stream labels, bits), in broadcast order.
     """
 
-    model: CorrelationModel
+    model: Model
     protocol: str
     eps: Fraction
     fp_rows: tuple
@@ -170,8 +170,8 @@ def session_plan(config: SessionConfig) -> SessionPlan:
 
 
 @lru_cache(maxsize=256)
-def _plan(model: CorrelationModel, protocol: str, eps: Fraction, margins: Margins) -> SessionPlan:
-    profile = analytic_profile(model)
+def _plan(model: Model, protocol: str, eps: Fraction, margins: Margins) -> SessionPlan:
+    profile = model.profile()
     c = ceil_log2_inv(eps)
     sigma = margins.profile_sigma
     if protocol == LIGHT:
@@ -273,7 +273,7 @@ def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
         return STATUS_UNIQUE, packed
     if party == 1:
         return STATUS_UNIQUE, own
-    res = decode(fps[0], enumerate_candidates(plan.model, party, own))
+    res = decode(fps[0], plan.model.candidates(own))
     return res.status, res.value
 
 

@@ -51,7 +51,7 @@ from itertools import compress, islice
 from operator import not_
 
 from .gf2 import BitVec, Gf2Matrix, _eliminate, graph_images, matvec, solve_affine, spread, spread_reducer
-from .sources import COLLINEAR_TRIPLE, CorrelationModel, HammingSphere, _multiplier_basis
+from .sources import HammingSphere, Model, _multiplier_basis
 
 STATUS_UNIQUE = "unique"
 STATUS_AMBIGUOUS = "ambiguous"
@@ -332,7 +332,7 @@ def _collinear_matches(n: int, own: BitVec, near: tuple, far: tuple):
                 yield w, q
 
 
-def multi_decode(model: CorrelationModel, own_index: int, own: BitVec, fps) -> DecodeResult:
+def multi_decode(model: Model, own_index: int, own: BitVec, fps) -> DecodeResult:
     """The unique input tuple of a collinear triple consistent with the
     holder's input and every fingerprint.
 
@@ -345,7 +345,7 @@ def multi_decode(model: CorrelationModel, own_index: int, own: BitVec, fps) -> D
     (`_collinear_matches`); no tuple of the product is checked on its own.
     candidates_checked reports the size of the product the verdict covered.
     """
-    if model.kind != COLLINEAR_TRIPLE:
+    if model.parties != 3:
         raise ValueError(f"joint decoding needs a collinear triple, got {model.spec_string()}")
     own_fp = fps[own_index - 1]
     if matvec(own_fp.spec, own) != own_fp.value:

@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .protocols import SessionConfig, run_session
-from .sources import CorrelationModel, parse_model_spec
+from .sources import make_model, parse_model_spec
 
 TRIAL_COLUMNS = (
     "trial",
@@ -36,7 +36,7 @@ def _fmt(value) -> str:
 
 
 def sweep_configs(
-    kind_spec: str,
+    model_spec: str,
     ns,
     ts,
     eps_list,
@@ -47,11 +47,12 @@ def sweep_configs(
     """Cross product of the sweep axes as session configs; an axis left
     empty keeps the spec's value.  margins(n, eps), when given, sizes each
     config's margins, or leaves the defaults by returning None."""
-    base = parse_model_spec(kind_spec)
+    base = parse_model_spec(model_spec)
     configs = []
     for n in ns or [base.n]:
-        for t in ts or [base.t]:
-            model = CorrelationModel(base.kind, n, t)  # rejects a t on a model that takes none
+        for t in ts or [None]:
+            axes = {"n": n} if t is None else {"n": n, "t": t}
+            model = make_model(base.name, vars(base) | axes)  # rejects a t on a model that takes none
             for eps in map(Fraction, eps_list):
                 configs.append(SessionConfig(model, protocol, eps, seed, margins and margins(n, eps)))
     return configs

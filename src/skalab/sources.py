@@ -1,6 +1,7 @@
 """Correlated input generators with analytic profiles and candidate sets.
 
-Four correlation models are supported, keyed by CLI spec strings:
+Each correlation model is one frozen dataclass of its parameters, and
+``MODELS`` maps the name of a CLI spec string to its class:
 
 * ``line-point:n=16``  Alice holds a random non-vertical line (slope a,
   intercept b) of the affine plane over GF(2^n), Bob a random point on it.
@@ -11,244 +12,237 @@ Four correlation models are supported, keyed by CLI spec strings:
   non-vertical line (three parties).
 * ``identical:n=16``   both parties hold the same uniform word.
 
-Each model carries an exact analytic profile and, for the two-party
-models, an enumerator of the receiver's candidate set, which is what makes
-decoding feasible at desk scale.
+A model class checks its own parameters and holds its party count, input
+length and spec string, its exact analytic profile (``profile``), its draw
+from a seed stream (``draw``), the count and enumeration of its instances
+for exhaustive audits and, for the two-party models, the receiver's
+candidate set (``candidates``), which is what makes decoding feasible at
+desk scale.  Adding a model takes one class and one entry in ``MODELS``;
+no other module names a model class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import permutations
 
 from .entropy import make_profile
-from .gf2 import BitVec, _clmul, _poly_mod, irreducible_poly, mul_int, x_power_multiples
-from .profiles import ComplexityProfile
+from .gf2 import BitVec, irreducible_poly, mul_int, x_power_multiples
+from .profiles import ComplexityProfile, all_nonempty_subsets
 from .rng import SeedStream
 
-LINE_POINT = "line_point"
-HAMMING_PAIR = "hamming_pair"
-COLLINEAR_TRIPLE = "collinear_triple"
-IDENTICAL_PAIR = "identical_pair"
 
-_SPEC_NAMES = {
-    "line-point": LINE_POINT,
-    "hamming": HAMMING_PAIR,
-    "triple": COLLINEAR_TRIPLE,
-    "identical": IDENTICAL_PAIR,
-}
-_SPEC_NAMES_REV = {v: k for k, v in _SPEC_NAMES.items()}
+class Model:
+    """What every model shares: n >= 2, two parties unless it says
+    otherwise, n-bit inputs, and a spec string of its dataclass fields."""
 
-
-@dataclass(frozen=True)
-class CorrelationModel:
-    kind: str
-    n: int
-    t: int = 0
+    name = ""
+    parties = 2
 
     def __post_init__(self) -> None:
-        if self.kind not in (LINE_POINT, HAMMING_PAIR, COLLINEAR_TRIPLE, IDENTICAL_PAIR):
-            raise ValueError(f"unknown model kind {self.kind!r}")
         if self.n < 2:
-            raise ValueError(f"model needs n >= 2, got {self.n}")
-        if self.kind == HAMMING_PAIR:
-            if not 0 <= self.t < self.n / 2:
-                raise ValueError(f"hamming model needs 0 <= t < n/2, got t={self.t}")
-        elif self.t:
-            raise ValueError(f"{self.kind} takes no t parameter")
-        if self.kind in (LINE_POINT, COLLINEAR_TRIPLE):
-            irreducible_poly(self.n)  # raises FieldConfigError if unsupported
-
-    @property
-    def parties(self) -> int:
-        return 3 if self.kind == COLLINEAR_TRIPLE else 2
+            raise ValueError(f"{self.name} needs n >= 2, got {self.n}")
 
     @property
     def input_len(self) -> int:
-        return 2 * self.n if self.kind in (LINE_POINT, COLLINEAR_TRIPLE) else self.n
+        return self.n
 
     def spec_string(self) -> str:
-        base = f"{_SPEC_NAMES_REV[self.kind]}:n={self.n}"
-        return f"{base},t={self.t}" if self.kind == HAMMING_PAIR else base
+        return f"{self.name}:" + ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
 
 
-def parse_model_spec(text: str) -> CorrelationModel:
-    """Parse CLI model strings like ``line-point:n=16`` or ``hamming:n=31,t=2``."""
-    name, _, args = text.strip().partition(":")
-    if name not in _SPEC_NAMES:
-        raise ValueError(f"unknown model {name!r} (want one of {sorted(_SPEC_NAMES)})")
-    params = {}
-    if args:
-        for item in args.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise ValueError(f"bad model parameter {item!r}")
-            params[key.strip()] = int(val)
-    unknown = set(params) - {"n", "t"}
-    if unknown:
-        raise ValueError(f"unknown model parameters {sorted(unknown)}")
+class _PlaneModel(Model):
+    """Inputs are lines or points of the affine plane over GF(2^n), each
+    two n-bit coordinates packed as low | high << n."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        irreducible_poly(self.n)  # raises FieldConfigError if unsupported
+
+    @property
+    def input_len(self) -> int:
+        return 2 * self.n
+
+    def _pack(self, low: int, high: int) -> BitVec:
+        return BitVec(2 * self.n, low | (high << self.n))
+
+
+@dataclass(frozen=True)
+class LinePoint(_PlaneModel):
+    n: int
+    name = "line-point"
+
+    def profile(self) -> ComplexityProfile:
+        n = self.n
+        return make_profile(2, {(1,): 2 * n, (2,): 2 * n, (1, 2): 3 * n})
+
+    def draw(self, stream: SeedStream) -> tuple:
+        a, b, c = stream.bits(self.n), stream.bits(self.n), stream.bits(self.n)
+        return self._pack(a, b), self._pack(c, mul_int(a, c, self.n) ^ b)
+
+    def instance_count(self) -> int:
+        return 1 << 3 * self.n
+
+    def instances(self):
+        """Every (a, b, c) that draw ranges over."""
+        q = 1 << self.n
+        for a in range(q):
+            for b in range(q):
+                x = self._pack(a, b)
+                for c in range(q):
+                    yield (x, self._pack(c, mul_int(a, c, self.n) ^ b))
+
+    def candidates(self, observation: BitVec) -> AffineCandidates:
+        # Lines through Bob's point (c, d): slope s gives (s, d xor s*c).
+        # Points on Alice's line (a, b): abscissa u gives (u, a*u xor b).
+        n = self.n
+        return AffineCandidates(2 * n, observation.v >> n << n, observation.v & ((1 << n) - 1))
+
+
+@dataclass(frozen=True)
+class Hamming(Model):
+    n: int
+    t: int = 0
+    name = "hamming"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0 <= self.t < self.n / 2:
+            raise ValueError(f"hamming needs 0 <= t < n/2, got t={self.t}")
+
+    def profile(self) -> ComplexityProfile:
+        n = self.n
+        return make_profile(2, {(1,): n, (2,): n, (1, 2): n + ceil_log2(math.comb(n, self.t))})
+
+    def draw(self, stream: SeedStream) -> tuple:
+        x = stream.bitvec(self.n)
+        e = 0
+        positions = list(range(self.n))
+        for i in range(self.t):  # Fisher-Yates prefix for t distinct positions
+            j = i + stream.randrange(self.n - i)
+            positions[i], positions[j] = positions[j], positions[i]
+            e |= 1 << positions[i]
+        return x, BitVec(self.n, x.v ^ e)
+
+    def instance_count(self) -> int:
+        return math.comb(self.n, self.t) << self.n
+
+    def instances(self):
+        """Every (x, error position set) that draw ranges over."""
+        errors = list(weight_words(self.n, self.t))
+        for v in range(1 << self.n):
+            for e in errors:
+                yield (BitVec(self.n, v), BitVec(self.n, v ^ e))
+
+    def candidates(self, observation: BitVec) -> HammingSphere:
+        return HammingSphere(self.n, observation.v, self.t)
+
+
+@dataclass(frozen=True)
+class Triple(_PlaneModel):
+    n: int
+    name = "triple"
+    parties = 3
+
+    def profile(self) -> ComplexityProfile:
+        # One point is 2n bits; two fix the line and two abscissas; the
+        # third adds its abscissa.
+        n = self.n
+        return make_profile(3, {s: (2 * n, 4 * n, 5 * n)[len(s) - 1] for s in all_nonempty_subsets(3)})
+
+    def draw(self, stream: SeedStream) -> tuple:
+        a, b = stream.bits(self.n), stream.bits(self.n)
+        cs: list[int] = []
+        while len(cs) < 3:  # resample abscissas until distinct
+            c = stream.bits(self.n)
+            if c not in cs:
+                cs.append(c)
+        return tuple(self._pack(c, mul_int(a, c, self.n) ^ b) for c in cs)
+
+    def instance_count(self) -> int:
+        q = 1 << self.n
+        return q * q * q * (q - 1) * (q - 2)
+
+    def instances(self):
+        """Every (a, b, distinct ordered abscissas) that draw ranges over."""
+        q = 1 << self.n
+        for a in range(q):
+            for b in range(q):
+                yield from permutations([self._pack(c, mul_int(a, c, self.n) ^ b) for c in range(q)], 3)
+
+
+@dataclass(frozen=True)
+class Identical(Model):
+    n: int
+    name = "identical"
+
+    def profile(self) -> ComplexityProfile:
+        n = self.n
+        return make_profile(2, {(1,): n, (2,): n, (1, 2): n})
+
+    def draw(self, stream: SeedStream) -> tuple:
+        x = stream.bitvec(self.n)
+        return x, x
+
+    def instance_count(self) -> int:
+        return 1 << self.n
+
+    def instances(self):
+        for v in range(1 << self.n):
+            x = BitVec(self.n, v)
+            yield (x, x)
+
+    def candidates(self, observation: BitVec) -> AffineCandidates:
+        return AffineCandidates(self.n, observation.v)
+
+
+MODELS = {cls.name: cls for cls in (LinePoint, Hamming, Triple, Identical)}
+
+
+def make_model(name: str, params: dict) -> Model:
+    """The model that MODELS names, built from params; a parameter that the
+    model does not take is an error, not ignored."""
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r} (want one of {sorted(MODELS)})")
+    extra = sorted(params.keys() - {f.name for f in fields(MODELS[name])})
+    if extra:
+        raise ValueError(f"{name} takes no {extra[0]} parameter")
     if "n" not in params:
         raise ValueError("model spec needs n=<bits>")
-    return CorrelationModel(_SPEC_NAMES[name], params["n"], params.get("t", 0))
+    return MODELS[name](**params)
+
+
+def parse_model_spec(text: str) -> Model:
+    """Parse CLI model strings like ``line-point:n=16`` or ``hamming:n=31,t=2``."""
+    name, _, args = text.strip().partition(":")
+    params = {}
+    for item in args.split(",") if args else ():
+        key, _, val = item.partition("=")
+        key = key.strip()
+        if not val.strip().removeprefix("-").isdecimal():  # int() would also take "1_6" and "+1"
+            raise ValueError(f"bad model parameter {item!r}")
+        if key in params:
+            raise ValueError(f"model parameter {key} given twice")
+        params[key] = int(val)
+    return make_model(name, params)
 
 
 @dataclass(frozen=True)
 class CorrelatedInstance:
-    model: CorrelationModel
     inputs: tuple
-    profile: ComplexityProfile
-
-    def __post_init__(self) -> None:
-        if len(self.inputs) != self.model.parties:
-            raise ValueError("wrong number of party inputs")
-        if not is_consistent(self.model, self.inputs):
-            raise ValueError("inputs violate the model constraint")
 
 
-@lru_cache(maxsize=256)
-def analytic_profile(model: CorrelationModel) -> ComplexityProfile:
-    n = model.n
-    if model.kind == LINE_POINT:
-        return make_profile(2, {(1,): 2 * n, (2,): 2 * n, (1, 2): 3 * n})
-    if model.kind == IDENTICAL_PAIR:
-        return make_profile(2, {(1,): n, (2,): n, (1, 2): n})
-    if model.kind == HAMMING_PAIR:
-        joint = n + ceil_log2(math.comb(n, model.t))
-        return make_profile(2, {(1,): n, (2,): n, (1, 2): joint})
-    return make_profile(
-        3,
-        {
-            (1,): 2 * n,
-            (2,): 2 * n,
-            (3,): 2 * n,
-            (1, 2): 4 * n,
-            (1, 3): 4 * n,
-            (2, 3): 4 * n,
-            (1, 2, 3): 5 * n,
-        },
-    )
+def sample(model: Model, stream: SeedStream) -> CorrelatedInstance:
+    """Draw one instance; deterministic given the stream state."""
+    return CorrelatedInstance(model.draw(stream))
 
 
 def ceil_log2(x: int) -> int:
     if x < 1:
         raise ValueError("ceil_log2 of non-positive value")
     return (x - 1).bit_length()
-
-
-def _pack_point(c: int, d: int, n: int) -> BitVec:
-    return BitVec(2 * n, c | (d << n))
-
-
-def _unpack(v: BitVec, n: int) -> tuple[int, int]:
-    return v.v & ((1 << n) - 1), v.v >> n
-
-
-def sample(model: CorrelationModel, stream: SeedStream) -> CorrelatedInstance:
-    """Draw one instance; deterministic given the stream state."""
-    n = model.n
-    profile = analytic_profile(model)
-    if model.kind == LINE_POINT:
-        a, b, c = stream.bits(n), stream.bits(n), stream.bits(n)
-        d = mul_int(a, c, n) ^ b
-        x = _pack_point(a, b, n)
-        y = _pack_point(c, d, n)
-        return CorrelatedInstance(model, (x, y), profile)
-    if model.kind == IDENTICAL_PAIR:
-        x = stream.bitvec(n)
-        return CorrelatedInstance(model, (x, x), profile)
-    if model.kind == HAMMING_PAIR:
-        x = stream.bitvec(n)
-        e = 0
-        positions = list(range(n))
-        for i in range(model.t):  # Fisher-Yates prefix for t distinct positions
-            j = i + stream.randrange(n - i)
-            positions[i], positions[j] = positions[j], positions[i]
-            e |= 1 << positions[i]
-        return CorrelatedInstance(model, (x, BitVec(n, x.v ^ e)), profile)
-    a, b = stream.bits(n), stream.bits(n)
-    cs: list[int] = []
-    while len(cs) < 3:  # resample abscissas until distinct
-        c = stream.bits(n)
-        if c not in cs:
-            cs.append(c)
-    points = tuple(_pack_point(c, mul_int(a, c, n) ^ b, n) for c in cs)
-    return CorrelatedInstance(model, points, profile)
-
-
-def is_consistent(model: CorrelationModel, inputs) -> bool:
-    n = model.n
-    if any(v.n != model.input_len for v in inputs):
-        return False
-    if model.kind == LINE_POINT:
-        (a, b), (c, d) = _unpack(inputs[0], n), _unpack(inputs[1], n)
-        return d == mul_int(a, c, n) ^ b
-    if model.kind == IDENTICAL_PAIR:
-        return inputs[0] == inputs[1]
-    if model.kind == HAMMING_PAIR:
-        return (inputs[0].v ^ inputs[1].v).bit_count() == model.t
-    points = [_unpack(p, n) for p in inputs]
-    cs = [c for c, _ in points]
-    if len(set(cs)) != 3:
-        return False
-    (c1, d1), (c2, d2), (c3, d3) = points
-    # Equal slopes from point 1, cross-multiplied (the abscissas are
-    # distinct); reduction is linear, so one reduction of the XOR decides.
-    return not _poly_mod(_clmul(d1 ^ d2, c1 ^ c3) ^ _clmul(d1 ^ d3, c1 ^ c2), irreducible_poly(n))
-
-
-def instance_count(model: CorrelationModel) -> int:
-    """Number of tuples enumerate_instances yields, without enumerating."""
-    q = 1 << model.n
-    if model.kind == LINE_POINT:
-        return q**3
-    if model.kind == IDENTICAL_PAIR:
-        return q
-    if model.kind == HAMMING_PAIR:
-        return q * math.comb(model.n, model.t)
-    return q * q * q * (q - 1) * (q - 2)
-
-
-def enumerate_instances(model: CorrelationModel):
-    """Every instance of the model, in sampling-uniform order.
-
-    The tuples enumerated here have exactly the distribution of sample():
-    line-point ranges over (a, b, c), hamming over (x, error position
-    set), the triple over (a, b, distinct ordered abscissas).  Intended
-    for exhaustive small-n audits only.
-    """
-    n = model.n
-    if model.kind == LINE_POINT:
-        for a in range(1 << n):
-            for b in range(1 << n):
-                x = _pack_point(a, b, n)
-                for c in range(1 << n):
-                    yield (x, _pack_point(c, mul_int(a, c, n) ^ b, n))
-    elif model.kind == IDENTICAL_PAIR:
-        for v in range(1 << n):
-            x = BitVec(n, v)
-            yield (x, x)
-    elif model.kind == HAMMING_PAIR:
-        errors = list(weight_words(n, model.t))
-        for v in range(1 << n):
-            for e in errors:
-                yield (BitVec(n, v), BitVec(n, v ^ e))
-    else:
-        for a in range(1 << n):
-            for b in range(1 << n):
-                ds = [mul_int(a, c, n) ^ b for c in range(1 << n)]
-                for c1 in range(1 << n):
-                    for c2 in range(1 << n):
-                        if c2 == c1:
-                            continue
-                        for c3 in range(1 << n):
-                            if c3 == c1 or c3 == c2:
-                                continue
-                            yield (
-                                _pack_point(c1, ds[c1], n),
-                                _pack_point(c2, ds[c2], n),
-                                _pack_point(c3, ds[c3], n),
-                            )
 
 
 # ---------------------------------------------------------------------------
@@ -314,29 +308,6 @@ def weight_words(n: int, w: int):
         low = e & -e
         ripple = e + low
         e = ripple | (((e ^ ripple) >> 2) // low)
-
-
-def enumerate_candidates(model: CorrelationModel, observer: int, observation: BitVec):
-    """Candidates for the unknown input, given one party's observation.
-
-    Party indices are 1-based.  For the collinear triple the joint
-    candidate set is handled by reconcile.multi_decode instead.
-    """
-    n = model.n
-    if observation.n != model.input_len:
-        raise ValueError(f"observation has {observation.n} bits, model wants {model.input_len}")
-    if model.kind == COLLINEAR_TRIPLE:
-        raise ValueError("joint candidates for the triple are built by the reconciler")
-    if observer not in (1, 2):
-        raise ValueError(f"observer must be 1 or 2, got {observer}")
-    if model.kind == IDENTICAL_PAIR:
-        return AffineCandidates(n, observation.v)
-    if model.kind == HAMMING_PAIR:
-        return HammingSphere(n, observation.v, model.t)
-    # Lines through Bob's point (c, d): slope s gives (s, d xor s*c).
-    # Points on Alice's line (a, b): abscissa u gives (u, a*u xor b).
-    c_or_a, d_or_b = _unpack(observation, n)
-    return AffineCandidates(2 * n, d_or_b << n, c_or_a)
 
 
 @lru_cache(maxsize=64)

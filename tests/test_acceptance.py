@@ -40,7 +40,7 @@ from skalab.protocols import (
 from skalab.rateregion import co_formula3, co_lp, key_capacity, sw_constraints
 from skalab.reconcile import STATUS_UNIQUE
 from skalab.rng import SeedStream
-from skalab.sources import analytic_profile, parse_model_spec, sample
+from skalab.sources import parse_model_spec, sample
 
 
 def verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -110,7 +110,7 @@ def test_criterion_2_two_phase_accounting():
 
 def test_criterion_3_omniscience():
     model = parse_model_spec("triple:n=16")
-    profile = analytic_profile(model)
+    profile = model.profile()
     total, rates = co_lp(sw_constraints(profile))
     closed = co_formula3(profile)
     assert total == 72 and closed == 72

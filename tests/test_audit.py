@@ -20,7 +20,7 @@ from skalab.channel import TranscriptRecord
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank, solve_affine
 from skalab.protocols import Margins, SessionConfig, execute, input_stream
 from skalab.rng import SeedStream
-from skalab.sources import enumerate_instances, instance_count, parse_model_spec, sample
+from skalab.sources import parse_model_spec, sample
 
 
 def light_config(spec, eps, seed=101):
@@ -131,7 +131,7 @@ def test_exact_audit_runs_every_instance_once(monkeypatch):
     config = light_config("line-point:n=2", Fraction(1, 4))
     calls = _count_executions(monkeypatch)
     exact_small_n_audit(config)
-    assert len(calls) == instance_count(config.model)
+    assert len(calls) == config.model.instance_count()
 
 
 def test_inconclusive_when_strata_too_thin():
@@ -316,7 +316,7 @@ def test_light_within_stratum_uniformity_exact():
     h2 = h.row_block(q_rows, q_rows + key_rows)
 
     strata: dict = {}
-    for inputs in enumerate_instances(model):
+    for inputs in model.instances():
         x = inputs[0]
         q = matvec(h1, x)
         z = matvec(h2, x)

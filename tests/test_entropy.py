@@ -11,7 +11,7 @@ from skalab.entropy import (
 )
 from skalab.profiles import is_polymatroid
 from skalab.rng import SeedStream
-from skalab.sources import enumerate_instances, parse_model_spec
+from skalab.sources import parse_model_spec
 
 from entropy_checks import (
     bv,
@@ -143,7 +143,7 @@ def test_profile_copy():
 
 def test_profile_line_point_enumerated_n2():
     model = parse_model_spec("line-point:n=2")
-    dist = JointDistribution.uniform(2, enumerate_instances(model))
+    dist = JointDistribution.uniform(2, model.instances())
     p = exact_profile(dist)
     assert (p.c({1}), p.c({2}), p.c({1, 2})) == (4, 4, 6)
 
@@ -160,7 +160,7 @@ def test_exact_profile_is_polymatroid():
 
 def test_exact_profile_symbolic_chain_rule_uniform_case():
     model = parse_model_spec("identical:n=3")
-    dist = JointDistribution.uniform(2, enumerate_instances(model))
+    dist = JointDistribution.uniform(2, model.instances())
     sym = exact_profile_symbolic(dist)
     assert (sym[frozenset({1, 2})] - sym[frozenset({1})]).sign() == 0
 
@@ -171,7 +171,7 @@ def test_exact_profile_symbolic_chain_rule_uniform_case():
 
 def line_point_dist(n=2):
     return JointDistribution.uniform(
-        2, enumerate_instances(parse_model_spec(f"line-point:n={n}"))
+        2, parse_model_spec(f"line-point:n={n}").instances()
     )
 
 

@@ -88,7 +88,7 @@ def test_exact_audit_record_unchanged():
 
 
 def test_exact_omniscience_audit_record_unchanged():
-    # Enumerates every collinear triple, so it pins is_consistent.
+    # Enumerates every collinear triple, so it pins Triple.instances.
     config = SessionConfig(parse_model_spec("triple:n=2"), "omniscience", Fraction(1, 2**24), 311, TINY_OMNI_MARGINS)
     record = exact_record(exact_small_n_audit(config, public_label=0))
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN["exact omniscience triple:n=2"]

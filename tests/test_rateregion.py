@@ -16,15 +16,15 @@ from skalab.rateregion import (
     sw_constraints,
 )
 from skalab.rng import SeedStream
-from skalab.sources import analytic_profile, parse_model_spec
+from skalab.sources import parse_model_spec
 
 
 def triple16():
-    return analytic_profile(parse_model_spec("triple:n=16"))
+    return parse_model_spec("triple:n=16").profile()
 
 
 def line_point16():
-    return analytic_profile(parse_model_spec("line-point:n=16"))
+    return parse_model_spec("line-point:n=16").profile()
 
 
 def additive(weights):
@@ -146,13 +146,13 @@ def test_co_lp_line_point_16():
 
 
 def test_co_lp_identical_pair_zero():
-    total, rates = co_lp(sw_constraints(analytic_profile(parse_model_spec("identical:n=16"))))
+    total, rates = co_lp(sw_constraints(parse_model_spec("identical:n=16").profile()))
     assert total == 0 and rates.rates == (0, 0)
 
 
 def test_co_lp_half_integral_rates():
     # collinear triple at odd n: optimum is half-integral 1.5n
-    p = analytic_profile(parse_model_spec("triple:n=5"))
+    p = parse_model_spec("triple:n=5").profile()
     total, rates = co_lp(sw_constraints(p))
     assert total == Fraction(45, 2)
     assert rates.rates == (Fraction(15, 2),) * 3
@@ -233,7 +233,7 @@ def test_key_capacity_two_party_is_mutual_information():
 
 
 def test_key_capacity_identical():
-    assert key_capacity(analytic_profile(parse_model_spec("identical:n=16"))) == 16
+    assert key_capacity(parse_model_spec("identical:n=16").profile()) == 16
 
 
 def test_oracle_equivalence_random_profiles():

@@ -8,6 +8,7 @@ from operator import xor
 import pytest
 
 from codes import dense_matvec, encode, hamming_parity_check, random_linear_code, syndrome_decode
+from model_checks import is_consistent
 from skalab import gf2, reconcile, sources
 from skalab.audit import exact_small_n_audit
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank
@@ -32,9 +33,6 @@ from skalab.sources import (
     AffineCandidates,
     HammingSphere,
     _multiplier_basis,
-    enumerate_candidates,
-    enumerate_instances,
-    is_consistent,
     parse_model_spec,
     sample,
 )
@@ -122,7 +120,7 @@ def test_decode_matches_scan_on_affine_sets():
         x, y = inst.inputs
         k = 2 + stream.randrange(5)
         fp = encode(x, k, Fraction(1, 4), stream.child("s", trial))
-        cands = enumerate_candidates(model, 2, y)
+        cands = model.candidates(y)
         a = decode(fp, cands)
         b = decode_scan(fp, cands)
         assert a.status == b.status and a.value == b.value
@@ -146,7 +144,7 @@ def test_factorization_memo_shared_across_fingerprint_values():
     # not_found.
     model = parse_model_spec("line-point:n=4")
     stream = SeedStream("memo")
-    cands = enumerate_candidates(model, 2, sample(model, stream.child("inst")).inputs[1])
+    cands = model.candidates(sample(model, stream.child("inst")).inputs[1])
     statuses = set()
     for rows in (3, 8):
         spec = Gf2Matrix(rows, 8, stream.child("toeplitz", rows).bitvec(rows + 7))
@@ -185,7 +183,7 @@ def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
         monkeypatch.setattr(module, "x_power_multiples", doubling)
     _factored.cache_clear()
     _multiplier_basis.cache_clear()
-    res = decode(fp, enumerate_candidates(model, 2, y))
+    res = decode(fp, model.candidates(y))
     assert (res.status, res.value) == (STATUS_UNIQUE, x)
     assert calls["mul_int"] == 0 and calls["_clmul"] <= 4, calls
     assert calls["x_power_multiples"] == 1, calls  # one doubling walk: the basis's
@@ -235,7 +233,7 @@ def test_decode_matches_scan_on_hamming_spheres():
                 delta = 1 + stream.randrange((1 << rows) - 1)
                 tampered = Fingerprint(fp.spec, BitVec(rows, fp.value.v ^ delta))
                 for f in (fp, tampered):
-                    cands = enumerate_candidates(model, 2, y)
+                    cands = model.candidates(y)
                     a, b = decode(f, cands), decode_scan(f, cands)
                     assert (a.status, a.value) == (b.status, b.value), (n, t, rows)
                     assert a.candidates_checked == math.comb(n, t)
@@ -311,7 +309,7 @@ def test_decode_monte_carlo_line_point():
         inst = sample(model, master.child("in", t))
         x, y = inst.inputs
         fp = encode(x, 8, eps, master.child("fp", t))
-        res = decode(fp, enumerate_candidates(model, 2, y))
+        res = decode(fp, model.candidates(y))
         if res.status != STATUS_UNIQUE or res.value != x:
             bad += 1
     p = float(eps)
@@ -328,7 +326,7 @@ def test_decode_soundness_unique_is_correct():
         inst = sample(model, master.child(t))
         x, y = inst.inputs
         fp = encode(x, 6, Fraction(1, 4), master.child("s", t))
-        res = decode(fp, enumerate_candidates(model, 2, y))
+        res = decode(fp, model.candidates(y))
         if res.status == STATUS_UNIQUE:
             assert res.value == x
 
@@ -510,7 +508,7 @@ def test_multi_decode_matches_brute_force():
     # Every holder of 60 seeded triple:n=3 truths, 1-6 fingerprint rows so
     # that every status occurs; every fifth seed tampers party 2's value.
     model = parse_model_spec("triple:n=3")
-    instances = list(enumerate_instances(model))
+    instances = list(model.instances())
     stream = SeedStream("md-brute")
     statuses = set()
     for s in range(60):

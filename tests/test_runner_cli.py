@@ -11,7 +11,7 @@ from skalab.cli import main
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets
 from skalab.protocols import Margins, SessionConfig, run_session
 from skalab.runner import run_plan, summarize, sweep_configs
-from skalab.sources import analytic_profile, ceil_log2, parse_model_spec
+from skalab.sources import ceil_log2, parse_model_spec
 
 
 def one_config(spec="identical:n=12", protocol="light", seed=9):
@@ -108,7 +108,7 @@ def test_cli_simulate(tmp_path, capsys):
 
 def test_cli_rates(tmp_path, capsys):
     profile_file = tmp_path / "triple.profile"
-    profile_file.write_text(format_profile(analytic_profile(parse_model_spec("triple:n=16"))))
+    profile_file.write_text(format_profile(parse_model_spec("triple:n=16").profile()))
     rc = main(["rates", "--profile", str(profile_file)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -286,7 +286,19 @@ def test_cli_sweep_t_on_a_model_without_t_is_a_usage_error(capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line_point takes no t parameter\n"
+    assert captured.err == "error: line-point takes no t parameter\n"
+
+
+@pytest.mark.parametrize(
+    "model,message",
+    [("line-point:n=4,n=8", "model parameter n given twice"), ("identical:n=8,t=0", "identical takes no t parameter")],
+)
+def test_cli_model_spec_that_names_another_config_is_a_usage_error(capsys, model, message):
+    # Neither spec string may run silently as a config it does not name.
+    assert main(["simulate", "--model", model, "--protocol", "light", "--eps", "1/256", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_config_file(tmp_path, capsys):

@@ -3,18 +3,17 @@ import math
 import pytest
 
 from entropy_checks import exact_profile
+from model_checks import is_consistent
 from skalab.entropy import JointDistribution
 from skalab.gf2 import BitVec, FieldConfigError, mul_int
 from skalab.profiles import cond, is_polymatroid
 from skalab.rng import SeedStream
 from skalab.sources import (
-    CorrelatedInstance,
-    CorrelationModel,
-    analytic_profile,
-    enumerate_candidates,
-    enumerate_instances,
-    instance_count,
-    is_consistent,
+    MODELS,
+    Hamming,
+    Identical,
+    LinePoint,
+    Triple,
     parse_model_spec,
     sample,
     weight_words,
@@ -27,14 +26,27 @@ from skalab.sources import (
 
 def test_parse_model_specs():
     m = parse_model_spec("line-point:n=16")
-    assert m.kind == "line_point" and m.n == 16 and m.parties == 2
+    assert m == LinePoint(16) and m.parties == 2
     m = parse_model_spec("hamming:n=31,t=2")
-    assert m.kind == "hamming_pair" and (m.n, m.t) == (31, 2)
+    assert m == Hamming(31, 2) and (m.n, m.t) == (31, 2)
     assert parse_model_spec("triple:n=16").parties == 3
     assert parse_model_spec("identical:n=16").input_len == 16
     assert parse_model_spec("hamming:n=8").t == 0  # t defaults to zero errors
     for spec in ("nope:n=4", "hamming:t=1", "line-point:n=16,z=1", "line-point"):
         with pytest.raises(ValueError):
+            parse_model_spec(spec)
+    for spec in ("line-point:n=x", "line-point:n=1_6", "hamming:n=8,t=+1", "hamming:n=8,t=1,"):
+        with pytest.raises(ValueError, match="bad model parameter"):
+            parse_model_spec(spec)
+    # A repeated parameter, or a t on a model that takes none, would run a
+    # config other than the one the spec string names.
+    for spec, message in (
+        ("line-point:n=4,n=8", "model parameter n given twice"),
+        ("hamming:n=8,t=1,t=2", "model parameter t given twice"),
+        ("identical:n=8,t=0", "identical takes no t parameter"),
+        ("triple:n=4,t=0", "triple takes no t parameter"),
+    ):
+        with pytest.raises(ValueError, match=message):
             parse_model_spec(spec)
 
 
@@ -45,12 +57,53 @@ def test_spec_string_roundtrip():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        CorrelationModel("hamming_pair", 8, 4)  # t >= n/2
+        Hamming(8, 4)  # t >= n/2
     with pytest.raises(ValueError):
-        CorrelationModel("line_point", 1)
+        LinePoint(1)
     with pytest.raises(FieldConfigError):
-        CorrelationModel("line_point", 70)
-    CorrelationModel("hamming_pair", 70, 3)  # no field needed
+        LinePoint(70)
+    Hamming(70, 3)  # no field needed
+
+
+# Each class's own checks at their edges: (spec, the error it raises or None).
+BOUNDARIES = [
+    *((f"{name}:n=1", ValueError) for name in MODELS),
+    ("line-point:n=64", None),
+    ("line-point:n=65", FieldConfigError),
+    ("triple:n=64", None),
+    ("triple:n=65", FieldConfigError),
+    ("hamming:n=9,t=4", None),  # t = ceil(n/2) - 1
+    ("hamming:n=10,t=4", None),
+    ("hamming:n=10,t=5", ValueError),  # t = n/2
+    ("hamming:n=10,t=-1", ValueError),
+    ("hamming:n=70,t=3", None),
+    ("identical:n=70", None),
+]
+
+
+@pytest.mark.parametrize("spec,error", BOUNDARIES)
+def test_model_boundaries(spec, error):
+    if error is not None:
+        with pytest.raises(error):
+            parse_model_spec(spec)
+        return
+    m = parse_model_spec(spec)
+    assert parse_model_spec(m.spec_string()) == m
+
+
+SMALL_MODELS = [LinePoint(2), LinePoint(3), Hamming(5, 1), Hamming(6, 2), Hamming(4, 0), Triple(2), Identical(4)]
+
+
+@pytest.mark.parametrize("model", SMALL_MODELS, ids=lambda m: m.spec_string())
+def test_instances_are_the_draw_support(model):
+    # instances() yields instance_count() distinct tuples that the model
+    # allows, and seeded draws fall among them.
+    instances = list(model.instances())
+    support = set(instances)
+    assert len(instances) == len(support) == model.instance_count()
+    assert all(is_consistent(model, tup) for tup in instances)
+    for i in range(200):
+        assert sample(model, SeedStream("support", model.spec_string(), i)).inputs in support
 
 
 # ---------------------------------------------------------
@@ -124,15 +177,15 @@ def test_triple_consistency_exhaustive(n):
                 )
                 assert is_consistent(model, (p1, p2, p3)) == want
                 consistent += want
-    assert consistent == instance_count(model)
+    assert consistent == model.instance_count()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_triple_consistency_matches_two_field_products(n):
-    # is_consistent reduces the XOR of two carry-less products once; the
-    # test compares the two field products.  With point 1 at (0, 0) the
-    # operands d2, c3, d3 and c2 range over every value distinct
-    # abscissas allow.
+    # model_checks.is_consistent reduces the XOR of two carry-less
+    # products once; the test compares the two field products.  With point
+    # 1 at (0, 0) the operands d2, c3, d3 and c2 range over every value
+    # distinct abscissas allow.
     model = parse_model_spec(f"triple:n={n}")
     q = 1 << n
     agree = 0
@@ -149,38 +202,32 @@ def test_triple_consistency_matches_two_field_products(n):
     assert agree == (q - 1) * (q - 2) * q  # one d3 per (c2, c3, d2)
 
 
-def test_instance_rejects_inconsistent_inputs():
-    model = parse_model_spec("identical:n=4")
-    with pytest.raises(ValueError):
-        CorrelatedInstance(model, (BitVec(4, 1), BitVec(4, 2)), analytic_profile(model))
-
-
 # ---------------------------------------------------------
 # analytic profiles (paper values)
 # ---------------------------------------------------------
 
 def test_analytic_profile_line_point_16():
-    p = analytic_profile(parse_model_spec("line-point:n=16"))
+    p = parse_model_spec("line-point:n=16").profile()
     assert (p.c({1}), p.c({2}), p.c({1, 2})) == (32, 32, 48)
 
 
 def test_analytic_profile_triple_16():
-    p = analytic_profile(parse_model_spec("triple:n=16"))
+    p = parse_model_spec("triple:n=16").profile()
     assert p.c({1}) == 32
     assert p.c({1, 2}) == p.c({1, 3}) == p.c({2, 3}) == 64
     assert p.c({1, 2, 3}) == 80
 
 
 def test_analytic_profile_hamming():
-    p = analytic_profile(parse_model_spec("hamming:n=8,t=1"))
+    p = parse_model_spec("hamming:n=8,t=1").profile()
     assert p.c({1, 2}) == 8 + 3  # ceil(log2 C(8,1)) = 3
-    p = analytic_profile(parse_model_spec("identical:n=16"))
+    p = parse_model_spec("identical:n=16").profile()
     assert p.c({1, 2}) == 16
 
 
 def test_analytic_profiles_are_polymatroids():
     for spec in ("line-point:n=4", "hamming:n=16,t=3", "triple:n=4", "identical:n=8"):
-        assert is_polymatroid(analytic_profile(parse_model_spec(spec)))
+        assert is_polymatroid(parse_model_spec(spec).profile())
 
 
 # ---------------------------------------------------------
@@ -190,7 +237,7 @@ def test_analytic_profiles_are_polymatroids():
 def test_candidates_hamming_sphere_size():
     model = parse_model_spec("hamming:n=8,t=1")
     inst = sample(model, SeedStream("cball"))
-    cands = enumerate_candidates(model, 2, inst.inputs[1])
+    cands = model.candidates(inst.inputs[1])
     # the sphere of radius 1, n words; y itself is not a candidate at t = 1
     assert len(list(cands)) == 8
     assert cands.log2_size() == 3
@@ -200,7 +247,7 @@ def test_candidates_hamming_sphere_size():
 def test_candidates_identical_singleton():
     model = parse_model_spec("identical:n=8")
     inst = sample(model, SeedStream("cid"))
-    cands = enumerate_candidates(model, 2, inst.inputs[1])
+    cands = model.candidates(inst.inputs[1])
     assert list(cands) == [inst.inputs[0]]
 
 
@@ -209,7 +256,7 @@ def test_candidates_line_point_all_incident():
     inst = sample(model, SeedStream("clp"))
     x, y = inst.inputs
     c, d = y.v & 0xF, y.v >> 4
-    cands = list(enumerate_candidates(model, 2, y))
+    cands = list(model.candidates(y))
     assert len(cands) == 16
     slopes = []
     for cand in cands:
@@ -224,7 +271,7 @@ def test_candidates_alice_side_points_on_line():
     inst = sample(model, SeedStream("clpa"))
     x, _y = inst.inputs
     a, b = x.v & 0xF, x.v >> 4
-    cands = list(enumerate_candidates(model, 1, x))
+    cands = list(model.candidates(x))
     assert len(cands) == 16
     for cand in cands:
         c, d = cand.v & 0xF, cand.v >> 4
@@ -242,7 +289,7 @@ def test_true_input_always_in_candidates():
         for i in range(20):
             inst = sample(model, SeedStream("sound", spec, observer, i))
             hidden = inst.inputs[2 - observer]  # the other party's input
-            cands = enumerate_candidates(model, observer, inst.inputs[observer - 1])
+            cands = model.candidates(inst.inputs[observer - 1])
             assert hidden in list(cands)
 
 
@@ -251,9 +298,9 @@ def test_candidate_count_matches_conditional_complexity():
     for spec in ("line-point:n=5", "identical:n=9", "hamming:n=8,t=1", "hamming:n=12,t=2"):
         model = parse_model_spec(spec)
         inst = sample(model, SeedStream("count", spec))
-        cands = enumerate_candidates(model, 2, inst.inputs[1])
-        k = cond(analytic_profile(model), {1}, {2})
-        if model.kind == "identical_pair":
+        cands = model.candidates(inst.inputs[1])
+        k = cond(model.profile(), {1}, {2})
+        if isinstance(model, Identical):
             assert cands.log2_size() == 0 and k == 0
         else:
             assert abs(cands.log2_size() - float(k)) <= 1.0
@@ -264,14 +311,14 @@ def test_line_point_candidate_size_at_word_width(n):
     # 2^n candidates overflow a machine index; the size is reported in bits.
     model = parse_model_spec(f"line-point:n={n}")
     y = sample(model, SeedStream("cwide", n)).inputs[1]
-    assert enumerate_candidates(model, 2, y).log2_size() == n
+    assert model.candidates(y).log2_size() == n
 
 
 def test_triple_needs_joint_decoder():
-    model = parse_model_spec("triple:n=4")
-    inst = sample(model, SeedStream("tj"))
-    with pytest.raises(ValueError):
-        enumerate_candidates(model, 1, inst.inputs[0])
+    # Only the two-party models have a candidate set; reconcile.multi_decode
+    # builds the triple's joint one.
+    assert not hasattr(Triple(4), "candidates")
+    assert all(hasattr(m, "candidates") for m in (LinePoint(4), Hamming(4, 1), Identical(4)))
 
 
 def test_weight_words_order():
@@ -284,7 +331,7 @@ def test_weight_words_order():
 def test_hamming_sphere_iterates_errors_in_order():
     model = parse_model_spec("hamming:n=6,t=2")
     y = sample(model, SeedStream("sphere-order")).inputs[1]
-    cands = list(enumerate_candidates(model, 2, y))
+    cands = list(model.candidates(y))
     assert [c.v ^ y.v for c in cands] == list(weight_words(6, 2))
     assert len(cands) == math.comb(6, 2)
 
@@ -304,36 +351,36 @@ def test_enumerate_instances_counts():
         ("triple:n=2", 16 * 24),
     ):
         model = parse_model_spec(spec)
-        assert sum(1 for _ in enumerate_instances(model)) == count
-        assert instance_count(model) == count
+        assert sum(1 for _ in model.instances()) == count
+        assert model.instance_count() == count
 
 
 def test_exact_profile_matches_analytic_small_n():
     for spec in ("line-point:n=2", "line-point:n=3", "identical:n=3"):
         model = parse_model_spec(spec)
-        dist = JointDistribution.uniform(model.parties, enumerate_instances(model))
+        dist = JointDistribution.uniform(model.parties, model.instances())
         got = exact_profile(dist)
-        want = analytic_profile(model)
+        want = model.profile()
         for s in got.values:
             assert got.c(s) == want.c(s)  # uniform models: exact equality
 
 
 def test_exact_profile_matches_analytic_hamming():
     model = parse_model_spec("hamming:n=5,t=1")
-    dist = JointDistribution.uniform(2, enumerate_instances(model))
+    dist = JointDistribution.uniform(2, model.instances())
     got = exact_profile(dist)
     # C(x) and C(y) exact; the joint is n + log2(5) vs the analytic ceiling
     assert got.c({1}) == 5 and got.c({2}) == 5
     assert abs(float(got.c({1, 2})) - (5 + math.log2(5))) < 1e-9
-    want = analytic_profile(model)
+    want = model.profile()
     assert float(want.c({1, 2})) - float(got.c({1, 2})) <= 1.0
 
 
 def test_collinear_triple_exact_profile_n2():
     model = parse_model_spec("triple:n=2")
-    dist = JointDistribution.uniform(3, enumerate_instances(model))
+    dist = JointDistribution.uniform(3, model.instances())
     got = exact_profile(dist)
-    want = analytic_profile(model)
+    want = model.profile()
     # Distinctness of the points costs log2 terms against the analytic 4n /
     # 5n idealization: a pair is the line plus an ordered distinct pair of
     # abscissas, the full tuple the line plus an ordered distinct triple.
