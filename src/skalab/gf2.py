@@ -13,10 +13,15 @@ Representation conventions (used everywhere in this package):
   ``i - j + cols - 1``, so every descending diagonal is constant.  Its
   product with x is the window [cols - 1, cols - 1 + rows) of the
   carry-less product seed(z) * x(z), so hashing builds no rows and caches
-  nothing.  Rows are derived on demand, for elimination; columns, which are
-  seed windows too, for the Hamming sphere decode.
-* Rank and affine solves take any matrix as packed rows (bit j of row i is
-  entry (i, j)), so stacked hashes, which are not Toeplitz, need no type.
+  nothing.  Columns, which are seed windows too, are derived on demand for
+  the Hamming sphere decode.
+* An affine solve takes the Toeplitz matrix itself: m x = t says a window
+  of seed(z) * x(z) is t, so one Euclid-style reduction of a two-row
+  lattice over GF(2)[z] (Brent, Gustavson & Yun 1980; weak Popov form,
+  Mulders & Storjohann 2003) solves r rows and N columns in O(r + N)
+  shift-XORs of small ints, not min(r, N) pivots of an r*N-bit packed
+  matrix and a back-substitution per kernel vector.  Rank takes any matrix
+  as packed rows (bit j of row i is entry (i, j)).
 * Elimination packs the unpivoted rows into one integer: row i starts in
   slot i, bits [i*w, (i+1)*w), w the width of the widest row.  For column
   j, ``col = (m >> j) & ones`` (``ones`` holds bit 0 of every slot) has
@@ -113,14 +118,6 @@ class Gf2Matrix:
         if self.data.n != want:
             raise Gf2Error(f"toeplitz {self.rows}x{self.cols} needs a seed of {want} bits, got {self.data.n}")
 
-    def row_ints(self) -> list[int]:
-        """Rows as packed integers (bit j of row i = entry (i, j))."""
-        # Row i is the seed window [i, i + cols) reversed, which is the
-        # reversed seed's window starting at rows - 1 - i.
-        mask = (1 << self.cols) - 1
-        rev = int(f"{self.data.v:0{self.data.n}b}"[::-1], 2)
-        return [(rev >> (self.rows - 1 - i)) & mask for i in range(self.rows)]
-
     def column_ints(self) -> list[int]:
         """Columns as packed integers (bit i of column j = entry (i, j)):
         column j is the seed window [cols - 1 - j, cols - 1 - j + rows)."""
@@ -195,35 +192,50 @@ def rank(rows: list[int], cols: int) -> int:
     return len(pivots)
 
 
-def solve_affine(rows: list[int], cols: int, target: BitVec):
-    """All solutions of M x = target, M given as packed rows of cols bits.
+def solve_affine(m: Gf2Matrix, target: BitVec):
+    """All solutions of m x = target: (particular, kernel basis) as ints of
+    m.cols bits, or None if the system is inconsistent.
 
-    Returns (particular, kernel_basis) with everything packed as ints of
-    cols bits, or None if the system is inconsistent.  The full solution
-    set is {particular XOR any subset-XOR of kernel_basis}: free columns all
-    0, or free column f alone 1, with the pivot columns filled in by
-    back-substitution over the echelon rows, last first.
-    """
-    if target.n != len(rows) or any(r >> cols for r in rows):
-        raise Gf2Error(f"solve: target of {target.n} bits for {len(rows)} rows of {cols} bits")
-    t = target.v
-    aug = [r | (((t >> i) & 1) << cols) for i, r in enumerate(rows)]
-    red, pivots = _eliminate(aug, cols)
-    rank_ = len(pivots)
-    if any(red[rank_:]):  # a leftover row reads 0 = 1
-        return None
-    back = [(1 << j, r) for j, r in zip(reversed(pivots), reversed(red[:rank_]))]
-
-    def substitute(vec: int) -> int:
-        for bit, r in back:
-            if (r & vec).bit_count() & 1:
-                vec |= bit
-        return vec
-
-    particular = substitute(1 << cols) ^ (1 << cols)  # the target rides in column cols
-    pivot_set = set(pivots)
-    basis = [substitute(1 << f) for f in range(cols) if f not in pivot_set]
-    return particular, basis
+    For r rows, N columns, seed s and L = r + N - 1, m x is the window
+    [N - 1, L) of s x: a solution is the x part of a vector (x, y) of the
+    lattice {y = s x mod z^L} of sdeg = max(deg x, deg y + 1) < N whose y
+    reads target there.  Euclid on the basis (1, s), (0, z^L) gives weak
+    Popov form, one row pivoting on x, one on y (ties go to y), where the
+    sdeg of a sum of terms p b is the largest sdeg b + deg p.  So the kernel
+    is the x parts of z^k b for k < N - sdeg b, and reducing
+    (0, z^(N-1) target) by the rows leaves a particular solution, or stops
+    on a pivot no row cancels while sdeg >= N: inconsistent."""
+    rows, cols = m.rows, m.cols
+    if target.n != rows:
+        raise Gf2Error(f"solve: target of {target.n} bits for a matrix of {rows} rows")
+    # A row (x, y) packs as x | (y << 1) << w, one shift-XOR per cancellation:
+    # a field's bit length is sdeg + 1, x stays below bit w, and N = 0 needs no case.
+    w = rows + cols + 1
+    xmask = (1 << w) - 1
+    hi, lo = 1 << (rows + cols) << w, 1 | m.data.v << 1 << w
+    while (lo >> w).bit_length() >= (lo & xmask).bit_length():  # both pivot on y
+        lead, top = lo.bit_length(), hi.bit_length()
+        while top >= lead:
+            hi ^= lo << (top - lead)
+            top = hi.bit_length()
+        hi, lo = lo, hi
+    y_lead, x_lead = (hi >> w).bit_length(), (lo & xmask).bit_length()
+    kernel = [(hi & xmask) << k for k in range(cols + 1 - y_lead)] + [(lo & xmask) << k for k in range(cols + 1 - x_lead)]
+    v = target.v << cols << w
+    while True:  # the pivot's row by hand: a tuple per step costs half the solve
+        lx, ly = (v & xmask).bit_length(), (v >> w).bit_length()
+        if ly >= lx:
+            if ly <= cols:
+                return v & xmask, kernel
+            if ly < y_lead:
+                return None
+            v ^= hi << (ly - y_lead)
+        else:
+            if lx <= cols:
+                return v & xmask, kernel
+            if lx < x_lead:
+                return None
+            v ^= lo << (lx - x_lead)
 
 
 # ---------------------------------------------------------------------------

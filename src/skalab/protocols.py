@@ -65,7 +65,7 @@ def ceil_log2_ratio(num: int, eps) -> int:
 class Margins:
     """Explicit slack bits standing in for the analysis' O(log(n/eps)) terms.
 
-    k_slack:    added to C(x,y) - C(x) when sizing the reconciliation
+    k_slack:    added to C(x,y) - C(y) when sizing the reconciliation
                 fingerprint (the "+ 4 log n" of the two-phase step 1).
     phase1:     key-material length above the key target (the c' log(n/eps)
                 slack of phase 1).
@@ -190,9 +190,9 @@ def _plan(model: Model, protocol: str, eps: Fraction, margins: Margins) -> Sessi
             mutual(profile, {1}, {2}), Fraction(k_true + (c if k_true else 0)),
         )
     if protocol == TWO_PHASE:
-        # Fingerprint at C(x,y) - C(x) + k_slack + sigma, then key material
-        # at I(x:y) - sigma + phase1.
-        k_fp = int(cond(profile, {2}, {1})) + margins.k_slack + sigma
+        # Fingerprint x, which Bob decodes, at C(x|y) = C(x,y) - C(y) +
+        # k_slack + sigma, then key material at I(x:y) - sigma + phase1.
+        k_fp = int(cond(profile, {1}, {2})) + margins.k_slack + sigma
         fp_rows = (max(0, min(k_fp, model.input_len)) + c,)
         target_key_len, target_comm = mutual(profile, {1}, {2}), cond(profile, {1}, {2})
         material_len = int(target_key_len) - sigma + margins.phase1

@@ -21,10 +21,12 @@ H e = fingerprint xor H y, by the cheaper of two searches, chosen from the
 shape alone: when the 2^(n - rows) words of the smallest possible solution
 coset are fewer than the subsets in the larger half of a meet in the middle
 on H's column images, one affine solve and a walk over the coset; else the
-meet in the middle.  One cap of 2^20 words or subsets bounds whichever
-runs, and the decode ends `search_limit` only when both are past it.
-`decode_scan` keeps the literal scan available and is cross-checked against
-both in tests.
+meet in the middle.  H is Toeplitz, so a solve (`gf2.solve_affine`, which
+the tracer times by this module's name for it) is one lattice reduction
+over GF(2)[z], O(rows + n) shift-XORs of small ints.  One cap of 2^20
+words or subsets bounds whichever runs, and the decode ends `search_limit`
+only when both are past it.  `decode_scan` keeps the literal scan
+available and is cross-checked against both in tests.
 
 Joint decoding (`multi_decode`, omniscience on the collinear triple)
 solves each other party's fingerprint for the affine coset of inputs that
@@ -241,7 +243,7 @@ def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
     target = fp.value.v ^ matvec(fp.spec, center).v
     words = None
     if 1 << max(0, n - rows) < half:
-        sol = solve_affine(fp.spec.row_ints(), n, BitVec(rows, target))
+        sol = solve_affine(fp.spec, BitVec(rows, target))
         if sol is None:
             words = ()
         elif 1 << len(sol[1]) < half:  # a rank-deficient H can leave a larger coset
@@ -272,13 +274,14 @@ def coset_words(m: Gf2Matrix, value: BitVec) -> tuple | None:
     2^_COSET_CAP_BITS of them (degenerate hash seed).  Both other parties of
     an omniscience session solve each fingerprint, and a fixed-seed audit
     sees each value many times, so each is solved once; the result is a
-    tuple because every caller shares it.
+    tuple because every caller shares it.  The solve is `solve_affine`'s
+    lattice reduction, O(m.rows + m.cols) shift-XORs.
 
     Layout, which `_collinear_matches` relies on: with (particular, kernel)
     from `solve_affine`, words[i] is particular xor the XOR of kernel[j]
     over the set bits j of i, so words[0] is the particular solution and
     words[1 << j] xor words[0] is kernel[j]."""
-    sol = solve_affine(m.row_ints(), m.cols, value)
+    sol = solve_affine(m, value)
     if sol is None:
         return ()
     particular, kernel = sol

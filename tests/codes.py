@@ -1,12 +1,13 @@
 """Test-only constructions: the entry and dense-copy references for Toeplitz
 hashes, dense codes as packed rows (bit j of row i is entry (i, j)) with
-their syndrome decoder, and one-shot seeded hashes and fingerprints
-(sessions draw their seeds through ``protocols.draw_seeds``)."""
+their affine solve by elimination and their syndrome decoder, and one-shot
+seeded hashes and fingerprints (sessions draw their seeds through
+``protocols.draw_seeds``)."""
 
 import math
 from fractions import Fraction
 
-from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, matvec, toeplitz_seed_len
+from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, _eliminate, matvec, toeplitz_seed_len
 from skalab.hashext import ceil_log2_inv
 from skalab.reconcile import DecodeResult, Fingerprint, _error_matches, _verdict
 from skalab.rng import SeedStream
@@ -34,6 +35,38 @@ def dense_matvec(rows: list[int], x: BitVec) -> BitVec:
 def dense_column_ints(rows: list[int], cols: int) -> list[int]:
     """Columns of packed rows (bit i of column j = entry (i, j))."""
     return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(cols)]
+
+
+def dense_solve_affine(rows: list[int], cols: int, target: BitVec):
+    """All solutions of M x = target, M given as packed rows of cols bits:
+    the elimination reference for the Toeplitz lattice solve.
+
+    Returns (particular, kernel_basis) with everything packed as ints of
+    cols bits, or None if the system is inconsistent.  The full solution
+    set is {particular XOR any subset-XOR of kernel_basis}: free columns all
+    0, or free column f alone 1, with the pivot columns filled in by
+    back-substitution over the echelon rows, last first.
+    """
+    if target.n != len(rows) or any(r >> cols for r in rows):
+        raise Gf2Error(f"solve: target of {target.n} bits for {len(rows)} rows of {cols} bits")
+    t = target.v
+    aug = [r | (((t >> i) & 1) << cols) for i, r in enumerate(rows)]
+    red, pivots = _eliminate(aug, cols)
+    rank_ = len(pivots)
+    if any(red[rank_:]):  # a leftover row reads 0 = 1
+        return None
+    back = [(1 << j, r) for j, r in zip(reversed(pivots), reversed(red[:rank_]))]
+
+    def substitute(vec: int) -> int:
+        for bit, r in back:
+            if (r & vec).bit_count() & 1:
+                vec |= bit
+        return vec
+
+    particular = substitute(1 << cols) ^ (1 << cols)  # the target rides in column cols
+    pivot_set = set(pivots)
+    basis = [substitute(1 << f) for f in range(cols) if f not in pivot_set]
+    return particular, basis
 
 
 def hamming_parity_check(r: int) -> list[int]:

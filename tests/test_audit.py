@@ -17,6 +17,7 @@ from skalab.audit import (
     worst_stratum,
 )
 from skalab.channel import TranscriptRecord
+from codes import to_dense
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank, solve_affine
 from skalab.protocols import Margins, SessionConfig, execute, input_stream
 from skalab.rng import SeedStream
@@ -38,7 +39,7 @@ def _seed_with_full_rank_h(spec, eps, n):
         config = light_config(spec, eps, seed)
         (_sender, _kind, h_seed), = fixed_seeds(config)[1]
         h = Gf2Matrix(n, n, h_seed)
-        if rank(h.row_ints(), n) == n:
+        if rank(to_dense(h), n) == n:
             return config
     raise AssertionError("no full-rank seed found")
 
@@ -324,7 +325,7 @@ def test_light_within_stratum_uniformity_exact():
         strata[q.v][z.v] = strata[q.v].get(z.v, 0) + 1
 
     # fiber direction space = kernel of H1; key rank on the fiber
-    _, kernel = solve_affine(h1.row_ints(), h1.cols, BitVec(q_rows, 0))
+    _, kernel = solve_affine(h1, BitVec(q_rows, 0))
     fiber_rank = rank([matvec(h2, BitVec(model.input_len, w)).v for w in kernel], key_rows)
 
     for counts in strata.values():

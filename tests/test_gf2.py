@@ -20,7 +20,7 @@ from skalab.gf2 import (
     spread_reducer,
     x_power_multiples,
 )
-from codes import dense_column_ints, dense_matvec, entry, to_dense
+from codes import dense_column_ints, dense_matvec, dense_solve_affine, entry, to_dense
 from skalab.rng import SeedStream
 
 
@@ -135,11 +135,10 @@ def test_toeplitz_constant_diagonals():
 def test_toeplitz_dense_expansion_matvec_agree(rows, cols, salt):
     # The dense reference is built entry by entry, independently of both
     # the product window that matvec takes and the seed windows that
-    # row_ints and column_ints read; so are the columns.
+    # column_ints reads; so are the columns.
     stream = SeedStream("expand", salt)
     m = Gf2Matrix(rows, cols, stream.bitvec(rows + cols - 1))
     ref = to_dense(m)
-    assert m.row_ints() == ref
     columns = [sum(entry(m, i, j) << i for i in range(rows)) for j in range(cols)]
     assert m.column_ints() == dense_column_ints(ref, cols) == columns
     for x in (stream.bitvec(cols), stream.bitvec(cols), BitVec(cols, (1 << cols) - 1)):
@@ -154,7 +153,7 @@ def test_row_block_of_toeplitz_matches_dense_slice():
     top = matvec(m.row_block(0, 3), x)
     bottom = matvec(m.row_block(3, 8), x)
     assert full == top.concat(bottom)
-    assert m.row_block(0, 3).row_ints() + m.row_block(3, 8).row_ints() == to_dense(m)
+    assert to_dense(m.row_block(0, 3)) + to_dense(m.row_block(3, 8)) == to_dense(m)
     assert matvec(m.row_block(8, 8), x) == BitVec(0, 0)
     with pytest.raises(Gf2Error):
         m.row_block(3, 9)
@@ -180,7 +179,7 @@ def test_solve_affine_roundtrip():
         m = Gf2Matrix(rows, cols, stream.bitvec(rows + cols - 1))
         x = stream.bitvec(cols)
         t = matvec(m, x)
-        sol = solve_affine(m.row_ints(), cols, t)
+        sol = solve_affine(m, t)
         assert sol is not None
         particular, basis = sol
         # every element of the coset solves the system; x is among them
@@ -191,19 +190,21 @@ def test_solve_affine_roundtrip():
         for b in basis:
             span |= {s ^ b for s in span}
         assert x.v in span
-        assert len(span) == 1 << (cols - rank(m.row_ints(), cols))
+        assert len(span) == 1 << (cols - rank(to_dense(m), cols))
 
 
 def test_solve_affine_inconsistent():
-    # x = 0 and x = 1 simultaneously
-    assert solve_affine([0b1, 0b1], 1, BitVec(2, 0b10)) is None
+    # Rows (1) and (1): x = 0 and x = 1 simultaneously
+    assert solve_affine(Gf2Matrix(2, 1, BitVec(2, 0b11)), BitVec(2, 0b10)) is None
+    # No columns: only the zero target is reached
+    assert solve_affine(Gf2Matrix(3, 0, BitVec(0, 0)), BitVec(3, 0b100)) is None
 
 
 def test_solve_affine_shape_contract():
     with pytest.raises(Gf2Error):
-        solve_affine([0b1, 0b1], 1, BitVec(3, 0))  # one target bit per row
+        solve_affine(Gf2Matrix(2, 1, BitVec(2, 0b11)), BitVec(3, 0))  # one target bit per row
     with pytest.raises(Gf2Error):
-        solve_affine([0b10], 1, BitVec(1, 0))  # a row wider than cols
+        solve_affine(Gf2Matrix(0, 4, BitVec(0, 0)), BitVec(1, 0))
 
 
 def eliminate_reference(rows, cols):
@@ -268,51 +269,69 @@ def test_eliminate_matches_reference():
             assert all(r == 0 for r in red[rank_:])
 
 
-def test_solve_affine_matches_reference_elimination(monkeypatch):
-    cases = []
-    for rng, mat, cols in _elimination_shapes():
-        m = [r & ((1 << cols) - 1) for r in mat]
-        if rng.random() < 0.5:  # consistent by construction
-            target = dense_matvec(m, BitVec(cols, rng.getrandbits(cols)))
-        else:
-            target = BitVec(len(mat), rng.getrandbits(len(mat)))
-        cases.append((m, cols, target, solve_affine(m, cols, target)))
-    monkeypatch.setattr(gf2, "_eliminate", eliminate_reference)
+def assert_same_solutions(m, target):
+    """The lattice solve against the elimination reference: the same
+    verdict and kernel dimension, a particular solution in the reference
+    coset, and kernel vectors of cols bits that are independent and span
+    only the reference kernel.  Returns the verdict."""
+    got = solve_affine(m, target)
+    ref = dense_solve_affine(to_dense(m), m.cols, target)
+    assert (got is None) == (ref is None), (m, target)
+    if got is None:
+        return False
+    (particular, kernel), (ref_particular, ref_kernel) = got, ref
+    assert len(kernel) == len(ref_kernel) == m.cols - rank(to_dense(m), m.cols)
+    assert not any(v >> m.cols for v in [particular, *kernel])
+    assert rank(ref_kernel + [particular ^ ref_particular], m.cols) == len(ref_kernel)
+    assert rank(kernel, m.cols) == len(kernel)
+    assert rank(ref_kernel + kernel, m.cols) == len(ref_kernel)
+    assert matvec(m, BitVec(m.cols, particular)) == target
+    return True
+
+
+def _seeds(rng, n):
+    """Random, zero, one-bit, all-ones and sparse seeds of n bits."""
+    yield rng.getrandbits(n)
+    yield 0
+    if n:
+        yield 1 << rng.randrange(n)
+        yield (1 << n) - 1
+        yield rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+
+
+def test_solve_affine_matches_reference_elimination():
+    rng = random.Random(20101)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 70), (70, 3), (130, 130), (129, 64), (64, 129), (130, 140)]
+    shapes += [(rng.randrange(0, 20), rng.randrange(0, 20)) for _ in range(300)]
+    shapes += [(rng.randrange(20, 131), rng.randrange(20, 141)) for _ in range(40)]
     outcomes = set()
-    for m, cols, target, got in cases:
-        assert got == solve_affine(m, cols, target)
-        outcomes.add(got is None)
-        if got is not None:
-            particular, basis = got
-            assert dense_matvec(m, BitVec(cols, particular)) == target
-            assert len(basis) == cols - rank(m, cols)
-            assert all(dense_matvec(m, BitVec(cols, b)).v == 0 for b in basis)
+    for rows, cols in shapes:
+        n = gf2.toeplitz_seed_len(rows, cols)
+        for seed in _seeds(rng, n):
+            m = Gf2Matrix(rows, cols, BitVec(n, seed))
+            consistent = matvec(m, BitVec(cols, rng.getrandbits(cols)))
+            for target in (consistent, BitVec(rows, rng.getrandbits(rows))):
+                outcomes.add(assert_same_solutions(m, target))
+            assert solve_affine(m, consistent) is not None
     assert outcomes == {True, False}
 
 
-# Omniscience on triple:n=32 solves 62 x 64 fingerprints; the others are
-# square-ish, wide (a kernel past the coset cap) and tall.
-@pytest.mark.parametrize("rows,cols", [(62, 64), (59, 60), (94, 124), (45, 31)])
-def test_solve_affine_on_session_shapes_matches_reference(monkeypatch, rows, cols):
+# Omniscience on triple:n=32 solves 62 x 64 fingerprints and on triple:n=30
+# 59 x 60; light on hamming:n=31,t=3 at eps = 2^-32 walks a 45 x 31 coset;
+# the others are wide (a kernel past the coset cap) and very tall.
+@pytest.mark.parametrize("rows,cols", [(62, 64), (59, 60), (94, 124), (45, 31), (27, 4)])
+def test_solve_affine_on_session_shapes_matches_reference(rows, cols):
     # Toeplitz matrices of full, deficient and zero rank, each with a
     # consistent target and a random one.
     stream = SeedStream("session-shapes", rows, cols)
     n = rows + cols - 1
     seeds = [("random", stream.bits(n)), ("random", stream.bits(n))]
     seeds += [("zero", 0), ("one bit", 1 << (n // 2)), ("all ones", (1 << n) - 1)]
-    cases = []
     for name, seed in seeds:
         m = Gf2Matrix(rows, cols, BitVec(n, seed))
-        for target in (matvec(m, stream.bitvec(cols)), stream.bitvec(rows)):
-            cases.append((name, m, target, solve_affine(m.row_ints(), cols, target)))
-    monkeypatch.setattr(gf2, "_eliminate", eliminate_reference)
-    for name, m, target, got in cases:
-        assert got == solve_affine(m.row_ints(), cols, target), name
-        if got is not None:
-            particular, basis = got
-            assert matvec(m, BitVec(cols, particular)) == target
-            assert len(basis) == cols - rank(m.row_ints(), cols)
-    ranks = {name: rank(m.row_ints(), cols) for name, m, _, _ in cases}
+        assert assert_same_solutions(m, matvec(m, stream.bitvec(cols))), name
+        assert_same_solutions(m, stream.bitvec(rows))
+    ranks = {name: rank(to_dense(Gf2Matrix(rows, cols, BitVec(n, seed))), cols) for name, seed in seeds}
     assert ranks["zero"] == 0 and ranks["all ones"] == 1 and ranks["one bit"] > 0
 
 

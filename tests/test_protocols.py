@@ -1,6 +1,6 @@
 import math
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +21,8 @@ from skalab.protocols import (
 )
 from skalab.gf2 import BitVec
 from skalab.reconcile import STATUS_NOT_FOUND, STATUS_SEARCH_LIMIT, STATUS_UNIQUE, Fingerprint
-from skalab.sources import parse_model_spec, sample
+from skalab.entropy import make_profile
+from skalab.sources import Model, parse_model_spec, sample
 
 
 def cfg_light(spec="line-point:n=16", eps=Fraction(1, 256), seed=11, **margins):
@@ -224,6 +225,32 @@ def test_two_phase_margins_guard():
         session_plan(cfg_two_phase(margins=bad))
 
 
+@dataclass(frozen=True)
+class _Prefix(Model):
+    """Alice holds 2n uniform bits and Bob their first n: C(x) = 2n,
+    C(y) = n, C(x|y) = n and C(y|x) = 0."""
+
+    n: int
+    name = "prefix"
+
+    @property
+    def input_len(self) -> int:
+        return 2 * self.n
+
+    def profile(self):
+        return make_profile(2, {(1,): 2 * self.n, (2,): self.n, (1, 2): 2 * self.n})
+
+
+def test_two_phase_fingerprint_sized_by_c_x_given_y():
+    # Bob decodes x, so its fingerprint needs C(x|y) bits; every shipped
+    # model has C(x) = C(y), where C(y|x) is the same number.
+    margins = Margins(k_slack=4, phase1=6, deficiency=2, extractor_eps=Fraction(1, 4))
+    config = SessionConfig(_Prefix(16), "two_phase", Fraction(1, 16), 0, margins)
+    plan = session_plan(config)
+    assert plan.fp_rows == (16 + 4 + ceil_log2_inv(config.eps),)
+    assert plan.target_comm == 16 and plan.target_key_len == 16
+
+
 # ---------------------------------------------------------
 # omniscience protocol
 # ---------------------------------------------------------
@@ -257,6 +284,25 @@ def test_omniscience_default_margins_leave_no_key_at_n16():
         session_plan(config)
     with pytest.raises(ValueError):  # at session time, not when the config is built
         run_session(config, 0)
+
+
+def test_solves_go_through_the_traced_name(monkeypatch):
+    # The benchmark's tracer times the gf2.solve layer by wrapping
+    # reconcile.solve_affine, so every decode must call it by that name.
+    calls = []
+    solve = reconcile.solve_affine
+    monkeypatch.setattr(reconcile, "solve_affine", lambda *args: calls.append(args) or solve(*args))
+    reconcile.coset_words.cache_clear()
+    assert run_session(cfg_omni(), 0).agreed
+    assert len(calls) == 3  # each fingerprint solved once, shared by both other parties
+    calls.clear()
+    # Light on hamming:n=31,t=3 at eps = 2^-32 walks the coset of one 45 x 31
+    # solve; at eps = 1/256 the meet in the middle is smaller and never solves.
+    assert run_session(cfg_light("hamming:n=31,t=3", eps=Fraction(1, 2**32)), 0).agreed
+    assert [(m.rows, m.cols) for m, _ in calls] == [(45, 31)]
+    calls.clear()
+    assert run_session(cfg_light("hamming:n=31,t=3", eps=Fraction(1, 256)), 0).agreed
+    assert not calls
 
 
 def test_omniscience_capped_search_is_search_limit():

@@ -7,7 +7,7 @@ from operator import xor
 
 import pytest
 
-from codes import dense_matvec, encode, hamming_parity_check, random_linear_code, syndrome_decode
+from codes import dense_matvec, encode, hamming_parity_check, random_linear_code, syndrome_decode, to_dense
 from model_checks import is_consistent
 from skalab import gf2, reconcile, sources
 from skalab.audit import exact_small_n_audit
@@ -265,7 +265,7 @@ def test_coset_walk_meet_in_the_middle_and_scan_agree(monkeypatch):
                     x = BitVec(n, y.v ^ next(iter(sources.weight_words(n, t))))
                     for value in (matvec(spec, x), BitVec(rows, stream.child("v", n, t, rows).bits(rows))):
                         target = value.v ^ matvec(spec, y).v
-                        sol = gf2.solve_affine(spec.row_ints(), n, BitVec(rows, target))
+                        sol = gf2.solve_affine(spec, BitVec(rows, target))
                         walked = {e for e in reconcile._coset_walk(*sol) if e.bit_count() == t} if sol else set()
                         met = {e for e in mitm(spec.column_ints(), target, t) if e.bit_count() == t}
                         sphere = HammingSphere(n, y.v, t)
@@ -440,12 +440,12 @@ def test_coset_words_cover_preimage():
     sols = coset_words(fp.spec, fp.value)
     assert isinstance(sols, tuple)  # memoized and shared, so immutable
     assert x in sols
-    assert len(set(sols)) == len(sols) == 1 << (10 - rank(fp.spec.row_ints(), 10))
+    assert len(set(sols)) == len(sols) == 1 << (10 - rank(to_dense(fp.spec), 10))
     for v in sols:
         assert matvec(fp.spec, v) == fp.value
     # The layout multi_decode indexes by: words[i] = particular xor the
     # kernel vectors at the set bits of i.
-    particular, kernel = gf2.solve_affine(fp.spec.row_ints(), 10, fp.value)
+    particular, kernel = gf2.solve_affine(fp.spec, fp.value)
     assert len(kernel) >= 2
     for i, v in enumerate(sols):
         assert v.v == reduce(xor, (k for j, k in enumerate(kernel) if i >> j & 1), particular)
