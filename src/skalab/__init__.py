@@ -15,7 +15,6 @@ from .gf2 import (
     matvec,
     rank,
 )
-from .hashext import ExtractorSpec, ceil_log2_inv, extract
 from .profiles import (
     ComplexityProfile,
     cond,
@@ -29,7 +28,6 @@ from .protocols import (
     SessionConfig,
     SessionOutcome,
     SessionPlan,
-    party_key,
     run_session,
     session_plan,
 )

@@ -61,6 +61,15 @@ class ComplexityProfile:
         return frozenset(range(1, self.ell + 1))
 
 
+def ceil_log2(q) -> int:
+    """Exact ceil(log2 q) for rational q >= 1: the least c with 2^c >= q,
+    which is the least c with 2^c >= ceil(q)."""
+    q = Fraction(q)
+    if q < 1:
+        raise ValueError(f"ceil_log2 needs q >= 1, got {q}")
+    return (-(-q.numerator // q.denominator) - 1).bit_length()
+
+
 def cond(profile: ComplexityProfile, v, w) -> Fraction:
     """Conditional complexity C(x_V | x_W) = C(x_{V u W}) - C(x_W)."""
     vs = _as_subset(v, profile.ell)

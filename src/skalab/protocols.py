@@ -8,18 +8,27 @@ All three protocols run on one driver, in three steps:
    rows, k the complexity its message covers, and nothing downstream
    re-checks that count.
 2. broadcast  ``draw_seeds(plan, public_stream)`` draws the public Toeplitz
-   and extractor seeds, and ``execute(plan, inputs, seeds)`` records them
-   in the one-round transcript, each fingerprint sender's input hashed
-   after its seed.
+   seeds, and ``execute(plan, inputs, seeds)`` records them in the
+   one-round transcript, each fingerprint sender's input hashed after its
+   seed.
    Audits hold the public seeds fixed, so they draw them once.
 3. party key  each party recovers the fingerprint senders' inputs from its
-   own input and the fingerprints, hashes them to key material and
-   extracts the key.  ``execute`` hands every party the fingerprints,
-   hashes and extractor seed it built for the broadcast;
-   ``party_key(plan, party, own, transcript)`` reads the same from the
-   transcript alone.  Both feed one key function.  The hashes are pure
-   functions of the public seeds, so they are built once per distinct
-   seed tuple.
+   own input and the fingerprints and passes them through the key chain.
+   ``execute`` hands every party the fingerprints and key chain it built
+   for the broadcast; ``party_key_from_transcript(config, party, own,
+   transcript)`` reads the same from the transcript alone.  Both feed one
+   key function.  The hashes are pure functions of the public seeds, so
+   they are built once per distinct seed tuple.
+
+Every hash is a seeded Toeplitz matrix (``gf2.Gf2Matrix``), a universal
+family with rows + cols - 1 seed bits (Mansour, Nisan & Tiwari 1990;
+Krawczyk 1994).  The key chain is light's key rows of H, or the key-material
+hash followed by the extractor: a Toeplitz matrix of m = k -
+2*ceil(log2(1/eps)) rows over the material, for min-entropy k and
+extractor error eps, from a seed of material_len + m - 1 bits.  The (k, eps)
+strong-extractor guarantee is the leftover hash lemma (Hastad, Impagliazzo,
+Levin & Luby 1999); the price relative to optimal constructions is only the
+longer public seed.
 
 * ``light``      party 1 sends one Toeplitz seed H with C(x|y) +
   ceil(log2(1/eps)) fingerprint rows over the key rows, and the top block
@@ -42,8 +51,7 @@ from functools import lru_cache
 
 from .channel import Transcript, TranscriptRecord
 from .gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
-from .hashext import ExtractorSpec, ceil_log2_inv, extract
-from .profiles import cond, mutual
+from .profiles import ceil_log2, cond, mutual
 from .rateregion import co_lp, sw_constraints
 from .reconcile import STATUS_UNIQUE, Fingerprint, decode, multi_decode
 from .rng import SeedStream
@@ -53,12 +61,6 @@ LIGHT = "light"
 TWO_PHASE = "two_phase"
 OMNISCIENCE = "omniscience"
 PROTOCOLS = (LIGHT, TWO_PHASE, OMNISCIENCE)
-
-
-def ceil_log2_ratio(num: int, eps) -> int:
-    """Exact ceil(log2(num / eps)) for integer num >= 1, rational eps."""
-    eps = Fraction(eps)
-    return (-(-num * eps.denominator // eps.numerator) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -72,25 +74,24 @@ class Margins:
     deficiency: subtracted from the key-material length to get the
                 extractor's min-entropy parameter (the residual deficiency
                 the extractor must absorb).
-    extractor_eps: error bound of the extractor itself; defaults to the
-                session eps.  The extractor then loses a further
-                2*ceil(log2(1/extractor_eps)) bits.
-    profile_sigma: approximate-profile allowance; sessions size messages
-                by C(x|y) + sigma and keys by I(x:y) - sigma.
+    extractor_eps: error bound of the extractor itself, in (0, 1]; None
+                means the session eps.  By the leftover hash lemma,
+                material of min-entropy k = material_len - deficiency
+                yields m = k - 2*ceil(log2(1/extractor_eps)) key bits
+                within extractor_eps of uniform given the seed.
     """
 
     k_slack: int
     phase1: int
     deficiency: int
     extractor_eps: Fraction | None = None
-    profile_sigma: int = 0
 
     @staticmethod
     def defaults(n: int, eps) -> "Margins":
         return Margins(
             k_slack=(n**4 - 1).bit_length(),  # ceil(4 log2 n)
-            phase1=ceil_log2_ratio(n, eps),  # ceil(log2(n/eps))
-            deficiency=2 * ceil_log2_inv(eps),
+            phase1=ceil_log2(n / Fraction(eps)),
+            deficiency=2 * ceil_log2(1 / Fraction(eps)),
         )
 
 
@@ -154,7 +155,6 @@ class SessionPlan:
     eps: Fraction
     fp_rows: tuple
     material_len: int
-    extractor: ExtractorSpec | None
     key_len: int
     target_key_len: Fraction
     target_comm: Fraction
@@ -172,30 +172,29 @@ def session_plan(config: SessionConfig) -> SessionPlan:
 @lru_cache(maxsize=256)
 def _plan(model: Model, protocol: str, eps: Fraction, margins: Margins) -> SessionPlan:
     profile = model.profile()
-    c = ceil_log2_inv(eps)
-    sigma = margins.profile_sigma
+    c = ceil_log2(1 / eps)
+    ext_eps = eps if margins.extractor_eps is None else Fraction(margins.extractor_eps)
+    if not 0 < ext_eps <= 1:
+        raise ValueError(f"extractor eps must be in (0, 1], got {ext_eps}")
     if protocol == LIGHT:
-        # H's top k + c rows fingerprint x at k = C(x|y) + sigma; its other
-        # C(x) - k rows hash the key.
+        # H's top k + c rows fingerprint x at k = C(x|y); its other C(x) - k
+        # rows hash the key.
         n1 = int(profile.c({1}))
-        k_true = int(cond(profile, {1}, {2}))
-        k_used = min(k_true + sigma, n1)
-        key_rows = n1 - k_used
+        k = int(cond(profile, {1}, {2}))
+        key_rows = n1 - k
         if key_rows < 1:
             raise ValueError("light protocol margins leave no key bits")
         if n1 > model.input_len:
             raise ValueError("profile claims more complexity than input bits")
-        return SessionPlan(
-            model, protocol, eps, (k_used + c if k_used else 0,), key_rows, None, key_rows,
-            mutual(profile, {1}, {2}), Fraction(k_true + (c if k_true else 0)),
-        )
+        fp_rows = k + c if k else 0
+        return SessionPlan(model, protocol, eps, (fp_rows,), key_rows, key_rows, mutual(profile, {1}, {2}), Fraction(fp_rows))
     if protocol == TWO_PHASE:
         # Fingerprint x, which Bob decodes, at C(x|y) = C(x,y) - C(y) +
-        # k_slack + sigma, then key material at I(x:y) - sigma + phase1.
-        k_fp = int(cond(profile, {1}, {2})) + margins.k_slack + sigma
+        # k_slack, then key material at I(x:y) + phase1.
+        k_fp = int(cond(profile, {1}, {2})) + margins.k_slack
         fp_rows = (max(0, min(k_fp, model.input_len)) + c,)
         target_key_len, target_comm = mutual(profile, {1}, {2}), cond(profile, {1}, {2})
-        material_len = int(target_key_len) - sigma + margins.phase1
+        material_len = int(target_key_len) + margins.phase1
     else:
         # Fingerprints at the optimal Slepian-Wolf rates, rounded up, then key
         # material at the key capacity C(x_[3]) - CO + phase1.
@@ -205,10 +204,14 @@ def _plan(model: Model, protocol: str, eps: Fraction, margins: Margins) -> Sessi
         material_len = int(target_key_len) + margins.phase1  # key capacities here are integral
     if material_len < 1:
         raise ValueError(f"{protocol} margins leave no key material")
-    ext = ExtractorSpec(material_len, material_len - margins.deficiency, margins.extractor_eps or eps)
-    return SessionPlan(
-        model, protocol, eps, fp_rows, material_len, ext, ext.output_len, target_key_len, target_comm,
-    )
+    # The extractor: min-entropy k of the material, m = k - 2*ceil(log2(1/eps)).
+    k = material_len - margins.deficiency
+    if not 0 <= k <= material_len:
+        raise ValueError(f"min-entropy {k} outside [0, {material_len}]")
+    key_len = k - 2 * ceil_log2(1 / ext_eps)
+    if key_len < 1:
+        raise ValueError(f"extractor output m = {key_len} < 1 (k={k}, eps={ext_eps})")
+    return SessionPlan(model, protocol, eps, fp_rows, material_len, key_len, target_key_len, target_comm)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +239,7 @@ def _seed_slots(plan: SessionPlan) -> tuple:
     keymat_len = toeplitz_seed_len(plan.material_len, len(plan.fp_rows) * xlen)
     return tuple(fps) + (
         (1, "keymat_spec", (label, "keymat"), keymat_len),
-        (1, "ext_seed", (label, "ext"), plan.extractor.seed_len),
+        (1, "ext_seed", (label, "ext"), toeplitz_seed_len(plan.key_len, plan.material_len)),
     )
 
 
@@ -247,17 +250,20 @@ def draw_seeds(plan: SessionPlan, public: SeedStream) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def toeplitz_hashes(protocol: str, fp_rows: tuple, material_len: int, xlen: int, seeds: tuple) -> tuple:
-    """The hashes that a session's seed payloads name.  Keyed by plain
-    shapes and payloads, not by the plan, so a lookup hashes no Fraction: a
-    session with fresh seeds pays one miss, a fixed-seed audit builds them
-    once.  Light's one seed holds both hashes as row blocks of one H."""
+def toeplitz_hashes(protocol: str, fp_rows: tuple, material_len: int, key_len: int, xlen: int, seeds: tuple) -> tuple:
+    """(fingerprint hashes, key chain) that a session's seed payloads name.
+    The key chain is light's bottom row block of H, or the key-material
+    hash followed by the extractor.  Keyed by plain shapes and payloads,
+    not by the plan, so a lookup hashes no Fraction: a session with fresh
+    seeds pays one miss, a fixed-seed audit builds them once."""
     if protocol == LIGHT:
         (q_rows,) = fp_rows
         h = Gf2Matrix(q_rows + material_len, xlen, seeds[0])
-        return (h.row_block(0, q_rows),), h.row_block(q_rows, h.rows)
+        return (h.row_block(0, q_rows),), (h.row_block(q_rows, h.rows),)
+    senders = len(fp_rows)
     fp_hashes = tuple(Gf2Matrix(rows, xlen, seed) for rows, seed in zip(fp_rows, seeds))
-    return fp_hashes, Gf2Matrix(material_len, len(fp_rows) * xlen, seeds[len(fp_rows)])
+    key_hash = Gf2Matrix(material_len, senders * xlen, seeds[senders])
+    return fp_hashes, (key_hash, Gf2Matrix(key_len, material_len, seeds[senders + 1]))
 
 
 def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
@@ -277,30 +283,18 @@ def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
     return res.status, res.value
 
 
-def _party_key(plan: SessionPlan, party: int, own: BitVec, fps, key_hash: Gf2Matrix, ext_seed):
+def _party_key(plan: SessionPlan, party: int, own: BitVec, fps, chain: tuple):
     """(key, status, key material) of one party from its own input, the
-    senders' fingerprints, the key-material hash and the extractor seed,
-    the last public seed (None for light); key and material are None
-    unless the status is unique."""
+    senders' fingerprints and the key chain; the material is the first
+    hash's output, and key and material are None unless the status is
+    unique."""
     status, known = _reconcile(plan, party, own, fps)
     if status != STATUS_UNIQUE:
         return None, status, None
-    material = matvec(key_hash, known)
-    if plan.extractor is None:
-        return material, STATUS_UNIQUE, material
-    return extract(material, plan.extractor, ext_seed), STATUS_UNIQUE, material
-
-
-def party_key(plan: SessionPlan, party: int, own: BitVec, transcript: Transcript):
-    """(key, status, key material) of one party from its own input and the
-    transcript alone: the hashes of the seeds that the plan's slots name
-    (``toeplitz_hashes``, cached per seed tuple) and the senders'
-    fingerprint records.  ``execute`` feeds ``_party_key`` the same objects
-    from its broadcast instead."""
-    seeds = tuple(transcript.one(kind, sender=sender).payload for sender, kind, _labels, _bits in plan.seed_slots)
-    fp_hashes, key_hash = toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, seeds)
-    fps = [Fingerprint(h, transcript.one("fingerprint", sender=i).payload) for i, h in enumerate(fp_hashes, start=1)]
-    return _party_key(plan, party, own, fps, key_hash, seeds[-1] if plan.extractor else None)
+    key = material = matvec(chain[0], known)
+    for h in chain[1:]:
+        key = matvec(h, key)
+    return key, STATUS_UNIQUE, material
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +321,9 @@ def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
     ``draw_seeds``): broadcast, every party's key, and the shared agreement
     and leak checks."""
     payloads = tuple(payload for _sender, _kind, payload in seeds)
-    fp_hashes, key_hash = toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, payloads)
+    fp_hashes, chain = toeplitz_hashes(
+        plan.protocol, plan.fp_rows, plan.material_len, plan.key_len, plan.model.input_len, payloads
+    )
     records, fps = [], []
     for sender, kind, payload in seeds:
         records.append(TranscriptRecord(1, sender, kind, payload))
@@ -335,10 +331,7 @@ def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
             fps.append(Fingerprint(fp_hashes[sender - 1], matvec(fp_hashes[sender - 1], inputs[sender - 1])))
             records.append(TranscriptRecord(1, sender, "fingerprint", fps[-1].value))
     transcript = Transcript(records)
-    ext_seed = payloads[-1] if plan.extractor else None
-    keys, statuses, materials = zip(
-        *(_party_key(plan, i, own, fps, key_hash, ext_seed) for i, own in enumerate(inputs, start=1))
-    )
+    keys, statuses, materials = zip(*(_party_key(plan, i, own, fps, chain) for i, own in enumerate(inputs, start=1)))
     agreed = all(s == STATUS_UNIQUE for s in statuses) and len(set(keys)) == 1
     _forbid_secret_payloads(transcript, tuple(inputs) + materials + keys)
     return SessionOutcome(
@@ -376,6 +369,16 @@ def run_session(config: SessionConfig, trial: int) -> SessionOutcome:
 
 
 def party_key_from_transcript(config: SessionConfig, party: int, own: BitVec, transcript: Transcript):
-    """Recompute a party's (key, status) from (own input, transcript) alone."""
-    key, status, _material = party_key(session_plan(config), party, own, transcript)
+    """A party's (key, status) from its own input and the transcript alone:
+    the hashes of the seeds that the plan's slots name (``toeplitz_hashes``,
+    cached per seed tuple) and the senders' fingerprint records.
+    ``execute`` feeds ``_party_key`` the same objects from its broadcast
+    instead."""
+    plan = session_plan(config)
+    seeds = tuple(transcript.one(kind, sender=sender).payload for sender, kind, _labels, _bits in plan.seed_slots)
+    fp_hashes, chain = toeplitz_hashes(
+        plan.protocol, plan.fp_rows, plan.material_len, plan.key_len, plan.model.input_len, seeds
+    )
+    fps = [Fingerprint(h, transcript.one("fingerprint", sender=i).payload) for i, h in enumerate(fp_hashes, start=1)]
+    key, status, _material = _party_key(plan, party, own, fps, chain)
     return key, status

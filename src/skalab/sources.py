@@ -30,7 +30,7 @@ from itertools import permutations
 
 from .entropy import make_profile
 from .gf2 import BitVec, irreducible_poly, mul_int, x_power_multiples
-from .profiles import ComplexityProfile, all_nonempty_subsets
+from .profiles import ComplexityProfile, all_nonempty_subsets, ceil_log2
 from .rng import SeedStream
 
 
@@ -239,12 +239,6 @@ def sample(model: Model, stream: SeedStream) -> CorrelatedInstance:
     return CorrelatedInstance(model.draw(stream))
 
 
-def ceil_log2(x: int) -> int:
-    if x < 1:
-        raise ValueError("ceil_log2 of non-positive value")
-    return (x - 1).bit_length()
-
-
 # ---------------------------------------------------------------------------
 # Candidate sets
 # ---------------------------------------------------------------------------
@@ -262,9 +256,6 @@ class AffineCandidates:
         self.base = base
         self.multiplier = multiplier
         self.basis = () if multiplier is None else _multiplier_basis(length // 2, multiplier)
-
-    def log2_size(self) -> float:
-        return float(len(self.basis))
 
     def __iter__(self):
         cur = self.base
@@ -288,9 +279,6 @@ class HammingSphere:
         self.length = length
         self.center = center
         self.t = t
-
-    def log2_size(self) -> float:
-        return math.log2(math.comb(self.length, self.t))
 
     def __iter__(self):
         return (BitVec(self.length, self.center ^ e) for e in weight_words(self.length, self.t))

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, _eliminate, matvec, toeplitz_seed_len
-from skalab.hashext import ceil_log2_inv
+from skalab.profiles import ceil_log2
 from skalab.reconcile import DecodeResult, Fingerprint, _error_matches, _verdict
 from skalab.rng import SeedStream
 
@@ -106,6 +106,6 @@ def encode(x: BitVec, k: int, eps, stream: SeedStream) -> Fingerprint:
     eps = Fraction(eps)
     if not 0 <= k <= x.n:
         raise ValueError(f"k={k} outside [0, {x.n}]")
-    rows = k + ceil_log2_inv(eps)
+    rows = k + ceil_log2(1 / eps)
     spec = fresh_toeplitz(rows, x.n, stream)
     return Fingerprint(spec, matvec(spec, x))

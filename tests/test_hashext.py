@@ -6,18 +6,19 @@ import pytest
 from codes import fresh_toeplitz
 from entropy_checks import tv_distance
 from skalab.gf2 import BitVec, Gf2Matrix, matvec
-from skalab.hashext import ExtractorSpec, ceil_log2_inv, extract
+from skalab.profiles import ceil_log2
 from skalab.rng import SeedStream
 
 
 def test_ceil_log2_inv():
-    assert ceil_log2_inv(Fraction(1, 2)) == 1
-    assert ceil_log2_inv(Fraction(1, 256)) == 8
-    assert ceil_log2_inv(Fraction(1, 3)) == 2
-    assert ceil_log2_inv(Fraction(2, 3)) == 1
-    assert ceil_log2_inv(1) == 0
+    # ceil(log2(1/eps)), the fingerprint and extractor slack for an eps.
+    assert ceil_log2(1 / Fraction(1, 2)) == 1
+    assert ceil_log2(1 / Fraction(1, 256)) == 8
+    assert ceil_log2(1 / Fraction(1, 3)) == 2
+    assert ceil_log2(1 / Fraction(2, 3)) == 1
+    assert ceil_log2(1 / Fraction(1)) == 0
     with pytest.raises(ValueError):
-        ceil_log2_inv(Fraction(0))
+        ceil_log2(Fraction(0))
 
 
 def _ceil_log2_inv_by_loop(eps):
@@ -32,9 +33,9 @@ def test_ceil_log2_inv_closed_form_exhaustive():
     for d in range(2, 65):
         for n in range(1, d):
             eps = Fraction(n, d)
-            assert ceil_log2_inv(eps) == _ceil_log2_inv_by_loop(eps)
+            assert ceil_log2(1 / eps) == _ceil_log2_inv_by_loop(eps)
     for eps in (Fraction(1, 2**32), Fraction(1, 2**64), Fraction(2**32 + 1, 2**64)):
-        assert ceil_log2_inv(eps) == _ceil_log2_inv_by_loop(eps)
+        assert ceil_log2(1 / eps) == _ceil_log2_inv_by_loop(eps)
 
 
 # ---------------------------------------------------------
@@ -94,34 +95,19 @@ def test_toeplitz_hash_is_universal():
 
 
 # ---------------------------------------------------------
-# extractor
+# extractor: the (k, eps) Toeplitz extractor is an m x input_len Toeplitz
+# matrix, m = k - 2 ceil(log2(1/eps)); sessions size it in their plan
 # ---------------------------------------------------------
 
-def test_extractor_spec_arithmetic():
-    spec = ExtractorSpec(input_len=24, min_entropy=16, eps=Fraction(1, 16))
-    assert spec.output_len == 8  # m = k - 2 ceil(log2(1/eps))
-    assert spec.seed_len == 24 + 8 - 1
-    with pytest.raises(ValueError):
-        ExtractorSpec(input_len=8, min_entropy=4, eps=Fraction(1, 16))  # m < 1
-    with pytest.raises(ValueError):
-        ExtractorSpec(input_len=4, min_entropy=6, eps=Fraction(1, 2))  # k > n
-
-
 def test_extract_zero_and_determinism():
-    spec = ExtractorSpec(input_len=12, min_entropy=10, eps=Fraction(1, 4))
-    seed = SeedStream("ext").bitvec(spec.seed_len)
-    assert extract(BitVec(12, 0), spec, seed) == BitVec(spec.output_len, 0)
+    seed = SeedStream("ext").bitvec(12 + 6 - 1)  # k=10, eps=1/4: m=6
+    assert matvec(Gf2Matrix(6, 12, seed), BitVec(12, 0)) == BitVec(6, 0)
     x = SeedStream("extx").bitvec(12)
-    assert extract(x, spec, seed) == extract(x, spec, seed)
-    with pytest.raises(ValueError):
-        extract(BitVec(11, 0), spec, seed)
-    with pytest.raises(ValueError):
-        extract(BitVec(12, 0), spec, seed.slice(0, spec.seed_len - 1))
+    assert matvec(Gf2Matrix(6, 12, seed), x) == matvec(Gf2Matrix(6, 12, seed), x)
 
 
 def test_extract_collision_rate_over_seeds():
-    spec = ExtractorSpec(input_len=10, min_entropy=8, eps=Fraction(1, 4))
-    m = spec.output_len
+    m = 4  # k=8, eps=1/4
     stream = SeedStream("extcol")
     x1 = stream.bitvec(10)
     while True:
@@ -131,8 +117,8 @@ def test_extract_collision_rate_over_seeds():
     trials = 100_000
     hits = 0
     for _ in range(trials):
-        seed = stream.bitvec(spec.seed_len)
-        if extract(x1, spec, seed) == extract(x2, spec, seed):
+        ext = Gf2Matrix(m, 10, stream.bitvec(10 + m - 1))
+        if matvec(ext, x1) == matvec(ext, x2):
             hits += 1
     p = 2.0**-m
     sigma = math.sqrt(p * (1 - p) / trials)
@@ -170,8 +156,7 @@ def test_extractor_on_subset_source_small():
     """Uniform source on a random 2^k-subset: the seed-averaged exact TV of
     the output stays within the leftover-hash bound sqrt(2^m / 2^k) / 2."""
     input_len, k = 10, 8
-    spec = ExtractorSpec(input_len=input_len, min_entropy=k, eps=Fraction(1, 4))
-    m = spec.output_len
+    m = k - 2 * 2  # eps = 1/4
     stream = SeedStream("lhl-small")
     universe = list(range(1 << input_len))
     subset = []
@@ -181,8 +166,8 @@ def test_extractor_on_subset_source_small():
         subset.append(universe[i])
     tvs = []
     for _ in range(40):
-        seed = stream.bitvec(spec.seed_len)
-        outs = [extract(BitVec(input_len, v), spec, seed) for v in subset]
+        ext = Gf2Matrix(m, input_len, stream.bitvec(input_len + m - 1))
+        outs = [matvec(ext, BitVec(input_len, v)) for v in subset]
         tvs.append(tv_distance(outs, m))
     mean_tv = sum(tvs) / len(tvs)
     assert mean_tv <= 0.5 * math.sqrt(2.0 ** (m - k)) + 0.02

@@ -11,6 +11,7 @@ from skalab.profiles import (
     ComplexityProfile,
     all_nonempty_subsets,
     all_partitions,
+    ceil_log2,
     cond,
     is_polymatroid,
     multi_j,
@@ -18,6 +19,18 @@ from skalab.profiles import (
     parse_profile,
 )
 from skalab.rng import SeedStream
+
+
+def test_ceil_log2():
+    # The ratios num/eps the protocols size with are checked, exhaustively,
+    # in test_hashext and test_protocols; here the plain q >= 1 cases.
+    assert ceil_log2(1) == 0
+    assert ceil_log2(2) == 1 and ceil_log2(3) == 2
+    assert ceil_log2(Fraction(3, 2)) == 1
+    assert ceil_log2(2**64) == 64 and ceil_log2(2**64 + 1) == 65
+    for below_one in (0, Fraction(1, 2), -4):
+        with pytest.raises(ValueError):
+            ceil_log2(below_one)
 
 
 def line_point_profile(n):

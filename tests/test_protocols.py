@@ -8,11 +8,9 @@ import pytest
 from skalab import audit, protocols, reconcile
 from skalab.audit import conditional_uniformity, fixed_seeds
 from skalab.channel import Transcript
-from skalab.hashext import ceil_log2_inv
 from skalab.protocols import (
     Margins,
     SessionConfig,
-    ceil_log2_ratio,
     draw_seeds,
     party_key_from_transcript,
     run_session,
@@ -20,6 +18,7 @@ from skalab.protocols import (
     session_streams,
 )
 from skalab.gf2 import BitVec
+from skalab.profiles import ceil_log2
 from skalab.reconcile import STATUS_NOT_FOUND, STATUS_SEARCH_LIMIT, STATUS_UNIQUE, Fingerprint
 from skalab.entropy import make_profile
 from skalab.sources import Model, parse_model_spec, sample
@@ -46,10 +45,11 @@ def cfg_omni(eps=Fraction(1, 64), seed=13):
 # ---------------------------------------------------------
 
 def test_ceil_log2_ratio():
-    assert ceil_log2_ratio(16, Fraction(1, 16)) == 8
-    assert ceil_log2_ratio(16, Fraction(1, 256)) == 12
-    assert ceil_log2_ratio(3, Fraction(1, 3)) == 4  # ceil(log2 9) = 4
-    assert ceil_log2_ratio(1, 1) == 0
+    # ceil(log2(n/eps)), the phase-1 margin for n bits and an eps.
+    assert ceil_log2(16 / Fraction(1, 16)) == 8
+    assert ceil_log2(16 / Fraction(1, 256)) == 12
+    assert ceil_log2(3 / Fraction(1, 3)) == 4  # ceil(log2 9) = 4
+    assert ceil_log2(1 / Fraction(1)) == 0
 
 
 def _ceil_log2_ratio_by_loop(num, eps):
@@ -64,9 +64,9 @@ def test_ceil_log2_ratio_closed_form_exhaustive():
         for d in range(2, 65):
             for n in range(1, d):
                 eps = Fraction(n, d)
-                assert ceil_log2_ratio(num, eps) == _ceil_log2_ratio_by_loop(num, eps)
-        for eps in (Fraction(1), Fraction(1, 2**32), Fraction(1, 2**64), Fraction(3, 2**64)):
-            assert ceil_log2_ratio(num, eps) == _ceil_log2_ratio_by_loop(num, eps)
+                assert ceil_log2(num / eps) == _ceil_log2_ratio_by_loop(num, eps)
+        for eps in (Fraction(1), Fraction(1, 2**32), Fraction(1, 2**64), Fraction(3, 2**64), Fraction(2**32 + 1, 2**64)):
+            assert ceil_log2(num / eps) == _ceil_log2_ratio_by_loop(num, eps)
 
 
 def test_default_margins():
@@ -157,19 +157,26 @@ def test_light_hamming_n63_t3_agrees():
         assert o.agreed and o.decode_status == STATUS_UNIQUE
 
 
-def test_light_profile_sigma_shrinks_key():
-    base = cfg_light(seed=21)
-    o = run_session(base, 0)
-    o_sigma = run_session(replace(base, margins=replace(base.margins, profile_sigma=3)), 0)
-    assert o_sigma.key_len == o.key_len - 3
-    assert o_sigma.payload_bits == o.payload_bits + 3
-    assert o_sigma.agreed
+@dataclass(frozen=True)
+class _Independent(Model):
+    """Two independent uniform n-bit words (I(x:y) = 0), whose profile
+    claims `extra` more bits of each word, and of their mutual information,
+    than the inputs hold."""
+
+    n: int
+    extra: int = 0
+    name = "independent"
+
+    def profile(self):
+        n, e = self.n, self.extra
+        return make_profile(2, {(1,): n + e, (2,): n + e, (1, 2): 2 * n + e})
 
 
 def test_light_plan_guard():
-    config = cfg_light("line-point:n=4", eps=Fraction(1, 2))
-    with pytest.raises(ValueError):
-        session_plan(replace(config, margins=replace(config.margins, profile_sigma=10)))
+    with pytest.raises(ValueError, match="light protocol margins leave no key bits"):
+        session_plan(SessionConfig(_Independent(8), "light", Fraction(1, 2), 0))
+    with pytest.raises(ValueError, match="profile claims more complexity than input bits"):
+        session_plan(SessionConfig(_Independent(8, extra=2), "light", Fraction(1, 2), 0))
 
 
 # ---------------------------------------------------------
@@ -203,26 +210,59 @@ def test_two_phase_comm_accounting_band():
     for t in range(60):
         o = run_session(config, t)
         assert o.payload_bits <= 16 + 5 * log_term
-        seed_overhead = (plan.fp_rows[0] + 32 - 1) + (plan.material_len + 32 - 1) + plan.extractor.seed_len
+        seed_overhead = (plan.fp_rows[0] + 32 - 1) + (plan.material_len + 32 - 1) + (plan.material_len + plan.key_len - 1)
         assert o.comm_bits == o.payload_bits + seed_overhead
-
-
-def test_two_phase_profile_sigma():
-    # approximate-profile mode: message sized by the upper bound on C(x|y),
-    # key by the lower bound on I(x:y)
-    margins = Margins(k_slack=4, phase1=6, deficiency=2, extractor_eps=Fraction(1, 4))
-    base = cfg_two_phase(seed=41, margins=margins)
-    o = run_session(base, 0)
-    o_s = run_session(replace(base, margins=replace(base.margins, profile_sigma=2)), 0)
-    assert o_s.agreed
-    assert o_s.key_len == o.key_len - 2
-    assert o_s.payload_bits == o.payload_bits + 2
 
 
 def test_two_phase_margins_guard():
     bad = Margins(k_slack=0, phase1=0, deficiency=20)
     with pytest.raises(ValueError):
         session_plan(cfg_two_phase(margins=bad))
+
+
+def test_plan_sizes_the_extractor():
+    # 24 bits of material at min-entropy k = 24 - 8 and extractor eps 1/16:
+    # m = k - 2 ceil(log2 16) bits, from the last public seed of 24 + m - 1.
+    plan = session_plan(cfg_two_phase(margins=Margins(4, 8, 8, Fraction(1, 16))))
+    assert plan.material_len == 16 + 8  # I(x:y) + phase1
+    assert plan.key_len == 8
+    assert plan.seed_slots[-1] == (1, "ext_seed", ("two_phase", "ext"), 24 + 8 - 1)
+    # Extractor eps 1 costs nothing; None is the session eps (1/16).
+    assert session_plan(cfg_two_phase(margins=Margins(4, 8, 8, Fraction(1)))).key_len == 16
+    assert session_plan(cfg_two_phase(margins=Margins(4, 8, 8))).key_len == 8
+
+
+@pytest.mark.parametrize(
+    "deficiency, message",
+    [(16, r"extractor output m = 0 < 1 \(k=8, eps=1/16\)"), (25, r"min-entropy -1 outside \[0, 24\]"),
+     (-1, r"min-entropy 25 outside \[0, 24\]")],
+)
+def test_plan_rejects_extractor_without_output(deficiency, message):
+    with pytest.raises(ValueError, match=message):
+        session_plan(cfg_two_phase(margins=Margins(4, 8, deficiency, Fraction(1, 16))))
+
+
+@pytest.mark.parametrize("extractor_eps", [0, Fraction(-1, 4), Fraction(5, 4)])
+@pytest.mark.parametrize("config", [cfg_light(), cfg_two_phase(), cfg_omni()], ids=["light", "two-phase", "omni"])
+def test_plan_rejects_extractor_eps_outside_unit_interval(config, extractor_eps):
+    # 0 is not the session eps: no value outside (0, 1] falls back to it.
+    with pytest.raises(ValueError, match=r"extractor eps must be in \(0, 1\]"):
+        session_plan(replace(config, margins=replace(config.margins, extractor_eps=extractor_eps)))
+
+
+@pytest.mark.parametrize("config", [cfg_light(), cfg_two_phase(), cfg_omni()], ids=["light", "two-phase", "omni"])
+def test_key_chain_follows_the_plan(config):
+    # Each hash of the chain maps the previous output, the first the
+    # senders' packed inputs, and the last outputs the plan's key_len bits.
+    plan = session_plan(config)
+    seeds = tuple(payload for _s, _k, payload in draw_seeds(plan, session_streams(config, 0)[1]))
+    _fps, chain = protocols.toeplitz_hashes(
+        plan.protocol, plan.fp_rows, plan.material_len, plan.key_len, plan.model.input_len, seeds
+    )
+    senders = len(plan.fp_rows) if config.protocol == "omniscience" else 1
+    assert (chain[0].rows, chain[0].cols) == (plan.material_len, senders * plan.model.input_len)
+    assert all(h.cols == prev.rows for prev, h in zip(chain, chain[1:]))
+    assert chain[-1].rows == plan.key_len and len(chain) == (1 if config.protocol == "light" else 2)
 
 
 @dataclass(frozen=True)
@@ -247,7 +287,7 @@ def test_two_phase_fingerprint_sized_by_c_x_given_y():
     margins = Margins(k_slack=4, phase1=6, deficiency=2, extractor_eps=Fraction(1, 4))
     config = SessionConfig(_Prefix(16), "two_phase", Fraction(1, 16), 0, margins)
     plan = session_plan(config)
-    assert plan.fp_rows == (16 + 4 + ceil_log2_inv(config.eps),)
+    assert plan.fp_rows == (16 + 4 + ceil_log2(1 / config.eps),)
     assert plan.target_comm == 16 and plan.target_key_len == 16
 
 
@@ -268,10 +308,10 @@ def test_omniscience_collinear_16():
 def test_omniscience_plan():
     config = cfg_omni()
     plan = session_plan(config)
-    c = ceil_log2_inv(config.eps)
+    c = ceil_log2(1 / config.eps)
     assert plan.fp_rows == (24 + c, 24 + c, 24 + c)
     assert plan.target_comm == 72 and plan.target_key_len == 8
-    assert plan.material_len == 12 and plan.key_len == plan.extractor.output_len == 6
+    assert plan.material_len == 12 and plan.key_len == 12 - 2 - 2 * 2  # k = material - deficiency; eps_ext = 1/4
 
 
 def test_omniscience_default_margins_leave_no_key_at_n16():
@@ -395,7 +435,9 @@ def test_joint_decode_checks_no_tuple():
     o = run_session(config, 0)
     plan = session_plan(config)
     payloads = tuple(o.transcript.one(kind, sender=sender).payload for sender, kind, _l, _b in plan.seed_slots)
-    fp_hashes, _ = protocols.toeplitz_hashes(plan.protocol, plan.fp_rows, plan.material_len, plan.model.input_len, payloads)
+    fp_hashes, _chain = protocols.toeplitz_hashes(
+        plan.protocol, plan.fp_rows, plan.material_len, plan.key_len, plan.model.input_len, payloads
+    )
     fps = [Fingerprint(h, o.transcript.one("fingerprint", sender=i).payload) for i, h in enumerate(fp_hashes, start=1)]
     for party in (1, 2, 3):
         res = reconcile.multi_decode(config.model, party, inst.inputs[party - 1], fps)
@@ -421,8 +463,8 @@ def test_joint_decode_checks_no_tuple():
 def test_execute_feeds_each_party_what_the_transcript_names(config, monkeypatch):
     """execute hands every party the hashes and fingerprints it built for
     the broadcast: no transcript lookup, one hash lookup per session, and
-    each party's (key, status) equal to party_key's from the transcript,
-    also where the decode is not unique."""
+    each party's (key, status) equal to party_key_from_transcript's, also
+    where the decode is not unique."""
     plan, trials = session_plan(config), 12
     lookups, hash_calls, party_keys = [], [], []
     one, hashes, key_of = Transcript.one, protocols.toeplitz_hashes, protocols._party_key
@@ -443,7 +485,7 @@ def test_execute_feeds_each_party_what_the_transcript_names(config, monkeypatch)
         for party, own in enumerate(inputs, start=1):
             key, status, _material = party_keys[s * parties + party - 1]
             assert key == o.keys[party - 1]
-            assert protocols.party_key(plan, party, own, o.transcript)[:2] == (key, status)
+            assert party_key_from_transcript(config, party, own, o.transcript) == (key, status)
             statuses.add(status)
     assert STATUS_UNIQUE in statuses and len(statuses) > 1
 

@@ -12,7 +12,7 @@ from model_checks import is_consistent
 from skalab import gf2, reconcile, sources
 from skalab.audit import exact_small_n_audit
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank
-from skalab.hashext import ceil_log2_inv
+from skalab.profiles import ceil_log2
 from skalab.protocols import SessionConfig
 from skalab.reconcile import (
     STATUS_AMBIGUOUS,
@@ -67,7 +67,7 @@ def test_encode_k_bounds():
 def test_fingerprint_length_invariant():
     for k, eps in ((0, Fraction(1, 2)), (3, Fraction(1, 8)), (7, Fraction(1, 100))):
         fp = encode(SeedStream("w", k).bitvec(10), k, eps, SeedStream("ws", k))
-        assert fp.value.n == k + ceil_log2_inv(eps)
+        assert fp.value.n == k + ceil_log2(1 / eps)
 
 
 # ---------------------------------------------------------

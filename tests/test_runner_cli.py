@@ -8,10 +8,10 @@ import pytest
 from profile_tools import format_profile
 from skalab import cli
 from skalab.cli import main
-from skalab.profiles import ComplexityProfile, all_nonempty_subsets
+from skalab.profiles import ComplexityProfile, all_nonempty_subsets, ceil_log2
 from skalab.protocols import Margins, SessionConfig, run_session
 from skalab.runner import run_plan, summarize, sweep_configs
-from skalab.sources import ceil_log2, parse_model_spec
+from skalab.sources import parse_model_spec
 
 
 def one_config(spec="identical:n=12", protocol="light", seed=9):
@@ -277,6 +277,16 @@ def test_cli_bad_config_is_a_usage_error(capsys, command, model, protocol, eps, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["0", "3/2"])
+def test_cli_extractor_eps_outside_unit_interval_is_a_usage_error(capsys, value):
+    # 0 is no error bound, so it may not stand for the session eps.
+    argv = ["simulate", "--model", "identical:n=64", "--protocol", "two-phase", "--extractor-eps", value, "--trials", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: extractor eps must be in (0, 1], got {value}\n"
 
 
 def test_cli_sweep_t_on_a_model_without_t_is_a_usage_error(capsys):
