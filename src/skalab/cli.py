@@ -170,10 +170,9 @@ def cmd_sessions(args, configs) -> int:
 
 
 def cmd_rates(args) -> int:
-    with open(args.profile) as f:
-        text = f.read()
     try:
-        profile = parse_profile(text)
+        with open(args.profile, encoding="utf-8") as f:
+            profile = parse_profile(f.read())  # a UnicodeDecodeError is a ValueError
         region = sw_constraints(profile)
     except ValueError as exc:
         return _error(exc)

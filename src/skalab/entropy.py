@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf2 import BitVec
-from .profiles import ComplexityProfile
 
 _FLOAT_SIGN_CUTOFF = 1e-6
 
@@ -235,9 +234,3 @@ def conditional_entropy_bits(joint_counts: dict) -> float:
     for (t, _z), c in joint_counts.items():
         h -= (c / total) * math.log2(c / by_t[t])
     return h
-
-
-def make_profile(ell: int, values: dict) -> ComplexityProfile:
-    """Convenience: build a profile from {tuple-of-parties: bits}."""
-    return ComplexityProfile(ell, {frozenset(k): Fraction(v) for k, v in values.items()})
-

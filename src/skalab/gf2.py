@@ -151,7 +151,7 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     return BitVec(m.rows, (_clmul(m.data.v, x.v) >> (m.cols - 1)) & ((1 << m.rows) - 1))
 
 
-def _eliminate(rows: list[int], cols: int):
+def eliminate(rows: list[int], cols: int):
     """Forward elimination of packed rows; returns (rows, pivot column
     list), the pivot rows in pivot order, then the others in any order.
     Pivot row i has its lowest set bit at pivots[i], so it is zero at every
@@ -188,7 +188,7 @@ def _eliminate(rows: list[int], cols: int):
 def rank(rows: list[int], cols: int) -> int:
     """GF(2) rank of packed rows: the number of pivots of forward
     elimination over the first cols columns."""
-    _, pivots = _eliminate(rows, cols)
+    _, pivots = eliminate(rows, cols)
     return len(pivots)
 
 
@@ -378,23 +378,24 @@ def x_power_multiples(m: int, n: int) -> list[int]:
     return out
 
 
-def graph_images(h: Gf2Matrix, basis) -> list[int]:
-    """H b_j for every b_j = 2^j | (m * x^j) << n in `basis`, j < n, the
-    graph {(u, m*u)} of multiplication by m on GF(2^n); H has 2n columns.
+def graph_images(h: Gf2Matrix, multiples) -> list[int]:
+    """H b_j for every j < n, where b_j = 2^j | multiples[j] << n and
+    multiples[j] = m * x^j (``x_power_multiples``): the basis of the graph
+    {(u, m*u)} of multiplication by m on GF(2^n); H has 2n columns.
 
     H v is a window of seed * v, and seed * b_j = (seed << j) ^ (q_j << n)
     with q_j = seed * (m * x^j).  Doubling m * x^j doubles q_j, and its
-    reduction by f on overflow (the top bit of b_j) adds seed * f, so the
-    two carry-less products seed * m and seed * f give all n images.
+    reduction by f on overflow (its top bit) adds seed * f, so the two
+    carry-less products seed * m and seed * f give all n images.
     """
-    n = len(basis)
+    n = len(multiples)
     if h.cols != 2 * n:
         raise Gf2Error(f"graph images need a hash of {2 * n} columns, got {h.rows}x{h.cols}")
-    seed, top = h.data.v, 2 * n - 1
-    seed_f, q = _clmul(seed, irreducible_poly(n)), _clmul(seed, basis[0] >> n)
+    seed, top = h.data.v, 1 << (n - 1)
+    seed_f, q = _clmul(seed, irreducible_poly(n)), _clmul(seed, multiples[0])
     shift, mask = h.cols - 1, (1 << h.rows) - 1
     out = []
-    for j, b in enumerate(basis):
+    for j, w in enumerate(multiples):
         out.append((((seed << j) ^ (q << n)) >> shift) & mask)
-        q = (q << 1) ^ seed_f if b >> top else q << 1
+        q = (q << 1) ^ seed_f if w & top else q << 1
     return out

@@ -15,6 +15,10 @@ from itertools import combinations
 
 Subset = frozenset
 
+# Both the rate LP (2^ell - 2 constraints) and the partition formula
+# (Bell(ell) splittings) finish within seconds up to here.
+MAX_PARTIES = 8
+
 
 def all_nonempty_subsets(ell: int) -> list[frozenset]:
     out = []
@@ -59,6 +63,11 @@ class ComplexityProfile:
 
     def full(self) -> frozenset:
         return frozenset(range(1, self.ell + 1))
+
+
+def make_profile(ell: int, values: dict) -> ComplexityProfile:
+    """Convenience: build a profile from {tuple-of-parties: bits}."""
+    return ComplexityProfile(ell, {frozenset(k): Fraction(v) for k, v in values.items()})
 
 
 def ceil_log2(q) -> int:
@@ -166,6 +175,8 @@ def parse_profile(text: str) -> ComplexityProfile:
             raise ValueError(f"line {lineno}: {exc}") from exc
         if not parties or min(parties) < 1:
             raise ValueError(f"line {lineno}: invalid subset {key!r}")
+        if max(parties) > MAX_PARTIES:  # before ComplexityProfile builds 2^ell - 1 subsets
+            raise ValueError(f"line {lineno}: party {max(parties)} past the limit of {MAX_PARTIES} parties")
         if parties in values:
             raise ValueError(f"line {lineno}: duplicate subset {key!r}")
         values[parties] = bits

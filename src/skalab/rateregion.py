@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .profiles import (
+    MAX_PARTIES,
     ComplexityProfile,
     all_nonempty_subsets,
     all_partitions,
@@ -29,10 +30,6 @@ from .profiles import (
     is_polymatroid,
     multi_j,
 )
-
-# Both the LP (2^ell - 2 constraints) and the partition formula (Bell(ell)
-# splittings) finish within seconds up to here.
-_MAX_PARTIES = 8
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,8 @@ def proper_splittings(ell: int) -> list[frozenset]:
 
 
 def _check_parties(ell: int) -> None:
-    if not 2 <= ell <= _MAX_PARTIES:
-        raise ValueError(f"rate region needs 2 to {_MAX_PARTIES} parties, got {ell}")
+    if not 2 <= ell <= MAX_PARTIES:
+        raise ValueError(f"rate region needs 2 to {MAX_PARTIES} parties, got {ell}")
 
 
 def sw_constraints(profile: ComplexityProfile) -> RateRegion:

@@ -1,32 +1,33 @@
 """One-way information reconciliation.
 
 The sender fingerprints its input with a fresh seeded linear hash; the
-receiver searches its candidate set for the unique preimage.  Candidate
-enumeration replaces the (uncomputable) search over short programs: for
-every model in this package the candidate set *is* the conditional support
-of the sender's input, so a fingerprint of k + ceil(log2(1/eps)) bits
-pins the true value except with probability eps (union bound).
+receiver searches its candidate set for the unique preimage.  That search
+replaces the (uncomputable) search over short programs: for every model in
+this package the candidate set *is* the conditional support of the
+sender's input, so a fingerprint of k + ceil(log2(1/eps)) bits pins the
+true value except with probability eps (union bound).
 
 Decoding reports `unique`, `ambiguous`, or `not_found` explicitly, and
 `search_limit` when a coset or a Hamming sphere is too large to search;
 sessions count anything but a correct `unique` against their error budget.
-Structured candidate sets are not scanned, and the verdict is the same.
-A line-point set is the graph of multiplication by the receiver's abscissa
-or slope m, shifted; a shift recursion gives the images of its basis under
-the Toeplitz hash from two carry-less products, and one elimination factors
-them once per (hash, m), so a decode reduces its target by at most n pivot
-rows.  A Hamming sphere (the words at distance exactly t from the
-receiver's) is decoded by finding the weight-t errors e with
-H e = fingerprint xor H y, by the cheaper of two searches, chosen from the
-shape alone: when the 2^(n - rows) words of the smallest possible solution
-coset are fewer than the subsets in the larger half of a meet in the middle
-on H's column images, one affine solve and a walk over the coset; else the
-meet in the middle.  H is Toeplitz, so a solve (`gf2.solve_affine`, which
-the tracer times by this module's name for it) is one lattice reduction
-over GF(2)[z], O(rows + n) shift-XORs of small ints.  One cap of 2^20
-words or subsets bounds whichever runs, and the decode ends `search_limit`
-only when both are past it.  `decode_scan` keeps the literal scan
-available and is cross-checked against both in tests.
+A candidate set is a description (`sources.AffineCandidates`,
+`sources.HammingSphere`), never a list, and no decode scans one.  A
+one-word set is settled by the hash of its word.  A line-point set is the
+graph of multiplication by the receiver's abscissa or slope m, shifted; a
+shift recursion gives the images of its basis under the Toeplitz hash from
+two carry-less products, and one elimination factors them once per
+(hash, m), so a decode reduces its target by at most n pivot rows.  A
+Hamming sphere (the words at distance exactly t from the receiver's) is
+decoded by finding the weight-t errors e with H e = fingerprint xor H y,
+by the cheaper of two searches, chosen from the shape alone: when the
+2^(n - rows) words of the smallest possible solution coset are fewer than
+the subsets in the larger half of a meet in the middle on H's column
+images, one affine solve and a walk over the coset; else the meet in the
+middle.  H is Toeplitz, so a solve (`gf2.solve_affine`, which the tracer
+times by this module's name for it) is one lattice reduction over
+GF(2)[z], O(rows + n) shift-XORs of small ints.  One cap of 2^20 words or
+subsets bounds whichever runs, and the decode ends `search_limit` only
+when both are past it.
 
 Joint decoding (`multi_decode`, omniscience on the collinear triple)
 solves each other party's fingerprint for the affine coset of inputs that
@@ -52,8 +53,8 @@ from functools import lru_cache
 from itertools import compress, islice
 from operator import not_
 
-from .gf2 import BitVec, Gf2Matrix, _eliminate, graph_images, matvec, solve_affine, spread, spread_reducer
-from .sources import HammingSphere, Model, _multiplier_basis
+from .gf2 import BitVec, Gf2Matrix, eliminate, graph_images, matvec, solve_affine, spread, spread_reducer, x_power_multiples
+from .sources import HammingSphere, Model
 
 STATUS_UNIQUE = "unique"
 STATUS_AMBIGUOUS = "ambiguous"
@@ -89,68 +90,60 @@ class DecodeResult:
             raise ValueError("value present iff status is unique")
 
 
-def decode_scan(fp: Fingerprint, candidates) -> DecodeResult:
-    """Literal scan over the candidate enumeration in canonical order."""
-    found: BitVec | None = None
-    checked = 0
-    for cand in candidates:
-        checked += 1
-        if matvec(fp.spec, cand) == fp.value:
-            if found is not None:
-                return DecodeResult(STATUS_AMBIGUOUS, None, checked)
-            found = cand
-    if found is None:
-        return DecodeResult(STATUS_NOT_FOUND, None, checked)
-    return DecodeResult(STATUS_UNIQUE, found, checked)
-
-
 def decode(fp: Fingerprint, candidates) -> DecodeResult:
     """Find the candidates matching the fingerprint (unique/ambiguous/none).
 
-    The verdict is order-independent, so structured candidate sets are not
-    scanned: an affine set is decoded by reducing H(base) xor value by the
-    factored images of its basis, a Hamming sphere by a walk over the
-    solution coset or a meet in the middle on H's column images, whichever
-    is smaller (`search_limit` when both are past _SPHERE_CAP_SUBSETS).
-    Either result is re-hashed as a guard.
+    The verdict is order-independent, so no candidate set is scanned: a
+    single word is settled by its hash, a line-point set by reducing
+    H(base) xor value by the factored images of its basis, a Hamming
+    sphere by a walk over the solution coset or a meet in the middle on H's
+    column images, whichever is smaller (`search_limit` when both are past
+    _SPHERE_CAP_SUBSETS).  Either search's result is re-hashed as a guard.
     candidates_checked reports the number of candidates the verdict covered.
     """
     if isinstance(candidates, HammingSphere):
         return _decode_sphere(fp, candidates)
-    if not candidates.basis:  # a single word
-        return decode_scan(fp, candidates)
-    base, basis, rows = candidates.base, candidates.basis, fp.spec.rows
+    base, rows = candidates.base, fp.spec.rows
     t = fp.value.v ^ matvec(fp.spec, BitVec(candidates.length, base)).v
-    cols, pivot_rows = _factored(fp.spec, candidates.multiplier)
+    if candidates.multiplier is None:  # a single word
+        if t:
+            return DecodeResult(STATUS_NOT_FOUND, None, 1)
+        return DecodeResult(STATUS_UNIQUE, BitVec(candidates.length, base), 1)
+    cols, pivot_rows, multiples = _factored(fp.spec, candidates.multiplier)
     for col, row in zip(cols, pivot_rows):  # in echelon order, a later row never sets an earlier column
         if (t >> col) & 1:
             t ^= row
-    total = 1 << len(basis)  # not len(): the coset can exceed a machine index
+    n = len(multiples)
+    total = 1 << n  # not len(): the coset can exceed a machine index
     if t & ((1 << rows) - 1):
         return DecodeResult(STATUS_NOT_FOUND, None, total)
-    if len(cols) < len(basis):  # bases are independent: a kernel means >= 2 matches
+    if len(cols) < n:  # the basis is independent: a kernel means >= 2 matches
         return DecodeResult(STATUS_AMBIGUOUS, None, total)
-    coeffs, value = t >> rows, base
-    for j, vec in enumerate(basis):
-        if (coeffs >> j) & 1:
-            value ^= vec
-    out = BitVec(candidates.length, value)
+    u = t >> rows  # the coefficients, which are also the abscissa or slope
+    mu = 0
+    for j, w in enumerate(multiples):
+        if (u >> j) & 1:
+            mu ^= w
+    out = BitVec(candidates.length, base ^ u ^ (mu << n))
     _guard(fp, out)
     return DecodeResult(STATUS_UNIQUE, out, total)
 
 
 @lru_cache(maxsize=64)
 def _factored(spec: Gf2Matrix, multiplier: int) -> tuple:
-    """(pivot columns, pivot rows) of the transposed system of H on the
-    graph of multiplication by `multiplier`, in echelon form: row j is
-    H b_j tagged with bit rows + j, eliminated forward over the first rows
-    columns.  Reducing a target by these rows in order leaves zero below
-    bit rows iff it is in the span, and the tags above are then its
+    """(pivot columns, pivot rows, multiples) of the transposed system of H
+    on the graph of multiplication by `multiplier` on GF(2^n), n =
+    spec.cols / 2.  The multiples are multiplier * x^j for j < n, and the
+    basis vector b_j is 2^j | multiples[j] << n.  Row j is H b_j tagged with
+    bit rows + j, eliminated forward over the first rows columns, in
+    echelon form.  Reducing a target by these rows in order leaves zero
+    below bit rows iff it is in the span, and the tags above are then its
     coefficients.  A line-point receiver's basis depends only on its own
     abscissa, so a fixed-seed audit factors each (H, abscissa) once."""
-    images = graph_images(spec, _multiplier_basis(spec.cols // 2, multiplier))
-    red, pivots = _eliminate([img | (1 << (spec.rows + j)) for j, img in enumerate(images)], spec.rows)
-    return tuple(pivots), tuple(red[: len(pivots)])
+    multiples = tuple(x_power_multiples(multiplier, spec.cols // 2))
+    images = graph_images(spec, multiples)
+    red, pivots = eliminate([img | (1 << (spec.rows + j)) for j, img in enumerate(images)], spec.rows)
+    return tuple(pivots), tuple(red[: len(pivots)]), multiples
 
 
 def _guard(fp: Fingerprint, out: BitVec) -> None:

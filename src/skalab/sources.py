@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from itertools import permutations
 
-from .entropy import make_profile
-from .gf2 import BitVec, irreducible_poly, mul_int, x_power_multiples
-from .profiles import ComplexityProfile, all_nonempty_subsets, ceil_log2
+from .gf2 import BitVec, irreducible_poly, mul_int
+from .profiles import ComplexityProfile, all_nonempty_subsets, ceil_log2, make_profile
 from .rng import SeedStream
 
 
@@ -245,43 +243,22 @@ def sample(model: Model, stream: SeedStream) -> CorrelatedInstance:
 
 
 class AffineCandidates:
-    """Candidate coset {base xor subset-XOR(basis)}, iterated in
-    coefficient-lex order (for line-point sets this is slope order).  The
-    basis is the graph of multiplication by `multiplier` on GF(2^(length/2))
-    (see `_multiplier_basis`), or empty, for a single word, when the
-    multiplier is None."""
+    """The line-point candidate set {base xor (u, multiplier * u) : u in
+    GF(2^(length/2))}, the graph of multiplication by the receiver's
+    abscissa or slope, shifted; the single word base when the multiplier is
+    None.  A description, not a list: `reconcile.decode` solves it.  A
+    plain class, as a dataclass would cost every import its code
+    generation."""
 
     def __init__(self, length: int, base: int, multiplier: int | None = None) -> None:
-        self.length = length
-        self.base = base
-        self.multiplier = multiplier
-        self.basis = () if multiplier is None else _multiplier_basis(length // 2, multiplier)
-
-    def __iter__(self):
-        cur = self.base
-        yield BitVec(self.length, cur)
-        for a in range(1, 1 << len(self.basis)):
-            changed = a ^ (a - 1)
-            j = 0
-            while changed:
-                if changed & 1:
-                    cur ^= self.basis[j]
-                changed >>= 1
-                j += 1
-            yield BitVec(self.length, cur)
+        self.length, self.base, self.multiplier = length, base, multiplier
 
 
 class HammingSphere:
-    """The words at Hamming distance exactly t from center, iterated in
-    increasing order of the error word center xor candidate."""
+    """The words at Hamming distance exactly t from center."""
 
     def __init__(self, length: int, center: int, t: int) -> None:
-        self.length = length
-        self.center = center
-        self.t = t
-
-    def __iter__(self):
-        return (BitVec(self.length, self.center ^ e) for e in weight_words(self.length, self.t))
+        self.length, self.center, self.t = length, center, t
 
 
 def weight_words(n: int, w: int):
@@ -296,12 +273,3 @@ def weight_words(n: int, w: int):
         low = e & -e
         ripple = e + low
         e = ripple | (((e ^ ripple) >> 2) // low)
-
-
-@lru_cache(maxsize=64)
-def _multiplier_basis(n: int, m: int) -> tuple:
-    """The graph {(u, m*u)} of multiplication by m on GF(2^n), one vector
-    per unit u = 2^j, with m * 2^j by doubling.  The coset's direction
-    depends only on the observed abscissa or slope, so a fixed-seed audit
-    builds each once."""
-    return tuple((1 << j) | (w << n) for j, w in enumerate(x_power_multiples(m, n)))

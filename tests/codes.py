@@ -1,15 +1,16 @@
 """Test-only constructions: the entry and dense-copy references for Toeplitz
 hashes, dense codes as packed rows (bit j of row i is entry (i, j)) with
-their affine solve by elimination and their syndrome decoder, and one-shot
+their affine solve by elimination and their syndrome decoder, one-shot
 seeded hashes and fingerprints (sessions draw their seeds through
-``protocols.draw_seeds``)."""
+``protocols.draw_seeds``), and the literal scan of a candidate list that
+the structured decoders are checked against."""
 
 import math
 from fractions import Fraction
 
-from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, _eliminate, matvec, toeplitz_seed_len
+from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, eliminate, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2
-from skalab.reconcile import DecodeResult, Fingerprint, _error_matches, _verdict
+from skalab.reconcile import STATUS_AMBIGUOUS, STATUS_NOT_FOUND, STATUS_UNIQUE, DecodeResult, Fingerprint, _error_matches, _verdict
 from skalab.rng import SeedStream
 
 
@@ -51,7 +52,7 @@ def dense_solve_affine(rows: list[int], cols: int, target: BitVec):
         raise Gf2Error(f"solve: target of {target.n} bits for {len(rows)} rows of {cols} bits")
     t = target.v
     aug = [r | (((t >> i) & 1) << cols) for i, r in enumerate(rows)]
-    red, pivots = _eliminate(aug, cols)
+    red, pivots = eliminate(aug, cols)
     rank_ = len(pivots)
     if any(red[rank_:]):  # a leftover row reads 0 = 1
         return None
@@ -109,3 +110,18 @@ def encode(x: BitVec, k: int, eps, stream: SeedStream) -> Fingerprint:
     rows = k + ceil_log2(1 / eps)
     spec = fresh_toeplitz(rows, x.n, stream)
     return Fingerprint(spec, matvec(spec, x))
+
+
+def decode_scan(fp: Fingerprint, candidates) -> DecodeResult:
+    """Literal scan: hash every candidate word, in order, and compare."""
+    found: BitVec | None = None
+    checked = 0
+    for cand in candidates:
+        checked += 1
+        if matvec(fp.spec, cand) == fp.value:
+            if found is not None:
+                return DecodeResult(STATUS_AMBIGUOUS, None, checked)
+            found = cand
+    if found is None:
+        return DecodeResult(STATUS_NOT_FOUND, None, checked)
+    return DecodeResult(STATUS_UNIQUE, found, checked)

@@ -1,9 +1,11 @@
 """Test-only model oracle: the consistency predicate of every correlation
 model, the reference that draws, instance enumerations and the joint
-decoder are checked against."""
+decoder are checked against, and each two-party model's candidate words,
+listed from its definition, which the decoders' verdicts are checked
+against."""
 
-from skalab.gf2 import _clmul, _poly_mod, irreducible_poly, mul_int
-from skalab.sources import Hamming, Identical, LinePoint, Triple
+from skalab.gf2 import BitVec, _clmul, _poly_mod, irreducible_poly, mul_int
+from skalab.sources import Hamming, Identical, LinePoint, Triple, weight_words
 
 
 def is_consistent(model, inputs) -> bool:
@@ -25,3 +27,19 @@ def is_consistent(model, inputs) -> bool:
     # Equal slopes from point 1, cross-multiplied (the abscissas are
     # distinct); reduction is linear, so one reduction of the XOR decides.
     return not _poly_mod(_clmul(d1 ^ d2, c1 ^ c3) ^ _clmul(d1 ^ d3, c1 ^ c2), irreducible_poly(n))
+
+
+def candidate_words(model, observation) -> list:
+    """Every input of the other party that the model allows next to the
+    observation, as BitVecs: for line-point with observation (lo, hi), the
+    words (u, lo * u xor hi) for u in increasing order (points on Alice's
+    line, or lines through Bob's point); for Hamming, the center xor each
+    weight-t word in increasing order; for identical, the observation."""
+    if isinstance(model, LinePoint):
+        n, v = model.n, observation.v
+        lo, hi = v & ((1 << n) - 1), v >> n
+        return [BitVec(2 * n, u | (mul_int(lo, u, n) ^ hi) << n) for u in range(1 << n)]
+    if isinstance(model, Hamming):
+        return [BitVec(model.n, observation.v ^ e) for e in weight_words(model.n, model.t)]
+    assert isinstance(model, Identical)
+    return [observation]

@@ -246,11 +246,11 @@ def _elimination_shapes():
 
 
 def test_eliminate_matches_reference():
-    # _eliminate returns echelon rows, not reduced ones: pivot row i has
+    # eliminate returns echelon rows, not reduced ones: pivot row i has
     # its lowest set bit at pivots[i], so it is zero at every earlier pivot
     # column, and the leftover rows are zero below cols.
     for rng, mat, cols in _elimination_shapes():
-        red, pivots = gf2._eliminate(mat, cols)
+        red, pivots = gf2.eliminate(mat, cols)
         ref, ref_pivots = eliminate_reference(mat, cols)
         assert pivots == ref_pivots
         assert len(red) == len(mat)
@@ -442,8 +442,8 @@ def test_x_power_multiples_match_field_products(n):
         assert x_power_multiples(m, n) == [mul_int(m, 1 << j, n) for j in range(n)]
 
 
-def _graph_basis(m, n):
-    return [(1 << j) | (mul_int(m, 1 << j, n) << n) for j in range(n)]
+def _graph_multiples(m, n):
+    return [mul_int(m, 1 << j, n) for j in range(n)]
 
 
 @pytest.mark.parametrize("n", GRAPH_DEGREES)
@@ -452,12 +452,13 @@ def test_graph_images_match_matvec(n):
     # and more than the 2n columns.
     stream = SeedStream("graph-images", n)
     for m in _multipliers(n, stream):
-        basis = _graph_basis(m, n)
+        multiples = _graph_multiples(m, n)
+        basis = [(1 << j) | (w << n) for j, w in enumerate(multiples)]
         for rows in range(1, 2 * n + 31):
             h = Gf2Matrix(rows, 2 * n, stream.bitvec(rows + 2 * n - 1))
-            assert graph_images(h, basis) == [matvec(h, BitVec(2 * n, b)).v for b in basis], (m, rows)
+            assert graph_images(h, multiples) == [matvec(h, BitVec(2 * n, b)).v for b in basis], (m, rows)
 
 
 def test_graph_images_need_a_toeplitz_hash_of_2n_columns():
     with pytest.raises(Gf2Error):
-        graph_images(Gf2Matrix(3, 8, BitVec(10, 0)), _graph_basis(3, 5))
+        graph_images(Gf2Matrix(3, 8, BitVec(10, 0)), _graph_multiples(3, 5))

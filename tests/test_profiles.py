@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from profile_tools import format_profile, is_polymatroid_pairwise, random_polymatroid
-from skalab.entropy import make_profile
 from skalab.profiles import (
     ComplexityProfile,
     all_nonempty_subsets,
@@ -14,6 +13,7 @@ from skalab.profiles import (
     ceil_log2,
     cond,
     is_polymatroid,
+    make_profile,
     multi_j,
     mutual,
     parse_profile,

@@ -18,9 +18,8 @@ from skalab.protocols import (
     session_streams,
 )
 from skalab.gf2 import BitVec
-from skalab.profiles import ceil_log2
+from skalab.profiles import ceil_log2, make_profile
 from skalab.reconcile import STATUS_NOT_FOUND, STATUS_SEARCH_LIMIT, STATUS_UNIQUE, Fingerprint
-from skalab.entropy import make_profile
 from skalab.sources import Model, parse_model_spec, sample
 
 

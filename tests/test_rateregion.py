@@ -5,8 +5,7 @@ from itertools import combinations
 import pytest
 
 from profile_tools import random_polymatroid, scale
-from skalab.entropy import make_profile
-from skalab.profiles import ComplexityProfile, all_nonempty_subsets
+from skalab.profiles import ComplexityProfile, all_nonempty_subsets, make_profile
 from skalab.rateregion import (
     RateRegion,
     RateTuple,

@@ -7,8 +7,8 @@ from operator import xor
 
 import pytest
 
-from codes import dense_matvec, encode, hamming_parity_check, random_linear_code, syndrome_decode, to_dense
-from model_checks import is_consistent
+from codes import decode_scan, dense_matvec, encode, hamming_parity_check, random_linear_code, syndrome_decode, to_dense
+from model_checks import candidate_words, is_consistent
 from skalab import gf2, reconcile, sources
 from skalab.audit import exact_small_n_audit
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank
@@ -25,14 +25,12 @@ from skalab.reconcile import (
     _subset_images,
     coset_words,
     decode,
-    decode_scan,
     multi_decode,
 )
 from skalab.rng import SeedStream
 from skalab.sources import (
     AffineCandidates,
     HammingSphere,
-    _multiplier_basis,
     parse_model_spec,
     sample,
 )
@@ -120,9 +118,8 @@ def test_decode_matches_scan_on_affine_sets():
         x, y = inst.inputs
         k = 2 + stream.randrange(5)
         fp = encode(x, k, Fraction(1, 4), stream.child("s", trial))
-        cands = model.candidates(y)
-        a = decode(fp, cands)
-        b = decode_scan(fp, cands)
+        a = decode(fp, model.candidates(y))
+        b = decode_scan(fp, candidate_words(model, y))
         assert a.status == b.status and a.value == b.value
 
 
@@ -144,14 +141,15 @@ def test_factorization_memo_shared_across_fingerprint_values():
     # not_found.
     model = parse_model_spec("line-point:n=4")
     stream = SeedStream("memo")
-    cands = model.candidates(sample(model, stream.child("inst")).inputs[1])
+    y = sample(model, stream.child("inst")).inputs[1]
+    cands, words = model.candidates(y), candidate_words(model, y)
     statuses = set()
     for rows in (3, 8):
         spec = Gf2Matrix(rows, 8, stream.child("toeplitz", rows).bitvec(rows + 7))
         _factored.cache_clear()
         for value in range(1 << rows):
             fp = Fingerprint(spec, BitVec(rows, value))
-            got, want = decode(fp, cands), decode_scan(fp, cands)
+            got, want = decode(fp, cands), decode_scan(fp, words)
             assert (got.status, got.value) == (want.status, want.value)
             statuses.add(got.status)
         assert _factored.cache_info().misses == 1
@@ -159,9 +157,10 @@ def test_factorization_memo_shared_across_fingerprint_values():
 
 
 def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
-    # A cold light line-point:n=62 decode builds its basis by doubling and
-    # its images by the shift recursion: no mul_int, and at most four
-    # carry-less products (H base, seed*m, seed*f and the guard's re-hash).
+    # A cold light line-point:n=62 decode builds its multiples m * x^j by
+    # doubling, its images by the shift recursion and its value from the
+    # multiples: no mul_int, and at most four carry-less products (H base,
+    # seed*m, seed*f and the guard's re-hash).
     model = parse_model_spec("line-point:n=62")
     stream = SeedStream("word-ops")
     x, y = sample(model, stream.child("inst")).inputs
@@ -177,16 +176,16 @@ def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
 
     monkeypatch.setattr(gf2, "_clmul", counted("_clmul", gf2._clmul))
     mul_int = counted("mul_int", gf2.mul_int)
-    doubling = counted("x_power_multiples", gf2.x_power_multiples)
     for module in (gf2, sources):
         monkeypatch.setattr(module, "mul_int", mul_int)
+    doubling = counted("x_power_multiples", gf2.x_power_multiples)
+    for module in (gf2, reconcile):
         monkeypatch.setattr(module, "x_power_multiples", doubling)
     _factored.cache_clear()
-    _multiplier_basis.cache_clear()
     res = decode(fp, model.candidates(y))
     assert (res.status, res.value) == (STATUS_UNIQUE, x)
     assert calls["mul_int"] == 0 and calls["_clmul"] <= 4, calls
-    assert calls["x_power_multiples"] == 1, calls  # one doubling walk: the basis's
+    assert calls["x_power_multiples"] == 1, calls  # one doubling walk: the multiples'
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 31, 62, 64])
@@ -194,13 +193,15 @@ def test_factored_rows_are_echelon_and_return_coefficients(n):
     # Light line-point fingerprints have n + ceil(log2(1/eps)) rows.  Each
     # pivot row's lowest set bit is its pivot column, the columns increase,
     # and reducing H b for a combination b of the graph basis clears the
-    # low bits and leaves b's coefficients in the tag bits.
+    # low bits and leaves b's coefficients in the tag bits.  The multiples
+    # are m * x^j, the high halves of the basis vectors.
     stream = SeedStream("factored", n)
     for m in (0, 1, (1 << n) - 1, stream.bits(n)):
-        basis = _multiplier_basis(n, m)
+        basis = [(1 << j) | (gf2.mul_int(m, 1 << j, n) << n) for j in range(n)]
         for rows in (n + 2, n + 8):
             spec = Gf2Matrix(rows, 2 * n, stream.bitvec(rows + 2 * n - 1))
-            cols, pivot_rows = _factored(spec, m)
+            cols, pivot_rows, multiples = _factored(spec, m)
+            assert [(1 << j) | (w << n) for j, w in enumerate(multiples)] == basis
             assert list(cols) == sorted(set(cols)) and len(cols) == len(pivot_rows) <= n
             for col, row in zip(cols, pivot_rows):
                 assert (row & -row).bit_length() - 1 == col
@@ -233,8 +234,7 @@ def test_decode_matches_scan_on_hamming_spheres():
                 delta = 1 + stream.randrange((1 << rows) - 1)
                 tampered = Fingerprint(fp.spec, BitVec(rows, fp.value.v ^ delta))
                 for f in (fp, tampered):
-                    cands = model.candidates(y)
-                    a, b = decode(f, cands), decode_scan(f, cands)
+                    a, b = decode(f, model.candidates(y)), decode_scan(f, candidate_words(model, y))
                     assert (a.status, a.value) == (b.status, b.value), (n, t, rows)
                     assert a.candidates_checked == math.comb(n, t)
                     if a.status != STATUS_AMBIGUOUS:
@@ -256,7 +256,7 @@ def test_coset_walk_meet_in_the_middle_and_scan_agree(monkeypatch):
     for n in range(2, 10):
         for t in range((n + 1) // 2):
             half = sum(math.comb(n, w) for w in range(t - t // 2 + 1))
-            y = stream.child("y", n, t).bitvec(n)
+            model, y = sources.Hamming(n, t), stream.child("y", n, t).bitvec(n)
             for rows in range(n, n + 4):
                 seed_len = rows + n - 1
                 random_seed = stream.child("h", n, t, rows).bitvec(seed_len)
@@ -268,11 +268,11 @@ def test_coset_walk_meet_in_the_middle_and_scan_agree(monkeypatch):
                         sol = gf2.solve_affine(spec, BitVec(rows, target))
                         walked = {e for e in reconcile._coset_walk(*sol) if e.bit_count() == t} if sol else set()
                         met = {e for e in mitm(spec.column_ints(), target, t) if e.bit_count() == t}
-                        sphere = HammingSphere(n, y.v, t)
-                        scanned = {c.v ^ y.v for c in sphere if matvec(spec, c) == value}
+                        words = candidate_words(model, y)
+                        scanned = {c.v ^ y.v for c in words if matvec(spec, c) == value}
                         assert walked == met == scanned, (n, t, rows)
                         fp, before = Fingerprint(spec, value), len(mitm_calls)
-                        a, b = decode(fp, sphere), decode_scan(fp, sphere)
+                        a, b = decode(fp, HammingSphere(n, y.v, t)), decode_scan(fp, words)
                         assert (a.status, a.value) == (b.status, b.value), (n, t, rows)
                         ran_mitm = len(mitm_calls) > before
                         if sol and 1 << len(sol[1]) >= half:  # the solve left too large a coset

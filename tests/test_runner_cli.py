@@ -136,6 +136,27 @@ def test_cli_rates_reports_bad_profile(tmp_path, capsys, text):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_cli_rates_reports_a_profile_that_is_not_utf8(tmp_path, capsys):
+    profile_file = tmp_path / "bad.profile"
+    profile_file.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["rates", "--profile", str(profile_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("party", [9, 16])
+def test_cli_rates_rejects_a_party_past_the_limit(tmp_path, capsys, party):
+    # Rejected while parsing, before the profile builds its 2^party - 1
+    # subsets, whose list would otherwise fill the error line.
+    profile_file = tmp_path / "wide.profile"
+    profile_file.write_text(f"1=1\n{party}=1\n")
+    assert main(["rates", "--profile", str(profile_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and len(captured.err) < 80
+
+
 def test_cli_audit(tmp_path):
     report = tmp_path / "audit.txt"
     rc = main(

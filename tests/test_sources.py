@@ -1,16 +1,20 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+from codes import encode
 from entropy_checks import exact_profile
-from model_checks import is_consistent
+from model_checks import candidate_words, is_consistent
 from skalab.entropy import JointDistribution
 from skalab.gf2 import BitVec, FieldConfigError, mul_int
 from skalab.profiles import cond, is_polymatroid
+from skalab.reconcile import decode
 from skalab.rng import SeedStream
 from skalab.sources import (
     MODELS,
     Hamming,
+    HammingSphere,
     Identical,
     LinePoint,
     Triple,
@@ -237,18 +241,19 @@ def test_analytic_profiles_are_polymatroids():
 def test_candidates_hamming_sphere_size():
     model = parse_model_spec("hamming:n=8,t=1")
     inst = sample(model, SeedStream("cball"))
-    cands = model.candidates(inst.inputs[1])
+    sphere = model.candidates(inst.inputs[1])
+    cands = candidate_words(model, inst.inputs[1])
     # the sphere of radius 1, n words; y itself is not a candidate at t = 1
-    assert len(list(cands)) == 8
-    assert math.comb(cands.length, cands.t) == 8
-    assert inst.inputs[1] not in list(cands)
+    assert len(cands) == 8
+    assert math.comb(sphere.length, sphere.t) == 8
+    assert inst.inputs[1] not in cands
 
 
 def test_candidates_identical_singleton():
     model = parse_model_spec("identical:n=8")
     inst = sample(model, SeedStream("cid"))
-    cands = model.candidates(inst.inputs[1])
-    assert list(cands) == [inst.inputs[0]]
+    assert model.candidates(inst.inputs[1]).multiplier is None
+    assert candidate_words(model, inst.inputs[1]) == [inst.inputs[0]]
 
 
 def test_candidates_line_point_all_incident():
@@ -256,7 +261,8 @@ def test_candidates_line_point_all_incident():
     inst = sample(model, SeedStream("clp"))
     x, y = inst.inputs
     c, d = y.v & 0xF, y.v >> 4
-    cands = list(model.candidates(y))
+    assert model.candidates(y).multiplier == c  # the coset is the graph of multiplication by c
+    cands = candidate_words(model, y)
     assert len(cands) == 16
     slopes = []
     for cand in cands:
@@ -271,7 +277,8 @@ def test_candidates_alice_side_points_on_line():
     inst = sample(model, SeedStream("clpa"))
     x, _y = inst.inputs
     a, b = x.v & 0xF, x.v >> 4
-    cands = list(model.candidates(x))
+    assert model.candidates(x).multiplier == a
+    cands = candidate_words(model, x)
     assert len(cands) == 16
     for cand in cands:
         c, d = cand.v & 0xF, cand.v >> 4
@@ -289,8 +296,7 @@ def test_true_input_always_in_candidates():
         for i in range(20):
             inst = sample(model, SeedStream("sound", spec, observer, i))
             hidden = inst.inputs[2 - observer]  # the other party's input
-            cands = model.candidates(inst.inputs[observer - 1])
-            assert hidden in list(cands)
+            assert hidden in candidate_words(model, inst.inputs[observer - 1])
 
 
 def test_candidate_count_matches_conditional_complexity():
@@ -298,22 +304,21 @@ def test_candidate_count_matches_conditional_complexity():
     for spec in ("line-point:n=5", "identical:n=9", "hamming:n=8,t=1", "hamming:n=12,t=2"):
         model = parse_model_spec(spec)
         inst = sample(model, SeedStream("count", spec))
-        cands = model.candidates(inst.inputs[1])
+        log2_size = math.log2(len(candidate_words(model, inst.inputs[1])))
         k = cond(model.profile(), {1}, {2})
-        if isinstance(model, Identical):
-            assert len(cands.basis) == 0 and k == 0
-        elif isinstance(model, Hamming):
-            assert abs(math.log2(math.comb(model.n, model.t)) - float(k)) <= 1.0
+        if isinstance(model, Hamming):
+            assert abs(log2_size - float(k)) <= 1.0
         else:
-            assert len(cands.basis) == k
+            assert log2_size == k
 
 
 @pytest.mark.parametrize("n", [63, 64])
 def test_line_point_candidate_size_at_word_width(n):
-    # 2^n candidates overflow a machine index; the size is reported in bits.
+    # 2^n candidates overflow a machine index; decode counts them exactly.
     model = parse_model_spec(f"line-point:n={n}")
-    y = sample(model, SeedStream("cwide", n)).inputs[1]
-    assert len(model.candidates(y).basis) == n
+    x, y = sample(model, SeedStream("cwide", n)).inputs
+    res = decode(encode(x, n, Fraction(1, 256), SeedStream("cwide-fp", n)), model.candidates(y))
+    assert res.value == x and res.candidates_checked == 1 << n
 
 
 def test_triple_needs_joint_decoder():
@@ -333,7 +338,9 @@ def test_weight_words_order():
 def test_hamming_sphere_iterates_errors_in_order():
     model = parse_model_spec("hamming:n=6,t=2")
     y = sample(model, SeedStream("sphere-order")).inputs[1]
-    cands = list(model.candidates(y))
+    sphere = model.candidates(y)
+    assert isinstance(sphere, HammingSphere) and (sphere.length, sphere.center, sphere.t) == (6, y.v, 2)
+    cands = candidate_words(model, y)
     assert [c.v ^ y.v for c in cands] == list(weight_words(6, 2))
     assert len(cands) == math.comb(6, 2)
 
