@@ -20,8 +20,13 @@ Representation conventions (used everywhere in this package):
   lattice over GF(2)[z] (Brent, Gustavson & Yun 1980; weak Popov form,
   Mulders & Storjohann 2003) solves r rows and N columns in O(r + N)
   shift-XORs of small ints, not min(r, N) pivots of an r*N-bit packed
-  matrix and a back-substitution per kernel vector.  Rank takes any matrix
-  as packed rows (bit j of row i is entry (i, j)).
+  matrix and a back-substitution per kernel vector.  A solve on the graph
+  of multiplication by m on GF(2^n) (``graph_basis``, ``solve_graph``,
+  the line-point decode) reduces a three-row lattice the same way: its
+  fields carry u, m * u mod f and the window of H, interleaved in the
+  spread layout below, so each step is one bit_length and one shift-XOR.
+  Rank takes any matrix as packed rows (bit j of row i is entry (i, j)),
+  and it alone eliminates.
 * Elimination packs the unpivoted rows into one integer: row i starts in
   slot i, bits [i*w, (i+1)*w), w the width of the widest row.  For column
   j, ``col = (m >> j) & ones`` (``ones`` holds bit 0 of every slot) has
@@ -40,7 +45,8 @@ Representation conventions (used everywhere in this package):
   < n then sums at most n terms into each byte, so while n <= 255 no sum
   carries into the next byte and each byte's parity is a coefficient of
   the carry-less product: one multiply and a mask, where ``_clmul`` loops
-  over bits.  ``spread_reducer`` reduces modulo f in the same form.
+  over bits.  ``spread_reducer`` reduces modulo f in the same form, and
+  the graph lattice packs three such polynomials, one per bit of a byte.
 """
 
 from __future__ import annotations
@@ -151,7 +157,7 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     return BitVec(m.rows, (_clmul(m.data.v, x.v) >> (m.cols - 1)) & ((1 << m.rows) - 1))
 
 
-def eliminate(rows: list[int], cols: int):
+def _eliminate(rows: list[int], cols: int):
     """Forward elimination of packed rows; returns (rows, pivot column
     list), the pivot rows in pivot order, then the others in any order.
     Pivot row i has its lowest set bit at pivots[i], so it is zero at every
@@ -188,7 +194,7 @@ def eliminate(rows: list[int], cols: int):
 def rank(rows: list[int], cols: int) -> int:
     """GF(2) rank of packed rows: the number of pivots of forward
     elimination over the first cols columns."""
-    _, pivots = eliminate(rows, cols)
+    _, pivots = _eliminate(rows, cols)
     return len(pivots)
 
 
@@ -344,11 +350,12 @@ def spread_reducer(n: int):
     result is the spread form of the residue.
 
     Spreading costs a string conversion per operand, so only a caller that
-    reuses each operand across many products uses this form: the joint
-    decode's collinearity form.  One-off products (matvec windows,
-    `mul_int`, `graph_images`, the irreducibility test) keep `_clmul` and
-    `_poly_mod`.  Spreading both operands and reading the product back on
-    every call ran at 0.4x (an exact audit's 8-bit seed) to 1.2-1.9x
+    reuses each operand across many products, or needs its result in spread
+    form anyway, uses this form: the joint decode's collinearity form and
+    the graph lattice (`graph_basis`, whose target `solve_graph` also builds
+    spread).  Other one-off products (matvec windows, `mul_int`, the
+    irreducibility test) keep `_clmul` and `_poly_mod`.  Spreading both
+    operands and reading the product back on every call ran at 0.4x (an exact audit's 8-bit seed) to 1.2-1.9x
     (pair-affine's 217-bit seed) the speed of `_clmul` on this package's
     Toeplitz matvec shapes (timeit, CPython 3.11, Xeon VM): a mixed result.
     """
@@ -367,35 +374,77 @@ def spread_reducer(n: int):
     return reduce
 
 
-def x_power_multiples(m: int, n: int) -> list[int]:
-    """m * x^j in GF(2^n) for every j < n, by doubling: shift, then reduce
-    by the field polynomial when the top bit overflows."""
-    f, top = irreducible_poly(n), 1 << (n - 1)
-    out = []
-    for _ in range(n):
-        out.append(m)
-        m = (m << 1) ^ f if m & top else m << 1
-    return out
+def graph_basis(h: Gf2Matrix, m: int):
+    """(kernel dimension, basis) of H on the graph {u + z^n (m u mod f)} of
+    multiplication by m on GF(2^n), n = h.cols / 2, f the field polynomial.
 
-
-def graph_images(h: Gf2Matrix, multiples) -> list[int]:
-    """H b_j for every j < n, where b_j = 2^j | multiples[j] << n and
-    multiples[j] = m * x^j (``x_power_multiples``): the basis of the graph
-    {(u, m*u)} of multiplication by m on GF(2^n); H has 2n columns.
-
-    H v is a window of seed * v, and seed * b_j = (seed << j) ^ (q_j << n)
-    with q_j = seed * (m * x^j).  Doubling m * x^j doubles q_j, and its
-    reduction by f on overflow (its top bit) adds seed * f, so the two
-    carry-less products seed * m and seed * f give all n images.
-    """
-    n = len(multiples)
+    H x is the window [2n - 1, L) of s x, s the seed and L = h.rows + 2n - 1.
+    With m u mod f = m u + q f, the lattice rows (z^(n-1), m z^(n-1),
+    s (1 + z^n m) mod z^L), (0, f z^(n-1), z^n s f mod z^L) and (0, 0, z^L)
+    span vectors whose first two fields are u and m u mod f shifted up by
+    n - 1, and whose third is s (u + z^n (m u mod f)) mod z^L.  Coefficient d
+    of field k sits at bit 8d + k (the ``spread`` layout), so a lead bit p
+    names field p & 7 at degree p >> 3.  Inserting each row and cancelling
+    its lead against the row holding that field gives weak Popov form
+    (Mulders & Storjohann 2003): the leads lie in distinct fields, so a
+    vector's lead is the largest of its terms', and the vectors of degree
+    < 2n - 1, the graph's kernel under H, span sum(2n - 1 - deg b) over the
+    rows b below that degree.  The basis holds the rows (rows[k] the (row,
+    lead) pair of field k), n, the spread seed and the mask of a product's
+    parities mod z^L: all that `solve_graph` needs, and all of it a
+    function of (H, m) alone."""
+    n = h.cols // 2
     if h.cols != 2 * n:
-        raise Gf2Error(f"graph images need a hash of {2 * n} columns, got {h.rows}x{h.cols}")
-    seed, top = h.data.v, 1 << (n - 1)
-    seed_f, q = _clmul(seed, irreducible_poly(n)), _clmul(seed, multiples[0])
-    shift, mask = h.cols - 1, (1 << h.rows) - 1
-    out = []
-    for j, w in enumerate(multiples):
-        out.append((((seed << j) ^ (q << n)) >> shift) & mask)
-        q = (q << 1) ^ seed_f if w & top else q << 1
-    return out
+        raise Gf2Error(f"a graph basis needs a hash of 2n columns, got {h.rows}x{h.cols}")
+    length = h.rows + h.cols - 1
+    ones = ((1 << (8 * length)) - 1) // 0xFF  # bit 0 of bytes [0, L): a product's parities mod z^L
+    s, sm, sf, top = spread(h.data.v), spread(m), spread(irreducible_poly(n)), 8 * (n - 1)
+    rows = [None, None, None]
+    for row in (
+        1 << top | sm << (top + 1) | ((s ^ s * sm << 8 * n) & ones) << 2,
+        sf << (top + 1) | (s * sf << 8 * n & ones) << 2,
+        1 << (8 * length + 2),
+    ):
+        lead = row.bit_length() - 1
+        while rows[lead & 7] is not None:  # the rows are independent: none reduces to zero
+            other, other_lead = rows[lead & 7]
+            if other_lead > lead:
+                rows[lead & 7] = row, lead
+                row, lead, other, other_lead = other, other_lead, row, lead
+            row ^= other << (lead - other_lead)
+            lead = row.bit_length() - 1
+        rows[lead & 7] = row, lead
+    low = 8 * (2 * n - 1)
+    kernel_dim = sum(2 * n - 1 - (lead >> 3) for _, lead in rows if lead < low)
+    return kernel_dim, (tuple(rows), n, s, ones)
+
+
+# Bytes to the binary digit of field 0 or field 1: bit 0 or bit 1 of the byte.
+_FIELD_DIGITS = b"01" * 128, b"0011" * 64
+
+
+def solve_graph(basis, value: int, base: int):
+    """A word x of base xor the graph with H x = value (an int of h.rows
+    bits), given `graph_basis(H, m)`'s basis: unique iff the kernel
+    dimension is 0; None if there is none.
+
+    The target (0, 0, z^(2n - 1) value xor s base mod z^L), one product of
+    spread operands, has value xor H base as its window.  Reducing it until
+    its lead falls below degree 2n - 1 leaves u and m u mod f, shifted up by
+    n - 1, in its first two fields; a lead that its field's row, leading
+    higher, cannot cancel means that no lattice vector meets the window.
+    Each byte of the remainder, read through a table, is a digit of v, then
+    of u."""
+    rows, n, s, ones = basis
+    low = 8 * (2 * n - 1)
+    v = ((s * spread(base) & ones) ^ spread(value) << low) << 2
+    lead = v.bit_length() - 1
+    try:
+        while lead >= low:
+            row, row_lead = rows[lead & 7]
+            v ^= row << (lead - row_lead)  # a negative shift raises: the row cannot cancel the lead
+            lead = v.bit_length() - 1
+    except ValueError:
+        return None
+    raw = (v >> 8 * (n - 1)).to_bytes(n, "big")
+    return base ^ int(raw.translate(_FIELD_DIGITS[1]) + raw.translate(_FIELD_DIGITS[0]), 2)

@@ -46,10 +46,8 @@ class ComplexityProfile:
             raise ValueError("need at least one party")
         want = {s for s in all_nonempty_subsets(self.ell)}
         have = set(self.values)
-        if have != want:
-            missing = sorted(tuple(sorted(s)) for s in want - have)
-            extra = sorted(tuple(sorted(s)) for s in have - want)
-            raise ValueError(f"profile subsets wrong: missing={missing} extra={extra}")
+        if have != want:  # counts and the first few of each kind: ell = 8 can miss 253 subsets
+            raise ValueError(f"profile subsets wrong: missing {_first_few(want - have)}, extra {_first_few(have - want)}")
         object.__setattr__(
             self, "values", {s: Fraction(v) for s, v in self.values.items()}
         )
@@ -63,6 +61,13 @@ class ComplexityProfile:
 
     def full(self) -> frozenset:
         return frozenset(range(1, self.ell + 1))
+
+
+def _first_few(subsets) -> str:
+    """The count of subsets and the first three of them in sorted order."""
+    ordered = sorted(tuple(sorted(s)) for s in subsets)
+    more = ", ..." if len(ordered) > 3 else ""
+    return f"{len(ordered)} [{', '.join(map(str, ordered[:3]))}{more}]"
 
 
 def make_profile(ell: int, values: dict) -> ComplexityProfile:

@@ -13,10 +13,14 @@ sessions count anything but a correct `unique` against their error budget.
 A candidate set is a description (`sources.AffineCandidates`,
 `sources.HammingSphere`), never a list, and no decode scans one.  A
 one-word set is settled by the hash of its word.  A line-point set is the
-graph of multiplication by the receiver's abscissa or slope m, shifted; a
-shift recursion gives the images of its basis under the Toeplitz hash from
-two carry-less products, and one elimination factors them once per
-(hash, m), so a decode reduces its target by at most n pivot rows.  A
+graph of multiplication by the receiver's abscissa or slope m, shifted.
+Both the graph and the Toeplitz hash are polynomial products, so H on the
+graph is a simultaneous Pade problem over GF(2)[z] (Beckermann & Labahn
+1994): a lattice of three rows, reduced to weak Popov form once per
+(hash, m) by `gf2.graph_basis`, whose short vectors are the graph's words
+and their hashes.  A decode reduces one target by its rows
+(`gf2.solve_graph`) in O(rows) shift-XORs, and the kernel dimension
+read off the rows separates unique from ambiguous.  A
 Hamming sphere (the words at distance exactly t from the receiver's) is
 decoded by finding the weight-t errors e with H e = fingerprint xor H y,
 by the cheaper of two searches, chosen from the shape alone: when the
@@ -53,7 +57,7 @@ from functools import lru_cache
 from itertools import compress, islice
 from operator import not_
 
-from .gf2 import BitVec, Gf2Matrix, eliminate, graph_images, matvec, solve_affine, spread, spread_reducer, x_power_multiples
+from .gf2 import BitVec, Gf2Matrix, graph_basis, matvec, solve_affine, solve_graph, spread, spread_reducer
 from .sources import HammingSphere, Model
 
 STATUS_UNIQUE = "unique"
@@ -94,8 +98,8 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
     """Find the candidates matching the fingerprint (unique/ambiguous/none).
 
     The verdict is order-independent, so no candidate set is scanned: a
-    single word is settled by its hash, a line-point set by reducing
-    H(base) xor value by the factored images of its basis, a Hamming
+    single word is settled by its hash, a line-point set by reducing one
+    target by the reduced basis of its graph lattice, a Hamming
     sphere by a walk over the solution coset or a meet in the middle on H's
     column images, whichever is smaller (`search_limit` when both are past
     _SPHERE_CAP_SUBSETS).  Either search's result is re-hashed as a guard.
@@ -103,47 +107,26 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
     """
     if isinstance(candidates, HammingSphere):
         return _decode_sphere(fp, candidates)
-    base, rows = candidates.base, fp.spec.rows
-    t = fp.value.v ^ matvec(fp.spec, BitVec(candidates.length, base)).v
+    base, length = candidates.base, candidates.length
     if candidates.multiplier is None:  # a single word
-        if t:
+        if fp.value.v ^ matvec(fp.spec, BitVec(length, base)).v:
             return DecodeResult(STATUS_NOT_FOUND, None, 1)
-        return DecodeResult(STATUS_UNIQUE, BitVec(candidates.length, base), 1)
-    cols, pivot_rows, multiples = _factored(fp.spec, candidates.multiplier)
-    for col, row in zip(cols, pivot_rows):  # in echelon order, a later row never sets an earlier column
-        if (t >> col) & 1:
-            t ^= row
-    n = len(multiples)
-    total = 1 << n  # not len(): the coset can exceed a machine index
-    if t & ((1 << rows) - 1):
+        return DecodeResult(STATUS_UNIQUE, BitVec(length, base), 1)
+    kernel_dim, basis = _graph_basis(fp.spec, candidates.multiplier)
+    total = 1 << (length // 2)  # not len(): the coset can exceed a machine index
+    word = solve_graph(basis, fp.value.v, base)
+    if word is None:
         return DecodeResult(STATUS_NOT_FOUND, None, total)
-    if len(cols) < n:  # the basis is independent: a kernel means >= 2 matches
+    if kernel_dim:  # a nonzero kernel means >= 2 matches
         return DecodeResult(STATUS_AMBIGUOUS, None, total)
-    u = t >> rows  # the coefficients, which are also the abscissa or slope
-    mu = 0
-    for j, w in enumerate(multiples):
-        if (u >> j) & 1:
-            mu ^= w
-    out = BitVec(candidates.length, base ^ u ^ (mu << n))
+    out = BitVec(length, word)
     _guard(fp, out)
     return DecodeResult(STATUS_UNIQUE, out, total)
 
 
-@lru_cache(maxsize=64)
-def _factored(spec: Gf2Matrix, multiplier: int) -> tuple:
-    """(pivot columns, pivot rows, multiples) of the transposed system of H
-    on the graph of multiplication by `multiplier` on GF(2^n), n =
-    spec.cols / 2.  The multiples are multiplier * x^j for j < n, and the
-    basis vector b_j is 2^j | multiples[j] << n.  Row j is H b_j tagged with
-    bit rows + j, eliminated forward over the first rows columns, in
-    echelon form.  Reducing a target by these rows in order leaves zero
-    below bit rows iff it is in the span, and the tags above are then its
-    coefficients.  A line-point receiver's basis depends only on its own
-    abscissa, so a fixed-seed audit factors each (H, abscissa) once."""
-    multiples = tuple(x_power_multiples(multiplier, spec.cols // 2))
-    images = graph_images(spec, multiples)
-    red, pivots = eliminate([img | (1 << (spec.rows + j)) for j, img in enumerate(images)], spec.rows)
-    return tuple(pivots), tuple(red[: len(pivots)]), multiples
+# A line-point receiver's basis depends only on its own abscissa or slope, so
+# a fixed-seed audit reduces each (H, abscissa) lattice once.
+_graph_basis = lru_cache(maxsize=64)(graph_basis)
 
 
 def _guard(fp: Fingerprint, out: BitVec) -> None:

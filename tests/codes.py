@@ -1,14 +1,15 @@
 """Test-only constructions: the entry and dense-copy references for Toeplitz
 hashes, dense codes as packed rows (bit j of row i is entry (i, j)) with
-their affine solve by elimination and their syndrome decoder, one-shot
-seeded hashes and fingerprints (sessions draw their seeds through
+their affine solve by elimination and their syndrome decoder, the
+line-point decode by elimination that the graph lattice is checked against,
+one-shot seeded hashes and fingerprints (sessions draw their seeds through
 ``protocols.draw_seeds``), and the literal scan of a candidate list that
 the structured decoders are checked against."""
 
 import math
 from fractions import Fraction
 
-from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, eliminate, matvec, toeplitz_seed_len
+from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, _clmul, _eliminate, irreducible_poly, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2
 from skalab.reconcile import STATUS_AMBIGUOUS, STATUS_NOT_FOUND, STATUS_UNIQUE, DecodeResult, Fingerprint, _error_matches, _verdict
 from skalab.rng import SeedStream
@@ -52,7 +53,7 @@ def dense_solve_affine(rows: list[int], cols: int, target: BitVec):
         raise Gf2Error(f"solve: target of {target.n} bits for {len(rows)} rows of {cols} bits")
     t = target.v
     aug = [r | (((t >> i) & 1) << cols) for i, r in enumerate(rows)]
-    red, pivots = eliminate(aug, cols)
+    red, pivots = _eliminate(aug, cols)
     rank_ = len(pivots)
     if any(red[rank_:]):  # a leftover row reads 0 = 1
         return None
@@ -68,6 +69,70 @@ def dense_solve_affine(rows: list[int], cols: int, target: BitVec):
     pivot_set = set(pivots)
     basis = [substitute(1 << f) for f in range(cols) if f not in pivot_set]
     return particular, basis
+
+
+def x_power_multiples(m: int, n: int) -> list[int]:
+    """m * x^j in GF(2^n) for every j < n, by doubling: shift, then reduce
+    by the field polynomial when the top bit overflows."""
+    f, top = irreducible_poly(n), 1 << (n - 1)
+    out = []
+    for _ in range(n):
+        out.append(m)
+        m = (m << 1) ^ f if m & top else m << 1
+    return out
+
+
+def graph_images(h: Gf2Matrix, multiples) -> list[int]:
+    """H b_j for every j < n, where b_j = 2^j | multiples[j] << n and
+    multiples[j] = m * x^j (``x_power_multiples``): the basis of the graph
+    {(u, m*u)} of multiplication by m on GF(2^n); H has 2n columns.
+
+    H v is a window of seed * v, and seed * b_j = (seed << j) ^ (q_j << n)
+    with q_j = seed * (m * x^j).  Doubling m * x^j doubles q_j, and its
+    reduction by f on overflow (its top bit) adds seed * f, so the two
+    carry-less products seed * m and seed * f give all n images.
+    """
+    n = len(multiples)
+    if h.cols != 2 * n:
+        raise Gf2Error(f"graph images need a hash of {2 * n} columns, got {h.rows}x{h.cols}")
+    seed, top = h.data.v, 1 << (n - 1)
+    seed_f, q = _clmul(seed, irreducible_poly(n)), _clmul(seed, multiples[0])
+    shift, mask = h.cols - 1, (1 << h.rows) - 1
+    out = []
+    for j, w in enumerate(multiples):
+        out.append((((seed << j) ^ (q << n)) >> shift) & mask)
+        q = (q << 1) ^ seed_f if w & top else q << 1
+    return out
+
+
+def decode_line_by_elimination(fp: Fingerprint, candidates) -> DecodeResult:
+    """The line-point decode by elimination, the reference for the graph
+    lattice: the images H b_j of the graph basis b_j = 2^j | (m * x^j) << n,
+    each tagged with bit rows + j, eliminated forward over the first rows
+    columns into echelon form.  Reducing H(base) xor value by these rows in
+    order leaves zero below bit rows iff it is in the span, and the tags
+    above are then its coefficients u; m * u is the XOR of the multiples
+    that u selects."""
+    spec, base, rows = fp.spec, candidates.base, fp.spec.rows
+    multiples = x_power_multiples(candidates.multiplier, spec.cols // 2)
+    images = graph_images(spec, multiples)
+    red, cols = _eliminate([img | (1 << (rows + j)) for j, img in enumerate(images)], rows)
+    t = fp.value.v ^ matvec(spec, BitVec(candidates.length, base)).v
+    for col, row in zip(cols, red):  # in echelon order, a later row never sets an earlier column
+        if (t >> col) & 1:
+            t ^= row
+    n = len(multiples)
+    total = 1 << n
+    if t & ((1 << rows) - 1):
+        return DecodeResult(STATUS_NOT_FOUND, None, total)
+    if len(cols) < n:  # the basis is independent: a kernel means >= 2 matches
+        return DecodeResult(STATUS_AMBIGUOUS, None, total)
+    u = t >> rows
+    mu = 0
+    for j, w in enumerate(multiples):
+        if (u >> j) & 1:
+            mu ^= w
+    return DecodeResult(STATUS_UNIQUE, BitVec(candidates.length, base ^ u ^ (mu << n)), total)
 
 
 def hamming_parity_check(r: int) -> list[int]:

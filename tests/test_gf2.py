@@ -10,7 +10,6 @@ from skalab.gf2 import (
     FieldConfigError,
     Gf2Error,
     Gf2Matrix,
-    graph_images,
     irreducible_poly,
     matvec,
     mul_int,
@@ -18,9 +17,8 @@ from skalab.gf2 import (
     solve_affine,
     spread,
     spread_reducer,
-    x_power_multiples,
 )
-from codes import dense_column_ints, dense_matvec, dense_solve_affine, entry, to_dense
+from codes import dense_column_ints, dense_matvec, dense_solve_affine, entry, graph_images, to_dense, x_power_multiples
 from skalab.rng import SeedStream
 
 
@@ -246,11 +244,11 @@ def _elimination_shapes():
 
 
 def test_eliminate_matches_reference():
-    # eliminate returns echelon rows, not reduced ones: pivot row i has
+    # _eliminate returns echelon rows, not reduced ones: pivot row i has
     # its lowest set bit at pivots[i], so it is zero at every earlier pivot
     # column, and the leftover rows are zero below cols.
     for rng, mat, cols in _elimination_shapes():
-        red, pivots = gf2.eliminate(mat, cols)
+        red, pivots = gf2._eliminate(mat, cols)
         ref, ref_pivots = eliminate_reference(mat, cols)
         assert pivots == ref_pivots
         assert len(red) == len(mat)
@@ -425,7 +423,8 @@ def test_spread_slot_bound():
 
 
 # ---------------------------------------------------------
-# Graph of multiplication by m: doubling and Toeplitz images
+# Graph of multiplication by m: the elimination reference's doubling and
+# Toeplitz images (tests/codes.py)
 # ---------------------------------------------------------
 
 GRAPH_DEGREES = [2, 3, 4, 5, 8, 31, 62, 63, 64]
@@ -462,3 +461,8 @@ def test_graph_images_match_matvec(n):
 def test_graph_images_need_a_toeplitz_hash_of_2n_columns():
     with pytest.raises(Gf2Error):
         graph_images(Gf2Matrix(3, 8, BitVec(10, 0)), _graph_multiples(3, 5))
+
+
+def test_graph_basis_needs_a_hash_of_2n_columns():
+    with pytest.raises(Gf2Error, match="2n columns"):
+        gf2.graph_basis(Gf2Matrix(3, 9, BitVec(11, 0)), 3)

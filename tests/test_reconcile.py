@@ -6,14 +6,27 @@ from itertools import combinations, islice, product
 from operator import xor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codes import decode_scan, dense_matvec, encode, hamming_parity_check, random_linear_code, syndrome_decode, to_dense
+from codes import (
+    decode_line_by_elimination,
+    decode_scan,
+    dense_matvec,
+    encode,
+    graph_images,
+    hamming_parity_check,
+    random_linear_code,
+    syndrome_decode,
+    to_dense,
+    x_power_multiples,
+)
 from model_checks import candidate_words, is_consistent
 from skalab import gf2, reconcile, sources
 from skalab.audit import exact_small_n_audit
-from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank
+from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank, toeplitz_seed_len
 from skalab.profiles import ceil_log2
-from skalab.protocols import SessionConfig
+from skalab.protocols import SessionConfig, draw_seeds, execute, session_plan, session_streams, toeplitz_hashes
 from skalab.reconcile import (
     STATUS_AMBIGUOUS,
     STATUS_NOT_FOUND,
@@ -21,7 +34,7 @@ from skalab.reconcile import (
     STATUS_UNIQUE,
     DecodeResult,
     Fingerprint,
-    _factored,
+    _graph_basis,
     _subset_images,
     coset_words,
     decode,
@@ -125,20 +138,19 @@ def test_decode_matches_scan_on_affine_sets():
 
 def test_factorization_memo_once_per_receiver_abscissa():
     # Bob's candidate basis depends only on his abscissa c, and the audit
-    # fixes H: one factorization per c, 2^4 of them for 4,096 instances.
+    # fixes H: one lattice reduction per c, 2^4 of them for 4,096 instances.
     config = SessionConfig(parse_model_spec("line-point:n=4"), "light", Fraction(1, 4), 5)
-    _factored.cache_clear()
+    _graph_basis.cache_clear()
     exact_small_n_audit(config)
-    info = _factored.cache_info()
+    info = _graph_basis.cache_info()
     assert (info.misses, info.hits) == (16, 4080)
 
 
 def test_factorization_memo_shared_across_fingerprint_values():
-    # Every fingerprint value through one (H, m) pair: the memoized
-    # factorization must not carry one value's verdict to the next.  Three
-    # rows on the 4-dimensional basis leave a kernel (ambiguous), eight rows
-    # pin the candidate (unique), and values outside the image give
-    # not_found.
+    # Every fingerprint value through one (H, m) pair: the memoized basis
+    # must not carry one value's verdict to the next.  Three rows on the
+    # 4-dimensional graph leave a kernel (ambiguous), eight rows pin the
+    # candidate (unique), and values outside the image give not_found.
     model = parse_model_spec("line-point:n=4")
     stream = SeedStream("memo")
     y = sample(model, stream.child("inst")).inputs[1]
@@ -146,26 +158,18 @@ def test_factorization_memo_shared_across_fingerprint_values():
     statuses = set()
     for rows in (3, 8):
         spec = Gf2Matrix(rows, 8, stream.child("toeplitz", rows).bitvec(rows + 7))
-        _factored.cache_clear()
+        _graph_basis.cache_clear()
         for value in range(1 << rows):
             fp = Fingerprint(spec, BitVec(rows, value))
             got, want = decode(fp, cands), decode_scan(fp, words)
             assert (got.status, got.value) == (want.status, want.value)
             statuses.add(got.status)
-        assert _factored.cache_info().misses == 1
+        assert _graph_basis.cache_info().misses == 1
     assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
 
 
-def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
-    # A cold light line-point:n=62 decode builds its multiples m * x^j by
-    # doubling, its images by the shift recursion and its value from the
-    # multiples: no mul_int, and at most four carry-less products (H base,
-    # seed*m, seed*f and the guard's re-hash).
-    model = parse_model_spec("line-point:n=62")
-    stream = SeedStream("word-ops")
-    x, y = sample(model, stream.child("inst")).inputs
-    fp = encode(x, model.n, Fraction(1, 256), stream.child("fp"))
-    calls = Counter()
+def _counting(monkeypatch, calls):
+    """Count gf2._clmul and every mul_int that gf2 and sources reach."""
 
     def counted(name, fn):
         def wrapper(*args):
@@ -178,45 +182,158 @@ def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
     mul_int = counted("mul_int", gf2.mul_int)
     for module in (gf2, sources):
         monkeypatch.setattr(module, "mul_int", mul_int)
-    doubling = counted("x_power_multiples", gf2.x_power_multiples)
-    for module in (gf2, reconcile):
-        monkeypatch.setattr(module, "x_power_multiples", doubling)
-    _factored.cache_clear()
+
+
+def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
+    # A cold light line-point:n=62 decode builds its lattice rows and its
+    # target from integer products of spread operands: no mul_int, and at
+    # most four carry-less products (it makes one, the guard's re-hash).
+    model = parse_model_spec("line-point:n=62")
+    stream = SeedStream("word-ops")
+    x, y = sample(model, stream.child("inst")).inputs
+    fp = encode(x, model.n, Fraction(1, 256), stream.child("fp"))
+    calls = Counter()
+    _counting(monkeypatch, calls)
+    _graph_basis.cache_clear()
     res = decode(fp, model.candidates(y))
     assert (res.status, res.value) == (STATUS_UNIQUE, x)
     assert calls["mul_int"] == 0 and calls["_clmul"] <= 4, calls
-    assert calls["x_power_multiples"] == 1, calls  # one doubling walk: the multiples'
+
+
+def test_warm_line_point_decode_hashes_only_for_the_guard(monkeypatch):
+    # With its basis cached, a decode reads H base off one integer product
+    # with the spread seed it cached, so its only carry-less product is the
+    # guard's re-hash of the unique word; a verdict without a word has none.
+    model = parse_model_spec("line-point:n=62")
+    stream = SeedStream("warm-ops")
+    x, y = sample(model, stream.child("inst")).inputs
+    fp = encode(x, model.n, Fraction(1, 256), stream.child("fp"))
+    cands = model.candidates(y)
+    decode(fp, cands)  # fills the cache
+    calls = Counter()
+    _counting(monkeypatch, calls)
+    res = decode(fp, cands)
+    assert (res.status, res.value) == (STATUS_UNIQUE, x)
+    assert calls == Counter(_clmul=1), calls
+    calls.clear()
+    wrong = Fingerprint(fp.spec, BitVec(fp.value.n, fp.value.v ^ 1))
+    assert decode(wrong, cands).status == STATUS_NOT_FOUND
+    assert calls == Counter(), calls
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 31, 62, 64])
 def test_factored_rows_are_echelon_and_return_coefficients(n):
-    # Light line-point fingerprints have n + ceil(log2(1/eps)) rows.  Each
-    # pivot row's lowest set bit is its pivot column, the columns increase,
-    # and reducing H b for a combination b of the graph basis clears the
-    # low bits and leaves b's coefficients in the tag bits.  The multiples
-    # are m * x^j, the high halves of the basis vectors.
+    # Light line-point fingerprints have n + ceil(log2(1/eps)) rows.  The
+    # reduced graph lattice is in weak Popov form: rows[k] leads (its top
+    # bit, p) in field k = p & 7, so the three leads lie in distinct fields.
+    # Solving H b for a word b of the graph returns b itself when the kernel
+    # is zero, and otherwise a graph word with the same image.
     stream = SeedStream("factored", n)
-    for m in (0, 1, (1 << n) - 1, stream.bits(n)):
-        basis = [(1 << j) | (gf2.mul_int(m, 1 << j, n) << n) for j in range(n)]
+    mask = (1 << n) - 1
+    for m in (0, 1, mask, stream.bits(n)):
+        graph = [(1 << j) | (gf2.mul_int(m, 1 << j, n) << n) for j in range(n)]
         for rows in (n + 2, n + 8):
             spec = Gf2Matrix(rows, 2 * n, stream.bitvec(rows + 2 * n - 1))
-            cols, pivot_rows, multiples = _factored(spec, m)
-            assert [(1 << j) | (w << n) for j, w in enumerate(multiples)] == basis
-            assert list(cols) == sorted(set(cols)) and len(cols) == len(pivot_rows) <= n
-            for col, row in zip(cols, pivot_rows):
-                assert (row & -row).bit_length() - 1 == col
+            kernel_dim, basis = gf2.graph_basis(spec, m)
+            lattice_rows = basis[0]
+            assert [lead & 7 for _, lead in lattice_rows] == [0, 1, 2]
+            assert all(row.bit_length() - 1 == lead for row, lead in lattice_rows)
             for _ in range(8):
                 coeffs = stream.bits(n)
-                b = reduce(xor, (v for j, v in enumerate(basis) if (coeffs >> j) & 1), 0)
-                t = matvec(spec, BitVec(2 * n, b)).v
-                for col, row in zip(cols, pivot_rows):
-                    if (t >> col) & 1:
-                        t ^= row
-                assert t & ((1 << rows) - 1) == 0
-                got = reduce(xor, (v for j, v in enumerate(basis) if (t >> (rows + j)) & 1), 0)
-                assert matvec(spec, BitVec(2 * n, got)).v == matvec(spec, BitVec(2 * n, b)).v
-                if len(cols) == n:  # full rank: the coefficients are unique
-                    assert t >> rows == coeffs
+                b = reduce(xor, (v for j, v in enumerate(graph) if (coeffs >> j) & 1), 0)
+                got = gf2.solve_graph(basis, matvec(spec, BitVec(2 * n, b)).v, 0)
+                assert got >> n == gf2.mul_int(m, got & mask, n)  # a graph word
+                assert matvec(spec, BitVec(2 * n, got)) == matvec(spec, BitVec(2 * n, b))
+                if not kernel_dim:  # H is injective on the graph: the coefficients are unique
+                    assert got == b
+
+
+def _line_decodes_agree(spec, m, base, value):
+    """The lattice decode against the elimination reference on one
+    fingerprint; the kernel dimension read off the reduced basis is n minus
+    the rank of the reference's images."""
+    n = spec.cols // 2
+    kernel_dim, _ = gf2.graph_basis(spec, m)
+    assert kernel_dim == n - rank(graph_images(spec, x_power_multiples(m, n)), spec.rows)
+    fp, cands = Fingerprint(spec, BitVec(spec.rows, value)), sources.AffineCandidates(2 * n, base, m)
+    got, want = decode(fp, cands), decode_line_by_elimination(fp, cands)
+    assert (got.status, got.value, got.candidates_checked) == (want.status, want.value, want.candidates_checked)
+    assert got.candidates_checked == 1 << n
+    return got.status
+
+
+def _graph_word(m, n, base, u):
+    return base ^ u ^ (gf2.mul_int(m, u, n) << n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 31, 62, 64])
+def test_line_decode_matches_elimination_reference(n):
+    # Every multiplier kind, row counts from none to n + 32, the zero,
+    # all-ones and a random seed, and one consistent and one random target.
+    stream = SeedStream("line-vs-elimination", n)
+    statuses = set()
+    for m in (0, 1, (1 << n) - 1, stream.bits(n)):
+        for rows in sorted({0, 1, n - 1, n, n + 2, n + 8, n + 32}):
+            seed_len = toeplitz_seed_len(rows, 2 * n)
+            for seed in (0, (1 << seed_len) - 1, stream.bits(seed_len)):
+                spec = Gf2Matrix(rows, 2 * n, BitVec(seed_len, seed))
+                base = stream.bits(2 * n)
+                word = _graph_word(m, n, base, stream.bits(n))
+                for value in (matvec(spec, BitVec(2 * n, word)).v, stream.bits(rows)):
+                    statuses.add(_line_decodes_agree(spec, m, base, value))
+    assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 16), st.data())
+def test_line_decode_agrees_with_elimination_reference(n, data):
+    m = data.draw(st.integers(0, (1 << n) - 1), label="m")
+    rows = data.draw(st.integers(0, 2 * n + 8), label="rows")
+    seed_len = toeplitz_seed_len(rows, 2 * n)
+    spec = Gf2Matrix(rows, 2 * n, BitVec(seed_len, data.draw(st.integers(0, (1 << seed_len) - 1), label="seed")))
+    base = data.draw(st.integers(0, (1 << (2 * n)) - 1), label="base")
+    if data.draw(st.booleans(), label="consistent"):
+        word = _graph_word(m, n, base, data.draw(st.integers(0, (1 << n) - 1), label="u"))
+        value = matvec(spec, BitVec(2 * n, word)).v
+    else:
+        value = data.draw(st.integers(0, (1 << rows) - 1), label="value")
+    _line_decodes_agree(spec, m, base, value)
+
+
+# False-alarm rate of the failure-count check below: the chance that a
+# protocol that meets P(fail) <= eps fails the check anyway.
+_FALSE_ALARM = Fraction(1, 1000)
+
+
+def _binomial_upper_tail(trials: int, k: int, p: Fraction) -> Fraction:
+    """P(X >= k) for X ~ Binomial(trials, p), exactly."""
+    q = 1 - p
+    return sum((math.comb(trials, i) * p**i * q ** (trials - i) for i in range(k, trials + 1)), Fraction(0))
+
+
+@pytest.mark.parametrize("n, draws", [(8, 2000), (64, 400)])
+def test_line_point_sessions_fail_iff_the_graph_kernel_is_nonzero(n, draws):
+    # A light line-point session fails iff H is not injective on Bob's
+    # candidate space, the graph of multiplication by his abscissa: iff the
+    # reduced basis has a nonzero kernel.  The union bound over the 2^n - 1
+    # other candidates puts that at most eps, and the failure count of the
+    # fixed-seed (H, abscissa) draws must not be improbably high for it.
+    config = SessionConfig(parse_model_spec(f"line-point:n={n}"), "light", Fraction(1, 4), 11)
+    plan = session_plan(config)
+    failures = 0
+    for trial in range(draws):
+        inputs_stream, public = session_streams(config, trial)
+        inputs = sample(config.model, inputs_stream).inputs
+        seeds = draw_seeds(plan, public)
+        fp_hashes, _ = toeplitz_hashes(
+            plan.protocol, plan.fp_rows, plan.material_len, plan.key_len, 2 * n, tuple(p for _, _, p in seeds)
+        )
+        kernel_dim, _ = gf2.graph_basis(fp_hashes[0], inputs[1].v & ((1 << n) - 1))
+        outcome = execute(plan, inputs, seeds)
+        assert outcome.agreed == (kernel_dim == 0), trial
+        failures += not outcome.agreed
+    assert failures > 0  # the draws reach the failure side of the equivalence
+    assert _binomial_upper_tail(draws, failures, config.eps) >= _FALSE_ALARM, failures
 
 
 def test_decode_matches_scan_on_hamming_spheres():

@@ -157,6 +157,18 @@ def test_cli_rates_rejects_a_party_past_the_limit(tmp_path, capsys, party):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and len(captured.err) < 80
 
 
+def test_cli_rates_reports_missing_subsets_in_one_short_line(tmp_path, capsys):
+    # Party 8 makes a profile of 255 subsets, 253 of them missing here: the
+    # error names the counts and the first few, not every subset.
+    profile_file = tmp_path / "sparse.profile"
+    profile_file.write_text("1=1\n8=1\n")
+    assert main(["rates", "--profile", str(profile_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and len(captured.err.encode()) < 200
+    assert "missing 253 [(1, 2), " in captured.err and "extra 0 []" in captured.err
+
+
 def test_cli_audit(tmp_path):
     report = tmp_path / "audit.txt"
     rc = main(
