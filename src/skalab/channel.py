@@ -44,8 +44,8 @@ class Transcript:
     def payload_bits(self) -> int:
         return sum(r.payload.n for r in self.records if r.kind in PAYLOAD_KINDS)
 
-    def one(self, kind: str, sender: int | None = None) -> TranscriptRecord:
-        matches = [r for r in self.records if r.kind == kind and (sender is None or r.sender == sender)]
+    def one(self, kind: str, sender: int) -> TranscriptRecord:
+        matches = [r for r in self.records if r.kind == kind and r.sender == sender]
         if len(matches) != 1:
             raise LookupError(f"expected one {kind!r} record, found {len(matches)}")
         return matches[0]

@@ -64,14 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, protocol=True):
+    def add_common(p):
         p.add_argument("--model", required=True, help="model spec, e.g. line-point:n=16")
-        if protocol:
-            p.add_argument(
-                "--protocol",
-                required=True,
-                choices=["light", "two-phase", "omniscience"],
-            )
+        p.add_argument("--protocol", required=True, choices=["light", "two-phase", "omniscience"])
         p.add_argument("--eps", type=_fraction, default=Fraction(1, 256))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--margin-k", type=int, default=None)

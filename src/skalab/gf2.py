@@ -25,18 +25,8 @@ Representation conventions (used everywhere in this package):
   the line-point decode) reduces a three-row lattice the same way: its
   fields carry u, m * u mod f and the window of H, interleaved in the
   spread layout below, so each step is one bit_length and one shift-XOR.
-  Rank takes any matrix as packed rows (bit j of row i is entry (i, j)),
-  and it alone eliminates.
-* Elimination packs the unpivoted rows into one integer: row i starts in
-  slot i, bits [i*w, (i+1)*w), w the width of the widest row.  For column
-  j, ``col = (m >> j) & ones`` (``ones`` holds bit 0 of every slot) has
-  bit 0 of slot i set iff row i holds j.  The highest such slot is the
-  pivot, and XORing ``col * pivot_row`` (no carries: each set bit of the
-  multiplier starts its own slot and ``pivot_row < 2**w``) clears j from
-  every row at once, the pivot's own slot included, as M4RI does per
-  machine word (Albrecht, Bard & Hart, ACM TOMS 2010).  The top slot fills
-  the freed one, so the integer shrinks by a slot per pivot; the pivot
-  rows come out in echelon form, not reduced.
+  Rank takes any matrix as packed rows (bit j of row i is entry (i, j))
+  and counts an XOR basis of them, one row per leading bit.
 * GF(2^n) elements are n-bit polynomials over GF(2) in the monomial basis
   (bit i = coefficient of x^i), reduced modulo the lexicographically-first
   irreducible polynomial of degree n (see ``irreducible_poly``).
@@ -130,13 +120,6 @@ class Gf2Matrix:
         mask = (1 << self.rows) - 1
         return [(self.data.v >> (self.cols - 1 - j)) & mask for j in range(self.cols)]
 
-    def row_block(self, start: int, stop: int) -> "Gf2Matrix":
-        """Rows [start, stop), themselves Toeplitz."""
-        if not 0 <= start <= stop <= self.rows:
-            raise Gf2Error(f"no row block [{start}:{stop}] of a matrix of {self.rows} rows")
-        seed = self.data.slice(start, start + toeplitz_seed_len(stop - start, self.cols))
-        return Gf2Matrix(stop - start, self.cols, seed)
-
 
 def _clmul(a: int, b: int) -> int:
     """Carry-less (GF(2)[z]) product of two packed polynomials: a shifted
@@ -157,45 +140,19 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     return BitVec(m.rows, (_clmul(m.data.v, x.v) >> (m.cols - 1)) & ((1 << m.rows) - 1))
 
 
-def _eliminate(rows: list[int], cols: int):
-    """Forward elimination of packed rows; returns (rows, pivot column
-    list), the pivot rows in pivot order, then the others in any order.
-    Pivot row i has its lowest set bit at pivots[i], so it is zero at every
-    earlier pivot column; the others are zero below cols.  Bits at
-    positions >= cols (a right-hand side) are never pivots.
-    """
-    w = max(max(rows, default=0).bit_length(), 1)
-    m = 0
-    for i, r in enumerate(rows):
-        m |= r << (i * w)
-    left = len(rows)  # unpivoted rows, in slots [0, left)
-    ones = ((1 << (left * w)) - 1) // ((1 << w) - 1)  # bit 0 of every slot
-    row_mask = (1 << w) - 1
-    pivot_rows: list[int] = []
-    pivots: list[int] = []
-    for j in range(min(cols, w)):  # no row holds a column at or past w
-        if not left:
-            break
-        col = (m >> j) & ones
-        if not col:
-            continue
-        top = col.bit_length() - 1  # the highest slot holding j
-        row = (m >> top) & row_mask
-        m ^= col * row  # zeroes the pivot's slot too
-        left -= 1
-        hi = left * w
-        if top != hi:  # the top slot moves into the freed one
-            m = (m & ((1 << hi) - 1)) | ((m >> hi) << top)
-        pivot_rows.append(row)
-        pivots.append(j)
-    return pivot_rows + [(m >> (i * w)) & row_mask for i in range(left)], pivots
-
-
 def rank(rows: list[int], cols: int) -> int:
-    """GF(2) rank of packed rows: the number of pivots of forward
-    elimination over the first cols columns."""
-    _, pivots = _eliminate(rows, cols)
-    return len(pivots)
+    """GF(2) rank of packed rows over their first cols columns: the size of
+    an XOR basis of the masked rows, one basis row per leading bit."""
+    mask, basis = (1 << cols) - 1, {}
+    for row in rows:
+        row &= mask
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    return len(basis)
 
 
 def solve_affine(m: Gf2Matrix, target: BitVec):

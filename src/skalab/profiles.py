@@ -93,16 +93,13 @@ def cond(profile: ComplexityProfile, v, w) -> Fraction:
     return profile.c(vs | ws) - profile.c(ws)
 
 
-def mutual(profile: ComplexityProfile, v, w, given=()) -> Fraction:
-    """Mutual information I(x_V : x_W | x_given) = C(V|g) + C(W|g) - C(VuW|g)."""
+def mutual(profile: ComplexityProfile, v, w) -> Fraction:
+    """Mutual information I(x_V : x_W) = C(V) + C(W) - C(V u W)."""
     vs = _as_subset(v, profile.ell)
     ws = _as_subset(w, profile.ell)
-    gs = _as_subset(given, profile.ell)
     if not vs or not ws:
         raise ValueError("mutual information needs two nonempty subsets")
-    if (vs | ws) & gs:
-        raise ValueError("subsets must be disjoint from the conditioning set")
-    return cond(profile, vs, gs) + cond(profile, ws, gs) - cond(profile, vs | ws, gs)
+    return profile.c(vs) + profile.c(ws) - profile.c(vs | ws)
 
 
 def multi_j(profile: ComplexityProfile, partition) -> Fraction:
@@ -119,28 +116,27 @@ def multi_j(profile: ComplexityProfile, partition) -> Fraction:
     return (sum((profile.c(p) for p in parts), Fraction(0)) - profile.c(profile.full())) / (s - 1)
 
 
-def is_polymatroid(profile: ComplexityProfile, tol=Fraction(0)) -> bool:
+def is_polymatroid(profile: ComplexityProfile) -> bool:
     """Polymatroid check (with C(empty) = 0) by Yeung's elemental
-    inequalities, each allowed a violation of at most tol:
+    inequalities:
 
         C(N) >= C(N - i)                          for every party i,
         C(S + i) + C(S + j) >= C(S + i + j) + C(S)  for i != j outside S.
 
-    At tol = 0 they imply nonnegativity, monotonicity and submodularity.
+    They imply nonnegativity, monotonicity and submodularity.
     """
-    tol = Fraction(tol) if not isinstance(tol, float) else tol
     ell = profile.ell
     c = [Fraction(0)] * (1 << ell)  # C by bitmask, bit i - 1 for party i
     for s, v in profile.values.items():
         c[sum(1 << (i - 1) for i in s)] = v
     full = (1 << ell) - 1
-    if any(c[full] < c[full ^ (1 << i)] - tol for i in range(ell)):
+    if any(c[full] < c[full ^ (1 << i)] for i in range(ell)):
         return False
     for s in range(1 << ell):
         rest = [1 << i for i in range(ell) if not s >> i & 1]
         for a, bi in enumerate(rest):
             for bj in rest[a + 1 :]:
-                if c[s | bi] + c[s | bj] < c[s | bi | bj] + c[s] - tol:
+                if c[s | bi] + c[s | bj] < c[s | bi | bj] + c[s]:
                     return False
     return True
 
@@ -173,12 +169,18 @@ def parse_profile(text: str) -> ComplexityProfile:
         key, _, val = line.partition("=")
         if not val:
             raise ValueError(f"line {lineno}: expected subset=value, got {raw!r}")
+        indices = [p.strip() for p in key.split(",")]
+        bad = next((p for p in indices if not p.isdecimal()), None)  # int() would also take "+2" and "0_2"
+        if bad is not None:
+            raise ValueError(f"line {lineno}: party {bad!r} is not a decimal index")
+        parties = frozenset(int(p) for p in indices)
+        if len(parties) != len(indices):
+            raise ValueError(f"line {lineno}: repeated party in subset {key!r}")
         try:
-            parties = frozenset(int(p) for p in key.split(","))
             bits = Fraction(val.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        if not parties or min(parties) < 1:
+        if min(parties) < 1:
             raise ValueError(f"line {lineno}: invalid subset {key!r}")
         if max(parties) > MAX_PARTIES:  # before ComplexityProfile builds 2^ell - 1 subsets
             raise ValueError(f"line {lineno}: party {max(parties)} past the limit of {MAX_PARTIES} parties")

@@ -7,10 +7,12 @@ All three protocols run on one driver, in three steps:
    The plan alone sizes it: each fingerprint gets k + ceil(log2(1/eps))
    rows, k the complexity its message covers, and nothing downstream
    re-checks that count.
+   It also lays out every public seed and every hash as plain data, and
+   no later step knows the protocol by name.
 2. broadcast  ``draw_seeds(plan, public_stream)`` draws the public Toeplitz
    seeds, and ``execute(plan, inputs, seeds)`` records them in the
-   one-round transcript, each fingerprint sender's input hashed after its
-   seed.
+   one-round transcript, each fingerprint right after the seed its hash
+   is cut from.
    Audits hold the public seeds fixed, so they draw them once.
 3. party key  each party recovers the fingerprint senders' inputs from its
    own input and the fingerprints and passes them through the key chain.
@@ -45,7 +47,7 @@ no transcript payload equals a party input, key material, or a key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -139,7 +141,7 @@ class SessionOutcome:
 
 @dataclass(frozen=True)
 class SessionPlan:
-    """Seed-independent sizing of one (model, protocol, eps, margins).
+    """Seed-independent sizing and layout of one (model, protocol, eps, margins).
 
     The plan alone sizes a session.  Parties 1..len(fp_rows) send
     fingerprints of fp_rows = k + ceil(log2(1/eps)) rows each, k the
@@ -148,20 +150,22 @@ class SessionPlan:
     senders' packed inputs to material_len bits; the extractor, absent for
     light, turns those into the key_len-bit key.  seed_slots lists every
     public seed as (sender, kind, stream labels, bits), in broadcast order.
+    hash_layout is (fingerprint hashes, key chain), each hash (rows, cols,
+    slot, offset): the Toeplitz matrix whose seed is bits [offset, offset +
+    rows + cols - 1) of that slot's payload.  Sender i's fingerprint hash,
+    at index i - 1, is cut from slot i - 1, and its fingerprint follows
+    that slot's record.  Light cuts both its hashes from its one seed H, at
+    offsets 0 and fp_rows; every other hash is a whole slot.
     """
 
     model: Model
-    protocol: str
-    eps: Fraction
     fp_rows: tuple
     material_len: int
     key_len: int
     target_key_len: Fraction
     target_comm: Fraction
-    seed_slots: tuple = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seed_slots", _seed_slots(self))
+    seed_slots: tuple
+    hash_layout: tuple
 
 
 def session_plan(config: SessionConfig) -> SessionPlan:
@@ -172,34 +176,41 @@ def session_plan(config: SessionConfig) -> SessionPlan:
 @lru_cache(maxsize=256)
 def _plan(model: Model, protocol: str, eps: Fraction, margins: Margins) -> SessionPlan:
     profile = model.profile()
+    xlen = model.input_len
     c = ceil_log2(1 / eps)
     ext_eps = eps if margins.extractor_eps is None else Fraction(margins.extractor_eps)
     if not 0 < ext_eps <= 1:
         raise ValueError(f"extractor eps must be in (0, 1], got {ext_eps}")
     if protocol == LIGHT:
-        # H's top k + c rows fingerprint x at k = C(x|y); its other C(x) - k
-        # rows hash the key.
+        # One seed H: its top k + c rows fingerprint x at k = C(x|y), its
+        # other C(x) - k rows hash the key.
         n1 = int(profile.c({1}))
         k = int(cond(profile, {1}, {2}))
         key_rows = n1 - k
         if key_rows < 1:
             raise ValueError("light protocol margins leave no key bits")
-        if n1 > model.input_len:
+        if n1 > xlen:
             raise ValueError("profile claims more complexity than input bits")
         fp_rows = k + c if k else 0
-        return SessionPlan(model, protocol, eps, (fp_rows,), key_rows, key_rows, mutual(profile, {1}, {2}), Fraction(fp_rows))
+        slots = ((1, "hash_spec", ("light", "H"), toeplitz_seed_len(fp_rows + key_rows, xlen)),)
+        layout = ((fp_rows, xlen, 0, 0),), ((key_rows, xlen, 0, fp_rows),)
+        return SessionPlan(model, (fp_rows,), key_rows, key_rows, mutual(profile, {1}, {2}), Fraction(fp_rows), slots, layout)
     if protocol == TWO_PHASE:
         # Fingerprint x, which Bob decodes, at C(x|y) = C(x,y) - C(y) +
         # k_slack, then key material at I(x:y) + phase1.
+        label = "two_phase"
         k_fp = int(cond(profile, {1}, {2})) + margins.k_slack
-        fp_rows = (max(0, min(k_fp, model.input_len)) + c,)
+        fp_rows = (max(0, min(k_fp, xlen)) + c,)
+        fp_kinds = ((1, "fp_spec", (label, "fp")),)
         target_key_len, target_comm = mutual(profile, {1}, {2}), cond(profile, {1}, {2})
         material_len = int(target_key_len) + margins.phase1
     else:
         # Fingerprints at the optimal Slepian-Wolf rates, rounded up, then key
         # material at the key capacity C(x_[3]) - CO + phase1.
+        label = "omni"
         target_comm, rates = co_lp(sw_constraints(profile))
         fp_rows = tuple(k + c for k in rates.ceil())
+        fp_kinds = tuple((i, "fp_spec", (label, "fp", i)) for i in range(1, len(fp_rows) + 1))
         target_key_len = profile.c(profile.full()) - target_comm
         material_len = int(target_key_len) + margins.phase1  # key capacities here are integral
     if material_len < 1:
@@ -211,36 +222,20 @@ def _plan(model: Model, protocol: str, eps: Fraction, margins: Margins) -> Sessi
     key_len = k - 2 * ceil_log2(1 / ext_eps)
     if key_len < 1:
         raise ValueError(f"extractor output m = {key_len} < 1 (k={k}, eps={ext_eps})")
-    return SessionPlan(model, protocol, eps, fp_rows, material_len, key_len, target_key_len, target_comm)
+    # Each sender's fingerprint seed, then the key-material hash over the
+    # senders' packed inputs and the extractor, each hash a whole slot.
+    senders = len(fp_rows)
+    shapes = tuple((rows, xlen) for rows in fp_rows) + ((material_len, senders * xlen), (key_len, material_len))
+    kinds = fp_kinds + ((1, "keymat_spec", (label, "keymat")), (1, "ext_seed", (label, "ext")))
+    slots = tuple((*kind, toeplitz_seed_len(*shape)) for kind, shape in zip(kinds, shapes))
+    hashes = tuple((*shape, slot, 0) for slot, shape in enumerate(shapes))
+    layout = hashes[:senders], hashes[senders:]
+    return SessionPlan(model, fp_rows, material_len, key_len, target_key_len, target_comm, slots, layout)
 
 
 # ---------------------------------------------------------------------------
-# Public seeds and hashes: the per-protocol step
+# Public seeds and hashes
 # ---------------------------------------------------------------------------
-
-# Record kinds of the seeds that a fingerprint follows in the transcript.
-_FP_SEED_KINDS = ("hash_spec", "fp_spec")
-_STREAM_LABEL = {TWO_PHASE: "two_phase", OMNISCIENCE: "omni"}
-
-
-def _seed_slots(plan: SessionPlan) -> tuple:
-    xlen = plan.model.input_len
-    if plan.protocol == LIGHT:
-        # One seed H: its top fp_rows rows fingerprint, the rest hash the key.
-        rows = plan.fp_rows[0] + plan.material_len
-        return ((1, "hash_spec", ("light", "H"), toeplitz_seed_len(rows, xlen)),)
-    label = _STREAM_LABEL[plan.protocol]
-    fps = []
-    for i, rows in enumerate(plan.fp_rows, start=1):
-        # Two-phase's one sender draws from (label, "fp"), omniscience's
-        # senders from (label, "fp", i).
-        labels = (label, "fp", i) if plan.protocol == OMNISCIENCE else (label, "fp")
-        fps.append((i, "fp_spec", labels, toeplitz_seed_len(rows, xlen)))
-    keymat_len = toeplitz_seed_len(plan.material_len, len(plan.fp_rows) * xlen)
-    return tuple(fps) + (
-        (1, "keymat_spec", (label, "keymat"), keymat_len),
-        (1, "ext_seed", (label, "ext"), toeplitz_seed_len(plan.key_len, plan.material_len)),
-    )
 
 
 def draw_seeds(plan: SessionPlan, public: SeedStream) -> tuple:
@@ -250,26 +245,29 @@ def draw_seeds(plan: SessionPlan, public: SeedStream) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def toeplitz_hashes(protocol: str, fp_rows: tuple, material_len: int, key_len: int, xlen: int, seeds: tuple) -> tuple:
-    """(fingerprint hashes, key chain) that a session's seed payloads name.
-    The key chain is light's bottom row block of H, or the key-material
-    hash followed by the extractor.  Keyed by plain shapes and payloads,
-    not by the plan, so a lookup hashes no Fraction: a session with fresh
-    seeds pays one miss, a fixed-seed audit builds them once."""
-    if protocol == LIGHT:
-        (q_rows,) = fp_rows
-        h = Gf2Matrix(q_rows + material_len, xlen, seeds[0])
-        return (h.row_block(0, q_rows),), (h.row_block(q_rows, h.rows),)
-    senders = len(fp_rows)
-    fp_hashes = tuple(Gf2Matrix(rows, xlen, seed) for rows, seed in zip(fp_rows, seeds))
-    key_hash = Gf2Matrix(material_len, senders * xlen, seeds[senders])
-    return fp_hashes, (key_hash, Gf2Matrix(key_len, material_len, seeds[senders + 1]))
+def toeplitz_hashes(layout: tuple, payloads: tuple) -> tuple:
+    """(fingerprint hashes, key chain) that a plan's hash_layout cuts from
+    a session's seed payloads.  Keyed by the layout's ints and the
+    payloads, not by the plan, so a lookup hashes no Fraction: a session
+    with fresh seeds pays one miss, a fixed-seed audit builds them once."""
+    out = []
+    for hashes in layout:
+        built = []
+        for rows, cols, slot, offset in hashes:
+            seed, bits = payloads[slot], toeplitz_seed_len(rows, cols)
+            if offset or bits != seed.n:  # a window; a whole slot is the payload as it is
+                seed = seed.slice(offset, offset + bits)
+            built.append(Gf2Matrix(rows, cols, seed))
+        out.append(tuple(built))
+    return tuple(out)
 
 
 def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
     """(status, packed inputs of every fingerprint sender) as the party
-    recovers them; the packed value is None unless the status is unique."""
-    if plan.protocol == OMNISCIENCE:
+    recovers them: jointly when more than one party sends a fingerprint,
+    else party 1 holds the sender's input and the others decode it.  The
+    packed value is None unless the status is unique."""
+    if len(fps) > 1:
         res = multi_decode(plan.model, party, own, fps)
         if res.status != STATUS_UNIQUE:
             return res.status, None
@@ -320,16 +318,14 @@ def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
     """One session on prescribed inputs and public seeds (from
     ``draw_seeds``): broadcast, every party's key, and the shared agreement
     and leak checks."""
-    payloads = tuple(payload for _sender, _kind, payload in seeds)
-    fp_hashes, chain = toeplitz_hashes(
-        plan.protocol, plan.fp_rows, plan.material_len, plan.key_len, plan.model.input_len, payloads
-    )
+    fp_hashes, chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
     records, fps = [], []
-    for sender, kind, payload in seeds:
+    for slot, (sender, kind, payload) in enumerate(seeds):
         records.append(TranscriptRecord(1, sender, kind, payload))
-        if kind in _FP_SEED_KINDS:
-            fps.append(Fingerprint(fp_hashes[sender - 1], matvec(fp_hashes[sender - 1], inputs[sender - 1])))
-            records.append(TranscriptRecord(1, sender, "fingerprint", fps[-1].value))
+        if slot < len(fp_hashes):  # sender slot + 1's fingerprint hash is cut from this slot
+            h = fp_hashes[slot]
+            fps.append(Fingerprint(h, matvec(h, inputs[slot])))
+            records.append(TranscriptRecord(1, slot + 1, "fingerprint", fps[-1].value))
     transcript = Transcript(records)
     keys, statuses, materials = zip(*(_party_key(plan, i, own, fps, chain) for i, own in enumerate(inputs, start=1)))
     agreed = all(s == STATUS_UNIQUE for s in statuses) and len(set(keys)) == 1
@@ -370,15 +366,13 @@ def run_session(config: SessionConfig, trial: int) -> SessionOutcome:
 
 def party_key_from_transcript(config: SessionConfig, party: int, own: BitVec, transcript: Transcript):
     """A party's (key, status) from its own input and the transcript alone:
-    the hashes of the seeds that the plan's slots name (``toeplitz_hashes``,
-    cached per seed tuple) and the senders' fingerprint records.
-    ``execute`` feeds ``_party_key`` the same objects from its broadcast
-    instead."""
+    the hashes that the plan's layout cuts from the seed records
+    (``toeplitz_hashes``, cached per seed tuple) and the senders'
+    fingerprint records.  ``execute`` feeds ``_party_key`` the same objects
+    from its broadcast instead."""
     plan = session_plan(config)
-    seeds = tuple(transcript.one(kind, sender=sender).payload for sender, kind, _labels, _bits in plan.seed_slots)
-    fp_hashes, chain = toeplitz_hashes(
-        plan.protocol, plan.fp_rows, plan.material_len, plan.key_len, plan.model.input_len, seeds
-    )
-    fps = [Fingerprint(h, transcript.one("fingerprint", sender=i).payload) for i, h in enumerate(fp_hashes, start=1)]
+    seeds = tuple(transcript.one(kind, sender).payload for sender, kind, _labels, _bits in plan.seed_slots)
+    fp_hashes, chain = toeplitz_hashes(plan.hash_layout, seeds)
+    fps = [Fingerprint(h, transcript.one("fingerprint", i).payload) for i, h in enumerate(fp_hashes, start=1)]
     key, status, _material = _party_key(plan, party, own, fps, chain)
     return key, status

@@ -1,6 +1,6 @@
 """Test-only constructions: the entry and dense-copy references for Toeplitz
 hashes, dense codes as packed rows (bit j of row i is entry (i, j)) with
-their affine solve by elimination and their syndrome decoder, the
+their forward elimination, affine solve and syndrome decoder, the
 line-point decode by elimination that the graph lattice is checked against,
 one-shot seeded hashes and fingerprints (sessions draw their seeds through
 ``protocols.draw_seeds``), and the literal scan of a candidate list that
@@ -9,7 +9,7 @@ the structured decoders are checked against."""
 import math
 from fractions import Fraction
 
-from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, _clmul, _eliminate, irreducible_poly, matvec, toeplitz_seed_len
+from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, _clmul, irreducible_poly, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2
 from skalab.reconcile import STATUS_AMBIGUOUS, STATUS_NOT_FOUND, STATUS_UNIQUE, DecodeResult, Fingerprint, _error_matches, _verdict
 from skalab.rng import SeedStream
@@ -39,6 +39,46 @@ def dense_column_ints(rows: list[int], cols: int) -> list[int]:
     return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(cols)]
 
 
+def eliminate(rows: list[int], cols: int):
+    """Forward elimination of packed rows; returns (rows, pivot column
+    list), the pivot rows in pivot order, then the others in any order.
+    Pivot row i has its lowest set bit at pivots[i], so it is zero at every
+    earlier pivot column; the others are zero below cols.  Bits at
+    positions >= cols (a right-hand side) are never pivots.
+
+    The unpivoted rows pack into one integer, row i in bits [i*w, (i+1)*w)
+    for the width w of the widest row.  For column j, ``(m >> j) & ones``
+    has bit 0 of slot i set iff row i holds j; the highest such slot is the
+    pivot, and XORing ``col * pivot_row`` clears j from every row at once,
+    as M4RI does per machine word (Albrecht, Bard & Hart, ACM TOMS 2010).
+    """
+    w = max(max(rows, default=0).bit_length(), 1)
+    m = 0
+    for i, r in enumerate(rows):
+        m |= r << (i * w)
+    left = len(rows)  # unpivoted rows, in slots [0, left)
+    ones = ((1 << (left * w)) - 1) // ((1 << w) - 1)  # bit 0 of every slot
+    row_mask = (1 << w) - 1
+    pivot_rows: list[int] = []
+    pivots: list[int] = []
+    for j in range(min(cols, w)):  # no row holds a column at or past w
+        if not left:
+            break
+        col = (m >> j) & ones
+        if not col:
+            continue
+        top = col.bit_length() - 1  # the highest slot holding j
+        row = (m >> top) & row_mask
+        m ^= col * row  # zeroes the pivot's slot too
+        left -= 1
+        hi = left * w
+        if top != hi:  # the top slot moves into the freed one
+            m = (m & ((1 << hi) - 1)) | ((m >> hi) << top)
+        pivot_rows.append(row)
+        pivots.append(j)
+    return pivot_rows + [(m >> (i * w)) & row_mask for i in range(left)], pivots
+
+
 def dense_solve_affine(rows: list[int], cols: int, target: BitVec):
     """All solutions of M x = target, M given as packed rows of cols bits:
     the elimination reference for the Toeplitz lattice solve.
@@ -53,7 +93,7 @@ def dense_solve_affine(rows: list[int], cols: int, target: BitVec):
         raise Gf2Error(f"solve: target of {target.n} bits for {len(rows)} rows of {cols} bits")
     t = target.v
     aug = [r | (((t >> i) & 1) << cols) for i, r in enumerate(rows)]
-    red, pivots = _eliminate(aug, cols)
+    red, pivots = eliminate(aug, cols)
     rank_ = len(pivots)
     if any(red[rank_:]):  # a leftover row reads 0 = 1
         return None
@@ -116,7 +156,7 @@ def decode_line_by_elimination(fp: Fingerprint, candidates) -> DecodeResult:
     spec, base, rows = fp.spec, candidates.base, fp.spec.rows
     multiples = x_power_multiples(candidates.multiplier, spec.cols // 2)
     images = graph_images(spec, multiples)
-    red, cols = _eliminate([img | (1 << (rows + j)) for j, img in enumerate(images)], rows)
+    red, cols = eliminate([img | (1 << (rows + j)) for j, img in enumerate(images)], rows)
     t = fp.value.v ^ matvec(spec, BitVec(candidates.length, base)).v
     for col, row in zip(cols, red):  # in echelon order, a later row never sets an earlier column
         if (t >> col) & 1:

@@ -19,7 +19,7 @@ from skalab.audit import (
 from skalab.channel import TranscriptRecord
 from codes import to_dense
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank, solve_affine
-from skalab.protocols import Margins, SessionConfig, execute, input_stream
+from skalab.protocols import Margins, SessionConfig, execute, input_stream, toeplitz_hashes
 from skalab.rng import SeedStream
 from skalab.sources import parse_model_spec, sample
 
@@ -310,11 +310,9 @@ def test_light_within_stratum_uniformity_exact():
     H2 has full rank on the fiber directions."""
     config = light_config("line-point:n=3", Fraction(1, 2), seed=17)
     model = config.model
-    plan, ((_sender, _kind, seed),) = fixed_seeds(config)
-    (q_rows,), key_rows = plan.fp_rows, plan.key_len
-    h = Gf2Matrix(q_rows + key_rows, model.input_len, seed)
-    h1 = h.row_block(0, q_rows)
-    h2 = h.row_block(q_rows, q_rows + key_rows)
+    plan, seeds = fixed_seeds(config)
+    ((h1,), (h2,)) = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
+    q_rows, key_rows = h1.rows, h2.rows
 
     strata: dict = {}
     for inputs in model.instances():

@@ -64,7 +64,7 @@ def test_transcript_dump_parse_roundtrip():
 def test_transcript_one_lookup_errors():
     t = Transcript()
     with pytest.raises(LookupError):
-        t.one("fingerprint")
+        t.one("fingerprint", 1)
     t = Transcript(
         [
             TranscriptRecord(1, 1, "fingerprint", BitVec(1, 0)),
@@ -72,4 +72,4 @@ def test_transcript_one_lookup_errors():
         ]
     )
     with pytest.raises(LookupError):
-        t.one("fingerprint")
+        t.one("fingerprint", 1)

@@ -9,7 +9,6 @@ from skalab.entropy import (
     rectangle_violations,
     transcript_inequality_audit,
 )
-from skalab.profiles import is_polymatroid
 from skalab.rng import SeedStream
 from skalab.sources import parse_model_spec
 
@@ -152,7 +151,6 @@ def test_exact_profile_is_polymatroid():
     for salt in range(8):
         dist = random_joint(2, SeedStream("poly", salt))
         assert profile_is_polymatroid_exact(dist)
-        assert is_polymatroid(exact_profile(dist), tol=1e-9)
     for salt in range(4):
         dist = random_joint(3, SeedStream("poly3", salt), max_support=10)
         assert profile_is_polymatroid_exact(dist)

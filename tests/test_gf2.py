@@ -18,7 +18,7 @@ from skalab.gf2 import (
     spread,
     spread_reducer,
 )
-from codes import dense_column_ints, dense_matvec, dense_solve_affine, entry, graph_images, to_dense, x_power_multiples
+from codes import dense_column_ints, dense_matvec, dense_solve_affine, eliminate, entry, graph_images, to_dense, x_power_multiples
 from skalab.rng import SeedStream
 
 
@@ -143,20 +143,6 @@ def test_toeplitz_dense_expansion_matvec_agree(rows, cols, salt):
         assert matvec(m, x) == dense_matvec(ref, x)
 
 
-def test_row_block_of_toeplitz_matches_dense_slice():
-    stream = SeedStream("blocks")
-    m = Gf2Matrix(8, 7, stream.bitvec(14))
-    x = stream.bitvec(7)
-    full = matvec(m, x)
-    top = matvec(m.row_block(0, 3), x)
-    bottom = matvec(m.row_block(3, 8), x)
-    assert full == top.concat(bottom)
-    assert to_dense(m.row_block(0, 3)) + to_dense(m.row_block(3, 8)) == to_dense(m)
-    assert matvec(m.row_block(8, 8), x) == BitVec(0, 0)
-    with pytest.raises(Gf2Error):
-        m.row_block(3, 9)
-
-
 # ---------------------------------------------------------
 # rank
 # ---------------------------------------------------------
@@ -243,12 +229,20 @@ def _elimination_shapes():
         yield rng, mat, cols
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 12), st.data())
+def test_rank_equals_reference_pivot_count(cols, nrows, data):
+    # Rows may carry bits at or above cols, which rank ignores.
+    rows = data.draw(st.lists(st.integers(0, (1 << (cols + 3)) - 1), min_size=nrows, max_size=nrows))
+    assert rank(rows, cols) == len(eliminate_reference(rows, cols)[1])
+
+
 def test_eliminate_matches_reference():
-    # _eliminate returns echelon rows, not reduced ones: pivot row i has
+    # eliminate returns echelon rows, not reduced ones: pivot row i has
     # its lowest set bit at pivots[i], so it is zero at every earlier pivot
     # column, and the leftover rows are zero below cols.
     for rng, mat, cols in _elimination_shapes():
-        red, pivots = gf2._eliminate(mat, cols)
+        red, pivots = eliminate(mat, cols)
         ref, ref_pivots = eliminate_reference(mat, cols)
         assert pivots == ref_pivots
         assert len(red) == len(mat)

@@ -4,9 +4,9 @@ module.
 A leading underscore marks a name as its module's own: a helper that a
 second module needs is public (``gf2.spread``, which the graph lattice and
 ``reconcile``'s joint decode share), and one that only its module calls is
-private (``gf2._eliminate``, which only ``rank`` calls).  An AST scan of every ``from`` import,
-relative or of ``skalab``; ``from __future__`` and the standard library
-are not skalab modules.
+private (``gf2._clmul``, which only ``gf2``'s own products call).  An AST
+scan of every ``from`` import, relative or of ``skalab``; ``from
+__future__`` and the standard library are not skalab modules.
 """
 
 import ast

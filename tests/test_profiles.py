@@ -86,9 +86,9 @@ def test_mutual_collinear_pairs():
     assert mutual(triple_profile(4), {1}, {2, 3}) == 4
 
 
-def test_mutual_rejects_overlap_with_given():
+def test_mutual_rejects_an_empty_subset():
     with pytest.raises(ValueError):
-        mutual(triple_profile(2), {1}, {2}, given={2, 3})
+        mutual(triple_profile(2), {1}, set())
 
 
 def test_multi_j_collinear():
@@ -180,8 +180,8 @@ def test_chain_rule_and_validity_on_random_profiles(ell, salt):
             if v.isdisjoint(w) and v and w:
                 assert mutual(p, v, w) >= 0
                 for g in subsets:
-                    if g.isdisjoint(v | w):
-                        assert mutual(p, v, w, given=g) >= 0
+                    if g.isdisjoint(v | w):  # I(v : w | g) >= 0
+                        assert cond(p, v, g) + cond(p, w, g) - cond(p, v | w, g) >= 0
 
 
 def test_all_partitions_bell_counts():
@@ -217,3 +217,24 @@ def test_profile_file_rejects_garbage():
         parse_profile("1=4\nnot a line\n")
     with pytest.raises(ValueError):
         parse_profile("1=4\n1=5\n1,2=6\n2=4\n")  # duplicate
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1,2,2=3", r"line 3: repeated party in subset '1,2,2'"),
+        ("+2=2", r"line 3: party '\+2' is not a decimal index"),
+        ("0_2=2", r"line 3: party '0_2' is not a decimal index"),
+        ("1,,2=3", r"line 3: party '' is not a decimal index"),
+        ("-1=3", r"line 3: party '-1' is not a decimal index"),
+    ],
+    ids=["repeated", "plus", "underscore", "empty", "negative"],
+)
+def test_profile_file_rejects_lenient_party_indices(line, message):
+    # int() would read "1,2,2" as {1, 2} and "+2" or "0_2" as party 2.
+    with pytest.raises(ValueError, match=message):
+        parse_profile(f"1=2\n2=2\n{line}\n")
+
+
+def test_profile_file_allows_spaces_around_parties():
+    assert parse_profile(" 1 =2\n2=2\n 1 , 2 = 3\n").values == make_profile(2, {(1,): 2, (2,): 2, (1, 2): 3}).values

@@ -17,7 +17,8 @@ from skalab.protocols import (
     session_plan,
     session_streams,
 )
-from skalab.gf2 import BitVec
+from codes import to_dense
+from skalab.gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2, make_profile
 from skalab.reconcile import STATUS_NOT_FOUND, STATUS_SEARCH_LIMIT, STATUS_UNIQUE, Fingerprint
 from skalab.sources import Model, parse_model_spec, sample
@@ -108,7 +109,7 @@ def test_light_identical_pair_empty_fingerprint():
     o = run_session(cfg_light("identical:n=16"), 0)
     assert o.agreed and o.key_len == 16
     assert o.payload_bits == 0  # k = 0: nothing to reconcile, q is empty
-    assert o.transcript.one("fingerprint").payload.n == 0
+    assert o.transcript.one("fingerprint", 1).payload.n == 0
 
 
 def test_light_hamming_t0_empty_fingerprint():
@@ -249,19 +250,43 @@ def test_plan_rejects_extractor_eps_outside_unit_interval(config, extractor_eps)
         session_plan(replace(config, margins=replace(config.margins, extractor_eps=extractor_eps)))
 
 
-@pytest.mark.parametrize("config", [cfg_light(), cfg_two_phase(), cfg_omni()], ids=["light", "two-phase", "omni"])
+@pytest.mark.parametrize(
+    "config",
+    [cfg_light(), cfg_light("identical:n=16"), cfg_two_phase(), cfg_omni()],
+    ids=["light", "light-identical", "two-phase", "omni"],
+)
 def test_key_chain_follows_the_plan(config):
     # Each hash of the chain maps the previous output, the first the
     # senders' packed inputs, and the last outputs the plan's key_len bits.
+    # Every hash is the Toeplitz matrix of its window of its slot's seed,
+    # and each fingerprint record follows the seed record of that slot.
     plan = session_plan(config)
-    seeds = tuple(payload for _s, _k, payload in draw_seeds(plan, session_streams(config, 0)[1]))
-    _fps, chain = protocols.toeplitz_hashes(
-        plan.protocol, plan.fp_rows, plan.material_len, plan.key_len, plan.model.input_len, seeds
-    )
-    senders = len(plan.fp_rows) if config.protocol == "omniscience" else 1
-    assert (chain[0].rows, chain[0].cols) == (plan.material_len, senders * plan.model.input_len)
+    input_stream, public_stream = session_streams(config, 0)
+    seeds = draw_seeds(plan, public_stream)
+    payloads = tuple(payload for _s, _k, payload in seeds)
+    fp_hashes, chain = protocols.toeplitz_hashes(plan.hash_layout, payloads)
+    assert (chain[0].rows, chain[0].cols) == (plan.material_len, len(plan.fp_rows) * plan.model.input_len)
     assert all(h.cols == prev.rows for prev, h in zip(chain, chain[1:]))
     assert chain[-1].rows == plan.key_len and len(chain) == (1 if config.protocol == "light" else 2)
+    assert [h.rows for h in fp_hashes] == list(plan.fp_rows)
+    assert [slot for _rows, _cols, slot, _offset in plan.hash_layout[0]] == list(range(len(plan.fp_rows)))
+    for layout, hashes in zip(plan.hash_layout, (fp_hashes, chain)):
+        for (rows, cols, slot, offset), h in zip(layout, hashes, strict=True):
+            assert h == Gf2Matrix(rows, cols, payloads[slot].slice(offset, offset + toeplitz_seed_len(rows, cols)))
+    if config.protocol == "light":
+        # Light's two hashes are the top and bottom row blocks of its one H.
+        (h,), (key,) = fp_hashes, chain
+        whole = Gf2Matrix(h.rows + key.rows, plan.model.input_len, payloads[0])
+        assert to_dense(h) + to_dense(key) == to_dense(whole)
+    inputs = sample(config.model, input_stream).inputs
+    records = protocols.execute(plan, inputs, seeds).transcript.records
+    expected = []
+    for slot, seed in enumerate(seeds):
+        expected.append(seed)
+        for sender, ((_rows, _cols, fp_slot, _offset), h) in enumerate(zip(plan.hash_layout[0], fp_hashes), start=1):
+            if fp_slot == slot:
+                expected.append((sender, "fingerprint", matvec(h, inputs[sender - 1])))
+    assert [(r.sender, r.kind, r.payload) for r in records] == expected
 
 
 @dataclass(frozen=True)
@@ -433,10 +458,8 @@ def test_joint_decode_checks_no_tuple():
     inst = sample(config.model, session_streams(config, 0)[0])
     o = run_session(config, 0)
     plan = session_plan(config)
-    payloads = tuple(o.transcript.one(kind, sender=sender).payload for sender, kind, _l, _b in plan.seed_slots)
-    fp_hashes, _chain = protocols.toeplitz_hashes(
-        plan.protocol, plan.fp_rows, plan.material_len, plan.key_len, plan.model.input_len, payloads
-    )
+    payloads = tuple(o.transcript.one(kind, sender).payload for sender, kind, _l, _b in plan.seed_slots)
+    fp_hashes, _chain = protocols.toeplitz_hashes(plan.hash_layout, payloads)
     fps = [Fingerprint(h, o.transcript.one("fingerprint", sender=i).payload) for i, h in enumerate(fp_hashes, start=1)]
     for party in (1, 2, 3):
         res = reconcile.multi_decode(config.model, party, inst.inputs[party - 1], fps)

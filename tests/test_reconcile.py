@@ -325,9 +325,7 @@ def test_line_point_sessions_fail_iff_the_graph_kernel_is_nonzero(n, draws):
         inputs_stream, public = session_streams(config, trial)
         inputs = sample(config.model, inputs_stream).inputs
         seeds = draw_seeds(plan, public)
-        fp_hashes, _ = toeplitz_hashes(
-            plan.protocol, plan.fp_rows, plan.material_len, plan.key_len, 2 * n, tuple(p for _, _, p in seeds)
-        )
+        fp_hashes, _ = toeplitz_hashes(plan.hash_layout, tuple(p for _, _, p in seeds))
         kernel_dim, _ = gf2.graph_basis(fp_hashes[0], inputs[1].v & ((1 << n) - 1))
         outcome = execute(plan, inputs, seeds)
         assert outcome.agreed == (kernel_dim == 0), trial

@@ -136,6 +136,22 @@ def test_cli_rates_reports_bad_profile(tmp_path, capsys, text):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [("1=2\n2=2\n1,2,2=3\n", 3), ("1=2\n+2=2\n1,2=3\n", 2), ("1=2\n0_2=2\n1,2=3\n", 2)],
+    ids=["repeated", "plus", "underscore"],
+)
+def test_cli_rates_rejects_lenient_party_indices(tmp_path, capsys, text, lineno):
+    # int() alone reads each of these as a valid two-party profile: "1,2,2"
+    # as {1, 2}, "+2" and "0_2" as party 2.
+    profile_file = tmp_path / "lenient.profile"
+    profile_file.write_text(text)
+    assert main(["rates", "--profile", str(profile_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line {lineno}: ") and captured.err.count("\n") == 1
+
+
 def test_cli_rates_reports_a_profile_that_is_not_utf8(tmp_path, capsys):
     profile_file = tmp_path / "bad.profile"
     profile_file.write_bytes(b"\xff\xfe\x00bad")
