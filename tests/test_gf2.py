@@ -143,6 +143,26 @@ def test_toeplitz_dense_expansion_matvec_agree(rows, cols, salt):
         assert matvec(m, x) == dense_matvec(ref, x)
 
 
+def test_row_block_of_toeplitz_matches_dense_slice():
+    # Rows [start, stop) of a Toeplitz matrix are the Toeplitz matrix of its
+    # seed window at offset start: the cut the session plan's hash layout
+    # makes when light's two hashes share one seed.
+    def block(m, start, stop):
+        return Gf2Matrix(stop - start, m.cols, m.data.slice(start, start + gf2.toeplitz_seed_len(stop - start, m.cols)))
+
+    stream = SeedStream("blocks")
+    m = Gf2Matrix(8, 7, stream.bitvec(14))
+    x = stream.bitvec(7)
+    full = matvec(m, x)
+    top = matvec(block(m, 0, 3), x)
+    bottom = matvec(block(m, 3, 8), x)
+    assert full == top.concat(bottom)
+    assert to_dense(block(m, 0, 3)) + to_dense(block(m, 3, 8)) == to_dense(m)
+    assert matvec(block(m, 8, 8), x) == BitVec(0, 0)
+    with pytest.raises(Gf2Error):
+        block(m, 3, 9)
+
+
 # ---------------------------------------------------------
 # rank
 # ---------------------------------------------------------
