@@ -24,16 +24,25 @@ from .runner import run_plan, sweep_configs
 
 def _fraction(text: str) -> Fraction:
     try:
+        if "_" in text:  # Fraction would also take "1_0/3"
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _decimal(text: str) -> int:
+    """An argparse type for "-" and digits: int() would also take "1_0" or "+3"."""
+    if not text.removeprefix("-").isdecimal():
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _at_least(minimum: int):
-    """An argparse type for an integer of at least minimum."""
+    """An argparse type for a decimal integer of at least minimum."""
 
     def count(text: str) -> int:
-        value = int(text)
+        value = _decimal(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{value} is less than {minimum}")
         return value
@@ -68,10 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="model spec, e.g. line-point:n=16")
         p.add_argument("--protocol", required=True, choices=["light", "two-phase", "omniscience"])
         p.add_argument("--eps", type=_fraction, default=Fraction(1, 256))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--margin-k", type=int, default=None)
-        p.add_argument("--margin-phase1", type=int, default=None)
-        p.add_argument("--margin-deficiency", type=int, default=None)
+        p.add_argument("--seed", type=_decimal, default=0)
+        p.add_argument("--margin-k", type=_decimal, default=None)
+        p.add_argument("--margin-phase1", type=_decimal, default=None)
+        p.add_argument("--margin-deficiency", type=_decimal, default=None)
         p.add_argument("--extractor-eps", type=_fraction, default=None)
 
     sim = sub.add_parser("simulate", parents=[common], help="run protocol sessions, write per-trial CSV")
@@ -90,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", parents=[common], help="sweep n/t/eps axes and summarize")
     add_common(sw)
-    sw.add_argument("--n", type=int, nargs="*", default=None)
-    sw.add_argument("--t", type=int, nargs="*", default=None)
+    sw.add_argument("--n", type=_decimal, nargs="*", default=None)
+    sw.add_argument("--t", type=_decimal, nargs="*", default=None)
     sw.add_argument("--eps-list", type=_fraction, nargs="*", default=None)
     sw.add_argument("--trials", type=_at_least(0), default=100)
     sw.add_argument("--out", default=None, help="CSV output path")
@@ -123,8 +132,8 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-def _error(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
+def _error(problem: Exception | str) -> int:
+    print(f"error: {problem}", file=sys.stderr)
     return 2
 
 
@@ -197,8 +206,13 @@ def cmd_audit(args, configs) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for path in (getattr(args, name, None) for name in ("out", "summary", "report")):
+        outputs = {}  # real path -> flag, so that no output overwrites another
+        for flag in ("out", "summary", "report"):
+            path = getattr(args, flag, None)
             if path:
+                other = outputs.setdefault(os.path.realpath(path), flag)
+                if other != flag:
+                    return _error(f"--{other} and --{flag} name the same file {path!r}")
                 _check_writable(path)
         if args.command == "rates":
             return cmd_rates(args)

@@ -62,9 +62,6 @@ class BitVec:
         if self.v < 0 or self.v >> self.n:
             raise Gf2Error(f"value {self.v:#x} does not fit in {self.n} bits")
 
-    def concat(self, other: "BitVec") -> "BitVec":
-        return BitVec(self.n + other.n, self.v | (other.v << self.n))
-
     def slice(self, start: int, stop: int) -> "BitVec":
         if not 0 <= start <= stop <= self.n:
             raise Gf2Error(f"slice [{start}:{stop}] out of range for length {self.n}")

@@ -269,15 +269,10 @@ def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
     packed value is None unless the status is unique."""
     if len(fps) > 1:
         res = multi_decode(plan.model, party, own, fps)
-        if res.status != STATUS_UNIQUE:
-            return res.status, None
-        packed = res.value[0]
-        for comp in res.value[1:]:
-            packed = packed.concat(comp)
-        return STATUS_UNIQUE, packed
-    if party == 1:
+    elif party == 1:
         return STATUS_UNIQUE, own
-    res = decode(fps[0], plan.model.candidates(own))
+    else:
+        res = decode(fps[0], plan.model.candidates(own))
     return res.status, res.value
 
 

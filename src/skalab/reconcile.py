@@ -35,18 +35,18 @@ when both are past it.
 
 Joint decoding (`multi_decode`, omniscience on the collinear triple)
 solves each other party's fingerprint for the affine coset of inputs that
-match it, and never filters their product tuple by tuple.  Through the
-holder's point P and a word W of the smaller coset passes one line; the
-third point lies on it iff one GF(2)-linear form of that point vanishes.
-The form's values on the larger coset are its value at one word xor its
-values at the kernel vectors, so a decode costs 1 + s field products per
-word of the smaller coset and one XOR per word of the product, s the
-larger coset's kernel dimension.  The products run on byte-spread
-operands (`gf2.spread`), each spread once per decode or once per word of
-the smaller coset, so a product is one integer multiply, a mask and a
-fold by the field polynomial, not a loop over bits.  Each coset keeps a
-cap of 2^14 words: past it the coset is not enumerated, and the XORs,
-which still cover the whole product, stay bounded.
+match it, kept as its (particular, kernel), and never filters their
+product tuple by tuple.  Through the holder's point P and a word W of the
+smaller coset passes one line; the third point lies on it iff one
+GF(2)-linear form of that point vanishes.  The form's values on the larger
+coset are its value at one word xor its values at the kernel vectors, so a
+decode costs 1 + s field products per word of the smaller coset and one
+XOR per word of the product, s the larger coset's kernel dimension.  The
+products run on byte-spread operands (`gf2.spread`), each spread once per
+decode or once per word of the smaller coset, so a product is one integer
+multiply, a mask and a fold by the field polynomial, not a loop over bits.
+The XORs cover the whole product, so a coset of more than 2^14 words ends
+the decode `search_limit`: 2^28 XORs at most.
 """
 
 from __future__ import annotations
@@ -82,11 +82,12 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Outcome of a candidate search; value is a BitVec (or a tuple of
-    BitVec for joint decoding) present exactly when the status is unique."""
+    """Outcome of a candidate search; value, present exactly when the
+    status is unique, is the packed inputs of the fingerprint senders, party
+    1 in the low bits: one input for `decode`, the tuple for `multi_decode`."""
 
     status: str
-    value: BitVec | tuple | None
+    value: BitVec | None
     candidates_checked: int
 
     def __post_init__(self) -> None:
@@ -240,88 +241,81 @@ def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
 # ---------------------------------------------------------------------------
 
 
-# Past this many kernel dimensions a fingerprint's coset is not enumerated.
+# Past this many kernel dimensions a fingerprint's coset is not searched.
 _COSET_CAP_BITS = 14
 
 
 @lru_cache(maxsize=256)
-def coset_words(m: Gf2Matrix, value: BitVec) -> tuple | None:
-    """Every solution of m x = value as a BitVec, or None past
-    2^_COSET_CAP_BITS of them (degenerate hash seed).  Both other parties of
-    an omniscience session solve each fingerprint, and a fixed-seed audit
-    sees each value many times, so each is solved once; the result is a
-    tuple because every caller shares it.  The solve is `solve_affine`'s
-    lattice reduction, O(m.rows + m.cols) shift-XORs.
-
-    Layout, which `_collinear_matches` relies on: with (particular, kernel)
-    from `solve_affine`, words[i] is particular xor the XOR of kernel[j]
-    over the set bits j of i, so words[0] is the particular solution and
-    words[1 << j] xor words[0] is kernel[j]."""
+def fingerprint_coset(m: Gf2Matrix, value: BitVec) -> tuple | None:
+    """The solutions of m x = value as `solve_affine`'s (particular,
+    kernel tuple); () when there are none, None past _COSET_CAP_BITS kernel
+    vectors (degenerate hash seed).  Both other parties of an omniscience
+    session solve each fingerprint, and a fixed-seed audit sees each value
+    many times, so each is solved once, and the shared result is immutable."""
     sol = solve_affine(m, value)
     if sol is None:
         return ()
     particular, kernel = sol
     if len(kernel) > _COSET_CAP_BITS:
         return None
-    words = [particular]
-    for vec in kernel:
-        words += [w ^ vec for w in words]
-    return tuple(BitVec(m.cols, w) for w in words)
+    return particular, tuple(kernel)
 
 
-def _collinear_matches(n: int, own: BitVec, near: tuple, far: tuple):
-    """Yield (w, q) for every w in near and q in far such that own, w and q
+def _collinear_matches(n: int, own: int, near: tuple, far: tuple):
+    """Yield (w, q) for every word w of the coset near and q of the coset
+    far, each (particular, kernel) of packed points, such that own, w and q
     are three collinear points with distinct abscissas.
 
-    far is a coset as coset_words lays it out, so its kernel vectors are
-    far[1 << j] xor far[0].  For w off own's abscissa, a point q = (c, d)
-    lies on the line through own = (c_o, d_o) and w iff
-    u (c xor c_o) xor v (d xor d_o) = 0 in GF(2^n), where u = d_w xor d_o
-    and v = c_w xor c_o.  That form is GF(2)-linear in q, so its values on
-    far are its value at far[0] xor those at the kernel vectors, tabulated
-    in far's own layout: 1 + s field products and one XOR per word.  A
-    zero on own's abscissa is own itself, and one on w's is w itself.
+    near is walked by `_coset_walk`, far expanded once by doubling over its
+    kernel.  For w off own's abscissa, a point q = (c, d) lies on the line
+    through own = (c_o, d_o) and w iff u (c xor c_o) xor v (d xor d_o) = 0
+    in GF(2^n), where u = d_w xor d_o and v = c_w xor c_o.  That form is
+    GF(2)-linear in q, so its values on far are its value at far's
+    particular word xor those at the kernel vectors, doubled as far's words
+    are: 1 + s field products and one XOR per word.  A zero on own's
+    abscissa is own itself, and one on w's is w itself.
 
-    Products run on byte-spread operands: far[0]'s and the kernel
-    vectors' coordinates are spread once per decode, u and v once per word
-    of near, so each value is two integer multiplies, an XOR and one
-    `spread_reducer` fold.  The table holds spread residues, zero iff the
-    form is.
+    Products run on byte-spread operands: far's coordinates are spread once
+    per decode, u and v once per word of near, so each value is two integer
+    multiplies, an XOR and one `spread_reducer` fold.  The table holds
+    spread residues, zero iff the form is.
     """
-    if not far:
-        return
-    reduce, mask, o = spread_reducer(n), (1 << n) - 1, own.v
-    base = far[0].v
-    kernel = [far[1 << j].v ^ base for j in range(len(far).bit_length() - 1)]
-    c_o, rel = o & mask, base ^ o  # far[0] relative to own
+    reduce, mask = spread_reducer(n), (1 << n) - 1
+    base, kernel = far
+    words = [base]
+    for k in kernel:
+        words += [q ^ k for q in words]
+    c_o, rel = own & mask, base ^ own  # far's particular word relative to own
     c_0, d_0 = spread(rel & mask), spread(rel >> n)
     spread_kernel = [(spread(k & mask), spread(k >> n)) for k in kernel]
-    for w in near:
-        c_w = w.v & mask
+    for w in _coset_walk(*near):
+        c_w = w & mask
         if c_w == c_o:  # w shares own's abscissa: no line of the model holds both
             continue
-        u, v = spread((w.v ^ o) >> n), spread(c_w ^ c_o)
+        u, v = spread((w ^ own) >> n), spread(c_w ^ c_o)
         # u c xor v d on a packed point, reduced once: reduction is linear
         vals = [reduce(u * c_0 ^ v * d_0)]
         for kc, kd in spread_kernel:
             g = reduce(u * kc ^ v * kd)
             vals += [x ^ g for x in vals]
-        for q in compress(far, map(not_, vals)):
-            if (q.v & mask) not in (c_o, c_w):
+        for q in compress(words, map(not_, vals)):
+            if (q & mask) not in (c_o, c_w):
                 yield w, q
 
 
 def multi_decode(model: Model, own_index: int, own: BitVec, fps) -> DecodeResult:
     """The unique input tuple of a collinear triple consistent with the
-    holder's input and every fingerprint.
+    holder's input and every fingerprint, packed with party 1 in the low
+    bits: the word the key chain hashes.
 
     The holder's own fingerprint must match its input, else not_found
     before any other fingerprint is solved.  Each other party's
-    fingerprint cuts its input down to a coset (`search_limit` when one is
-    too large to enumerate).  For each word w of the smaller coset, the
-    third point must lie on the line through the holder's point and w, one
-    GF(2)-linear condition, evaluated on the larger coset by XORs alone
-    (`_collinear_matches`); no tuple of the product is checked on its own.
+    fingerprint cuts its input down to a coset (`fingerprint_coset`;
+    `search_limit` when one is past the cap).  For each word w of the
+    smaller coset, the third point must lie on the line through the
+    holder's point and w, one GF(2)-linear condition, evaluated on the
+    larger coset by XORs alone (`_collinear_matches`); no tuple of the
+    product is checked on its own, and no coset word becomes a BitVec.
     candidates_checked reports the size of the product the verdict covered.
     """
     if model.parties != 3:
@@ -329,20 +323,19 @@ def multi_decode(model: Model, own_index: int, own: BitVec, fps) -> DecodeResult
     own_fp = fps[own_index - 1]
     if matvec(own_fp.spec, own) != own_fp.value:
         return DecodeResult(STATUS_NOT_FOUND, None, 0)
-    cosets = {}
-    for i, fp in enumerate(fps):
-        if i != own_index - 1:
-            words = coset_words(fp.spec, fp.value)
-            if words is None:
-                return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
-            cosets[i] = words
-    near, far = sorted(cosets, key=lambda i: len(cosets[i]))
-    total = len(cosets[near]) * len(cosets[far])
-    found = list(islice(_collinear_matches(model.n, own, cosets[near], cosets[far]), 2))
+    cosets = {i: fingerprint_coset(fp.spec, fp.value) for i, fp in enumerate(fps) if i != own_index - 1}
+    if None in cosets.values():
+        return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
+    if () in cosets.values():  # an empty coset: no tuple matches
+        return DecodeResult(STATUS_NOT_FOUND, None, 0)
+    near, far = sorted(cosets, key=lambda i: len(cosets[i][1]))
+    total = 1 << (len(cosets[near][1]) + len(cosets[far][1]))
+    found = list(islice(_collinear_matches(model.n, own.v, cosets[near], cosets[far]), 2))
     if len(found) != 1:
         return DecodeResult(STATUS_AMBIGUOUS if found else STATUS_NOT_FOUND, None, total)
-    tup = [own] * len(fps)
-    tup[near], tup[far] = found[0]
+    words = [own.v] * len(fps)
+    words[near], words[far] = found[0]
     for i in cosets:  # own was checked against its fingerprint above
-        _guard(fps[i], tup[i])
-    return DecodeResult(STATUS_UNIQUE, tuple(tup), total)
+        _guard(fps[i], BitVec(own.n, words[i]))
+    packed = sum(w << i * own.n for i, w in enumerate(words))  # disjoint bits: a sum is an OR
+    return DecodeResult(STATUS_UNIQUE, BitVec(len(words) * own.n, packed), total)

@@ -24,9 +24,7 @@ _CHILD_TAG = b"\x01C"
 
 
 def _encode_label(label) -> bytes:
-    if isinstance(label, bytes):
-        raw = b"b" + label
-    elif isinstance(label, str):
+    if isinstance(label, str):
         raw = b"s" + label.encode("utf-8")
     elif isinstance(label, int):
         raw = b"i" + str(label).encode("ascii")

@@ -13,7 +13,7 @@ import io
 from collections import Counter
 from fractions import Fraction
 
-from .protocols import SessionConfig, run_session
+from .protocols import SessionConfig, run_session, session_plan
 from .sources import make_model, parse_model_spec
 
 TRIAL_COLUMNS = (
@@ -60,8 +60,10 @@ def sweep_configs(
 
 def summarize(config: SessionConfig, outcomes) -> dict:
     """One config's summary; decode_statuses counts each session's decode
-    status in order of first appearance, e.g. unique:18,search_limit:2."""
+    status in order of first appearance, e.g. unique:18,search_limit:2.
+    The key length and targets are the plan's, also when no session ran."""
     n = len(outcomes)
+    plan = session_plan(config)
     agreed = sum(1 for o in outcomes if o.agreed)
     return {
         "model": config.model.spec_string(),
@@ -69,11 +71,11 @@ def summarize(config: SessionConfig, outcomes) -> dict:
         "eps": _fmt(config.eps),
         "trials": n,
         "agreement_rate": agreed / n if n else 0.0,
-        "key_len": outcomes[0].key_len if outcomes else 0,
-        "target_key_len": _fmt(outcomes[0].target_key_len) if outcomes else 0,
+        "key_len": plan.key_len,
+        "target_key_len": _fmt(plan.target_key_len),
         "mean_comm_bits": sum(o.comm_bits for o in outcomes) / n if n else 0.0,
         "mean_payload_bits": sum(o.payload_bits for o in outcomes) / n if n else 0.0,
-        "target_comm": _fmt(outcomes[0].target_comm) if outcomes else 0,
+        "target_comm": _fmt(plan.target_comm),
         "decode_statuses": ",".join(f"{s}:{c}" for s, c in Counter(o.decode_status for o in outcomes).items()),
     }
 

@@ -29,6 +29,13 @@ def is_consistent(model, inputs) -> bool:
     return not _poly_mod(_clmul(d1 ^ d2, c1 ^ c3) ^ _clmul(d1 ^ d3, c1 ^ c2), irreducible_poly(n))
 
 
+def packed(inputs) -> BitVec:
+    """An input tuple as the one word the key chain hashes, the first input
+    in the low bits: what the joint decoder returns."""
+    n = inputs[0].n
+    return BitVec(len(inputs) * n, sum(x.v << i * n for i, x in enumerate(inputs)))
+
+
 def candidate_words(model, observation) -> list:
     """Every input of the other party that the model allows next to the
     observation, as BitVecs: for line-point with observation (lo, hi), the

@@ -156,7 +156,7 @@ def test_row_block_of_toeplitz_matches_dense_slice():
     full = matvec(m, x)
     top = matvec(block(m, 0, 3), x)
     bottom = matvec(block(m, 3, 8), x)
-    assert full == top.concat(bottom)
+    assert full == BitVec(8, top.v | bottom.v << 3)
     assert to_dense(block(m, 0, 3)) + to_dense(block(m, 3, 8)) == to_dense(m)
     assert matvec(block(m, 8, 8), x) == BitVec(0, 0)
     with pytest.raises(Gf2Error):

@@ -18,6 +18,7 @@ from skalab.protocols import (
     session_streams,
 )
 from codes import to_dense
+from model_checks import packed
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2, make_profile
 from skalab.reconcile import STATUS_NOT_FOUND, STATUS_SEARCH_LIMIT, STATUS_UNIQUE, Fingerprint
@@ -356,7 +357,7 @@ def test_solves_go_through_the_traced_name(monkeypatch):
     calls = []
     solve = reconcile.solve_affine
     monkeypatch.setattr(reconcile, "solve_affine", lambda *args: calls.append(args) or solve(*args))
-    reconcile.coset_words.cache_clear()
+    reconcile.fingerprint_coset.cache_clear()
     assert run_session(cfg_omni(), 0).agreed
     assert len(calls) == 3  # each fingerprint solved once, shared by both other parties
     calls.clear()
@@ -463,14 +464,14 @@ def test_joint_decode_checks_no_tuple():
     fps = [Fingerprint(h, o.transcript.one("fingerprint", sender=i).payload) for i, h in enumerate(fp_hashes, start=1)]
     for party in (1, 2, 3):
         res = reconcile.multi_decode(config.model, party, inst.inputs[party - 1], fps)
-        assert res.status == STATUS_UNIQUE and res.value == inst.inputs
+        assert res.status == STATUS_UNIQUE and res.value == packed(inst.inputs)
         assert res.candidates_checked > 1
     # A holder whose own fingerprint disagrees solves no other one.
     bad = Fingerprint(fps[0].spec, BitVec(fps[0].value.n, fps[0].value.v ^ 1))
-    reconcile.coset_words.cache_clear()
+    reconcile.fingerprint_coset.cache_clear()
     res = reconcile.multi_decode(config.model, 1, inst.inputs[0], [bad, *fps[1:]])
     assert (res.status, res.candidates_checked) == (STATUS_NOT_FOUND, 0)
-    assert reconcile.coset_words.cache_info().misses == 0
+    assert reconcile.fingerprint_coset.cache_info().misses == 0
 
 
 @pytest.mark.parametrize(
@@ -553,7 +554,7 @@ def test_transcript_sufficiency(config):
     stored = Transcript.parse(o.transcript.dump())
     for party in range(1, config.model.parties + 1):
         protocols.toeplitz_hashes.cache_clear()
-        reconcile.coset_words.cache_clear()
+        reconcile.fingerprint_coset.cache_clear()
         key, status = party_key_from_transcript(config, party, inst.inputs[party - 1], stored)
         assert status == STATUS_UNIQUE
         assert key == o.keys[party - 1]

@@ -21,7 +21,7 @@ from codes import (
     to_dense,
     x_power_multiples,
 )
-from model_checks import candidate_words, is_consistent
+from model_checks import candidate_words, is_consistent, packed
 from skalab import gf2, reconcile, sources
 from skalab.audit import exact_small_n_audit
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank, toeplitz_seed_len
@@ -36,8 +36,8 @@ from skalab.reconcile import (
     Fingerprint,
     _graph_basis,
     _subset_images,
-    coset_words,
     decode,
+    fingerprint_coset,
     multi_decode,
 )
 from skalab.rng import SeedStream
@@ -548,22 +548,37 @@ def test_random_linear_code_syndrome_monte_carlo():
 # joint decoding
 # ---------------------------------------------------------
 
-def test_coset_words_cover_preimage():
+def coset_bitvecs(fp):
+    """Every word of a fingerprint's coset as a BitVec, by doubling over
+    the kernel of its description; () when it has none, None past the cap."""
+    coset = fingerprint_coset(fp.spec, fp.value)
+    if not coset:
+        return coset
+    particular, kernel = coset
+    words = [particular]
+    for k in kernel:
+        words += [w ^ k for w in words]
+    return [BitVec(fp.spec.cols, w) for w in words]
+
+
+def test_fingerprint_coset_covers_preimage():
     stream = SeedStream("fps")
     x = stream.bitvec(10)
     fp = encode(x, 7, Fraction(1, 2), stream.child("s"))
-    sols = coset_words(fp.spec, fp.value)
-    assert isinstance(sols, tuple)  # memoized and shared, so immutable
+    coset = fingerprint_coset(fp.spec, fp.value)
+    particular, kernel = coset
+    assert isinstance(kernel, tuple)  # memoized and shared, so immutable
+    assert (particular, list(kernel)) == gf2.solve_affine(fp.spec, fp.value)
+    assert len(kernel) >= 2
+    sols = coset_bitvecs(fp)
     assert x in sols
     assert len(set(sols)) == len(sols) == 1 << (10 - rank(to_dense(fp.spec), 10))
     for v in sols:
         assert matvec(fp.spec, v) == fp.value
-    # The layout multi_decode indexes by: words[i] = particular xor the
-    # kernel vectors at the set bits of i.
-    particular, kernel = gf2.solve_affine(fp.spec, fp.value)
-    assert len(kernel) >= 2
-    for i, v in enumerate(sols):
-        assert v.v == reduce(xor, (k for j, k in enumerate(kernel) if i >> j & 1), particular)
+    # The Gray code walk covers the same words.
+    assert sorted(reconcile._coset_walk(*coset)) == sorted(v.v for v in sols)
+    # No solution is the empty coset: the all-zero hash maps every word to 0.
+    assert fingerprint_coset(Gf2Matrix(3, 4, BitVec(6, 0)), BitVec(3, 1)) == ()
 
 
 def _triple_fingerprints(inst, rates, eps, stream):
@@ -586,7 +601,7 @@ def test_multi_decode_collinear_triple():
         for party in (1, 2, 3):
             own = inst.inputs[party - 1]
             res = multi_decode(model, party, own, fps)
-            if res.status == STATUS_UNIQUE and res.value == inst.inputs:
+            if res.status == STATUS_UNIQUE and res.value == packed(inst.inputs):
                 ok += 1
     assert ok / (3 * trials) >= 1 - float(eps) - 3 * math.sqrt(float(eps) / (3 * trials))
 
@@ -597,7 +612,7 @@ def test_multi_decode_singleton_sets():
     # full-length fingerprints pin each input exactly (k = input length)
     fps = _triple_fingerprints(inst, (8, 8, 8), Fraction(1, 16), SeedStream("md1s"))
     res = multi_decode(model, 1, inst.inputs[0], fps)
-    assert res.status == STATUS_UNIQUE and res.value == inst.inputs
+    assert res.status == STATUS_UNIQUE and res.value == packed(inst.inputs)
     with pytest.raises(ValueError, match="collinear triple"):
         multi_decode(parse_model_spec("line-point:n=4"), 1, inst.inputs[0], fps)
 
@@ -640,7 +655,7 @@ def test_multi_decode_matches_brute_force():
             res = multi_decode(model, party, own, fps)
             statuses.add(res.status)
             if len(want) == 1:
-                assert res.status == STATUS_UNIQUE and res.value == want[0]
+                assert res.status == STATUS_UNIQUE and res.value == packed(want[0])
             else:
                 assert res.status == (STATUS_AMBIGUOUS if want else STATUS_NOT_FOUND)
                 assert res.value is None
@@ -656,7 +671,7 @@ def product_filter_decode(model, own_index, own, fps):
         if i == own_index:
             cosets.append((own,) if matvec(fp.spec, own) == fp.value else ())
             continue
-        words = coset_words(fp.spec, fp.value)
+        words = coset_bitvecs(fp)
         if words is None:
             return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
         cosets.append(words)
@@ -664,7 +679,7 @@ def product_filter_decode(model, own_index, own, fps):
     found = list(islice((tup for tup in product(*cosets) if is_consistent(model, tup)), 2))
     if len(found) != 1:
         return DecodeResult(STATUS_AMBIGUOUS if found else STATUS_NOT_FOUND, None, total)
-    return DecodeResult(STATUS_UNIQUE, found[0], total)
+    return DecodeResult(STATUS_UNIQUE, packed(found[0]), total)
 
 
 def _assert_matches_product_filter(model, party, own, fps):
@@ -728,7 +743,7 @@ def test_multi_decode_matches_product_filter_on_degenerate_words(n):
             tweaked = list(fps)
             for i, w in words.items():
                 tweaked[i] = Fingerprint(fps[i].spec, matvec(fps[i].spec, w))
-                assert w in coset_words(tweaked[i].spec, tweaked[i].value)
+                assert w in coset_bitvecs(tweaked[i])
             _assert_matches_product_filter(model, holder, own, tweaked)
 
 
@@ -739,8 +754,55 @@ def test_multi_decode_own_mismatch_is_not_found_before_any_solve():
     model = parse_model_spec("triple:n=16")
     inst = sample(model, SeedStream("md-own"))
     fps = _triple_fingerprints(inst, (32, 16, 32), Fraction(1, 2), SeedStream("md-own-s"))
-    assert coset_words(fps[1].spec, fps[1].value) is None  # 2^16 words or more
+    assert fingerprint_coset(fps[1].spec, fps[1].value) is None  # 2^16 words or more
     fps[0] = _tampered(fps[0])
     assert product_filter_decode(model, 1, inst.inputs[0], fps).status == STATUS_SEARCH_LIMIT
     res = multi_decode(model, 1, inst.inputs[0], fps)
     assert (res.status, res.value, res.candidates_checked) == (STATUS_NOT_FOUND, None, 0)
+
+
+def _far_coset_fingerprints(model, far_dim, stream):
+    """A triple's inputs and fingerprints built from seeded Toeplitz hashes:
+    parties 1 and 2 hash to 8 bits past their input length, as does party
+    3 at far_dim 0, else to far_dim bits short of it, so that its coset is
+    the far one.  A square Toeplitz matrix is often singular, a tall one
+    rarely, so the kernel dimensions are read from the solve."""
+    inst = sample(model, stream.child("in"))
+    tall, far_rows = model.input_len + 8, model.input_len - far_dim
+    fps = []
+    for i, (x, rows) in enumerate(zip(inst.inputs, (tall, tall, far_rows if far_dim else tall))):
+        spec = Gf2Matrix(rows, x.n, stream.child("h", i).bitvec(toeplitz_seed_len(rows, x.n)))
+        fps.append(Fingerprint(spec, matvec(spec, x)))
+    return inst, fps
+
+
+@pytest.mark.parametrize("far_dim", [14, 15])
+def test_multi_decode_cap_boundary(far_dim):
+    # A far coset of 2^14 words, the cap, still decodes; one of 2^15 ends
+    # search_limit before any product is searched.
+    model = parse_model_spec("triple:n=30")
+    inst, fps = _far_coset_fingerprints(model, far_dim, SeedStream("md-cap", far_dim))
+    near_dim, got_dim = (len(gf2.solve_affine(fp.spec, fp.value)[1]) for fp in fps[1:])
+    assert got_dim == far_dim
+    res = multi_decode(model, 1, inst.inputs[0], fps)
+    if far_dim > reconcile._COSET_CAP_BITS:
+        assert (res.status, res.value, res.candidates_checked) == (STATUS_SEARCH_LIMIT, None, 0)
+    else:
+        want = (STATUS_UNIQUE, packed(inst.inputs), 1 << (near_dim + far_dim))
+        assert (res.status, res.value, res.candidates_checked) == want
+
+
+def test_multi_decode_builds_no_bitvec_per_coset_word(monkeypatch):
+    # The BitVecs one decode builds do not grow with the far coset: its
+    # words stay ints from the solve to the match.
+    model = parse_model_spec("triple:n=30")
+    built, counts = [], {}
+    monkeypatch.setattr(reconcile, "BitVec", lambda *a: built.append(a) or BitVec(*a))
+    for far_dim in (0, 6):
+        inst, fps = _far_coset_fingerprints(model, far_dim, SeedStream("md-objects", far_dim))
+        assert len(gf2.solve_affine(fps[2].spec, fps[2].value)[1]) == far_dim
+        built.clear()
+        res = multi_decode(model, 1, inst.inputs[0], fps)
+        assert (res.status, res.value) == (STATUS_UNIQUE, packed(inst.inputs))
+        counts[far_dim] = len(built)
+    assert counts[0] == counts[6]

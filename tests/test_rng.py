@@ -1,3 +1,5 @@
+import pytest
+
 from skalab.rng import SeedStream
 
 
@@ -36,6 +38,11 @@ def test_bitvec_and_randrange():
 
 
 def test_label_types():
-    s1 = SeedStream("a", 1, b"z").bits(32)
-    s2 = SeedStream("a", 1, b"z").bits(32)
-    assert s1 == s2
+    s1 = SeedStream("a", 1).bits(32)
+    assert s1 == SeedStream("a", 1).bits(32)
+    assert s1 != SeedStream("a", "1").bits(32)  # a str label is not its int
+    for label in (b"z", 1.5, None):  # bytes are no more a label than a float
+        with pytest.raises(TypeError, match="unsupported stream label"):
+            SeedStream("a", label)
+        with pytest.raises(TypeError, match="unsupported stream label"):
+            SeedStream("a").child(label)

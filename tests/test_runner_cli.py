@@ -285,6 +285,24 @@ def test_cli_sweep(tmp_path):
     assert len(summary.read_text().strip().splitlines()) == 2
 
 
+@pytest.mark.parametrize("trials", [0, 2])
+def test_cli_sweep_summary_reads_the_plan(tmp_path, trials):
+    # The key length and targets are the plan's whether or not a session
+    # ran (light line-point:n=8 at eps=1/4 plans 8, 8 and 10); the rate and
+    # the means of no session stay 0.
+    summary = tmp_path / "s.txt"
+    argv = ["sweep", "--model", "line-point:n=8", "--protocol", "light", "--eps", "1/4",
+            "--trials", str(trials), "--out", str(tmp_path / "c.csv"), "--summary", str(summary), "--quiet"]
+    assert main(argv) == 0
+    fields = dict(field.split("=", 1) for field in summary.read_text().split())
+    assert (fields["key_len"], fields["target_key_len"], fields["target_comm"]) == ("8", "8", "10")
+    config = SessionConfig(parse_model_spec("line-point:n=8"), "light", Fraction(1, 4), 0)
+    for o in (run_session(config, t) for t in range(trials)):
+        assert (o.key_len, o.target_key_len, o.target_comm) == (8, 8, 10)
+    if not trials:
+        assert [fields[k] for k in ("agreement_rate", "mean_comm_bits", "mean_payload_bits")] == ["0.0"] * 3
+
+
 def test_cli_sweep_margin_flag_keeps_each_configs_other_margins(tmp_path):
     # --margin-k 24 is the default k_slack at n=64, so setting it must
     # change nothing: every swept eps keeps its own default phase-1 and
@@ -392,6 +410,23 @@ def test_cli_validates_trials(capsys, command, trials, valid):
     assert "argument --trials" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--trials", "1_0"), ("--trials", "+3"), ("--trials", " 3"), ("--seed", "+3"), ("--seed", "1_0"),
+     ("--n", "1_6"), ("--t", "+1"), ("--margin-k", "2_4"), ("--margin-phase1", "+4"),
+     ("--margin-deficiency", "4_0"), ("--eps", "1/1_6"), ("--eps-list", "1/2_56"), ("--extractor-eps", "1/1_6")],
+)
+def test_cli_numeric_flags_take_only_plain_decimals(capsys, flag, value):
+    # int() and Fraction() would take each of these; the flags take an
+    # optional "-" and digits, and rationals without "_".
+    argv = ["sweep", "--model", "hamming:n=15,t=1", "--protocol", "light", "--eps", "1/4", "--trials", "1", flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and repr(value) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,flag", [("simulate", "--out"), ("sweep", "--out"), ("sweep", "--summary"), ("audit", "--report")])
 def test_cli_unwritable_path_is_one_error_line(tmp_path, capsys, command, flag):
     path = tmp_path / "missing" / "out.txt"
@@ -410,3 +445,18 @@ def test_cli_bad_summary_path_fails_before_any_session(tmp_path, monkeypatch, ca
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(summary) in err
+
+
+@pytest.mark.parametrize("summary", ["sweep.csv", "./sweep.csv", "link.csv"])
+def test_cli_outputs_naming_one_file_fail_before_any_session(tmp_path, monkeypatch, capsys, summary):
+    # The summary would overwrite the CSV: rejected, whichever spelling or
+    # link names the file, before a session runs or a file is written.
+    monkeypatch.setattr(cli, "run_plan", lambda *a: pytest.fail("a session ran"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.csv").symlink_to(tmp_path / "sweep.csv")
+    argv = ["sweep", "--model", "identical:n=8", "--protocol", "light", "--trials", "3",
+            "--out", "sweep.csv", "--summary", summary]
+    assert main(argv) == 2
+    assert not (tmp_path / "sweep.csv").exists()
+    err = capsys.readouterr().err
+    assert err == f"error: --out and --summary name the same file {summary!r}\n"
