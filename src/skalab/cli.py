@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -22,9 +23,14 @@ from .rateregion import co_formula3, co_lp, key_capacity, sw_constraints
 from .runner import run_plan, sweep_configs
 
 
+_RATIONAL = re.compile(r"-?\d+(?:[/.]\d+)?")
+
+
 def _fraction(text: str) -> Fraction:
+    """An argparse type for [-]digits[/digits] or [-]digits.digits:
+    Fraction() would also take "+1/4", " 1/4", "1e-2" or "1_0/3"."""
     try:
-        if "_" in text:  # Fraction would also take "1_0/3"
+        if not _RATIONAL.fullmatch(text):
             raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

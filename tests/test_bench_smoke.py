@@ -13,6 +13,8 @@ probe's imports must stay free of work that only the CLI or a session
 needs."""
 
 import ast
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -77,3 +79,23 @@ def test_import_probe_loads_no_cli_and_fills_no_cache():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     float(proc.stdout)  # the probe's one line: the seconds the imports took
+
+
+@pytest.mark.parametrize("span", ["hashext.hash", "gf2.solve"])
+def test_traced_span_has_a_live_call_site(span):
+    # The tracer skips a call site that the program no longer has, and every
+    # metric fed by it then reads zero; the per-layer hashing and solve
+    # figures need at least one entry of each span that still resolves.
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH.parent / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    live = []
+    for module_name, attribute, names, _hook in tracing.CALL_SITES:
+        if span not in names:
+            continue
+        owner = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if callable(owner):
+            live.append(f"{module_name}.{attribute}")
+    assert live, f"no call site of {span} resolves"

@@ -17,6 +17,7 @@ from skalab.gf2 import (
     solve_affine,
     spread,
     spread_reducer,
+    toeplitz_seed_len,
 )
 from codes import dense_column_ints, dense_matvec, dense_solve_affine, eliminate, entry, graph_images, to_dense, x_power_multiples
 from skalab.rng import SeedStream
@@ -426,6 +427,49 @@ def test_spread_product_reduces_to_mul_int(n):
         a, b, c, d = (rng.getrandbits(n) for _ in range(4))
         want = mul_int(a, b, n) ^ mul_int(c, d, n)
         assert reduce(spread(a) * spread(b) ^ spread(c) * spread(d)) == spread(want)
+
+
+_CHUNK_EDGES = (1, 254, 255, 256, 510, 511, 512, 766)
+
+
+@pytest.mark.parametrize("rows,cols", sorted({(rows, cols) for cols in _CHUNK_EDGES for rows in (0, 1, cols)}))
+def test_spread_matvec_at_chunk_boundaries(rows, cols):
+    # matvec multiplies x in chunks of at most 255 bits, so that no byte of
+    # a product sums more than 255 terms.  An all-ones seed and x give every
+    # column sum its largest value, where a carry into the next byte would
+    # flip a parity; a drawn seed and x cover the rest.
+    bits = toeplitz_seed_len(rows, cols)
+    stream = SeedStream("chunk-edges", rows, cols)
+    for seed, x in [((1 << bits) - 1, (1 << cols) - 1), (stream.bits(bits), stream.bits(cols))]:
+        m = Gf2Matrix(rows, cols, BitVec(bits, seed))
+        assert matvec(m, BitVec(cols, x)) == dense_matvec(to_dense(m), BitVec(cols, x)), (seed, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 600), st.integers(1, 600), st.data())
+def test_spread_matvec_is_the_clmul_window(rows, cols, data):
+    # The bitwise reference: the window [cols - 1, cols - 1 + rows) of the
+    # carry-less product that `_clmul` forms one set bit of x at a time.
+    bits = toeplitz_seed_len(rows, cols)
+    seed = data.draw(st.integers(0, (1 << bits) - 1))
+    x = data.draw(st.integers(0, (1 << cols) - 1))
+    got = matvec(Gf2Matrix(rows, cols, BitVec(bits, seed)), BitVec(cols, x))
+    assert got.v == (gf2._clmul(seed, x) >> (cols - 1)) & ((1 << rows) - 1)
+
+
+@pytest.mark.parametrize("cols", [124, 300])
+def test_matvec_spreads_only_x(monkeypatch, cols):
+    # A hash spreads its seed once, when it is built; every matvec after
+    # that spreads x alone, one chunk of at most 255 bits at a time.
+    stream = SeedStream("spread-once", cols)
+    m = Gf2Matrix(94, cols, stream.bitvec(93 + cols))
+    assert m.spread_seed == spread(m.data.v)
+    matvec(m, stream.bitvec(cols))
+    spread_args = []
+    monkeypatch.setattr(gf2, "spread", lambda a: spread_args.append(a) or spread(a))
+    x = stream.bitvec(cols)
+    assert matvec(m, x) == dense_matvec(to_dense(m), x)
+    assert spread_args == [x.v >> k & ((1 << 255) - 1) for k in range(0, cols, 255)]
 
 
 def test_spread_slot_bound():

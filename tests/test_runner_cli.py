@@ -414,11 +414,14 @@ def test_cli_validates_trials(capsys, command, trials, valid):
     "flag,value",
     [("--trials", "1_0"), ("--trials", "+3"), ("--trials", " 3"), ("--seed", "+3"), ("--seed", "1_0"),
      ("--n", "1_6"), ("--t", "+1"), ("--margin-k", "2_4"), ("--margin-phase1", "+4"),
-     ("--margin-deficiency", "4_0"), ("--eps", "1/1_6"), ("--eps-list", "1/2_56"), ("--extractor-eps", "1/1_6")],
+     ("--margin-deficiency", "4_0"), ("--eps", "1/1_6"), ("--eps-list", "1/2_56"), ("--extractor-eps", "1/1_6"),
+     ("--eps", "+1/4"), ("--eps", " 1/4"), ("--eps", "1/4 "), ("--eps", "1e-2"), ("--eps", ".5"), ("--eps", "1."),
+     ("--eps-list", "+1/4"), ("--extractor-eps", "1e-2")],
 )
 def test_cli_numeric_flags_take_only_plain_decimals(capsys, flag, value):
-    # int() and Fraction() would take each of these; the flags take an
-    # optional "-" and digits, and rationals without "_".
+    # int() and Fraction() would take each of these; the integer flags take
+    # an optional "-" and digits, the rational ones [-]digits[/digits] or
+    # [-]digits.digits.
     argv = ["sweep", "--model", "hamming:n=15,t=1", "--protocol", "light", "--eps", "1/4", "--trials", "1", flag, value]
     with pytest.raises(SystemExit) as exc:
         main(argv)
