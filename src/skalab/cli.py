@@ -10,36 +10,29 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
 from .audit import conditional_uniformity
-from .profiles import parse_profile
+from .profiles import parse_profile, parse_rational
 from .protocols import Margins, session_plan
 from .rateregion import co_formula3, co_lp, key_capacity, sw_constraints
 from .runner import run_plan, sweep_configs
 
 
-_RATIONAL = re.compile(r"-?\d+(?:[/.]\d+)?")
-
-
 def _fraction(text: str) -> Fraction:
-    """An argparse type for [-]digits[/digits] or [-]digits.digits:
-    Fraction() would also take "+1/4", " 1/4", "1e-2" or "1_0/3"."""
+    """An argparse type for `profiles.parse_rational`'s grammar."""
     try:
-        if not _RATIONAL.fullmatch(text):
-            raise ValueError(text)
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
 def _decimal(text: str) -> int:
-    """An argparse type for "-" and digits: int() would also take "1_0" or "+3"."""
-    if not text.removeprefix("-").isdecimal():
+    """An argparse type for "-" and ASCII digits: int() would also take "1_0", "+3" or other scripts' digits."""
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
         raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
     return int(text)
 

@@ -8,6 +8,7 @@ quantities such as the 1.5n omniscience rates stay exact end to end.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -159,6 +160,17 @@ def all_partitions(items: tuple) -> list[list[frozenset]]:
 # ---------------------------------------------------------------------------
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:[/.][0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """[-]digits[/digits] or [-]digits.digits in ASCII digits, for profile values and the
+    rational flags: Fraction() would also take "+1/4", " 1/4", "1e-2", "1_0/3" or full-width digits."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(text)
+
+
 def parse_profile(text: str) -> ComplexityProfile:
     values = {}
     max_party = 0
@@ -170,14 +182,14 @@ def parse_profile(text: str) -> ComplexityProfile:
         if not val:
             raise ValueError(f"line {lineno}: expected subset=value, got {raw!r}")
         indices = [p.strip() for p in key.split(",")]
-        bad = next((p for p in indices if not p.isdecimal()), None)  # int() would also take "+2" and "0_2"
+        bad = next((p for p in indices if not (p.isascii() and p.isdecimal())), None)  # int() would also take "+2", "0_2" and non-ASCII digits
         if bad is not None:
             raise ValueError(f"line {lineno}: party {bad!r} is not a decimal index")
         parties = frozenset(int(p) for p in indices)
         if len(parties) != len(indices):
             raise ValueError(f"line {lineno}: repeated party in subset {key!r}")
         try:
-            bits = Fraction(val.strip())
+            bits = parse_rational(val.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         if min(parties) < 1:

@@ -12,7 +12,8 @@ Decoding reports `unique`, `ambiguous`, or `not_found` explicitly, and
 sessions count anything but a correct `unique` against their error budget.
 A candidate set is a description (`sources.AffineCandidates`,
 `sources.HammingSphere`), never a list, and no decode scans one.  A
-one-word set is settled by the hash of its word.  A line-point set is the
+one-word set (the identical model's, a Hamming sphere of radius 0) is
+settled by the hash of its word.  A line-point set is the
 graph of multiplication by the receiver's abscissa or slope m, shifted.
 Both the graph and the Toeplitz hash are polynomial products, so H on the
 graph is a simultaneous Pade problem over GF(2)[z] (Beckermann & Labahn
@@ -20,7 +21,7 @@ graph is a simultaneous Pade problem over GF(2)[z] (Beckermann & Labahn
 (hash, m) by `gf2.graph_basis`, whose short vectors are the graph's words
 and their hashes.  A decode reduces one target by its rows
 (`gf2.solve_graph`) in O(rows) shift-XORs, and the kernel dimension
-read off the rows separates unique from ambiguous.  A
+read off the rows separates unique from ambiguous.  A larger
 Hamming sphere (the words at distance exactly t from the receiver's) is
 decoded by finding the weight-t errors e with H e = fingerprint xor H y,
 by the cheaper of two searches, chosen from the shape alone: when the
@@ -99,20 +100,17 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
     """Find the candidates matching the fingerprint (unique/ambiguous/none).
 
     The verdict is order-independent, so no candidate set is scanned: a
-    single word is settled by its hash, a line-point set by reducing one
-    target by the reduced basis of its graph lattice, a Hamming
-    sphere by a walk over the solution coset or a meet in the middle on H's
-    column images, whichever is smaller (`search_limit` when both are past
-    _SPHERE_CAP_SUBSETS).  Either search's result is re-hashed as a guard.
-    candidates_checked reports the number of candidates the verdict covered.
+    line-point set is settled by reducing one target by the reduced basis of
+    its graph lattice, a radius-0 Hamming sphere (the identical model's one
+    word) by the hash of its center, and a larger sphere by a walk over the
+    solution coset or a meet in the middle on H's column images, whichever
+    is smaller (`search_limit` when both are past _SPHERE_CAP_SUBSETS).
+    Either search's result is re-hashed as a guard.  candidates_checked
+    reports the number of candidates the verdict covered.
     """
     if isinstance(candidates, HammingSphere):
         return _decode_sphere(fp, candidates)
     base, length = candidates.base, candidates.length
-    if candidates.multiplier is None:  # a single word
-        if fp.value.v ^ matvec(fp.spec, BitVec(length, base)).v:
-            return DecodeResult(STATUS_NOT_FOUND, None, 1)
-        return DecodeResult(STATUS_UNIQUE, BitVec(length, base), 1)
     kernel_dim, basis = _graph_basis(fp.spec, candidates.multiplier)
     total = 1 << (length // 2)  # not len(): the coset can exceed a machine index
     word = solve_graph(basis, fp.value.v, base)
@@ -215,9 +213,11 @@ def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
     # smaller than the larger half of the split; else meet in the middle.
     # half is clamped at one past the cap, so neither search runs past it.
     n, t, rows = sphere.length, sphere.t, fp.spec.rows
-    half = min(sum(math.comb(n, w) for w in range(t - t // 2 + 1)), _SPHERE_CAP_SUBSETS + 1)
     center = BitVec(n, sphere.center)
     target = fp.value.v ^ matvec(fp.spec, center).v
+    if not t:  # the center alone: its hash settles it, with no search and no guard
+        return DecodeResult(STATUS_NOT_FOUND, None, 1) if target else DecodeResult(STATUS_UNIQUE, center, 1)
+    half = min(sum(math.comb(n, w) for w in range(t - t // 2 + 1)), _SPHERE_CAP_SUBSETS + 1)
     words = None
     if 1 << max(0, n - rows) < half:
         sol = solve_affine(fp.spec, BitVec(rows, target))

@@ -52,7 +52,7 @@ def sweep_configs(
     for n in ns or [base.n]:
         for t in ts or [None]:
             axes = {"n": n} if t is None else {"n": n, "t": t}
-            model = make_model(base.name, vars(base) | axes)  # rejects a t on a model that takes none
+            model = make_model(base.name, base.params() | axes)  # rejects a t on a model that takes none
             for eps in map(Fraction, eps_list):
                 configs.append(SessionConfig(model, protocol, eps, seed, margins and margins(n, eps)))
     return configs

@@ -10,7 +10,7 @@ Each correlation model is one frozen dataclass of its parameters, and
   error of Hamming weight exactly t.
 * ``triple:n=16``      three distinct random points on a random
   non-vertical line (three parties).
-* ``identical:n=16``   both parties hold the same uniform word.
+* ``identical:n=16``   hamming at t = 0: both parties hold one uniform word.
 
 A model class checks its own parameters and holds its party count, input
 length and spec string, its exact analytic profile (``profile``), its draw
@@ -24,7 +24,7 @@ no other module names a model class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import permutations
 
 from .gf2 import BitVec, irreducible_poly, mul_int
@@ -34,7 +34,7 @@ from .rng import SeedStream
 
 class Model:
     """What every model shares: n >= 2, two parties unless it says
-    otherwise, n-bit inputs, and a spec string of its dataclass fields."""
+    otherwise, n-bit inputs, and a spec of its init fields (``params``)."""
 
     name = ""
     parties = 2
@@ -47,8 +47,11 @@ class Model:
     def input_len(self) -> int:
         return self.n
 
+    def params(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
     def spec_string(self) -> str:
-        return f"{self.name}:" + ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return f"{self.name}:" + ",".join(f"{k}={v}" for k, v in self.params().items())
 
 
 class _PlaneModel(Model):
@@ -116,13 +119,12 @@ class Hamming(Model):
 
     def draw(self, stream: SeedStream) -> tuple:
         x = stream.bitvec(self.n)
-        e = 0
-        positions = list(range(self.n))
-        for i in range(self.t):  # Fisher-Yates prefix for t distinct positions
+        e, moved = 0, {}  # the entries of a Fisher-Yates position list that swaps changed
+        for i in range(self.t):  # a prefix of t distinct positions; slot i is never read again
             j = i + stream.randrange(self.n - i)
-            positions[i], positions[j] = positions[j], positions[i]
-            e |= 1 << positions[i]
-        return x, BitVec(self.n, x.v ^ e)
+            e |= 1 << moved.get(j, j)
+            moved[j] = moved.get(i, i)
+        return x, BitVec(self.n, x.v ^ e) if e else x  # at t = 0 (identical) both hold one word
 
     def instance_count(self) -> int:
         return math.comb(self.n, self.t) << self.n
@@ -172,28 +174,9 @@ class Triple(_PlaneModel):
 
 
 @dataclass(frozen=True)
-class Identical(Model):
-    n: int
+class Identical(Hamming):
+    t: int = field(default=0, init=False, repr=False)
     name = "identical"
-
-    def profile(self) -> ComplexityProfile:
-        n = self.n
-        return make_profile(2, {(1,): n, (2,): n, (1, 2): n})
-
-    def draw(self, stream: SeedStream) -> tuple:
-        x = stream.bitvec(self.n)
-        return x, x
-
-    def instance_count(self) -> int:
-        return 1 << self.n
-
-    def instances(self):
-        for v in range(1 << self.n):
-            x = BitVec(self.n, v)
-            yield (x, x)
-
-    def candidates(self, observation: BitVec) -> AffineCandidates:
-        return AffineCandidates(self.n, observation.v)
 
 
 MODELS = {cls.name: cls for cls in (LinePoint, Hamming, Triple, Identical)}
@@ -204,7 +187,7 @@ def make_model(name: str, params: dict) -> Model:
     model does not take is an error, not ignored."""
     if name not in MODELS:
         raise ValueError(f"unknown model {name!r} (want one of {sorted(MODELS)})")
-    extra = sorted(params.keys() - {f.name for f in fields(MODELS[name])})
+    extra = sorted(params.keys() - {f.name for f in fields(MODELS[name]) if f.init})
     if extra:
         raise ValueError(f"{name} takes no {extra[0]} parameter")
     if "n" not in params:
@@ -219,7 +202,7 @@ def parse_model_spec(text: str) -> Model:
     for item in args.split(",") if args else ():
         key, _, val = item.partition("=")
         key = key.strip()
-        if not val.strip().removeprefix("-").isdecimal():  # int() would also take "1_6" and "+1"
+        if not (val.isascii() and val.strip().removeprefix("-").isdecimal()):  # int() would also take "1_6", "+1" and non-ASCII digits
             raise ValueError(f"bad model parameter {item!r}")
         if key in params:
             raise ValueError(f"model parameter {key} given twice")
@@ -245,17 +228,17 @@ def sample(model: Model, stream: SeedStream) -> CorrelatedInstance:
 class AffineCandidates:
     """The line-point candidate set {base xor (u, multiplier * u) : u in
     GF(2^(length/2))}, the graph of multiplication by the receiver's
-    abscissa or slope, shifted; the single word base when the multiplier is
-    None.  A description, not a list: `reconcile.decode` solves it.  A
-    plain class, as a dataclass would cost every import its code
-    generation."""
+    abscissa or slope, shifted.  A description, not a list:
+    `reconcile.decode` solves it.  A plain class, as a dataclass would
+    cost every import its code generation."""
 
-    def __init__(self, length: int, base: int, multiplier: int | None = None) -> None:
+    def __init__(self, length: int, base: int, multiplier: int) -> None:
         self.length, self.base, self.multiplier = length, base, multiplier
 
 
 class HammingSphere:
-    """The words at Hamming distance exactly t from center."""
+    """The words at Hamming distance exactly t from center; at t = 0 the
+    center alone, the identical model's set."""
 
     def __init__(self, length: int, center: int, t: int) -> None:
         self.length, self.center, self.t = length, center, t

@@ -1,12 +1,15 @@
 """Test-only entropy tools: exact entropy profiles, the empirical TV
-distance from uniform, and shared constructions for the exact
-entropy-inequality suites."""
+distance from uniform, shared constructions for the exact
+entropy-inequality suites, and the linear-algebra secrecy certificate of a
+fixed-seed two-party session."""
 
 from fractions import Fraction
 
+from skalab.audit import fixed_seeds
 from skalab.entropy import JointDistribution, LogExpr
-from skalab.gf2 import BitVec
+from skalab.gf2 import BitVec, matvec, rank, solve_affine
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets
+from skalab.protocols import toeplitz_hashes
 
 
 def bv(n, v):
@@ -201,3 +204,22 @@ def rectangle_violations_by_scan(ell, t_of):
                 violations.append((inputs, t2))
     return violations
 
+
+def key_entropy_certificate(config, public_label) -> int:
+    """H(Z|T) of a two-party session on the exact audit's fixed seeds, by
+    linear algebra alone.  With the seeds fixed, the transcript's only
+    input-dependent payload is the fingerprint A x, and the key Z is K x for
+    the key chain K; x is uniform over the instances, so given A x = q it is
+    uniform on a coset of ker A, and Z uniform on a coset of K(ker A).
+    H(Z|T) is therefore the rank of the key chain's images of a basis of
+    ker A."""
+    plan, seeds = fixed_seeds(config, public_label)
+    (fingerprint,), chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
+    _particular, kernel = solve_affine(fingerprint, BitVec(fingerprint.rows, 0))
+    images = []
+    for v in kernel:
+        z = BitVec(fingerprint.cols, v)
+        for h in chain:
+            z = matvec(h, z)
+        images.append(z.v)
+    return rank(images, plan.key_len)

@@ -5,7 +5,7 @@ listed from its definition, which the decoders' verdicts are checked
 against."""
 
 from skalab.gf2 import BitVec, _clmul, _poly_mod, irreducible_poly, mul_int
-from skalab.sources import Hamming, Identical, LinePoint, Triple, weight_words
+from skalab.sources import Hamming, LinePoint, Triple, weight_words
 
 
 def is_consistent(model, inputs) -> bool:
@@ -16,9 +16,7 @@ def is_consistent(model, inputs) -> bool:
     if isinstance(model, LinePoint):
         x, y = inputs
         return y.v >> n == mul_int(x.v & low, y.v & low, n) ^ (x.v >> n)
-    if isinstance(model, Identical):
-        return inputs[0] == inputs[1]
-    if isinstance(model, Hamming):
+    if isinstance(model, Hamming):  # identical is Hamming at t = 0
         return (inputs[0].v ^ inputs[1].v).bit_count() == model.t
     assert isinstance(model, Triple)
     (c1, d1), (c2, d2), (c3, d3) = [(p.v & low, p.v >> n) for p in inputs]
@@ -41,12 +39,11 @@ def candidate_words(model, observation) -> list:
     observation, as BitVecs: for line-point with observation (lo, hi), the
     words (u, lo * u xor hi) for u in increasing order (points on Alice's
     line, or lines through Bob's point); for Hamming, the center xor each
-    weight-t word in increasing order; for identical, the observation."""
+    weight-t word in increasing order, which for identical (t = 0) is the
+    observation alone."""
     if isinstance(model, LinePoint):
         n, v = model.n, observation.v
         lo, hi = v & ((1 << n) - 1), v >> n
         return [BitVec(2 * n, u | (mul_int(lo, u, n) ^ hi) << n) for u in range(1 << n)]
-    if isinstance(model, Hamming):
-        return [BitVec(model.n, observation.v ^ e) for e in weight_words(model.n, model.t)]
-    assert isinstance(model, Identical)
-    return [observation]
+    assert isinstance(model, Hamming)
+    return [BitVec(model.n, observation.v ^ e) for e in weight_words(model.n, model.t)]

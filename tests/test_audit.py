@@ -18,6 +18,7 @@ from skalab.audit import (
 )
 from skalab.channel import TranscriptRecord
 from codes import to_dense
+from entropy_checks import key_entropy_certificate
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank, solve_affine
 from skalab.protocols import Margins, SessionConfig, execute, input_stream, toeplitz_hashes
 from skalab.rng import SeedStream
@@ -298,6 +299,41 @@ def test_exact_audit_space_cap():
     config = light_config("line-point:n=8", Fraction(1, 2))
     with pytest.raises(ValueError):
         exact_small_n_audit(config)  # 2^24 instances is past the cap
+
+
+# ---------------------------------------------------------
+# the exact audit's H(Z|T) against its linear-algebra certificate
+# ---------------------------------------------------------
+
+CERTIFIED = [
+    ("light", "line-point:n=3", Fraction(1, 2), None),
+    ("light", "line-point:n=4", Fraction(1, 4), None),
+    ("light", "identical:n=8", Fraction(1, 4), None),
+    ("light", "hamming:n=6,t=1", Fraction(1, 4), None),
+    *(
+        ("two_phase", spec, Fraction(1, 2), Margins(k_slack=0, phase1=phase1, deficiency=0, extractor_eps=Fraction(1, 2)))
+        for spec in ("identical:n=10", "line-point:n=4", "hamming:n=8,t=1")
+        for phase1 in (0, 2)
+    ),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "protocol, spec, eps, margins",
+    CERTIFIED,
+    ids=[f"{p}-{s}" + (f"-phase1={m.phase1}" if m else "") for p, s, _e, m in CERTIFIED],
+)
+def test_exact_audit_key_entropy_equals_its_certificate(protocol, spec, eps, margins, seed):
+    # The enumerated H(Z|T) and rank K(ker A) are two computations of one
+    # quantity; where both read below key_len the key falls short of the
+    # secrecy it is sized for, which this test does not judge.
+    config = SessionConfig(parse_model_spec(spec), protocol, eps, seed, margins)
+    for public_label in range(3):
+        certificate = key_entropy_certificate(config, public_label)
+        audited = exact_small_n_audit(config, public_label)
+        assert certificate <= audited.key_len
+        assert abs(audited.h_key_given_view - certificate) < 1e-9, (public_label, certificate, audited.h_key_given_view)
 
 
 # ---------------------------------------------------------

@@ -81,11 +81,12 @@ def test_import_probe_loads_no_cli_and_fills_no_cache():
     float(proc.stdout)  # the probe's one line: the seconds the imports took
 
 
-@pytest.mark.parametrize("span", ["hashext.hash", "gf2.solve"])
+@pytest.mark.parametrize("span", ["hashext.hash", "gf2.solve", "reconcile.decode", "reconcile.multi_decode", "sources.sample"])
 def test_traced_span_has_a_live_call_site(span):
     # The tracer skips a call site that the program no longer has, and every
-    # metric fed by it then reads zero; the per-layer hashing and solve
-    # figures need at least one entry of each span that still resolves.
+    # metric fed by it then reads zero; the per-layer hashing, solve, decode
+    # and sampling figures need at least one entry of each span that still
+    # resolves.
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH.parent / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)

@@ -227,13 +227,32 @@ def test_profile_file_rejects_garbage():
         ("0_2=2", r"line 3: party '0_2' is not a decimal index"),
         ("1,,2=3", r"line 3: party '' is not a decimal index"),
         ("-1=3", r"line 3: party '-1' is not a decimal index"),
+        ("\uff11=3", r"line 3: party '\uff11' is not a decimal index"),
+        ("\u0661,2=3", r"line 3: party '\u0661' is not a decimal index"),
     ],
-    ids=["repeated", "plus", "underscore", "empty", "negative"],
+    ids=["repeated", "plus", "underscore", "empty", "negative", "full-width", "arabic-indic"],
 )
 def test_profile_file_rejects_lenient_party_indices(line, message):
     # int() would read "1,2,2" as {1, 2} and "+2" or "0_2" as party 2.
     with pytest.raises(ValueError, match=message):
         parse_profile(f"1=2\n2=2\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1e1", "+4", "1_6", "\uff14", "4.", ".5", "1/0"],
+)
+def test_profile_file_rejects_lenient_values(value):
+    # Fraction() would read "1e1" as 10, "+4" as 4, "1_6" as 16, a
+    # full-width 4 as 4, "4." as 4 and ".5" as 1/2; values take the flags'
+    # [-]digits[/digits] or [-]digits.digits, and "1/0" fails on its line.
+    with pytest.raises(ValueError, match=r"^line 3: "):
+        parse_profile(f"1=2\n2=2\n1,2={value}\n")
+
+
+def test_profile_file_takes_the_flags_rationals():
+    profile = parse_profile("1=2\n2=5/2\n1,2 = 3.5\n")
+    assert profile.values == make_profile(2, {(1,): 2, (2,): Fraction(5, 2), (1, 2): Fraction(7, 2)}).values
 
 
 def test_profile_file_allows_spaces_around_parties():

@@ -106,6 +106,22 @@ def test_light_line_point_16_accounting():
     assert o.target_key_len == 16
 
 
+@pytest.mark.parametrize(
+    "protocol, n, eps",
+    [("light", 8, Fraction(1, 4)), ("light", 64, Fraction(1, 256)), ("two_phase", 16, Fraction(1, 4)), ("two_phase", 64, Fraction(1, 16))],
+)
+def test_identical_sessions_are_hamming_sessions_at_t0(protocol, n, eps):
+    # identical is hamming at t = 0 under another name: at one seed both give
+    # the same keys, transcript bytes and decode status.
+    for trial in range(5):
+        a, b = (
+            run_session(SessionConfig(parse_model_spec(spec), protocol, eps, 11), trial)
+            for spec in (f"identical:n={n}", f"hamming:n={n},t=0")
+        )
+        assert (a.keys, a.transcript.dump(), a.decode_status) == (b.keys, b.transcript.dump(), b.decode_status)
+        assert a == b
+
+
 def test_light_identical_pair_empty_fingerprint():
     o = run_session(cfg_light("identical:n=16"), 0)
     assert o.agreed and o.key_len == 16

@@ -41,12 +41,7 @@ from skalab.reconcile import (
     multi_decode,
 )
 from skalab.rng import SeedStream
-from skalab.sources import (
-    AffineCandidates,
-    HammingSphere,
-    parse_model_spec,
-    sample,
-)
+from skalab.sources import HammingSphere, parse_model_spec, sample
 
 
 # ---------------------------------------------------------
@@ -86,14 +81,19 @@ def test_fingerprint_length_invariant():
 # ---------------------------------------------------------
 
 def singleton(x):
-    return AffineCandidates(x.n, x.v)
+    """The one-word candidate set {x}: the Hamming sphere of radius 0, the
+    identical model's set."""
+    return HammingSphere(x.n, x.v, 0)
 
 
-def test_decode_singleton_unique():
+def test_decode_singleton_unique(monkeypatch):
     x = SeedStream("d1").bitvec(10)
     fp = encode(x, 0, Fraction(1, 4), SeedStream("d1s"))
+    calls = Counter()
+    _counting(monkeypatch, calls)
     res = decode(fp, singleton(x))
-    assert res.status == STATUS_UNIQUE and res.value == x
+    assert res.status == STATUS_UNIQUE and res.value == x and res.candidates_checked == 1
+    assert calls == Counter(matvec=1), calls  # the center's hash settles it: no search, no guard
 
 
 def test_zero_row_fingerprint_decodes_one_word_sets():
@@ -101,9 +101,8 @@ def test_zero_row_fingerprint_decodes_one_word_sets():
     # takes it like any other.
     y = SeedStream("z0").bitvec(10)
     fp = Fingerprint(Gf2Matrix(0, 10, BitVec(0, 0)), BitVec(0, 0))
-    for cands in (singleton(y), HammingSphere(10, y.v, 0)):
-        res = decode(fp, cands)
-        assert res.status == STATUS_UNIQUE and res.value == y
+    res = decode(fp, singleton(y))
+    assert res.status == STATUS_UNIQUE and res.value == y and res.candidates_checked == 1
 
 
 def test_decode_not_found():
@@ -113,7 +112,7 @@ def test_decode_not_found():
     fp = encode(other, 8, Fraction(1, 256), SeedStream("d2s"))
     res = decode(fp, singleton(x))
     # 16 check bits on a single wrong candidate: no collision at this seed
-    assert res.status == STATUS_NOT_FOUND and res.value is None
+    assert res.status == STATUS_NOT_FOUND and res.value is None and res.candidates_checked == 1
 
 
 def test_decode_result_invariant():
@@ -363,11 +362,13 @@ def test_coset_walk_meet_in_the_middle_and_scan_agree(monkeypatch):
     # Every n <= 9 and allowed t, with n to n + 3 fingerprint rows: random
     # Toeplitz hashes (the decode walks the coset) and the rank-deficient
     # all-zero and all-one ones, whose cosets of 2^n and 2^(n-1) words send
-    # the decode back to the meet in the middle after the solve.
+    # the decode back to the meet in the middle after the solve.  At t = 0
+    # the center's hash settles the decode, and neither search runs.
     stream = SeedStream("walk-vs-mitm")
-    mitm_calls = []
-    mitm = reconcile._error_matches
-    monkeypatch.setattr(reconcile, "_error_matches", lambda *a: mitm_calls.append(a) or mitm(*a))
+    searches = []
+    mitm, walk = reconcile._error_matches, reconcile._coset_walk
+    monkeypatch.setattr(reconcile, "_error_matches", lambda *a: searches.append("mitm") or mitm(*a))
+    monkeypatch.setattr(reconcile, "_coset_walk", lambda *a: searches.append("walk") or walk(*a))
     fallbacks = 0
     for n in range(2, 10):
         for t in range((n + 1) // 2):
@@ -382,20 +383,22 @@ def test_coset_walk_meet_in_the_middle_and_scan_agree(monkeypatch):
                     for value in (matvec(spec, x), BitVec(rows, stream.child("v", n, t, rows).bits(rows))):
                         target = value.v ^ matvec(spec, y).v
                         sol = gf2.solve_affine(spec, BitVec(rows, target))
-                        walked = {e for e in reconcile._coset_walk(*sol) if e.bit_count() == t} if sol else set()
+                        walked = {e for e in walk(*sol) if e.bit_count() == t} if sol else set()
                         met = {e for e in mitm(spec.column_ints(), target, t) if e.bit_count() == t}
                         words = candidate_words(model, y)
                         scanned = {c.v ^ y.v for c in words if matvec(spec, c) == value}
                         assert walked == met == scanned, (n, t, rows)
-                        fp, before = Fingerprint(spec, value), len(mitm_calls)
+                        fp, before = Fingerprint(spec, value), len(searches)
                         a, b = decode(fp, HammingSphere(n, y.v, t)), decode_scan(fp, words)
                         assert (a.status, a.value) == (b.status, b.value), (n, t, rows)
-                        ran_mitm = len(mitm_calls) > before
-                        if sol and 1 << len(sol[1]) >= half:  # the solve left too large a coset
-                            assert ran_mitm
+                        ran = searches[before:]
+                        if not t:
+                            assert ran == [] and a.candidates_checked == 1, (n, rows)
+                        elif sol and 1 << len(sol[1]) >= half:  # the solve left too large a coset
+                            assert ran == ["mitm"], (n, t, rows)
                             fallbacks += 1
-                        elif half > 1:  # n - rows <= 0 kernel dimensions were predicted
-                            assert not ran_mitm
+                        else:  # n - rows <= 0 kernel dimensions were predicted
+                            assert ran == (["walk"] if sol else []), (n, t, rows)
     assert fallbacks > 0
 
 

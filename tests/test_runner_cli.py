@@ -138,14 +138,32 @@ def test_cli_rates_reports_bad_profile(tmp_path, capsys, text):
 
 @pytest.mark.parametrize(
     "text, lineno",
-    [("1=2\n2=2\n1,2,2=3\n", 3), ("1=2\n+2=2\n1,2=3\n", 2), ("1=2\n0_2=2\n1,2=3\n", 2)],
-    ids=["repeated", "plus", "underscore"],
+    [("1=2\n2=2\n1,2,2=3\n", 3), ("1=2\n+2=2\n1,2=3\n", 2), ("1=2\n0_2=2\n1,2=3\n", 2),
+     ("\uff11=4\n2=2\n1,2=3\n", 1)],
+    ids=["repeated", "plus", "underscore", "full-width"],
 )
 def test_cli_rates_rejects_lenient_party_indices(tmp_path, capsys, text, lineno):
     # int() alone reads each of these as a valid two-party profile: "1,2,2"
-    # as {1, 2}, "+2" and "0_2" as party 2.
+    # as {1, 2}, "+2" and "0_2" as party 2, a full-width 1 as party 1.
     profile_file = tmp_path / "lenient.profile"
-    profile_file.write_text(text)
+    profile_file.write_text(text, encoding="utf-8")
+    assert main(["rates", "--profile", str(profile_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line {lineno}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [("1=2\n2=1e1\n1,2=3\n", 2), ("1=+4\n2=2\n1,2=3\n", 1), ("1=2\n2=2\n1,2=1_6\n", 3),
+     ("1=\uff14\n2=2\n1,2=3\n", 1)],
+    ids=["exponent", "plus", "underscore", "full-width"],
+)
+def test_cli_rates_rejects_lenient_values(tmp_path, capsys, text, lineno):
+    # Fraction() alone reads "1e1" as 10, "+4" as 4, "1_6" as 16 and a
+    # full-width 4 as 4.
+    profile_file = tmp_path / "lenient.profile"
+    profile_file.write_text(text, encoding="utf-8")
     assert main(["rates", "--profile", str(profile_file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -366,6 +384,19 @@ def test_cli_sweep_t_on_a_model_without_t_is_a_usage_error(capsys):
     assert captured.err == "error: line-point takes no t parameter\n"
 
 
+def test_cli_sweeps_identical_over_n_but_not_over_t(capsys):
+    # identical is hamming with t held at 0, which is no parameter of its
+    # spec: an n axis sweeps it, a t axis is a usage error.
+    argv = ["sweep", "--model", "identical:n=8", "--protocol", "light", "--eps", "1/4", "--trials", "2", "--quiet"]
+    assert main(argv + ["--n", "8", "16"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["identical:n=8"] * 2 + ["identical:n=16"] * 2
+    assert main(argv + ["--t", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: identical takes no t parameter\n"
+
+
 @pytest.mark.parametrize(
     "model,message",
     [("line-point:n=4,n=8", "model parameter n given twice"), ("identical:n=8,t=0", "identical takes no t parameter")],
@@ -416,12 +447,14 @@ def test_cli_validates_trials(capsys, command, trials, valid):
      ("--n", "1_6"), ("--t", "+1"), ("--margin-k", "2_4"), ("--margin-phase1", "+4"),
      ("--margin-deficiency", "4_0"), ("--eps", "1/1_6"), ("--eps-list", "1/2_56"), ("--extractor-eps", "1/1_6"),
      ("--eps", "+1/4"), ("--eps", " 1/4"), ("--eps", "1/4 "), ("--eps", "1e-2"), ("--eps", ".5"), ("--eps", "1."),
-     ("--eps-list", "+1/4"), ("--extractor-eps", "1e-2")],
+     ("--eps-list", "+1/4"), ("--extractor-eps", "1e-2"),
+     ("--eps", "\uff11/\uff14"), ("--seed", "\uff15"), ("--n", "\uff16"), ("--t", "\u0661"),
+     ("--eps-list", "\uff10.\uff12\uff15"), ("--margin-k", "\u0968")],
 )
 def test_cli_numeric_flags_take_only_plain_decimals(capsys, flag, value):
     # int() and Fraction() would take each of these; the integer flags take
-    # an optional "-" and digits, the rational ones [-]digits[/digits] or
-    # [-]digits.digits.
+    # an optional "-" and ASCII digits, the rational ones [-]digits[/digits]
+    # or [-]digits.digits.
     argv = ["sweep", "--model", "hamming:n=15,t=1", "--protocol", "light", "--eps", "1/4", "--trials", "1", flag, value]
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -39,7 +39,8 @@ def test_parse_model_specs():
     for spec in ("nope:n=4", "hamming:t=1", "line-point:n=16,z=1", "line-point"):
         with pytest.raises(ValueError):
             parse_model_spec(spec)
-    for spec in ("line-point:n=x", "line-point:n=1_6", "hamming:n=8,t=+1", "hamming:n=8,t=1,"):
+    for spec in ("line-point:n=x", "line-point:n=1_6", "hamming:n=8,t=+1", "hamming:n=8,t=1,",
+                 "identical:n=\u0668", "hamming:n=\uff13\uff11,t=\u0662"):  # Arabic-Indic and full-width digits
         with pytest.raises(ValueError, match="bad model parameter"):
             parse_model_spec(spec)
     # A repeated parameter, or a t on a model that takes none, would run a
@@ -250,9 +251,13 @@ def test_candidates_hamming_sphere_size():
 
 
 def test_candidates_identical_singleton():
+    # The identical model's candidate set is the Hamming sphere of radius 0
+    # about Bob's word: that word alone.
     model = parse_model_spec("identical:n=8")
     inst = sample(model, SeedStream("cid"))
-    assert model.candidates(inst.inputs[1]).multiplier is None
+    sphere = model.candidates(inst.inputs[1])
+    assert isinstance(sphere, HammingSphere)
+    assert (sphere.length, sphere.center, sphere.t) == (8, inst.inputs[1].v, 0)
     assert candidate_words(model, inst.inputs[1]) == [inst.inputs[0]]
 
 
