@@ -13,7 +13,6 @@ from .gf2 import (
     Gf2Matrix,
     irreducible_poly,
     matvec,
-    rank,
 )
 from .profiles import (
     ComplexityProfile,

@@ -30,8 +30,13 @@ class TranscriptRecord:
 
     @staticmethod
     def parse(line: str) -> "TranscriptRecord":
-        rnd, sender, kind, payload = line.strip().split(",", 3)
-        return TranscriptRecord(int(rnd), int(sender), kind, BitVec.from_hex(payload))
+        """The record whose `dump` is line, and only that line: int() alone
+        would also take "+1", "1_0", spaces and other scripts' digits."""
+        rnd, sender, kind, payload = line.split(",", 3)
+        record = TranscriptRecord(int(rnd), int(sender), kind, BitVec.from_hex(payload))
+        if record.dump() != line:
+            raise ValueError(f"{line!r} is not a dumped transcript record")
+        return record
 
 
 @dataclass
@@ -55,4 +60,8 @@ class Transcript:
 
     @staticmethod
     def parse(text: str) -> "Transcript":
-        return Transcript([TranscriptRecord.parse(line) for line in text.splitlines() if line.strip()])
+        """The transcript whose `dump` is text, and only that text."""
+        out = Transcript([TranscriptRecord.parse(line) for line in text.splitlines()])
+        if out.dump() != text:
+            raise ValueError("not a dumped transcript: blank lines, other line ends or no final newline")
+        return out

@@ -17,18 +17,6 @@ Representation conventions (used everywhere in this package):
   multiply per 255 bits of x and a read of the window's parity bytes.
   Columns, which are seed windows too, are derived on demand for the
   Hamming sphere decode.
-* An affine solve takes the Toeplitz matrix itself: m x = t says a window
-  of seed(z) * x(z) is t, so one Euclid-style reduction of a two-row
-  lattice over GF(2)[z] (Brent, Gustavson & Yun 1980; weak Popov form,
-  Mulders & Storjohann 2003) solves r rows and N columns in O(r + N)
-  shift-XORs of small ints, not min(r, N) pivots of an r*N-bit packed
-  matrix and a back-substitution per kernel vector.  A solve on the graph
-  of multiplication by m on GF(2^n) (``graph_basis``, ``solve_graph``,
-  the line-point decode) reduces a three-row lattice the same way: its
-  fields carry u, m * u mod f and the window of H, interleaved in the
-  spread layout below, so each step is one bit_length and one shift-XOR.
-  Rank takes any matrix as packed rows (bit j of row i is entry (i, j))
-  and counts an XOR basis of them, one row per leading bit.
 * GF(2^n) elements are n-bit polynomials over GF(2) in the monomial basis
   (bit i = coefficient of x^i), reduced modulo the lexicographically-first
   irreducible polynomial of degree n (see ``irreducible_poly``).
@@ -37,10 +25,28 @@ Representation conventions (used everywhere in this package):
   < n then sums at most n terms into each byte, so while n <= 255 no sum
   carries into the next byte and each byte's parity is a coefficient of
   the carry-less product: one multiply and a mask, where ``_clmul`` loops
-  over bits.  Toeplitz hashing multiplies in this form, ``spread_reducer``
-  reduces modulo f in it, and the graph lattice packs three such
-  polynomials, one per bit of a byte.  ``_clmul`` is left to ``mul_int``
-  and the irreducibility search.
+  over bits.  Toeplitz hashing multiplies in this form and
+  ``spread_reducer`` reduces modulo f in it.  ``_clmul`` is left to
+  ``mul_int`` and the irreducibility search.
+* Solves reduce lattices over GF(2)[z] in the spread layout: coefficient d
+  of field k sits at bit 8d + k, so a lead bit p names field p & 7 at
+  degree p >> 3, ties going to the higher field, and one helper
+  (``_field``) reads a field back through a byte table.  Two lattices use
+  it.  m x = t for a Toeplitz m (``solve_affine``) says a window of
+  seed(z) * x(z) is t: two rows, x in field 0 and seed * x in field 1
+  (Brent, Gustavson & Yun 1980).  H on the graph of multiplication by m on
+  GF(2^n) (``graph_basis``, ``solve_graph``, the line-point decode) is a
+  simultaneous Pade problem (Beckermann & Labahn 1994): three rows, u,
+  m u mod f and the window of H.  One insertion (``_weak_popov``) brings
+  either to weak Popov form (Mulders & Storjohann 2003), cancelling each
+  row's lead against the row leading in that field, one bit_length and one
+  shift-XOR a step, until the leads lie in distinct fields.  A vector's
+  lead is then the largest of its terms', so the vectors below a degree
+  bound are spanned by the rows below it, shifted up to the bound, and one
+  reduction (``_reduce``) of a target by the rows leaves a solution below
+  the bound, or meets a lead whose row leads higher: there is none.  A
+  solve of r rows and N columns costs O(r + N) shift-XORs, not min(r, N)
+  pivots of a dense matrix.
 """
 
 from __future__ import annotations
@@ -79,12 +85,17 @@ class BitVec:
 
     @staticmethod
     def from_hex(text: str) -> "BitVec":
+        """The vector whose `to_hex` is text, and only that text: int() and
+        bytes.fromhex alone would also take "1_6", " 16", "+16", other
+        scripts' digits, upper case, spaces and a wrong byte count."""
         length_s, _, hex_s = text.partition(":")
         n = int(length_s)
-        v = int.from_bytes(bytes.fromhex(hex_s), "little") if hex_s else 0
-        if v >> n:
-            raise Gf2Error(f"hex payload wider than declared length in {text!r}")
-        return BitVec(n, v)
+        if len(hex_s) != (n + 7) // 8 * 2:  # before to_hex, which writes n / 4 digits for any n
+            raise Gf2Error(f"{text!r} does not hold {n} bits")
+        out = BitVec(n, int.from_bytes(bytes.fromhex(hex_s), "little"))
+        if out.to_hex() != text:
+            raise Gf2Error(f"{text!r} is not the hex form of a bit vector")
+        return out
 
     def __str__(self) -> str:
         return self.to_hex()
@@ -95,8 +106,9 @@ class BitVec:
 _SPREAD_SLOT_MAX = 255
 _SLOT_CHUNK = (1 << _SPREAD_SLOT_MAX) - 1
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-# Bytes to the ASCII binary digit of their parity: spread form read back.
-_PARITY_DIGITS = b"01" * 128
+# Bytes to the ASCII binary digit of field k, bit k of the byte.  Field 0's
+# digit is also the parity of a column sum: a product's coefficient.
+_FIELD_DIGITS = tuple(bytes(b"01"[b >> k & 1] for b in range(256)) for k in (0, 1))
 
 
 def spread(a: int) -> int:
@@ -104,6 +116,12 @@ def spread(a: int) -> int:
     i.  The binary digits of a, as ASCII bytes mapped to 0 and 1 and read
     big-endian, put bit i at byte i."""
     return int.from_bytes(format(a, "b").encode().translate(_DIGIT_BYTES), "big")
+
+
+def _field(v: int, n: int, k: int = 0) -> int:
+    """Coefficients [0, n) of field k of a spread-layout int, packed: byte
+    d, read through a table, is the binary digit of coefficient d."""
+    return int((v & ((1 << 8 * n) - 1)).to_bytes(n, "big").translate(_FIELD_DIGITS[k]) or b"0", 2)
 
 
 def toeplitz_seed_len(rows: int, cols: int) -> int:
@@ -118,7 +136,7 @@ class Gf2Matrix:
 
     This is the seeded linear hash of the protocols: the data is the seed,
     the bits a session broadcasts.  `spread_seed` is the seed in ``spread``
-    form, made once per hash for `matvec` and `graph_basis`; it takes no
+    form, made once per hash for `matvec` and both lattices; it takes no
     part in equality or hashing.
     """
 
@@ -170,29 +188,45 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     CPython 3.11.7, 2-core x86-64 VM)."""
     if x.n != m.cols:
         raise Gf2Error(f"matvec: vector length {x.n} != cols {m.cols}")
-    rows, cols = m.rows, m.cols
-    if not rows or not cols:  # no window to take: the seed is empty
-        return BitVec(rows, 0)
-    window = 0
+    cols, window = m.cols, 0
     for k in range(0, cols, _SPREAD_SLOT_MAX):
         window ^= m.spread_seed * spread(x.v >> k & _SLOT_CHUNK) >> 8 * (cols - 1 - k)
-    raw = (window & ((1 << 8 * rows) - 1)).to_bytes(rows, "big")
-    return BitVec(rows, int(raw.translate(_PARITY_DIGITS), 2))
+    return BitVec(m.rows, _field(window, m.rows))
 
 
-def rank(rows: list[int], cols: int) -> int:
-    """GF(2) rank of packed rows over their first cols columns: the size of
-    an XOR basis of the masked rows, one basis row per leading bit."""
-    mask, basis = (1 << cols) - 1, {}
+def _weak_popov(rows) -> tuple:
+    """Weak Popov form of independent lattice rows in the spread layout:
+    slot k holds (row, lead bit) of the one row leading in field k.  Each
+    row is inserted by cancelling its lead against the row in that field's
+    slot, keeping the lower-leading of the two there, until it leads in an
+    empty field; independent rows never reduce to zero."""
+    slots = [None] * len(rows)
     for row in rows:
-        row &= mask
-        while row:
+        lead = row.bit_length() - 1
+        while slots[lead & 7] is not None:
+            other, other_lead = slots[lead & 7]
+            if other_lead > lead:
+                slots[lead & 7] = row, lead
+                row, lead, other, other_lead = other, other_lead, row, lead
+            row ^= other << (lead - other_lead)
             lead = row.bit_length() - 1
-            if lead not in basis:
-                basis[lead] = row
-                break
-            row ^= basis[lead]
-    return len(basis)
+        slots[lead & 7] = row, lead
+    return tuple(slots)
+
+
+def _reduce(slots, v: int, stop: int):
+    """v less lattice vectors, its lead cancelled against the slot of the
+    lead's field until the lead bit falls below stop; None when that slot's
+    row leads higher, so no lattice vector cancels the lead."""
+    lead = v.bit_length() - 1
+    try:
+        while lead >= stop:
+            row, row_lead = slots[lead & 7]
+            v ^= row << (lead - row_lead)  # a negative shift raises: the row cannot cancel the lead
+            lead = v.bit_length() - 1
+    except ValueError:
+        return None
+    return v
 
 
 def solve_affine(m: Gf2Matrix, target: BitVec):
@@ -200,45 +234,21 @@ def solve_affine(m: Gf2Matrix, target: BitVec):
     m.cols bits, or None if the system is inconsistent.
 
     For r rows, N columns, seed s and L = r + N - 1, m x is the window
-    [N - 1, L) of s x: a solution is the x part of a vector (x, y) of the
-    lattice {y = s x mod z^L} of sdeg = max(deg x, deg y + 1) < N whose y
-    reads target there.  Euclid on the basis (1, s), (0, z^L) gives weak
-    Popov form, one row pivoting on x, one on y (ties go to y), where the
-    sdeg of a sum of terms p b is the largest sdeg b + deg p.  So the kernel
-    is the x parts of z^k b for k < N - sdeg b, and reducing
-    (0, z^(N-1) target) by the rows leaves a particular solution, or stops
-    on a pivot no row cancels while sdeg >= N: inconsistent."""
+    [N - 1, L) of s x.  So x solves it iff (x, y) = (x, s x mod z^L), a
+    vector of the lattice spanned by (1, s) and (0, z^L), added to the
+    target (0, z^(N-1) target) leaves degree < N, with y counted one degree
+    up.  The kernel is the x parts of z^k b for every reduced row b and
+    k < N - deg b."""
     rows, cols = m.rows, m.cols
     if target.n != rows:
         raise Gf2Error(f"solve: target of {target.n} bits for a matrix of {rows} rows")
-    # A row (x, y) packs as x | (y << 1) << w, one shift-XOR per cancellation:
-    # a field's bit length is sdeg + 1, x stays below bit w, and N = 0 needs no case.
-    w = rows + cols + 1
-    xmask = (1 << w) - 1
-    hi, lo = 1 << (rows + cols) << w, 1 | m.data.v << 1 << w
-    while (lo >> w).bit_length() >= (lo & xmask).bit_length():  # both pivot on y
-        lead, top = lo.bit_length(), hi.bit_length()
-        while top >= lead:
-            hi ^= lo << (top - lead)
-            top = hi.bit_length()
-        hi, lo = lo, hi
-    y_lead, x_lead = (hi >> w).bit_length(), (lo & xmask).bit_length()
-    kernel = [(hi & xmask) << k for k in range(cols + 1 - y_lead)] + [(lo & xmask) << k for k in range(cols + 1 - x_lead)]
-    v = target.v << cols << w
-    while True:  # the pivot's row by hand: a tuple per step costs half the solve
-        lx, ly = (v & xmask).bit_length(), (v >> w).bit_length()
-        if ly >= lx:
-            if ly <= cols:
-                return v & xmask, kernel
-            if ly < y_lead:
-                return None
-            v ^= hi << (ly - y_lead)
-        else:
-            if lx <= cols:
-                return v & xmask, kernel
-            if lx < x_lead:
-                return None
-            v ^= lo << (lx - x_lead)
+    slots = _weak_popov((1 | m.spread_seed << 9, 1 << 8 * (rows + cols) + 1))
+    kernel = []
+    for row, lead in slots:
+        x = _field(row, cols)
+        kernel += [x << k for k in range(cols - (lead >> 3))]
+    v = _reduce(slots, spread(target.v) << 8 * cols + 1, 8 * cols)
+    return None if v is None else (_field(v, cols), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +347,8 @@ def spread_reducer(n: int):
     reused is spread once: a Toeplitz hash keeps its seed
     spread (`Gf2Matrix.spread_seed`) and `matvec` spreads only x, the joint
     decode's collinearity form spreads far's coordinates once per decode,
-    and the graph lattice (`graph_basis`, whose target `solve_graph` also
-    builds spread) reads the hash's spread seed.  `mul_int` and the
+    and both lattices (`solve_affine`, `graph_basis`) read the hash's
+    spread seed.  `mul_int` and the
     irreducibility test keep `_clmul` and `_poly_mod`.
     """
     if n > _SPREAD_SLOT_MAX:
@@ -364,15 +374,10 @@ def graph_basis(h: Gf2Matrix, m: int):
     With m u mod f = m u + q f, the lattice rows (z^(n-1), m z^(n-1),
     s (1 + z^n m) mod z^L), (0, f z^(n-1), z^n s f mod z^L) and (0, 0, z^L)
     span vectors whose first two fields are u and m u mod f shifted up by
-    n - 1, and whose third is s (u + z^n (m u mod f)) mod z^L.  Coefficient d
-    of field k sits at bit 8d + k (the ``spread`` layout), so a lead bit p
-    names field p & 7 at degree p >> 3.  Inserting each row and cancelling
-    its lead against the row holding that field gives weak Popov form
-    (Mulders & Storjohann 2003): the leads lie in distinct fields, so a
-    vector's lead is the largest of its terms', and the vectors of degree
-    < 2n - 1, the graph's kernel under H, span sum(2n - 1 - deg b) over the
-    rows b below that degree.  The basis holds the rows (rows[k] the (row,
-    lead) pair of field k), n, the spread seed and the mask of a product's
+    n - 1, and whose third is s (u + z^n (m u mod f)) mod z^L.  In weak
+    Popov form, the vectors of degree < 2n - 1, the graph's kernel under H,
+    span sum(2n - 1 - deg b) over the rows b below that degree.  The basis
+    holds the reduced rows, n, the spread seed and the mask of a product's
     parities mod z^L: all that `solve_graph` needs, and all of it a
     function of (H, m) alone."""
     n = h.cols // 2
@@ -381,28 +386,13 @@ def graph_basis(h: Gf2Matrix, m: int):
     length = h.rows + h.cols - 1
     ones = ((1 << (8 * length)) - 1) // 0xFF  # bit 0 of bytes [0, L): a product's parities mod z^L
     s, sm, sf, top = h.spread_seed, spread(m), spread(irreducible_poly(n)), 8 * (n - 1)
-    rows = [None, None, None]
-    for row in (
+    slots = _weak_popov((
         1 << top | sm << (top + 1) | ((s ^ s * sm << 8 * n) & ones) << 2,
         sf << (top + 1) | (s * sf << 8 * n & ones) << 2,
         1 << (8 * length + 2),
-    ):
-        lead = row.bit_length() - 1
-        while rows[lead & 7] is not None:  # the rows are independent: none reduces to zero
-            other, other_lead = rows[lead & 7]
-            if other_lead > lead:
-                rows[lead & 7] = row, lead
-                row, lead, other, other_lead = other, other_lead, row, lead
-            row ^= other << (lead - other_lead)
-            lead = row.bit_length() - 1
-        rows[lead & 7] = row, lead
-    low = 8 * (2 * n - 1)
-    kernel_dim = sum(2 * n - 1 - (lead >> 3) for _, lead in rows if lead < low)
-    return kernel_dim, (tuple(rows), n, s, ones)
-
-
-# Bytes to the binary digit of field 0 or field 1: bit 0 or bit 1 of the byte.
-_FIELD_DIGITS = _PARITY_DIGITS, b"0011" * 64
+    ))
+    kernel_dim = sum(2 * n - 1 - (lead >> 3) for _, lead in slots if lead < 8 * (2 * n - 1))
+    return kernel_dim, (slots, n, s, ones)
 
 
 def solve_graph(basis, value: int, base: int):
@@ -411,22 +401,13 @@ def solve_graph(basis, value: int, base: int):
     dimension is 0; None if there is none.
 
     The target (0, 0, z^(2n - 1) value xor s base mod z^L), one product of
-    spread operands, has value xor H base as its window.  Reducing it until
-    its lead falls below degree 2n - 1 leaves u and m u mod f, shifted up by
-    n - 1, in its first two fields; a lead that its field's row, leading
-    higher, cannot cancel means that no lattice vector meets the window.
-    Each byte of the remainder, read through a table, is a digit of v, then
-    of u."""
-    rows, n, s, ones = basis
+    spread operands, has value xor H base as its window.  Reduced below
+    degree 2n - 1, it holds u and m u mod f, shifted up by n - 1, in its
+    first two fields."""
+    slots, n, s, ones = basis
     low = 8 * (2 * n - 1)
-    v = ((s * spread(base) & ones) ^ spread(value) << low) << 2
-    lead = v.bit_length() - 1
-    try:
-        while lead >= low:
-            row, row_lead = rows[lead & 7]
-            v ^= row << (lead - row_lead)  # a negative shift raises: the row cannot cancel the lead
-            lead = v.bit_length() - 1
-    except ValueError:
+    v = _reduce(slots, ((s * spread(base) & ones) ^ spread(value) << low) << 2, low)
+    if v is None:
         return None
-    raw = (v >> 8 * (n - 1)).to_bytes(n, "big")
-    return base ^ int(raw.translate(_FIELD_DIGITS[1]) + raw.translate(_FIELD_DIGITS[0]), 2)
+    v >>= 8 * (n - 1)
+    return base ^ (_field(v, n, 1) << n | _field(v, n))

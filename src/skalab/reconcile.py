@@ -29,8 +29,9 @@ by the cheaper of two searches, chosen from the shape alone: when the
 the subsets in the larger half of a meet in the middle on H's column
 images, one affine solve and a walk over the coset; else the meet in the
 middle.  H is Toeplitz, so a solve (`gf2.solve_affine`, which the tracer
-times by this module's name for it) is one lattice reduction over
-GF(2)[z], O(rows + n) shift-XORs of small ints.  One cap of 2^20 words or
+times by this module's name for it) reduces a two-row lattice over
+GF(2)[z] by the graph lattice's weak Popov reducer, O(rows + n)
+shift-XORs.  One cap of 2^20 words or
 subsets bounds whichever runs, and the decode ends `search_limit` only
 when both are past it.
 

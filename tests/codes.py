@@ -1,6 +1,6 @@
 """Test-only constructions: the entry and dense-copy references for Toeplitz
 hashes, dense codes as packed rows (bit j of row i is entry (i, j)) with
-their forward elimination, affine solve and syndrome decoder, the
+their rank, forward elimination, affine solve and syndrome decoder, the
 line-point decode by elimination that the graph lattice is checked against,
 one-shot seeded hashes and fingerprints (sessions draw their seeds through
 ``protocols.draw_seeds``), and the literal scan of a candidate list that
@@ -37,6 +37,23 @@ def dense_matvec(rows: list[int], x: BitVec) -> BitVec:
 def dense_column_ints(rows: list[int], cols: int) -> list[int]:
     """Columns of packed rows (bit i of column j = entry (i, j))."""
     return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(cols)]
+
+
+def rank(rows: list[int], cols: int) -> int:
+    """GF(2) rank of packed rows over their first cols columns: the size of
+    an XOR basis of the masked rows, one basis row per leading bit.  The
+    reference for the lattice solves' kernel dimensions and the secrecy
+    certificates."""
+    mask, basis = (1 << cols) - 1, {}
+    for row in rows:
+        row &= mask
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    return len(basis)
 
 
 def eliminate(rows: list[int], cols: int):

@@ -1,13 +1,14 @@
 """Test-only entropy tools: exact entropy profiles, the empirical TV
 distance from uniform, shared constructions for the exact
 entropy-inequality suites, and the linear-algebra secrecy certificate of a
-fixed-seed two-party session."""
+fixed-seed two-party session, for light also by two lattice solves."""
 
 from fractions import Fraction
 
 from skalab.audit import fixed_seeds
 from skalab.entropy import JointDistribution, LogExpr
-from skalab.gf2 import BitVec, matvec, rank, solve_affine
+from codes import rank
+from skalab.gf2 import BitVec, Gf2Matrix, matvec, solve_affine
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets
 from skalab.protocols import toeplitz_hashes
 
@@ -223,3 +224,16 @@ def key_entropy_certificate(config, public_label) -> int:
             z = matvec(h, z)
         images.append(z.v)
     return rank(images, plan.key_len)
+
+
+def light_key_entropy_by_two_solves(config, public_label) -> int:
+    """`key_entropy_certificate` for light by two lattice solves.  Light
+    cuts its fingerprint rows A and key rows K from one seed, at offsets 0
+    and fp_rows, so [A; K] is the one Toeplitz matrix H of that seed, and
+    H(Z|T) = rank H - rank A = dim ker A - dim ker H."""
+    plan, ((_sender, _kind, seed),) = fixed_seeds(config, public_label)
+    ((fingerprint,), (key_hash,)) = toeplitz_hashes(plan.hash_layout, (seed,))
+    h = Gf2Matrix(fingerprint.rows + key_hash.rows, fingerprint.cols, seed)
+    if (fingerprint.data, key_hash.data) != (seed.slice(0, fingerprint.data.n), seed.slice(fingerprint.rows, seed.n)):
+        raise AssertionError("light's hashes are not the two row blocks of its seed's matrix")
+    return len(solve_affine(fingerprint, BitVec(fingerprint.rows, 0))[1]) - len(solve_affine(h, BitVec(h.rows, 0))[1])

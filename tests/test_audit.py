@@ -17,9 +17,9 @@ from skalab.audit import (
     worst_stratum,
 )
 from skalab.channel import TranscriptRecord
-from codes import to_dense
-from entropy_checks import key_entropy_certificate
-from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank, solve_affine
+from codes import rank, to_dense
+from entropy_checks import key_entropy_certificate, light_key_entropy_by_two_solves
+from skalab.gf2 import BitVec, Gf2Matrix, matvec, solve_affine
 from skalab.protocols import Margins, SessionConfig, execute, input_stream, toeplitz_hashes
 from skalab.rng import SeedStream
 from skalab.sources import parse_model_spec, sample
@@ -334,6 +334,28 @@ def test_exact_audit_key_entropy_equals_its_certificate(protocol, spec, eps, mar
         audited = exact_small_n_audit(config, public_label)
         assert certificate <= audited.key_len
         assert abs(audited.h_key_given_view - certificate) < 1e-9, (public_label, certificate, audited.h_key_given_view)
+
+
+LIGHT_CERTIFIED = [(spec, eps) for protocol, spec, eps, _margins in CERTIFIED if protocol == "light"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("spec, eps", LIGHT_CERTIFIED, ids=[spec for spec, _eps in LIGHT_CERTIFIED])
+def test_light_certificate_is_two_lattice_solves(spec, eps, seed):
+    # dim ker A - dim ker [A; K], one Toeplitz matrix, against rank K(ker A).
+    config = light_config(spec, eps, seed)
+    for public_label in range(3):
+        assert light_key_entropy_by_two_solves(config, public_label) == key_entropy_certificate(config, public_label)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("spec, at_seed_1", [("line-point:n=62", 30), ("hamming:n=255,t=2", 208)])
+def test_light_certificate_is_two_lattice_solves_at_bench_sizes(spec, at_seed_1, seed):
+    config = light_config(spec, Fraction(1, 2**32), seed)
+    certificate = key_entropy_certificate(config, 0)
+    assert light_key_entropy_by_two_solves(config, 0) == certificate
+    if seed == 1:
+        assert certificate == at_seed_1
 
 
 # ---------------------------------------------------------

@@ -73,3 +73,42 @@ def test_transcript_one_lookup_errors():
     )
     with pytest.raises(LookupError):
         t.one("fingerprint", 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["8:", "8:0000", "1_6:ffff", " 16:ffff", "+16:ffff", "16:ff ff", "٨:ff", "16:FFFF", "08:00", "16:ffff ", "-8:00"],
+)
+def test_hex_read_back_takes_only_what_to_hex_writes(text):
+    # int() and bytes.fromhex would read each of these as a vector whose
+    # to_hex is another text.
+    with pytest.raises(ValueError):
+        BitVec.from_hex(text)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["+1,1,fingerprint,8:00", "1,٢,fingerprint,8:00", "1_0,1,fingerprint,8:00", " 1,1,fingerprint,8:00", "1,1,fingerprint,8:00\n", "1,1,fingerprint,8:"],
+)
+def test_record_read_back_takes_only_what_dump_writes(line):
+    assert TranscriptRecord.parse("1,1,fingerprint,8:00").dump() == "1,1,fingerprint,8:00"
+    with pytest.raises(ValueError):
+        TranscriptRecord.parse(line)
+    with pytest.raises(ValueError):
+        Transcript.parse(line.rstrip("\n") + "\n\n")  # no dump writes a blank line
+
+
+@pytest.mark.parametrize(
+    "spec, protocol, margins",
+    [
+        ("line-point:n=4", "light", None),
+        ("hamming:n=15,t=1", "two_phase", None),
+        ("triple:n=4", "omniscience", Margins(k_slack=0, phase1=2, deficiency=0, extractor_eps=Fraction(1, 2))),
+    ],
+)
+def test_session_transcript_reads_back_to_itself(spec, protocol, margins):
+    t = run_session(SessionConfig(parse_model_spec(spec), protocol, Fraction(1, 4), 5, margins), 3).transcript
+    assert len(t.records) >= 2
+    assert Transcript.parse(t.dump()) == t
+    with pytest.raises(ValueError):
+        Transcript.parse(t.dump().rstrip("\n"))  # dump ends every record with a newline

@@ -13,13 +13,12 @@ from skalab.gf2 import (
     irreducible_poly,
     matvec,
     mul_int,
-    rank,
     solve_affine,
     spread,
     spread_reducer,
     toeplitz_seed_len,
 )
-from codes import dense_column_ints, dense_matvec, dense_solve_affine, eliminate, entry, graph_images, to_dense, x_power_multiples
+from codes import dense_column_ints, dense_matvec, dense_solve_affine, eliminate, entry, graph_images, rank, to_dense, x_power_multiples
 from skalab.rng import SeedStream
 
 
@@ -329,23 +328,48 @@ def test_solve_affine_matches_reference_elimination():
     assert outcomes == {True, False}
 
 
+def _session_seeds(stream, n):
+    """Two random seeds of n bits, then the zero, one-bit and all-ones
+    seeds: Toeplitz matrices of full, deficient and zero rank."""
+    return [("random", stream.bits(n)), ("random", stream.bits(n)), ("zero", 0), ("one bit", 1 << (n // 2)), ("all ones", (1 << n) - 1)]
+
+
 # Omniscience on triple:n=32 solves 62 x 64 fingerprints and on triple:n=30
-# 59 x 60; light on hamming:n=31,t=3 at eps = 2^-32 walks a 45 x 31 coset;
-# the others are wide (a kernel past the coset cap) and very tall.
-@pytest.mark.parametrize("rows,cols", [(62, 64), (59, 60), (94, 124), (45, 31), (27, 4)])
+# 59 x 60; light on hamming:n=31,t=3 at eps = 2^-32 walks a 45 x 31 coset,
+# and light on hamming:n=1023,t=2 fingerprints with 51 x 1023; the others
+# are wide (a kernel past the coset cap) and very tall.
+@pytest.mark.parametrize("rows,cols", [(62, 64), (59, 60), (94, 124), (45, 31), (27, 4), (51, 1023)])
 def test_solve_affine_on_session_shapes_matches_reference(rows, cols):
-    # Toeplitz matrices of full, deficient and zero rank, each with a
-    # consistent target and a random one.
+    # Each matrix with a consistent target and a random one.
     stream = SeedStream("session-shapes", rows, cols)
     n = rows + cols - 1
-    seeds = [("random", stream.bits(n)), ("random", stream.bits(n))]
-    seeds += [("zero", 0), ("one bit", 1 << (n // 2)), ("all ones", (1 << n) - 1)]
+    seeds = _session_seeds(stream, n)
     for name, seed in seeds:
         m = Gf2Matrix(rows, cols, BitVec(n, seed))
         assert assert_same_solutions(m, matvec(m, stream.bitvec(cols))), name
         assert_same_solutions(m, stream.bitvec(rows))
     ranks = {name: rank(to_dense(Gf2Matrix(rows, cols, BitVec(n, seed))), cols) for name, seed in seeds}
     assert ranks["zero"] == 0 and ranks["all ones"] == 1 and ranks["one bit"] > 0
+
+
+def test_solve_affine_on_the_widest_session_shape():
+    # The whole H of light on hamming:n=1023,t=2 at eps = 2^-32, 1055 x 1023,
+    # where the dense reference costs seconds a solve.  Instead: a solution
+    # solves, the kernel is independent and in ker m with cols - rank
+    # vectors, and a target is consistent iff it leaves the column rank as it is.
+    rows, cols = 1055, 1023
+    stream = SeedStream("session-shapes", rows, cols)
+    for name, seed in _session_seeds(stream, rows + cols - 1):
+        m = Gf2Matrix(rows, cols, BitVec(rows + cols - 1, seed))
+        columns = m.column_ints()
+        for target in (matvec(m, stream.bitvec(cols)), stream.bitvec(rows)):
+            got = solve_affine(m, target)
+            assert (got is not None) == (rank(columns + [target.v], rows) == rank(columns, rows)), name
+            if got is not None:
+                particular, kernel = got
+                assert matvec(m, BitVec(cols, particular)) == target
+                assert all(matvec(m, BitVec(cols, v)).v == 0 for v in kernel)
+                assert len(kernel) == rank(kernel, cols) == cols - rank(columns, rows)
 
 
 # ---------------------------------------------------------

@@ -17,6 +17,7 @@ from codes import (
     graph_images,
     hamming_parity_check,
     random_linear_code,
+    rank,
     syndrome_decode,
     to_dense,
     x_power_multiples,
@@ -24,7 +25,7 @@ from codes import (
 from model_checks import candidate_words, is_consistent, packed
 from skalab import gf2, reconcile, sources
 from skalab.audit import exact_small_n_audit
-from skalab.gf2 import BitVec, Gf2Matrix, matvec, rank, toeplitz_seed_len
+from skalab.gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2
 from skalab.protocols import SessionConfig, draw_seeds, execute, session_plan, session_streams, toeplitz_hashes
 from skalab.reconcile import (
