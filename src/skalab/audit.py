@@ -8,8 +8,11 @@ exactly.  The adversary's view is the whole public transcript.  Each audit
 draws the public hash and extractor seeds once, from its own fixed stream
 (``fixed_seeds``), and tabulates (transcript, key) counts over its input
 tuples.  With the seeds fixed a session is a pure function of its input
-tuple, so each distinct tuple runs once and a repeat only adds to its
-count.  Two instruments read that table:
+tuple, so each distinct tuple runs once, and a repeat only adds to its
+count.  All tuples share one ``protocols.SessionDriver``, which computes
+each fingerprint, decode and key chain once per sender input, (party, own
+input, fingerprints) and recovered word: nothing else enters them.  Two
+instruments read that table:
 
 * ``conditional_uniformity`` Monte-Carlo: resample inputs each trial; with
   the seeds fixed the transcript varies only through input-dependent
@@ -34,7 +37,7 @@ from .entropy import (
     conditional_entropy_bits,
     transcript_inequality_audit,
 )
-from .protocols import SessionConfig, SessionPlan, draw_seeds, execute, input_stream, session_plan
+from .protocols import SessionConfig, SessionDriver, SessionPlan, draw_seeds, input_stream, session_plan
 from .rng import SeedStream
 from .sources import sample
 
@@ -157,7 +160,9 @@ def fixed_seeds(config: SessionConfig, public_label: int | None = None) -> tuple
 
 
 def _tabulate(plan: SessionPlan, seeds: tuple, inputs) -> tuple:
-    """Run each distinct input tuple once on the fixed seeds.  Returns
+    """Run each distinct input tuple once, with its own transcript,
+    agreement and leak check, on one driver of the fixed seeds, which
+    shares fingerprints, decodes and key chains among the tuples.  Returns
     ({inputs: ((transcript, party 1's key or None), agreed)}, {(transcript,
     key): count} in order of first occurrence, number of sessions that
     agreed); a transcript is its records' (kind, bits, value) triples.
@@ -166,13 +171,14 @@ def _tabulate(plan: SessionPlan, seeds: tuple, inputs) -> tuple:
     repeated tuple adds its memoized cell and agreement again instead of
     re-running the session.  The first trial to reach a cell is always a
     tuple's first occurrence, so the cell order is the per-trial order."""
+    driver = SessionDriver(plan, seeds)
     memo: dict = {}
     counts: dict = {}
     agreed = 0
     for x in inputs:
         hit = memo.get(x)
         if hit is None:
-            o = execute(plan, x, seeds)
+            o = driver.run(x)
             t = tuple((r.kind, r.payload.n, r.payload.v) for r in o.transcript.records)
             hit = memo[x] = ((t, o.keys[0]), o.agreed)
         cell, ok = hit

@@ -1,7 +1,7 @@
 """The public transcript: every record the parties broadcast, all of which
 the eavesdropper sees.
 
-Every protocol sends in one round, so ``protocols.execute`` builds a
+Every protocol sends in one round, so ``protocols.SessionDriver`` builds a
 session's transcript from its round-1 records directly.  Total payload
 bits are the communication accounting; fingerprints are reconciliation
 payload, and hash specs and seeds are public overhead counted in the total.
@@ -24,6 +24,10 @@ class TranscriptRecord:
     sender: int
     kind: str
     payload: BitVec
+
+    def __post_init__(self) -> None:  # `parse` splits at commas and line breaks
+        if "," in self.kind or "".join(self.kind.splitlines()) != self.kind:
+            raise ValueError(f"record kind {self.kind!r} holds a comma or a line break")
 
     def dump(self) -> str:
         return f"{self.round},{self.sender},{self.kind},{self.payload.to_hex()}"

@@ -10,17 +10,19 @@ All three protocols run on one driver, in three steps:
    It also lays out every public seed and every hash as plain data, and
    no later step knows the protocol by name.
 2. broadcast  ``draw_seeds(plan, public_stream)`` draws the public Toeplitz
-   seeds, and ``execute(plan, inputs, seeds)`` records them in the
-   one-round transcript, each fingerprint right after the seed its hash
-   is cut from.
-   Audits hold the public seeds fixed, so they draw them once.
+   seeds, and ``SessionDriver(plan, seeds).run(inputs)`` records them in
+   the one-round transcript, each fingerprint right after the seed its
+   hash is cut from; ``execute`` is a fresh driver's run.  Audits hold
+   the public seeds fixed, so they draw them once and keep one driver.
 3. party key  each party recovers the fingerprint senders' inputs from its
-   own input and the fingerprints and passes them through the key chain.
-   ``execute`` hands every party the fingerprints and key chain it built
-   for the broadcast; ``party_key_from_transcript(config, party, own,
-   transcript)`` reads the same from the transcript alone.  Both feed one
-   key function.  The hashes are pure functions of the public seeds, so
-   they are built once per distinct seed tuple.
+   own input and the fingerprints and passes them through the key chain,
+   in ``SessionDriver.party_key``, which ``run`` and
+   ``party_key_from_transcript`` (the transcript alone) both call.  Given
+   the seeds, a fingerprint is a pure function of its sender's input, a
+   recovery (its decode and guard) of the party's own input and the
+   fingerprints, and a key chain of the recovered word, so a driver
+   memoizes each under plain ints: (sender slot, input), (party, own
+   input, fingerprint values) and the packed word.
 
 Every hash is a seeded Toeplitz matrix (``gf2.Gf2Matrix``), a universal
 family with rows + cols - 1 seed bits (Mansour, Nisan & Tiwari 1990;
@@ -278,20 +280,6 @@ def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
     return res.status, res.value
 
 
-def _party_key(plan: SessionPlan, party: int, own: BitVec, fps, chain: tuple):
-    """(key, status, key material) of one party from its own input, the
-    senders' fingerprints and the key chain; the material is the first
-    hash's output, and key and material are None unless the status is
-    unique."""
-    status, known = _reconcile(plan, party, own, fps)
-    if status != STATUS_UNIQUE:
-        return None, status, None
-    key = material = matvec(chain[0], known)
-    for h in chain[1:]:
-        key = matvec(h, key)
-    return key, STATUS_UNIQUE, material
-
-
 # ---------------------------------------------------------------------------
 # Session driver
 # ---------------------------------------------------------------------------
@@ -311,33 +299,66 @@ def _forbid_secret_payloads(transcript: Transcript, secrets) -> None:
                 )
 
 
+class SessionDriver:
+    """Sessions on one plan and public seeds (from ``draw_seeds``): ``run``
+    broadcasts, gives every party its key and runs the shared agreement and
+    leak checks.  Step 3's memos live on the driver, not the module."""
+
+    def __init__(self, plan: SessionPlan, seeds: tuple) -> None:
+        self.plan = plan
+        self.fp_hashes, self.chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
+        self._seed_records = [TranscriptRecord(1, sender, kind, payload) for sender, kind, payload in seeds]
+        self._fingerprints, self._recovered, self._keys = {}, {}, {}
+
+    def fingerprint(self, slot: int, x: BitVec) -> tuple:
+        """(fingerprint, its transcript record) of sender slot + 1's input x."""
+        hit = self._fingerprints.get((slot, x.v))
+        if hit is None:
+            h = self.fp_hashes[slot]
+            fp = Fingerprint(h, matvec(h, x))
+            hit = self._fingerprints[slot, x.v] = fp, TranscriptRecord(1, slot + 1, "fingerprint", fp.value)
+        return hit
+
+    def party_key(self, party: int, own: BitVec, fps):
+        """(key, status, key material) of one party from its own input and
+        the senders' fingerprints; the material is the chain's first hash
+        output, and key and material are None unless the status is unique."""
+        view = (party, own.v, tuple(fp.value.v for fp in fps))
+        recovered = self._recovered.get(view)
+        if recovered is None:
+            recovered = self._recovered[view] = _reconcile(self.plan, party, own, fps)
+        status, known = recovered
+        if status != STATUS_UNIQUE:
+            return None, status, None
+        chained = self._keys.get(known.v)
+        if chained is None:
+            key = material = matvec(self.chain[0], known)
+            for h in self.chain[1:]:
+                key = matvec(h, key)
+            chained = self._keys[known.v] = key, STATUS_UNIQUE, material
+        return chained
+
+    def run(self, inputs: tuple) -> SessionOutcome:
+        records, fps = [], []
+        for slot, record in enumerate(self._seed_records):
+            records.append(record)
+            if slot < len(self.fp_hashes):  # sender slot + 1's fingerprint hash is cut from this slot
+                fp, fp_record = self.fingerprint(slot, inputs[slot])
+                fps.append(fp)
+                records.append(fp_record)
+        transcript = Transcript(records)
+        keys, statuses, materials = zip(*(self.party_key(i, own, fps) for i, own in enumerate(inputs, start=1)))
+        agreed = all(s == STATUS_UNIQUE for s in statuses) and len(set(keys)) == 1
+        _forbid_secret_payloads(transcript, tuple(inputs) + materials + keys)
+        return SessionOutcome(
+            keys=keys, transcript=transcript, agreed=agreed, key_len=self.plan.key_len, comm_bits=transcript.total_bits(),
+            target_key_len=self.plan.target_key_len, target_comm=self.plan.target_comm, payload_bits=transcript.payload_bits(),
+            decode_status=next((s for s in statuses if s != STATUS_UNIQUE), STATUS_UNIQUE))
+
+
 def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
-    """One session on prescribed inputs and public seeds (from
-    ``draw_seeds``): broadcast, every party's key, and the shared agreement
-    and leak checks."""
-    fp_hashes, chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
-    records, fps = [], []
-    for slot, (sender, kind, payload) in enumerate(seeds):
-        records.append(TranscriptRecord(1, sender, kind, payload))
-        if slot < len(fp_hashes):  # sender slot + 1's fingerprint hash is cut from this slot
-            h = fp_hashes[slot]
-            fps.append(Fingerprint(h, matvec(h, inputs[slot])))
-            records.append(TranscriptRecord(1, slot + 1, "fingerprint", fps[-1].value))
-    transcript = Transcript(records)
-    keys, statuses, materials = zip(*(_party_key(plan, i, own, fps, chain) for i, own in enumerate(inputs, start=1)))
-    agreed = all(s == STATUS_UNIQUE for s in statuses) and len(set(keys)) == 1
-    _forbid_secret_payloads(transcript, tuple(inputs) + materials + keys)
-    return SessionOutcome(
-        keys=keys,
-        transcript=transcript,
-        agreed=agreed,
-        key_len=plan.key_len,
-        comm_bits=transcript.total_bits(),
-        target_key_len=plan.target_key_len,
-        target_comm=plan.target_comm,
-        decode_status=next((s for s in statuses if s != STATUS_UNIQUE), STATUS_UNIQUE),
-        payload_bits=transcript.payload_bits(),
-    )
+    """One session on prescribed inputs and public seeds: a fresh driver's run."""
+    return SessionDriver(plan, seeds).run(inputs)
 
 
 def session_streams(config: SessionConfig, trial: int):
@@ -365,11 +386,10 @@ def party_key_from_transcript(config: SessionConfig, party: int, own: BitVec, tr
     """A party's (key, status) from its own input and the transcript alone:
     the hashes that the plan's layout cuts from the seed records
     (``toeplitz_hashes``, cached per seed tuple) and the senders'
-    fingerprint records.  ``execute`` feeds ``_party_key`` the same objects
+    fingerprint records.  ``run`` feeds ``party_key`` the same objects
     from its broadcast instead."""
     plan = session_plan(config)
-    seeds = tuple(transcript.one(kind, sender).payload for sender, kind, _labels, _bits in plan.seed_slots)
-    fp_hashes, chain = toeplitz_hashes(plan.hash_layout, seeds)
-    fps = [Fingerprint(h, transcript.one("fingerprint", i).payload) for i, h in enumerate(fp_hashes, start=1)]
-    key, status, _material = _party_key(plan, party, own, fps, chain)
+    driver = SessionDriver(plan, tuple((sender, kind, transcript.one(kind, sender).payload) for sender, kind, _labels, _bits in plan.seed_slots))
+    fps = [Fingerprint(h, transcript.one("fingerprint", i).payload) for i, h in enumerate(driver.fp_hashes, start=1)]
+    key, status, _material = driver.party_key(party, own, fps)
     return key, status

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import skalab.audit
+from skalab import protocols
 from skalab.audit import (
     AuditReport,
     Z_PASS,
@@ -20,7 +21,7 @@ from skalab.channel import TranscriptRecord
 from codes import rank, to_dense
 from entropy_checks import key_entropy_certificate, light_key_entropy_by_two_solves
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, solve_affine
-from skalab.protocols import Margins, SessionConfig, execute, input_stream, toeplitz_hashes
+from skalab.protocols import Margins, SessionConfig, SessionDriver, execute, input_stream, toeplitz_hashes
 from skalab.rng import SeedStream
 from skalab.sources import parse_model_spec, sample
 
@@ -73,13 +74,14 @@ def test_line_point_light_audit_measures_check_bit_deficiency():
 
 def test_canary_leaking_key_fails_audit(monkeypatch):
     config = light_config("identical:n=8", Fraction(1, 4))
+    run = SessionDriver.run
 
-    def leaky(plan, inputs, seeds):
-        o = execute(plan, inputs, seeds)
+    def leaky(driver, inputs):
+        o = run(driver, inputs)
         o.transcript.records.append(TranscriptRecord(2, 1, "leak", o.keys[0]))
         return o
 
-    monkeypatch.setattr(skalab.audit, "execute", leaky)
+    monkeypatch.setattr(SessionDriver, "run", leaky)
     report = conditional_uniformity(config, trials=6000)
     assert not report.passed
     assert report.est_tv > 0.9  # within a leak stratum the key is constant
@@ -87,15 +89,18 @@ def test_canary_leaking_key_fails_audit(monkeypatch):
 
 
 def _tabulate_every_trial(plan, seeds, inputs):
-    """Reference tabulation: one session per trial, no memo."""
+    """Reference tabulation: one plain session (``execute``, a fresh
+    driver) per trial, so no work is shared between trials."""
+    cells: dict = {}
     counts: dict = {}
     agreed = 0
     for x in inputs:
         o = execute(plan, x, seeds)
         t = tuple((r.kind, r.payload.n, r.payload.v) for r in o.transcript.records)
+        cells[x] = ((t, o.keys[0]), o.agreed)
         counts[(t, o.keys[0])] = counts.get((t, o.keys[0]), 0) + 1
         agreed += o.agreed
-    return None, counts, agreed
+    return cells, counts, agreed
 
 
 @pytest.mark.parametrize(
@@ -108,32 +113,95 @@ def test_memoized_audit_matches_one_session_per_trial(monkeypatch, spec, eps):
     assert memoized == conditional_uniformity(config, trials=2000).records()
 
 
-def _count_executions(monkeypatch) -> list:
-    calls = []
+TINY_MARGINS = Margins(k_slack=0, phase1=2, deficiency=0, extractor_eps=Fraction(1, 2))  # the bench's triple:n=2 margins
+EXACT_CROSS_CHECKED = [
+    SessionConfig(parse_model_spec("line-point:n=3"), "light", Fraction(1, 2), 101),
+    SessionConfig(parse_model_spec("hamming:n=6,t=1"), "two_phase", Fraction(1, 2), 3, TINY_MARGINS),
+    SessionConfig(parse_model_spec("identical:n=4"), "light", Fraction(1, 4), 101),
+    SessionConfig(parse_model_spec("triple:n=2"), "omniscience", Fraction(1, 2**24), 7, TINY_MARGINS),
+]
 
-    def counted(plan, inputs, seeds):
-        calls.append(inputs)
-        return execute(plan, inputs, seeds)
 
-    monkeypatch.setattr(skalab.audit, "execute", counted)
-    return calls
+def _exact_fields(res):
+    """Every ExactAuditResult field as plain values; a LogExpr is its
+    rational part and its log terms."""
+    a = res.audit
+    residuals = [None if r is None else (r.rat, r.terms) for r in (a.residual_i, a.residual_j)]
+    return (*residuals, a.rectangle_ok, a.rectangle_violations, res.h_key_given_view, res.key_len, res.instances, res.agreement_rate)
+
+
+@pytest.mark.parametrize("config", EXACT_CROSS_CHECKED, ids=lambda c: f"{c.protocol}-{c.model.spec_string()}")
+def test_memoized_exact_audit_matches_one_session_per_instance(monkeypatch, config):
+    memoized = [_exact_fields(exact_small_n_audit(config, label)) for label in range(2)]
+    monkeypatch.setattr(skalab.audit, "_tabulate", _tabulate_every_trial)
+    assert memoized == [_exact_fields(exact_small_n_audit(config, label)) for label in range(2)]
+    if config.model.spec_string() == "line-point:n=3":
+        assert min(agreement for *_rest, agreement in memoized) < 1  # some decode is not unique
+
+
+def _count_work(monkeypatch) -> dict:
+    """Every driver run (its input tuple), fingerprint and key-chain hash
+    (the hashed word) and recovery (party, own input, fingerprint values)
+    that the audit computes."""
+    work = {"run": [], "fingerprint": [], "reconcile": [], "chain": []}
+    run, hash_once, recover = SessionDriver.run, protocols.matvec, protocols._reconcile
+
+    def counted_run(driver, inputs):
+        work["driver"] = driver
+        work["run"].append(inputs)
+        return run(driver, inputs)
+
+    def counted_matvec(h, x):
+        driver = work["driver"]
+        if any(h is fp for fp in driver.fp_hashes):
+            work["fingerprint"].append(x.v)
+        elif h is driver.chain[0]:
+            work["chain"].append(x.v)
+        return hash_once(h, x)
+
+    def counted_reconcile(plan, party, own, fps):
+        work["reconcile"].append((party, own.v, tuple(fp.value.v for fp in fps)))
+        return recover(plan, party, own, fps)
+
+    monkeypatch.setattr(SessionDriver, "run", counted_run)
+    monkeypatch.setattr(protocols, "matvec", counted_matvec)
+    monkeypatch.setattr(protocols, "_reconcile", counted_reconcile)
+    return work
+
+
+def _assert_light_work(work, plan, seeds, tuples):
+    """One run per distinct tuple, one fingerprint per distinct sender
+    input, one recovery per distinct (party, own input, fingerprint) and
+    one key chain per distinct recovered word, each computed once.  Party
+    1 recovers its own x; a unique decode of party 2 is a word with x's
+    fingerprint among y's candidates, which is x, so the recovered words
+    are the distinct x."""
+    (fp_hash,), _chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
+    fp_of = {x.v: matvec(fp_hash, x).v for x, _y in tuples}
+    views = {(1, x.v, (fp_of[x.v],)) for x, _y in tuples} | {(2, y.v, (fp_of[x.v],)) for x, y in tuples}
+    assert len(work["run"]) == len(set(work["run"])) == len(tuples)
+    assert sorted(work["fingerprint"]) == sorted(fp_of)
+    assert sorted(work["reconcile"]) == sorted(views)
+    assert sorted(work["chain"]) == sorted(fp_of)
 
 
 def test_monte_carlo_audit_runs_each_distinct_tuple_once(monkeypatch):
     config = light_config("line-point:n=3", Fraction(1, 2), seed=23)
-    calls = _count_executions(monkeypatch)
+    work = _count_work(monkeypatch)
     conditional_uniformity(config, trials=2000)
     master = SeedStream("skalab", config.seed)
     distinct = {sample(config.model, input_stream(master, t)).inputs for t in range(2000)}
     assert len(distinct) < 2000  # the sample repeats tuples, so the memo is exercised
-    assert len(calls) == len(set(calls)) == len(distinct)
+    _assert_light_work(work, *fixed_seeds(config), distinct)
 
 
 def test_exact_audit_runs_every_instance_once(monkeypatch):
     config = light_config("line-point:n=2", Fraction(1, 4))
-    calls = _count_executions(monkeypatch)
+    work = _count_work(monkeypatch)
     exact_small_n_audit(config)
-    assert len(calls) == config.model.instance_count()
+    instances = set(config.model.instances())
+    assert len(instances) == config.model.instance_count()
+    _assert_light_work(work, *fixed_seeds(config, 0), instances)
 
 
 def test_inconclusive_when_strata_too_thin():

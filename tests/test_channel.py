@@ -98,14 +98,33 @@ def test_record_read_back_takes_only_what_dump_writes(line):
         Transcript.parse(line.rstrip("\n") + "\n\n")  # no dump writes a blank line
 
 
-@pytest.mark.parametrize(
-    "spec, protocol, margins",
-    [
-        ("line-point:n=4", "light", None),
-        ("hamming:n=15,t=1", "two_phase", None),
-        ("triple:n=4", "omniscience", Margins(k_slack=0, phase1=2, deficiency=0, extractor_eps=Fraction(1, 2))),
-    ],
-)
+SESSION_SHAPES = [
+    ("line-point:n=4", "light", None),
+    ("hamming:n=15,t=1", "two_phase", None),
+    ("triple:n=4", "omniscience", Margins(k_slack=0, phase1=2, deficiency=0, extractor_eps=Fraction(1, 2))),
+]
+
+
+@pytest.mark.parametrize("spec, protocol, margins", SESSION_SHAPES)
+def test_every_record_kind_of_a_plan_reads_back(spec, protocol, margins):
+    config = SessionConfig(parse_model_spec(spec), protocol, Fraction(1, 4), 5, margins)
+    plan = session_plan(config)
+    kinds = {kind for _sender, kind, _labels, _bits in plan.seed_slots} | {"fingerprint"}
+    assert kinds == {r.kind for r in run_session(config, 0).transcript.records}
+    for kind in sorted(kinds):
+        for sender in range(1, config.model.parties + 1):
+            record = TranscriptRecord(1, sender, kind, BitVec(12, 0xA5C))
+            assert TranscriptRecord.parse(record.dump()) == record
+
+
+@pytest.mark.parametrize("kind", ["a,b", ",", "fingerprint,", "a\nb", "a\r", "a\r\nb", "\x0b", "a\x85b", "a\u2028b"])
+def test_record_kind_that_dump_cannot_write_back_is_rejected(kind):
+    # dump would write "1,1,a,b,8:00", which parse splits at the wrong comma
+    with pytest.raises(ValueError, match="comma or a line break"):
+        TranscriptRecord(1, 1, kind, BitVec(8, 0))
+
+
+@pytest.mark.parametrize("spec, protocol, margins", SESSION_SHAPES)
 def test_session_transcript_reads_back_to_itself(spec, protocol, margins):
     t = run_session(SessionConfig(parse_model_spec(spec), protocol, Fraction(1, 4), 5, margins), 3).transcript
     assert len(t.records) >= 2

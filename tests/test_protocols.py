@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from skalab import audit, protocols, reconcile
+from skalab import protocols, reconcile
 from skalab.audit import conditional_uniformity, fixed_seeds
 from skalab.channel import Transcript
 from skalab.protocols import (
@@ -506,10 +506,10 @@ def test_execute_feeds_each_party_what_the_transcript_names(config, monkeypatch)
     where the decode is not unique."""
     plan, trials = session_plan(config), 12
     lookups, hash_calls, party_keys = [], [], []
-    one, hashes, key_of = Transcript.one, protocols.toeplitz_hashes, protocols._party_key
+    one, hashes, key_of = Transcript.one, protocols.toeplitz_hashes, protocols.SessionDriver.party_key
     monkeypatch.setattr(Transcript, "one", lambda *a, **k: lookups.append(a) or one(*a, **k))
     monkeypatch.setattr(protocols, "toeplitz_hashes", lambda *a: hash_calls.append(a) or hashes(*a))
-    monkeypatch.setattr(protocols, "_party_key", lambda *a: party_keys.append(key_of(*a)) or party_keys[-1])
+    monkeypatch.setattr(protocols.SessionDriver, "party_key", lambda *a: party_keys.append(key_of(*a)) or party_keys[-1])
     sessions = []
     for trial in range(trials):
         input_stream, public_stream = session_streams(config, trial)
@@ -586,14 +586,14 @@ def test_fixed_public_seeds_are_drawn_once(config, monkeypatch):
     session's, and every session it runs broadcasts exactly them."""
     plan, seeds = fixed_seeds(config)
     assert seeds != draw_seeds(plan, session_streams(config, 0)[1])
-    transcripts = []
+    transcripts, run = [], protocols.SessionDriver.run
 
-    def recording(plan, inputs, seeds):
-        o = protocols.execute(plan, inputs, seeds)
+    def recording(driver, inputs):
+        o = run(driver, inputs)
         transcripts.append(o.transcript)
         return o
 
-    monkeypatch.setattr(audit, "execute", recording)
+    monkeypatch.setattr(protocols.SessionDriver, "run", recording)
     conditional_uniformity(config, trials=5)
     assert len(transcripts) == 5
     for t in transcripts:

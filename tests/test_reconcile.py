@@ -24,7 +24,7 @@ from codes import (
 )
 from model_checks import candidate_words, is_consistent, packed
 from skalab import gf2, reconcile, sources
-from skalab.audit import exact_small_n_audit
+from skalab.audit import exact_small_n_audit, fixed_seeds
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2
 from skalab.protocols import SessionConfig, draw_seeds, execute, session_plan, session_streams, toeplitz_hashes
@@ -139,11 +139,16 @@ def test_decode_matches_scan_on_affine_sets():
 def test_factorization_memo_once_per_receiver_abscissa():
     # Bob's candidate basis depends only on his abscissa c, and the audit
     # fixes H: one lattice reduction per c, 2^4 of them for 4,096 instances.
+    # The audit decodes each distinct (y, fingerprint) once, and every
+    # decode after the first of its c reuses the basis.
     config = SessionConfig(parse_model_spec("line-point:n=4"), "light", Fraction(1, 4), 5)
+    plan, seeds = fixed_seeds(config, 0)
+    (h,), _chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
+    decodes = len({(y.v, matvec(h, x).v) for x, y in config.model.instances()})
     _graph_basis.cache_clear()
     exact_small_n_audit(config)
     info = _graph_basis.cache_info()
-    assert (info.misses, info.hits) == (16, 4080)
+    assert (info.misses, info.hits) == (16, decodes - 16)
 
 
 def test_factorization_memo_shared_across_fingerprint_values():
