@@ -77,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--protocol", required=True, choices=["light", "two-phase", "omniscience"])
         p.add_argument("--eps", type=_fraction, default=Fraction(1, 256))
         p.add_argument("--seed", type=_decimal, default=0)
-        p.add_argument("--margin-k", type=_decimal, default=None)
-        p.add_argument("--margin-phase1", type=_decimal, default=None)
-        p.add_argument("--margin-deficiency", type=_decimal, default=None)
+        p.add_argument("--margin-k", type=_at_least(0), default=None)
+        p.add_argument("--margin-phase1", type=_at_least(0), default=None)
+        p.add_argument("--margin-deficiency", type=_at_least(0), default=None)
         p.add_argument("--extractor-eps", type=_fraction, default=None)
 
     sim = sub.add_parser("simulate", parents=[common], help="run protocol sessions, write per-trial CSV")

@@ -136,14 +136,16 @@ class Gf2Matrix:
 
     This is the seeded linear hash of the protocols: the data is the seed,
     the bits a session broadcasts.  `spread_seed` is the seed in ``spread``
-    form, made once per hash for `matvec` and both lattices; it takes no
-    part in equality or hashing.
+    form, made once per hash for `matvec` and both lattices, and
+    `graph_bases` holds `graph_basis`'s reductions by multiplier; neither
+    takes part in equality or hashing, and both go with the hash.
     """
 
     rows: int
     cols: int
     data: BitVec
     spread_seed: int = field(init=False, repr=False, compare=False)
+    graph_bases: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -379,7 +381,10 @@ def graph_basis(h: Gf2Matrix, m: int):
     span sum(2n - 1 - deg b) over the rows b below that degree.  The basis
     holds the reduced rows, n, the spread seed and the mask of a product's
     parities mod z^L: all that `solve_graph` needs, and all of it a
-    function of (H, m) alone."""
+    function of (H, m) alone, so H keeps it in `graph_bases` by m: a
+    fixed-seed audit decodes many targets on each receiver's m."""
+    if m in h.graph_bases:
+        return h.graph_bases[m]
     n = h.cols // 2
     if h.cols != 2 * n:
         raise Gf2Error(f"a graph basis needs a hash of 2n columns, got {h.rows}x{h.cols}")
@@ -392,7 +397,8 @@ def graph_basis(h: Gf2Matrix, m: int):
         1 << (8 * length + 2),
     ))
     kernel_dim = sum(2 * n - 1 - (lead >> 3) for _, lead in slots if lead < 8 * (2 * n - 1))
-    return kernel_dim, (slots, n, s, ones)
+    basis = h.graph_bases[m] = kernel_dim, (slots, n, s, ones)
+    return basis
 
 
 def solve_graph(basis, value: int, base: int):

@@ -12,8 +12,8 @@ All three protocols run on one driver, in three steps:
 2. broadcast  ``draw_seeds(plan, public_stream)`` draws the public Toeplitz
    seeds, and ``SessionDriver(plan, seeds).run(inputs)`` records them in
    the one-round transcript, each fingerprint right after the seed its
-   hash is cut from; ``execute`` is a fresh driver's run.  Audits hold
-   the public seeds fixed, so they draw them once and keep one driver.
+   hash is cut from.  Audits hold the public seeds fixed, so they draw
+   them once and keep one driver.
 3. party key  each party recovers the fingerprint senders' inputs from its
    own input and the fingerprints and passes them through the key chain,
    in ``SessionDriver.party_key``, which ``run`` and
@@ -246,14 +246,14 @@ def draw_seeds(plan: SessionPlan, public: SeedStream) -> tuple:
     return tuple((sender, kind, public.child(*labels).bitvec(bits)) for sender, kind, labels, bits in plan.seed_slots)
 
 
-@lru_cache(maxsize=64)
 def toeplitz_hashes(layout: tuple, payloads: tuple) -> tuple:
     """(fingerprint hashes, key chain) that a plan's hash_layout cuts from
-    a session's seed payloads.  Keyed by the layout's ints and the
-    payloads, not by the plan, so a lookup hashes no Fraction: a session
-    with fresh seeds pays one miss, a fixed-seed audit builds them once.
-    Building a hash spreads its seed, so each seed is spread once per
-    session, and once per audit for all its instances."""
+    a session's seed payloads.  A `SessionDriver` calls it once and holds
+    the hashes, with everything later derived from them (`gf2.graph_basis`
+    reductions, fingerprints and their cosets), so all of it goes with the
+    driver.  Building a hash spreads its seed, so each seed is spread once
+    per driver: once per session, and once per audit for all its
+    instances."""
     out = []
     for hashes in layout:
         built = []
@@ -302,7 +302,8 @@ def _forbid_secret_payloads(transcript: Transcript, secrets) -> None:
 class SessionDriver:
     """Sessions on one plan and public seeds (from ``draw_seeds``): ``run``
     broadcasts, gives every party its key and runs the shared agreement and
-    leak checks.  Step 3's memos live on the driver, not the module."""
+    leak checks.  Step 3's memos live on the driver, and those of its
+    hashes and fingerprints on them, so all go with the driver."""
 
     def __init__(self, plan: SessionPlan, seeds: tuple) -> None:
         self.plan = plan
@@ -356,11 +357,6 @@ class SessionDriver:
             decode_status=next((s for s in statuses if s != STATUS_UNIQUE), STATUS_UNIQUE))
 
 
-def execute(plan: SessionPlan, inputs: tuple, seeds: tuple) -> SessionOutcome:
-    """One session on prescribed inputs and public seeds: a fresh driver's run."""
-    return SessionDriver(plan, seeds).run(inputs)
-
-
 def session_streams(config: SessionConfig, trial: int):
     """Per-trial (input, public) sub-streams: inputs and public hash and
     extractor seeds both vary by trial.  The audits hold the public seeds
@@ -379,15 +375,15 @@ def run_session(config: SessionConfig, trial: int) -> SessionOutcome:
     input_stream, public_stream = session_streams(config, trial)
     plan = session_plan(config)
     inputs = sample(config.model, input_stream).inputs
-    return execute(plan, inputs, draw_seeds(plan, public_stream))
+    return SessionDriver(plan, draw_seeds(plan, public_stream)).run(inputs)
 
 
 def party_key_from_transcript(config: SessionConfig, party: int, own: BitVec, transcript: Transcript):
     """A party's (key, status) from its own input and the transcript alone:
-    the hashes that the plan's layout cuts from the seed records
-    (``toeplitz_hashes``, cached per seed tuple) and the senders'
-    fingerprint records.  ``run`` feeds ``party_key`` the same objects
-    from its broadcast instead."""
+    the hashes that the plan's layout cuts from the seed records (a fresh
+    driver's ``toeplitz_hashes``) and the senders' fingerprint records.
+    ``run`` feeds ``party_key`` the same objects from its broadcast
+    instead."""
     plan = session_plan(config)
     driver = SessionDriver(plan, tuple((sender, kind, transcript.one(kind, sender).payload) for sender, kind, _labels, _bits in plan.seed_slots))
     fps = [Fingerprint(h, transcript.one("fingerprint", i).payload) for i, h in enumerate(driver.fp_hashes, start=1)]

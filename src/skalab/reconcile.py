@@ -18,10 +18,10 @@ graph of multiplication by the receiver's abscissa or slope m, shifted.
 Both the graph and the Toeplitz hash are polynomial products, so H on the
 graph is a simultaneous Pade problem over GF(2)[z] (Beckermann & Labahn
 1994): a lattice of three rows, reduced to weak Popov form once per
-(hash, m) by `gf2.graph_basis`, whose short vectors are the graph's words
-and their hashes.  A decode reduces one target by its rows
-(`gf2.solve_graph`) in O(rows) shift-XORs, and the kernel dimension
-read off the rows separates unique from ambiguous.  A larger
+(hash, m) by `gf2.graph_basis` and kept on the hash, whose short vectors
+are the graph's words and their hashes.  A decode reduces one target by
+its rows (`gf2.solve_graph`) in O(rows) shift-XORs, and the kernel
+dimension read off the rows separates unique from ambiguous.  A larger
 Hamming sphere (the words at distance exactly t from the receiver's) is
 decoded by finding the weight-t errors e with H e = fingerprint xor H y,
 by the cheaper of two searches, chosen from the shape alone: when the
@@ -37,25 +37,24 @@ when both are past it.
 
 Joint decoding (`multi_decode`, omniscience on the collinear triple)
 solves each other party's fingerprint for the affine coset of inputs that
-match it, kept as its (particular, kernel), and never filters their
-product tuple by tuple.  Through the holder's point P and a word W of the
-smaller coset passes one line; the third point lies on it iff one
-GF(2)-linear form of that point vanishes.  The form's values on the larger
-coset are its value at one word xor its values at the kernel vectors, so a
-decode costs 1 + s field products per word of the smaller coset and one
-XOR per word of the product, s the larger coset's kernel dimension.  The
-products run on byte-spread operands (`gf2.spread`), each spread once per
-decode or once per word of the smaller coset, so a product is one integer
-multiply, a mask and a fold by the field polynomial, not a loop over bits.
-The XORs cover the whole product, so a coset of more than 2^14 words ends
-the decode `search_limit`: 2^28 XORs at most.
+match it, kept on the fingerprint as its (particular, kernel), and never
+filters their product tuple by tuple.  Through the holder's point P and a
+word W of the smaller coset passes one line; the third point lies on it
+iff one GF(2)-linear form of that point vanishes.  The form's values on
+the larger coset are its value at one word xor its values at the kernel
+vectors, so a decode costs 1 + s field products per word of the smaller
+coset and one XOR per word of the product, s the larger coset's kernel
+dimension.  The products run on byte-spread operands (`gf2.spread`), each
+spread once per decode or once per word of the smaller coset, so a product
+is one integer multiply, a mask and a fold by the field polynomial, not a
+loop over bits.  The XORs cover the whole product, so a coset of more than
+2^14 words ends the decode `search_limit`: 2^28 XORs at most.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import not_
 
@@ -72,10 +71,12 @@ STATUS_SEARCH_LIMIT = "search_limit"
 class Fingerprint:
     """Seeded hash plus value; the reconciliation message for one input.
     The session plan sizes the hash; the value comes off the channel, so
-    only its length is checked against the hash."""
+    only its length is checked against the hash.  `coset` keeps
+    `fingerprint_coset`'s solve (... until made), outside equality."""
 
     spec: Gf2Matrix
     value: BitVec
+    coset: tuple | None = field(init=False, repr=False, compare=False, default=...)
 
     def __post_init__(self) -> None:
         if self.value.n != self.spec.rows:
@@ -112,7 +113,7 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
     if isinstance(candidates, HammingSphere):
         return _decode_sphere(fp, candidates)
     base, length = candidates.base, candidates.length
-    kernel_dim, basis = _graph_basis(fp.spec, candidates.multiplier)
+    kernel_dim, basis = graph_basis(fp.spec, candidates.multiplier)
     total = 1 << (length // 2)  # not len(): the coset can exceed a machine index
     word = solve_graph(basis, fp.value.v, base)
     if word is None:
@@ -122,11 +123,6 @@ def decode(fp: Fingerprint, candidates) -> DecodeResult:
     out = BitVec(length, word)
     _guard(fp, out)
     return DecodeResult(STATUS_UNIQUE, out, total)
-
-
-# A line-point receiver's basis depends only on its own abscissa or slope, so
-# a fixed-seed audit reduces each (H, abscissa) lattice once.
-_graph_basis = lru_cache(maxsize=64)(graph_basis)
 
 
 def _guard(fp: Fingerprint, out: BitVec) -> None:
@@ -246,20 +242,21 @@ def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
 _COSET_CAP_BITS = 14
 
 
-@lru_cache(maxsize=256)
-def fingerprint_coset(m: Gf2Matrix, value: BitVec) -> tuple | None:
-    """The solutions of m x = value as `solve_affine`'s (particular,
+def fingerprint_coset(fp: Fingerprint) -> tuple | None:
+    """The solutions of H x = fingerprint as `solve_affine`'s (particular,
     kernel tuple); () when there are none, None past _COSET_CAP_BITS kernel
     vectors (degenerate hash seed).  Both other parties of an omniscience
-    session solve each fingerprint, and a fixed-seed audit sees each value
-    many times, so each is solved once, and the shared result is immutable."""
-    sol = solve_affine(m, value)
-    if sol is None:
-        return ()
-    particular, kernel = sol
-    if len(kernel) > _COSET_CAP_BITS:
-        return None
-    return particular, tuple(kernel)
+    session solve each fingerprint, and a fixed-seed audit sees each sender
+    input many times, but a session driver hands them all one Fingerprint
+    per (sender, input): the solve is made once and kept on it, immutable."""
+    if fp.coset is ...:
+        sol = solve_affine(fp.spec, fp.value)
+        if sol is None:
+            coset = ()
+        else:
+            coset = None if len(sol[1]) > _COSET_CAP_BITS else (sol[0], tuple(sol[1]))
+        object.__setattr__(fp, "coset", coset)
+    return fp.coset
 
 
 def _collinear_matches(n: int, own: int, near: tuple, far: tuple):
@@ -324,7 +321,7 @@ def multi_decode(model: Model, own_index: int, own: BitVec, fps) -> DecodeResult
     own_fp = fps[own_index - 1]
     if matvec(own_fp.spec, own) != own_fp.value:
         return DecodeResult(STATUS_NOT_FOUND, None, 0)
-    cosets = {i: fingerprint_coset(fp.spec, fp.value) for i, fp in enumerate(fps) if i != own_index - 1}
+    cosets = {i: fingerprint_coset(fp) for i, fp in enumerate(fps) if i != own_index - 1}
     if None in cosets.values():
         return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
     if () in cosets.values():  # an empty coset: no tuple matches

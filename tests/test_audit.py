@@ -21,7 +21,7 @@ from skalab.channel import TranscriptRecord
 from codes import rank, to_dense
 from entropy_checks import key_entropy_certificate, light_key_entropy_by_two_solves
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, solve_affine
-from skalab.protocols import Margins, SessionConfig, SessionDriver, execute, input_stream, toeplitz_hashes
+from skalab.protocols import Margins, SessionConfig, SessionDriver, input_stream, toeplitz_hashes
 from skalab.rng import SeedStream
 from skalab.sources import parse_model_spec, sample
 
@@ -89,13 +89,13 @@ def test_canary_leaking_key_fails_audit(monkeypatch):
 
 
 def _tabulate_every_trial(plan, seeds, inputs):
-    """Reference tabulation: one plain session (``execute``, a fresh
-    driver) per trial, so no work is shared between trials."""
+    """Reference tabulation: one plain session (a fresh ``SessionDriver``)
+    per trial, so no work is shared between trials."""
     cells: dict = {}
     counts: dict = {}
     agreed = 0
     for x in inputs:
-        o = execute(plan, x, seeds)
+        o = SessionDriver(plan, seeds).run(x)
         t = tuple((r.kind, r.payload.n, r.payload.v) for r in o.transcript.records)
         cells[x] = ((t, o.keys[0]), o.agreed)
         counts[(t, o.keys[0])] = counts.get((t, o.keys[0]), 0) + 1

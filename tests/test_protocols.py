@@ -296,7 +296,7 @@ def test_key_chain_follows_the_plan(config):
         whole = Gf2Matrix(h.rows + key.rows, plan.model.input_len, payloads[0])
         assert to_dense(h) + to_dense(key) == to_dense(whole)
     inputs = sample(config.model, input_stream).inputs
-    records = protocols.execute(plan, inputs, seeds).transcript.records
+    records = protocols.SessionDriver(plan, seeds).run(inputs).transcript.records
     expected = []
     for slot, seed in enumerate(seeds):
         expected.append(seed)
@@ -373,7 +373,6 @@ def test_solves_go_through_the_traced_name(monkeypatch):
     calls = []
     solve = reconcile.solve_affine
     monkeypatch.setattr(reconcile, "solve_affine", lambda *args: calls.append(args) or solve(*args))
-    reconcile.fingerprint_coset.cache_clear()
     assert run_session(cfg_omni(), 0).agreed
     assert len(calls) == 3  # each fingerprint solved once, shared by both other parties
     calls.clear()
@@ -467,7 +466,7 @@ def test_hamming_decode_path_follows_coset_size(monkeypatch, n, t, walks):
     assert len(calls) == (0 if walks else 3)
 
 
-def test_joint_decode_checks_no_tuple():
+def test_joint_decode_checks_no_tuple(monkeypatch):
     # A triple:n=30 session shaped as the benchmark's: its cosets hold 2 and
     # 4 words, and each holder finds the third point by a linear condition;
     # skalab has no per-tuple consistency predicate to test their product with.
@@ -484,10 +483,13 @@ def test_joint_decode_checks_no_tuple():
         assert res.candidates_checked > 1
     # A holder whose own fingerprint disagrees solves no other one.
     bad = Fingerprint(fps[0].spec, BitVec(fps[0].value.n, fps[0].value.v ^ 1))
-    reconcile.fingerprint_coset.cache_clear()
-    res = reconcile.multi_decode(config.model, 1, inst.inputs[0], [bad, *fps[1:]])
+    others = [Fingerprint(fp.spec, fp.value) for fp in fps[1:]]  # fresh, so nothing is solved yet
+    solves = []
+    solve = reconcile.solve_affine
+    monkeypatch.setattr(reconcile, "solve_affine", lambda *args: solves.append(args) or solve(*args))
+    res = reconcile.multi_decode(config.model, 1, inst.inputs[0], [bad, *others])
     assert (res.status, res.candidates_checked) == (STATUS_NOT_FOUND, 0)
-    assert reconcile.fingerprint_coset.cache_info().misses == 0
+    assert not solves
 
 
 @pytest.mark.parametrize(
@@ -500,10 +502,10 @@ def test_joint_decode_checks_no_tuple():
     ids=["light", "two-phase", "omniscience"],
 )
 def test_execute_feeds_each_party_what_the_transcript_names(config, monkeypatch):
-    """execute hands every party the hashes and fingerprints it built for
-    the broadcast: no transcript lookup, one hash lookup per session, and
-    each party's (key, status) equal to party_key_from_transcript's, also
-    where the decode is not unique."""
+    """A session's driver hands every party the hashes and fingerprints it
+    built for the broadcast: no transcript lookup, one hash build per
+    session, and each party's (key, status) equal to
+    party_key_from_transcript's, also where the decode is not unique."""
     plan, trials = session_plan(config), 12
     lookups, hash_calls, party_keys = [], [], []
     one, hashes, key_of = Transcript.one, protocols.toeplitz_hashes, protocols.SessionDriver.party_key
@@ -514,7 +516,7 @@ def test_execute_feeds_each_party_what_the_transcript_names(config, monkeypatch)
     for trial in range(trials):
         input_stream, public_stream = session_streams(config, trial)
         inputs = sample(config.model, input_stream).inputs
-        sessions.append((inputs, protocols.execute(plan, inputs, draw_seeds(plan, public_stream))))
+        sessions.append((inputs, protocols.SessionDriver(plan, draw_seeds(plan, public_stream)).run(inputs)))
     assert not lookups and len(hash_calls) == trials
     monkeypatch.undo()
     parties = config.model.parties
@@ -561,16 +563,15 @@ def test_replay_determinism(config):
 )
 def test_transcript_sufficiency(config):
     """Re-running any party's post-decode computation from (own input,
-    stored transcript) alone reproduces its key, also with every memo of
-    public work cleared: the memos hold pure functions of the seeds."""
+    stored transcript) alone reproduces its key, on a fresh driver that
+    shares no memo with the session's: the memos hold pure functions of
+    the seeds."""
     input_stream, _ = session_streams(config, 9)
     inst = sample(config.model, input_stream)
     o = run_session(config, 9)
     assert o.agreed
     stored = Transcript.parse(o.transcript.dump())
     for party in range(1, config.model.parties + 1):
-        protocols.toeplitz_hashes.cache_clear()
-        reconcile.fingerprint_coset.cache_clear()
         key, status = party_key_from_transcript(config, party, inst.inputs[party - 1], stored)
         assert status == STATUS_UNIQUE
         assert key == o.keys[party - 1]

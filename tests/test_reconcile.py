@@ -27,7 +27,7 @@ from skalab import gf2, reconcile, sources
 from skalab.audit import exact_small_n_audit, fixed_seeds
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2
-from skalab.protocols import SessionConfig, draw_seeds, execute, session_plan, session_streams, toeplitz_hashes
+from skalab.protocols import SessionConfig, SessionDriver, draw_seeds, session_plan, session_streams, toeplitz_hashes
 from skalab.reconcile import (
     STATUS_AMBIGUOUS,
     STATUS_NOT_FOUND,
@@ -35,7 +35,6 @@ from skalab.reconcile import (
     STATUS_UNIQUE,
     DecodeResult,
     Fingerprint,
-    _graph_basis,
     _subset_images,
     decode,
     fingerprint_coset,
@@ -136,7 +135,27 @@ def test_decode_matches_scan_on_affine_sets():
         assert a.status == b.status and a.value == b.value
 
 
-def test_factorization_memo_once_per_receiver_abscissa():
+def _counted(calls, name, fn):
+    """fn, counting each call in calls[name]."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def _count_graph_work(monkeypatch):
+    """Count the graph bases decodes ask for (reconcile.graph_basis) and
+    the lattice reductions made for them (gf2._weak_popov): each request
+    past its (H, m)'s first is a reuse."""
+    calls = Counter()
+    monkeypatch.setattr(reconcile, "graph_basis", _counted(calls, "requests", gf2.graph_basis))
+    monkeypatch.setattr(gf2, "_weak_popov", _counted(calls, "reductions", gf2._weak_popov))
+    return calls
+
+
+def test_factorization_memo_once_per_receiver_abscissa(monkeypatch):
     # Bob's candidate basis depends only on his abscissa c, and the audit
     # fixes H: one lattice reduction per c, 2^4 of them for 4,096 instances.
     # The audit decodes each distinct (y, fingerprint) once, and every
@@ -145,47 +164,40 @@ def test_factorization_memo_once_per_receiver_abscissa():
     plan, seeds = fixed_seeds(config, 0)
     (h,), _chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
     decodes = len({(y.v, matvec(h, x).v) for x, y in config.model.instances()})
-    _graph_basis.cache_clear()
+    calls = _count_graph_work(monkeypatch)
     exact_small_n_audit(config)
-    info = _graph_basis.cache_info()
-    assert (info.misses, info.hits) == (16, decodes - 16)
+    assert (calls["reductions"], calls["requests"] - calls["reductions"]) == (16, decodes - 16)
 
 
-def test_factorization_memo_shared_across_fingerprint_values():
+def test_factorization_memo_shared_across_fingerprint_values(monkeypatch):
     # Every fingerprint value through one (H, m) pair: the memoized basis
     # must not carry one value's verdict to the next.  Three rows on the
     # 4-dimensional graph leave a kernel (ambiguous), eight rows pin the
     # candidate (unique), and values outside the image give not_found.
+    # Each hash reduces its lattice once, for its first value.
     model = parse_model_spec("line-point:n=4")
     stream = SeedStream("memo")
     y = sample(model, stream.child("inst")).inputs[1]
     cands, words = model.candidates(y), candidate_words(model, y)
     statuses = set()
+    calls = _count_graph_work(monkeypatch)
     for rows in (3, 8):
         spec = Gf2Matrix(rows, 8, stream.child("toeplitz", rows).bitvec(rows + 7))
-        _graph_basis.cache_clear()
+        calls.clear()
         for value in range(1 << rows):
             fp = Fingerprint(spec, BitVec(rows, value))
             got, want = decode(fp, cands), decode_scan(fp, words)
             assert (got.status, got.value) == (want.status, want.value)
             statuses.add(got.status)
-        assert _graph_basis.cache_info().misses == 1
+        assert calls == Counter(requests=1 << rows, reductions=1), calls
     assert statuses == {STATUS_UNIQUE, STATUS_AMBIGUOUS, STATUS_NOT_FOUND}
 
 
 def _counting(monkeypatch, calls):
     """Count every hash product (matvec) that reconcile makes and every
     mul_int that gf2 and sources reach."""
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(reconcile, "matvec", counted("matvec", gf2.matvec))
-    mul_int = counted("mul_int", gf2.mul_int)
+    monkeypatch.setattr(reconcile, "matvec", _counted(calls, "matvec", gf2.matvec))
+    mul_int = _counted(calls, "mul_int", gf2.mul_int)
     for module in (gf2, sources):
         monkeypatch.setattr(module, "mul_int", mul_int)
 
@@ -200,8 +212,7 @@ def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
     fp = encode(x, model.n, Fraction(1, 256), stream.child("fp"))
     calls = Counter()
     _counting(monkeypatch, calls)
-    _graph_basis.cache_clear()
-    res = decode(fp, model.candidates(y))
+    res = decode(fp, model.candidates(y))  # a fresh hash: its graph basis is reduced here
     assert (res.status, res.value) == (STATUS_UNIQUE, x)
     assert calls == Counter(matvec=1), calls
 
@@ -215,7 +226,7 @@ def test_warm_line_point_decode_hashes_only_for_the_guard(monkeypatch):
     x, y = sample(model, stream.child("inst")).inputs
     fp = encode(x, model.n, Fraction(1, 256), stream.child("fp"))
     cands = model.candidates(y)
-    decode(fp, cands)  # fills the cache
+    decode(fp, cands)  # keeps the basis on fp.spec
     calls = Counter()
     _counting(monkeypatch, calls)
     res = decode(fp, cands)
@@ -333,7 +344,7 @@ def test_line_point_sessions_fail_iff_the_graph_kernel_is_nonzero(n, draws):
         seeds = draw_seeds(plan, public)
         fp_hashes, _ = toeplitz_hashes(plan.hash_layout, tuple(p for _, _, p in seeds))
         kernel_dim, _ = gf2.graph_basis(fp_hashes[0], inputs[1].v & ((1 << n) - 1))
-        outcome = execute(plan, inputs, seeds)
+        outcome = SessionDriver(plan, seeds).run(inputs)
         assert outcome.agreed == (kernel_dim == 0), trial
         failures += not outcome.agreed
     assert failures > 0  # the draws reach the failure side of the equivalence
@@ -561,7 +572,7 @@ def test_random_linear_code_syndrome_monte_carlo():
 def coset_bitvecs(fp):
     """Every word of a fingerprint's coset as a BitVec, by doubling over
     the kernel of its description; () when it has none, None past the cap."""
-    coset = fingerprint_coset(fp.spec, fp.value)
+    coset = fingerprint_coset(fp)
     if not coset:
         return coset
     particular, kernel = coset
@@ -575,9 +586,10 @@ def test_fingerprint_coset_covers_preimage():
     stream = SeedStream("fps")
     x = stream.bitvec(10)
     fp = encode(x, 7, Fraction(1, 2), stream.child("s"))
-    coset = fingerprint_coset(fp.spec, fp.value)
+    coset = fingerprint_coset(fp)
     particular, kernel = coset
-    assert isinstance(kernel, tuple)  # memoized and shared, so immutable
+    assert isinstance(kernel, tuple)  # kept on the fingerprint and shared, so immutable
+    assert fingerprint_coset(fp) is coset
     assert (particular, list(kernel)) == gf2.solve_affine(fp.spec, fp.value)
     assert len(kernel) >= 2
     sols = coset_bitvecs(fp)
@@ -588,7 +600,7 @@ def test_fingerprint_coset_covers_preimage():
     # The Gray code walk covers the same words.
     assert sorted(reconcile._coset_walk(*coset)) == sorted(v.v for v in sols)
     # No solution is the empty coset: the all-zero hash maps every word to 0.
-    assert fingerprint_coset(Gf2Matrix(3, 4, BitVec(6, 0)), BitVec(3, 1)) == ()
+    assert fingerprint_coset(Fingerprint(Gf2Matrix(3, 4, BitVec(6, 0)), BitVec(3, 1))) == ()
 
 
 def _triple_fingerprints(inst, rates, eps, stream):
@@ -764,7 +776,7 @@ def test_multi_decode_own_mismatch_is_not_found_before_any_solve():
     model = parse_model_spec("triple:n=16")
     inst = sample(model, SeedStream("md-own"))
     fps = _triple_fingerprints(inst, (32, 16, 32), Fraction(1, 2), SeedStream("md-own-s"))
-    assert fingerprint_coset(fps[1].spec, fps[1].value) is None  # 2^16 words or more
+    assert fingerprint_coset(fps[1]) is None  # 2^16 words or more
     fps[0] = _tampered(fps[0])
     assert product_filter_decode(model, 1, inst.inputs[0], fps).status == STATUS_SEARCH_LIMIT
     res = multi_decode(model, 1, inst.inputs[0], fps)

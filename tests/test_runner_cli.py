@@ -441,6 +441,19 @@ def test_cli_validates_trials(capsys, command, trials, valid):
     assert "argument --trials" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--margin-k", "--margin-phase1", "--margin-deficiency"])
+def test_cli_margins_are_not_negative(capsys, flag):
+    # A negative margin cuts a fingerprint or the key material below what
+    # the error bound needs (--margin-k -30 left every hamming:n=63,t=2
+    # two-phase session ambiguous), so it is a usage error like a bad --trials.
+    argv = ["simulate", "--model", "hamming:n=63,t=2", "--protocol", "two-phase", "--trials", "1", flag, "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "-1 is less than 0" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--trials", "1_0"), ("--trials", "+3"), ("--trials", " 3"), ("--seed", "+3"), ("--seed", "1_0"),
