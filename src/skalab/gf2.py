@@ -24,10 +24,11 @@ Representation conventions (used everywhere in this package):
   byte i of an int.  The integer product of two spread operands of degree
   < n then sums at most n terms into each byte, so while n <= 255 no sum
   carries into the next byte and each byte's parity is a coefficient of
-  the carry-less product: one multiply and a mask, where ``_clmul`` loops
-  over bits.  Toeplitz hashing multiplies in this form and
-  ``spread_reducer`` reduces modulo f in it.  ``_clmul`` is left to
-  ``mul_int`` and the irreducibility search.
+  the carry-less product: one multiply and a mask, not a loop over bits.
+  It is the package's one polynomial product: Toeplitz hashing, both
+  lattices, field multiplication (``mul_int``) and the irreducibility
+  search multiply in this form, and ``spread_reducer`` reduces modulo f
+  in it.
 * Solves reduce lattices over GF(2)[z] in the spread layout: coefficient d
   of field k sits at bit 8d + k, so a lead bit p names field p & 7 at
   degree p >> 3, ties going to the higher field, and one helper
@@ -162,16 +163,6 @@ class Gf2Matrix:
         return [(self.data.v >> (self.cols - 1 - j)) & mask for j in range(self.cols)]
 
 
-def _clmul(a: int, b: int) -> int:
-    """Carry-less (GF(2)[z]) product of two packed polynomials: a shifted
-    by every set bit of b, XORed together."""
-    r = 0
-    for i, bit in enumerate(bin(b)[:1:-1]):
-        if bit == "1":
-            r ^= a << i
-    return r
-
-
 def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     """GF(2) matrix-vector product; result bit i is <row i, x> mod 2.
 
@@ -181,7 +172,8 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     chunks' products, each shifted down to the window, XOR into bytes whose
     parities are the result bits.
 
-    Against the `_clmul` window, with the seed spread beforehand, it ran
+    Against the window of a bitwise product (the seed shifted by every set
+    bit of x, XORed together), with the seed spread beforehand, it ran
     1.9x as fast at seed x x bits 217x124 and 1.7x at 127x64 (pair-affine),
     1.6x at 105x63 and 1.3x at 75x31 (pair-hamming), 2.3x at 198x180 and
     1.7x at 125x64 (triple-omni), and 0.6-0.8x on the audits' 8- and 4-bit
@@ -292,20 +284,46 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _spread_fold(f: int):
+    """The reduction modulo f, of degree n <= 255, on spread form.
+
+    Its argument holds coefficient i in the parity of byte i, up to degree
+    2n - 2: the product of two spread operands of degree < n, or an XOR of
+    such products, since no column sum of a product (at most n) carries
+    into the next byte.  It masks every byte to its parity, then folds the
+    part at and above x^n back through f's low terms (x^n = f xor x^n modulo
+    f) with the same multiply and mask, until nothing is left there.  The
+    result is the spread form of the residue.
+    """
+    n = f.bit_length() - 1
+    shift = 8 * n
+    ones = ((1 << (8 * (2 * n - 1))) - 1) // 0xFF  # bit 0 of each of 2n - 1 bytes
+    keep, low = (1 << shift) - 1, spread(f ^ (1 << n))
+
+    def reduce(p: int) -> int:
+        p &= ones
+        while p > keep:
+            p = (p & keep) ^ ((p >> shift) * low & ones)
+        return p
+
+    return reduce
+
+
 def _is_irreducible(f: int, n: int) -> bool:
     # f is irreducible of degree n over GF(2) iff x^(2^n) == x (mod f) and
-    # gcd(x^(2^(n/p)) - x, f) == 1 for every prime p dividing n.
-    x = 0b10
+    # gcd(x^(2^(n/p)) - x, f) == 1 for every prime p dividing n.  x is
+    # squared in spread form; only the gcd reads a residue back.
+    reduce, x = _spread_fold(f), spread(0b10)
     t = x
     for _ in range(n):
-        t = _poly_mod(_clmul(t, t), f)
+        t = reduce(t * t)
     if t != x:
         return False
     for p in _prime_factors(n):
         t = x
         for _ in range(n // p):
-            t = _poly_mod(_clmul(t, t), f)
-        if _poly_gcd(t ^ x, f) != 1:
+            t = reduce(t * t)
+        if _poly_gcd(_field(t, n) ^ 0b10, f) != 1:
             return False
     return True
 
@@ -329,43 +347,26 @@ def irreducible_poly(n: int) -> int:
 
 
 def mul_int(a: int, b: int, n: int) -> int:
-    """Multiplication in GF(2^n) on raw n-bit ints."""
-    return _poly_mod(_clmul(a, b), irreducible_poly(n))
+    """Multiplication in GF(2^n) on raw n-bit ints, in spread form."""
+    return _field(spread_reducer(n)(spread(a) * spread(b)), n)
 
 
 @lru_cache(maxsize=None)
 def spread_reducer(n: int):
-    """The reduction modulo f, the degree-n field polynomial, on spread form.
+    """`_spread_fold` of the degree-n field polynomial, built once a degree.
 
-    Its argument holds coefficient i in the parity of byte i, up to degree
-    2n - 2: the product of two spread operands of degree < n, or an XOR of
-    such products, since no column sum of a product (at most n) carries
-    into the next byte.  It masks every byte to its parity, then folds the
-    part at and above x^n back through f's low terms (x^n = f xor x^n modulo
-    f) with the same multiply and mask, until nothing is left there.  The
-    result is the spread form of the residue.
-
-    Spreading costs a string conversion per operand, so an operand that is
-    reused is spread once: a Toeplitz hash keeps its seed
-    spread (`Gf2Matrix.spread_seed`) and `matvec` spreads only x, the joint
+    Spreading costs a string conversion per operand, more than a few
+    shift-XORs on operands of a few bits, so an operand that is reused is
+    spread once: a Toeplitz hash keeps its seed spread
+    (`Gf2Matrix.spread_seed`) and `matvec` spreads only x, the joint
     decode's collinearity form spreads far's coordinates once per decode,
-    and both lattices (`solve_affine`, `graph_basis`) read the hash's
-    spread seed.  `mul_int` and the
-    irreducibility test keep `_clmul` and `_poly_mod`.
+    both lattices (`solve_affine`, `graph_basis`) read the hash's spread
+    seed, and the models' enumerations compute a line's products once per
+    slope, not once per intercept.
     """
     if n > _SPREAD_SLOT_MAX:
         raise Gf2Error(f"spread form holds column sums up to {_SPREAD_SLOT_MAX}, not degree {n}")
-    shift = 8 * n
-    ones = ((1 << (8 * (2 * n - 1))) - 1) // 0xFF  # bit 0 of each of 2n - 1 bytes
-    keep, low = (1 << shift) - 1, spread(irreducible_poly(n) ^ (1 << n))
-
-    def reduce(p: int) -> int:
-        p &= ones
-        while p > keep:
-            p = (p & keep) ^ ((p >> shift) * low & ones)
-        return p
-
-    return reduce
+    return _spread_fold(irreducible_poly(n))
 
 
 def graph_basis(h: Gf2Matrix, m: int):

@@ -56,12 +56,6 @@ class RateRegion:
     profile: ComplexityProfile
     constraints: tuple  # ((frozenset I, Fraction bound), ...)
 
-    def satisfied_by(self, rates: RateTuple) -> bool:
-        for subset, bound in self.constraints:
-            if sum((rates.rates[i - 1] for i in subset), Fraction(0)) < bound:
-                return False
-        return True
-
 
 def proper_splittings(ell: int) -> list[frozenset]:
     """All I with both I and its complement nonempty (2^ell - 2 subsets)."""

@@ -90,10 +90,11 @@ class LinePoint(_PlaneModel):
         """Every (a, b, c) that draw ranges over."""
         q = 1 << self.n
         for a in range(q):
+            products = [mul_int(a, c, self.n) for c in range(q)]
             for b in range(q):
                 x = self._pack(a, b)
-                for c in range(q):
-                    yield (x, self._pack(c, mul_int(a, c, self.n) ^ b))
+                for c, ac in enumerate(products):
+                    yield (x, self._pack(c, ac ^ b))
 
     def candidates(self, observation: BitVec) -> AffineCandidates:
         # Lines through Bob's point (c, d): slope s gives (s, d xor s*c).
@@ -169,8 +170,9 @@ class Triple(_PlaneModel):
         """Every (a, b, distinct ordered abscissas) that draw ranges over."""
         q = 1 << self.n
         for a in range(q):
+            products = [mul_int(a, c, self.n) for c in range(q)]
             for b in range(q):
-                yield from permutations([self._pack(c, mul_int(a, c, self.n) ^ b) for c in range(q)], 3)
+                yield from permutations([self._pack(c, ac ^ b) for c, ac in enumerate(products)], 3)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,50 @@
-"""Test-only constructions: the entry and dense-copy references for Toeplitz
-hashes, dense codes as packed rows (bit j of row i is entry (i, j)) with
-their rank, forward elimination, affine solve and syndrome decoder, the
-line-point decode by elimination that the graph lattice is checked against,
-one-shot seeded hashes and fingerprints (sessions draw their seeds through
+"""Test-only constructions: the bitwise GF(2)[z] product and the
+irreducibility search by it, the references for the spread products; the
+entry and dense-copy references for Toeplitz hashes, dense codes as packed
+rows (bit j of row i is entry (i, j)) with their rank, forward
+elimination, affine solve and syndrome decoder, the line-point decode by
+elimination that the graph lattice is checked against, one-shot seeded
+hashes and fingerprints (sessions draw their seeds through
 ``protocols.draw_seeds``), and the literal scan of a candidate list that
 the structured decoders are checked against."""
 
 import math
 from fractions import Fraction
 
-from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, _clmul, irreducible_poly, matvec, toeplitz_seed_len
+from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, _poly_gcd, _poly_mod, irreducible_poly, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2
 from skalab.reconcile import STATUS_AMBIGUOUS, STATUS_NOT_FOUND, STATUS_UNIQUE, DecodeResult, Fingerprint, _error_matches, _verdict
 from skalab.rng import SeedStream
+
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less (GF(2)[z]) product of two packed polynomials: a shifted
+    by every set bit of b, XORed together."""
+    r = 0
+    for i, bit in enumerate(bin(b)[:1:-1]):
+        if bit == "1":
+            r ^= a << i
+    return r
+
+
+def bitloop_irreducible_poly(n: int) -> int:
+    """The lexicographically-first irreducible polynomial of degree n, found
+    by Rabin's test with every square taken by `clmul` and reduced bit by
+    bit: the first x^n + low, low odd, with x^(2^n) = x mod f and
+    gcd(x^(2^(n/p)) - x, f) = 1 for every prime p dividing n."""
+
+    def x_power(f: int, k: int) -> int:  # x^(2^k) mod f
+        t = 0b10
+        for _ in range(k):
+            t = _poly_mod(clmul(t, t), f)
+        return t
+
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+    for low in range(1, 1 << n, 2):
+        f = 1 << n | low
+        if x_power(f, n) == 0b10 and all(_poly_gcd(x_power(f, n // p) ^ 0b10, f) == 1 for p in primes):
+            return f
+    raise AssertionError(f"no irreducible polynomial of degree {n}")
 
 
 def entry(m: Gf2Matrix, i: int, j: int) -> int:
@@ -153,7 +185,7 @@ def graph_images(h: Gf2Matrix, multiples) -> list[int]:
     if h.cols != 2 * n:
         raise Gf2Error(f"graph images need a hash of {2 * n} columns, got {h.rows}x{h.cols}")
     seed, top = h.data.v, 1 << (n - 1)
-    seed_f, q = _clmul(seed, irreducible_poly(n)), _clmul(seed, multiples[0])
+    seed_f, q = clmul(seed, irreducible_poly(n)), clmul(seed, multiples[0])
     shift, mask = h.cols - 1, (1 << h.rows) - 1
     out = []
     for j, w in enumerate(multiples):

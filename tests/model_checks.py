@@ -4,7 +4,8 @@ decoder are checked against, and each two-party model's candidate words,
 listed from its definition, which the decoders' verdicts are checked
 against."""
 
-from skalab.gf2 import BitVec, _clmul, _poly_mod, irreducible_poly, mul_int
+from codes import clmul
+from skalab.gf2 import BitVec, _poly_mod, irreducible_poly, mul_int
 from skalab.sources import Hamming, LinePoint, Triple, weight_words
 
 
@@ -24,7 +25,7 @@ def is_consistent(model, inputs) -> bool:
         return False
     # Equal slopes from point 1, cross-multiplied (the abscissas are
     # distinct); reduction is linear, so one reduction of the XOR decides.
-    return not _poly_mod(_clmul(d1 ^ d2, c1 ^ c3) ^ _clmul(d1 ^ d3, c1 ^ c2), irreducible_poly(n))
+    return not _poly_mod(clmul(d1 ^ d2, c1 ^ c3) ^ clmul(d1 ^ d3, c1 ^ c2), irreducible_poly(n))
 
 
 def packed(inputs) -> BitVec:

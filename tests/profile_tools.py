@@ -1,10 +1,12 @@
 """Profile helpers for tests: the profile file writer, scaling, random
-polymatroids and the pairwise polymatroid check that oracles the elemental
-one."""
+polymatroids, the pairwise polymatroid check that oracles the elemental
+one, and membership of a rate tuple in a rate region, the oracle for the
+rate LP."""
 
 from fractions import Fraction
 
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets
+from skalab.rateregion import RateRegion, RateTuple
 from skalab.rng import SeedStream
 
 
@@ -36,6 +38,15 @@ def is_polymatroid_pairwise(profile: ComplexityProfile) -> bool:
                 return False
             if profile.c(a) + profile.c(b) < profile.c(a | b) + profile.c(a & b):
                 return False
+    return True
+
+
+def satisfied_by(region: RateRegion, rates: RateTuple) -> bool:
+    """Whether rates meet every constraint of the region: each bound is at
+    most the sum of the rates of its subset's parties."""
+    for subset, bound in region.constraints:
+        if sum((rates.rates[i - 1] for i in subset), Fraction(0)) < bound:
+            return False
     return True
 
 

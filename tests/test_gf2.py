@@ -18,7 +18,19 @@ from skalab.gf2 import (
     spread_reducer,
     toeplitz_seed_len,
 )
-from codes import dense_column_ints, dense_matvec, dense_solve_affine, eliminate, entry, graph_images, rank, to_dense, x_power_multiples
+from codes import (
+    bitloop_irreducible_poly,
+    clmul,
+    dense_column_ints,
+    dense_matvec,
+    dense_solve_affine,
+    eliminate,
+    entry,
+    graph_images,
+    rank,
+    to_dense,
+    x_power_multiples,
+)
 from skalab.rng import SeedStream
 
 
@@ -386,6 +398,31 @@ def test_registered_polynomials_pinned():
     assert irreducible_poly(64) == (1 << 64) | 0b11011
 
 
+@pytest.mark.parametrize("n", range(2, gf2._MAX_FIELD_DEGREE + 1))
+def test_irreducible_poly_matches_the_bitloop_search(n):
+    # Every degree the parser accepts, the bench's 30, 32 and 62 among them:
+    # the spread squarings pick the polynomial the bitwise search picks.
+    assert irreducible_poly(n) == bitloop_irreducible_poly(n)
+
+
+def _field_operands(n, rng):
+    """Every element for n <= 5; else the edge ones (0, 1, all-ones, the
+    top bit, f's low part, which is x^n itself modulo f) and random ones."""
+    if n <= 5:
+        return range(1 << n)
+    low = irreducible_poly(n) ^ (1 << n)
+    return [0, 1, (1 << n) - 1, 1 << (n - 1), low] + [rng.getrandbits(n) for _ in range(20)]
+
+
+@pytest.mark.parametrize("n", range(2, gf2._MAX_FIELD_DEGREE + 1))
+def test_mul_int_matches_the_clmul_reference(n):
+    f, rng = irreducible_poly(n), random.Random(n)
+    operands = _field_operands(n, rng)
+    for a in operands:
+        for b in operands:
+            assert mul_int(a, b, n) == gf2._poly_mod(clmul(a, b), f), (a, b)
+
+
 def test_field_degree_configuration_error():
     with pytest.raises(FieldConfigError):
         irreducible_poly(65)
@@ -437,19 +474,17 @@ def test_spread_puts_bit_i_at_byte_i():
 
 @pytest.mark.parametrize("n", range(2, gf2._MAX_FIELD_DEGREE + 1))
 def test_spread_product_reduces_to_mul_int(n):
-    # Random operands and the edge ones: 0, 1, all-ones, the top bit and
-    # f's low part, which is x^n itself modulo f.
-    reduce = spread_reducer(n)
-    rng = random.Random(n)
-    low = irreducible_poly(n) ^ (1 << n)
-    operands = [0, 1, (1 << n) - 1, 1 << (n - 1), low] + [rng.getrandbits(n) for _ in range(20)]
+    # The fold against the bitwise product reduced bit by bit, not against
+    # mul_int, which is the fold itself.
+    reduce, f, rng = spread_reducer(n), irreducible_poly(n), random.Random(n)
+    operands = _field_operands(n, rng)
     for a in operands:
         for b in operands:
-            assert reduce(spread(a) * spread(b)) == spread(mul_int(a, b, n)), (a, b)
+            assert reduce(spread(a) * spread(b)) == spread(gf2._poly_mod(clmul(a, b), f)), (a, b)
     # The collinearity form: an XOR of two products, reduced once.
     for _ in range(50):
         a, b, c, d = (rng.getrandbits(n) for _ in range(4))
-        want = mul_int(a, b, n) ^ mul_int(c, d, n)
+        want = gf2._poly_mod(clmul(a, b) ^ clmul(c, d), f)
         assert reduce(spread(a) * spread(b) ^ spread(c) * spread(d)) == spread(want)
 
 
@@ -473,12 +508,12 @@ def test_spread_matvec_at_chunk_boundaries(rows, cols):
 @given(st.integers(0, 600), st.integers(1, 600), st.data())
 def test_spread_matvec_is_the_clmul_window(rows, cols, data):
     # The bitwise reference: the window [cols - 1, cols - 1 + rows) of the
-    # carry-less product that `_clmul` forms one set bit of x at a time.
+    # carry-less product that `clmul` forms one set bit of x at a time.
     bits = toeplitz_seed_len(rows, cols)
     seed = data.draw(st.integers(0, (1 << bits) - 1))
     x = data.draw(st.integers(0, (1 << cols) - 1))
     got = matvec(Gf2Matrix(rows, cols, BitVec(bits, seed)), BitVec(cols, x))
-    assert got.v == (gf2._clmul(seed, x) >> (cols - 1)) & ((1 << rows) - 1)
+    assert got.v == (clmul(seed, x) >> (cols - 1)) & ((1 << rows) - 1)
 
 
 @pytest.mark.parametrize("cols", [124, 300])

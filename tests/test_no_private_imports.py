@@ -4,9 +4,9 @@ module.
 A leading underscore marks a name as its module's own: a helper that a
 second module needs is public (``gf2.spread``, which the graph lattice and
 ``reconcile``'s joint decode share), and one that only its module calls is
-private (``gf2._clmul``, which only ``gf2``'s own products call).  An AST
-scan of every ``from`` import, relative or of ``skalab``; ``from
-__future__`` and the standard library are not skalab modules.
+private (``gf2._spread_fold``, which only ``gf2``'s own reductions
+build).  An AST scan of every ``from`` import, relative or of ``skalab``;
+``from __future__`` and the standard library are not skalab modules.
 """
 
 import ast
@@ -32,11 +32,11 @@ def test_scan_finds_a_private_import():
     source = (
         "from __future__ import annotations\n"
         "from itertools import _private\n"
-        "from .gf2 import BitVec, _clmul\n"
+        "from .gf2 import BitVec, _spread_fold\n"
         "from skalab.sources import _helper as helper\n"
         "from . import _module\n"
     )
-    assert private_imports(source) == [(3, "gf2", "_clmul"), (4, "skalab.sources", "_helper"), (5, None, "_module")]
+    assert private_imports(source) == [(3, "gf2", "_spread_fold"), (4, "skalab.sources", "_helper"), (5, None, "_module")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

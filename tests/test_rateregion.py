@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from profile_tools import random_polymatroid, scale
+from profile_tools import random_polymatroid, satisfied_by, scale
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets, make_profile
 from skalab.rateregion import (
     RateRegion,
@@ -164,7 +164,7 @@ def test_co_lp_returned_tuple_feasible():
             p = random_polymatroid(ell, SeedStream("feas", ell, salt))
             region = sw_constraints(p)
             total, rates = co_lp(region)
-            assert region.satisfied_by(rates)
+            assert satisfied_by(region, rates)
             assert rates.total() == total
 
 

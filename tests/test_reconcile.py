@@ -717,7 +717,7 @@ def test_multi_decode_matches_product_filter():
     # n = 30 and 32, and at n = 64, the largest field.  Fingerprints up to
     # `short` rows short of the 2n input bits leave cosets of up to 2^short
     # words; one seed in four is honest, the others tamper one party each
-    # in turn.  The reference multiplies by the bitwise `_clmul` loop.
+    # in turn.  The reference multiplies by the bitwise `codes.clmul` loop.
     statuses = {}
     for n, seeds, short in [(2, 120, 5), (4, 120, 5), (8, 120, 5), (16, 40, 5), (30, 24, 6), (32, 24, 6), (64, 24, 6)]:
         model = parse_model_spec(f"triple:n={n}")

@@ -23,7 +23,6 @@ BENCH = ROOT / "bench"
 
 # Deliberate definitions without a caller in src/ or bench/, one reason each.
 ALLOWED = {
-    "RateRegion.satisfied_by": "membership of a rate tuple, the oracle for the rate LP",
     "Transcript.parse": "reads back a dumped transcript: a party's key is recomputable from stored bytes",
 }
 
