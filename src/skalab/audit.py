@@ -165,7 +165,8 @@ def _tabulate(plan: SessionPlan, seeds: tuple, inputs) -> tuple:
     shares fingerprints, decodes and key chains among the tuples.  Returns
     ({inputs: ((transcript, party 1's key or None), agreed)}, {(transcript,
     key): count} in order of first occurrence, number of sessions that
-    agreed); a transcript is its records' (kind, bits, value) triples.
+    agreed); a transcript is the tuple of its records, named tuples that
+    hash in C.
 
     With the seeds fixed a session is a pure function of its inputs, so a
     repeated tuple adds its memoized cell and agreement again instead of
@@ -179,8 +180,7 @@ def _tabulate(plan: SessionPlan, seeds: tuple, inputs) -> tuple:
         hit = memo.get(x)
         if hit is None:
             o = driver.run(x)
-            t = tuple((r.kind, r.payload.n, r.payload.v) for r in o.transcript.records)
-            hit = memo[x] = ((t, o.keys[0]), o.agreed)
+            hit = memo[x] = ((tuple(o.transcript.records), o.keys[0]), o.agreed)
         cell, ok = hit
         counts[cell] = counts.get(cell, 0) + 1
         agreed += ok
@@ -211,7 +211,7 @@ def conditional_uniformity(config: SessionConfig, trials: int) -> AuditReport:
     report = AuditReport(
         trials=trials,
         agreement_rate=agreed / trials,
-        leakage_bits=sum(c * sum(bits for _kind, bits, _v in t) for (t, _key), c in counts.items()) / trials,
+        leakage_bits=sum(c * sum(r.payload.n for r in t) for (t, _key), c in counts.items()) / trials,
         inconclusive=worst is None,
         key_len=plan.key_len,
         stratum_count=len(strata),

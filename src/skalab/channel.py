@@ -5,10 +5,13 @@ Every protocol sends in one round, so ``protocols.SessionDriver`` builds a
 session's transcript from its round-1 records directly.  Total payload
 bits are the communication accounting; fingerprints are reconciliation
 payload, and hash specs and seeds are public overhead counted in the total.
+A record is a checked named tuple, as its ``gf2.BitVec`` payload, so an
+audit's tables keyed by ``tuple(transcript.records)`` hash in C.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .gf2 import BitVec
@@ -18,16 +21,15 @@ from .gf2 import BitVec
 PAYLOAD_KINDS = frozenset({"fingerprint"})
 
 
-@dataclass(frozen=True)
-class TranscriptRecord:
-    round: int
-    sender: int
-    kind: str
-    payload: BitVec
+class TranscriptRecord(namedtuple("TranscriptRecord", "round sender kind payload")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:  # `parse` splits at commas and line breaks
-        if "," in self.kind or "".join(self.kind.splitlines()) != self.kind:
-            raise ValueError(f"record kind {self.kind!r} holds a comma or a line break")
+    def __new__(cls, round: int, sender: int, kind: str, payload: BitVec) -> "TranscriptRecord":
+        if "," in kind or "".join(kind.splitlines()) != kind:  # `parse` splits at commas and line breaks
+            raise ValueError(f"record kind {kind!r} holds a comma or a line break")
+        return tuple.__new__(cls, (round, sender, kind, payload))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # through __new__, as `BitVec._make`
 
     def dump(self) -> str:
         return f"{self.round},{self.sender},{self.kind},{self.payload.to_hex()}"

@@ -94,8 +94,8 @@ class JointDistribution:
 
     The support is (inputs, weight) pairs with distinct inputs and positive
     integer weights; inputs has probability weight / (sum of the weights).
-    ``from_weights`` and ``uniform`` merge duplicate inputs and sort them by
-    (n, v) per component.
+    ``from_weights`` and ``uniform`` merge duplicate inputs and sort them in
+    tuple order: (n, v) per component, since a BitVec is the pair (n, v).
     """
 
     ell: int
@@ -120,7 +120,7 @@ class JointDistribution:
         for inputs, w in pairs:
             key = tuple(inputs)
             acc[key] = acc.get(key, 0) + w
-        return JointDistribution(ell, tuple(sorted(acc.items(), key=lambda tw: tuple((b.n, b.v) for b in tw[0]))))
+        return JointDistribution(ell, tuple(sorted(acc.items())))
 
     @staticmethod
     def uniform(ell: int, tuples) -> "JointDistribution":

@@ -5,6 +5,9 @@ Representation conventions (used everywhere in this package):
 * A bit vector of length ``n`` is stored as a Python integer ``v`` with
   ``0 <= v < 2**n``.  Bit ``i`` of the vector is ``(v >> i) & 1``, i.e.
   index 0 is the least significant bit and the first bit of the sequence.
+  ``BitVec`` is a named tuple that checks its fields in ``__new__``.  It
+  equals the pair (n, v) and hashes and sorts as that pair, in C: the
+  audits' tables hash vectors by the million.
 * Hex serialization is length-prefixed, ``len:hex``, where the hex digits
   encode the bytes ``v & 0xff``, ``(v >> 8) & 0xff``, ... in order
   (little-endian within byte, least significant byte first).
@@ -52,6 +55,7 @@ Representation conventions (used everywhere in this package):
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -60,18 +64,19 @@ class Gf2Error(ValueError):
     """Contract violation in a GF(2) operation (dimension or value mismatch)."""
 
 
-@dataclass(frozen=True)
-class BitVec:
+class BitVec(namedtuple("BitVec", "n v")):
     """Immutable bit vector: ``n`` bits stored LSB-first in the integer ``v``."""
 
-    n: int
-    v: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise Gf2Error(f"negative length {self.n}")
-        if self.v < 0 or self.v >> self.n:
-            raise Gf2Error(f"value {self.v:#x} does not fit in {self.n} bits")
+    def __new__(cls, n: int, v: int) -> "BitVec":
+        if n < 0:
+            raise Gf2Error(f"negative length {n}")
+        if v < 0 or v >> n:
+            raise Gf2Error(f"value {v:#x} does not fit in {n} bits")
+        return tuple.__new__(cls, (n, v))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # the tuple's own, which _replace calls, skips __new__
 
     def slice(self, start: int, stop: int) -> "BitVec":
         if not 0 <= start <= stop <= self.n:

@@ -49,6 +49,7 @@ no transcript payload equals a party input, key material, or a key.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -123,17 +124,7 @@ class SessionConfig:
             object.__setattr__(self, "margins", Margins.defaults(self.model.n, self.eps))
 
 
-@dataclass
-class SessionOutcome:
-    keys: tuple
-    transcript: Transcript
-    agreed: bool
-    key_len: int
-    comm_bits: int
-    target_key_len: Fraction
-    target_comm: Fraction
-    decode_status: str
-    payload_bits: int
+SessionOutcome = namedtuple("SessionOutcome", "keys transcript agreed key_len comm_bits target_key_len target_comm decode_status payload_bits")
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ loop over bits.  The XORs cover the whole product, so a coset of more than
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import not_
@@ -83,19 +84,19 @@ class Fingerprint:
             raise ValueError(f"fingerprint length {self.value.n} != hash rows {self.spec.rows}")
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(namedtuple("DecodeResult", "status value candidates_checked")):
     """Outcome of a candidate search; value, present exactly when the
     status is unique, is the packed inputs of the fingerprint senders, party
     1 in the low bits: one input for `decode`, the tuple for `multi_decode`."""
 
-    status: str
-    value: BitVec | None
-    candidates_checked: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.value is not None) != (self.status == STATUS_UNIQUE):
+    def __new__(cls, status: str, value: BitVec | None, candidates_checked: int) -> "DecodeResult":
+        if (value is not None) != (status == STATUS_UNIQUE):
             raise ValueError("value present iff status is unique")
+        return tuple.__new__(cls, (status, value, candidates_checked))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # through __new__, as `gf2.BitVec._make`
 
 
 def decode(fp: Fingerprint, candidates) -> DecodeResult:

@@ -24,6 +24,7 @@ no other module names a model class.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from itertools import permutations
 
@@ -212,9 +213,7 @@ def parse_model_spec(text: str) -> Model:
     return make_model(name, params)
 
 
-@dataclass(frozen=True)
-class CorrelatedInstance:
-    inputs: tuple
+CorrelatedInstance = namedtuple("CorrelatedInstance", "inputs")
 
 
 def sample(model: Model, stream: SeedStream) -> CorrelatedInstance:

@@ -90,13 +90,14 @@ def test_canary_leaking_key_fails_audit(monkeypatch):
 
 def _tabulate_every_trial(plan, seeds, inputs):
     """Reference tabulation: one plain session (a fresh ``SessionDriver``)
-    per trial, so no work is shared between trials."""
+    per trial, so no work is shared between trials; a transcript is keyed
+    by its records, as ``_tabulate`` keys it."""
     cells: dict = {}
     counts: dict = {}
     agreed = 0
     for x in inputs:
         o = SessionDriver(plan, seeds).run(x)
-        t = tuple((r.kind, r.payload.n, r.payload.v) for r in o.transcript.records)
+        t = tuple(o.transcript.records)
         cells[x] = ((t, o.keys[0]), o.agreed)
         counts[(t, o.keys[0])] = counts.get((t, o.keys[0]), 0) + 1
         agreed += o.agreed

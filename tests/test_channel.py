@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -120,8 +122,22 @@ def test_every_record_kind_of_a_plan_reads_back(spec, protocol, margins):
 @pytest.mark.parametrize("kind", ["a,b", ",", "fingerprint,", "a\nb", "a\r", "a\r\nb", "\x0b", "a\x85b", "a\u2028b"])
 def test_record_kind_that_dump_cannot_write_back_is_rejected(kind):
     # dump would write "1,1,a,b,8:00", which parse splits at the wrong comma
-    with pytest.raises(ValueError, match="comma or a line break"):
+    with pytest.raises(ValueError) as err:
         TranscriptRecord(1, 1, kind, BitVec(8, 0))
+    assert str(err.value) == f"record kind {kind!r} holds a comma or a line break"
+    with pytest.raises(ValueError, match="comma or a line break"):
+        TranscriptRecord(1, 1, "fingerprint", BitVec(8, 0))._replace(kind=kind)  # _make runs the check too
+
+
+def test_record_is_an_immutable_named_tuple():
+    record = TranscriptRecord(1, 2, "fingerprint", BitVec(8, 3))
+    assert repr(record) == "TranscriptRecord(round=1, sender=2, kind='fingerprint', payload=BitVec(n=8, v=3))"
+    assert record == (1, 2, "fingerprint", (8, 3))
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.kind = "leak"
+    for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert copied == record and type(copied) is TranscriptRecord and type(copied.payload) is BitVec
 
 
 @pytest.mark.parametrize("spec, protocol, margins", SESSION_SHAPES)

@@ -318,3 +318,15 @@ def test_joint_distribution_validation():
     merged = JointDistribution.from_weights(2, [(a, 2), (b, 1), (a, 3)])
     assert merged.support == ((b, 1), (a, 5))
     assert (merged.entropy_of(lambda t: t[0]) - entropy_expr([Fraction(1, 6), Fraction(5, 6)])).sign() == 0
+    with pytest.raises(ValueError, match="BitVec tuples"):  # a plain pair equals a BitVec, but is not one
+        JointDistribution.from_weights(1, [(((1, 0),), 1)])
+
+
+def test_from_weights_orders_mixed_lengths_by_length_then_value():
+    # The order of the explicit (n, v) key of every component, which the
+    # support keeps whatever the lengths of its vectors.
+    inputs = [(bv(3, 1), bv(1, 1)), (bv(2, 3), bv(4, 0)), (bv(3, 0), bv(2, 1)), (bv(2, 3), bv(1, 1)), (bv(0, 0), bv(5, 31)), (bv(3, 0), bv(2, 0))]
+    dist = JointDistribution.from_weights(2, [(t, w) for w, t in enumerate(inputs, start=1)])
+    want = sorted(inputs, key=lambda t: tuple((b.n, b.v) for b in t))
+    assert [t for t, _w in dist.support] == want
+    assert want[:3] == [(bv(0, 0), bv(5, 31)), (bv(2, 3), bv(1, 1)), (bv(2, 3), bv(4, 0))]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -48,6 +50,36 @@ def test_bitvec_rejects_wide_values():
         BitVec(3, 0b1000)
     with pytest.raises(Gf2Error):
         BitVec(0, 1)
+
+
+@pytest.mark.parametrize(
+    "n, v, message",
+    [(-1, 0, "negative length -1"), (3, 0b1000, "value 0x8 does not fit in 3 bits"), (3, -1, "value -0x1 does not fit in 3 bits")],
+)
+def test_bitvec_errors_name_the_bad_field(n, v, message):
+    with pytest.raises(Gf2Error) as err:
+        BitVec(n, v)
+    assert str(err.value) == message
+
+
+def test_bitvec_is_a_checked_immutable_pair():
+    b = BitVec(8, 3)
+    assert repr(b) == "BitVec(n=8, v=3)" and str(b) == "8:03"
+    assert b == (8, 3) and hash(b) == hash((8, 3))  # a BitVec equals the pair it holds
+    assert not hasattr(b, "__dict__")
+    with pytest.raises(AttributeError):
+        b.v = 4
+    for copied in (copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert copied == b and type(copied) is BitVec
+    assert sorted([BitVec(3, 1), BitVec(2, 3), BitVec(3, 0), BitVec(0, 0)]) == [BitVec(0, 0), BitVec(2, 3), BitVec(3, 0), BitVec(3, 1)]
+
+
+def test_bitvec_replace_and_make_run_the_checks():
+    assert BitVec(4, 1)._replace(v=15) == BitVec(4, 15)
+    with pytest.raises(Gf2Error):
+        BitVec(4, 1)._replace(v=16)
+    with pytest.raises(Gf2Error):
+        BitVec._make((-2, 0))
 
 
 def test_hex_roundtrip_lsb_first():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -120,6 +122,16 @@ def test_identical_sessions_are_hamming_sessions_at_t0(protocol, n, eps):
         )
         assert (a.keys, a.transcript.dump(), a.decode_status) == (b.keys, b.transcript.dump(), b.decode_status)
         assert a == b
+
+
+def test_session_outcome_is_an_immutable_named_tuple():
+    o = run_session(cfg_light("identical:n=16"), 0)
+    assert repr(o).startswith(f"SessionOutcome(keys=({o.keys[0]!r}, {o.keys[1]!r}), transcript=Transcript(records=[TranscriptRecord(round=1, ")
+    assert not hasattr(o, "__dict__")
+    with pytest.raises(AttributeError):
+        o.agreed = False
+    for copied in (copy.deepcopy(o), pickle.loads(pickle.dumps(o))):
+        assert copied == o and type(copied) is type(o) and copied.transcript.dump() == o.transcript.dump()
 
 
 def test_light_identical_pair_empty_fingerprint():

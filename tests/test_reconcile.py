@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -116,10 +118,22 @@ def test_decode_not_found():
 
 
 def test_decode_result_invariant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^value present iff status is unique$"):
         DecodeResult(STATUS_AMBIGUOUS, BitVec(1, 0), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^value present iff status is unique$"):
         DecodeResult(STATUS_UNIQUE, None, 2)
+    with pytest.raises(ValueError, match="^value present iff status is unique$"):
+        DecodeResult(STATUS_UNIQUE, BitVec(1, 0), 2)._replace(value=None)
+
+
+def test_decode_result_is_an_immutable_named_tuple():
+    res = DecodeResult(STATUS_UNIQUE, BitVec(4, 9), 16)
+    assert repr(res) == "DecodeResult(status='unique', value=BitVec(n=4, v=9), candidates_checked=16)"
+    assert not hasattr(res, "__dict__")
+    with pytest.raises(AttributeError):
+        res.status = STATUS_AMBIGUOUS
+    for copied in (copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
+        assert copied == res and type(copied) is DecodeResult
 
 
 def test_decode_matches_scan_on_affine_sets():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -124,6 +126,17 @@ def test_sample_line_point_incidence():
         c, d = y.v & 0xFF, y.v >> 8
         assert d == mul_int(a, c, 8) ^ b
         assert is_consistent(model, inst.inputs)
+
+
+def test_sample_is_an_immutable_named_tuple():
+    inst = sample(parse_model_spec("identical:n=8"), SeedStream("nt"))
+    x = inst.inputs[0]
+    assert repr(inst) == f"CorrelatedInstance(inputs=(BitVec(n=8, v={x.v}), BitVec(n=8, v={x.v})))"
+    assert not hasattr(inst, "__dict__")
+    with pytest.raises(AttributeError):
+        inst.inputs = ()
+    for copied in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        assert copied == inst and type(copied) is type(inst) and type(copied.inputs[0]) is BitVec
 
 
 def test_sample_identical():
