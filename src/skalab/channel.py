@@ -2,11 +2,12 @@
 the eavesdropper sees.
 
 Every protocol sends in one round, so ``protocols.SessionDriver`` builds a
-session's transcript from its round-1 records directly.  Total payload
-bits are the communication accounting; fingerprints are reconciliation
-payload, and hash specs and seeds are public overhead counted in the total.
-A record is a checked named tuple, as its ``gf2.BitVec`` payload, so an
-audit's tables keyed by ``tuple(transcript.records)`` hash in C.
+session's transcript from its round-1 records directly.  The driver also
+keeps the communication accounting, fixed by its plan and seeds:
+fingerprints are reconciliation payload, and hash specs and seeds are
+public overhead counted in the total.  A record is a checked named tuple,
+as its ``gf2.BitVec`` payload, so an audit's tables keyed by
+``tuple(transcript.records)`` hash in C.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .gf2 import BitVec
-
-# Record kinds whose payloads count as protocol payload (reconciliation
-# messages) versus public randomness/spec overhead.
-PAYLOAD_KINDS = frozenset({"fingerprint"})
 
 
 class TranscriptRecord(namedtuple("TranscriptRecord", "round sender kind payload")):
@@ -48,12 +45,6 @@ class TranscriptRecord(namedtuple("TranscriptRecord", "round sender kind payload
 @dataclass
 class Transcript:
     records: list = field(default_factory=list)
-
-    def total_bits(self) -> int:
-        return sum(r.payload.n for r in self.records)
-
-    def payload_bits(self) -> int:
-        return sum(r.payload.n for r in self.records if r.kind in PAYLOAD_KINDS)
 
     def one(self, kind: str, sender: int) -> TranscriptRecord:
         matches = [r for r in self.records if r.kind == kind and r.sender == sender]

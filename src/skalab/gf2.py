@@ -17,9 +17,9 @@ Representation conventions (used everywhere in this package):
   product with x is the window [cols - 1, cols - 1 + rows) of the
   carry-less product seed(z) * x(z), so hashing builds no rows: each hash
   keeps only its seed in spread form (below), and a product is one integer
-  multiply per 255 bits of x and a read of the window's parity bytes.
-  Columns, which are seed windows too, are derived on demand for the
-  Hamming sphere decode.
+  multiply per 255 bits of x and a read of the window's parity bytes, made
+  once per hash and x: a hash keeps its products.  Columns, which are seed
+  windows too, are derived on demand for the Hamming sphere decode.
 * GF(2^n) elements are n-bit polynomials over GF(2) in the monomial basis
   (bit i = coefficient of x^i), reduced modulo the lexicographically-first
   irreducible polynomial of degree n (see ``irreducible_poly``).
@@ -142,15 +142,16 @@ class Gf2Matrix:
 
     This is the seeded linear hash of the protocols: the data is the seed,
     the bits a session broadcasts.  `spread_seed` is the seed in ``spread``
-    form, made once per hash for `matvec` and both lattices, and
-    `graph_bases` holds `graph_basis`'s reductions by multiplier; neither
-    takes part in equality or hashing, and both go with the hash.
+    form, made once per hash for `matvec` and both lattices, `products` holds
+    `matvec`'s products by x and `graph_bases` `graph_basis`'s reductions by
+    multiplier; none takes part in equality or hashing, and all go with it.
     """
 
     rows: int
     cols: int
     data: BitVec
     spread_seed: int = field(init=False, repr=False, compare=False)
+    products: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     graph_bases: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -175,7 +176,9 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     spread form: x goes in chunks of at most 255 bits, so no byte of a
     chunk's product with the spread seed sums more than 255 terms, and the
     chunks' products, each shifted down to the window, XOR into bytes whose
-    parities are the result bits.
+    parities are the result bits.  The product is kept in ``m.products`` by
+    x, so a word is multiplied once per hash; a re-hash of any other word,
+    as by a guard that fails, misses it and is multiplied.
 
     Against the window of a bitwise product (the seed shifted by every set
     bit of x, XORed together), with the seed spread beforehand, it ran
@@ -187,10 +190,12 @@ def matvec(m: Gf2Matrix, x: BitVec) -> BitVec:
     CPython 3.11.7, 2-core x86-64 VM)."""
     if x.n != m.cols:
         raise Gf2Error(f"matvec: vector length {x.n} != cols {m.cols}")
-    cols, window = m.cols, 0
-    for k in range(0, cols, _SPREAD_SLOT_MAX):
-        window ^= m.spread_seed * spread(x.v >> k & _SLOT_CHUNK) >> 8 * (cols - 1 - k)
-    return BitVec(m.rows, _field(window, m.rows))
+    if x.v not in m.products:
+        cols, window = m.cols, 0
+        for k in range(0, cols, _SPREAD_SLOT_MAX):
+            window ^= m.spread_seed * spread(x.v >> k & _SLOT_CHUNK) >> 8 * (cols - 1 - k)
+        m.products[x.v] = BitVec(m.rows, _field(window, m.rows))
+    return m.products[x.v]
 
 
 def _weak_popov(rows) -> tuple:

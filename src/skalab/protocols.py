@@ -22,7 +22,9 @@ All three protocols run on one driver, in three steps:
    recovery (its decode and guard) of the party's own input and the
    fingerprints, and a key chain of the recovered word, so a driver
    memoizes each under plain ints: (sender slot, input), (party, own
-   input, fingerprint values) and the packed word.
+   input, fingerprint values) and the packed word; below them each hash
+   keeps its products (``gf2.matvec``), so a guard's re-hash is a lookup.
+   The plan and seeds fix the bit counts, which the driver counts once.
 
 Every hash is a seeded Toeplitz matrix (``gf2.Gf2Matrix``), a universal
 family with rows + cols - 1 seed bits (Mansour, Nisan & Tiwari 1990;
@@ -282,24 +284,26 @@ def _forbid_secret_payloads(transcript: Transcript, secrets) -> None:
     # Structural guard against broadcasting a secret verbatim.  Secrets
     # shorter than 16 bits are skipped: at toy sizes a hash value can
     # coincide with an input by chance, which is not a leak.
+    guarded = {s for s in secrets if s is not None and s.n >= _LEAK_CHECK_MIN_BITS}
     for rec in transcript.records:
-        for s in secrets:
-            if s is not None and s.n >= _LEAK_CHECK_MIN_BITS and rec.payload == s:
-                raise AssertionError(
-                    f"transcript record {rec.kind!r} leaks a secret verbatim"
-                )
+        if rec.payload in guarded:
+            raise AssertionError(f"transcript record {rec.kind!r} leaks a secret verbatim")
 
 
 class SessionDriver:
     """Sessions on one plan and public seeds (from ``draw_seeds``): ``run``
     broadcasts, gives every party its key and runs the shared agreement and
     leak checks.  Step 3's memos live on the driver, and those of its
-    hashes and fingerprints on them, so all go with the driver."""
+    hashes (products, graph bases) and fingerprints on them, so all go with
+    the driver, which counts the transcript's bits once: the seeds' and each
+    fingerprint hash's rows, whether the session agrees or not."""
 
     def __init__(self, plan: SessionPlan, seeds: tuple) -> None:
         self.plan = plan
         self.fp_hashes, self.chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
         self._seed_records = [TranscriptRecord(1, sender, kind, payload) for sender, kind, payload in seeds]
+        self._payload_bits = sum(h.rows for h in self.fp_hashes)
+        self._comm_bits = sum(payload.n for _sender, _kind, payload in seeds) + self._payload_bits
         self._fingerprints, self._recovered, self._keys = {}, {}, {}
 
     def fingerprint(self, slot: int, x: BitVec) -> tuple:
@@ -339,13 +343,12 @@ class SessionDriver:
                 fps.append(fp)
                 records.append(fp_record)
         transcript = Transcript(records)
-        keys, statuses, materials = zip(*(self.party_key(i, own, fps) for i, own in enumerate(inputs, start=1)))
-        agreed = all(s == STATUS_UNIQUE for s in statuses) and len(set(keys)) == 1
-        _forbid_secret_payloads(transcript, tuple(inputs) + materials + keys)
+        keys, statuses, materials = zip(*[self.party_key(i, own, fps) for i, own in enumerate(inputs, start=1)])
+        failed = [s for s in statuses if s != STATUS_UNIQUE]
+        _forbid_secret_payloads(transcript, (*inputs, *materials, *keys))
         return SessionOutcome(
-            keys=keys, transcript=transcript, agreed=agreed, key_len=self.plan.key_len, comm_bits=transcript.total_bits(),
-            target_key_len=self.plan.target_key_len, target_comm=self.plan.target_comm, payload_bits=transcript.payload_bits(),
-            decode_status=next((s for s in statuses if s != STATUS_UNIQUE), STATUS_UNIQUE))
+            keys, transcript, not failed and len(set(keys)) == 1, self.plan.key_len, self._comm_bits,
+            self.plan.target_key_len, self.plan.target_comm, failed[0] if failed else STATUS_UNIQUE, self._payload_bits)
 
 
 def session_streams(config: SessionConfig, trial: int):

@@ -16,31 +16,16 @@ def test_broadcast_order_and_accounting():
     # right after the seed it hashes with, all in round 1.
     margins = Margins(k_slack=0, phase1=2, deficiency=0, extractor_eps=Fraction(1, 2))
     config = SessionConfig(parse_model_spec("triple:n=4"), "omniscience", Fraction(1, 4), 3, margins)
-    t = run_session(config, 0).transcript
+    o = run_session(config, 0)
+    t = o.transcript
     expected = []
     for sender, kind, _labels, bits in session_plan(config).seed_slots:
         expected.append((1, sender, kind, bits))
         if kind == "fp_spec":
             expected.append((1, sender, "fingerprint", None))
     assert [(r.round, r.sender, r.kind, None if r.kind == "fingerprint" else r.payload.n) for r in t.records] == expected
-    assert t.total_bits() == sum(r.payload.n for r in t.records)
-    assert t.payload_bits() == sum(r.payload.n for r in t.records if r.kind == "fingerprint")
-
-
-def test_empty_payload_zero_bits():
-    assert Transcript([TranscriptRecord(1, 1, "fingerprint", BitVec(0, 0))]).total_bits() == 0
-
-
-def test_payload_vs_overhead_kinds():
-    t = Transcript(
-        [
-            TranscriptRecord(1, 1, "hash_spec", BitVec(7, 0)),
-            TranscriptRecord(1, 1, "fingerprint", BitVec(3, 0)),
-            TranscriptRecord(1, 1, "ext_seed", BitVec(5, 0)),
-        ]
-    )
-    assert t.payload_bits() == 3
-    assert t.total_bits() - t.payload_bits() == 12
+    assert o.comm_bits == sum(r.payload.n for r in t.records)
+    assert o.payload_bits == sum(r.payload.n for r in t.records if r.kind == "fingerprint")
 
 
 def test_delivered_copy_is_transcript_record():

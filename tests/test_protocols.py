@@ -9,7 +9,7 @@ import pytest
 
 from skalab import protocols, reconcile
 from skalab.audit import conditional_uniformity, fixed_seeds
-from skalab.channel import Transcript
+from skalab.channel import Transcript, TranscriptRecord
 from skalab.protocols import (
     Margins,
     SessionConfig,
@@ -640,7 +640,57 @@ def test_agreement_implies_equal_keys():
 
 
 def test_comm_bits_equals_transcript_total():
-    for config in (cfg_light(), cfg_two_phase(), cfg_omni()):
-        o = run_session(config, 2)
-        assert o.comm_bits == o.transcript.total_bits()
-        assert o.comm_bits - o.payload_bits == o.transcript.total_bits() - o.transcript.payload_bits()
+    # The driver counts the bits once from its plan and seeds; they are the
+    # transcript's, also on sessions whose decode is not unique (light
+    # line-point:n=3 at eps = 1/2 is ambiguous on trial 0 at seed 11).
+    outcomes = [run_session(config, 2) for config in (cfg_light(), cfg_two_phase(), cfg_omni())]
+    outcomes += [run_session(cfg_light("line-point:n=3", Fraction(1, 2)), t) for t in range(4)]
+    assert {o.decode_status for o in outcomes} > {STATUS_UNIQUE}
+    for o in outcomes:
+        records = o.transcript.records
+        assert o.comm_bits == sum(r.payload.n for r in records)
+        assert o.payload_bits == sum(r.payload.n for r in records if r.kind == "fingerprint")
+
+
+def test_leak_check_names_the_first_record_holding_a_secret():
+    secret = BitVec(16, 0xBEEF)
+    transcript = Transcript([
+        TranscriptRecord(1, 1, "hash_spec", BitVec(16, 0xBEEE)),
+        TranscriptRecord(1, 1, "fingerprint", secret),
+        TranscriptRecord(1, 2, "ext_seed", secret),
+    ])
+    with pytest.raises(AssertionError, match="^transcript record 'fingerprint' leaks a secret verbatim$"):
+        protocols._forbid_secret_payloads(transcript, (None, BitVec(16, 1), secret))
+    short = BitVec(15, 0x3EEF)  # below 16 bits a payload may equal an input by chance
+    protocols._forbid_secret_payloads(Transcript([TranscriptRecord(1, 1, "fingerprint", short)]), (short,))
+    protocols._forbid_secret_payloads(transcript, (None, None))
+
+
+@pytest.mark.parametrize(
+    "config, products, calls",
+    [
+        (cfg_light("line-point:n=62", Fraction(1, 2**32)), 2, 3),
+        (cfg_two_phase("line-point:n=62", Fraction(1, 256)), 3, 4),
+        (SessionConfig(parse_model_spec("triple:n=30"), "omniscience", Fraction(1, 16384), 13, OMNI_MARGINS), 5, 14),
+    ],
+    ids=["light", "two_phase", "omniscience"],
+)
+def test_each_product_is_computed_once_per_hash(monkeypatch, config, products, calls):
+    # Light hashes x by its fingerprint rows and its key rows; the guard
+    # re-hashes the decoded x.  Two_phase adds the extractor over the
+    # material.  Omniscience fingerprints three inputs and chains one word
+    # through two hashes, but every party re-hashes its own input and
+    # guards the other two.  Every re-hash hits its hash's products.
+    made = []
+    counted = lambda h, x: made.append(x) or matvec(h, x)
+    monkeypatch.setattr(protocols, "matvec", counted)
+    monkeypatch.setattr(reconcile, "matvec", counted)
+    plan = session_plan(config)
+    input_stream, public_stream = session_streams(config, 0)
+    inputs = sample(config.model, input_stream).inputs
+    driver = protocols.SessionDriver(plan, draw_seeds(plan, public_stream))
+    computed = lambda: sum(len(h.products) for h in (*driver.fp_hashes, *driver.chain))
+    assert driver.run(inputs).agreed
+    assert (computed(), len(made)) == (products, calls)
+    driver.run(inputs)  # every driver memo hits: no hash is even called
+    assert (computed(), len(made)) == (products, calls)

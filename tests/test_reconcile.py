@@ -252,6 +252,50 @@ def test_warm_line_point_decode_hashes_only_for_the_guard(monkeypatch):
     assert calls == Counter(), calls
 
 
+# Each guard re-hashes a decoded word on a hash whose products already hold
+# the true word's (the fingerprint's own): a wrong word misses them, is
+# multiplied, and fails the comparison.
+NON_MATCHING = "^structured decode produced a non-matching solution$"
+
+
+def test_line_point_guard_fires_with_the_true_product_kept(monkeypatch):
+    model = parse_model_spec("line-point:n=8")
+    stream = SeedStream("guard-line")
+    x, y = sample(model, stream.child("inst")).inputs
+    fp = encode(x, model.n, Fraction(1, 256), stream.child("fp"))
+    assert decode(fp, model.candidates(y)).value == x and x.v in fp.spec.products
+    monkeypatch.setattr(reconcile, "solve_graph", lambda basis, value, base: x.v ^ 1)
+    with pytest.raises(AssertionError, match=NON_MATCHING):
+        decode(fp, model.candidates(y))
+
+
+def test_sphere_guard_fires_with_the_true_product_kept(monkeypatch):
+    # 21 rows over 31 bits: the meet in the middle runs, not the coset walk.
+    model = parse_model_spec("hamming:n=31,t=3")
+    stream = SeedStream("guard-sphere")
+    x, y = sample(model, stream.child("inst")).inputs
+    fp = encode(x, 13, Fraction(1, 256), stream.child("fp"))
+    assert decode(fp, model.candidates(y)).value == x and x.v in fp.spec.products
+    error = x.v ^ y.v
+    flip = error & -error | (~error & error + 1)  # its lowest set bit out, its lowest clear bit in: weight 3
+    monkeypatch.setattr(reconcile, "_error_matches", lambda cols, target, t: iter([error ^ flip]))
+    with pytest.raises(AssertionError, match=NON_MATCHING):
+        decode(fp, model.candidates(y))
+
+
+def test_joint_guard_fires_with_the_true_products_kept(monkeypatch):
+    model = parse_model_spec("triple:n=8")
+    inst = sample(model, SeedStream("guard-joint"))
+    fps = _triple_fingerprints(inst, (12, 12, 12), Fraction(1, 16), SeedStream("guard-joint-s"))
+    own = inst.inputs[0]
+    assert multi_decode(model, 1, own, fps).value == packed(inst.inputs)
+    assert all(x.v in fp.spec.products for x, fp in zip(inst.inputs, fps))
+    matches = reconcile._collinear_matches
+    monkeypatch.setattr(reconcile, "_collinear_matches", lambda *a: ((w ^ 1, q) for w, q in matches(*a)))
+    with pytest.raises(AssertionError, match=NON_MATCHING):
+        multi_decode(model, 1, own, fps)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 31, 62, 64])
 def test_factored_rows_are_echelon_and_return_coefficients(n):
     # Light line-point fingerprints have n + ceil(log2(1/eps)) rows.  The
