@@ -18,7 +18,6 @@ from .profiles import (
     ComplexityProfile,
     cond,
     is_polymatroid,
-    multi_j,
     mutual,
     parse_profile,
 )
@@ -30,7 +29,7 @@ from .protocols import (
     run_session,
     session_plan,
 )
-from .rateregion import RateRegion, RateTuple, co_formula3, co_lp, key_capacity, sw_constraints
+from .rateregion import RateRegion, RateTuple, co_formula3, co_lp, sw_constraints
 from .reconcile import (
     DecodeResult,
     Fingerprint,

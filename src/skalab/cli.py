@@ -18,7 +18,7 @@ from functools import partial
 from .audit import conditional_uniformity
 from .profiles import parse_profile, parse_rational
 from .protocols import Margins, session_plan
-from .rateregion import co_formula3, co_lp, key_capacity, sw_constraints
+from .rateregion import co_formula3, co_lp, sw_constraints
 from .runner import run_plan, sweep_configs
 
 
@@ -180,7 +180,7 @@ def cmd_rates(args) -> int:
     except ValueError as exc:
         return _error(exc)
     total, rates = co_lp(region)
-    cap = key_capacity(profile)
+    cap = profile.c(profile.full()) - total  # key capacity C(all) - CO (Csiszar-Narayan)
     lines = []
     for subset, bound in region.constraints:
         idx = "+".join(f"n{i}" for i in sorted(subset))

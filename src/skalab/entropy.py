@@ -20,10 +20,6 @@ from .gf2 import BitVec
 _FLOAT_SIGN_CUTOFF = 1e-6
 
 
-def _odd(m: int) -> int:
-    return m // (m & -m)
-
-
 class LogExpr:
     """Exact value  rat + sum c * log2(m)  with odd integer m >= 3."""
 
@@ -85,7 +81,8 @@ class LogExpr:
         return (sides[0] > sides[1]) - (sides[0] < sides[1])
 
     def __repr__(self) -> str:
-        return f"LogExpr({self.rat}, {self.terms})"
+        """The terms in ascending m, whatever order they were added in."""
+        return f"LogExpr({self.rat}, {dict(sorted(self.terms.items()))})"
 
 
 @dataclass(frozen=True)
@@ -128,26 +125,19 @@ class JointDistribution:
         return JointDistribution.from_weights(ell, ((t, 1) for t in tuples))
 
     def entropy_of(self, proj) -> LogExpr:
-        """Exact entropy of proj(inputs), summed over the distinct weights w
-        of its values in order of first appearance in the support: with
-        p = w / total reduced, count_w * p * (log2 den(p) - log2 num(p)).
-
-        Term for term and in term order that is the per-value sum, except
-        where the odd part (above 1) of one p's numerator is another p's
-        denominator's: there a per-value running coefficient can return to
-        0 and move its term to the end, so such supports sum value by value.
-        """
+        """Exact entropy of proj(inputs), summed once per distinct weight w
+        of its values: with p = w / total reduced and count_w values of
+        weight w, count_w * p * (log2 den(p) - log2 num(p))."""
         weights: dict = {}
         for inputs, w in self.support:
             key = proj(inputs)
             weights[key] = weights.get(key, 0) + w
-        total, counts = sum(weights.values()), Counter(weights.values())
-        ps = {w: Fraction(w, total) for w in counts}
-        shared = {_odd(p.numerator) for p in ps.values()} & {_odd(p.denominator) for p in ps.values()}
+        total = sum(weights.values())
         h = LogExpr()
-        for w, c in ((w, 1) for w in weights.values()) if shared - {1} else counts.items():
-            h.add_log(ps[w].denominator, c * ps[w])
-            h.add_log(ps[w].numerator, -c * ps[w])
+        for w, c in Counter(weights.values()).items():
+            p = Fraction(w, total)
+            h.add_log(p.denominator, c * p)
+            h.add_log(p.numerator, -c * p)
         return h
 
 

@@ -143,8 +143,10 @@ class Gf2Matrix:
     This is the seeded linear hash of the protocols: the data is the seed,
     the bits a session broadcasts.  `spread_seed` is the seed in ``spread``
     form, made once per hash for `matvec` and both lattices, `products` holds
-    `matvec`'s products by x and `graph_bases` `graph_basis`'s reductions by
-    multiplier; none takes part in equality or hashing, and all go with it.
+    `matvec`'s products by x, `graph_bases` `graph_basis`'s reductions by
+    multiplier and `cosets` `reconcile.fingerprint_coset`'s solves by
+    fingerprint value; none takes part in equality or hashing, and all go
+    with it.
     """
 
     rows: int
@@ -153,6 +155,7 @@ class Gf2Matrix:
     spread_seed: int = field(init=False, repr=False, compare=False)
     products: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     graph_bases: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    cosets: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:

@@ -16,8 +16,8 @@ from itertools import combinations
 
 Subset = frozenset
 
-# Both the rate LP (2^ell - 2 constraints) and the partition formula
-# (Bell(ell) splittings) finish within seconds up to here.
+# The rate LP (2^ell - 2 constraints) and the polymatroid check finish
+# within seconds up to here.
 MAX_PARTIES = 8
 
 
@@ -103,20 +103,6 @@ def mutual(profile: ComplexityProfile, v, w) -> Fraction:
     return profile.c(vs) + profile.c(ws) - profile.c(vs | ws)
 
 
-def multi_j(profile: ComplexityProfile, partition) -> Fraction:
-    """J over a splitting: (sum_i C(x_{J_i}) - C(x_[ell])) / (s - 1)."""
-    parts = [_as_subset(p, profile.ell) for p in partition]
-    if len(parts) < 2:
-        raise ValueError("a splitting needs at least two parts")
-    if any(not p for p in parts):
-        raise ValueError("splitting parts must be nonempty")
-    union = frozenset().union(*parts)
-    if union != profile.full() or sum(len(p) for p in parts) != profile.ell:
-        raise ValueError("parts must be disjoint and cover all parties")
-    s = len(parts)
-    return (sum((profile.c(p) for p in parts), Fraction(0)) - profile.c(profile.full())) / (s - 1)
-
-
 def is_polymatroid(profile: ComplexityProfile) -> bool:
     """Polymatroid check (with C(empty) = 0) by Yeung's elemental
     inequalities:
@@ -140,19 +126,6 @@ def is_polymatroid(profile: ComplexityProfile) -> bool:
                 if c[s | bi] + c[s | bj] < c[s | bi | bj] + c[s]:
                     return False
     return True
-
-
-def all_partitions(items: tuple) -> list[list[frozenset]]:
-    """All set partitions of items (Bell enumeration; fine for ell <= 8)."""
-    if not items:
-        return [[]]
-    first, rest = items[0], items[1:]
-    out = []
-    for sub in all_partitions(rest):
-        for i in range(len(sub)):
-            out.append(sub[:i] + [sub[i] | {first}] + sub[i + 1 :])
-        out.append(sub + [frozenset({first})])
-    return out
 
 
 # ---------------------------------------------------------------------------

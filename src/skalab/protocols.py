@@ -294,9 +294,9 @@ class SessionDriver:
     """Sessions on one plan and public seeds (from ``draw_seeds``): ``run``
     broadcasts, gives every party its key and runs the shared agreement and
     leak checks.  Step 3's memos live on the driver, and those of its
-    hashes (products, graph bases) and fingerprints on them, so all go with
-    the driver, which counts the transcript's bits once: the seeds' and each
-    fingerprint hash's rows, whether the session agrees or not."""
+    hashes (products, graph bases, fingerprint cosets) on them, so all go
+    with the driver, which counts the transcript's bits once: the seeds'
+    and each fingerprint hash's rows, whether the session agrees or not."""
 
     def __init__(self, plan: SessionPlan, seeds: tuple) -> None:
         self.plan = plan
@@ -377,9 +377,16 @@ def party_key_from_transcript(config: SessionConfig, party: int, own: BitVec, tr
     the hashes that the plan's layout cuts from the seed records (a fresh
     driver's ``toeplitz_hashes``) and the senders' fingerprint records.
     ``run`` feeds ``party_key`` the same objects from its broadcast
-    instead."""
+    instead.  A seed record of any other length than its plan slot's is a
+    ValueError."""
     plan = session_plan(config)
-    driver = SessionDriver(plan, tuple((sender, kind, transcript.one(kind, sender).payload) for sender, kind, _labels, _bits in plan.seed_slots))
+    seeds = []
+    for sender, kind, _labels, bits in plan.seed_slots:
+        payload = transcript.one(kind, sender).payload
+        if payload.n != bits:
+            raise ValueError(f"{kind} record of party {sender} has {payload.n} bits, its plan slot {bits}")
+        seeds.append((sender, kind, payload))
+    driver = SessionDriver(plan, tuple(seeds))
     fps = [Fingerprint(h, transcript.one("fingerprint", i).payload) for i, h in enumerate(driver.fp_hashes, start=1)]
     key, status, _material = driver.party_key(party, own, fps)
     return key, status

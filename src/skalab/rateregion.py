@@ -1,4 +1,4 @@
-"""Slepian-Wolf rate region, communication for omniscience, key capacity.
+"""Slepian-Wolf rate region and communication for omniscience.
 
 The region S is cut out by one constraint per splitting (I, J) of the
 parties into two nonempty sets:  sum_{i in I} n_i >= C(x_I | x_J).  CO is
@@ -25,10 +25,8 @@ from .profiles import (
     MAX_PARTIES,
     ComplexityProfile,
     all_nonempty_subsets,
-    all_partitions,
     cond,
     is_polymatroid,
-    multi_j,
 )
 
 
@@ -131,24 +129,3 @@ def co_formula3(profile: ComplexityProfile) -> Fraction:
         c({3}, {1, 2}) + c({1, 2}, {3}),
         (c({1, 2}, {3}) + c({1, 3}, {2}) + c({2, 3}, {1})) / 2,
     )
-
-
-def key_capacity(profile: ComplexityProfile) -> Fraction:
-    """Secret-key capacity C(all) - CO, via the splitting formula.
-
-    Evaluates min over all partitions (>= 2 parts) of
-    (sum_i C(x_{J_i}) - C(all)) / (s - 1); Bell enumeration, ell <= 8.
-    This route is independent of the LP and is cross-checked against it.
-    """
-    _check_parties(profile.ell)
-    if not is_polymatroid(profile):
-        raise ValueError("profile is not a valid polymatroid")
-    parties = tuple(range(1, profile.ell + 1))
-    best = None
-    for partition in all_partitions(parties):
-        if len(partition) < 2:
-            continue
-        j = multi_j(profile, partition)
-        if best is None or j < best:
-            best = j
-    return best

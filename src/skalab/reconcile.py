@@ -37,12 +37,12 @@ when both are past it.
 
 Joint decoding (`multi_decode`, omniscience on the collinear triple)
 solves each other party's fingerprint for the affine coset of inputs that
-match it, kept on the fingerprint as its (particular, kernel), and never
-filters their product tuple by tuple.  Through the holder's point P and a
-word W of the smaller coset passes one line; the third point lies on it
-iff one GF(2)-linear form of that point vanishes.  The form's values on
-the larger coset are its value at one word xor its values at the kernel
-vectors, so a decode costs 1 + s field products per word of the smaller
+match it, kept on the fingerprint's hash by value as its (particular,
+kernel), and never filters their product tuple by tuple.  Through the
+holder's point P and a word W of the smaller coset passes one line; the
+third point lies on it iff one GF(2)-linear form of that point vanishes.
+The form's values on the larger coset are its value at one word xor its
+values at the kernel vectors, so a decode costs 1 + s field products per word of the smaller
 coset and one XOR per word of the product, s the larger coset's kernel
 dimension.  The products run on byte-spread operands (`gf2.spread`), each
 spread once per decode or once per word of the smaller coset, so a product
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, islice
 from operator import not_
 
@@ -72,12 +72,11 @@ STATUS_SEARCH_LIMIT = "search_limit"
 class Fingerprint:
     """Seeded hash plus value; the reconciliation message for one input.
     The session plan sizes the hash; the value comes off the channel, so
-    only its length is checked against the hash.  `coset` keeps
-    `fingerprint_coset`'s solve (... until made), outside equality."""
+    only its length is checked against the hash.  `fingerprint_coset`'s
+    solve is kept on the hash (`Gf2Matrix.cosets`), by value."""
 
     spec: Gf2Matrix
     value: BitVec
-    coset: tuple | None = field(init=False, repr=False, compare=False, default=...)
 
     def __post_init__(self) -> None:
         if self.value.n != self.spec.rows:
@@ -248,16 +247,16 @@ def fingerprint_coset(fp: Fingerprint) -> tuple | None:
     kernel tuple); () when there are none, None past _COSET_CAP_BITS kernel
     vectors (degenerate hash seed).  Both other parties of an omniscience
     session solve each fingerprint, and a fixed-seed audit sees each sender
-    input many times, but a session driver hands them all one Fingerprint
-    per (sender, input): the solve is made once and kept on it, immutable."""
-    if fp.coset is ...:
+    input many times, but the solve depends only on the hash and the value,
+    so it is made once per (hash, value) and kept in the hash's `cosets`."""
+    cosets, v = fp.spec.cosets, fp.value.v
+    if v not in cosets:
         sol = solve_affine(fp.spec, fp.value)
         if sol is None:
-            coset = ()
+            cosets[v] = ()
         else:
-            coset = None if len(sol[1]) > _COSET_CAP_BITS else (sol[0], tuple(sol[1]))
-        object.__setattr__(fp, "coset", coset)
-    return fp.coset
+            cosets[v] = None if len(sol[1]) > _COSET_CAP_BITS else (sol[0], tuple(sol[1]))
+    return cosets[v]
 
 
 def _collinear_matches(n: int, own: int, near: tuple, far: tuple):

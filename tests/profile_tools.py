@@ -1,11 +1,12 @@
 """Profile helpers for tests: the profile file writer, scaling, random
 polymatroids, the pairwise polymatroid check that oracles the elemental
-one, and membership of a rate tuple in a rate region, the oracle for the
-rate LP."""
+one, and two oracles for the rate LP: membership of a rate tuple in a rate
+region, and the key capacity by the partition formula, which must equal
+C(all) minus the LP's CO."""
 
 from fractions import Fraction
 
-from skalab.profiles import ComplexityProfile, all_nonempty_subsets
+from skalab.profiles import MAX_PARTIES, ComplexityProfile, _as_subset, all_nonempty_subsets, is_polymatroid
 from skalab.rateregion import RateRegion, RateTuple
 from skalab.rng import SeedStream
 
@@ -76,3 +77,52 @@ def random_polymatroid(ell: int, stream: SeedStream) -> ComplexityProfile:
         cover = sum((w for w, o in zip(weights, owners) if o & s), Fraction(0))
         values[s] = cover + sum((additive[i - 1] for i in s), Fraction(0))
     return ComplexityProfile(ell, values)
+
+
+def multi_j(profile: ComplexityProfile, partition) -> Fraction:
+    """J over a splitting: (sum_i C(x_{J_i}) - C(x_[ell])) / (s - 1)."""
+    parts = [_as_subset(p, profile.ell) for p in partition]
+    if len(parts) < 2:
+        raise ValueError("a splitting needs at least two parts")
+    if any(not p for p in parts):
+        raise ValueError("splitting parts must be nonempty")
+    union = frozenset().union(*parts)
+    if union != profile.full() or sum(len(p) for p in parts) != profile.ell:
+        raise ValueError("parts must be disjoint and cover all parties")
+    s = len(parts)
+    return (sum((profile.c(p) for p in parts), Fraction(0)) - profile.c(profile.full())) / (s - 1)
+
+
+def all_partitions(items: tuple) -> list[list[frozenset]]:
+    """All set partitions of items (Bell enumeration; fine for ell <= 8)."""
+    if not items:
+        return [[]]
+    first, rest = items[0], items[1:]
+    out = []
+    for sub in all_partitions(rest):
+        for i in range(len(sub)):
+            out.append(sub[:i] + [sub[i] | {first}] + sub[i + 1 :])
+        out.append(sub + [frozenset({first})])
+    return out
+
+
+def key_capacity(profile: ComplexityProfile) -> Fraction:
+    """Secret-key capacity C(all) - CO, via the splitting formula.
+
+    Evaluates min over all partitions (>= 2 parts) of
+    (sum_i C(x_{J_i}) - C(all)) / (s - 1); Bell enumeration, ell <= 8.
+    This route is independent of the LP and is cross-checked against it.
+    """
+    if not 2 <= profile.ell <= MAX_PARTIES:
+        raise ValueError(f"rate region needs 2 to {MAX_PARTIES} parties, got {profile.ell}")
+    if not is_polymatroid(profile):
+        raise ValueError("profile is not a valid polymatroid")
+    parties = tuple(range(1, profile.ell + 1))
+    best = None
+    for partition in all_partitions(parties):
+        if len(partition) < 2:
+            continue
+        j = multi_j(profile, partition)
+        if best is None or j < best:
+            best = j
+    return best

@@ -28,7 +28,7 @@ from entropy_checks import (
     random_joint,
     tv_distance,
 )
-from profile_tools import random_polymatroid
+from profile_tools import key_capacity, random_polymatroid
 from skalab.audit import exact_small_n_audit
 from skalab.gf2 import BitVec, Gf2Matrix, matvec
 from skalab.protocols import (
@@ -36,7 +36,7 @@ from skalab.protocols import (
     SessionConfig,
     run_session,
 )
-from skalab.rateregion import co_formula3, co_lp, key_capacity, sw_constraints
+from skalab.rateregion import co_formula3, co_lp, sw_constraints
 from skalab.reconcile import STATUS_UNIQUE
 from skalab.rng import SeedStream
 from skalab.sources import parse_model_spec, sample

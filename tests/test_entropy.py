@@ -69,6 +69,14 @@ def test_logexpr_sign_within_float_cutoff_is_decided_in_integers():
     assert cube_root.sign() == 0
 
 
+def test_logexpr_repr_lists_terms_in_ascending_m():
+    e = LogExpr()
+    for m in (7, 5, 3):
+        e.add_log(m, Fraction(1, m))
+    assert list(e.terms) == [7, 5, 3]
+    assert repr(e) == "LogExpr(0, {3: Fraction(1, 3), 5: Fraction(1, 5), 7: Fraction(1, 7)})"
+
+
 def test_entropy_expr_uniform_is_rational():
     h = entropy_expr([Fraction(1, 8)] * 8)
     assert h.sign() == 1 and h.rat == 3 and not h.terms
@@ -104,9 +112,12 @@ def _assert_per_value(dist, proj):
         [7],  # a single point
         # Total 48: nine 1s give +9/48 log2 3 and 9 (p = 3/16) gives -3/16
         # log2 3, so the per-value coefficient of log2 3 returns to 0 and
-        # 15 (p = 5/16) puts log2 5 first; summed per weight, log2 3 would
-        # stay first.
+        # 15 (p = 5/16) adds log2 5 before log2 3 comes back; summed per
+        # weight, log2 3 is added first.  repr lists both in ascending m.
         [1] * 9 + [9, 15] + [1] * 15,
+        # Total 12: 9 (p = 3/4) has numerator 3, and 1 and 2 (p = 1/12 and
+        # 1/6) have denominators whose odd part is 3.
+        [9, 1, 2],
     ],
 )
 def test_entropy_of_equals_the_per_value_sum(weights):

@@ -1,11 +1,11 @@
 """Everything derived from a session's public seeds goes with its driver.
 
-A session's hashes, and what is computed from them (a hash's graph bases,
-a fingerprint's coset), are pure functions of the seeds, so they are kept
-on the objects that a `protocols.SessionDriver` holds, never in a module's
-cache: once the driver is dropped, nothing of its seeds stays alive.  The
-only functools caches in skalab are keyed by seed-free values, each listed
-in ALLOWED with its reason.
+A session's hashes, and what is computed from them (a hash's products,
+graph bases and fingerprint cosets), are pure functions of the seeds, so
+they are kept on the hashes that a `protocols.SessionDriver` holds, never
+in a module's cache: once the driver is dropped, nothing of its seeds
+stays alive.  The only functools caches in skalab are keyed by seed-free
+values, each listed in ALLOWED with its reason.
 """
 
 import functools

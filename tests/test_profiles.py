@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from profile_tools import format_profile, is_polymatroid_pairwise, random_polymatroid
+from profile_tools import all_partitions, format_profile, is_polymatroid_pairwise, multi_j, random_polymatroid
 from skalab.profiles import (
     ComplexityProfile,
     all_nonempty_subsets,
-    all_partitions,
     ceil_log2,
     cond,
     is_polymatroid,
     make_profile,
-    multi_j,
     mutual,
     parse_profile,
 )

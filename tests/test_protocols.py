@@ -493,15 +493,21 @@ def test_joint_decode_checks_no_tuple(monkeypatch):
         res = reconcile.multi_decode(config.model, party, inst.inputs[party - 1], fps)
         assert res.status == STATUS_UNIQUE and res.value == packed(inst.inputs)
         assert res.candidates_checked > 1
-    # A holder whose own fingerprint disagrees solves no other one.
-    bad = Fingerprint(fps[0].spec, BitVec(fps[0].value.n, fps[0].value.v ^ 1))
-    others = [Fingerprint(fp.spec, fp.value) for fp in fps[1:]]  # fresh, so nothing is solved yet
+    # A holder whose own fingerprint disagrees solves no other one.  Cosets
+    # are kept on the hash, so the others go on new hashes, with none solved.
+    fresh_hashes, _chain = protocols.toeplitz_hashes(plan.hash_layout, payloads)
+    bad = Fingerprint(fresh_hashes[0], BitVec(fps[0].value.n, fps[0].value.v ^ 1))
+    others = [Fingerprint(h, fp.value) for h, fp in zip(fresh_hashes[1:], fps[1:])]
     solves = []
     solve = reconcile.solve_affine
     monkeypatch.setattr(reconcile, "solve_affine", lambda *args: solves.append(args) or solve(*args))
     res = reconcile.multi_decode(config.model, 1, inst.inputs[0], [bad, *others])
     assert (res.status, res.candidates_checked) == (STATUS_NOT_FOUND, 0)
     assert not solves
+    # With its own fingerprint matching, the holder solves both others.
+    good = Fingerprint(fresh_hashes[0], fps[0].value)
+    res = reconcile.multi_decode(config.model, 1, inst.inputs[0], [good, *others])
+    assert res.status == STATUS_UNIQUE and len(solves) == 2
 
 
 @pytest.mark.parametrize(
@@ -587,6 +593,39 @@ def test_transcript_sufficiency(config):
         key, status = party_key_from_transcript(config, party, inst.inputs[party - 1], stored)
         assert status == STATUS_UNIQUE
         assert key == o.keys[party - 1]
+
+
+def _replace_payload(transcript, kind, sender, payload):
+    """The transcript with the payload of the one (kind, sender) record replaced."""
+    return Transcript([r._replace(payload=payload) if (r.kind, r.sender) == (kind, sender) else r for r in transcript.records])
+
+
+@pytest.mark.parametrize("extra", [5, -1], ids=["too-long", "too-short"])
+@pytest.mark.parametrize(
+    "config, kind",
+    [(cfg_light("line-point:n=8", seed=3), "hash_spec"), (cfg_two_phase("identical:n=64", eps=Fraction(1, 4), seed=3), "fp_spec")],
+    ids=["light", "two-phase"],
+)
+def test_transcript_seed_record_of_the_wrong_length_is_rejected(config, kind, extra):
+    # Hashes cut a seed's low bits, so an over-long record would otherwise
+    # give the key of the record it extends.
+    inst = sample(config.model, session_streams(config, 0)[0])
+    o = run_session(config, 0)
+    seed = o.transcript.one(kind, 1).payload
+    wrong = BitVec(seed.n + extra, seed.v & ((1 << seed.n + extra) - 1))
+    tampered = _replace_payload(o.transcript, kind, 1, wrong)
+    with pytest.raises(ValueError, match=f"{kind} record of party 1 has {wrong.n} bits, its plan slot {seed.n}"):
+        party_key_from_transcript(config, 2, inst.inputs[1], tampered)
+
+
+def test_transcript_fingerprint_longer_than_its_hash_is_rejected():
+    config = cfg_light("line-point:n=8", seed=3)
+    inst = sample(config.model, session_streams(config, 0)[0])
+    o = run_session(config, 0)
+    fp = o.transcript.one("fingerprint", 1).payload
+    tampered = _replace_payload(o.transcript, "fingerprint", 1, BitVec(fp.n + 1, fp.v))
+    with pytest.raises(ValueError, match=f"fingerprint length {fp.n + 1} != hash rows {fp.n}"):
+        party_key_from_transcript(config, 2, inst.inputs[1], tampered)
 
 
 @pytest.mark.parametrize(

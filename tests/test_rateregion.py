@@ -4,14 +4,14 @@ from itertools import combinations
 
 import pytest
 
-from profile_tools import random_polymatroid, satisfied_by, scale
+from profile_tools import format_profile, key_capacity, random_polymatroid, satisfied_by, scale
+from skalab.cli import main
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets, make_profile
 from skalab.rateregion import (
     RateRegion,
     RateTuple,
     co_formula3,
     co_lp,
-    key_capacity,
     sw_constraints,
 )
 from skalab.rng import SeedStream
@@ -253,6 +253,19 @@ def test_collinear_key_capacity(ell, want):
     total, _ = co_lp(sw_constraints(p))
     assert key_capacity(p) == want
     assert p.c(p.full()) - total == want
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_cli_key_capacity_is_the_partition_formula(ell, tmp_path, capsys):
+    # skalab rates prints C(all) - CO from the LP; the partition formula is its oracle.
+    path = tmp_path / "p.profile"
+    salts = range(60) if ell < 5 else range(1)
+    stream = "oracle" if ell < 5 else "wide"
+    for p in [*(random_polymatroid(ell, SeedStream(stream, ell, salt)) for salt in salts), *degenerate_profiles(ell).values()]:
+        path.write_text(format_profile(p))
+        assert main(["rates", "--profile", str(path)]) == 0
+        cap = key_capacity(p)
+        assert f"key_capacity = {cap} ({float(cap):.6g} bits)" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("ell", [5, 6, 7, 8])

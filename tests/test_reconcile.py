@@ -107,6 +107,13 @@ def test_zero_row_fingerprint_decodes_one_word_sets():
     assert res.status == STATUS_UNIQUE and res.value == y and res.candidates_checked == 1
 
 
+def test_fingerprint_length_must_match_the_hash_rows():
+    spec = Gf2Matrix(3, 4, BitVec(6, 0))
+    for n in (2, 4):
+        with pytest.raises(ValueError, match=f"fingerprint length {n} != hash rows 3"):
+            Fingerprint(spec, BitVec(n, 1))
+
+
 def test_decode_not_found():
     stream = SeedStream("d2")
     x, other = stream.bitvec(10), stream.bitvec(10)
@@ -646,8 +653,10 @@ def test_fingerprint_coset_covers_preimage():
     fp = encode(x, 7, Fraction(1, 2), stream.child("s"))
     coset = fingerprint_coset(fp)
     particular, kernel = coset
-    assert isinstance(kernel, tuple)  # kept on the fingerprint and shared, so immutable
+    assert isinstance(kernel, tuple)  # kept on the hash and shared, so immutable
     assert fingerprint_coset(fp) is coset
+    assert fp.spec.cosets == {fp.value.v: coset}
+    assert fingerprint_coset(Fingerprint(fp.spec, fp.value)) is coset  # by hash and value, not by object
     assert (particular, list(kernel)) == gf2.solve_affine(fp.spec, fp.value)
     assert len(kernel) >= 2
     sols = coset_bitvecs(fp)
