@@ -22,7 +22,7 @@ class TranscriptRecord(namedtuple("TranscriptRecord", "round sender kind payload
     __slots__ = ()
 
     def __new__(cls, round: int, sender: int, kind: str, payload: BitVec) -> "TranscriptRecord":
-        if "," in kind or "".join(kind.splitlines()) != kind:  # `parse` splits at commas and line breaks
+        if "," in kind or "".join(kind.splitlines()) != kind:  # a dump read back splits at commas and line breaks
             raise ValueError(f"record kind {kind!r} holds a comma or a line break")
         return tuple.__new__(cls, (round, sender, kind, payload))
 
@@ -30,16 +30,6 @@ class TranscriptRecord(namedtuple("TranscriptRecord", "round sender kind payload
 
     def dump(self) -> str:
         return f"{self.round},{self.sender},{self.kind},{self.payload.to_hex()}"
-
-    @staticmethod
-    def parse(line: str) -> "TranscriptRecord":
-        """The record whose `dump` is line, and only that line: int() alone
-        would also take "+1", "1_0", spaces and other scripts' digits."""
-        rnd, sender, kind, payload = line.split(",", 3)
-        record = TranscriptRecord(int(rnd), int(sender), kind, BitVec.from_hex(payload))
-        if record.dump() != line:
-            raise ValueError(f"{line!r} is not a dumped transcript record")
-        return record
 
 
 @dataclass
@@ -54,11 +44,3 @@ class Transcript:
 
     def dump(self) -> str:
         return "\n".join(r.dump() for r in self.records) + ("\n" if self.records else "")
-
-    @staticmethod
-    def parse(text: str) -> "Transcript":
-        """The transcript whose `dump` is text, and only that text."""
-        out = Transcript([TranscriptRecord.parse(line) for line in text.splitlines()])
-        if out.dump() != text:
-            raise ValueError("not a dumped transcript: blank lines, other line ends or no final newline")
-        return out

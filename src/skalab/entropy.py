@@ -196,20 +196,17 @@ def transcript_inequality_audit(dist: JointDistribution, f) -> TranscriptAudit:
         return dist.entropy_of(proj)
 
     h_a = h(lambda tup: tup[0])
-    h_b = h(lambda tup: tup[1])
     h_t = h(lambda tup: t_of[tup])
     h_at = h(lambda tup: (tup[0], t_of[tup]))
-    h_bt = h(lambda tup: (tup[1], t_of[tup]))
-    if dist.ell == 2:
-        residual_i = h_a + h_b + h_t - h_at - h_bt
-        residual_j = None
-    else:
+    # I(x1 : rest) - I(x1 : rest | T), rest = the other parties: T is a
+    # function of the inputs, so H(x1, rest) and H(x1, rest, T) cancel.
+    residual_i = h_a + h(lambda tup: tup[1:]) + h_t - h_at - h(lambda tup: (tup[1:], t_of[tup]))
+    residual_j = None
+    if dist.ell == 3:
+        h_b = h(lambda tup: tup[1])
         h_c = h(lambda tup: tup[2])
+        h_bt = h(lambda tup: (tup[1], t_of[tup]))
         h_ct = h(lambda tup: (tup[2], t_of[tup]))
-        # I(a : bc) - I(a : bc | T), grouping the last two parties.
-        h_bc = h(lambda tup: (tup[1], tup[2]))
-        h_bct = h(lambda tup: (tup[1], tup[2], t_of[tup]))
-        residual_i = h_a + h_bc + h_t - h_at - h_bct
         residual_j = (h_a + h_b + h_c + h_t.scaled(2) - h_at - h_bt - h_ct).scaled(Fraction(1, 2))
     return TranscriptAudit(residual_i, residual_j, rectangle_ok, violations)
 

@@ -89,20 +89,6 @@ class BitVec(namedtuple("BitVec", "n v")):
         nbytes = (self.n + 7) // 8
         return f"{self.n}:{self.v.to_bytes(nbytes, 'little').hex()}"
 
-    @staticmethod
-    def from_hex(text: str) -> "BitVec":
-        """The vector whose `to_hex` is text, and only that text: int() and
-        bytes.fromhex alone would also take "1_6", " 16", "+16", other
-        scripts' digits, upper case, spaces and a wrong byte count."""
-        length_s, _, hex_s = text.partition(":")
-        n = int(length_s)
-        if len(hex_s) != (n + 7) // 8 * 2:  # before to_hex, which writes n / 4 digits for any n
-            raise Gf2Error(f"{text!r} does not hold {n} bits")
-        out = BitVec(n, int.from_bytes(bytes.fromhex(hex_s), "little"))
-        if out.to_hex() != text:
-            raise Gf2Error(f"{text!r} is not the hex form of a bit vector")
-        return out
-
     def __str__(self) -> str:
         return self.to_hex()
 

@@ -23,17 +23,18 @@ are the graph's words and their hashes.  A decode reduces one target by
 its rows (`gf2.solve_graph`) in O(rows) shift-XORs, and the kernel
 dimension read off the rows separates unique from ambiguous.  A larger
 Hamming sphere (the words at distance exactly t from the receiver's) is
-decoded by finding the weight-t errors e with H e = fingerprint xor H y,
-by the cheaper of two searches, chosen from the shape alone: when the
-2^(n - rows) words of the smallest possible solution coset are fewer than
-the subsets in the larger half of a meet in the middle on H's column
-images, one affine solve and a walk over the coset; else the meet in the
-middle.  H is Toeplitz, so a solve (`gf2.solve_affine`, which the tracer
-times by this module's name for it) reduces a two-row lattice over
-GF(2)[z] by the graph lattice's weak Popov reducer, O(rows + n)
-shift-XORs.  One cap of 2^20 words or
-subsets bounds whichever runs, and the decode ends `search_limit` only
-when both are past it.
+decoded by the cheaper of two searches, chosen from the shape alone: when
+the 2^(n - rows) words of the smallest possible solution coset are fewer
+than the C(n, ceil(t/2)) subsets in the larger half of a meet in the
+middle on H's column images, a walk over the fingerprint's coset
+(`fingerprint_coset`) that keeps its words at distance t; else the meet in
+the middle, which finds the weight-t errors e with
+H e = fingerprint xor H y, each once.  H is Toeplitz, so a solve
+(`gf2.solve_affine`, which the tracer times by this module's name for it)
+reduces a two-row lattice over GF(2)[z] by the graph lattice's weak Popov
+reducer, O(rows + n) shift-XORs.  One cap of 2^20 words or subsets bounds
+whichever runs, and the decode ends `search_limit` only when both are past
+it.
 
 Joint decoding (`multi_decode`, omniscience on the collinear triple)
 solves each other party's fingerprint for the affine coset of inputs that
@@ -135,42 +136,45 @@ def _guard(fp: Fingerprint, out: BitVec) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _subset_images(cols: list[int], max_size: int):
-    """Yield (support, XOR of its columns) for every subset of at most
-    max_size columns, depth first: only the branches still to visit are
-    held, at most len(cols) * max_size of them."""
-    yield 0, 0
-    stack = [(0, 0, 0, max_size)] if max_size else []  # (support, image, first unused column, room)
+def _subset_images(cols: list[int], k: int):
+    """Yield (support, XOR of its columns) for every subset of exactly k
+    columns, depth first: only the branches still to visit are held, at
+    most len(cols) * k of them."""
+    if not k:
+        yield 0, 0
+        return
+    stack = [(0, 0, 0, k)]  # (support, image, first unused column, columns still to pick)
     while stack:
         sup, img, start, room = stack.pop()
-        for j in range(start, len(cols)):
-            sub, sub_img = sup | (1 << j), img ^ cols[j]
-            yield sub, sub_img
-            if room > 1:
-                stack.append((sub, sub_img, j + 1, room - 1))
+        if room == 1:
+            for j in range(start, len(cols)):
+                yield sup | (1 << j), img ^ cols[j]
+        else:
+            for j in range(start, len(cols) - room + 1):
+                stack.append((sup | (1 << j), img ^ cols[j], j + 1, room - 1))
 
 
 def _error_matches(cols: list[int], target: int, t: int):
-    """Yield, once each, every error e of weight <= t whose column images
-    XOR to target.
+    """Yield, once each, every error e of weight exactly t >= 1 whose
+    column images XOR to target.
 
     Birthday split as in information-set decoding (Stern 1989): tabulate
-    target xor the image of every subset of at most floor(t/2) columns,
-    then probe with the images of the subsets of at most ceil(t/2) columns;
-    a disjoint pair that meets is a match.  This costs about
+    target xor the image of every floor(t/2)-subset of the columns, then
+    probe with the image of every ceil(t/2)-subset; a match counts only
+    when the table's subset lies wholly below the probe's lowest column.
+    Each weight-t error splits that way exactly once, into its floor(t/2)
+    lowest columns and the rest, so it is met once.  This costs
     C(n, floor(t/2)) + C(n, ceil(t/2)) dict operations where a scan of the
-    ball costs sum_{w<=t} C(n, w) hashes, and holds only the table.
+    sphere costs C(n, t) hashes, and holds only the table.
     """
     table: dict[int, list[int]] = {}
     for sup, img in _subset_images(cols, t // 2):
         table.setdefault(img ^ target, []).append(sup)
-    seen = set()
     for sup, img in _subset_images(cols, t - t // 2):
+        low = sup & -sup
         for other in table.get(img, ()):
-            e = other | sup
-            if not other & sup and e not in seen:
-                seen.add(e)
-                yield e
+            if other < low:
+                yield other | sup
 
 
 def _verdict(errors, center: BitVec, checked: int) -> DecodeResult:
@@ -196,37 +200,38 @@ def _coset_walk(particular: int, kernel: list[int]):
 # One cap on whichever sphere search runs: a walk of at most this many coset
 # words, or a meet in the middle whose larger half has at most this many
 # subsets; past both the decode ends search_limit.  hamming:n=63,t=8 at
-# eps=1/256 tabulates 637,393 subsets (about 140 MB and 1.3 s in CPython
-# 3.11); t=9 walks 2^20 words in about 0.2 s, where its table would hold
-# 7.7 million subsets, ten times that memory.  The joint search's
-# _COSET_CAP_BITS stays separate: it multiplies cosets.
+# eps=1/256 tabulates and probes C(63, 4) = 595,665 subsets each (about
+# 110 MB and 1.0 s in CPython 3.11); t=9 walks 2^20 words in about 0.25 s,
+# where each of its halves would hold C(63, 5) = 7.0 million subsets,
+# twelve times that memory.  The joint search's _COSET_CAP_BITS stays
+# separate: it multiplies cosets.
 _SPHERE_CAP_SUBSETS = 1 << 20
 
 
 def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
-    # x = y xor e with H e = fingerprint xor H y and weight(e) exactly t.
-    # The solutions of H e = target form a coset of 2^d words, d >= n - rows.
-    # Walk it, as information-set decoding does (Prange 1962), when it is
-    # smaller than the larger half of the split; else meet in the middle.
-    # half is clamped at one past the cap, so neither search runs past it.
+    # x = y xor e with H x = fingerprint and weight(e) exactly t.  Walk the
+    # coset of solutions, 2^d words with d >= n - rows, as information-set
+    # decoding does (Prange 1962), when it is smaller than the larger half of
+    # the split; else meet in the middle on H e = fingerprint xor H y.  half
+    # is clamped at one past the cap, so neither search runs past it.
     n, t, rows = sphere.length, sphere.t, fp.spec.rows
     center = BitVec(n, sphere.center)
-    target = fp.value.v ^ matvec(fp.spec, center).v
     if not t:  # the center alone: its hash settles it, with no search and no guard
-        return DecodeResult(STATUS_NOT_FOUND, None, 1) if target else DecodeResult(STATUS_UNIQUE, center, 1)
-    half = min(sum(math.comb(n, w) for w in range(t - t // 2 + 1)), _SPHERE_CAP_SUBSETS + 1)
-    words = None
+        found = matvec(fp.spec, center) == fp.value
+        return DecodeResult(STATUS_UNIQUE, center, 1) if found else DecodeResult(STATUS_NOT_FOUND, None, 1)
+    half = min(math.comb(n, t - t // 2), _SPHERE_CAP_SUBSETS + 1)
+    errors = None
     if 1 << max(0, n - rows) < half:
-        sol = solve_affine(fp.spec, BitVec(rows, target))
-        if sol is None:
-            words = ()
-        elif 1 << len(sol[1]) < half:  # a rank-deficient H can leave a larger coset
-            words = _coset_walk(*sol)
-    if words is None:
+        coset = fingerprint_coset(fp)
+        if not coset:
+            errors = ()
+        elif 1 << len(coset[1]) < half:  # a rank-deficient H can leave a larger coset
+            errors = (x ^ center.v for x in _coset_walk(*coset) if (x ^ center.v).bit_count() == t)
+    if errors is None:
         if half > _SPHERE_CAP_SUBSETS:
             return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
-        words = _error_matches(fp.spec.column_ints(), target, t)
-    errors = (e for e in words if e.bit_count() == t)
+        target = fp.value.v ^ matvec(fp.spec, center).v
+        errors = _error_matches(fp.spec.column_ints(), target, t)
     res = _verdict(errors, center, math.comb(n, t))
     if res.status == STATUS_UNIQUE:
         _guard(fp, res.value)
@@ -242,20 +247,18 @@ def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
 _COSET_CAP_BITS = 14
 
 
-def fingerprint_coset(fp: Fingerprint) -> tuple | None:
+def fingerprint_coset(fp: Fingerprint) -> tuple:
     """The solutions of H x = fingerprint as `solve_affine`'s (particular,
-    kernel tuple); () when there are none, None past _COSET_CAP_BITS kernel
-    vectors (degenerate hash seed).  Both other parties of an omniscience
-    session solve each fingerprint, and a fixed-seed audit sees each sender
-    input many times, but the solve depends only on the hash and the value,
-    so it is made once per (hash, value) and kept in the hash's `cosets`."""
+    kernel tuple), whatever the kernel's size; () when there are none.
+    Both other parties of an omniscience session solve each fingerprint, a
+    fixed-seed audit sees each sender input many times, and a sphere walk
+    reads the same coset, but the solve depends only on the hash and the
+    value, so it is made once per (hash, value) and kept in the hash's
+    `cosets`."""
     cosets, v = fp.spec.cosets, fp.value.v
     if v not in cosets:
         sol = solve_affine(fp.spec, fp.value)
-        if sol is None:
-            cosets[v] = ()
-        else:
-            cosets[v] = None if len(sol[1]) > _COSET_CAP_BITS else (sol[0], tuple(sol[1]))
+        cosets[v] = () if sol is None else (sol[0], tuple(sol[1]))
     return cosets[v]
 
 
@@ -322,7 +325,7 @@ def multi_decode(model: Model, own_index: int, own: BitVec, fps) -> DecodeResult
     if matvec(own_fp.spec, own) != own_fp.value:
         return DecodeResult(STATUS_NOT_FOUND, None, 0)
     cosets = {i: fingerprint_coset(fp) for i, fp in enumerate(fps) if i != own_index - 1}
-    if None in cosets.values():
+    if any(coset and len(coset[1]) > _COSET_CAP_BITS for coset in cosets.values()):
         return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
     if () in cosets.values():  # an empty coset: no tuple matches
         return DecodeResult(STATUS_NOT_FOUND, None, 0)

@@ -80,9 +80,13 @@ def summarize(config: SessionConfig, outcomes) -> dict:
     }
 
 
-def trial_rows(outcomes, with_config: SessionConfig | None = None):
+def trial_rows(outcomes, config: SessionConfig):
+    """One CSV row per session outcome, led by the config's model,
+    protocol and eps."""
+    lead = {"model": config.model.spec_string(), "protocol": config.protocol, "eps": _fmt(config.eps)}
     for t, o in enumerate(outcomes):
-        row = {
+        yield {
+            **lead,
             "trial": t,
             "agreed": _fmt(o.agreed),
             "key_len": o.key_len,
@@ -91,28 +95,19 @@ def trial_rows(outcomes, with_config: SessionConfig | None = None):
             "target_comm": _fmt(o.target_comm),
             "decode_status": o.decode_status,
         }
-        if with_config is not None:
-            row = {
-                "model": with_config.model.spec_string(),
-                "protocol": with_config.protocol,
-                "eps": _fmt(with_config.eps),
-                **row,
-            }
-        yield row
 
 
 def run_plan(configs, trials: int) -> dict:
     """Run trials sessions of each config; returns {"csv": str, "summaries":
-    [dict]}.  With more than one config each row leads with its config."""
-    multi = len(configs) > 1
-    columns = (("model", "protocol", "eps") if multi else ()) + TRIAL_COLUMNS
+    [dict]}.  With more than one config each row leads with its config;
+    a single config's rows leave those columns out."""
+    columns = (("model", "protocol", "eps") if len(configs) > 1 else ()) + TRIAL_COLUMNS
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
     summaries = []
     for config in configs:
         outcomes = [run_session(config, t) for t in range(trials)]
-        for row in trial_rows(outcomes, config if multi else None):
-            writer.writerow(row)
+        writer.writerows(trial_rows(outcomes, config))
         summaries.append(summarize(config, outcomes))
     return {"csv": buf.getvalue(), "summaries": summaries}

@@ -10,6 +10,7 @@ the structured decoders are checked against."""
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from skalab.gf2 import BitVec, Gf2Error, Gf2Matrix, _poly_gcd, _poly_mod, irreducible_poly, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2
@@ -243,12 +244,15 @@ def syndrome_decode(y: BitVec, syndrome: BitVec, code: list[int], max_weight: in
     under the code's parity-check rows.
 
     By linearity the match condition is code @ e = syndrome xor code @ y;
-    the errors come from the same meet-in-the-middle search as the Hamming
-    sphere decode.
+    the ball's errors are e = 0 when that target is 0, then those of each
+    weight 1 ... max_weight from the Hamming sphere decode's
+    meet-in-the-middle search.
     """
     target = syndrome.v ^ dense_matvec(code, y).v
+    cols = dense_column_ints(code, y.n)
     ball = sum(math.comb(y.n, w) for w in range(max_weight + 1))
-    return _verdict(_error_matches(dense_column_ints(code, y.n), target, max_weight), y, ball)
+    errors = chain([] if target else [0], *(_error_matches(cols, target, w) for w in range(1, max_weight + 1)))
+    return _verdict(errors, y, ball)
 
 
 def fresh_toeplitz(rows: int, cols: int, stream: SeedStream) -> Gf2Matrix:

@@ -34,6 +34,7 @@ from codes import (
     x_power_multiples,
 )
 from skalab.rng import SeedStream
+from transcript_reader import bitvec_from_hex
 
 
 # ---------------------------------------------------------
@@ -85,15 +86,15 @@ def test_bitvec_replace_and_make_run_the_checks():
 def test_hex_roundtrip_lsb_first():
     v = BitVec(12, 0b101100001111)
     assert v.to_hex() == "12:0f0b"
-    assert BitVec.from_hex(v.to_hex()) == v
+    assert bitvec_from_hex(v.to_hex()) == v
     assert BitVec(0, 0).to_hex() == "0:"
-    assert BitVec.from_hex("0:") == BitVec(0, 0)
+    assert bitvec_from_hex("0:") == BitVec(0, 0)
 
 
 @given(st.integers(0, 200), st.data())
 def test_hex_roundtrip_random(n, data):
     v = BitVec(n, data.draw(st.integers(0, (1 << n) - 1)) if n else 0)
-    assert BitVec.from_hex(v.to_hex()) == v
+    assert bitvec_from_hex(v.to_hex()) == v
 
 
 # ---------------------------------------------------------

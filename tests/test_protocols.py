@@ -25,6 +25,7 @@ from skalab.gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
 from skalab.profiles import ceil_log2, make_profile
 from skalab.reconcile import STATUS_NOT_FOUND, STATUS_SEARCH_LIMIT, STATUS_UNIQUE, Fingerprint
 from skalab.sources import Model, parse_model_spec, sample
+from transcript_reader import parse_transcript
 
 
 def cfg_light(spec="line-point:n=16", eps=Fraction(1, 256), seed=11, **margins):
@@ -588,7 +589,7 @@ def test_transcript_sufficiency(config):
     inst = sample(config.model, input_stream)
     o = run_session(config, 9)
     assert o.agreed
-    stored = Transcript.parse(o.transcript.dump())
+    stored = parse_transcript(o.transcript.dump())
     for party in range(1, config.model.parties + 1):
         key, status = party_key_from_transcript(config, party, inst.inputs[party - 1], stored)
         assert status == STATUS_UNIQUE

@@ -37,6 +37,7 @@ from skalab.reconcile import (
     STATUS_UNIQUE,
     DecodeResult,
     Fingerprint,
+    _error_matches,
     _subset_images,
     decode,
     fingerprint_coset,
@@ -445,7 +446,8 @@ def test_coset_walk_meet_in_the_middle_and_scan_agree(monkeypatch):
     # Toeplitz hashes (the decode walks the coset) and the rank-deficient
     # all-zero and all-one ones, whose cosets of 2^n and 2^(n-1) words send
     # the decode back to the meet in the middle after the solve.  At t = 0
-    # the center's hash settles the decode, and neither search runs.
+    # the center's hash settles the decode, and neither search runs.  The
+    # meet in the middle yields each weight-t error once.
     stream = SeedStream("walk-vs-mitm")
     searches = []
     mitm, walk = reconcile._error_matches, reconcile._coset_walk
@@ -454,7 +456,7 @@ def test_coset_walk_meet_in_the_middle_and_scan_agree(monkeypatch):
     fallbacks = 0
     for n in range(2, 10):
         for t in range((n + 1) // 2):
-            half = sum(math.comb(n, w) for w in range(t - t // 2 + 1))
+            half = math.comb(n, t - t // 2)
             model, y = sources.Hamming(n, t), stream.child("y", n, t).bitvec(n)
             for rows in range(n, n + 4):
                 seed_len = rows + n - 1
@@ -463,13 +465,13 @@ def test_coset_walk_meet_in_the_middle_and_scan_agree(monkeypatch):
                     spec = Gf2Matrix(rows, n, seed)
                     x = BitVec(n, y.v ^ next(iter(sources.weight_words(n, t))))
                     for value in (matvec(spec, x), BitVec(rows, stream.child("v", n, t, rows).bits(rows))):
-                        target = value.v ^ matvec(spec, y).v
-                        sol = gf2.solve_affine(spec, BitVec(rows, target))
-                        walked = {e for e in walk(*sol) if e.bit_count() == t} if sol else set()
-                        met = {e for e in mitm(spec.column_ints(), target, t) if e.bit_count() == t}
+                        sol = gf2.solve_affine(spec, value)
                         words = candidate_words(model, y)
                         scanned = {c.v ^ y.v for c in words if matvec(spec, c) == value}
-                        assert walked == met == scanned, (n, t, rows)
+                        if t:
+                            walked = {w ^ y.v for w in walk(*sol) if (w ^ y.v).bit_count() == t} if sol else set()
+                            met = list(mitm(spec.column_ints(), value.v ^ matvec(spec, y).v, t))
+                            assert walked == set(met) == scanned and len(met) == len(scanned), (n, t, rows)
                         fp, before = Fingerprint(spec, value), len(searches)
                         a, b = decode(fp, HammingSphere(n, y.v, t)), decode_scan(fp, words)
                         assert (a.status, a.value) == (b.status, b.value), (n, t, rows)
@@ -484,18 +486,34 @@ def test_coset_walk_meet_in_the_middle_and_scan_agree(monkeypatch):
     assert fallbacks > 0
 
 
-@pytest.mark.parametrize("max_size", [0, 1, 2, 3])
-def test_subset_images_stream_every_small_subset_once(max_size):
+@pytest.mark.parametrize("n", range(3, 13))
+def test_error_matches_yields_each_weight_t_error_once(n):
+    # Against brute force over every word, for every 1 <= t < n/2, on
+    # targets that some weight-t error meets and on random ones.
+    stream = SeedStream("mitm-brute", n)
+    for t in range(1, (n + 1) // 2):
+        for rows in (2, n // 2 + 1, n):
+            cols = [stream.bits(rows) for _ in range(n)]
+            images = [0]
+            for e in range(1, 1 << n):  # e's image is that of e less its lowest bit, xor that bit's column
+                images.append(images[e & (e - 1)] ^ cols[(e & -e).bit_length() - 1])
+            for target in (images[(1 << t) - 1 << stream.randrange(n - t + 1)], stream.bits(rows)):
+                want = sorted(e for e in range(1 << n) if e.bit_count() == t and images[e] == target)
+                got = list(_error_matches(cols, target, t))
+                assert sorted(got) == want and len(got) == len(want), (n, t, rows)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_subset_images_stream_every_small_subset_once(k):
     cols = [3, 5, 6, 9, 12, 17, 30]
-    images = _subset_images(cols, max_size)
+    images = _subset_images(cols, k)
     assert iter(images) is images  # a generator: the probe half is never held
     got = list(images)
     want = {
         sum(1 << j for j in sub): reduce(xor, (cols[j] for j in sub), 0)
-        for w in range(max_size + 1)
-        for sub in combinations(range(len(cols)), w)
+        for sub in combinations(range(len(cols)), k)
     }
-    assert len(got) == len(want) and dict(got) == want
+    assert len(got) == len(want) == math.comb(len(cols), k) and dict(got) == want
 
 
 def test_decode_monte_carlo_line_point():
@@ -530,6 +548,43 @@ def test_decode_soundness_unique_is_correct():
         res = decode(fp, model.candidates(y))
         if res.status == STATUS_UNIQUE:
             assert res.value == x
+
+
+def test_sphere_cap_admits_a_larger_half_of_exactly_the_cap(monkeypatch):
+    # hamming:n=20,t=2 with 15 rows leaves a coset of 2^5 words, more than
+    # the C(20, 1) = 20 subsets of the larger half, so the meet in the
+    # middle runs: it still does with the cap at exactly 20, and one below
+    # it the decode ends search_limit.  A half that also counted the empty
+    # subset (21) ended search_limit at a cap of 20.
+    model = parse_model_spec("hamming:n=20,t=2")
+    stream = SeedStream("sphere-cap-half")
+    statuses = set()
+    for s in range(12):
+        x, y = sample(model, stream.child("in", s)).inputs
+        fp = encode(x, 15, 1, stream.child("fp", s))
+        monkeypatch.setattr(reconcile, "_SPHERE_CAP_SUBSETS", math.comb(20, 1))
+        a, b = decode(fp, model.candidates(y)), decode_scan(fp, candidate_words(model, y))
+        assert (a.status, a.value) == (b.status, b.value), s
+        statuses.add(a.status)
+        monkeypatch.setattr(reconcile, "_SPHERE_CAP_SUBSETS", math.comb(20, 1) - 1)
+        assert decode(fp, model.candidates(y)) == (STATUS_SEARCH_LIMIT, None, 0)
+    assert STATUS_UNIQUE in statuses
+
+
+def test_walking_sphere_decode_hashes_no_center(monkeypatch):
+    # The walk reads the fingerprint's coset, so the only product is the
+    # guard's, of the decoded word: H y is formed only for the meet in the
+    # middle.
+    model = parse_model_spec("hamming:n=15,t=2")
+    stream = SeedStream("walk-no-center")
+    x, y = sample(model, stream.child("in")).inputs
+    fp = encode(x, 15, Fraction(1, 256), stream.child("fp"))
+    hashed, walks = [], []
+    monkeypatch.setattr(reconcile, "matvec", lambda spec, v: hashed.append(v) or matvec(spec, v))
+    walk = reconcile._coset_walk
+    monkeypatch.setattr(reconcile, "_coset_walk", lambda *a: walks.append(a) or walk(*a))
+    assert decode(fp, model.candidates(y)) == (STATUS_UNIQUE, x, math.comb(15, 2))
+    assert len(walks) == 1 and hashed == [x]
 
 
 # ---------------------------------------------------------
@@ -636,11 +691,14 @@ def test_random_linear_code_syndrome_monte_carlo():
 
 def coset_bitvecs(fp):
     """Every word of a fingerprint's coset as a BitVec, by doubling over
-    the kernel of its description; () when it has none, None past the cap."""
+    the kernel of its description; () when it has none, None past the
+    joint decode's cap."""
     coset = fingerprint_coset(fp)
     if not coset:
-        return coset
+        return ()
     particular, kernel = coset
+    if len(kernel) > reconcile._COSET_CAP_BITS:
+        return None
     words = [particular]
     for k in kernel:
         words += [w ^ k for w in words]
@@ -668,6 +726,25 @@ def test_fingerprint_coset_covers_preimage():
     assert sorted(reconcile._coset_walk(*coset)) == sorted(v.v for v in sols)
     # No solution is the empty coset: the all-zero hash maps every word to 0.
     assert fingerprint_coset(Fingerprint(Gf2Matrix(3, 4, BitVec(6, 0)), BitVec(3, 1))) == ()
+
+
+def test_fingerprint_coset_is_kept_whole_past_the_joint_cap():
+    # The coset is the solve's, whatever its size; the joint decode applies
+    # its own cap, and answers search_limit before not_found when one other
+    # party's coset is past it and the other's is empty.
+    model = parse_model_spec("triple:n=16")
+    inst = sample(model, SeedStream("md-own"))
+    fps = _triple_fingerprints(inst, (32, 16, 32), Fraction(1, 2), SeedStream("md-own-s"))
+    particular, kernel = fingerprint_coset(fps[1])
+    assert len(kernel) > reconcile._COSET_CAP_BITS
+    assert (particular, list(kernel)) == gf2.solve_affine(fps[1].spec, fps[1].value)
+    zero_hash = Gf2Matrix(8, 32, BitVec(toeplitz_seed_len(8, 32), 0))
+    empty = Fingerprint(zero_hash, BitVec(8, 1))  # the all-zero hash meets no nonzero value
+    assert fingerprint_coset(empty) == ()
+    own = inst.inputs[0]
+    for others in ([fps[1], empty], [empty, fps[1]]):
+        res = multi_decode(model, 1, own, [fps[0], *others])
+        assert (res.status, res.value, res.candidates_checked) == (STATUS_SEARCH_LIMIT, None, 0)
 
 
 def _triple_fingerprints(inst, rates, eps, stream):
@@ -843,7 +920,7 @@ def test_multi_decode_own_mismatch_is_not_found_before_any_solve():
     model = parse_model_spec("triple:n=16")
     inst = sample(model, SeedStream("md-own"))
     fps = _triple_fingerprints(inst, (32, 16, 32), Fraction(1, 2), SeedStream("md-own-s"))
-    assert fingerprint_coset(fps[1]) is None  # 2^16 words or more
+    assert len(fingerprint_coset(fps[1])[1]) > reconcile._COSET_CAP_BITS  # 2^16 words or more
     fps[0] = _tampered(fps[0])
     assert product_filter_decode(model, 1, inst.inputs[0], fps).status == STATUS_SEARCH_LIMIT
     res = multi_decode(model, 1, inst.inputs[0], fps)
