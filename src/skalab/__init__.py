@@ -29,7 +29,7 @@ from .protocols import (
     run_session,
     session_plan,
 )
-from .rateregion import RateRegion, RateTuple, co_formula3, co_lp, sw_constraints
+from .rateregion import RateRegion, co_formula3, co_lp, sw_constraints
 from .reconcile import (
     DecodeResult,
     Fingerprint,

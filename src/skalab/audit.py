@@ -149,8 +149,9 @@ def worst_stratum(strata: list, key_len: int):
 
 
 def fixed_seeds(config: SessionConfig, public_label: int | None = None) -> tuple:
-    """(plan, public seeds) that an audit holds fixed: the Monte-Carlo
-    audit's one draw, or the exact audit's draw for public_label."""
+    """(plan, public seed records) that an audit holds fixed: the
+    Monte-Carlo audit's one draw, or the exact audit's draw for
+    public_label."""
     plan = session_plan(config)
     if public_label is None:
         public = SeedStream("skalab", config.seed).child("public", "fixed")
@@ -165,8 +166,8 @@ def _tabulate(plan: SessionPlan, seeds: tuple, inputs) -> tuple:
     shares fingerprints, decodes and key chains among the tuples.  Returns
     ({inputs: ((transcript, party 1's key or None), agreed)}, {(transcript,
     key): count} in order of first occurrence, number of sessions that
-    agreed); a transcript is the tuple of its records, named tuples that
-    hash in C.
+    agreed).  Both tables key by the session's transcript itself, a tuple
+    of named-tuple records that hashes in C.
 
     With the seeds fixed a session is a pure function of its inputs, so a
     repeated tuple adds its memoized cell and agreement again instead of
@@ -180,7 +181,7 @@ def _tabulate(plan: SessionPlan, seeds: tuple, inputs) -> tuple:
         hit = memo.get(x)
         if hit is None:
             o = driver.run(x)
-            hit = memo[x] = ((tuple(o.transcript.records), o.keys[0]), o.agreed)
+            hit = memo[x] = ((o.transcript, o.keys[0]), o.agreed)
         cell, ok = hit
         counts[cell] = counts.get(cell, 0) + 1
         agreed += ok
@@ -211,7 +212,7 @@ def conditional_uniformity(config: SessionConfig, trials: int) -> AuditReport:
     report = AuditReport(
         trials=trials,
         agreement_rate=agreed / trials,
-        leakage_bits=sum(c * sum(r.payload.n for r in t) for (t, _key), c in counts.items()) / trials,
+        leakage_bits=float(plan.comm_bits),
         inconclusive=worst is None,
         key_len=plan.key_len,
         stratum_count=len(strata),

@@ -2,18 +2,17 @@
 the eavesdropper sees.
 
 Every protocol sends in one round, so ``protocols.SessionDriver`` builds a
-session's transcript from its round-1 records directly.  The driver also
-keeps the communication accounting, fixed by its plan and seeds:
-fingerprints are reconciliation payload, and hash specs and seeds are
-public overhead counted in the total.  A record is a checked named tuple,
-as its ``gf2.BitVec`` payload, so an audit's tables keyed by
-``tuple(transcript.records)`` hash in C.
+session's transcript from its round-1 records directly: the plan's seed
+records, each fingerprint right after the seed its hash is cut from.  The
+plan counts the bits they broadcast (``SessionPlan.comm_bits``).  A record
+is a checked named tuple, as its ``gf2.BitVec`` payload, and a transcript
+is the tuple of its records, so an audit's tables keyed by transcripts
+hash in C.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .gf2 import BitVec
 
@@ -32,15 +31,14 @@ class TranscriptRecord(namedtuple("TranscriptRecord", "round sender kind payload
         return f"{self.round},{self.sender},{self.kind},{self.payload.to_hex()}"
 
 
-@dataclass
-class Transcript:
-    records: list = field(default_factory=list)
+class Transcript(tuple):
+    __slots__ = ()
 
     def one(self, kind: str, sender: int) -> TranscriptRecord:
-        matches = [r for r in self.records if r.kind == kind and r.sender == sender]
+        matches = [r for r in self if r.kind == kind and r.sender == sender]
         if len(matches) != 1:
             raise LookupError(f"expected one {kind!r} record, found {len(matches)}")
         return matches[0]
 
     def dump(self) -> str:
-        return "\n".join(r.dump() for r in self.records) + ("\n" if self.records else "")
+        return "".join(r.dump() + "\n" for r in self)

@@ -186,7 +186,7 @@ def cmd_rates(args) -> int:
         idx = "+".join(f"n{i}" for i in sorted(subset))
         lines.append(f"constraint {idx} >= {bound} ({float(bound):.6g} bits)")
     lines.append(f"CO = {total} ({float(total):.6g} bits)")
-    lines.append("rates = (" + ", ".join(str(r) for r in rates.rates) + ")")
+    lines.append("rates = (" + ", ".join(str(r) for r in rates) + ")")
     lines.append(f"key_capacity = {cap} ({float(cap):.6g} bits)")
     if profile.ell == 3:
         lines.append(f"CO_closed_form = {co_formula3(profile)}")

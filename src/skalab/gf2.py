@@ -223,8 +223,8 @@ def _reduce(slots, v: int, stop: int):
 
 
 def solve_affine(m: Gf2Matrix, target: BitVec):
-    """All solutions of m x = target: (particular, kernel basis) as ints of
-    m.cols bits, or None if the system is inconsistent.
+    """All solutions of m x = target: (particular, kernel basis tuple) as
+    ints of m.cols bits, or None if the system is inconsistent.
 
     For r rows, N columns, seed s and L = r + N - 1, m x is the window
     [N - 1, L) of s x.  So x solves it iff (x, y) = (x, s x mod z^L), a
@@ -241,7 +241,7 @@ def solve_affine(m: Gf2Matrix, target: BitVec):
         x = _field(row, cols)
         kernel += [x << k for k in range(cols - (lead >> 3))]
     v = _reduce(slots, spread(target.v) << 8 * cols + 1, 8 * cols)
-    return None if v is None else (_field(v, cols), kernel)
+    return None if v is None else (_field(v, cols), tuple(kernel))
 
 
 # ---------------------------------------------------------------------------

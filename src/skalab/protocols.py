@@ -10,10 +10,11 @@ All three protocols run on one driver, in three steps:
    It also lays out every public seed and every hash as plain data, and
    no later step knows the protocol by name.
 2. broadcast  ``draw_seeds(plan, public_stream)`` draws the public Toeplitz
-   seeds, and ``SessionDriver(plan, seeds).run(inputs)`` records them in
-   the one-round transcript, each fingerprint right after the seed its
-   hash is cut from.  Audits hold the public seeds fixed, so they draw
-   them once and keep one driver.
+   seeds as their transcript records, and ``SessionDriver(plan,
+   seeds).run(inputs)`` broadcasts those records in the one-round
+   transcript, each fingerprint right after the seed its hash is cut
+   from.  Audits hold the public seeds fixed, so they draw them once and
+   keep one driver.
 3. party key  each party recovers the fingerprint senders' inputs from its
    own input and the fingerprints and passes them through the key chain,
    in ``SessionDriver.party_key``, which ``run`` and
@@ -24,7 +25,7 @@ All three protocols run on one driver, in three steps:
    memoizes each under plain ints: (sender slot, input), (party, own
    input, fingerprint values) and the packed word; below them each hash
    keeps its products (``gf2.matvec``), so a guard's re-hash is a lookup.
-   The plan and seeds fix the bit counts, which the driver counts once.
+   The plan alone fixes the bit counts: the key's and the transcript's.
 
 Every hash is a seeded Toeplitz matrix (``gf2.Gf2Matrix``), a universal
 family with rows + cols - 1 seed bits (Mansour, Nisan & Tiwari 1990;
@@ -55,12 +56,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 
 from .channel import Transcript, TranscriptRecord
 from .gf2 import BitVec, Gf2Matrix, matvec, toeplitz_seed_len
 from .profiles import ceil_log2, cond, mutual
 from .rateregion import co_lp, sw_constraints
-from .reconcile import STATUS_UNIQUE, Fingerprint, decode, multi_decode
+from .reconcile import STATUS_NOT_FOUND, STATUS_UNIQUE, Fingerprint, decode, multi_decode
 from .rng import SeedStream
 from .sources import Model, sample
 
@@ -126,7 +128,7 @@ class SessionConfig:
             object.__setattr__(self, "margins", Margins.defaults(self.model.n, self.eps))
 
 
-SessionOutcome = namedtuple("SessionOutcome", "keys transcript agreed key_len comm_bits target_key_len target_comm decode_status payload_bits")
+SessionOutcome = namedtuple("SessionOutcome", "keys transcript agreed key_len comm_bits decode_status")
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +145,10 @@ class SessionPlan:
     (rounded) conditional complexity the sender's message must cover; light
     sends 0 rows when nothing needs reconciling.  Every party hashes the
     senders' packed inputs to material_len bits; the extractor, absent for
-    light, turns those into the key_len-bit key.  seed_slots lists every
-    public seed as (sender, kind, stream labels, bits), in broadcast order.
+    light, turns those into the key_len-bit key.  comm_bits counts the
+    transcript: every seed's bits and every fingerprint's rows.  seed_slots
+    lists every public seed as (sender, kind, stream labels, bits), in
+    broadcast order.
     hash_layout is (fingerprint hashes, key chain), each hash (rows, cols,
     slot, offset): the Toeplitz matrix whose seed is bits [offset, offset +
     rows + cols - 1) of that slot's payload.  Sender i's fingerprint hash,
@@ -157,6 +161,7 @@ class SessionPlan:
     fp_rows: tuple
     material_len: int
     key_len: int
+    comm_bits: int
     target_key_len: Fraction
     target_comm: Fraction
     seed_slots: tuple
@@ -181,51 +186,54 @@ def _plan(model: Model, protocol: str, eps: Fraction, margins: Margins) -> Sessi
         # other C(x) - k rows hash the key.
         n1 = int(profile.c({1}))
         k = int(cond(profile, {1}, {2}))
-        key_rows = n1 - k
-        if key_rows < 1:
+        material_len = key_len = n1 - k
+        if key_len < 1:
             raise ValueError("light protocol margins leave no key bits")
         if n1 > xlen:
             raise ValueError("profile claims more complexity than input bits")
-        fp_rows = k + c if k else 0
-        slots = ((1, "hash_spec", ("light", "H"), toeplitz_seed_len(fp_rows + key_rows, xlen)),)
-        layout = ((fp_rows, xlen, 0, 0),), ((key_rows, xlen, 0, fp_rows),)
-        return SessionPlan(model, (fp_rows,), key_rows, key_rows, mutual(profile, {1}, {2}), Fraction(fp_rows), slots, layout)
-    if protocol == TWO_PHASE:
-        # Fingerprint x, which Bob decodes, at C(x|y) = C(x,y) - C(y) +
-        # k_slack, then key material at I(x:y) + phase1.
-        label = "two_phase"
-        k_fp = int(cond(profile, {1}, {2})) + margins.k_slack
-        fp_rows = (max(0, min(k_fp, xlen)) + c,)
-        fp_kinds = ((1, "fp_spec", (label, "fp")),)
-        target_key_len, target_comm = mutual(profile, {1}, {2}), cond(profile, {1}, {2})
-        material_len = int(target_key_len) + margins.phase1
+        rows = k + c if k else 0
+        fp_rows = (rows,)
+        slots = ((1, "hash_spec", ("light", "H"), toeplitz_seed_len(rows + key_len, xlen)),)
+        layout = ((rows, xlen, 0, 0),), ((key_len, xlen, 0, rows),)
+        target_key_len, target_comm = mutual(profile, {1}, {2}), Fraction(rows)
     else:
-        # Fingerprints at the optimal Slepian-Wolf rates, rounded up, then key
-        # material at the key capacity C(x_[3]) - CO + phase1.
-        label = "omni"
-        target_comm, rates = co_lp(sw_constraints(profile))
-        fp_rows = tuple(k + c for k in rates.ceil())
-        fp_kinds = tuple((i, "fp_spec", (label, "fp", i)) for i in range(1, len(fp_rows) + 1))
-        target_key_len = profile.c(profile.full()) - target_comm
-        material_len = int(target_key_len) + margins.phase1  # key capacities here are integral
-    if material_len < 1:
-        raise ValueError(f"{protocol} margins leave no key material")
-    # The extractor: min-entropy k of the material, m = k - 2*ceil(log2(1/eps)).
-    k = material_len - margins.deficiency
-    if not 0 <= k <= material_len:
-        raise ValueError(f"min-entropy {k} outside [0, {material_len}]")
-    key_len = k - 2 * ceil_log2(1 / ext_eps)
-    if key_len < 1:
-        raise ValueError(f"extractor output m = {key_len} < 1 (k={k}, eps={ext_eps})")
-    # Each sender's fingerprint seed, then the key-material hash over the
-    # senders' packed inputs and the extractor, each hash a whole slot.
-    senders = len(fp_rows)
-    shapes = tuple((rows, xlen) for rows in fp_rows) + ((material_len, senders * xlen), (key_len, material_len))
-    kinds = fp_kinds + ((1, "keymat_spec", (label, "keymat")), (1, "ext_seed", (label, "ext")))
-    slots = tuple((*kind, toeplitz_seed_len(*shape)) for kind, shape in zip(kinds, shapes))
-    hashes = tuple((*shape, slot, 0) for slot, shape in enumerate(shapes))
-    layout = hashes[:senders], hashes[senders:]
-    return SessionPlan(model, fp_rows, material_len, key_len, target_key_len, target_comm, slots, layout)
+        if protocol == TWO_PHASE:
+            # Fingerprint x, which Bob decodes, at C(x|y) = C(x,y) - C(y) +
+            # k_slack, then key material at I(x:y) + phase1.
+            label = "two_phase"
+            k_fp = int(cond(profile, {1}, {2})) + margins.k_slack
+            fp_rows = (max(0, min(k_fp, xlen)) + c,)
+            fp_kinds = ((1, "fp_spec", (label, "fp")),)
+            target_key_len, target_comm = mutual(profile, {1}, {2}), cond(profile, {1}, {2})
+            material_len = int(target_key_len) + margins.phase1
+        else:
+            # Fingerprints at the optimal Slepian-Wolf rates, rounded up, then
+            # key material at the key capacity C(x_[3]) - CO + phase1.
+            label = "omni"
+            target_comm, rates = co_lp(sw_constraints(profile))
+            fp_rows = tuple(ceil(r) + c for r in rates)  # whole-bit fingerprints: rates round up
+            fp_kinds = tuple((i, "fp_spec", (label, "fp", i)) for i in range(1, len(fp_rows) + 1))
+            target_key_len = profile.c(profile.full()) - target_comm
+            material_len = int(target_key_len) + margins.phase1  # key capacities here are integral
+        if material_len < 1:
+            raise ValueError(f"{protocol} margins leave no key material")
+        # The extractor: min-entropy k of the material, m = k - 2*ceil(log2(1/eps)).
+        k = material_len - margins.deficiency
+        if not 0 <= k <= material_len:
+            raise ValueError(f"min-entropy {k} outside [0, {material_len}]")
+        key_len = k - 2 * ceil_log2(1 / ext_eps)
+        if key_len < 1:
+            raise ValueError(f"extractor output m = {key_len} < 1 (k={k}, eps={ext_eps})")
+        # Each sender's fingerprint seed, then the key-material hash over the
+        # senders' packed inputs and the extractor, each hash a whole slot.
+        senders = len(fp_rows)
+        shapes = tuple((rows, xlen) for rows in fp_rows) + ((material_len, senders * xlen), (key_len, material_len))
+        kinds = fp_kinds + ((1, "keymat_spec", (label, "keymat")), (1, "ext_seed", (label, "ext")))
+        slots = tuple((*kind, toeplitz_seed_len(*shape)) for kind, shape in zip(kinds, shapes))
+        hashes = tuple((*shape, slot, 0) for slot, shape in enumerate(shapes))
+        layout = hashes[:senders], hashes[senders:]
+    comm_bits = sum(bits for *_slot, bits in slots) + sum(fp_rows)
+    return SessionPlan(model, fp_rows, material_len, key_len, comm_bits, target_key_len, target_comm, slots, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +242,10 @@ def _plan(model: Model, protocol: str, eps: Fraction, margins: Margins) -> Sessi
 
 
 def draw_seeds(plan: SessionPlan, public: SeedStream) -> tuple:
-    """Every public seed of a session as (sender, kind, payload), in
-    broadcast order, each drawn from its own child of the public stream."""
-    return tuple((sender, kind, public.child(*labels).bitvec(bits)) for sender, kind, labels, bits in plan.seed_slots)
+    """Every public seed of a session as its transcript record, in
+    broadcast order, each payload drawn from its own child of the public
+    stream."""
+    return tuple(TranscriptRecord(1, sender, kind, public.child(*labels).bitvec(bits)) for sender, kind, labels, bits in plan.seed_slots)
 
 
 def toeplitz_hashes(layout: tuple, payloads: tuple) -> tuple:
@@ -262,12 +271,14 @@ def toeplitz_hashes(layout: tuple, payloads: tuple) -> tuple:
 def _reconcile(plan: SessionPlan, party: int, own: BitVec, fps):
     """(status, packed inputs of every fingerprint sender) as the party
     recovers them: jointly when more than one party sends a fingerprint,
-    else party 1 holds the sender's input and the others decode it.  The
-    packed value is None unless the status is unique."""
+    else party 1 holds the sender's input, which it vouches for only when
+    the fingerprint is its own, and the others decode it.  The packed value
+    is None unless the status is unique."""
     if len(fps) > 1:
         res = multi_decode(plan.model, party, own, fps)
     elif party == 1:
-        return STATUS_UNIQUE, own
+        sent = matvec(fps[0].spec, own) == fps[0].value  # as multi_decode checks the holder's own
+        return (STATUS_UNIQUE, own) if sent else (STATUS_NOT_FOUND, None)
     else:
         res = decode(fps[0], plan.model.candidates(own))
     return res.status, res.value
@@ -285,25 +296,22 @@ def _forbid_secret_payloads(transcript: Transcript, secrets) -> None:
     # shorter than 16 bits are skipped: at toy sizes a hash value can
     # coincide with an input by chance, which is not a leak.
     guarded = {s for s in secrets if s is not None and s.n >= _LEAK_CHECK_MIN_BITS}
-    for rec in transcript.records:
+    for rec in transcript:
         if rec.payload in guarded:
             raise AssertionError(f"transcript record {rec.kind!r} leaks a secret verbatim")
 
 
 class SessionDriver:
-    """Sessions on one plan and public seeds (from ``draw_seeds``): ``run``
-    broadcasts, gives every party its key and runs the shared agreement and
-    leak checks.  Step 3's memos live on the driver, and those of its
-    hashes (products, graph bases, fingerprint cosets) on them, so all go
-    with the driver, which counts the transcript's bits once: the seeds'
-    and each fingerprint hash's rows, whether the session agrees or not."""
+    """Sessions on one plan and public seed records (from ``draw_seeds``):
+    ``run`` broadcasts, gives every party its key and runs the shared
+    agreement and leak checks.  Step 3's memos live on the driver, and
+    those of its hashes (products, graph bases, fingerprint cosets) on
+    them, so all go with the driver."""
 
     def __init__(self, plan: SessionPlan, seeds: tuple) -> None:
         self.plan = plan
-        self.fp_hashes, self.chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
-        self._seed_records = [TranscriptRecord(1, sender, kind, payload) for sender, kind, payload in seeds]
-        self._payload_bits = sum(h.rows for h in self.fp_hashes)
-        self._comm_bits = sum(payload.n for _sender, _kind, payload in seeds) + self._payload_bits
+        self.fp_hashes, self.chain = toeplitz_hashes(plan.hash_layout, tuple(r.payload for r in seeds))
+        self._seed_records = seeds
         self._fingerprints, self._recovered, self._keys = {}, {}, {}
 
     def fingerprint(self, slot: int, x: BitVec) -> tuple:
@@ -347,8 +355,8 @@ class SessionDriver:
         failed = [s for s in statuses if s != STATUS_UNIQUE]
         _forbid_secret_payloads(transcript, (*inputs, *materials, *keys))
         return SessionOutcome(
-            keys, transcript, not failed and len(set(keys)) == 1, self.plan.key_len, self._comm_bits,
-            self.plan.target_key_len, self.plan.target_comm, failed[0] if failed else STATUS_UNIQUE, self._payload_bits)
+            keys, transcript, not failed and len(set(keys)) == 1, self.plan.key_len, self.plan.comm_bits,
+            failed[0] if failed else STATUS_UNIQUE)
 
 
 def session_streams(config: SessionConfig, trial: int):
@@ -382,10 +390,10 @@ def party_key_from_transcript(config: SessionConfig, party: int, own: BitVec, tr
     plan = session_plan(config)
     seeds = []
     for sender, kind, _labels, bits in plan.seed_slots:
-        payload = transcript.one(kind, sender).payload
-        if payload.n != bits:
-            raise ValueError(f"{kind} record of party {sender} has {payload.n} bits, its plan slot {bits}")
-        seeds.append((sender, kind, payload))
+        record = transcript.one(kind, sender)
+        if record.payload.n != bits:
+            raise ValueError(f"{kind} record of party {sender} has {record.payload.n} bits, its plan slot {bits}")
+        seeds.append(record)
     driver = SessionDriver(plan, tuple(seeds))
     fps = [Fingerprint(h, transcript.one("fingerprint", i).payload) for i, h in enumerate(driver.fp_hashes, start=1)]
     key, status, _material = driver.party_key(party, own, fps)

@@ -31,25 +31,6 @@ from .profiles import (
 
 
 @dataclass(frozen=True)
-class RateTuple:
-    rates: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", tuple(Fraction(r) for r in self.rates))
-        if any(r < 0 for r in self.rates):
-            raise ValueError("rates must be non-negative")
-
-    def total(self) -> Fraction:
-        return sum(self.rates, Fraction(0))
-
-    def ceil(self) -> tuple:
-        """Whole-bit broadcast lengths (sessions round rates up)."""
-        from math import ceil
-
-        return tuple(int(ceil(r)) for r in self.rates)
-
-
-@dataclass(frozen=True)
 class RateRegion:
     profile: ComplexityProfile
     constraints: tuple  # ((frozenset I, Fraction bound), ...)
@@ -81,9 +62,9 @@ def sw_constraints(profile: ComplexityProfile) -> RateRegion:
 def co_lp(region: RateRegion):
     """Exact CO minimum and the canonical optimal rate tuple.
 
-    Returns (total bits, RateTuple); the tuple is the lexicographically
-    smallest point of the optimal face, so all parties derive the same
-    rates independently.
+    Returns (total bits, rates), the rates a plain tuple of non-negative
+    Fractions, one per party: the lexicographically smallest point of the
+    optimal face, so all parties derive the same rates independently.
     """
     ell = region.profile.ell
     _check_parties(ell)
@@ -114,8 +95,8 @@ def co_lp(region: RateRegion):
             f = row[enter]
             if row is not leave and f:
                 row[:] = [v - f * w for v, w in zip(row, leave)]
-    rates = RateTuple(obj[len(bounds) : n_cols])
-    return rates.total(), rates
+    rates = tuple(obj[len(bounds) : n_cols])
+    return sum(rates), rates
 
 
 def co_formula3(profile: ComplexityProfile) -> Fraction:

@@ -187,7 +187,7 @@ def _verdict(errors, center: BitVec, checked: int) -> DecodeResult:
     return DecodeResult(STATUS_UNIQUE, BitVec(center.n, center.v ^ found[0]), checked)
 
 
-def _coset_walk(particular: int, kernel: list[int]):
+def _coset_walk(particular: int, kernel: tuple):
     """Yield every word of particular xor span(kernel), once each, in Gray
     code order: each word is the last one xor a single kernel vector."""
     word = particular
@@ -199,12 +199,15 @@ def _coset_walk(particular: int, kernel: list[int]):
 
 # One cap on whichever sphere search runs: a walk of at most this many coset
 # words, or a meet in the middle whose larger half has at most this many
-# subsets; past both the decode ends search_limit.  hamming:n=63,t=8 at
-# eps=1/256 tabulates and probes C(63, 4) = 595,665 subsets each (about
-# 110 MB and 1.0 s in CPython 3.11); t=9 walks 2^20 words in about 0.25 s,
-# where each of its halves would hold C(63, 5) = 7.0 million subsets,
-# twelve times that memory.  The joint search's _COSET_CAP_BITS stays
-# separate: it multiplies cosets.
+# subsets; past both the decode ends search_limit.  It bounds the table's
+# entries, not its memory: at even t the table's half is as large as the
+# probe's.  At the cap's edge, light hamming:n=72,t=8 at eps=1/256 tabulates
+# and probes C(72, 4) = 1,028,790 subsets each, and one session peaks at
+# 224 MB and takes 1.3 s (hamming:n=185,t=6, C(185, 3) = 1,038,220: 234 MB;
+# ru_maxrss, CPython 3.11).  hamming:n=63,t=9 walks 2^20 words in about
+# 0.25 s, where each of its halves would hold C(63, 5) = 7.0 million
+# subsets.  The joint search's _COSET_CAP_BITS stays separate: it
+# multiplies cosets.
 _SPHERE_CAP_SUBSETS = 1 << 20
 
 
@@ -223,7 +226,7 @@ def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
     errors = None
     if 1 << max(0, n - rows) < half:
         coset = fingerprint_coset(fp)
-        if not coset:
+        if coset is None:
             errors = ()
         elif 1 << len(coset[1]) < half:  # a rank-deficient H can leave a larger coset
             errors = (x ^ center.v for x in _coset_walk(*coset) if (x ^ center.v).bit_count() == t)
@@ -247,9 +250,9 @@ def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
 _COSET_CAP_BITS = 14
 
 
-def fingerprint_coset(fp: Fingerprint) -> tuple:
-    """The solutions of H x = fingerprint as `solve_affine`'s (particular,
-    kernel tuple), whatever the kernel's size; () when there are none.
+def fingerprint_coset(fp: Fingerprint):
+    """The solutions of H x = fingerprint as `solve_affine` returns them,
+    (particular, kernel tuple) whatever the kernel's size, or None.
     Both other parties of an omniscience session solve each fingerprint, a
     fixed-seed audit sees each sender input many times, and a sphere walk
     reads the same coset, but the solve depends only on the hash and the
@@ -257,8 +260,7 @@ def fingerprint_coset(fp: Fingerprint) -> tuple:
     `cosets`."""
     cosets, v = fp.spec.cosets, fp.value.v
     if v not in cosets:
-        sol = solve_affine(fp.spec, fp.value)
-        cosets[v] = () if sol is None else (sol[0], tuple(sol[1]))
+        cosets[v] = solve_affine(fp.spec, fp.value)
     return cosets[v]
 
 
@@ -325,9 +327,9 @@ def multi_decode(model: Model, own_index: int, own: BitVec, fps) -> DecodeResult
     if matvec(own_fp.spec, own) != own_fp.value:
         return DecodeResult(STATUS_NOT_FOUND, None, 0)
     cosets = {i: fingerprint_coset(fp) for i, fp in enumerate(fps) if i != own_index - 1}
-    if any(coset and len(coset[1]) > _COSET_CAP_BITS for coset in cosets.values()):
+    if any(coset is not None and len(coset[1]) > _COSET_CAP_BITS for coset in cosets.values()):
         return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
-    if () in cosets.values():  # an empty coset: no tuple matches
+    if None in cosets.values():  # an empty coset: no tuple matches
         return DecodeResult(STATUS_NOT_FOUND, None, 0)
     near, far = sorted(cosets, key=lambda i: len(cosets[i][1]))
     total = 1 << (len(cosets[near][1]) + len(cosets[far][1]))

@@ -61,7 +61,8 @@ def sweep_configs(
 def summarize(config: SessionConfig, outcomes) -> dict:
     """One config's summary; decode_statuses counts each session's decode
     status in order of first appearance, e.g. unique:18,search_limit:2.
-    The key length and targets are the plan's, also when no session ran."""
+    The key length, bit counts and targets are the plan's; the bit counts
+    read 0.0 when no session ran."""
     n = len(outcomes)
     plan = session_plan(config)
     agreed = sum(1 for o in outcomes if o.agreed)
@@ -73,8 +74,8 @@ def summarize(config: SessionConfig, outcomes) -> dict:
         "agreement_rate": agreed / n if n else 0.0,
         "key_len": plan.key_len,
         "target_key_len": _fmt(plan.target_key_len),
-        "mean_comm_bits": sum(o.comm_bits for o in outcomes) / n if n else 0.0,
-        "mean_payload_bits": sum(o.payload_bits for o in outcomes) / n if n else 0.0,
+        "mean_comm_bits": float(plan.comm_bits) if n else 0.0,
+        "mean_payload_bits": float(sum(plan.fp_rows)) if n else 0.0,
         "target_comm": _fmt(plan.target_comm),
         "decode_statuses": ",".join(f"{s}:{c}" for s, c in Counter(o.decode_status for o in outcomes).items()),
     }
@@ -82,7 +83,8 @@ def summarize(config: SessionConfig, outcomes) -> dict:
 
 def trial_rows(outcomes, config: SessionConfig):
     """One CSV row per session outcome, led by the config's model,
-    protocol and eps."""
+    protocol and eps; the targets are the plan's."""
+    plan = session_plan(config)
     lead = {"model": config.model.spec_string(), "protocol": config.protocol, "eps": _fmt(config.eps)}
     for t, o in enumerate(outcomes):
         yield {
@@ -91,8 +93,8 @@ def trial_rows(outcomes, config: SessionConfig):
             "agreed": _fmt(o.agreed),
             "key_len": o.key_len,
             "comm_bits": o.comm_bits,
-            "target_key_len": _fmt(o.target_key_len),
-            "target_comm": _fmt(o.target_comm),
+            "target_key_len": _fmt(plan.target_key_len),
+            "target_comm": _fmt(plan.target_comm),
             "decode_status": o.decode_status,
         }
 

@@ -215,7 +215,7 @@ def key_entropy_certificate(config, public_label) -> int:
     H(Z|T) is therefore the rank of the key chain's images of a basis of
     ker A."""
     plan, seeds = fixed_seeds(config, public_label)
-    (fingerprint,), chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
+    (fingerprint,), chain = toeplitz_hashes(plan.hash_layout, tuple(r.payload for r in seeds))
     _particular, kernel = solve_affine(fingerprint, BitVec(fingerprint.rows, 0))
     images = []
     for v in kernel:
@@ -231,7 +231,8 @@ def light_key_entropy_by_two_solves(config, public_label) -> int:
     cuts its fingerprint rows A and key rows K from one seed, at offsets 0
     and fp_rows, so [A; K] is the one Toeplitz matrix H of that seed, and
     H(Z|T) = rank H - rank A = dim ker A - dim ker H."""
-    plan, ((_sender, _kind, seed),) = fixed_seeds(config, public_label)
+    plan, (record,) = fixed_seeds(config, public_label)
+    seed = record.payload
     ((fingerprint,), (key_hash,)) = toeplitz_hashes(plan.hash_layout, (seed,))
     h = Gf2Matrix(fingerprint.rows + key_hash.rows, fingerprint.cols, seed)
     if (fingerprint.data, key_hash.data) != (seed.slice(0, fingerprint.data.n), seed.slice(fingerprint.rows, seed.n)):

@@ -1,11 +1,15 @@
 """Test-only model oracle: the consistency predicate of every correlation
 model, the reference that draws, instance enumerations and the joint
-decoder are checked against, and each two-party model's candidate words,
+decoder are checked against, each two-party model's candidate words,
 listed from its definition, which the decoders' verdicts are checked
-against."""
+against, and the Hamming model's exact per-seed failure law."""
+
+import math
+from collections import Counter
+from fractions import Fraction
 
 from codes import clmul
-from skalab.gf2 import BitVec, _poly_mod, irreducible_poly, mul_int
+from skalab.gf2 import BitVec, _poly_mod, irreducible_poly, matvec, mul_int
 from skalab.sources import Hamming, LinePoint, Triple, weight_words
 
 
@@ -48,3 +52,13 @@ def candidate_words(model, observation) -> list:
         return [BitVec(2 * n, u | (mul_int(lo, u, n) ^ hi) << n) for u in range(1 << n)]
     assert isinstance(model, Hamming)
     return [BitVec(model.n, observation.v ^ e) for e in weight_words(model.n, model.t)]
+
+
+def hamming_failure_probability(h, t) -> Fraction:
+    """The probability over a Hamming model's inputs that the receiver's
+    decode under the fingerprint hash h fails: the share of the weight-t
+    errors whose syndrome h e is shared with another weight-t error.  The
+    receiver decodes the sphere at distance t around y = x xor e, which
+    finds every weight-t e' with h e' = h e, so x plays no part."""
+    syndromes = Counter(matvec(h, BitVec(h.cols, e)).v for e in weight_words(h.cols, t))
+    return Fraction(sum(c for c in syndromes.values() if c > 1), math.comb(h.cols, t))

@@ -7,7 +7,7 @@ C(all) minus the LP's CO."""
 from fractions import Fraction
 
 from skalab.profiles import MAX_PARTIES, ComplexityProfile, _as_subset, all_nonempty_subsets, is_polymatroid
-from skalab.rateregion import RateRegion, RateTuple
+from skalab.rateregion import RateRegion
 from skalab.rng import SeedStream
 
 
@@ -42,11 +42,11 @@ def is_polymatroid_pairwise(profile: ComplexityProfile) -> bool:
     return True
 
 
-def satisfied_by(region: RateRegion, rates: RateTuple) -> bool:
-    """Whether rates meet every constraint of the region: each bound is at
-    most the sum of the rates of its subset's parties."""
+def satisfied_by(region: RateRegion, rates: tuple) -> bool:
+    """Whether rates, one per party, meet every constraint of the region:
+    each bound is at most the sum of the rates of its subset's parties."""
     for subset, bound in region.constraints:
-        if sum((rates.rates[i - 1] for i in subset), Fraction(0)) < bound:
+        if sum((rates[i - 1] for i in subset), Fraction(0)) < bound:
             return False
     return True
 

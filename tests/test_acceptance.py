@@ -35,6 +35,7 @@ from skalab.protocols import (
     Margins,
     SessionConfig,
     run_session,
+    session_plan,
 )
 from skalab.rateregion import co_formula3, co_lp, sw_constraints
 from skalab.reconcile import STATUS_UNIQUE
@@ -53,14 +54,15 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_light_line_point():
     eps = Fraction(1, 256)
     config = SessionConfig(parse_model_spec("line-point:n=16"), "light", eps, seed=1001)
+    plan = session_plan(config)
+    assert plan.fp_rows == (24,)  # C(x|y) + log2(1/eps)
+    assert plan.target_comm == 24
     start = time.monotonic()
     agreed = 0
     for t in range(2000):
         o = run_session(config, t)
         agreed += o.agreed
         assert o.key_len == 16
-        assert o.payload_bits == 24  # C(x|y) + log2(1/eps)
-        assert o.target_comm == 24
     elapsed = time.monotonic() - start
     rate = agreed / 2000
     ok = rate >= 1 - 2**-6 and elapsed < 10
@@ -83,14 +85,15 @@ def test_criterion_2_two_phase_accounting():
     m = config.margins
     expect_key = 16 + m.phase1 - m.deficiency - 8  # I - margins, exact per config
     expect_msg = 16 + m.k_slack + 4  # C(x|y) + margins + check bits
+    plan = session_plan(config)
+    assert plan.target_key_len == 16
+    assert plan.fp_rows == (expect_msg,)
     start = time.monotonic()
     agreed = 0
     for t in range(2000):
         o = run_session(config, t)
         agreed += o.agreed
         assert o.key_len == expect_key
-        assert o.target_key_len == 16
-        assert o.payload_bits == expect_msg
     elapsed = time.monotonic() - start
     rate = agreed / 2000
     ok = rate >= 1 - 3 * float(eps) and elapsed < 30
@@ -113,22 +116,23 @@ def test_criterion_3_omniscience():
     total, rates = co_lp(sw_constraints(profile))
     closed = co_formula3(profile)
     assert total == 72 and closed == 72
-    assert rates.rates == (24, 24, 24)
+    assert rates == (24, 24, 24)
 
     eps = Fraction(1, 64)
     # The paper-shaped default margins exceed the 8-bit key capacity at
     # n=16 (see decisions ledger); the run pins explicit small margins.
     margins = Margins(k_slack=16, phase1=4, deficiency=2, extractor_eps=Fraction(1, 4))
     config = SessionConfig(model, "omniscience", eps, seed=1003, margins=margins)
+    plan = session_plan(config)
+    assert plan.target_key_len == 8  # 5n - 4.5n = 0.5n
+    assert plan.target_comm == 72
+    assert plan.fp_rows == (24 + 6,) * 3
     start = time.monotonic()
     agreed = 0
     for t in range(500):
         o = run_session(config, t)
         agreed += o.agreed
-        assert o.target_key_len == 8  # 5n - 4.5n = 0.5n
-        assert o.target_comm == 72
         assert o.key_len == 8 + margins.phase1 - margins.deficiency - 4
-        assert o.payload_bits == 3 * (24 + 6)
     elapsed = time.monotonic() - start
     rate = agreed / 500
     ok = rate >= 1 - 5 * float(eps) and elapsed < 120

@@ -17,7 +17,7 @@ from skalab.audit import (
     tv_moments,
     worst_stratum,
 )
-from skalab.channel import TranscriptRecord
+from skalab.channel import Transcript, TranscriptRecord
 from codes import rank, to_dense
 from entropy_checks import key_entropy_certificate, light_key_entropy_by_two_solves
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, solve_affine
@@ -39,8 +39,8 @@ def _seed_with_full_rank_h(spec, eps, n):
     fixed audit seed is scanned until the drawn Toeplitz matrix has it."""
     for seed in range(200):
         config = light_config(spec, eps, seed)
-        (_sender, _kind, h_seed), = fixed_seeds(config)[1]
-        h = Gf2Matrix(n, n, h_seed)
+        (h_seed,) = fixed_seeds(config)[1]
+        h = Gf2Matrix(n, n, h_seed.payload)
         if rank(to_dense(h), n) == n:
             return config
     raise AssertionError("no full-rank seed found")
@@ -78,8 +78,7 @@ def test_canary_leaking_key_fails_audit(monkeypatch):
 
     def leaky(driver, inputs):
         o = run(driver, inputs)
-        o.transcript.records.append(TranscriptRecord(2, 1, "leak", o.keys[0]))
-        return o
+        return o._replace(transcript=Transcript((*o.transcript, TranscriptRecord(2, 1, "leak", o.keys[0]))))
 
     monkeypatch.setattr(SessionDriver, "run", leaky)
     report = conditional_uniformity(config, trials=6000)
@@ -91,13 +90,13 @@ def test_canary_leaking_key_fails_audit(monkeypatch):
 def _tabulate_every_trial(plan, seeds, inputs):
     """Reference tabulation: one plain session (a fresh ``SessionDriver``)
     per trial, so no work is shared between trials; a transcript is keyed
-    by its records, as ``_tabulate`` keys it."""
+    by itself, as ``_tabulate`` keys it."""
     cells: dict = {}
     counts: dict = {}
     agreed = 0
     for x in inputs:
         o = SessionDriver(plan, seeds).run(x)
-        t = tuple(o.transcript.records)
+        t = o.transcript
         cells[x] = ((t, o.keys[0]), o.agreed)
         counts[(t, o.keys[0])] = counts.get((t, o.keys[0]), 0) + 1
         agreed += o.agreed
@@ -174,14 +173,16 @@ def _assert_light_work(work, plan, seeds, tuples):
     """One run per distinct tuple, one fingerprint per distinct sender
     input, one recovery per distinct (party, own input, fingerprint) and
     one key chain per distinct recovered word, each computed once.  Party
-    1 recovers its own x; a unique decode of party 2 is a word with x's
+    1 recovers its own x once it has re-hashed x to its fingerprint, a hit
+    in the hash's products; a unique decode of party 2 is a word with x's
     fingerprint among y's candidates, which is x, so the recovered words
     are the distinct x."""
-    (fp_hash,), _chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
+    (fp_hash,), _chain = toeplitz_hashes(plan.hash_layout, tuple(r.payload for r in seeds))
     fp_of = {x.v: matvec(fp_hash, x).v for x, _y in tuples}
     views = {(1, x.v, (fp_of[x.v],)) for x, _y in tuples} | {(2, y.v, (fp_of[x.v],)) for x, y in tuples}
     assert len(work["run"]) == len(set(work["run"])) == len(tuples)
-    assert sorted(work["fingerprint"]) == sorted(fp_of)
+    assert sorted(work["fingerprint"]) == sorted(2 * list(fp_of))  # the fingerprint and party 1's check
+    assert work["driver"].fp_hashes[0].products.keys() == fp_of.keys()  # each product computed once
     assert sorted(work["reconcile"]) == sorted(views)
     assert sorted(work["chain"]) == sorted(fp_of)
 
@@ -438,7 +439,7 @@ def test_light_within_stratum_uniformity_exact():
     config = light_config("line-point:n=3", Fraction(1, 2), seed=17)
     model = config.model
     plan, seeds = fixed_seeds(config)
-    ((h1,), (h2,)) = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
+    ((h1,), (h2,)) = toeplitz_hashes(plan.hash_layout, tuple(r.payload for r in seeds))
     q_rows, key_rows = h1.rows, h2.rows
 
     strata: dict = {}

@@ -341,7 +341,8 @@ def assert_same_solutions(m, target):
     assert not any(v >> m.cols for v in [particular, *kernel])
     assert rank(ref_kernel + [particular ^ ref_particular], m.cols) == len(ref_kernel)
     assert rank(kernel, m.cols) == len(kernel)
-    assert rank(ref_kernel + kernel, m.cols) == len(ref_kernel)
+    assert type(kernel) is tuple
+    assert rank([*ref_kernel, *kernel], m.cols) == len(ref_kernel)
     assert matvec(m, BitVec(m.cols, particular)) == target
     return True
 

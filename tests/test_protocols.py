@@ -13,6 +13,7 @@ from skalab.channel import Transcript, TranscriptRecord
 from skalab.protocols import (
     Margins,
     SessionConfig,
+    SessionOutcome,
     draw_seeds,
     party_key_from_transcript,
     run_session,
@@ -99,14 +100,15 @@ def test_config_validation():
 
 def test_light_line_point_16_accounting():
     o = run_session(cfg_light(), 0)
+    plan = session_plan(cfg_light())
     assert o.agreed
     assert o.key_len == 16  # n1 - k = C(x) - C(x|y) = n
-    assert o.payload_bits == 16 + 8  # C(x|y) + log2(1/eps)
-    assert o.target_comm == 24
+    assert plan.fp_rows == (16 + 8,)  # C(x|y) + log2(1/eps)
+    assert plan.target_comm == 24
     # spec overhead: the Toeplitz seed of the (n1+log2(1/eps)) x 2n matrix
-    assert o.comm_bits - o.payload_bits == (32 + 8) + 32 - 1
+    assert o.comm_bits - sum(plan.fp_rows) == (32 + 8) + 32 - 1
     assert o.keys[0] == o.keys[1]
-    assert o.target_key_len == 16
+    assert plan.target_key_len == 16
 
 
 @pytest.mark.parametrize(
@@ -127,7 +129,8 @@ def test_identical_sessions_are_hamming_sessions_at_t0(protocol, n, eps):
 
 def test_session_outcome_is_an_immutable_named_tuple():
     o = run_session(cfg_light("identical:n=16"), 0)
-    assert repr(o).startswith(f"SessionOutcome(keys=({o.keys[0]!r}, {o.keys[1]!r}), transcript=Transcript(records=[TranscriptRecord(round=1, ")
+    assert SessionOutcome._fields == ("keys", "transcript", "agreed", "key_len", "comm_bits", "decode_status")
+    assert repr(o).startswith(f"SessionOutcome(keys=({o.keys[0]!r}, {o.keys[1]!r}), transcript=(TranscriptRecord(round=1, ")
     assert not hasattr(o, "__dict__")
     with pytest.raises(AttributeError):
         o.agreed = False
@@ -138,7 +141,7 @@ def test_session_outcome_is_an_immutable_named_tuple():
 def test_light_identical_pair_empty_fingerprint():
     o = run_session(cfg_light("identical:n=16"), 0)
     assert o.agreed and o.key_len == 16
-    assert o.payload_bits == 0  # k = 0: nothing to reconcile, q is empty
+    assert session_plan(cfg_light("identical:n=16")).fp_rows == (0,)  # k = 0: nothing to reconcile, q is empty
     assert o.transcript.one("fingerprint", 1).payload.n == 0
 
 
@@ -147,7 +150,7 @@ def test_light_hamming_t0_empty_fingerprint():
     # the one-word sphere of radius 0.
     o = run_session(cfg_light("hamming:n=16,t=0"), 0)
     assert o.agreed and o.decode_status == STATUS_UNIQUE
-    assert o.key_len == 16 and o.payload_bits == 0
+    assert o.key_len == 16 and session_plan(cfg_light("hamming:n=16,t=0")).fp_rows == (0,)
 
 
 def test_light_agreement_monte_carlo_line_point_12():
@@ -165,7 +168,7 @@ def test_light_hamming_model():
     assert o.agreed
     k = 4  # ceil(log2 C(16,1))
     assert o.key_len == 16 - k
-    assert o.payload_bits == k + 6
+    assert session_plan(config).fp_rows == (k + 6,)
 
 
 @pytest.mark.parametrize("spec,eps", [("hamming:n=9,t=4", Fraction(1, 4)), ("hamming:n=11,t=5", Fraction(1, 8))])
@@ -215,21 +218,22 @@ def test_light_plan_guard():
 
 def test_two_phase_line_point_16_accounting():
     o = run_session(cfg_two_phase(), 0)
+    plan = session_plan(cfg_two_phase())
     m = Margins.defaults(16, Fraction(1, 16))
     assert o.agreed
     # m = I + phase1 - deficiency - 2 ceil(log2(1/eps))
     assert o.key_len == 16 + m.phase1 - m.deficiency - 8
-    assert o.target_key_len == 16
+    assert plan.target_key_len == 16
     # Alice's message: C(x,y) - C(x) + k_slack + log2(1/eps) check bits
-    assert o.payload_bits == 16 + m.k_slack + 4
-    assert o.target_comm == 16
+    assert plan.fp_rows == (16 + m.k_slack + 4,)
+    assert plan.target_comm == 16
 
 
 def test_two_phase_identical_fingerprint_margins_only():
-    o = run_session(cfg_two_phase("identical:n=16", eps=Fraction(1, 16)), 0)
+    config = cfg_two_phase("identical:n=16", eps=Fraction(1, 16))
     m = Margins.defaults(16, Fraction(1, 16))
-    assert o.agreed
-    assert o.payload_bits == m.k_slack + 4  # C(x,y) - C(x) = 0
+    assert run_session(config, 0).agreed
+    assert session_plan(config).fp_rows == (m.k_slack + 4,)  # C(x,y) - C(x) = 0
 
 
 def test_two_phase_comm_accounting_band():
@@ -237,11 +241,10 @@ def test_two_phase_comm_accounting_band():
     config = cfg_two_phase(seed=31)
     plan = session_plan(config)
     log_term = math.log2(16 / float(config.eps))
+    assert sum(plan.fp_rows) <= 16 + 5 * log_term
+    seed_overhead = (plan.fp_rows[0] + 32 - 1) + (plan.material_len + 32 - 1) + (plan.material_len + plan.key_len - 1)
     for t in range(60):
-        o = run_session(config, t)
-        assert o.payload_bits <= 16 + 5 * log_term
-        seed_overhead = (plan.fp_rows[0] + 32 - 1) + (plan.material_len + 32 - 1) + (plan.material_len + plan.key_len - 1)
-        assert o.comm_bits == o.payload_bits + seed_overhead
+        assert run_session(config, t).comm_bits == sum(plan.fp_rows) + seed_overhead
 
 
 def test_two_phase_margins_guard():
@@ -293,7 +296,7 @@ def test_key_chain_follows_the_plan(config):
     plan = session_plan(config)
     input_stream, public_stream = session_streams(config, 0)
     seeds = draw_seeds(plan, public_stream)
-    payloads = tuple(payload for _s, _k, payload in seeds)
+    payloads = tuple(r.payload for r in seeds)
     fp_hashes, chain = protocols.toeplitz_hashes(plan.hash_layout, payloads)
     assert (chain[0].rows, chain[0].cols) == (plan.material_len, len(plan.fp_rows) * plan.model.input_len)
     assert all(h.cols == prev.rows for prev, h in zip(chain, chain[1:]))
@@ -309,14 +312,14 @@ def test_key_chain_follows_the_plan(config):
         whole = Gf2Matrix(h.rows + key.rows, plan.model.input_len, payloads[0])
         assert to_dense(h) + to_dense(key) == to_dense(whole)
     inputs = sample(config.model, input_stream).inputs
-    records = protocols.SessionDriver(plan, seeds).run(inputs).transcript.records
+    records = protocols.SessionDriver(plan, seeds).run(inputs).transcript
     expected = []
     for slot, seed in enumerate(seeds):
         expected.append(seed)
         for sender, ((_rows, _cols, fp_slot, _offset), h) in enumerate(zip(plan.hash_layout[0], fp_hashes), start=1):
             if fp_slot == slot:
-                expected.append((sender, "fingerprint", matvec(h, inputs[sender - 1])))
-    assert [(r.sender, r.kind, r.payload) for r in records] == expected
+                expected.append((1, sender, "fingerprint", matvec(h, inputs[sender - 1])))
+    assert list(records) == expected
 
 
 @dataclass(frozen=True)
@@ -351,10 +354,11 @@ def test_two_phase_fingerprint_sized_by_c_x_given_y():
 
 def test_omniscience_collinear_16():
     o = run_session(cfg_omni(), 0)
+    plan = session_plan(cfg_omni())
     assert o.agreed
-    assert o.target_key_len == 8  # 5n - 4.5n = 0.5n
-    assert o.target_comm == 72
-    assert o.payload_bits == 3 * (24 + 6)  # rates + check bits each
+    assert plan.target_key_len == 8  # 5n - 4.5n = 0.5n
+    assert plan.target_comm == 72
+    assert plan.fp_rows == (24 + 6,) * 3  # rates + check bits each
     assert o.key_len == 8 + 4 - 2 - 4  # cap + phase1 - deficiency - extractor loss
     assert len({k.v for k in o.keys}) == 1
 
@@ -598,7 +602,7 @@ def test_transcript_sufficiency(config):
 
 def _replace_payload(transcript, kind, sender, payload):
     """The transcript with the payload of the one (kind, sender) record replaced."""
-    return Transcript([r._replace(payload=payload) if (r.kind, r.sender) == (kind, sender) else r for r in transcript.records])
+    return Transcript([r._replace(payload=payload) if (r.kind, r.sender) == (kind, sender) else r for r in transcript])
 
 
 @pytest.mark.parametrize("extra", [5, -1], ids=["too-long", "too-short"])
@@ -617,6 +621,26 @@ def test_transcript_seed_record_of_the_wrong_length_is_rejected(config, kind, ex
     tampered = _replace_payload(o.transcript, kind, 1, wrong)
     with pytest.raises(ValueError, match=f"{kind} record of party 1 has {wrong.n} bits, its plan slot {seed.n}"):
         party_key_from_transcript(config, 2, inst.inputs[1], tampered)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [cfg_light("line-point:n=16", seed=7), cfg_two_phase("hamming:n=31,t=2", eps=Fraction(1, 16), seed=7)],
+    ids=["light", "two-phase"],
+)
+def test_two_party_sender_vouches_only_for_its_own_fingerprint(config):
+    # Party 1 holds the one sender input, so it recovers it only when the
+    # fingerprint record is that input's, as an omniscience holder checks
+    # its own: an honest transcript gives both parties the session's key,
+    # one with a flipped fingerprint bit gives neither party a key.
+    inputs = sample(config.model, session_streams(config, 0)[0]).inputs
+    o = run_session(config, 0)
+    assert o.agreed
+    fp = o.transcript.one("fingerprint", 1).payload
+    tampered = _replace_payload(o.transcript, "fingerprint", 1, BitVec(fp.n, fp.v ^ 1))
+    for party, own in enumerate(inputs, start=1):
+        assert party_key_from_transcript(config, party, own, o.transcript) == (o.keys[party - 1], STATUS_UNIQUE)
+        assert party_key_from_transcript(config, party, own, tampered) == (None, STATUS_NOT_FOUND)
 
 
 def test_transcript_fingerprint_longer_than_its_hash_is_rejected():
@@ -650,7 +674,7 @@ def test_fixed_public_seeds_are_drawn_once(config, monkeypatch):
     conditional_uniformity(config, trials=5)
     assert len(transcripts) == 5
     for t in transcripts:
-        assert tuple((r.sender, r.kind, r.payload) for r in t.records if r.kind != "fingerprint") == seeds
+        assert tuple(r for r in t if r.kind != "fingerprint") == seeds
 
 
 @pytest.mark.parametrize(
@@ -661,7 +685,7 @@ def test_fixed_public_seeds_are_drawn_once(config, monkeypatch):
 def test_no_secret_appears_as_payload(config):
     for t in range(10):
         o = run_session(config, t)
-        payloads = {(r.payload.n, r.payload.v) for r in o.transcript.records}
+        payloads = {(r.payload.n, r.payload.v) for r in o.transcript}
         from skalab.sources import sample
         from skalab.protocols import session_streams
 
@@ -680,16 +704,17 @@ def test_agreement_implies_equal_keys():
 
 
 def test_comm_bits_equals_transcript_total():
-    # The driver counts the bits once from its plan and seeds; they are the
-    # transcript's, also on sessions whose decode is not unique (light
-    # line-point:n=3 at eps = 1/2 is ambiguous on trial 0 at seed 11).
-    outcomes = [run_session(config, 2) for config in (cfg_light(), cfg_two_phase(), cfg_omni())]
-    outcomes += [run_session(cfg_light("line-point:n=3", Fraction(1, 2)), t) for t in range(4)]
-    assert {o.decode_status for o in outcomes} > {STATUS_UNIQUE}
-    for o in outcomes:
-        records = o.transcript.records
-        assert o.comm_bits == sum(r.payload.n for r in records)
-        assert o.payload_bits == sum(r.payload.n for r in records if r.kind == "fingerprint")
+    # The plan counts the bits once, from its seed slots and fingerprint
+    # rows; they are the transcript's, also on sessions whose decode is not
+    # unique (light line-point:n=3 at eps = 1/2 is ambiguous on trial 0 at
+    # seed 11).
+    runs = [(config, 2) for config in (cfg_light(), cfg_two_phase(), cfg_omni())]
+    runs += [(cfg_light("line-point:n=3", Fraction(1, 2)), t) for t in range(4)]
+    outcomes = [(session_plan(config), run_session(config, t)) for config, t in runs]
+    assert {o.decode_status for _plan, o in outcomes} > {STATUS_UNIQUE}
+    for plan, o in outcomes:
+        assert o.comm_bits == plan.comm_bits == sum(r.payload.n for r in o.transcript)
+        assert sum(plan.fp_rows) == sum(r.payload.n for r in o.transcript if r.kind == "fingerprint")
 
 
 def test_leak_check_names_the_first_record_holding_a_secret():
@@ -709,15 +734,16 @@ def test_leak_check_names_the_first_record_holding_a_secret():
 @pytest.mark.parametrize(
     "config, products, calls",
     [
-        (cfg_light("line-point:n=62", Fraction(1, 2**32)), 2, 3),
-        (cfg_two_phase("line-point:n=62", Fraction(1, 256)), 3, 4),
+        (cfg_light("line-point:n=62", Fraction(1, 2**32)), 2, 4),
+        (cfg_two_phase("line-point:n=62", Fraction(1, 256)), 3, 5),
         (SessionConfig(parse_model_spec("triple:n=30"), "omniscience", Fraction(1, 16384), 13, OMNI_MARGINS), 5, 14),
     ],
     ids=["light", "two_phase", "omniscience"],
 )
 def test_each_product_is_computed_once_per_hash(monkeypatch, config, products, calls):
-    # Light hashes x by its fingerprint rows and its key rows; the guard
-    # re-hashes the decoded x.  Two_phase adds the extractor over the
+    # Light hashes x by its fingerprint rows and its key rows; the sender
+    # re-hashes its own x against the fingerprint, and the guard the decoded
+    # x.  Two_phase adds the extractor over the
     # material.  Omniscience fingerprints three inputs and chains one word
     # through two hashes, but every party re-hashes its own input and
     # guards the other two.  Every re-hash hits its hash's products.

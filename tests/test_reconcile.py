@@ -184,7 +184,7 @@ def test_factorization_memo_once_per_receiver_abscissa(monkeypatch):
     # decode after the first of its c reuses the basis.
     config = SessionConfig(parse_model_spec("line-point:n=4"), "light", Fraction(1, 4), 5)
     plan, seeds = fixed_seeds(config, 0)
-    (h,), _chain = toeplitz_hashes(plan.hash_layout, tuple(payload for _sender, _kind, payload in seeds))
+    (h,), _chain = toeplitz_hashes(plan.hash_layout, tuple(r.payload for r in seeds))
     decodes = len({(y.v, matvec(h, x).v) for x, y in config.model.instances()})
     calls = _count_graph_work(monkeypatch)
     exact_small_n_audit(config)
@@ -408,7 +408,7 @@ def test_line_point_sessions_fail_iff_the_graph_kernel_is_nonzero(n, draws):
         inputs_stream, public = session_streams(config, trial)
         inputs = sample(config.model, inputs_stream).inputs
         seeds = draw_seeds(plan, public)
-        fp_hashes, _ = toeplitz_hashes(plan.hash_layout, tuple(p for _, _, p in seeds))
+        fp_hashes, _ = toeplitz_hashes(plan.hash_layout, tuple(r.payload for r in seeds))
         kernel_dim, _ = gf2.graph_basis(fp_hashes[0], inputs[1].v & ((1 << n) - 1))
         outcome = SessionDriver(plan, seeds).run(inputs)
         assert outcome.agreed == (kernel_dim == 0), trial
@@ -715,7 +715,7 @@ def test_fingerprint_coset_covers_preimage():
     assert fingerprint_coset(fp) is coset
     assert fp.spec.cosets == {fp.value.v: coset}
     assert fingerprint_coset(Fingerprint(fp.spec, fp.value)) is coset  # by hash and value, not by object
-    assert (particular, list(kernel)) == gf2.solve_affine(fp.spec, fp.value)
+    assert coset == gf2.solve_affine(fp.spec, fp.value)  # the solve's result, as it is
     assert len(kernel) >= 2
     sols = coset_bitvecs(fp)
     assert x in sols
@@ -724,8 +724,8 @@ def test_fingerprint_coset_covers_preimage():
         assert matvec(fp.spec, v) == fp.value
     # The Gray code walk covers the same words.
     assert sorted(reconcile._coset_walk(*coset)) == sorted(v.v for v in sols)
-    # No solution is the empty coset: the all-zero hash maps every word to 0.
-    assert fingerprint_coset(Fingerprint(Gf2Matrix(3, 4, BitVec(6, 0)), BitVec(3, 1))) == ()
+    # No solution is None, as the solve's: the all-zero hash maps every word to 0.
+    assert fingerprint_coset(Fingerprint(Gf2Matrix(3, 4, BitVec(6, 0)), BitVec(3, 1))) is None
 
 
 def test_fingerprint_coset_is_kept_whole_past_the_joint_cap():
@@ -737,10 +737,10 @@ def test_fingerprint_coset_is_kept_whole_past_the_joint_cap():
     fps = _triple_fingerprints(inst, (32, 16, 32), Fraction(1, 2), SeedStream("md-own-s"))
     particular, kernel = fingerprint_coset(fps[1])
     assert len(kernel) > reconcile._COSET_CAP_BITS
-    assert (particular, list(kernel)) == gf2.solve_affine(fps[1].spec, fps[1].value)
+    assert (particular, kernel) == gf2.solve_affine(fps[1].spec, fps[1].value)
     zero_hash = Gf2Matrix(8, 32, BitVec(toeplitz_seed_len(8, 32), 0))
     empty = Fingerprint(zero_hash, BitVec(8, 1))  # the all-zero hash meets no nonzero value
-    assert fingerprint_coset(empty) == ()
+    assert fingerprint_coset(empty) is None
     own = inst.inputs[0]
     for others in ([fps[1], empty], [empty, fps[1]]):
         res = multi_decode(model, 1, own, [fps[0], *others])

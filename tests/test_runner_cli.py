@@ -9,7 +9,7 @@ from profile_tools import format_profile
 from skalab import cli
 from skalab.cli import main
 from skalab.profiles import ComplexityProfile, all_nonempty_subsets, ceil_log2
-from skalab.protocols import Margins, SessionConfig, run_session
+from skalab.protocols import Margins, SessionConfig, run_session, session_plan
 from skalab.runner import run_plan, summarize, sweep_configs
 from skalab.sources import parse_model_spec
 
@@ -315,9 +315,12 @@ def test_cli_sweep_summary_reads_the_plan(tmp_path, trials):
     fields = dict(field.split("=", 1) for field in summary.read_text().split())
     assert (fields["key_len"], fields["target_key_len"], fields["target_comm"]) == ("8", "8", "10")
     config = SessionConfig(parse_model_spec("line-point:n=8"), "light", Fraction(1, 4), 0)
-    for o in (run_session(config, t) for t in range(trials)):
-        assert (o.key_len, o.target_key_len, o.target_comm) == (8, 8, 10)
-    if not trials:
+    plan = session_plan(config)
+    assert (plan.key_len, plan.target_key_len, plan.target_comm) == (8, 8, 10)
+    assert all(run_session(config, t).key_len == 8 for t in range(trials))
+    if trials:
+        assert (fields["mean_comm_bits"], fields["mean_payload_bits"]) == (str(float(plan.comm_bits)), str(float(sum(plan.fp_rows))))
+    else:
         assert [fields[k] for k in ("agreement_rate", "mean_comm_bits", "mean_payload_bits")] == ["0.0"] * 3
 
 
