@@ -10,8 +10,8 @@ draws the public hash and extractor seeds once, from its own fixed stream
 tuples.  With the seeds fixed a session is a pure function of its input
 tuple, so each distinct tuple runs once, and a repeat only adds to its
 count.  All tuples share one ``protocols.SessionDriver``, which computes
-each fingerprint, decode and key chain once per sender input, (party, own
-input, fingerprints) and recovered word: nothing else enters them.  Two
+each fingerprint once per sender input, and each decode and key chain once
+per (party, own input, fingerprints): nothing else enters them.  Two
 instruments read that table:
 
 * ``conditional_uniformity`` Monte-Carlo: resample inputs each trial; with
@@ -21,9 +21,9 @@ instruments read that table:
   the TV of as many uniform draws (``tv_moments``); the threshold is
   computed, not sampled, so it needs no seed.
 * ``exact_small_n_audit``: enumerate every instance and compute
-  I(x:y) - I(x:y|T), H(Z|T), and the preimage-rectangle verification of
-  the transcript map exactly.  Each entropy adds one term pair per
-  distinct weight of its values (``JointDistribution.entropy_of``).
+  I(x:y) - I(x:y|T), H(Z|T) = H(T, Z) - H(T), and the preimage-rectangle
+  verification of the transcript map exactly.  Each entropy adds one term
+  pair per distinct weight of its values (``JointDistribution.entropy_of``).
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .entropy import (
-    JointDistribution,
-    TranscriptAudit,
-    conditional_entropy_bits,
-    transcript_inequality_audit,
-)
+from .entropy import JointDistribution, TranscriptAudit, transcript_inequality_audit
 from .protocols import SessionConfig, SessionDriver, SessionPlan, draw_seeds, input_stream, session_plan
 from .rng import SeedStream
 from .sources import sample
@@ -197,7 +192,9 @@ def conditional_uniformity(config: SessionConfig, trials: int) -> AuditReport:
     and no verdict.  Every stratum of at least MIN_STRATUM_SAMPLES trials
     must have a TV within Z_PASS sd of the exact mean for its size; the
     threshold is exact and draws no randomness.  The report describes the
-    stratum of the largest z-score, indexed in order of first occurrence.
+    stratum of the largest z-score, indexed in order of first occurrence;
+    its leakage_bits counts the fingerprint rows, the only broadcast bits
+    that depend on the inputs.
     """
     plan, seeds = fixed_seeds(config)
     master = SeedStream("skalab", config.seed)
@@ -212,7 +209,7 @@ def conditional_uniformity(config: SessionConfig, trials: int) -> AuditReport:
     report = AuditReport(
         trials=trials,
         agreement_rate=agreed / trials,
-        leakage_bits=float(plan.comm_bits),
+        leakage_bits=float(sum(plan.fp_rows)),
         inconclusive=worst is None,
         key_len=plan.key_len,
         stratum_count=len(strata),
@@ -254,9 +251,10 @@ def exact_small_n_audit(config: SessionConfig, public_label: int = 0) -> ExactAu
     if all(key is None for _t, key in counts):
         raise RuntimeError("no instance produced a key for party 1")
     dist = JointDistribution.uniform(config.model.parties, memo)
+    cell = lambda inputs: memo[inputs][0]  # (transcript, party 1's key or None)
     return ExactAuditResult(
-        audit=transcript_inequality_audit(dist, lambda *inputs: memo[inputs][0][0]),
-        h_key_given_view=conditional_entropy_bits(counts),
+        audit=transcript_inequality_audit(dist, lambda *inputs: cell(inputs)[0]),
+        h_key_given_view=(dist.entropy_of(cell) - dist.entropy_of(lambda inputs: cell(inputs)[0])).to_float(),
         key_len=plan.key_len,
         instances=len(memo),
         agreement_rate=agreed / len(memo),

@@ -209,15 +209,3 @@ def transcript_inequality_audit(dist: JointDistribution, f) -> TranscriptAudit:
         h_ct = h(lambda tup: (tup[2], t_of[tup]))
         residual_j = (h_a + h_b + h_c + h_t.scaled(2) - h_at - h_bt - h_ct).scaled(Fraction(1, 2))
     return TranscriptAudit(residual_i, residual_j, rectangle_ok, violations)
-
-
-def conditional_entropy_bits(joint_counts: dict) -> float:
-    """H(Z | T) in bits from integer counts keyed by (t, z)."""
-    total = sum(joint_counts.values())
-    by_t: dict = {}
-    for (t, _z), c in joint_counts.items():
-        by_t[t] = by_t.get(t, 0) + c
-    h = 0.0
-    for (t, _z), c in joint_counts.items():
-        h -= (c / total) * math.log2(c / by_t[t])
-    return h

@@ -269,20 +269,6 @@ def _poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _spread_fold(f: int):
     """The reduction modulo f, of degree n <= 255, on spread form.
 
@@ -309,19 +295,14 @@ def _spread_fold(f: int):
 
 
 def _is_irreducible(f: int, n: int) -> bool:
-    # f is irreducible of degree n over GF(2) iff x^(2^n) == x (mod f) and
-    # gcd(x^(2^(n/p)) - x, f) == 1 for every prime p dividing n.  x is
-    # squared in spread form; only the gcd reads a residue back.
-    reduce, x = _spread_fold(f), spread(0b10)
-    t = x
-    for _ in range(n):
+    # Ben-Or (1981): f of degree n is irreducible over GF(2) iff gcd(x^(2^i)
+    # - x, f) == 1 for every i <= n / 2, since an irreducible factor of
+    # degree i divides x^(2^i) - x.  x is squared in spread form; only the
+    # gcd after each square reads a residue back.
+    reduce = _spread_fold(f)
+    t = spread(0b10)
+    for _ in range(n // 2):
         t = reduce(t * t)
-    if t != x:
-        return False
-    for p in _prime_factors(n):
-        t = x
-        for _ in range(n // p):
-            t = reduce(t * t)
         if _poly_gcd(_field(t, n) ^ 0b10, f) != 1:
             return False
     return True

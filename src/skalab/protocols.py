@@ -19,12 +19,13 @@ All three protocols run on one driver, in three steps:
    own input and the fingerprints and passes them through the key chain,
    in ``SessionDriver.party_key``, which ``run`` and
    ``party_key_from_transcript`` (the transcript alone) both call.  Given
-   the seeds, a fingerprint is a pure function of its sender's input, a
-   recovery (its decode and guard) of the party's own input and the
-   fingerprints, and a key chain of the recovered word, so a driver
-   memoizes each under plain ints: (sender slot, input), (party, own
-   input, fingerprint values) and the packed word; below them each hash
-   keeps its products (``gf2.matvec``), so a guard's re-hash is a lookup.
+   the seeds, a fingerprint is a pure function of its sender's input, and
+   a party's key, status and material (its decode, guard and key chain) of
+   the party's own input and the fingerprints, so a driver memoizes each
+   under plain ints: (sender slot, input) and (party, own input,
+   fingerprint values); below them each hash keeps its products
+   (``gf2.matvec``), so a guard's re-hash, or the chain of a word that
+   another view recovered, is a lookup.
    The plan alone fixes the bit counts: the key's and the transcript's.
 
 Every hash is a seeded Toeplitz matrix (``gf2.Gf2Matrix``), a universal
@@ -312,7 +313,7 @@ class SessionDriver:
         self.plan = plan
         self.fp_hashes, self.chain = toeplitz_hashes(plan.hash_layout, tuple(r.payload for r in seeds))
         self._seed_records = seeds
-        self._fingerprints, self._recovered, self._keys = {}, {}, {}
+        self._fingerprints, self._views = {}, {}
 
     def fingerprint(self, slot: int, x: BitVec) -> tuple:
         """(fingerprint, its transcript record) of sender slot + 1's input x."""
@@ -328,19 +329,16 @@ class SessionDriver:
         the senders' fingerprints; the material is the chain's first hash
         output, and key and material are None unless the status is unique."""
         view = (party, own.v, tuple(fp.value.v for fp in fps))
-        recovered = self._recovered.get(view)
-        if recovered is None:
-            recovered = self._recovered[view] = _reconcile(self.plan, party, own, fps)
-        status, known = recovered
-        if status != STATUS_UNIQUE:
-            return None, status, None
-        chained = self._keys.get(known.v)
-        if chained is None:
-            key = material = matvec(self.chain[0], known)
-            for h in self.chain[1:]:
-                key = matvec(h, key)
-            chained = self._keys[known.v] = key, STATUS_UNIQUE, material
-        return chained
+        hit = self._views.get(view)
+        if hit is None:
+            status, known = _reconcile(self.plan, party, own, fps)
+            key = material = None
+            if status == STATUS_UNIQUE:
+                key = material = matvec(self.chain[0], known)
+                for h in self.chain[1:]:
+                    key = matvec(h, key)
+            hit = self._views[view] = key, status, material
+        return hit
 
     def run(self, inputs: tuple) -> SessionOutcome:
         records, fps = [], []

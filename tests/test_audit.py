@@ -21,7 +21,7 @@ from skalab.channel import Transcript, TranscriptRecord
 from codes import rank, to_dense
 from entropy_checks import key_entropy_certificate, light_key_entropy_by_two_solves
 from skalab.gf2 import BitVec, Gf2Matrix, matvec, solve_affine
-from skalab.protocols import Margins, SessionConfig, SessionDriver, input_stream, toeplitz_hashes
+from skalab.protocols import Margins, SessionConfig, SessionDriver, input_stream, session_plan, toeplitz_hashes
 from skalab.rng import SeedStream
 from skalab.sources import parse_model_spec, sample
 
@@ -141,9 +141,9 @@ def test_memoized_exact_audit_matches_one_session_per_instance(monkeypatch, conf
 
 def _count_work(monkeypatch) -> dict:
     """Every driver run (its input tuple), fingerprint and key-chain hash
-    (the hashed word) and recovery (party, own input, fingerprint values)
-    that the audit computes."""
-    work = {"run": [], "fingerprint": [], "reconcile": [], "chain": []}
+    (the hashed word), recovery (party, own input, fingerprint values) and
+    uniquely recovered word that the audit computes."""
+    work = {"run": [], "fingerprint": [], "reconcile": [], "recovered": [], "chain": []}
     run, hash_once, recover = SessionDriver.run, protocols.matvec, protocols._reconcile
 
     def counted_run(driver, inputs):
@@ -161,7 +161,10 @@ def _count_work(monkeypatch) -> dict:
 
     def counted_reconcile(plan, party, own, fps):
         work["reconcile"].append((party, own.v, tuple(fp.value.v for fp in fps)))
-        return recover(plan, party, own, fps)
+        status, known = recover(plan, party, own, fps)
+        if known is not None:
+            work["recovered"].append(known.v)
+        return status, known
 
     monkeypatch.setattr(SessionDriver, "run", counted_run)
     monkeypatch.setattr(protocols, "matvec", counted_matvec)
@@ -171,12 +174,12 @@ def _count_work(monkeypatch) -> dict:
 
 def _assert_light_work(work, plan, seeds, tuples):
     """One run per distinct tuple, one fingerprint per distinct sender
-    input, one recovery per distinct (party, own input, fingerprint) and
-    one key chain per distinct recovered word, each computed once.  Party
-    1 recovers its own x once it has re-hashed x to its fingerprint, a hit
-    in the hash's products; a unique decode of party 2 is a word with x's
-    fingerprint among y's candidates, which is x, so the recovered words
-    are the distinct x."""
+    input, and one recovery per distinct (party, own input, fingerprint),
+    followed by one key chain when it is unique.  Party 1 recovers its own
+    x once it has re-hashed x to its fingerprint, a hit in the hash's
+    products; a unique decode of party 2 is a word with x's fingerprint
+    among y's candidates, which is x, so the recovered words are the
+    distinct x, and the chain's first hash computes each of them once."""
     (fp_hash,), _chain = toeplitz_hashes(plan.hash_layout, tuple(r.payload for r in seeds))
     fp_of = {x.v: matvec(fp_hash, x).v for x, _y in tuples}
     views = {(1, x.v, (fp_of[x.v],)) for x, _y in tuples} | {(2, y.v, (fp_of[x.v],)) for x, y in tuples}
@@ -184,7 +187,9 @@ def _assert_light_work(work, plan, seeds, tuples):
     assert sorted(work["fingerprint"]) == sorted(2 * list(fp_of))  # the fingerprint and party 1's check
     assert work["driver"].fp_hashes[0].products.keys() == fp_of.keys()  # each product computed once
     assert sorted(work["reconcile"]) == sorted(views)
-    assert sorted(work["chain"]) == sorted(fp_of)
+    assert sorted(work["chain"]) == sorted(work["recovered"])  # one chain per unique view
+    assert len(work["recovered"]) > len(fp_of)  # some words are recovered by both parties
+    assert work["driver"].chain[0].products.keys() == set(work["recovered"]) == fp_of.keys()
 
 
 def test_monte_carlo_audit_runs_each_distinct_tuple_once(monkeypatch):
@@ -210,6 +215,15 @@ def test_inconclusive_when_strata_too_thin():
     config = light_config("line-point:n=8", Fraction(1, 256), seed=3)
     report = conditional_uniformity(config, trials=200)  # q has 16 bits
     assert report.inconclusive and not report.passed
+
+
+@pytest.mark.parametrize("spec, eps, fingerprint_bits", [("identical:n=8", Fraction(1, 4), 0), ("line-point:n=16", Fraction(1, 256), 24)])
+def test_leakage_bits_counts_only_the_fingerprint_rows(spec, eps, fingerprint_bits):
+    # The public seeds are broadcast too, but they do not depend on the
+    # inputs: identical:n=8 sends no fingerprint bit beside a 15-bit seed.
+    config = light_config(spec, eps, seed=1)
+    plan = session_plan(config)
+    assert conditional_uniformity(config, trials=50).leakage_bits == sum(plan.fp_rows) == fingerprint_bits < plan.comm_bits
 
 
 def test_report_records_format():
@@ -404,6 +418,14 @@ def test_exact_audit_key_entropy_equals_its_certificate(protocol, spec, eps, mar
         audited = exact_small_n_audit(config, public_label)
         assert certificate <= audited.key_len
         assert abs(audited.h_key_given_view - certificate) < 1e-9, (public_label, certificate, audited.h_key_given_view)
+
+
+def test_exact_key_entropy_is_the_correctly_rounded_exact_sum():
+    # H(Z|T) = H(T, Z) - H(T) is the rational 5/56 here, so the exact sums
+    # give its correctly rounded float; a float sum term by term need not.
+    margins = Margins(k_slack=0, phase1=2, deficiency=0, extractor_eps=Fraction(1, 2))
+    config = SessionConfig(parse_model_spec("triple:n=3"), "omniscience", Fraction(1, 4), 7, margins)
+    assert exact_small_n_audit(config, public_label=0).h_key_given_view == float(Fraction(5, 56))
 
 
 LIGHT_CERTIFIED = [(spec, eps) for protocol, spec, eps, _margins in CERTIFIED if protocol == "light"]

@@ -43,7 +43,7 @@ SEED1_DIGESTS = {
     "pair-affine": "33bbc71b1f6d11f095b7765ee9cfc76071b7bfc88c91a8a508831bbb5b5eba7f",
     "pair-hamming": "8a3f952c7849bff0f5a9b6a0a32dc001be1458c42b7dfbee1e2ef93cb6b5d0da",
     "triple-omni": "ebc23b12c7de8ff5aa39cdf4d7f46b09166c7a39bdc094d27657bffa801c57f8",
-    "audit": "c6eeb6379df1ad2490dc6e5b56f4a93387eebfda2be719d37b16c14300578c86",
+    "audit": "1cd90dc4e9979f03c4397508ff0f57389b131c55f782384ab4e6f9c0f54db317",
 }
 
 

@@ -5,7 +5,6 @@ import pytest
 from skalab.entropy import (
     JointDistribution,
     LogExpr,
-    conditional_entropy_bits,
     rectangle_violations,
     transcript_inequality_audit,
 )
@@ -303,11 +302,6 @@ def test_calculation_identity_b_exact():
 # ---------------------------------------------------------
 # misc
 # ---------------------------------------------------------
-
-def test_conditional_entropy_bits():
-    counts = {(0, 0): 1, (0, 1): 1, (1, 0): 2}  # H(Z|T=0)=1 w.p. 1/2
-    assert abs(conditional_entropy_bits(counts) - 0.5) < 1e-12
-
 
 def test_joint_distribution_validation():
     with pytest.raises(ValueError):  # weights are positive integers, not probabilities

@@ -435,8 +435,18 @@ def test_registered_polynomials_pinned():
 @pytest.mark.parametrize("n", range(2, gf2._MAX_FIELD_DEGREE + 1))
 def test_irreducible_poly_matches_the_bitloop_search(n):
     # Every degree the parser accepts, the bench's 30, 32 and 62 among them:
-    # the spread squarings pick the polynomial the bitwise search picks.
+    # Ben-Or's test on spread squares picks the polynomial that Rabin's
+    # test on bitwise squares picks.
     assert irreducible_poly(n) == bitloop_irreducible_poly(n)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_is_irreducible_equals_trial_division(n):
+    # Every polynomial of degree n, odd or even, against division by every
+    # polynomial of degree 1 to n / 2, the smaller factor of any reducible one.
+    divisors = range(2, 1 << (n // 2 + 1))
+    for f in range(1 << n, 1 << (n + 1)):
+        assert gf2._is_irreducible(f, n) == all(gf2._poly_mod(f, d) for d in divisors), bin(f)
 
 
 def _field_operands(n, rng):

@@ -45,8 +45,8 @@ GOLDEN = {
     "two_phase identical:n=64": "d54ed3c3a9e07a0b874d31df9de7c5598b3e8e067c55e74d4fa26ff507fee393",
     "light hamming:n=63,t=2": "b54d93e7ba1b5258b1374cb759dab6192764c36cb45674c9e601309473243f9d",
     "exact omniscience triple:n=2": "540e3febf9cafeed749e90b3e9549017fe93943064709dc4693b4a3c82349a22",
-    "mc light identical:n=8": "45a1b07689c3f49a6fd0e6286ad01de8b89d22e1c504be64f2df50c9469f7b5e",
-    "mc light line-point:n=4": "01bf070ca683b0e7427ce5631069ccd2f73d3e0b29211bca80ef1ede91520d39",
+    "mc light identical:n=8": "cec4a6d1b74d7531a50b3220bb2b499305297e8ab6d29b7d261bab1e56215820",
+    "mc light line-point:n=4": "77f5dbf6e1afd30bb614cdae74fd4f71260104dbe79fac3189e621d7c02176f6",
 }
 
 # Monte-Carlo audits with the public seeds fixed across trials: (model, seed).

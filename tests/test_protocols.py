@@ -734,19 +734,21 @@ def test_leak_check_names_the_first_record_holding_a_secret():
 @pytest.mark.parametrize(
     "config, products, calls",
     [
-        (cfg_light("line-point:n=62", Fraction(1, 2**32)), 2, 4),
-        (cfg_two_phase("line-point:n=62", Fraction(1, 256)), 3, 5),
-        (SessionConfig(parse_model_spec("triple:n=30"), "omniscience", Fraction(1, 16384), 13, OMNI_MARGINS), 5, 14),
+        (cfg_light("line-point:n=62", Fraction(1, 2**32)), 2, 5),
+        (cfg_two_phase("line-point:n=62", Fraction(1, 256)), 3, 7),
+        (SessionConfig(parse_model_spec("triple:n=30"), "omniscience", Fraction(1, 16384), 13, OMNI_MARGINS), 5, 18),
     ],
     ids=["light", "two_phase", "omniscience"],
 )
 def test_each_product_is_computed_once_per_hash(monkeypatch, config, products, calls):
     # Light hashes x by its fingerprint rows and its key rows; the sender
-    # re-hashes its own x against the fingerprint, and the guard the decoded
-    # x.  Two_phase adds the extractor over the
-    # material.  Omniscience fingerprints three inputs and chains one word
-    # through two hashes, but every party re-hashes its own input and
-    # guards the other two.  Every re-hash hits its hash's products.
+    # re-hashes its own x against the fingerprint, the guard the decoded
+    # x, and each party's view runs the key chain on x.  Two_phase adds
+    # the extractor over the material.  Omniscience fingerprints three
+    # inputs and chains one word through two hashes on each of three
+    # views, but every party re-hashes its own input and guards the other
+    # two.  Every re-hash hits its hash's products, so the chain's first
+    # hash holds the one recovered word.
     made = []
     counted = lambda h, x: made.append(x) or matvec(h, x)
     monkeypatch.setattr(protocols, "matvec", counted)
@@ -758,5 +760,6 @@ def test_each_product_is_computed_once_per_hash(monkeypatch, config, products, c
     computed = lambda: sum(len(h.products) for h in (*driver.fp_hashes, *driver.chain))
     assert driver.run(inputs).agreed
     assert (computed(), len(made)) == (products, calls)
+    assert len(driver.chain[0].products) == 1
     driver.run(inputs)  # every driver memo hits: no hash is even called
     assert (computed(), len(made)) == (products, calls)
