@@ -130,9 +130,8 @@ class Gf2Matrix:
     the bits a session broadcasts.  `spread_seed` is the seed in ``spread``
     form, made once per hash for `matvec` and both lattices, `products` holds
     `matvec`'s products by x, `graph_bases` `graph_basis`'s reductions by
-    multiplier and `cosets` `reconcile.fingerprint_coset`'s solves by
-    fingerprint value; none takes part in equality or hashing, and all go
-    with it.
+    multiplier and `cosets` `reconcile.solutions`' solves by right-hand
+    side; none takes part in equality or hashing, and all go with it.
     """
 
     rows: int
@@ -359,11 +358,9 @@ def graph_basis(h: Gf2Matrix, m: int):
     span vectors whose first two fields are u and m u mod f shifted up by
     n - 1, and whose third is s (u + z^n (m u mod f)) mod z^L.  In weak
     Popov form, the vectors of degree < 2n - 1, the graph's kernel under H,
-    span sum(2n - 1 - deg b) over the rows b below that degree.  The basis
-    holds the reduced rows, n, the spread seed and the mask of a product's
-    parities mod z^L: all that `solve_graph` needs, and all of it a
-    function of (H, m) alone, so H keeps it in `graph_bases` by m: a
-    fixed-seed audit decodes many targets on each receiver's m."""
+    span sum(2n - 1 - deg b) over the rows b below that degree.  The basis,
+    the reduced rows and n, is a function of (H, m) alone, so H keeps it in
+    `graph_bases` by m: an audit decodes many syndromes on each m."""
     if m in h.graph_bases:
         return h.graph_bases[m]
     n = h.cols // 2
@@ -378,23 +375,28 @@ def graph_basis(h: Gf2Matrix, m: int):
         1 << (8 * length + 2),
     ))
     kernel_dim = sum(2 * n - 1 - (lead >> 3) for _, lead in slots if lead < 8 * (2 * n - 1))
-    basis = h.graph_bases[m] = kernel_dim, (slots, n, s, ones)
+    basis = h.graph_bases[m] = kernel_dim, (slots, n)
     return basis
 
 
-def solve_graph(basis, value: int, base: int):
-    """A word x of base xor the graph with H x = value (an int of h.rows
-    bits), given `graph_basis(H, m)`'s basis: unique iff the kernel
-    dimension is 0; None if there is none.
-
-    The target (0, 0, z^(2n - 1) value xor s base mod z^L), one product of
-    spread operands, has value xor H base as its window.  Reduced below
-    degree 2n - 1, it holds u and m u mod f, shifted up by n - 1, in its
-    first two fields."""
-    slots, n, s, ones = basis
-    low = 8 * (2 * n - 1)
-    v = _reduce(slots, ((s * spread(base) & ones) ^ spread(value) << low) << 2, low)
-    if v is None:
-        return None
+def _graph_word(v: int, n: int) -> int:
+    """The packed graph word of a lattice vector of degree < 2n - 1."""
     v >>= 8 * (n - 1)
-    return base ^ (_field(v, n, 1) << n | _field(v, n))
+    return _field(v, n, 1) << n | _field(v, n)
+
+
+def solve_graph(basis, syndrome: int):
+    """A graph word g with H g = syndrome, given `graph_basis(H, m)`'s
+    basis, or None: the target (0, 0, z^(2n - 1) syndrome), reduced below
+    degree 2n - 1, holds g's halves in its first two fields."""
+    slots, n = basis
+    stop = 8 * (2 * n - 1)
+    v = _reduce(slots, spread(syndrome) << stop + 2, stop)
+    return None if v is None else _graph_word(v, n)
+
+
+def graph_kernel_word(basis) -> int:
+    """A nonzero graph word in H's kernel, given a basis of nonzero kernel
+    dimension: the word of its lowest-leading row, below degree 2n - 1."""
+    slots, n = basis
+    return _graph_word(min(slots, key=lambda slot: slot[1])[0], n)

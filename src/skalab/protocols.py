@@ -145,11 +145,11 @@ class SessionPlan:
     fingerprints of fp_rows = k + ceil(log2(1/eps)) rows each, k the
     (rounded) conditional complexity the sender's message must cover; light
     sends 0 rows when nothing needs reconciling.  Every party hashes the
-    senders' packed inputs to material_len bits; the extractor, absent for
-    light, turns those into the key_len-bit key.  comm_bits counts the
-    transcript: every seed's bits and every fingerprint's rows.  seed_slots
-    lists every public seed as (sender, kind, stream labels, bits), in
-    broadcast order.
+    senders' packed inputs to key material, as many bits as the key
+    chain's first hash has rows; the extractor, absent for light, turns
+    those into the key_len-bit key.  comm_bits counts the transcript:
+    every seed's bits and every fingerprint's rows.  seed_slots lists every
+    public seed as (sender, kind, stream labels, bits), in broadcast order.
     hash_layout is (fingerprint hashes, key chain), each hash (rows, cols,
     slot, offset): the Toeplitz matrix whose seed is bits [offset, offset +
     rows + cols - 1) of that slot's payload.  Sender i's fingerprint hash,
@@ -160,7 +160,6 @@ class SessionPlan:
 
     model: Model
     fp_rows: tuple
-    material_len: int
     key_len: int
     comm_bits: int
     target_key_len: Fraction
@@ -234,7 +233,7 @@ def _plan(model: Model, protocol: str, eps: Fraction, margins: Margins) -> Sessi
         hashes = tuple((*shape, slot, 0) for slot, shape in enumerate(shapes))
         layout = hashes[:senders], hashes[senders:]
     comm_bits = sum(bits for *_slot, bits in slots) + sum(fp_rows)
-    return SessionPlan(model, fp_rows, material_len, key_len, comm_bits, target_key_len, target_comm, slots, layout)
+    return SessionPlan(model, fp_rows, key_len, comm_bits, target_key_len, target_comm, slots, layout)
 
 
 # ---------------------------------------------------------------------------

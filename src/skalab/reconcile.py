@@ -11,30 +11,31 @@ Decoding reports `unique`, `ambiguous`, or `not_found` explicitly, and
 `search_limit` when a coset or a Hamming sphere is too large to search;
 sessions count anything but a correct `unique` against their error budget.
 A candidate set is a description (`sources.AffineCandidates`,
-`sources.HammingSphere`), never a list, and no decode scans one.  A
-one-word set (the identical model's, a Hamming sphere of radius 0) is
-settled by the hash of its word.  A line-point set is the
-graph of multiplication by the receiver's abscissa or slope m, shifted.
-Both the graph and the Toeplitz hash are polynomial products, so H on the
-graph is a simultaneous Pade problem over GF(2)[z] (Beckermann & Labahn
-1994): a lattice of three rows, reduced to weak Popov form once per
-(hash, m) by `gf2.graph_basis` and kept on the hash, whose short vectors
-are the graph's words and their hashes.  A decode reduces one target by
-its rows (`gf2.solve_graph`) in O(rows) shift-XORs, and the kernel
-dimension read off the rows separates unique from ambiguous.  A larger
-Hamming sphere (the words at distance exactly t from the receiver's) is
-decoded by the cheaper of two searches, chosen from the shape alone: when
-the 2^(n - rows) words of the smallest possible solution coset are fewer
-than the C(n, ceil(t/2)) subsets in the larger half of a meet in the
-middle on H's column images, a walk over the fingerprint's coset
-(`fingerprint_coset`) that keeps its words at distance t; else the meet in
-the middle, which finds the weight-t errors e with
-H e = fingerprint xor H y, each once.  H is Toeplitz, so a solve
-(`gf2.solve_affine`, which the tracer times by this module's name for it)
-reduces a two-row lattice over GF(2)[z] by the graph lattice's weak Popov
-reducer, O(rows + n) shift-XORs.  One cap of 2^20 words or subsets bounds
-whichever runs, and the decode ends `search_limit` only when both are past
-it.
+`sources.HammingSphere`), never a list, and no decode scans one: it is a
+base word xor structured offsets o, matching iff H o = s, the base's
+syndrome fingerprint xor H base (made once, by `gf2.matvec`).  A solver
+per structure returns the offsets, and one tail gives the verdict and
+re-hashes a unique result.  A line-point set's offsets are the graph of
+multiplication by the receiver's abscissa or slope m.  Both the
+graph and the Toeplitz hash are polynomial products, so H on the graph is
+a simultaneous Pade problem over GF(2)[z] (Beckermann & Labahn 1994): a
+lattice of three rows, reduced to weak Popov form once per (hash, m) by
+`gf2.graph_basis` and kept on the hash, whose short vectors are the
+graph's words and their hashes.  Reducing s by its rows
+(`gf2.solve_graph`) costs O(rows) shift-XORs, and the kernel dimension
+read off the rows separates unique from ambiguous.  A Hamming sphere's
+offsets are the words of weight exactly t (at t = 0 the offset 0, which
+matches iff s = 0), found by the cheaper of two searches, chosen from the
+shape alone: when the 2^(n - rows) words of the smallest possible solution
+coset are fewer than the C(n, ceil(t/2)) subsets in the larger half of a
+meet in the middle on H's column images, a walk over the solutions of
+H e = s (`solutions`) that keeps those of weight t; else the meet in the
+middle, which finds each weight-t e with H e = s once.  H is Toeplitz, so
+a solve (`gf2.solve_affine`, which the tracer times by this module's name
+for it) reduces a two-row lattice over GF(2)[z] by the graph lattice's
+weak Popov reducer, O(rows + n) shift-XORs.  One cap of 2^20 words or
+subsets bounds whichever runs, and the decode ends `search_limit` only
+when both are past it.
 
 Joint decoding (`multi_decode`, omniscience on the collinear triple)
 solves each other party's fingerprint for the affine coset of inputs that
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from itertools import compress, islice
 from operator import not_
 
-from .gf2 import BitVec, Gf2Matrix, graph_basis, matvec, solve_affine, solve_graph, spread, spread_reducer
+from .gf2 import BitVec, Gf2Matrix, graph_basis, graph_kernel_word, matvec, solve_affine, solve_graph, spread, spread_reducer
 from .sources import HammingSphere, Model
 
 STATUS_UNIQUE = "unique"
@@ -73,8 +74,8 @@ STATUS_SEARCH_LIMIT = "search_limit"
 class Fingerprint:
     """Seeded hash plus value; the reconciliation message for one input.
     The session plan sizes the hash; the value comes off the channel, so
-    only its length is checked against the hash.  `fingerprint_coset`'s
-    solve is kept on the hash (`Gf2Matrix.cosets`), by value."""
+    only its length is checked against the hash.  `solutions` keeps the
+    solve of H x = value on the hash (`Gf2Matrix.cosets`), by value."""
 
     spec: Gf2Matrix
     value: BitVec
@@ -102,28 +103,31 @@ class DecodeResult(namedtuple("DecodeResult", "status value candidates_checked")
 def decode(fp: Fingerprint, candidates) -> DecodeResult:
     """Find the candidates matching the fingerprint (unique/ambiguous/none).
 
-    The verdict is order-independent, so no candidate set is scanned: a
-    line-point set is settled by reducing one target by the reduced basis of
-    its graph lattice, a radius-0 Hamming sphere (the identical model's one
-    word) by the hash of its center, and a larger sphere by a walk over the
-    solution coset or a meet in the middle on H's column images, whichever
-    is smaller (`search_limit` when both are past _SPHERE_CAP_SUBSETS).
-    Either search's result is re-hashed as a guard.  candidates_checked
-    reports the number of candidates the verdict covered.
+    A candidate base xor o matches iff H o = s, the base's syndrome s =
+    fingerprint xor H base, formed once through `matvec`.  The verdict is
+    order-independent, so no candidate set is scanned: a line-point set's
+    offsets (a graph) come from reducing s by its graph lattice's basis, a
+    Hamming sphere's (the weight-t words) from `_sphere_offsets`, and one
+    tail gives the verdict and re-hashes a unique result as a guard.
+    candidates_checked reports the number of candidates the verdict covered.
     """
+    base = BitVec(candidates.length, candidates.base)
+    syndrome = fp.value.v ^ matvec(fp.spec, base).v
     if isinstance(candidates, HammingSphere):
-        return _decode_sphere(fp, candidates)
-    base, length = candidates.base, candidates.length
-    kernel_dim, basis = graph_basis(fp.spec, candidates.multiplier)
-    total = 1 << (length // 2)  # not len(): the coset can exceed a machine index
-    word = solve_graph(basis, fp.value.v, base)
-    if word is None:
-        return DecodeResult(STATUS_NOT_FOUND, None, total)
-    if kernel_dim:  # a nonzero kernel means >= 2 matches
-        return DecodeResult(STATUS_AMBIGUOUS, None, total)
-    out = BitVec(length, word)
-    _guard(fp, out)
-    return DecodeResult(STATUS_UNIQUE, out, total)
+        offsets = _sphere_offsets(fp.spec, syndrome, candidates.t)
+        if offsets is None:
+            return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
+        checked = math.comb(base.n, candidates.t)
+    else:
+        kernel_dim, basis = graph_basis(fp.spec, candidates.multiplier)
+        g = solve_graph(basis, syndrome)
+        # a nonzero kernel makes g one of >= 2 offsets; one other stands for the rest
+        offsets = () if g is None else (g, g ^ graph_kernel_word(basis)) if kernel_dim else (g,)
+        checked = 1 << (base.n // 2)  # not len(): the set can exceed a machine index
+    res = _verdict(offsets, base, checked)
+    if res.status == STATUS_UNIQUE:
+        _guard(fp, res.value)
+    return res
 
 
 def _guard(fp: Fingerprint, out: BitVec) -> None:
@@ -132,7 +136,7 @@ def _guard(fp: Fingerprint, out: BitVec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Low-weight errors by meet in the middle on column images
+# Low-weight offsets by meet in the middle on column images
 # ---------------------------------------------------------------------------
 
 
@@ -177,14 +181,13 @@ def _error_matches(cols: list[int], target: int, t: int):
                 yield other | sup
 
 
-def _verdict(errors, center: BitVec, checked: int) -> DecodeResult:
-    """Verdict on center xor error from the first two distinct errors."""
-    found = list(islice(errors, 2))
-    if not found:
-        return DecodeResult(STATUS_NOT_FOUND, None, checked)
-    if len(found) > 1:
-        return DecodeResult(STATUS_AMBIGUOUS, None, checked)
-    return DecodeResult(STATUS_UNIQUE, BitVec(center.n, center.v ^ found[0]), checked)
+def _verdict(offsets, base: BitVec, checked: int) -> DecodeResult:
+    """Verdict on base xor offset from the first two of the distinct offsets."""
+    offsets = iter(offsets)
+    first, more = next(offsets, None), next(offsets, None) is not None
+    if first is None or more:
+        return DecodeResult(STATUS_AMBIGUOUS if more else STATUS_NOT_FOUND, None, checked)
+    return DecodeResult(STATUS_UNIQUE, BitVec(base.n, base.v ^ first), checked)
 
 
 def _coset_walk(particular: int, kernel: tuple):
@@ -211,34 +214,24 @@ def _coset_walk(particular: int, kernel: tuple):
 _SPHERE_CAP_SUBSETS = 1 << 20
 
 
-def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
-    # x = y xor e with H x = fingerprint and weight(e) exactly t.  Walk the
-    # coset of solutions, 2^d words with d >= n - rows, as information-set
-    # decoding does (Prange 1962), when it is smaller than the larger half of
-    # the split; else meet in the middle on H e = fingerprint xor H y.  half
-    # is clamped at one past the cap, so neither search runs past it.
-    n, t, rows = sphere.length, sphere.t, fp.spec.rows
-    center = BitVec(n, sphere.center)
-    if not t:  # the center alone: its hash settles it, with no search and no guard
-        found = matvec(fp.spec, center) == fp.value
-        return DecodeResult(STATUS_UNIQUE, center, 1) if found else DecodeResult(STATUS_NOT_FOUND, None, 1)
-    half = min(math.comb(n, t - t // 2), _SPHERE_CAP_SUBSETS + 1)
-    errors = None
-    if 1 << max(0, n - rows) < half:
-        coset = fingerprint_coset(fp)
+def _sphere_offsets(h: Gf2Matrix, syndrome: int, t: int):
+    """The offsets e of weight exactly t with H e = syndrome, lazily; None
+    when both searches are past the cap.  Walk the solutions, 2^d words with
+    d >= n - rows, as information-set decoding does (Prange 1962), when they
+    are fewer than the larger half of the split; else meet in the middle.
+    half is clamped at one past the cap, so neither search runs past it."""
+    if not t:
+        return () if syndrome else (0,)
+    half = min(math.comb(h.cols, t - t // 2), _SPHERE_CAP_SUBSETS + 1)
+    if 1 << max(0, h.cols - h.rows) < half:
+        coset = solutions(h, syndrome)
         if coset is None:
-            errors = ()
-        elif 1 << len(coset[1]) < half:  # a rank-deficient H can leave a larger coset
-            errors = (x ^ center.v for x in _coset_walk(*coset) if (x ^ center.v).bit_count() == t)
-    if errors is None:
-        if half > _SPHERE_CAP_SUBSETS:
-            return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
-        target = fp.value.v ^ matvec(fp.spec, center).v
-        errors = _error_matches(fp.spec.column_ints(), target, t)
-    res = _verdict(errors, center, math.comb(n, t))
-    if res.status == STATUS_UNIQUE:
-        _guard(fp, res.value)
-    return res
+            return ()
+        if 1 << len(coset[1]) < half:  # a rank-deficient H can leave a larger coset
+            return (e for e in _coset_walk(*coset) if e.bit_count() == t)
+    if half > _SPHERE_CAP_SUBSETS:
+        return None
+    return _error_matches(h.column_ints(), syndrome, t)
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +243,18 @@ def _decode_sphere(fp: Fingerprint, sphere: HammingSphere) -> DecodeResult:
 _COSET_CAP_BITS = 14
 
 
-def fingerprint_coset(fp: Fingerprint):
-    """The solutions of H x = fingerprint as `solve_affine` returns them,
+def solutions(h: Gf2Matrix, rhs: int):
+    """The solutions of H x = rhs as `solve_affine` returns them,
     (particular, kernel tuple) whatever the kernel's size, or None.
-    Both other parties of an omniscience session solve each fingerprint, a
-    fixed-seed audit sees each sender input many times, and a sphere walk
-    reads the same coset, but the solve depends only on the hash and the
-    value, so it is made once per (hash, value) and kept in the hash's
-    `cosets`."""
-    cosets, v = fp.spec.cosets, fp.value.v
-    if v not in cosets:
-        cosets[v] = solve_affine(fp.spec, fp.value)
-    return cosets[v]
+    Both other parties of an omniscience session solve each fingerprint
+    value, a fixed-seed audit sees each sender input many times, and sphere
+    walks solve the syndromes of a few errors for many words, but the solve
+    depends only on the hash and the right-hand side, so it is made once
+    per (hash, rhs) and kept in the hash's `cosets`."""
+    cosets = h.cosets
+    if rhs not in cosets:
+        cosets[rhs] = solve_affine(h, BitVec(h.rows, rhs))
+    return cosets[rhs]
 
 
 def _collinear_matches(n: int, own: int, near: tuple, far: tuple):
@@ -313,7 +306,7 @@ def multi_decode(model: Model, own_index: int, own: BitVec, fps) -> DecodeResult
 
     The holder's own fingerprint must match its input, else not_found
     before any other fingerprint is solved.  Each other party's
-    fingerprint cuts its input down to a coset (`fingerprint_coset`;
+    fingerprint cuts its input down to a coset (`solutions` of the value;
     `search_limit` when one is past the cap).  For each word w of the
     smaller coset, the third point must lie on the line through the
     holder's point and w, one GF(2)-linear condition, evaluated on the
@@ -326,7 +319,7 @@ def multi_decode(model: Model, own_index: int, own: BitVec, fps) -> DecodeResult
     own_fp = fps[own_index - 1]
     if matvec(own_fp.spec, own) != own_fp.value:
         return DecodeResult(STATUS_NOT_FOUND, None, 0)
-    cosets = {i: fingerprint_coset(fp) for i, fp in enumerate(fps) if i != own_index - 1}
+    cosets = {i: solutions(fp.spec, fp.value.v) for i, fp in enumerate(fps) if i != own_index - 1}
     if any(coset is not None and len(coset[1]) > _COSET_CAP_BITS for coset in cosets.values()):
         return DecodeResult(STATUS_SEARCH_LIMIT, None, 0)
     if None in cosets.values():  # an empty coset: no tuple matches

@@ -238,11 +238,11 @@ class AffineCandidates:
 
 
 class HammingSphere:
-    """The words at Hamming distance exactly t from center; at t = 0 the
-    center alone, the identical model's set."""
+    """The words at Hamming distance exactly t from base, base xor every
+    offset of weight t; at t = 0 the base alone, the identical model's set."""
 
-    def __init__(self, length: int, center: int, t: int) -> None:
-        self.length, self.center, self.t = length, center, t
+    def __init__(self, length: int, base: int, t: int) -> None:
+        self.length, self.base, self.t = length, base, t
 
 
 def weight_words(n: int, w: int):

@@ -2,13 +2,14 @@
 model, the reference that draws, instance enumerations and the joint
 decoder are checked against, each two-party model's candidate words,
 listed from its definition, which the decoders' verdicts are checked
-against, and the Hamming model's exact per-seed failure law."""
+against, and the Hamming and line-point models' exact per-seed failure
+laws."""
 
 import math
 from collections import Counter
 from fractions import Fraction
 
-from codes import clmul
+from codes import clmul, graph_images, rank, x_power_multiples
 from skalab.gf2 import BitVec, _poly_mod, irreducible_poly, matvec, mul_int
 from skalab.sources import Hamming, LinePoint, Triple, weight_words
 
@@ -62,3 +63,14 @@ def hamming_failure_probability(h, t) -> Fraction:
     finds every weight-t e' with h e' = h e, so x plays no part."""
     syndromes = Counter(matvec(h, BitVec(h.cols, e)).v for e in weight_words(h.cols, t))
     return Fraction(sum(c for c in syndromes.values() if c > 1), math.comb(h.cols, t))
+
+
+def line_point_failure_probability(h, n) -> Fraction:
+    """The probability over a line-point model's inputs that the receiver's
+    decode under the fingerprint hash h fails: the share of abscissas c in
+    GF(2^n) on whose graph {(u, c u)} h has a nonzero kernel, its rank on
+    the graph's basis by elimination below n.  The receiver decodes the
+    graph through its point (c, d), which holds the sender's line, so the
+    decode is unique iff that kernel is zero, whatever the line."""
+    failing = sum(rank(graph_images(h, x_power_multiples(c, n)), h.rows) < n for c in range(1 << n))
+    return Fraction(failing, 1 << n)

@@ -242,7 +242,8 @@ def test_two_phase_comm_accounting_band():
     plan = session_plan(config)
     log_term = math.log2(16 / float(config.eps))
     assert sum(plan.fp_rows) <= 16 + 5 * log_term
-    seed_overhead = (plan.fp_rows[0] + 32 - 1) + (plan.material_len + 32 - 1) + (plan.material_len + plan.key_len - 1)
+    material = plan.hash_layout[1][0][0]  # the key chain's first hash rows
+    seed_overhead = (plan.fp_rows[0] + 32 - 1) + (material + 32 - 1) + (material + plan.key_len - 1)
     for t in range(60):
         assert run_session(config, t).comm_bits == sum(plan.fp_rows) + seed_overhead
 
@@ -257,7 +258,7 @@ def test_plan_sizes_the_extractor():
     # 24 bits of material at min-entropy k = 24 - 8 and extractor eps 1/16:
     # m = k - 2 ceil(log2 16) bits, from the last public seed of 24 + m - 1.
     plan = session_plan(cfg_two_phase(margins=Margins(4, 8, 8, Fraction(1, 16))))
-    assert plan.material_len == 16 + 8  # I(x:y) + phase1
+    assert plan.hash_layout[1][0][0] == 16 + 8  # I(x:y) + phase1
     assert plan.key_len == 8
     assert plan.seed_slots[-1] == (1, "ext_seed", ("two_phase", "ext"), 24 + 8 - 1)
     # Extractor eps 1 costs nothing; None is the session eps (1/16).
@@ -298,7 +299,7 @@ def test_key_chain_follows_the_plan(config):
     seeds = draw_seeds(plan, public_stream)
     payloads = tuple(r.payload for r in seeds)
     fp_hashes, chain = protocols.toeplitz_hashes(plan.hash_layout, payloads)
-    assert (chain[0].rows, chain[0].cols) == (plan.material_len, len(plan.fp_rows) * plan.model.input_len)
+    assert (chain[0].rows, chain[0].cols) == (plan.hash_layout[1][0][0], len(plan.fp_rows) * plan.model.input_len)
     assert all(h.cols == prev.rows for prev, h in zip(chain, chain[1:]))
     assert chain[-1].rows == plan.key_len and len(chain) == (1 if config.protocol == "light" else 2)
     assert [h.rows for h in fp_hashes] == list(plan.fp_rows)
@@ -369,7 +370,7 @@ def test_omniscience_plan():
     c = ceil_log2(1 / config.eps)
     assert plan.fp_rows == (24 + c, 24 + c, 24 + c)
     assert plan.target_comm == 72 and plan.target_key_len == 8
-    assert plan.material_len == 12 and plan.key_len == 12 - 2 - 2 * 2  # k = material - deficiency; eps_ext = 1/4
+    assert plan.hash_layout[1][0][0] == 12 and plan.key_len == 12 - 2 - 2 * 2  # k = material - deficiency; eps_ext = 1/4
 
 
 def test_omniscience_default_margins_leave_no_key_at_n16():
@@ -734,16 +735,17 @@ def test_leak_check_names_the_first_record_holding_a_secret():
 @pytest.mark.parametrize(
     "config, products, calls",
     [
-        (cfg_light("line-point:n=62", Fraction(1, 2**32)), 2, 5),
-        (cfg_two_phase("line-point:n=62", Fraction(1, 256)), 3, 7),
+        (cfg_light("line-point:n=62", Fraction(1, 2**32)), 3, 6),
+        (cfg_two_phase("line-point:n=62", Fraction(1, 256)), 4, 8),
         (SessionConfig(parse_model_spec("triple:n=30"), "omniscience", Fraction(1, 16384), 13, OMNI_MARGINS), 5, 18),
     ],
     ids=["light", "two_phase", "omniscience"],
 )
 def test_each_product_is_computed_once_per_hash(monkeypatch, config, products, calls):
-    # Light hashes x by its fingerprint rows and its key rows; the sender
-    # re-hashes its own x against the fingerprint, the guard the decoded
-    # x, and each party's view runs the key chain on x.  Two_phase adds
+    # Light hashes x by its fingerprint rows and its key rows, and the
+    # receiver's candidate base for the syndrome; the sender re-hashes its
+    # own x against the fingerprint, the guard the decoded x, and each
+    # party's view runs the key chain on x.  Two_phase adds
     # the extractor over the material.  Omniscience fingerprints three
     # inputs and chains one word through two hashes on each of three
     # views, but every party re-hashes its own input and guards the other

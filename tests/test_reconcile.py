@@ -40,8 +40,8 @@ from skalab.reconcile import (
     _error_matches,
     _subset_images,
     decode,
-    fingerprint_coset,
     multi_decode,
+    solutions,
 )
 from skalab.rng import SeedStream
 from skalab.sources import HammingSphere, parse_model_spec, sample
@@ -96,7 +96,7 @@ def test_decode_singleton_unique(monkeypatch):
     _counting(monkeypatch, calls)
     res = decode(fp, singleton(x))
     assert res.status == STATUS_UNIQUE and res.value == x and res.candidates_checked == 1
-    assert calls == Counter(matvec=1), calls  # the center's hash settles it: no search, no guard
+    assert calls == Counter(matvec=2), calls  # the syndrome, then the guard's memo hit
 
 
 def test_zero_row_fingerprint_decodes_one_word_sets():
@@ -225,9 +225,10 @@ def _counting(monkeypatch, calls):
 
 
 def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
-    # A cold light line-point:n=62 decode builds its lattice rows and its
-    # target from integer products of spread operands: no mul_int, and one
-    # hash product, the guard's re-hash of the unique word.
+    # A cold light line-point:n=62 decode builds its lattice rows from
+    # integer products of spread operands: no mul_int, and two hash
+    # products, the base's for the syndrome and the guard's re-hash of the
+    # unique word.
     model = parse_model_spec("line-point:n=62")
     stream = SeedStream("word-ops")
     x, y = sample(model, stream.child("inst")).inputs
@@ -236,13 +237,13 @@ def test_line_point_decode_costs_no_field_multiplication(monkeypatch):
     _counting(monkeypatch, calls)
     res = decode(fp, model.candidates(y))  # a fresh hash: its graph basis is reduced here
     assert (res.status, res.value) == (STATUS_UNIQUE, x)
-    assert calls == Counter(matvec=1), calls
+    assert calls == Counter(matvec=2), calls
 
 
 def test_warm_line_point_decode_hashes_only_for_the_guard(monkeypatch):
-    # With its basis cached, a decode reads H base off one integer product
-    # with the spread seed it cached, so its only hash product is the
-    # guard's re-hash of the unique word; a verdict without a word has none.
+    # With its basis cached, a decode asks for two hash products, both
+    # memo hits: H base for the syndrome and the guard's re-hash of the
+    # unique word; a verdict without a word asks only for H base.
     model = parse_model_spec("line-point:n=62")
     stream = SeedStream("warm-ops")
     x, y = sample(model, stream.child("inst")).inputs
@@ -253,11 +254,11 @@ def test_warm_line_point_decode_hashes_only_for_the_guard(monkeypatch):
     _counting(monkeypatch, calls)
     res = decode(fp, cands)
     assert (res.status, res.value) == (STATUS_UNIQUE, x)
-    assert calls == Counter(matvec=1), calls
+    assert calls == Counter(matvec=2), calls
     calls.clear()
     wrong = Fingerprint(fp.spec, BitVec(fp.value.n, fp.value.v ^ 1))
     assert decode(wrong, cands).status == STATUS_NOT_FOUND
-    assert calls == Counter(), calls
+    assert calls == Counter(matvec=1), calls
 
 
 # Each guard re-hashes a decoded word on a hash whose products already hold
@@ -272,7 +273,8 @@ def test_line_point_guard_fires_with_the_true_product_kept(monkeypatch):
     x, y = sample(model, stream.child("inst")).inputs
     fp = encode(x, model.n, Fraction(1, 256), stream.child("fp"))
     assert decode(fp, model.candidates(y)).value == x and x.v in fp.spec.products
-    monkeypatch.setattr(reconcile, "solve_graph", lambda basis, value, base: x.v ^ 1)
+    base = model.candidates(y).base
+    monkeypatch.setattr(reconcile, "solve_graph", lambda basis, syndrome: x.v ^ 1 ^ base)
     with pytest.raises(AssertionError, match=NON_MATCHING):
         decode(fp, model.candidates(y))
 
@@ -321,10 +323,13 @@ def test_factored_rows_are_echelon_and_return_coefficients(n):
             lattice_rows = basis[0]
             assert [lead & 7 for _, lead in lattice_rows] == [0, 1, 2]
             assert all(row.bit_length() - 1 == lead for row, lead in lattice_rows)
+            if kernel_dim:  # a second offset for the ambiguous verdict: a nonzero graph word that H sends to 0
+                k = gf2.graph_kernel_word(basis)
+                assert k and k >> n == gf2.mul_int(m, k & mask, n) and not matvec(spec, BitVec(2 * n, k)).v
             for _ in range(8):
                 coeffs = stream.bits(n)
                 b = reduce(xor, (v for j, v in enumerate(graph) if (coeffs >> j) & 1), 0)
-                got = gf2.solve_graph(basis, matvec(spec, BitVec(2 * n, b)).v, 0)
+                got = gf2.solve_graph(basis, matvec(spec, BitVec(2 * n, b)).v)
                 assert got >> n == gf2.mul_int(m, got & mask, n)  # a graph word
                 assert matvec(spec, BitVec(2 * n, got)) == matvec(spec, BitVec(2 * n, b))
                 if not kernel_dim:  # H is injective on the graph: the coefficients are unique
@@ -571,10 +576,9 @@ def test_sphere_cap_admits_a_larger_half_of_exactly_the_cap(monkeypatch):
     assert STATUS_UNIQUE in statuses
 
 
-def test_walking_sphere_decode_hashes_no_center(monkeypatch):
-    # The walk reads the fingerprint's coset, so the only product is the
-    # guard's, of the decoded word: H y is formed only for the meet in the
-    # middle.
+def test_walking_sphere_decode_hashes_the_base_then_the_word(monkeypatch):
+    # The walk reads the syndrome's coset, so the products are the base's,
+    # for the syndrome, and the guard's, of the decoded word.
     model = parse_model_spec("hamming:n=15,t=2")
     stream = SeedStream("walk-no-center")
     x, y = sample(model, stream.child("in")).inputs
@@ -584,7 +588,20 @@ def test_walking_sphere_decode_hashes_no_center(monkeypatch):
     walk = reconcile._coset_walk
     monkeypatch.setattr(reconcile, "_coset_walk", lambda *a: walks.append(a) or walk(*a))
     assert decode(fp, model.candidates(y)) == (STATUS_UNIQUE, x, math.comb(15, 2))
-    assert len(walks) == 1 and hashed == [x]
+    assert len(walks) == 1 and hashed == [y, x]
+
+
+def test_a_sphere_walk_solves_once_per_distinct_syndrome(monkeypatch):
+    # Light hamming:n=8,t=3 at eps = 1/4 fingerprints with 8 rows, so every
+    # decode walks.  The walk solves for the syndrome H e of the true error,
+    # and the hash keeps each solve by right-hand side, so the exact audit
+    # solves at most once per weight-3 error, C(8, 3) = 56 times, not once
+    # per fingerprint value.
+    config = SessionConfig(parse_model_spec("hamming:n=8,t=3"), "light", Fraction(1, 4), 1)
+    calls = Counter()
+    monkeypatch.setattr(reconcile, "solve_affine", _counted(calls, "solves", gf2.solve_affine))
+    exact_small_n_audit(config, 0)
+    assert 0 < calls["solves"] <= math.comb(8, 3), calls
 
 
 # ---------------------------------------------------------
@@ -693,7 +710,7 @@ def coset_bitvecs(fp):
     """Every word of a fingerprint's coset as a BitVec, by doubling over
     the kernel of its description; () when it has none, None past the
     joint decode's cap."""
-    coset = fingerprint_coset(fp)
+    coset = solutions(fp.spec, fp.value.v)
     if not coset:
         return ()
     particular, kernel = coset
@@ -705,16 +722,16 @@ def coset_bitvecs(fp):
     return [BitVec(fp.spec.cols, w) for w in words]
 
 
-def test_fingerprint_coset_covers_preimage():
+def test_solutions_cover_the_preimage():
     stream = SeedStream("fps")
     x = stream.bitvec(10)
     fp = encode(x, 7, Fraction(1, 2), stream.child("s"))
-    coset = fingerprint_coset(fp)
+    coset = solutions(fp.spec, fp.value.v)
     particular, kernel = coset
     assert isinstance(kernel, tuple)  # kept on the hash and shared, so immutable
-    assert fingerprint_coset(fp) is coset
+    assert solutions(fp.spec, fp.value.v) is coset
     assert fp.spec.cosets == {fp.value.v: coset}
-    assert fingerprint_coset(Fingerprint(fp.spec, fp.value)) is coset  # by hash and value, not by object
+    assert solutions(fp.spec, matvec(fp.spec, x).v) is coset  # by hash and value: x's value, re-hashed
     assert coset == gf2.solve_affine(fp.spec, fp.value)  # the solve's result, as it is
     assert len(kernel) >= 2
     sols = coset_bitvecs(fp)
@@ -725,22 +742,22 @@ def test_fingerprint_coset_covers_preimage():
     # The Gray code walk covers the same words.
     assert sorted(reconcile._coset_walk(*coset)) == sorted(v.v for v in sols)
     # No solution is None, as the solve's: the all-zero hash maps every word to 0.
-    assert fingerprint_coset(Fingerprint(Gf2Matrix(3, 4, BitVec(6, 0)), BitVec(3, 1))) is None
+    assert solutions(Gf2Matrix(3, 4, BitVec(6, 0)), 1) is None
 
 
-def test_fingerprint_coset_is_kept_whole_past_the_joint_cap():
+def test_solutions_are_kept_whole_past_the_joint_cap():
     # The coset is the solve's, whatever its size; the joint decode applies
     # its own cap, and answers search_limit before not_found when one other
     # party's coset is past it and the other's is empty.
     model = parse_model_spec("triple:n=16")
     inst = sample(model, SeedStream("md-own"))
     fps = _triple_fingerprints(inst, (32, 16, 32), Fraction(1, 2), SeedStream("md-own-s"))
-    particular, kernel = fingerprint_coset(fps[1])
+    particular, kernel = solutions(fps[1].spec, fps[1].value.v)
     assert len(kernel) > reconcile._COSET_CAP_BITS
     assert (particular, kernel) == gf2.solve_affine(fps[1].spec, fps[1].value)
     zero_hash = Gf2Matrix(8, 32, BitVec(toeplitz_seed_len(8, 32), 0))
     empty = Fingerprint(zero_hash, BitVec(8, 1))  # the all-zero hash meets no nonzero value
-    assert fingerprint_coset(empty) is None
+    assert solutions(empty.spec, empty.value.v) is None
     own = inst.inputs[0]
     for others in ([fps[1], empty], [empty, fps[1]]):
         res = multi_decode(model, 1, own, [fps[0], *others])
@@ -920,7 +937,7 @@ def test_multi_decode_own_mismatch_is_not_found_before_any_solve():
     model = parse_model_spec("triple:n=16")
     inst = sample(model, SeedStream("md-own"))
     fps = _triple_fingerprints(inst, (32, 16, 32), Fraction(1, 2), SeedStream("md-own-s"))
-    assert len(fingerprint_coset(fps[1])[1]) > reconcile._COSET_CAP_BITS  # 2^16 words or more
+    assert len(solutions(fps[1].spec, fps[1].value.v)[1]) > reconcile._COSET_CAP_BITS  # 2^16 words or more
     fps[0] = _tampered(fps[0])
     assert product_filter_decode(model, 1, inst.inputs[0], fps).status == STATUS_SEARCH_LIMIT
     res = multi_decode(model, 1, inst.inputs[0], fps)

@@ -270,7 +270,7 @@ def test_candidates_identical_singleton():
     inst = sample(model, SeedStream("cid"))
     sphere = model.candidates(inst.inputs[1])
     assert isinstance(sphere, HammingSphere)
-    assert (sphere.length, sphere.center, sphere.t) == (8, inst.inputs[1].v, 0)
+    assert (sphere.length, sphere.base, sphere.t) == (8, inst.inputs[1].v, 0)
     assert candidate_words(model, inst.inputs[1]) == [inst.inputs[0]]
 
 
@@ -357,7 +357,7 @@ def test_hamming_sphere_iterates_errors_in_order():
     model = parse_model_spec("hamming:n=6,t=2")
     y = sample(model, SeedStream("sphere-order")).inputs[1]
     sphere = model.candidates(y)
-    assert isinstance(sphere, HammingSphere) and (sphere.length, sphere.center, sphere.t) == (6, y.v, 2)
+    assert isinstance(sphere, HammingSphere) and (sphere.length, sphere.base, sphere.t) == (6, y.v, 2)
     cands = candidate_words(model, y)
     assert [c.v ^ y.v for c in cands] == list(weight_words(6, 2))
     assert len(cands) == math.comb(6, 2)
